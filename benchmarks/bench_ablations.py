@@ -15,18 +15,18 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import RetrievalConfig, WorkflowConfig
+from repro.config import RetrievalConfig, ReproConfig
 from repro.corpus.builder import chunk_corpus
 from repro.embeddings import create_embedding_model
 from repro.evaluation import krylov_benchmark, run_experiment
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 from repro.vectorstore import BruteForceIndex, IVFIndex
 
 SUBSET = 16
 
 
 def _mean(bundle, grader, cfg, *, mode="rag+rerank", n=SUBSET):
-    pipeline = build_rag_pipeline(bundle, cfg, mode=mode)
+    pipeline = open_pipeline(cfg, bundle=bundle, mode=mode)
     return run_experiment(pipeline, grader, questions=krylov_benchmark()[:n]).mean_score()
 
 
@@ -36,7 +36,7 @@ def test_ablation_kl_sweep(benchmark, bundle, grader):
     def sweep():
         out = {}
         for k, l in ((4, 2), (8, 4), (12, 6)):
-            cfg = WorkflowConfig(
+            cfg = ReproConfig(
                 retrieval=RetrievalConfig(first_pass_k=k, final_l=l),
                 iterations_per_token=0,
             )
@@ -55,9 +55,9 @@ def test_ablation_keyword_search(benchmark, bundle, grader):
     """A2: PETSc-specific keyword lookup (Section III-C) must not hurt."""
 
     def compare():
-        on = _mean(bundle, grader, WorkflowConfig(
+        on = _mean(bundle, grader, ReproConfig(
             retrieval=RetrievalConfig(use_keyword_search=True), iterations_per_token=0))
-        off = _mean(bundle, grader, WorkflowConfig(
+        off = _mean(bundle, grader, ReproConfig(
             retrieval=RetrievalConfig(use_keyword_search=False), iterations_per_token=0))
         return on, off
 
@@ -72,7 +72,7 @@ def test_ablation_chunking(benchmark, bundle, grader):
     def sweep():
         out = {}
         for size, overlap in ((400, 60), (800, 120), (1600, 240)):
-            cfg = WorkflowConfig(
+            cfg = ReproConfig(
                 retrieval=RetrievalConfig(chunk_size=size, chunk_overlap=overlap),
                 iterations_per_token=0,
             )
@@ -162,8 +162,8 @@ def test_ablation_mail_archives(benchmark, bundle, grader):
     """
 
     def compare():
-        clean = _mean(bundle, grader, WorkflowConfig(iterations_per_token=0), n=37)
-        cfg = WorkflowConfig(
+        clean = _mean(bundle, grader, ReproConfig(iterations_per_token=0), n=37)
+        cfg = ReproConfig(
             retrieval=RetrievalConfig(include_mail_archives=True),
             iterations_per_token=0,
         )

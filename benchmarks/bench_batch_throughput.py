@@ -20,7 +20,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.engine import QueryEngine
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.index import get_or_build_index
@@ -36,8 +36,8 @@ def _questions() -> list[str]:
     return [q.text for q in krylov_benchmark()]
 
 
-def _timed_config() -> WorkflowConfig:
-    return WorkflowConfig()  # persona-default latency burn: the real workload
+def _timed_config() -> ReproConfig:
+    return ReproConfig()  # persona-default latency burn: the real workload
 
 
 def _batch_run(artifact, *, workers: int):

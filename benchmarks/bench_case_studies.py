@@ -11,20 +11,20 @@ Case study 2: the preallocation-diagnostic question — the critical
 
 from __future__ import annotations
 
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.evaluation.casestudies import (
     CASE_STUDY_1_QID,
     CASE_STUDY_2_QID,
     run_case_study,
 )
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 
 
 def _pipelines(bundle):
-    cfg = WorkflowConfig(iterations_per_token=0)
+    cfg = ReproConfig(iterations_per_token=0)
     return (
-        build_rag_pipeline(bundle, cfg, mode="rag"),
-        build_rag_pipeline(bundle, cfg, mode="rag+rerank"),
+        open_pipeline(cfg, bundle=bundle, mode="rag"),
+        open_pipeline(cfg, bundle=bundle, mode="rag+rerank"),
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.evaluation.chaos import run_chaos_experiment
 from repro.resilience import FaultConfig
 
@@ -24,7 +24,7 @@ RATES = (0.0, 0.1, 0.3)
 def _run(bundle, rate: float):
     return run_chaos_experiment(
         bundle,
-        WorkflowConfig(iterations_per_token=0),
+        ReproConfig(iterations_per_token=0),
         seed=SEED,
         fault_config=FaultConfig(transient_rate=rate),
     )
@@ -52,7 +52,7 @@ def test_chaos_reproducible(bundle):
 
     different_seed = run_chaos_experiment(
         bundle,
-        WorkflowConfig(iterations_per_token=0),
+        ReproConfig(iterations_per_token=0),
         seed=SEED + 1,
         fault_config=FaultConfig(transient_rate=0.3),
     )

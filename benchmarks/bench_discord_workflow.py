@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-from repro.bots import build_support_system
-from repro.config import WorkflowConfig
+from repro.api import open_support_system
+from repro.config import ReproConfig
 
 _counter = itertools.count(1)
 
@@ -25,7 +25,7 @@ QUESTIONS = [
 
 
 def test_support_cycle(benchmark, bundle):
-    system = build_support_system(bundle, WorkflowConfig(iterations_per_token=0))
+    system = open_support_system(ReproConfig(iterations_per_token=0), bundle=bundle)
     developer = next(u for u in system.server.members.values() if u.name == "barry")
 
     def cycle():

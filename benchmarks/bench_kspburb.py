@@ -7,17 +7,17 @@ correctly answers that no such function exists.
 
 from __future__ import annotations
 
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.evaluation import krylov_benchmark
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 
 QUESTION = "What does KSPBurb do?"
 
 
 def test_kspburb_hallucination_and_fix(benchmark, bundle, grader):
-    cfg = WorkflowConfig(iterations_per_token=0)
-    baseline = build_rag_pipeline(bundle, cfg, mode="baseline")
-    rerank = build_rag_pipeline(bundle, cfg, mode="rag+rerank")
+    cfg = ReproConfig(iterations_per_token=0)
+    baseline = open_pipeline(cfg, bundle=bundle, mode="baseline")
+    rerank = open_pipeline(cfg, bundle=bundle, mode="rag+rerank")
     probe = next(q for q in krylov_benchmark() if q.kind == "nonexistent")
 
     def both():

@@ -12,11 +12,11 @@ The simulated counterparts of the paper's winners must come out on top.
 
 from __future__ import annotations
 
-from repro.config import RetrievalConfig, WorkflowConfig
+from repro.config import RetrievalConfig, ReproConfig
 from repro.embeddings import EMBEDDING_MODEL_NAMES
 from repro.evaluation import krylov_benchmark, run_experiment
 from repro.llm import CHAT_MODEL_NAMES
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 
 #: Subset keeps the grid affordable: 4 chat models x 3 embeddings.
 SUBSET_SIZE = 16
@@ -29,12 +29,12 @@ def test_model_grid(benchmark, bundle, grader):
         grid: dict[tuple[str, str], float] = {}
         for chat in CHAT_MODEL_NAMES:
             for emb in EMBEDDING_MODEL_NAMES:
-                cfg = WorkflowConfig(
+                cfg = ReproConfig(
                     chat_model=chat,
                     retrieval=RetrievalConfig(embedding_model=emb),
                     iterations_per_token=0,
                 )
-                pipeline = build_rag_pipeline(bundle, cfg, mode="rag+rerank")
+                pipeline = open_pipeline(cfg, bundle=bundle, mode="rag+rerank")
                 run = run_experiment(pipeline, grader, questions=questions)
                 grid[(chat, emb)] = run.mean_score()
         return grid

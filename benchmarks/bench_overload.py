@@ -18,7 +18,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from repro.config import AdmissionConfig, WorkflowConfig
+from repro.config import AdmissionConfig, ReproConfig
 from repro.engine import QueryEngine
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.index import get_or_build_index
@@ -56,7 +56,7 @@ def _workload(level: int):
 
 
 def _run_level(artifact, level: int):
-    cfg = replace(WorkflowConfig(iterations_per_token=0), admission=_admission_config())
+    cfg = replace(ReproConfig(iterations_per_token=0), admission=_admission_config())
     registry = MetricsRegistry()
     engine = QueryEngine(artifact, cfg, registry=registry)
     questions, arrivals = _workload(level)
@@ -66,7 +66,7 @@ def _run_level(artifact, level: int):
 
 
 def test_overload_goodput_and_deterministic_shedding(bundle):
-    artifact = get_or_build_index(bundle, WorkflowConfig(iterations_per_token=0))
+    artifact = get_or_build_index(bundle, ReproConfig(iterations_per_token=0))
     levels = {}
     for level in LEVELS:
         batch, registry = _run_level(artifact, level)

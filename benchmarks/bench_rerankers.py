@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import time
 
-from repro.config import RetrievalConfig, WorkflowConfig
+from repro.config import RetrievalConfig, ReproConfig
 from repro.evaluation import krylov_benchmark, run_experiment
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 from repro.rerank import FlashrankLiteReranker, NvidiaSimReranker
 from repro.retrieval import VectorRetriever
 from repro.vectorstore import VectorStore
@@ -28,11 +28,11 @@ def test_reranker_accuracy_similar(benchmark, bundle, grader):
     def accuracy():
         means = {}
         for reranker in ("flashrank-lite", "nvidia-sim"):
-            cfg = WorkflowConfig(
+            cfg = ReproConfig(
                 retrieval=RetrievalConfig(reranker=reranker),
                 iterations_per_token=0,
             )
-            pipeline = build_rag_pipeline(bundle, cfg, mode="rag+rerank")
+            pipeline = open_pipeline(cfg, bundle=bundle, mode="rag+rerank")
             means[reranker] = run_experiment(pipeline, grader, questions=questions).mean_score()
         return means
 

@@ -2,20 +2,20 @@
 
 Three claims, each load-bearing for the sharded serving path:
 
-1. **Partition invariance** — answers are byte-identical across shard
-   counts 1/2/4/8 *and* against the monolithic index.  One embedding
-   model is fitted globally and the scatter-gather merge re-sorts by
-   ``(-score, doc_id)``, so how the corpus is partitioned can never leak
-   into what the assistant says.  Span digests are identical across all
-   sharded counts (the constant-named ``scatter`` span carries shard
-   details in attributes only, which the structure digest excludes).
+1. **Partition invariance** — answers and span digests are
+   byte-identical at the default config (one shard) and across shard
+   counts 1/2/4/8.  One embedding model is fitted globally and the
+   scatter-gather merge re-sorts by ``(-score, doc_id)``, so how the
+   corpus is partitioned can never leak into what the assistant says
+   (the constant-named ``scatter`` span carries shard details in
+   attributes only, which the structure digest excludes).
 2. **Scatter/worker invariance** — at a fixed shard count, the answers,
    span, and metrics digests do not move with ``scatter_workers``, nor
    across two same-seed runs.
 3. **Incremental rebuild** — with a corpus-free embedding, editing one
    document dirties exactly one shard: the rebuild runs ``build_index``
    once (counter +1, not +N), loads the clean shards from the per-shard
-   disk cache, and beats a monolithic full rebuild by >= 2x.
+   disk cache, and beats a single-shard full rebuild by >= 2x.
 
 Results land in ``BENCH_shards.json`` at the repo root; the ``digests``
 block is what CI's two-run equality gate compares (timings are
@@ -33,7 +33,7 @@ from repro.config import ReproConfig, RetrievalConfig, ShardingConfig
 from repro.corpus.builder import CorpusBundle
 from repro.documents import Document
 from repro.evaluation.benchmark import krylov_benchmark
-from repro.index import build_sharded_index, clear_index_cache, get_or_build_index
+from repro.index import clear_index_cache, get_or_build_index
 from repro.observability import MetricsRegistry, use_registry
 
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_shards.json"
@@ -50,13 +50,9 @@ def _questions() -> list[str]:
     return [q.text for q in krylov_benchmark()]
 
 
-def _fast_config(num_shards: int = 0, *, scatter_workers: int = 0) -> ReproConfig:
-    return ReproConfig(
-        iterations_per_token=0,  # digests don't depend on the burn
-        sharding=ShardingConfig(
-            num_shards=num_shards, scatter_workers=scatter_workers
-        ),
-    )
+def _fast_config(**sharding) -> ReproConfig:
+    """Zero burn (digests don't depend on it); default sharding unless given."""
+    return ReproConfig(iterations_per_token=0, sharding=ShardingConfig(**sharding))
 
 
 def _batch_digests(config: ReproConfig, bundle) -> dict:
@@ -74,29 +70,29 @@ def _batch_digests(config: ReproConfig, bundle) -> dict:
 
 def test_shard_count_digest_parity(bundle):
     """Answers never depend on how the index is partitioned."""
-    mono = _batch_digests(_fast_config(0), bundle)
-    sweep = {n: _batch_digests(_fast_config(n), bundle) for n in SHARD_SWEEP}
+    default = _batch_digests(_fast_config(), bundle)
+    sweep = {
+        n: _batch_digests(_fast_config(num_shards=n), bundle) for n in SHARD_SWEEP
+    }
 
-    answers = {mono["answers"]} | {s["answers"] for s in sweep.values()}
+    answers = {default["answers"]} | {s["answers"] for s in sweep.values()}
     assert len(answers) == 1, f"answers digest moved with shard count: {answers}"
-    sharded_spans = {s["spans"] for s in sweep.values()}
-    assert len(sharded_spans) == 1, (
-        f"span digest moved with shard count: {sharded_spans}"
-    )
+    spans = {default["spans"]} | {s["spans"] for s in sweep.values()}
+    assert len(spans) == 1, f"span digest moved with shard count: {spans}"
 
     # Scatter-worker sweep and a same-seed rerun at a fixed shard count:
     # all three digests (metrics included) must hold still.
     fixed = sweep[PARITY_SHARDS]
     for workers in SCATTER_SWEEP:
         got = _batch_digests(
-            _fast_config(PARITY_SHARDS, scatter_workers=workers), bundle
+            _fast_config(num_shards=PARITY_SHARDS, scatter_workers=workers), bundle
         )
         assert got == fixed, f"digests moved at scatter_workers={workers}"
-    assert _batch_digests(_fast_config(PARITY_SHARDS), bundle) == fixed
+    assert _batch_digests(_fast_config(num_shards=PARITY_SHARDS), bundle) == fixed
 
     _PARITY.update(
         {
-            "monolithic": {"answers": mono["answers"], "spans": mono["spans"]},
+            "default": {"answers": default["answers"], "spans": default["spans"]},
             "sharded": {
                 str(n): {"answers": s["answers"], "spans": s["spans"]}
                 for n, s in sweep.items()
@@ -134,12 +130,12 @@ def test_incremental_rebuild_speedup(bundle, tmp_path):
     reg = MetricsRegistry()
     with use_registry(reg):
         t0 = time.perf_counter()
-        cold = build_sharded_index(bundle, cfg, cache_dir=cache_dir)
+        cold = get_or_build_index(bundle, cfg, cache_dir=cache_dir)
         cold_seconds = time.perf_counter() - t0
     assert reg.counter("repro.shard.builds").value == REBUILD_SHARDS
     cold_digests = {s.digest for s in cold.shards}
 
-    # Monolithic full-rebuild reference over the same edited corpus.
+    # Single-shard full-rebuild reference over the same edited corpus.
     edited = _edit_one_document(bundle)
     clear_index_cache()
     t0 = time.perf_counter()
@@ -147,7 +143,7 @@ def test_incremental_rebuild_speedup(bundle, tmp_path):
         iterations_per_token=0,
         retrieval=RetrievalConfig(embedding_model=REBUILD_EMBEDDING),
     ))
-    mono_seconds = time.perf_counter() - t0
+    single_seconds = time.perf_counter() - t0
 
     # Incremental sharded rebuild: in-process cache cleared so the three
     # clean shards exercise the disk path, the dirty one rebuilds.
@@ -155,7 +151,7 @@ def test_incremental_rebuild_speedup(bundle, tmp_path):
     reg = MetricsRegistry()
     with use_registry(reg):
         t0 = time.perf_counter()
-        warm = build_sharded_index(edited, cfg, cache_dir=cache_dir)
+        warm = get_or_build_index(edited, cfg, cache_dir=cache_dir)
         incr_seconds = time.perf_counter() - t0
     builds = reg.counter("repro.shard.builds").value
     disk_hits = reg.counter("repro.shard.disk_hits").value
@@ -164,10 +160,10 @@ def test_incremental_rebuild_speedup(bundle, tmp_path):
     assert warm.digest != cold.digest  # the composite tracks the edit
     assert len(cold_digests & {s.digest for s in warm.shards}) == REBUILD_SHARDS - 1
 
-    speedup = mono_seconds / incr_seconds
+    speedup = single_seconds / incr_seconds
     assert speedup >= 2.0, (
         f"incremental rebuild {incr_seconds:.3f}s is only {speedup:.2f}x "
-        f"faster than a monolithic full rebuild {mono_seconds:.3f}s (need >= 2x)"
+        f"faster than a single-shard full rebuild {single_seconds:.3f}s (need >= 2x)"
     )
 
     payload = {
@@ -184,7 +180,7 @@ def test_incremental_rebuild_speedup(bundle, tmp_path):
             "cold_shard_builds": REBUILD_SHARDS,
         },
         "incremental": {
-            "monolithic_full_rebuild_seconds": round(mono_seconds, 4),
+            "single_shard_full_rebuild_seconds": round(single_seconds, 4),
             "incremental_rebuild_seconds": round(incr_seconds, 4),
             "speedup": round(speedup, 3),
             "shard_builds": builds,
@@ -195,10 +191,10 @@ def test_incremental_rebuild_speedup(bundle, tmp_path):
     _OUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     print(
-        f"\nparity: answers digest identical across monolithic + shards "
+        f"\nparity: answers and span digests identical across default + shards "
         f"{SHARD_SWEEP}\n"
         f"cold sharded build: {cold_seconds:.3f}s ({REBUILD_SHARDS} shards)\n"
-        f"monolithic full rebuild: {mono_seconds:.3f}s\n"
+        f"single-shard full rebuild: {single_seconds:.3f}s\n"
         f"incremental rebuild:     {incr_seconds:.3f}s "
         f"({builds} shard rebuilt, {disk_hits} disk hits) -> {speedup:.2f}x"
     )

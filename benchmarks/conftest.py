@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.corpus import build_default_corpus
 from repro.corpus.builder import chunk_corpus
 from repro.evaluation import BlindGrader, run_experiment
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 from repro.retrieval import ManualPageKeywordSearch
 
 
@@ -36,17 +36,17 @@ def grader(bundle):
 
 @pytest.fixture(scope="session")
 def runs_fast(bundle, grader):
-    cfg = WorkflowConfig(iterations_per_token=0)
+    cfg = ReproConfig(iterations_per_token=0)
     return {
-        mode: run_experiment(build_rag_pipeline(bundle, cfg, mode=mode), grader)
+        mode: run_experiment(open_pipeline(cfg, bundle=bundle, mode=mode), grader)
         for mode in ("baseline", "rag", "rag+rerank")
     }
 
 
 @pytest.fixture(scope="session")
 def runs_timed(bundle, grader):
-    cfg = WorkflowConfig()  # persona-default latency burn
+    cfg = ReproConfig()  # persona-default latency burn
     return {
-        mode: run_experiment(build_rag_pipeline(bundle, cfg, mode=mode), grader)
+        mode: run_experiment(open_pipeline(cfg, bundle=bundle, mode=mode), grader)
         for mode in ("rag", "rag+rerank")
     }

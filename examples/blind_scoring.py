@@ -12,10 +12,10 @@ Run:  python examples/blind_scoring.py
 
 from __future__ import annotations
 
-from repro import WorkflowConfig, build_default_corpus
+from repro import ReproConfig, build_default_corpus
 from repro.agentmem import AgentMemory
 from repro.history import BlindScoringSession, InteractionStore
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 
 QUESTIONS = [
     "What is the default Krylov method and restart?",
@@ -26,12 +26,12 @@ QUESTIONS = [
 
 def main() -> None:
     bundle = build_default_corpus()
-    cfg = WorkflowConfig(iterations_per_token=0)
+    cfg = ReproConfig(iterations_per_token=0)
     store = InteractionStore()
 
     print("collecting answers from two configurations ...")
     for mode in ("baseline", "rag+rerank"):
-        pipeline = build_rag_pipeline(bundle, cfg, mode=mode)
+        pipeline = open_pipeline(cfg, bundle=bundle, mode=mode)
         for q in QUESTIONS:
             store.record_pipeline_result(pipeline.answer(q), embedding_model="petsc-embed-large")
 

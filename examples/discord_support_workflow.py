@@ -13,7 +13,7 @@ Run:  python examples/discord_support_workflow.py
 
 from __future__ import annotations
 
-from repro import WorkflowConfig, build_support_system
+from repro import ReproConfig, open_support_system
 
 USER_EMAIL = """\
 Hi PETSc team,
@@ -32,7 +32,7 @@ On Mon, Jun 1, 2026, someone wrote:
 
 def main() -> None:
     print("assembling the support system (Fig. 5 topology) ...")
-    system = build_support_system(config=WorkflowConfig())
+    system = open_support_system(ReproConfig())
     barry = next(u for u in system.server.members.values() if u.name == "barry")
 
     print("\n[arc 1] user emails petsc-users")

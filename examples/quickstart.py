@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import WorkflowConfig, build_workflow
+from repro import ReproConfig, open_workflow
 
 QUESTIONS = [
     "What does KSPBurb do?",
@@ -23,7 +23,7 @@ QUESTIONS = [
 
 def main() -> None:
     print("building corpus + RAG database + reranker + simulated LLM ...")
-    workflow = build_workflow(config=WorkflowConfig())  # rag+rerank by default
+    workflow = open_workflow(ReproConfig())  # rag+rerank by default
 
     for question in QUESTIONS:
         print("\n" + "=" * 78)

@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import sys
 
-from repro import WorkflowConfig, build_default_corpus, compare_modes, run_experiment
+from repro import ReproConfig, build_default_corpus, compare_modes, run_experiment
 from repro.evaluation import (
     BlindGrader,
     render_comparison,
     render_latency_table,
     render_score_histogram,
 )
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 from repro.retrieval import ManualPageKeywordSearch
 
 
 def main() -> None:
     fast = "--fast" in sys.argv
-    cfg = WorkflowConfig(iterations_per_token=0 if fast else None)
+    cfg = ReproConfig(iterations_per_token=0 if fast else None)
 
     bundle = build_default_corpus()
     keyword = ManualPageKeywordSearch(bundle)
@@ -36,7 +36,7 @@ def main() -> None:
     runs = {}
     for mode in ("baseline", "rag", "rag+rerank"):
         print(f"running {mode} over the 37-question Krylov benchmark ...")
-        pipeline = build_rag_pipeline(bundle, cfg, mode=mode)
+        pipeline = open_pipeline(cfg, bundle=bundle, mode=mode)
         runs[mode] = run_experiment(pipeline, grader)
 
     print()

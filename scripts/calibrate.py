@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 
-from repro.config import RetrievalConfig, WorkflowConfig
+from repro.config import RetrievalConfig, ReproConfig
 from repro.corpus import build_default_corpus
 from repro.evaluation import BlindGrader, compare_modes, run_experiment
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 from repro.retrieval import ManualPageKeywordSearch
 
 
@@ -23,7 +23,7 @@ def main() -> None:
     args = ap.parse_args()
 
     bundle = build_default_corpus()
-    cfg = WorkflowConfig(
+    cfg = ReproConfig(
         chat_model=args.model,
         retrieval=RetrievalConfig(embedding_model=args.embedding),
         iterations_per_token=0,
@@ -33,7 +33,7 @@ def main() -> None:
 
     runs = {}
     for mode in ("baseline", "rag", "rag+rerank"):
-        pipeline = build_rag_pipeline(bundle, cfg, mode=mode)
+        pipeline = open_pipeline(cfg, bundle=bundle, mode=mode)
         runs[mode] = run_experiment(pipeline, grader)
         print(f"{mode:<11} hist: {runs[mode].score_histogram()}  mean {runs[mode].mean_score():.2f}")
 

@@ -6,10 +6,10 @@ Run from the repo root::
 
 The workloads live in ``tests/golden_workloads.py`` so the test suite
 re-runs *exactly* the same code.  This script exists to be run once,
-against the engine implementation the fixtures should pin; the
-committed ``tests/fixtures/service_golden.json`` was captured against
-the pre-interceptor-chain engine, making the fixture a cross-refactor
-equivalence oracle rather than a self-fulfilling snapshot.
+against the engine implementation the fixtures should pin, making the
+fixture a cross-refactor equivalence oracle rather than a
+self-fulfilling snapshot; ``tests/test_service.py`` pins separately
+which values a re-capture may and may not move.
 """
 
 from __future__ import annotations

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.corpus import build_default_corpus
 from repro.corpus.builder import chunk_corpus
 from repro.embeddings import create_embedding_model
 from repro.evaluation import BlindGrader
 from repro.evaluation.benchmark import BenchmarkQuestion, krylov_benchmark
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 from repro.retrieval import ManualPageKeywordSearch
 from repro.vectorstore import VectorStore
 
@@ -63,10 +63,10 @@ def main() -> None:
     chunks = chunk_corpus(bundle)
     emb = create_embedding_model("petsc-embed-large", corpus_texts=[c.text for c in chunks])
     store = VectorStore.from_documents(chunks, emb)
-    cfg = WorkflowConfig(iterations_per_token=0)
+    cfg = ReproConfig(iterations_per_token=0)
     kw = ManualPageKeywordSearch(bundle)
     grader = BlindGrader(registry=bundle.registry, known_identifiers=kw.known_identifiers())
-    pipes = {m: build_rag_pipeline(bundle, cfg, mode=m) for m in ("baseline", "rag", "rag+rerank")}
+    pipes = {m: open_pipeline(cfg, bundle=bundle, mode=m) for m in ("baseline", "rag", "rag+rerank")}
     questions = {q.qid: q for q in krylov_benchmark()}
 
     for qid, text in CANDIDATES:

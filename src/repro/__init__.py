@@ -5,8 +5,8 @@ The package provides the complete assistant stack the paper describes,
 over a synthetic PETSc documentation corpus and deterministic simulated
 models (no network access required):
 
->>> from repro import build_workflow
->>> wf = build_workflow()                      # rag+rerank by default
+>>> from repro import open_workflow
+>>> wf = open_workflow()                       # rag+rerank by default
 >>> answer = wf.ask("What does KSPBurb do?")   # grounded refusal
 >>> "no PETSc function" in answer.answer
 True
@@ -16,19 +16,15 @@ Main entry points
 ``open_service``              the serving front door: ReproConfig →
                               ReproService (one interceptor chain, one
                               scheduler, for every consumer)
-``open_engine``               ReproConfig → QueryEngine (sharded
-                              scatter-gather when configured)
+``open_engine``               ReproConfig → QueryEngine (scatter-gather
+                              over N shards × R replicas, 1 × 1 by default)
 ``ReproConfig``               root config nesting every subsystem's knobs
 ``build_default_corpus``      the synthetic PETSc knowledge base
-``build_workflow``            corpus → RAG(+rerank) → LLM → postprocess
-``build_rag_pipeline``        the bare pipeline in baseline/rag/rag+rerank mode
-``build_support_system``      the full Discord/mailing-list topology (Fig. 5)
+``open_workflow``             corpus → RAG(+rerank) → LLM → postprocess
+``open_pipeline``             the bare pipeline in baseline/rag/rag+rerank mode
+``open_support_system``       the full Discord/mailing-list topology (Fig. 5)
 ``krylov_benchmark``          the 37-question evaluation set
 ``run_experiment``            grade a pipeline over the benchmark
-
-The ``build_*`` helpers are compatibility wrappers over the
-:mod:`repro.api` facade (``open_engine`` / ``open_pipeline`` /
-``open_workflow`` / ``open_support_system``).
 """
 
 from repro.config import (
@@ -38,11 +34,10 @@ from repro.config import (
     ReproConfig,
     RetrievalConfig,
     ShardingConfig,
-    WorkflowConfig,
 )
 from repro.corpus import build_default_corpus
-from repro.engine import QueryEngine, ShardedQueryEngine
-from repro.index import IndexArtifact, ShardedIndexArtifact, get_or_build_index
+from repro.engine import QueryEngine
+from repro.index import IndexArtifact, get_or_build_index
 from repro.ingest import (
     CorpusDelta,
     IngestReport,
@@ -58,8 +53,7 @@ from repro.api import (
     resolve_artifact,
 )
 from repro.service import ReproService
-from repro.pipeline import AugmentedWorkflow, RAGPipeline, build_rag_pipeline, build_workflow
-from repro.bots import build_support_system
+from repro.pipeline import AugmentedWorkflow, RAGPipeline
 from repro.evaluation import (
     BlindGrader,
     compare_modes,
@@ -76,13 +70,10 @@ __all__ = [
     "ReproConfig",
     "RetrievalConfig",
     "ShardingConfig",
-    "WorkflowConfig",
     "build_default_corpus",
     "IndexArtifact",
-    "ShardedIndexArtifact",
     "QueryEngine",
     "ReproService",
-    "ShardedQueryEngine",
     "CorpusDelta",
     "IngestReport",
     "apply_documents",
@@ -96,9 +87,6 @@ __all__ = [
     "resolve_artifact",
     "AugmentedWorkflow",
     "RAGPipeline",
-    "build_rag_pipeline",
-    "build_workflow",
-    "build_support_system",
     "BlindGrader",
     "compare_modes",
     "krylov_benchmark",

@@ -1,15 +1,9 @@
-"""The consolidated public API.
-
-Four PRs of growth left entry-point plumbing sprawled across
-``build_rag_pipeline`` (bare pipelines), ``build_workflow`` (engine +
-postprocessing + history), and ``build_support_system`` (the Fig. 5
-topology), each resolving corpora, artifacts, and engines its own way.
-This module is the one front door:
+"""The public API: one front door for every assembly.
 
 * :func:`open_engine` — config in, :class:`~repro.engine.QueryEngine`
-  out.  Picks the monolithic or sharded engine from
-  ``config.sharding.num_shards`` and resolves the shared index artifact
-  (memory → disk → build) on the way.
+  out, over the shared index artifact (memory → disk → build) for
+  ``config.sharding.num_shards`` shards × ``config.replication.replicas``
+  replicas — one of each by default.
 * :func:`open_service` — config in,
   :class:`~repro.service.ReproService` out: the request front door over
   an :func:`open_engine` engine.  Serving code (CLI, bots, evaluation,
@@ -17,9 +11,6 @@ This module is the one front door:
 * :func:`open_pipeline` / :func:`open_workflow` /
   :func:`open_support_system` — the higher assemblies, all built on the
   same artifact/engine resolution.
-
-The historical builders remain as thin wrappers delegating here — same
-signatures, same return types, no behaviour change at default config.
 """
 
 from __future__ import annotations
@@ -45,15 +36,10 @@ if TYPE_CHECKING:
 def resolve_artifact(
     bundle: CorpusBundle | None = None, config: ReproConfig | None = None
 ) -> "IndexArtifact":
-    """The shared index artifact for (bundle, config): sharded when
-    ``config.sharding.num_shards >= 1``, monolithic otherwise."""
-    from repro.index import get_or_build_index, get_or_build_sharded_index
+    """The shared index artifact for (bundle, config)."""
+    from repro.index import get_or_build_index
 
-    config = config or ReproConfig()
-    bundle = bundle or build_default_corpus()
-    if config.sharding.num_shards >= 1:
-        return get_or_build_sharded_index(bundle, config)
-    return get_or_build_index(bundle, config)
+    return get_or_build_index(bundle or build_default_corpus(), config)
 
 
 def open_engine(
@@ -67,20 +53,18 @@ def open_engine(
 
     This is the single engine factory: every consumer — CLI, workflow,
     bots, benchmarks — gets its engine here, so one process serves every
-    caller from one artifact build.  ``config.sharding.num_shards >= 1``
-    returns a :class:`~repro.engine.ShardedQueryEngine` (scatter-gather
-    retrieval over N shards); the default ``0`` returns the monolithic
-    :class:`~repro.engine.QueryEngine`.  Answer/metric/span digests are
-    byte-identical across shard counts >= 1 for the same workload.
+    caller from one artifact build.  Answer/metric/span digests are
+    byte-identical across shard counts for the same workload.
     """
-    from repro.engine import QueryEngine, ShardedQueryEngine
+    from repro.engine import QueryEngine
 
     config = config or ReproConfig()
     config.validate()
-    bundle = bundle or build_default_corpus()
-    cls = ShardedQueryEngine if config.sharding.num_shards >= 1 else QueryEngine
-    return cls.from_corpus(
-        bundle, config, fault_injector=fault_injector, registry=registry
+    return QueryEngine(
+        resolve_artifact(bundle, config),
+        config,
+        fault_injector=fault_injector,
+        registry=registry,
     )
 
 
@@ -114,7 +98,7 @@ def open_pipeline(
     """A bare pipeline (no engine caches) over the shared artifact.
 
     Baseline mode needs no index and is assembled directly; retrieval
-    modes resolve the (possibly sharded) artifact first.
+    modes resolve the artifact first.
     """
     from repro.pipeline.rag import baseline_pipeline, pipeline_from_artifact
 
@@ -179,14 +163,99 @@ def open_support_system(
     mode: str = "rag+rerank",
     fault_injector: "FaultInjector | None" = None,
 ) -> "SupportSystem":
-    """The full Fig. 5 support topology, chatbot served by
-    :func:`open_engine`."""
-    from repro.bots.system import build_support_system
+    """The full Fig. 5 support topology over the (default) corpus: the
+    petsc-users mailing list, the bot Gmail account subscribed to it,
+    the Apps-Script poller, the Discord server with its private
+    channels, the webhook, the email bot, and the chatbot served by
+    :func:`open_engine`.
 
-    return build_support_system(
-        bundle,
-        config,
-        developers=developers,
-        mode=mode,
+    With a ``fault_injector``, every unreliable hop — mail delivery,
+    webhook post, retriever, reranker, LLM — is chaos-wrapped, and the
+    resilience layer keeps the chain up: delivery faults retry under the
+    policy, webhook faults land in the poller's dead-letter queue, and
+    pipeline faults walk the degradation ladder.
+    """
+    from repro.bots.chatbot import PetscChatbot
+    from repro.bots.email_bot import EmailBot
+    from repro.bots.system import SupportSystem
+    from repro.discordsim.gateway import Gateway
+    from repro.discordsim.models import User
+    from repro.discordsim.server import DEVELOPER_ROLE, Server
+    from repro.discordsim.webhook import Webhook
+    from repro.history import InteractionStore
+    from repro.mail.appsscript import AppsScriptPoller
+    from repro.mail.gmail import GmailAccount
+    from repro.mail.mailinglist import MailingList
+    from repro.resilience import RetryPolicy
+    from repro.service import ReproService
+
+    bundle = bundle or build_default_corpus()
+    config = config or ReproConfig()
+
+    bot_email = "petscbot@gmail.com"
+    mailing_list = MailingList("petsc-users", public_archive=True)
+    account = GmailAccount(bot_email, ignore_senders={bot_email})
+    deliver = account.deliver
+    if fault_injector is not None:
+        chaos_deliver = fault_injector.wrap_callable("mail", account.deliver)
+        if config.resilience.enabled:
+            policy = RetryPolicy.from_config(config.resilience)
+
+            def deliver(message) -> None:
+                policy.execute(
+                    lambda: chaos_deliver(message), key=("mail", message.message_id)
+                )
+
+        else:
+            deliver = chaos_deliver
+    mailing_list.subscribe(account.address, deliver)
+
+    gateway = Gateway()
+    server = Server(name="PETSc")
+    for dev in developers:
+        server.add_member(User(name=dev), DEVELOPER_ROLE)
+    notif = server.create_text_channel("petsc-users-notification", private=True)
+    server.create_forum_channel("petsc-users-emails", private=True)
+
+    webhook = Webhook(channel=notif, name="petsc-users-hook", gateway=gateway)
+    webhook_post = webhook.execute
+    if fault_injector is not None:
+        # Failed posts land in the poller's dead-letter queue and are
+        # redelivered on the next tick, so no wrapper retry here.
+        webhook_post = fault_injector.wrap_callable("webhook", webhook.execute)
+    poller = AppsScriptPoller(account=account, webhook_post=webhook_post)
+
+    email_bot = EmailBot(server, gateway, account=account)
+    store = InteractionStore()
+    # Non-baseline bots serve through the shared index artifact; chaos
+    # builds keep determinism because a fault injector disables the
+    # engine's answer cache.  Either way the chatbot gets one
+    # ReproService front door.
+    if PipelineMode.coerce(mode) is PipelineMode.BASELINE:
+        engine = None
+        pipeline = open_pipeline(
+            config, bundle=bundle, mode=mode, fault_injector=fault_injector
+        )
+        service = ReproService.for_pipeline(pipeline)
+    else:
+        engine = open_engine(config, bundle=bundle, fault_injector=fault_injector)
+        pipeline = engine.pipeline(mode)
+        service = engine.service
+    chatbot = PetscChatbot(
+        server, gateway, pipeline=pipeline, mailing_list=mailing_list,
+        bot_email=bot_email, store=store, engine=engine, service=service,
+    )
+
+    return SupportSystem(
+        bundle=bundle,
+        mailing_list=mailing_list,
+        account=account,
+        poller=poller,
+        server=server,
+        gateway=gateway,
+        webhook=webhook,
+        email_bot=email_bot,
+        chatbot=chatbot,
+        store=store,
         fault_injector=fault_injector,
     )

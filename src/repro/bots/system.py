@@ -1,11 +1,8 @@
-"""Wiring of the complete Fig. 5 support topology.
+"""The assembled Fig. 5 support topology.
 
-``build_support_system`` assembles: the petsc-users mailing list, the
-bot Gmail account subscribed to it, the Apps-Script poller, the Discord
-server with its private channels, the webhook, the email bot, and the
-chatbot backed by an augmented RAG pipeline.  The returned
-:class:`SupportSystem` exposes the pieces plus high-level drivers for
-the typical event sequence (arcs 1–8 in the paper's figure).
+:func:`repro.api.open_support_system` wires the pieces; the
+:class:`SupportSystem` it returns exposes them plus high-level drivers
+for the typical event sequence (arcs 1–8 in the paper's figure).
 """
 
 from __future__ import annotations
@@ -14,20 +11,18 @@ from dataclasses import dataclass
 
 from repro.bots.chatbot import DraftState, PetscChatbot
 from repro.bots.email_bot import EmailBot
-from repro.config import WorkflowConfig
-from repro.corpus.builder import CorpusBundle, build_default_corpus
+from repro.corpus.builder import CorpusBundle
 from repro.discordsim.channels import ForumPost
 from repro.discordsim.gateway import Gateway
 from repro.discordsim.models import User
-from repro.discordsim.server import DEVELOPER_ROLE, Server
+from repro.discordsim.server import Server
 from repro.discordsim.webhook import Webhook
 from repro.history import InteractionStore
 from repro.mail.appsscript import AppsScriptPoller
 from repro.mail.gmail import GmailAccount
 from repro.mail.mailinglist import MailingList
 from repro.mail.message import EmailMessage
-from repro.pipeline.types import PipelineMode
-from repro.resilience import FaultInjector, RetryPolicy
+from repro.resilience import FaultInjector
 
 
 @dataclass
@@ -64,95 +59,3 @@ class SupportSystem:
 
     def find_post(self, subject: str) -> ForumPost | None:
         return self.server.forum_channel("petsc-users-emails").find_post_by_title(subject)
-
-
-def build_support_system(
-    bundle: CorpusBundle | None = None,
-    config: WorkflowConfig | None = None,
-    *,
-    developers: tuple[str, ...] = ("barry", "junchao", "hong"),
-    mode: str = "rag+rerank",
-    fault_injector: FaultInjector | None = None,
-) -> SupportSystem:
-    """Assemble the full support topology over the (default) corpus.
-
-    With a ``fault_injector``, every unreliable hop — mail delivery,
-    webhook post, retriever, reranker, LLM — is chaos-wrapped, and the
-    resilience layer keeps the chain up: delivery faults retry under the
-    policy, webhook faults land in the poller's dead-letter queue, and
-    pipeline faults walk the degradation ladder.
-    """
-    bundle = bundle or build_default_corpus()
-    config = config or WorkflowConfig()
-
-    bot_email = "petscbot@gmail.com"
-    mailing_list = MailingList("petsc-users", public_archive=True)
-    account = GmailAccount(bot_email, ignore_senders={bot_email})
-    deliver = account.deliver
-    if fault_injector is not None:
-        chaos_deliver = fault_injector.wrap_callable("mail", account.deliver)
-        if config.resilience.enabled:
-            policy = RetryPolicy.from_config(config.resilience)
-
-            def deliver(message: EmailMessage) -> None:
-                policy.execute(
-                    lambda: chaos_deliver(message), key=("mail", message.message_id)
-                )
-
-        else:
-            deliver = chaos_deliver
-    mailing_list.subscribe(account.address, deliver)
-
-    gateway = Gateway()
-    server = Server(name="PETSc")
-    for dev in developers:
-        server.add_member(User(name=dev), DEVELOPER_ROLE)
-    notif = server.create_text_channel("petsc-users-notification", private=True)
-    server.create_forum_channel("petsc-users-emails", private=True)
-
-    webhook = Webhook(channel=notif, name="petsc-users-hook", gateway=gateway)
-    webhook_post = webhook.execute
-    if fault_injector is not None:
-        # Failed posts land in the poller's dead-letter queue and are
-        # redelivered on the next tick, so no wrapper retry here.
-        webhook_post = fault_injector.wrap_callable("webhook", webhook.execute)
-    poller = AppsScriptPoller(account=account, webhook_post=webhook_post)
-
-    email_bot = EmailBot(server, gateway, account=account)
-    store = InteractionStore()
-    # Non-baseline bots serve through the shared index artifact; chaos
-    # builds keep determinism because a fault injector disables the
-    # engine's answer cache.  Engine/pipeline plumbing lives behind the
-    # repro.api facade (which also picks sharded serving when configured);
-    # either way the chatbot gets one ReproService front door.
-    from repro.api import open_engine, open_pipeline
-    from repro.service import ReproService
-
-    if PipelineMode.coerce(mode) is PipelineMode.BASELINE:
-        engine = None
-        pipeline = open_pipeline(
-            config, bundle=bundle, mode=mode, fault_injector=fault_injector
-        )
-        service = ReproService.for_pipeline(pipeline)
-    else:
-        engine = open_engine(config, bundle=bundle, fault_injector=fault_injector)
-        pipeline = engine.pipeline(mode)
-        service = engine.service
-    chatbot = PetscChatbot(
-        server, gateway, pipeline=pipeline, mailing_list=mailing_list,
-        bot_email=bot_email, store=store, engine=engine, service=service,
-    )
-
-    return SupportSystem(
-        bundle=bundle,
-        mailing_list=mailing_list,
-        account=account,
-        poller=poller,
-        server=server,
-        gateway=gateway,
-        webhook=webhook,
-        email_bot=email_bot,
-        chatbot=chatbot,
-        store=store,
-        fault_injector=fault_injector,
-    )

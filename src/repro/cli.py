@@ -53,10 +53,9 @@ All question-answering commands serve through the
 :class:`~repro.service.ReproService` front door (see
 :func:`repro.api.open_service`), over one cached index artifact, so a
 multi-command process builds the index exactly once and every request —
-single or batch — runs the same interceptor chain.  With the
-global ``--shards N`` flag the index is partitioned into N shards built
-in parallel and served scatter-gather — answers are byte-identical to
-the monolithic path.
+single or batch — runs the same interceptor chain.  The global
+``--shards N`` flag partitions the index into N shards built in parallel
+and served scatter-gather — answers are byte-identical at any N.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ from repro.evaluation import (
 from repro.history import InteractionStore
 from repro.evaluation.casestudies import CASE_STUDY_1_QID, CASE_STUDY_2_QID, run_case_study
 from repro.evaluation.benchmark import krylov_benchmark
-from repro.index import ShardedIndexArtifact
 from repro.llm import CHAT_MODEL_NAMES
 from repro.observability import MetricsRegistry, use_registry
 from repro.pipeline.rag import pipeline_from_artifact
@@ -123,9 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fast", action="store_true", help="disable the LLM latency simulation"
     )
     parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="serve through a sharded index with N shards "
-             "(0 = monolithic; answers are identical either way)",
+        "--shards", type=int, default=1, metavar="N",
+        help="partition the index into N shards "
+             "(answers are identical at any N)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -169,8 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--shard-fault-rate", type=float, default=0.25,
         help="per-probe probability that a shard's primary replica fails "
-             "(classic runs need --shards >= 1 to have shard sites; the "
-             "sweep runs its own sharded phase, 0 disables it)",
+             "(0 disables shard faults and the sweep's shard phase)",
     )
     chaos.add_argument(
         "--replicas", type=int, default=2,
@@ -194,13 +191,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "--shard-fault-rate", type=float, default=0.0,
-        help="per-probe probability that a shard's primary replica fails "
-             "(needs --shards >= 1)",
+        help="per-probe probability that a shard's primary replica fails",
     )
     metrics.add_argument(
         "--replicas", type=int, default=1,
-        help="serving copies per shard (with --shards >= 1); failover and "
-             "health counters land in the measured registry",
+        help="serving copies per shard; failover and health counters "
+             "land in the measured registry",
     )
 
     batch = sub.add_parser(
@@ -357,13 +353,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         transient_rate=args.transient_rate,
         latency_spike_rate=args.latency_rate,
         truncation_rate=args.truncate_rate,
-        # Shard sites only exist on the sharded serving path; keep the
-        # classic monolithic schedule untouched unless --shards asks.
-        shard_fault_rate=args.shard_fault_rate if args.shards > 0 else 0.0,
+        shard_fault_rate=args.shard_fault_rate,
     )
     cfg = _config(args)
-    if args.shards > 0 and args.replicas > 1:
-        cfg.replication = ReplicationConfig(replicas=args.replicas, hedging=True)
+    cfg.replication = ReplicationConfig(
+        replicas=args.replicas, hedging=args.replicas > 1
+    )
     title = f"chaos sweep — {args.mode} ({args.model})"
     if args.overload_factor > 0:
         sweep = run_robustness_sweep(
@@ -399,9 +394,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     # later calls hit), and folding them into the measured registry
     # would break the same-workload digest-equality guarantee.
     artifact = resolve_artifact(bundle, cfg)
-    replicated = isinstance(artifact, ShardedIndexArtifact) and (
-        args.replicas > 1 or args.shard_fault_rate > 0
-    )
+    replicated = args.replicas > 1 or args.shard_fault_rate > 0
     health = None
     registry = MetricsRegistry()
     traces = []
@@ -446,11 +439,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     span_digest = hashlib.sha256(
         json.dumps([t.structure_digest() for t in traces]).encode()
     ).hexdigest()
-    shard_rows = []
-    if isinstance(artifact, ShardedIndexArtifact):
-        shard_rows = artifact.shard_summaries(
-            replicas=args.replicas if replicated else 1, health=health
-        )
+    shard_rows = artifact.shard_summaries(
+        replicas=args.replicas if replicated else 1, health=health
+    )
     if args.json:
         workload = {
             "mode": args.mode,
@@ -471,29 +462,27 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             "spans": dict(sorted(span_counts.items())),
             "metrics": registry.deterministic_view(),
         }
-        if shard_rows:
-            payload["shards"] = {
-                "num_shards": len(shard_rows),
-                "composite_digest": artifact.digest,
-                "shards": shard_rows,
-            }
+        payload["shards"] = {
+            "num_shards": len(shard_rows),
+            "composite_digest": artifact.digest,
+            "shards": shard_rows,
+        }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(registry.render_text())
-        if shard_rows:
-            print(f"\nshards ({len(shard_rows)}, composite {artifact.digest[:12]}):")
-            for row in shard_rows:
-                line = (
-                    f"  shard {row['shard']}: {row['chunks']:>4} chunks, "
-                    f"{row['vectors']:>4} vectors, {row['manual_pages']:>3} pages  "
-                    f"[{row['digest'][:12]}]"
+        print(f"\nshards ({len(shard_rows)}, composite {artifact.digest[:12]}):")
+        for row in shard_rows:
+            line = (
+                f"  shard {row['shard']}: {row['chunks']:>4} chunks, "
+                f"{row['vectors']:>4} vectors, {row['manual_pages']:>3} pages  "
+                f"[{row['digest'][:12]}]"
+            )
+            if "health" in row:
+                line += (
+                    f"  replicas={row['replicas']} "
+                    f"health={'/'.join(row['health'])}"
                 )
-                if "health" in row:
-                    line += (
-                        f"  replicas={row['replicas']} "
-                        f"health={'/'.join(row['health'])}"
-                    )
-                print(line)
+            print(line)
         print(f"\nspans: {dict(sorted(span_counts.items()))}")
         print(f"metrics digest: {registry.digest()}")
         print(f"span digest:    {span_digest}")

@@ -4,8 +4,7 @@
 subsystem's knobs (retrieval, resilience, observability, engine,
 admission, durability, sharding, replication, ingest), with ``to_dict``/``from_dict``
 round-tripping so the CLI, tests, and embedders of the library stop
-threading six separate config objects.  ``WorkflowConfig`` is the
-historical name and remains as an alias.
+threading six separate config objects.
 """
 
 from __future__ import annotations
@@ -258,12 +257,12 @@ class ShardingConfig:
     path, each shard builds (and disk-caches) its own
     :class:`~repro.index.IndexArtifact`, and retrieval fans out across
     shards and merges top-k with a deterministic ``(score, doc_id)``
-    tie-break.  ``num_shards=0`` disables sharding entirely and keeps
-    the original monolithic index path byte-for-byte unchanged.
+    tie-break.  One shard is the default: the single-database
+    deployment is the 1-shard case of the same path, not a separate one.
     """
 
-    #: Number of index shards; 0 = monolithic (sharding disabled).
-    num_shards: int = 0
+    #: Number of index shards.
+    num_shards: int = 1
     #: Worker-pool width for parallel per-shard index builds.
     build_workers: int = 4
     #: Worker-pool width for the per-query scatter across shards;
@@ -271,8 +270,10 @@ class ShardingConfig:
     scatter_workers: int = 0
 
     def validate(self) -> None:
-        if self.num_shards < 0:
-            raise ConfigurationError(f"num_shards must be >= 0, got {self.num_shards}")
+        if self.num_shards < 1:
+            raise ConfigurationError(
+                f"sharding.num_shards must be >= 1, got {self.num_shards}"
+            )
         if self.build_workers <= 0:
             raise ConfigurationError(
                 f"build_workers must be positive, got {self.build_workers}"
@@ -417,11 +418,13 @@ class ReproConfig:
     def from_dict(cls, data: dict) -> "ReproConfig":
         """Build a config from a (possibly partial) nested dict.
 
-        Missing keys keep their defaults; unknown keys raise
-        :class:`~repro.errors.ConfigurationError` so typos do not pass
-        silently.
+        Missing keys keep their defaults; unknown keys and out-of-range
+        values raise :class:`~repro.errors.ConfigurationError` so typos
+        do not pass silently.
         """
-        return _section_from_dict(cls, data, path="")
+        config = _section_from_dict(cls, data, path="")
+        config.validate()
+        return config
 
 
 def _section_to_dict(section) -> dict:
@@ -459,8 +462,3 @@ def _section_from_dict(cls, data, *, path: str):
         else:
             setattr(section, name, value)
     return section
-
-
-#: Historical name for :class:`ReproConfig`, kept as an alias so existing
-#: call sites (and ``isinstance`` checks) keep working unchanged.
-WorkflowConfig = ReproConfig

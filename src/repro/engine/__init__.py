@@ -11,11 +11,9 @@ from repro.engine.caches import (
     ContextBinder,
     LRUCache,
 )
-from repro.engine.engine import BatchItem, BatchResult, QueryEngine
-from repro.engine.sharded import ShardedQueryEngine
+from repro.engine.engine import BatchResult, QueryEngine
 
 __all__ = [
-    "BatchItem",
     "BatchResult",
     "CacheTransaction",
     "CachedEmbedding",
@@ -23,5 +21,4 @@ __all__ = [
     "ContextBinder",
     "LRUCache",
     "QueryEngine",
-    "ShardedQueryEngine",
 ]

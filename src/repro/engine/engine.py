@@ -2,8 +2,11 @@
 
 A :class:`QueryEngine` owns one immutable
 :class:`~repro.index.IndexArtifact`, lazily-built pipelines for each
-mode, and the answer/retrieval/embedding LRU caches.  Serving goes
-through the request lifecycle in :mod:`repro.service`:
+mode, the answer/retrieval/embedding LRU caches, and the health tracker
+of the shard replicas it serves from.  Retrieval is scatter-gather over
+the artifact's shards — one shard, one replica by default — and nothing
+above the store knows the shard count: the merge order ``(-score,
+doc_id)`` makes retrieval partition-invariant.  Serving goes through the request lifecycle in :mod:`repro.service`:
 :meth:`QueryEngine.answer` and :meth:`QueryEngine.answer_many` are thin
 wrappers that route every request — one question is a batch of one —
 through the engine's :class:`~repro.service.ReproService` and its
@@ -22,20 +25,17 @@ from __future__ import annotations
 import threading
 
 from repro.admission import AdmissionController
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.context import RequestContext
-from repro.corpus.builder import CorpusBundle, build_default_corpus
 from repro.engine.caches import CachedEmbedding, CachingRetriever, ContextBinder, LRUCache
-from repro.index import IndexArtifact, get_or_build_index
+from repro.errors import ConfigurationError
+from repro.index import IndexArtifact
 from repro.observability import MetricsRegistry, get_registry
 from repro.pipeline.rag import PipelineResult, RAGPipeline, pipeline_from_artifact
 from repro.pipeline.types import PipelineMode
+from repro.replication import HealthTracker
 from repro.resilience.faults import FaultInjector
-
-# Historical home of the batch types; they now live with the lifecycle.
-from repro.service.lifecycle import BatchItem, BatchResult
-
-__all__ = ["BatchItem", "BatchResult", "QueryEngine"]
+from repro.service.lifecycle import BatchResult
 
 
 class QueryEngine:
@@ -46,14 +46,19 @@ class QueryEngine:
     def __init__(
         self,
         artifact: IndexArtifact,
-        config: WorkflowConfig | None = None,
+        config: ReproConfig | None = None,
         *,
         fault_injector: FaultInjector | None = None,
         registry: MetricsRegistry | None = None,
         admission: AdmissionController | None = None,
     ) -> None:
+        if not artifact.shards:
+            raise ConfigurationError(
+                "QueryEngine serves the composite artifact get_or_build_index "
+                "resolves, not a bare shard"
+            )
         self.artifact = artifact
-        self.config = config or WorkflowConfig()
+        self.config = config or ReproConfig()
         self.config.validate()
         self.fault_injector = fault_injector
         #: Overload protection; built from config unless injected (tests
@@ -76,6 +81,11 @@ class QueryEngine:
         self._query_embedding = CachedEmbedding(
             artifact.embedding, self._embedding_lru, self.binder, self._metrics
         )
+        # One tracker across every pipeline mode: health is a property
+        # of the serving copies, not of the mode that probed them.
+        self.replica_health = HealthTracker(
+            self.config.replication, registry_fn=self._metrics
+        )
         self._pipelines: dict[PipelineMode, RAGPipeline] = {}
         self._build_lock = threading.Lock()
         self._service = None
@@ -87,22 +97,6 @@ class QueryEngine:
         #: (:func:`repro.ingest.invalidation.invalidate_engine_caches`),
         #: surfaced in :class:`~repro.ingest.lifecycle.IngestReport`.
         self._last_invalidation: dict = {}
-
-    @classmethod
-    def from_corpus(
-        cls,
-        bundle: CorpusBundle | None = None,
-        config: WorkflowConfig | None = None,
-        *,
-        fault_injector: FaultInjector | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> "QueryEngine":
-        """Convenience: resolve the shared artifact, then build the engine."""
-        bundle = bundle or build_default_corpus()
-        artifact = get_or_build_index(bundle, config)
-        return cls(
-            artifact, config, fault_injector=fault_injector, registry=registry
-        )
 
     # ------------------------------------------------------------ plumbing
     @property
@@ -125,16 +119,69 @@ class QueryEngine:
             return self.registry
         return get_registry()
 
-    def _serving_store(self, mode: PipelineMode):
-        """The mutable store a pipeline for ``mode`` retrieves from.
+    @property
+    def num_shards(self) -> int:
+        return self.artifact.num_shards
 
-        Subclasses hook here: the sharded engine binds the forked store
-        to its request plumbing (context binder for scatter spans,
-        request-scoped metrics).
+    def _serving_store(self, mode: PipelineMode):
+        """The mutable store a pipeline for ``mode`` retrieves from: a
+        fork of the artifact's store bound to the engine's request
+        plumbing, so scatter spans land on the active request's tracer
+        and ``repro.shard.*`` counters in the request's registry scope.
         """
         if mode is PipelineMode.BASELINE:
             return None
-        return self.artifact.fork_store(embedding=self._query_embedding)
+        store = self.artifact.fork_store(
+            embedding=self._query_embedding
+        ).with_serving_context(
+            binder=self.binder,
+            registry_fn=self._metrics,
+            scatter_workers=self.config.sharding.scatter_workers,
+        )
+        wrapper = self._replica_fault_wrapper()
+        rep = self.config.replication
+        if rep.replicas > 1 or rep.require_full_coverage or wrapper is not None:
+            store = store.with_replication(
+                rep, health=self.replica_health, store_wrapper=wrapper
+            )
+        return store
+
+    def _replica_fault_wrapper(self):
+        """The seeded shard-outage seam for chaos runs.
+
+        When the engine's fault injector carries a ``shard_fault_rate``,
+        each shard's *primary* replica is wrapped at site ``shard:N`` —
+        modelling a schedule that kills one copy per shard, the regime
+        the digest guarantee covers.  Backups stay healthy, so with
+        ``replicas >= 2`` every fault is absorbed by failover; with a
+        single copy the shard goes dark and coverage degrades.
+        """
+        injector = self.fault_injector
+        if injector is None or injector.config.shard_fault_rate <= 0:
+            return None
+
+        def wrap(store, shard_index: int, replica_index: int):
+            if replica_index > 0:
+                return store
+            return injector.wrap_store(store, site=f"shard:{shard_index}")
+
+        return wrap
+
+    def shard_summary(self) -> dict:
+        """Shard topology for operators (CLI ``repro metrics``)."""
+        rep = self.config.replication
+        return {
+            "num_shards": self.artifact.num_shards,
+            "composite_digest": self.artifact.digest,
+            "epoch": self.epoch,
+            "embedding_scope": self.artifact.fingerprint.get("embedding_scope"),
+            "replicas": rep.replicas,
+            "hedging": rep.hedging,
+            "replica_health": self.replica_health.snapshot(),
+            "shards": self.artifact.shard_summaries(
+                replicas=rep.replicas, health=self.replica_health
+            ),
+        }
 
     def pipeline(self, mode: str | PipelineMode | None = None) -> RAGPipeline:
         """The engine's pipeline for ``mode``, built once and shared."""

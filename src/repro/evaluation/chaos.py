@@ -17,10 +17,10 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.config import AdmissionConfig, WorkflowConfig
+from repro.config import AdmissionConfig, ReproConfig
 from repro.corpus.builder import CorpusBundle
 from repro.durability.journal import Journal, encode_json_record, recover_journal
-from repro.engine import QueryEngine
+from repro.api import open_engine
 from repro.errors import EvaluationError, ReproError, SimulatedCrashError
 from repro.evaluation.benchmark import BenchmarkQuestion, krylov_benchmark
 from repro.observability import MetricsRegistry, get_registry, use_registry
@@ -140,7 +140,7 @@ class ChaosRun:
 
 def run_chaos_experiment(
     bundle: CorpusBundle,
-    config: WorkflowConfig | None = None,
+    config: ReproConfig | None = None,
     *,
     seed: int,
     fault_config: FaultConfig,
@@ -153,16 +153,12 @@ def run_chaos_experiment(
     caught and recorded as unanswered outcomes; the sweep always
     completes.
     """
-    config = config or WorkflowConfig(iterations_per_token=0)
+    config = config or ReproConfig(iterations_per_token=0)
     questions = questions if questions is not None else krylov_benchmark()
     injector = FaultInjector(seed, fault_config)
     # A fault injector disables the engine's answer cache, so every
     # question hits the chaos-wrapped hops and the fault schedule stays
     # a pure function of the seed; the index artifact is still shared.
-    # The engine comes from the facade, so sharded/replicated configs
-    # run the scatter path (shard faults, failover, partial coverage).
-    from repro.api import open_engine
-
     service = open_engine(config, bundle=bundle, fault_injector=injector).service
     run = ChaosRun(seed=seed, mode=mode, fault_config=fault_config)
     replica_counters = (
@@ -323,7 +319,7 @@ class RobustnessRun:
 
 def _run_overload_phase(
     bundle: CorpusBundle,
-    config: WorkflowConfig,
+    config: ReproConfig,
     *,
     seed: int,
     factor: int,
@@ -346,7 +342,7 @@ def _run_overload_phase(
     outcome = OverloadOutcome(factor=factor, total=n)
     registry = MetricsRegistry()
     try:
-        service = QueryEngine.from_corpus(bundle, cfg).service
+        service = open_engine(cfg, bundle=bundle).service
         with use_registry(registry):
             batch = service.answer_many(texts, mode=mode, seed=seed, arrivals=arrivals)
     except ReproError as exc:  # the sweep reports, never aborts
@@ -366,7 +362,7 @@ def _run_overload_phase(
 
 def _run_shard_fault_phase(
     bundle: CorpusBundle,
-    config: WorkflowConfig,
+    config: ReproConfig,
     *,
     seed: int,
     questions: list[BenchmarkQuestion],
@@ -377,15 +373,14 @@ def _run_shard_fault_phase(
     """Serve the benchmark while a seeded schedule kills shard primaries.
 
     The engine wraps every shard's primary replica at site ``shard:N``
-    (see :meth:`ShardedQueryEngine._replica_fault_wrapper`); with
+    (see :meth:`QueryEngine._replica_fault_wrapper`); with
     ``replicas >= 2`` failover absorbs each outage, with a single copy
     the shard goes dark and answers degrade to partial coverage.
     Questions are answered sequentially so the fault schedule — and
     therefore the digest — is a pure function of the seed.
     """
-    from repro.engine import ShardedQueryEngine
-
-    num_shards = config.sharding.num_shards or 2
+    # Partial coverage needs a surviving shard to degrade to.
+    num_shards = max(config.sharding.num_shards, 2)
     cfg = replace(
         config,
         sharding=replace(config.sharding, num_shards=num_shards),
@@ -404,9 +399,7 @@ def _run_shard_fault_phase(
     registry = MetricsRegistry()
     results: list[list] = []
     try:
-        service = ShardedQueryEngine.from_corpus(
-            bundle, cfg, fault_injector=injector
-        ).service
+        service = open_engine(cfg, bundle=bundle, fault_injector=injector).service
         with use_registry(registry):
             for q in questions:
                 try:
@@ -480,7 +473,7 @@ def _run_recovery_phase(
 
 def run_robustness_sweep(
     bundle: CorpusBundle,
-    config: WorkflowConfig | None = None,
+    config: ReproConfig | None = None,
     *,
     seed: int,
     fault_config: FaultConfig,
@@ -502,7 +495,7 @@ def run_robustness_sweep(
     function of the seed and inputs — :meth:`RobustnessRun.digest` is
     stable across runs.
     """
-    config = config or WorkflowConfig(iterations_per_token=0)
+    config = config or ReproConfig(iterations_per_token=0)
     questions = questions if questions is not None else krylov_benchmark()
     chaos = run_chaos_experiment(
         bundle, config, seed=seed, fault_config=fault_config,

@@ -22,43 +22,28 @@ from repro.index.builder import (
     compute_digest,
     get_or_build_index,
     lineage_parent,
-    load_artifact,
     read_cached_payload,
     save_artifact,
 )
-from repro.index.sharding import (
-    ShardedIndexArtifact,
-    ShardPlan,
-    ShardSpec,
-    build_sharded_index,
-    composite_digest,
-    compute_composite_digest,
-    get_or_build_sharded_index,
-    plan_shards,
-)
+from repro.index.sharding import ShardPlan, ShardSpec, composite_digest, plan_shards
 
 __all__ = [
     "ARTIFACT_VERSION",
     "IndexArtifact",
-    "ShardedIndexArtifact",
     "ShardPlan",
     "ShardSpec",
     "artifact_digest",
     "build_index",
     "build_index_from_parent",
-    "build_sharded_index",
     "cache_artifact",
     "cached_artifact",
     "clear_index_cache",
     "composite_digest",
-    "compute_composite_digest",
     "compute_digest",
     "config_fingerprint",
     "corpus_digest",
     "get_or_build_index",
-    "get_or_build_sharded_index",
     "lineage_parent",
-    "load_artifact",
     "plan_shards",
     "read_cached_payload",
     "save_artifact",

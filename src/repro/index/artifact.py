@@ -21,14 +21,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.config import RetrievalConfig, WorkflowConfig
+from repro.config import RetrievalConfig, ReproConfig
 from repro.corpus.builder import CorpusBundle
 from repro.corpus.facts import FactRegistry
 from repro.documents import Document
 from repro.embeddings.base import EmbeddingModel
 from repro.retrieval.keyword import ManualPageKeywordSearch
 from repro.vectorstore.store import VectorStore
+
+if TYPE_CHECKING:
+    from repro.replication import HealthTracker
+    from repro.vectorstore.sharded import ShardedVectorStore
 
 #: Format version folded into every digest; bump on layout changes so
 #: stale disk caches miss instead of loading garbage.
@@ -46,14 +51,14 @@ def corpus_digest(bundle: CorpusBundle) -> str:
     return h.hexdigest()
 
 
-def config_fingerprint(config: WorkflowConfig | RetrievalConfig) -> dict:
+def config_fingerprint(config: ReproConfig | RetrievalConfig) -> dict:
     """The index-relevant configuration slice.
 
     Only parameters that change the *contents* of the index belong here
     — chat model, resilience, and observability settings all vary freely
     over one artifact.
     """
-    rc = config.retrieval if isinstance(config, WorkflowConfig) else config
+    rc = config.retrieval if isinstance(config, ReproConfig) else config
     return {
         "version": ARTIFACT_VERSION,
         "embedding_model": rc.embedding_model,
@@ -76,6 +81,15 @@ def artifact_digest(corpus: str, fingerprint: dict) -> str:
 @dataclass
 class IndexArtifact:
     """One built index: immutable, content-hashed, shareable.
+
+    The artifact :func:`~repro.index.get_or_build_index` returns is a
+    *composite* over ``shards`` — one child artifact per planned shard,
+    one by default — and is named by the SHA-256 of the sorted per-shard
+    digests; its ``store`` is the scatter-gather
+    :class:`~repro.vectorstore.ShardedVectorStore` over the shard
+    stores and its ``chunks`` concatenate the shard chunk lists in shard
+    order.  A shard is an :class:`IndexArtifact` with no children whose
+    ``store`` is a plain :class:`~repro.vectorstore.VectorStore`.
 
     Attributes
     ----------
@@ -107,6 +121,8 @@ class IndexArtifact:
         Source path → sha256 of the source text the chunks came from.
         The diff stage of the next ingest uses this to re-chunk only the
         sources that changed.
+    shards:
+        The per-shard child artifacts, in shard order (empty on a shard).
     """
 
     digest: str
@@ -114,15 +130,20 @@ class IndexArtifact:
     fingerprint: dict
     chunks: list[Document]
     embedding: EmbeddingModel
-    store: VectorStore
+    store: "VectorStore | ShardedVectorStore"
     manual_pages: dict[str, Document] = field(default_factory=dict)
     registry: FactRegistry | None = None
     parent_digest: str | None = None
     delta_digest: str | None = None
     source_digests: dict[str, str] = field(default_factory=dict)
+    shards: "list[IndexArtifact]" = field(default_factory=list)
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.shards)
 
     # ------------------------------------------------------------ consumers
-    def fork_store(self, *, embedding: EmbeddingModel | None = None) -> VectorStore:
+    def fork_store(self, *, embedding: EmbeddingModel | None = None):
         """A mutable store sharing this artifact's vectors copy-on-write.
 
         ``embedding`` substitutes a (caching) wrapper for query
@@ -147,4 +168,33 @@ class IndexArtifact:
             "embedding_dim": self.embedding.dim,
             "parent_digest": self.parent_digest,
             "delta_digest": self.delta_digest,
+            "num_shards": self.num_shards,
+            "shard_digests": [s.digest for s in self.shards],
         }
+
+    def shard_summaries(
+        self, *, replicas: int = 1, health: "HealthTracker | None" = None
+    ) -> list[dict]:
+        """Per-shard inspection rows (CLI ``repro metrics`` shard table).
+
+        With a serving topology attached, each row also reports the
+        replica count and the health tracker's per-replica states (a
+        replica never probed is up by definition).
+        """
+        rows = []
+        for i, s in enumerate(self.shards):
+            row = {
+                "shard": i,
+                "digest": s.digest,
+                "chunks": len(s.chunks),
+                "manual_pages": len(s.manual_pages),
+                "vectors": len(s.store),
+            }
+            if replicas > 1 or health is not None:
+                row["replicas"] = replicas
+                if health is not None:
+                    row["health"] = [
+                        health.state(i, r).value for r in range(replicas)
+                    ]
+            rows.append(row)
+        return rows

@@ -1,38 +1,39 @@
 """Index construction, built once per (corpus, config) digest.
 
 The build pipeline — chunk the corpus, fit/instantiate the embedding
-model, embed every chunk into a vector store — used to run inside every
-pipeline constructor.  Here it runs through :func:`get_or_build_index`,
-which consults two caches before doing any work:
+model, embed every chunk into a vector store — runs through
+:func:`get_or_build_index`, the single resolver.  It plans the shards
+(:func:`~repro.index.sharding.plan_shards`; one by default), returns the
+cached composite on an in-process hit, and otherwise resolves **each
+shard** through the same ladder before assembling the composite:
 
 1. **In-process**: a module-level table keyed by artifact digest.  Every
    pipeline mode, bot, evaluation run, and benchmark in one process
    shares the same artifact; the ``repro.index.builds`` counter stays at
-   1 no matter how many consumers warm-start from it.
-2. **On disk** (optional, ``EngineConfig.index_cache_dir``): the vector
+   one per shard no matter how many consumers warm-start from it.
+2. **On disk** (optional, ``EngineConfig.index_cache_dir``): the shard
    store's npz/jsonl persistence plus an ``artifact.json`` manifest,
-   keyed by digest.  A disk hit skips the embedding pass — the single
-   most expensive step — and reproduces a byte-identical artifact
+   keyed by shard digest.  A disk hit skips the embedding pass — the
+   single most expensive step — and reproduces a byte-identical shard
    (the digest is a pure function of the inputs, and the saved chunk
-   texts refit the corpus-trained embedding deterministically).
+   texts refit the corpus-trained embedding deterministically).  A
+   corrupt or mismatched entry raises :class:`IndexBuildError`
+   internally and falls back to a fresh build that overwrites it;
+   loading never silently serves the wrong index.
+3. **Delta-from-parent**: the in-process cache tracks a *lineage* — for
+   every config fingerprint, the most recently cached digest.  When the
+   corpus changes under a fixed fingerprint, a dirty shard is diffed
+   against its lineage parent and, for corpus-free embedding models,
+   assembled by reusing the parent's vectors for unchanged chunks and
+   embedding only the changed ones (:func:`build_index_from_parent`).
+   The result is value-identical to a from-scratch build — same digest,
+   same vectors, same answers.
+4. **Full build** of the shard (:func:`build_index`).
 
-A corrupt or mismatched disk entry raises :class:`IndexBuildError`
-internally and falls back to a fresh build that overwrites it; loading
-never silently serves the wrong index.
-
-Since the ingestion lifecycle landed there is a third resolution stage
-between the disk cache and a full build: **delta-from-parent**.  The
-in-process cache tracks a *lineage* — for every config fingerprint, the
-most recently cached digest.  When the corpus changes under a fixed
-fingerprint, :func:`get_or_build_index` diffs the new chunk list against
-the lineage parent and, for corpus-free embedding models, assembles the
-successor artifact by reusing the parent's vectors for unchanged chunks
-and embedding only the changed ones (:func:`build_index_from_parent`).
-The delta-built artifact is value-identical to a from-scratch build —
-same digest, same vectors, same answers — it just costs a diff instead
-of an embedding pass.  Caching a lineage successor also evicts the
-superseded digest, so a stale in-memory artifact can never outlive the
-corpus state it was built from.
+One embedding model is fitted over the chunks of *all* shards and shared
+by every shard build, which keeps scores comparable across shards.
+Caching a lineage successor evicts the superseded digest, so a stale
+in-memory artifact can never outlive the corpus state it was built from.
 """
 
 from __future__ import annotations
@@ -40,11 +41,13 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.corpus.builder import (
     CorpusBundle,
     chunk_corpus,
@@ -62,8 +65,10 @@ from repro.index.artifact import (
     config_fingerprint,
     corpus_digest,
 )
+from repro.index.sharding import ShardPlan, ShardSpec, plan_shards
 from repro.ingest.delta import CorpusDelta, diff_chunks
-from repro.observability import get_registry
+from repro.observability import get_registry, use_registry
+from repro.vectorstore.sharded import ShardedVectorStore
 from repro.vectorstore.store import VectorStore
 
 _STORE_DIR = "store"
@@ -77,13 +82,17 @@ _lineage: dict[str, str] = {}
 
 
 def _fingerprint_key(fingerprint: dict) -> str:
-    return json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    # A corpus-fitted embedder puts the corpus digest into the
+    # fingerprint as ``embedding_scope``; lineage must follow the config
+    # across corpus edits, so the scope stays out of the key (the
+    # artifact digest keeps it).
+    lineage = {k: v for k, v in fingerprint.items() if k != "embedding_scope"}
+    return json.dumps(lineage, sort_keys=True, separators=(",", ":"))
 
 
-def compute_digest(bundle: CorpusBundle, config: WorkflowConfig | None = None) -> str:
-    """The artifact digest a build over these inputs would produce."""
-    config = config or WorkflowConfig()
-    return artifact_digest(corpus_digest(bundle), config_fingerprint(config))
+def compute_digest(bundle: CorpusBundle, config: ReproConfig | None = None) -> str:
+    """The (composite) digest :func:`get_or_build_index` would resolve."""
+    return plan_shards(bundle, config or ReproConfig()).composite
 
 
 def clear_index_cache() -> None:
@@ -131,32 +140,46 @@ def cache_artifact(artifact: IndexArtifact) -> IndexArtifact:
         return published
 
 
+def _chunk(
+    bundle: CorpusBundle, config: ReproConfig, parent: IndexArtifact | None = None
+) -> list[Document]:
+    """Chunk ``bundle``; with a lineage ``parent``, re-split only the
+    sources whose text changed since it was built (byte-identical to a
+    full pass, see :func:`~repro.corpus.builder.chunk_corpus_delta`)."""
+    rc = config.retrieval
+    params = dict(
+        include_mail=rc.include_mail_archives,
+        chunk_size=rc.chunk_size,
+        chunk_overlap=rc.chunk_overlap,
+    )
+    if parent is not None and parent.source_digests:
+        return chunk_corpus_delta(
+            bundle, parent.chunks, parent.source_digests, **params
+        )[0]
+    return chunk_corpus(bundle, **params)
+
+
 def build_index(
     bundle: CorpusBundle,
-    config: WorkflowConfig | None = None,
+    config: ReproConfig | None = None,
     *,
     chunks: list[Document] | None = None,
     embedding=None,
     fingerprint: dict | None = None,
 ) -> IndexArtifact:
-    """Build an artifact from scratch: chunk → embed → store.
+    """Build one shard from scratch: chunk → embed → store.
 
-    This is the uncached path; callers almost always want
-    :func:`get_or_build_index`.  The sharded builder reuses it per shard
-    by supplying precomputed ``chunks``, a shared (globally fitted)
+    This is the uncached leaf builder; callers almost always want
+    :func:`get_or_build_index`, which calls it per dirty shard with the
+    shard's precomputed ``chunks``, the shared (globally fitted)
     ``embedding``, and the shard-scoped ``fingerprint`` that keys the
     shard's cache entry.
     """
-    config = config or WorkflowConfig()
+    config = config or ReproConfig()
     rc = config.retrieval
     get_registry().counter("repro.index.builds").inc()
     if chunks is None:
-        chunks = chunk_corpus(
-            bundle,
-            include_mail=rc.include_mail_archives,
-            chunk_size=rc.chunk_size,
-            chunk_overlap=rc.chunk_overlap,
-        )
+        chunks = _chunk(bundle, config)
     if embedding is None:
         embedding = create_embedding_model(
             rc.embedding_model, corpus_texts=[c.text for c in chunks]
@@ -181,7 +204,7 @@ def build_index(
 
 def build_index_from_parent(
     bundle: CorpusBundle,
-    config: WorkflowConfig | None,
+    config: ReproConfig | None,
     parent: IndexArtifact,
     *,
     chunks: list[Document] | None = None,
@@ -205,7 +228,7 @@ def build_index_from_parent(
     ``repro.index.builds`` counter is **not** incremented — counters
     under ``repro.ingest.*`` account the delta work instead.
     """
-    config = config or WorkflowConfig()
+    config = config or ReproConfig()
     rc = config.retrieval
     if not config.ingest.delta_enabled or is_corpus_fitted(rc.embedding_model):
         return None
@@ -213,16 +236,7 @@ def build_index_from_parent(
         return None
     registry = get_registry()
     if chunks is None:
-        if not parent.source_digests:
-            return None
-        chunks, _changed = chunk_corpus_delta(
-            bundle,
-            parent.chunks,
-            parent.source_digests,
-            include_mail=rc.include_mail_archives,
-            chunk_size=rc.chunk_size,
-            chunk_overlap=rc.chunk_overlap,
-        )
+        chunks = _chunk(bundle, config, parent)
     if fingerprint is None:
         fingerprint = config_fingerprint(config)
     digest = artifact_digest(corpus_digest(bundle), fingerprint)
@@ -314,16 +328,16 @@ def save_artifact(artifact: IndexArtifact, cache_dir: str | Path) -> Path:
 
 
 def read_cached_payload(
-    cache_dir: str | Path, digest: str, config: WorkflowConfig
+    cache_dir: str | Path, digest: str, config: ReproConfig
 ) -> tuple[Path, dict, list[Document]]:
     """Verify and read the cache entry for ``digest``.
 
     Returns ``(store_dir, manifest, chunks)`` with payload checksums
     verified (when configured) and chunk counts cross-checked; raises
     :class:`IndexBuildError` on a miss or any corruption.  Restoring the
-    vector store itself is the caller's job — the monolithic loader
-    refits the embedding from the chunk texts, while the sharded loader
-    passes a prebuilt globally-fitted model instead.
+    vector store itself is the caller's job: it needs the embedding
+    model fitted over the chunks of every shard, which only the resolver
+    has.
     """
     root = Path(cache_dir) / digest[:16]
     manifest_path = root / _MANIFEST
@@ -370,85 +384,166 @@ def read_cached_payload(
     return store_dir, manifest, chunks
 
 
-def load_artifact(
-    bundle: CorpusBundle,
-    config: WorkflowConfig | None,
-    cache_dir: str | Path,
-) -> IndexArtifact:
-    """Load the artifact for (bundle, config) from the disk cache.
+# ------------------------------------------------------------------ entry point
+def _map_shards(fn: Callable, items: list, workers: int) -> list:
+    """``fn`` over per-shard items, in shard order.
 
-    Raises :class:`IndexBuildError` on a miss, a digest mismatch, or a
-    corrupt entry — the caller decides whether to fall back to a build.
-    The embedding pass is skipped: saved chunk texts refit the embedding
-    model deterministically and the vectors load straight from npz.
+    With one shard or one worker there is nothing to parallelise, so the
+    work stays in the calling thread: a pool thread would allocate the
+    build from its own malloc arena, which holds on to one artifact
+    generation of memory after the build is freed.
     """
-    config = config or WorkflowConfig()
-    expected = compute_digest(bundle, config)
-    store_dir, _manifest, chunks = read_cached_payload(cache_dir, expected, config)
-    try:
-        embedding = create_embedding_model(
-            config.retrieval.embedding_model, corpus_texts=[c.text for c in chunks]
-        )
-        store = VectorStore.load(store_dir, embedding)
-    except ReproError as exc:
-        raise IndexBuildError(f"cannot restore cached store in {store_dir}: {exc}") from exc
-    get_registry().counter("repro.index.disk_hits").inc()
+    if len(items) == 1 or workers <= 1:
+        return [fn(item) for item in items]
+    # use_registry scopes are thread-local: pool workers re-enter the
+    # caller's scope or their counters would leak into the process default.
+    registry = get_registry()
+
+    def scoped(item):
+        with use_registry(registry):
+            return fn(item)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(scoped, items))
+
+
+def _build_composite(
+    bundle: CorpusBundle, config: ReproConfig, plan: ShardPlan, cache_dir
+) -> IndexArtifact:
+    """Resolve every shard of ``plan`` and assemble the composite.
+
+    Three phases: resolve each shard's chunks (in-process artifact, disk
+    entry, or a chunking pass for dirty shards), fit the embedding once
+    over all of them, then materialize the shard stores — clean shards
+    load vectors straight from npz, dirty shards delta-build from their
+    lineage parent or run the embed pass through :func:`build_index`
+    (``repro.index.builds`` +1 per dirty shard, not +N).
+    """
+    registry = get_registry()
+    rc = config.retrieval
+    workers = config.sharding.build_workers
+
+    def chunk(spec: ShardSpec) -> list[Document]:
+        return _chunk(spec.bundle, config, lineage_parent(spec.fingerprint))
+
+    def resolve(spec: ShardSpec):
+        mem = cached_artifact(spec.digest)
+        if mem is not None:
+            registry.counter("repro.shard.memory_hits").inc()
+            return mem, mem.chunks, None
+        if cache_dir is not None:
+            try:
+                store_dir, _manifest, chunks = read_cached_payload(
+                    cache_dir, spec.digest, config
+                )
+                return None, chunks, store_dir
+            except IndexBuildError:
+                pass
+        return None, chunk(spec), None
+
+    resolved = _map_shards(resolve, plan.shards, workers)
+    embedding = create_embedding_model(
+        rc.embedding_model,
+        corpus_texts=[c.text for _mem, chunks, _dir in resolved for c in chunks],
+    )
+
+    def materialize(item) -> IndexArtifact:
+        spec, (mem, chunks, store_dir) = item
+        if mem is not None:
+            return mem
+        if store_dir is not None:
+            try:
+                store = VectorStore.load(store_dir, embedding)
+            except ReproError:
+                # Corrupt store payload: rebuild from the corpus.
+                chunks = chunk(spec)
+            else:
+                registry.counter("repro.index.disk_hits").inc()
+                registry.counter("repro.shard.disk_hits").inc()
+                return cache_artifact(
+                    IndexArtifact(
+                        digest=spec.digest,
+                        corpus_digest=spec.corpus_digest,
+                        fingerprint=spec.fingerprint,
+                        chunks=chunks,
+                        embedding=embedding,
+                        store=store,
+                        manual_pages=dict(spec.bundle.manual_page_names),
+                        registry=bundle.registry,
+                        source_digests=corpus_source_digests(
+                            spec.bundle, include_mail=rc.include_mail_archives
+                        ),
+                    )
+                )
+        shard = None
+        parent = lineage_parent(spec.fingerprint)
+        if parent is not None and parent.digest != spec.digest:
+            built = build_index_from_parent(
+                spec.bundle, config, parent, chunks=chunks, fingerprint=spec.fingerprint
+            )
+            if built is not None:
+                shard = built[0]
+                registry.counter("repro.shard.delta_builds").inc()
+        if shard is None:
+            shard = build_index(
+                spec.bundle,
+                config,
+                chunks=chunks,
+                embedding=embedding,
+                fingerprint=spec.fingerprint,
+            )
+            registry.counter("repro.shard.builds").inc()
+        if cache_dir is not None:
+            save_artifact(shard, cache_dir)
+        return cache_artifact(shard)
+
+    shards = _map_shards(materialize, list(zip(plan.shards, resolved)), workers)
     return IndexArtifact(
-        digest=expected,
+        digest=plan.composite,
         corpus_digest=corpus_digest(bundle),
-        fingerprint=config_fingerprint(config),
-        chunks=chunks,
+        fingerprint={
+            **config_fingerprint(config),
+            "num_shards": plan.num_shards,
+            "embedding_scope": plan.embedding_scope,
+        },
+        chunks=[c for s in shards for c in s.chunks],
         embedding=embedding,
-        store=store,
+        store=ShardedVectorStore(
+            [s.store for s in shards],
+            embedding,
+            scatter_workers=config.sharding.scatter_workers,
+        ),
         manual_pages=dict(bundle.manual_page_names),
         registry=bundle.registry,
         source_digests=corpus_source_digests(
-            bundle, include_mail=config.retrieval.include_mail_archives
+            bundle, include_mail=rc.include_mail_archives
         ),
+        shards=shards,
     )
 
 
-# ------------------------------------------------------------------ entry point
 def get_or_build_index(
     bundle: CorpusBundle,
-    config: WorkflowConfig | None = None,
+    config: ReproConfig | None = None,
     *,
     cache_dir: str | Path | None = None,
 ) -> IndexArtifact:
-    """The shared artifact for (bundle, config): memory → disk →
-    delta-from-parent → full build.
+    """The shared artifact for (bundle, config): a composite in-process
+    hit, else per shard memory → disk → delta-from-parent → full build.
 
     ``cache_dir`` defaults to ``config.engine.index_cache_dir``; ``None``
-    keeps artifacts in memory only.  A fresh build (delta or full) is
-    written back to the disk cache when one is configured.
+    keeps artifacts in memory only.  A freshly built shard (delta or
+    full) is written back to the disk cache when one is configured, so a
+    corpus edit rebuilds only the shards whose documents changed.
     """
-    config = config or WorkflowConfig()
+    config = config or ReproConfig()
     if cache_dir is None:
         cache_dir = config.engine.index_cache_dir
-    digest = compute_digest(bundle, config)
-    with _cache_lock:
-        cached = _artifacts.get(digest)
+    plan = plan_shards(bundle, config)
+    cached = cached_artifact(plan.composite)
     if cached is not None:
         get_registry().counter("repro.index.memory_hits").inc()
         return cached
-    artifact: IndexArtifact | None = None
-    from_disk = False
-    if cache_dir is not None:
-        try:
-            artifact = load_artifact(bundle, config, cache_dir)
-            from_disk = True
-        except IndexBuildError:
-            artifact = None
-    if artifact is None:
-        parent = lineage_parent(config_fingerprint(config))
-        if parent is not None and parent.digest != digest:
-            built = build_index_from_parent(bundle, config, parent)
-            if built is not None:
-                artifact = built[0]
-    if artifact is None:
-        artifact = build_index(bundle, config)
-    if cache_dir is not None and not from_disk:
-        save_artifact(artifact, cache_dir)
     # Another thread may have raced the build; first writer wins so
     # every consumer shares one object.
-    return cache_artifact(artifact)
+    return cache_artifact(_build_composite(bundle, config, plan, cache_dir))

@@ -112,27 +112,13 @@ def ingest_corpus(
     no-op before any build or cache work happens.
     """
     from repro.index.builder import compute_digest, get_or_build_index
-    from repro.index.sharding import (
-        ShardedIndexArtifact,
-        compute_composite_digest,
-        get_or_build_sharded_index,
-    )
 
     registry = engine._metrics()
     registry.counter("repro.ingest.runs").inc()
     previous = engine.artifact
-    sharded = isinstance(previous, ShardedIndexArtifact)
-    if sharded and engine.config.sharding.num_shards <= 0:
-        raise IngestError(
-            "engine serves a sharded artifact but sharding is disabled in config"
-        )
 
     with stage("ingest:resolve", metric="repro.ingest.resolve", registry=registry):
-        target = (
-            compute_composite_digest(bundle, engine.config)
-            if sharded
-            else compute_digest(bundle, engine.config)
-        )
+        target = compute_digest(bundle, engine.config)
     if target == previous.digest:
         registry.counter("repro.ingest.noops").inc()
         return IngestReport(
@@ -146,12 +132,7 @@ def ingest_corpus(
 
     before = _counter_values(registry, _RESOLUTION_COUNTERS)
     with stage("ingest:build", metric="repro.ingest.build", registry=registry):
-        if sharded:
-            artifact = get_or_build_sharded_index(
-                bundle, engine.config, cache_dir=cache_dir
-            )
-        else:
-            artifact = get_or_build_index(bundle, engine.config, cache_dir=cache_dir)
+        artifact = get_or_build_index(bundle, engine.config, cache_dir=cache_dir)
     resolution = _resolution_label(before, _counter_values(registry, _RESOLUTION_COUNTERS))
 
     with stage("ingest:diff", metric="repro.ingest.diff", registry=registry):

@@ -10,16 +10,14 @@ what Table II reports); :class:`AugmentedWorkflow` adds box 4 and the
 shared interaction history.
 """
 
-from repro.pipeline.rag import PipelineResult, RAGPipeline, build_rag_pipeline
+from repro.pipeline.rag import PipelineResult, RAGPipeline
 from repro.pipeline.types import DegradationEvent, PipelineMode
-from repro.pipeline.workflow import AugmentedWorkflow, build_workflow
+from repro.pipeline.workflow import AugmentedWorkflow
 
 __all__ = [
     "RAGPipeline",
     "PipelineResult",
     "PipelineMode",
     "DegradationEvent",
-    "build_rag_pipeline",
     "AugmentedWorkflow",
-    "build_workflow",
 ]

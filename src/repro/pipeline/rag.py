@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.context import RequestContext
 from repro.corpus.builder import CorpusBundle
 from repro.errors import ConfigurationError, PartialResultError, ReproError
@@ -374,7 +374,7 @@ class RAGPipeline:
         )
 
 
-def _resilience_parts(config: WorkflowConfig):
+def _resilience_parts(config: ReproConfig):
     resil = config.resilience
     policy = RetryPolicy.from_config(resil) if resil.enabled else None
     breaker = CircuitBreaker.from_config(resil, name="llm") if resil.enabled else None
@@ -385,7 +385,7 @@ def _resilience_parts(config: WorkflowConfig):
 
 
 def _chat_model(
-    config: WorkflowConfig,
+    config: ReproConfig,
     *,
     registry,
     keyword: ManualPageKeywordSearch,
@@ -404,7 +404,7 @@ def _chat_model(
 
 def pipeline_from_artifact(
     artifact: "IndexArtifact",
-    config: WorkflowConfig | None = None,
+    config: ReproConfig | None = None,
     *,
     mode: str | PipelineMode = PipelineMode.RAG_RERANK,
     fault_injector: FaultInjector | None = None,
@@ -426,7 +426,7 @@ def pipeline_from_artifact(
     only in cache-enabled, non-chaos builds; chaos engines disable the
     caches entirely).
     """
-    config = config or WorkflowConfig()
+    config = config or ReproConfig()
     config.validate()
     mode = PipelineMode.coerce(mode)
     rc = config.retrieval
@@ -476,12 +476,12 @@ def pipeline_from_artifact(
 
 def baseline_pipeline(
     bundle: CorpusBundle,
-    config: WorkflowConfig | None = None,
+    config: ReproConfig | None = None,
     *,
     fault_injector: FaultInjector | None = None,
 ) -> RAGPipeline:
     """A retrieval-free pipeline: no index, keyword search + LLM only."""
-    config = config or WorkflowConfig()
+    config = config or ReproConfig()
     policy, breaker, deadline_seconds, metrics = _resilience_parts(config)
     keyword = ManualPageKeywordSearch(bundle)
     chat = _chat_model(
@@ -493,28 +493,4 @@ def baseline_pipeline(
         breaker=breaker,
         deadline_seconds=deadline_seconds,
         metrics=metrics,
-    )
-
-
-def build_rag_pipeline(
-    bundle: CorpusBundle,
-    config: WorkflowConfig | None = None,
-    *,
-    mode: str | PipelineMode = PipelineMode.RAG_RERANK,
-    fault_injector: FaultInjector | None = None,
-) -> RAGPipeline:
-    """Construct a pipeline over the corpus in one of the three modes.
-
-    Compatibility wrapper: delegates to :func:`repro.api.open_pipeline`,
-    which resolves the shared (possibly sharded)
-    :class:`~repro.index.IndexArtifact` and assembles the pipeline
-    around it.  ``mode`` accepts a :class:`PipelineMode` or its wire
-    string (``"baseline"``, ``"rag"``, ``"rag+rerank"``);
-    ``fault_injector`` chaos-wraps the chat model, retriever, and
-    reranker hops for reproducible failure testing.
-    """
-    from repro.api import open_pipeline
-
-    return open_pipeline(
-        config, bundle=bundle, mode=mode, fault_injector=fault_injector
     )

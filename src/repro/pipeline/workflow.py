@@ -5,11 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.config import WorkflowConfig
 from repro.corpus.builder import CorpusBundle
 from repro.history import InteractionStore
 from repro.pipeline.rag import PipelineResult, RAGPipeline
-from repro.pipeline.types import PipelineMode
 from repro.service import ReproService
 
 if TYPE_CHECKING:
@@ -119,23 +117,3 @@ class AugmentedWorkflow:
         return WorkflowAnswer(
             result=result, html=html, code_checks=checks, interaction_id=interaction_id
         )
-
-
-def build_workflow(
-    bundle: CorpusBundle | None = None,
-    config: WorkflowConfig | None = None,
-    *,
-    mode: str | PipelineMode = PipelineMode.RAG_RERANK,
-    store: InteractionStore | None = None,
-) -> AugmentedWorkflow:
-    """One-call construction of the complete workflow.
-
-    Compatibility wrapper: delegates to :func:`repro.api.open_workflow`.
-    Non-baseline workflows are served through the engine
-    :func:`repro.api.open_engine` returns (sharded when configured), so
-    a workflow, the CLI, and the bots running in one process all
-    warm-start from a single build.
-    """
-    from repro.api import open_workflow
-
-    return open_workflow(config, bundle=bundle, mode=mode, store=store)

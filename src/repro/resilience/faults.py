@@ -307,12 +307,7 @@ class FaultyVectorStore:
             doc for doc, _ in self.similarity_search_with_score(query, k=k, where=where)
         ]
 
-    def add_documents(self, documents):
-        return self.inner.add_documents(documents)
-
     def _add_documents(self, documents):
-        # Internal write path (ingest fan-out): delegate without the
-        # deprecation warning the public method now carries.
         return self.inner._add_documents(documents)
 
     def delete(self, ids):

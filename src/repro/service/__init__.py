@@ -20,7 +20,6 @@ from repro.service.interceptors import (
 from repro.service.lifecycle import (
     AnswerRequest,
     AnswerResponse,
-    BatchItem,
     BatchResult,
     LifecycleState,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "AnswerCacheInterceptor",
     "AnswerRequest",
     "AnswerResponse",
-    "BatchItem",
     "BatchResult",
     "CANONICAL_CHAIN",
     "DedupeInterceptor",

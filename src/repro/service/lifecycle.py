@@ -7,10 +7,6 @@ single ``answer()`` call is a batch of one (same chain, same
 scheduler).  :class:`LifecycleState` is the blackboard one scheduler
 run shares across the chain — each interceptor reads and writes only
 the fields its contract names (DESIGN.md §12).
-
-``AnswerResponse`` is the object historically exported as
-``repro.engine.BatchItem``; the old name remains an alias so existing
-callers and pickles keep working.
 """
 
 from __future__ import annotations
@@ -70,8 +66,8 @@ class AnswerRequest:
 class AnswerResponse:
     """One question's outcome, in input order.
 
-    Historically ``repro.engine.BatchItem``; the shape (and therefore
-    every digest derived from it) is frozen by the golden suite.
+    The shape (and therefore every digest derived from it) is frozen by
+    the golden suite.
     """
 
     index: int
@@ -107,10 +103,6 @@ class AnswerResponse:
         if self.trace is not None:
             return self.trace
         return self.result.trace if self.result is not None else None
-
-
-#: Pre-service name, kept as an alias (see module docstring).
-BatchItem = AnswerResponse
 
 
 @dataclass

@@ -22,7 +22,6 @@ exactly rather than approximately:
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable
 
@@ -82,10 +81,12 @@ def _shard_top_k(
 class ShardedVectorStore:
     """N per-shard :class:`VectorStore`\\ s behind the VectorStore surface.
 
-    Queries scatter across shards (optionally on a thread pool) and
-    gather under a deterministic merge; mutations route each document to
-    its planner-assigned shard.  Search results are identical whether
-    the scatter runs sequentially or on any number of workers.
+    This is the store every index artifact serves from; the default
+    single-database deployment is the one-shard case.  Queries scatter
+    across shards (optionally on a thread pool) and gather under a
+    deterministic merge; mutations route each document to its
+    planner-assigned shard.  Search results are identical whether the
+    scatter runs sequentially or on any number of workers.
     """
 
     def __init__(
@@ -139,13 +140,25 @@ class ShardedVectorStore:
         k: int = 4,
         where: dict | None = None,
     ) -> list[tuple[Document, float]]:
-        """Scatter the query across shards, gather a deterministic top-k."""
+        """Embed the query once, then scatter it by vector."""
+        if k <= 0:
+            return []
+        qvec = self.embedding.embed_query(query)
+        return self.similarity_search_by_vector_with_score(qvec, k=k, where=where)
+
+    def similarity_search_by_vector_with_score(
+        self,
+        qvec: np.ndarray,
+        *,
+        k: int = 4,
+        where: dict | None = None,
+    ) -> list[tuple[Document, float]]:
+        """Scatter the vector across shards, gather a deterministic top-k."""
         if k <= 0:
             return []
         registry = self._registry_fn()
         registry.counter("repro.shard.queries").inc()
         registry.counter("repro.shard.probes").inc(self.num_shards)
-        qvec = self.embedding.embed_query(query)
         ctx = self.binder.ctx if self.binder is not None else None
         if ctx is not None and ctx.tracer._stack:
             # One constant-named child span regardless of shard count:
@@ -279,22 +292,6 @@ class ShardedVectorStore:
         )
 
     # ------------------------------------------------------------ mutation
-    def add_documents(self, documents: list[Document]) -> list[str]:
-        """Deprecated direct mutation; use the ingest lifecycle instead.
-
-        See :meth:`VectorStore.add_documents` — the same contract
-        applies, plus the sharded-specific hazard that direct writes
-        bypass the per-shard artifact digests entirely.
-        """
-        warnings.warn(
-            "ShardedVectorStore.add_documents is deprecated; route mutations "
-            "through repro.ingest (apply_documents / ingest_corpus) so caches, "
-            "lineage, and replicas stay coherent",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._add_documents(documents)
-
     def _add_documents(self, documents: list[Document]) -> list[str]:
         """Route each document to its planner shard; returns added ids
         in input order."""
@@ -337,6 +334,21 @@ class ShardedVectorStore:
         raise VectorStoreError(f"unknown document id {doc_id!r}")
 
     # ------------------------------------------------------------ sharing
+    def _replace(self, **changes) -> "ShardedVectorStore":
+        """A store like this one except for ``changes`` (constructor args)."""
+        args = {
+            "shards": self.shards,
+            "embedding": self.embedding,
+            "collection_name": self.collection_name,
+            "scatter_workers": self.scatter_workers,
+            "binder": self.binder,
+            "registry_fn": self._registry_fn,
+            "replica_sets": self.replica_sets,
+            "replication": self.replication,
+        }
+        args.update(changes)
+        return ShardedVectorStore(args.pop("shards"), args.pop("embedding"), **args)
+
     def fork(
         self, *, embedding: EmbeddingModel | None = None
     ) -> "ShardedVectorStore":
@@ -345,42 +357,32 @@ class ShardedVectorStore:
         The fork's query embedding (typically a caching wrapper) applies
         at the composite layer — shards are probed by vector, so the
         query is embedded once per search regardless of shard count.
+        Replica sets serve the parent's shard objects, so the fork
+        starts without them.
         """
         emb = embedding if embedding is not None else self.embedding
         if emb.dim != self.embedding.dim:
             raise VectorStoreError(
                 f"fork embedding dim {emb.dim} != store dim {self.embedding.dim}"
             )
-        return ShardedVectorStore(
-            [shard.fork() for shard in self.shards],
-            emb,
-            collection_name=self.collection_name,
-            scatter_workers=self.scatter_workers,
-            binder=self.binder,
-            registry_fn=self._registry_fn,
+        return self._replace(
+            shards=[shard.fork() for shard in self.shards],
+            embedding=emb,
+            replica_sets=None,
+            replication=None,
         )
 
     def with_serving_context(
         self,
         *,
-        binder: "ContextBinder | None" = None,
-        registry_fn: Callable[[], MetricsRegistry] | None = None,
-        scatter_workers: int | None = None,
+        binder: "ContextBinder",
+        registry_fn: Callable[[], MetricsRegistry],
+        scatter_workers: int,
     ) -> "ShardedVectorStore":
         """A view bound to an engine's request plumbing (binder/metrics)."""
-        clone = ShardedVectorStore(
-            self.shards,
-            self.embedding,
-            collection_name=self.collection_name,
-            scatter_workers=(
-                scatter_workers if scatter_workers is not None else self.scatter_workers
-            ),
-            binder=binder if binder is not None else self.binder,
-            registry_fn=registry_fn if registry_fn is not None else self._registry_fn,
-            replica_sets=self.replica_sets,
-            replication=self.replication,
+        return self._replace(
+            binder=binder, registry_fn=registry_fn, scatter_workers=scatter_workers
         )
-        return clone
 
     def with_replication(
         self,
@@ -393,7 +395,7 @@ class ShardedVectorStore:
 
         Replica 0 of every set is this store's shard object; replicas
         1..N-1 are copy-on-write forks of it, byte-identical until
-        mutated (and mutations fan out, see :meth:`add_documents`).
+        mutated (and mutations fan out, see :meth:`_add_documents`).
         ``store_wrapper(store, shard_index, replica_index)`` is the
         fault seam: the engine uses it to interpose
         :meth:`~repro.resilience.faults.FaultInjector.wrap_store` on
@@ -421,27 +423,4 @@ class ShardedVectorStore:
                     registry_fn=self._registry_fn,
                 )
             )
-        return ShardedVectorStore(
-            self.shards,
-            self.embedding,
-            collection_name=self.collection_name,
-            scatter_workers=self.scatter_workers,
-            binder=self.binder,
-            registry_fn=self._registry_fn,
-            replica_sets=replica_sets,
-            replication=config,
-        )
-
-    # ------------------------------------------------------------ persistence
-    def save(self, directory) -> None:
-        raise VectorStoreError(
-            "sharded stores persist per shard through the index disk cache, "
-            "not VectorStore.save"
-        )
-
-    @classmethod
-    def load(cls, directory, embedding) -> "ShardedVectorStore":
-        raise VectorStoreError(
-            "sharded stores load per shard through the index disk cache, "
-            "not VectorStore.load"
-        )
+        return self._replace(replica_sets=replica_sets, replication=config)

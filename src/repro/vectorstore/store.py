@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,26 +133,15 @@ class VectorStore:
             store.index.add(np.ascontiguousarray(vectors[keep]))
         return store
 
-    def add_documents(self, documents: list[Document]) -> list[str]:
-        """Deprecated direct mutation; use the ingest lifecycle instead.
-
-        Store-level writes bypass the artifact/digest contract — nothing
-        invalidates caches, updates lineage, or fans out to replicas.
-        The supported write path is :func:`repro.ingest.apply_documents`
-        (or a full :func:`repro.ingest.ingest_corpus`), which stages the
-        same insertion through a typed :class:`~repro.ingest.CorpusDelta`.
-        """
-        warnings.warn(
-            "VectorStore.add_documents is deprecated; route mutations through "
-            "repro.ingest (apply_documents / ingest_corpus) so caches, lineage, "
-            "and replicas stay coherent",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._add_documents(documents)
-
     def _add_documents(self, documents: list[Document]) -> list[str]:
-        """Embed and insert documents; returns the ids actually added."""
+        """Embed and insert documents; returns the ids actually added.
+
+        Internal: a store-level write bypasses the artifact/digest
+        contract (nothing invalidates caches, updates lineage, or fans
+        out to replicas).  The supported write path is
+        :func:`repro.ingest.apply_documents` or a full
+        :func:`repro.ingest.ingest_corpus`.
+        """
         fresh = [d for d in documents if d.doc_id not in self._ids]
         # Dedupe within the batch as well.
         unique: dict[str, Document] = {}

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import RetrievalConfig, WorkflowConfig
+from repro.config import RetrievalConfig, ReproConfig
 from repro.corpus import build_default_corpus
 from repro.corpus.builder import chunk_corpus
 from repro.embeddings import create_embedding_model
 from repro.evaluation import BlindGrader
-from repro.pipeline import build_rag_pipeline
+from repro.api import open_pipeline
 from repro.retrieval import ManualPageKeywordSearch
 from repro.vectorstore import VectorStore
 
@@ -49,7 +49,7 @@ def keyword_search(bundle):
 @pytest.fixture(scope="session")
 def fast_config():
     """Workflow config with the latency burn disabled."""
-    return WorkflowConfig(iterations_per_token=0)
+    return ReproConfig(iterations_per_token=0)
 
 
 @pytest.fixture(scope="session")
@@ -61,14 +61,14 @@ def grader(bundle, keyword_search):
 
 @pytest.fixture(scope="session")
 def baseline_pipeline(bundle, fast_config):
-    return build_rag_pipeline(bundle, fast_config, mode="baseline")
+    return open_pipeline(fast_config, bundle=bundle, mode="baseline")
 
 
 @pytest.fixture(scope="session")
 def rag_pipeline(bundle, fast_config):
-    return build_rag_pipeline(bundle, fast_config, mode="rag")
+    return open_pipeline(fast_config, bundle=bundle, mode="rag")
 
 
 @pytest.fixture(scope="session")
 def rerank_pipeline(bundle, fast_config):
-    return build_rag_pipeline(bundle, fast_config, mode="rag+rerank")
+    return open_pipeline(fast_config, bundle=bundle, mode="rag+rerank")

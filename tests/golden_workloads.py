@@ -3,13 +3,18 @@
 Every workload here is a pure function of (corpus bundle, fixed seeds)
 — no wall-clock, no ambient registry leakage — so its digests are
 byte-comparable across processes and across refactors.  The capture
-script ``scripts/capture_service_golden.py`` ran these against the
-*pre-service* engine (hand-woven ``QueryEngine.answer`` /
-``answer_many``) and froze the digests into
+script ``scripts/capture_service_golden.py`` freezes the digests into
 ``tests/fixtures/service_golden.json``; ``tests/test_service.py`` runs
-the same functions against the interceptor-chain service and asserts
-equality.  A mismatch means the lifecycle refactor changed observable
-behaviour — which the digest-stability contract (DESIGN.md §12) forbids.
+the same functions and asserts equality.  A mismatch means a refactor
+changed observable behaviour — which the digest-stability contract
+(DESIGN.md §12) forbids.
+
+The fixture was first captured against the *pre-service* engine
+(hand-woven ``QueryEngine.answer`` / ``answer_many``) and re-captured
+once since, when monolithic serving became the 1-shard case: answers
+did not move, default-config spans gained the ``scatter`` span, and
+default-config metrics gained ``repro.shard.*`` counters —
+``TestGoldenRecapture`` in ``tests/test_service.py`` pins exactly that.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ import hashlib
 import json
 from dataclasses import asdict
 
-from repro.config import ShardingConfig, WorkflowConfig
-from repro.engine import QueryEngine, ShardedQueryEngine
+from repro.api import open_engine
+from repro.config import ShardingConfig, ReproConfig
+from repro.engine import QueryEngine
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.evaluation.chaos import _run_overload_phase, run_chaos_experiment
 from repro.index import get_or_build_index
@@ -43,8 +49,8 @@ def _sha(payload) -> str:
     ).hexdigest()
 
 
-def _fast_config(**kwargs) -> WorkflowConfig:
-    return WorkflowConfig(iterations_per_token=0, **kwargs)
+def _fast_config(**kwargs) -> ReproConfig:
+    return ReproConfig(iterations_per_token=0, **kwargs)
 
 
 def ask_workload(bundle) -> dict:
@@ -96,7 +102,7 @@ def sharded_workload(bundle) -> dict:
     """The same batch through a 2-shard scatter-gather engine."""
     cfg = _fast_config(sharding=ShardingConfig(num_shards=2))
     registry = MetricsRegistry()
-    engine = ShardedQueryEngine.from_corpus(bundle, cfg, registry=registry)
+    engine = open_engine(cfg, bundle=bundle, registry=registry)
     batch = engine.answer_many(QUESTIONS, mode="rag", workers=2, seed=7)
     return {
         "answers": batch.answers_digest(),

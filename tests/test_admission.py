@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import open_engine
 from repro.admission import (
     ADMIT,
     QUEUE,
@@ -13,7 +14,7 @@ from repro.admission import (
     RateLimiter,
     TokenBucket,
 )
-from repro.config import AdmissionConfig, WorkflowConfig
+from repro.config import AdmissionConfig, ReproConfig
 from repro.engine import QueryEngine
 from repro.errors import ConfigurationError, OverloadedError
 from repro.observability import MetricsRegistry, use_registry
@@ -217,14 +218,14 @@ class TestAdmissionConfigValidation:
             AdmissionConfig(min_concurrency=8, max_concurrency=2).validate()
 
     def test_default_is_disabled(self):
-        assert WorkflowConfig().admission.enabled is False
+        assert ReproConfig().admission.enabled is False
 
 
 # ------------------------------------------------------------------ engine
 @pytest.fixture(scope="module")
 def overload_engine_factory(bundle):
     def make(**overrides) -> QueryEngine:
-        cfg = WorkflowConfig(iterations_per_token=0)
+        cfg = ReproConfig(iterations_per_token=0)
         defaults = dict(
             enabled=True,
             requests_per_second=4.0,
@@ -234,7 +235,7 @@ def overload_engine_factory(bundle):
         )
         defaults.update(overrides)
         cfg.admission = AdmissionConfig(**defaults)
-        return QueryEngine.from_corpus(bundle, cfg)
+        return open_engine(cfg, bundle=bundle)
 
     return make
 
@@ -247,7 +248,7 @@ def _burst(n: int, *, factor: int = 16, rate: float = 4.0):
 
 class TestEngineAdmission:
     def test_disabled_by_default(self, bundle, fast_config):
-        engine = QueryEngine.from_corpus(bundle, fast_config)
+        engine = open_engine(fast_config, bundle=bundle)
         assert engine.admission is None
 
     def test_burst_sheds_without_exceptions(self, overload_engine_factory):

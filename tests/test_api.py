@@ -13,7 +13,7 @@ import inspect
 import pytest
 
 import repro
-from repro.config import ReproConfig, ShardingConfig, WorkflowConfig
+from repro.config import ReproConfig, ShardingConfig
 from repro.errors import ConfigurationError
 
 #: The public surface.  Additions belong at the right spot in this list
@@ -25,13 +25,10 @@ PUBLIC_API = [
     "ReproConfig",
     "RetrievalConfig",
     "ShardingConfig",
-    "WorkflowConfig",
     "build_default_corpus",
     "IndexArtifact",
-    "ShardedIndexArtifact",
     "QueryEngine",
     "ReproService",
-    "ShardedQueryEngine",
     "CorpusDelta",
     "IngestReport",
     "apply_documents",
@@ -45,9 +42,6 @@ PUBLIC_API = [
     "resolve_artifact",
     "AugmentedWorkflow",
     "RAGPipeline",
-    "build_rag_pipeline",
-    "build_workflow",
-    "build_support_system",
     "BlindGrader",
     "compare_modes",
     "krylov_benchmark",
@@ -97,10 +91,6 @@ class TestPublicSurface:
         ):
             assert required in names, required
 
-    def test_workflow_config_is_repro_config(self):
-        # Pre-facade name: must stay importable and identical.
-        assert WorkflowConfig is ReproConfig
-
 
 class TestReproConfigRoundTrip:
     def test_to_dict_from_dict_round_trip(self):
@@ -127,51 +117,13 @@ class TestReproConfigRoundTrip:
 
 
 class TestWrapperDelegation:
-    """The pre-facade builders are thin wrappers over repro.api."""
-
-    def test_build_workflow_delegates(self, monkeypatch, bundle, fast_config):
-        import repro.api as api
-        from repro.pipeline import build_workflow
-
-        calls = {}
-        real = api.open_workflow
-
-        def recording(config=None, **kwargs):
-            calls["config"] = config
-            return real(config, **kwargs)
-
-        monkeypatch.setattr(api, "open_workflow", recording)
-        wf = build_workflow(bundle, fast_config, mode="rag")
-        assert calls["config"] is fast_config
-        from repro.pipeline.workflow import AugmentedWorkflow
-
-        assert isinstance(wf, AugmentedWorkflow)
-        assert wf.pipeline.mode.value == "rag"
-
-    def test_build_rag_pipeline_delegates(self, monkeypatch, bundle, fast_config):
-        import repro.api as api
-        from repro.pipeline import build_rag_pipeline
-
-        calls = {}
-        real = api.open_pipeline
-
-        def recording(config=None, **kwargs):
-            calls["config"] = config
-            return real(config, **kwargs)
-
-        monkeypatch.setattr(api, "open_pipeline", recording)
-        pipe = build_rag_pipeline(bundle, fast_config, mode="baseline")
-        assert calls["config"] is fast_config
-        from repro.pipeline.rag import RAGPipeline
-
-        assert isinstance(pipe, RAGPipeline)
-        assert pipe.mode.value == "baseline"
+    """The higher assemblies get their engine from ``open_engine``."""
 
     def test_build_support_system_uses_open_engine(
         self, monkeypatch, bundle, fast_config
     ):
         import repro.api as api
-        from repro.bots import build_support_system
+        from repro.api import open_support_system
 
         calls = {}
         real = api.open_engine
@@ -181,17 +133,16 @@ class TestWrapperDelegation:
             return real(config, **kwargs)
 
         monkeypatch.setattr(api, "open_engine", recording)
-        system = build_support_system(bundle, fast_config)
+        system = open_support_system(fast_config, bundle=bundle)
         assert calls["config"] is fast_config
         assert system.chatbot.pipeline is not None
 
     def test_open_engine_sharded_support_system(self, bundle):
         # The facade threads sharding through to the bots' engine.
-        from repro.bots import build_support_system
-        from repro.engine import ShardedQueryEngine
+        from repro.api import open_support_system
 
         cfg = ReproConfig(
             iterations_per_token=0, sharding=ShardingConfig(num_shards=2)
         )
-        system = build_support_system(bundle, cfg)
-        assert isinstance(system.chatbot.engine, ShardedQueryEngine)
+        system = open_support_system(cfg, bundle=bundle)
+        assert system.chatbot.engine.num_shards == 2

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bots import build_support_system
-from repro.config import WorkflowConfig
+from repro.api import open_support_system
+from repro.config import ReproConfig
 from repro.discordsim.models import User
 from repro.errors import BotError
 from repro.mail.message import Attachment
@@ -13,7 +13,7 @@ from repro.mail.message import Attachment
 
 @pytest.fixture(scope="module")
 def system(bundle):
-    return build_support_system(bundle, WorkflowConfig(iterations_per_token=0))
+    return open_support_system(ReproConfig(iterations_per_token=0), bundle=bundle)
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bots import build_support_system
-from repro.config import WorkflowConfig
+from repro.api import open_support_system
+from repro.config import ReproConfig
 from repro.errors import TransientError
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.evaluation.chaos import run_chaos_experiment, run_robustness_sweep
@@ -197,8 +197,8 @@ class TestSupportSystemChaos:
         # Seed 5 injects faults on the webhook (exercising the dead-letter
         # queue) and the reranker (exercising the degradation ladder).
         injector = FaultInjector(5, FaultConfig(transient_rate=0.2))
-        system = build_support_system(
-            bundle, WorkflowConfig(iterations_per_token=0), fault_injector=injector
+        system = open_support_system(
+            ReproConfig(iterations_per_token=0), bundle=bundle, fault_injector=injector
         )
         assert system.fault_injector is injector
 

@@ -50,9 +50,9 @@ class TestCli:
 class TestHistoryFeedback:
     def test_feed_history_into_rag(self, bundle, fast_config):
         from repro.history import ScoreRecord
-        from repro.pipeline import build_workflow
+        from repro.api import open_workflow
 
-        wf = build_workflow(bundle, fast_config, mode="rag+rerank")
+        wf = open_workflow(fast_config, bundle=bundle, mode="rag+rerank")
         ans = wf.ask("How do I change the relative tolerance for a KSP solve?")
         wf.store.add_score(ans.interaction_id, ScoreRecord(scorer="dev", score=4))
 
@@ -71,9 +71,9 @@ class TestHistoryFeedback:
         assert hits
 
     def test_feedback_noop_for_baseline(self, bundle, fast_config):
-        from repro.pipeline import build_workflow
+        from repro.api import open_workflow
 
-        wf = build_workflow(bundle, fast_config, mode="baseline")
+        wf = open_workflow(fast_config, bundle=bundle, mode="baseline")
         wf.ask("anything")
         assert wf.feed_history_into_rag() == 0
 
@@ -96,10 +96,12 @@ class TestShardedCli:
         assert len(payload["shards"]["shards"]) == 2
         assert {r["shard"] for r in payload["shards"]["shards"]} == {0, 1}
 
-    def test_metrics_text_omits_shards_when_monolithic(self, capsys):
+    def test_metrics_text_prints_shard_table_by_default(self, capsys):
         rc = main(["--fast", "metrics", "--questions", "1"])
         assert rc == 0
-        assert "shards (" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "shards (1, composite " in out
+        assert "shard 0:" in out
 
 
 class TestRecoverCli:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.durability import (
     Journal,
     atomic_write,
@@ -357,63 +357,82 @@ class TestPollerDeadLetters:
 
 # ------------------------------------------------------------------ index cache
 class TestIndexCacheChecksums:
-    def test_manifest_carries_payload_checksums(self, bundle, tmp_path):
-        from repro.index.builder import build_index, save_artifact
+    @staticmethod
+    def _cached_shard(bundle, cfg, cache_dir):
+        """Build through the resolver; returns (artifact, shard cache root)."""
+        from repro.index.builder import clear_index_cache, get_or_build_index
 
-        artifact = build_index(bundle, WorkflowConfig(iterations_per_token=0))
-        root = save_artifact(artifact, tmp_path)
+        clear_index_cache()
+        try:
+            artifact = get_or_build_index(bundle, cfg, cache_dir=cache_dir)
+        finally:
+            clear_index_cache()
+        (shard,) = artifact.shards
+        return artifact, cache_dir / shard.digest[:16]
+
+    @staticmethod
+    def _resolve(bundle, cfg, cache_dir):
+        """A cold-memory resolve; returns (artifact, registry it reported to)."""
+        from repro.index.builder import clear_index_cache, get_or_build_index
+
+        registry = MetricsRegistry()
+        try:
+            with use_registry(registry):
+                artifact = get_or_build_index(bundle, cfg, cache_dir=cache_dir)
+        finally:
+            clear_index_cache()
+        return artifact, registry
+
+    def test_manifest_carries_payload_checksums(self, bundle, tmp_path):
+        _artifact, root = self._cached_shard(
+            bundle, ReproConfig(iterations_per_token=0), tmp_path
+        )
         manifest = json.loads((root / "artifact.json").read_text())
         sums = manifest["payload_checksums"]
         assert set(sums) == {"vectors.npz", "documents.jsonl", "manifest.json"}
         assert all(len(v) == 64 for v in sums.values())
 
     def test_corrupt_payload_fails_load_then_rebuilds(self, bundle, tmp_path):
-        from repro.index.builder import (
-            build_index,
-            get_or_build_index,
-            load_artifact,
-            save_artifact,
-            clear_index_cache,
-        )
+        from repro.index.builder import read_cached_payload
 
-        cfg = WorkflowConfig(iterations_per_token=0)
-        artifact = build_index(bundle, cfg)
-        root = save_artifact(artifact, tmp_path)
+        cfg = ReproConfig(iterations_per_token=0)
+        artifact, root = self._cached_shard(bundle, cfg, tmp_path)
         payload = root / "store" / "documents.jsonl"
         payload.write_bytes(payload.read_bytes()[:-10] + b"corruption")
         registry = MetricsRegistry()
         with use_registry(registry):
             with pytest.raises(IndexBuildError, match="checksum"):
-                load_artifact(bundle, cfg, tmp_path)
+                read_cached_payload(tmp_path, artifact.shards[0].digest, cfg)
         assert registry.counter("repro.index.checksum_failures").value == 1
         # The entry point falls back to a fresh build over the bad cache.
-        clear_index_cache()
-        try:
-            rebuilt = get_or_build_index(bundle, cfg, cache_dir=tmp_path)
-        finally:
-            clear_index_cache()
+        rebuilt, registry = self._resolve(bundle, cfg, tmp_path)
         assert rebuilt.digest == artifact.digest
-        fresh = load_artifact(bundle, cfg, tmp_path)
+        assert registry.counter("repro.index.checksum_failures").value == 1
+        assert registry.counter("repro.index.disk_hits").value == 0
+        assert registry.counter("repro.index.builds").value == 1
+        # ... and overwrites it: the next cold resolve is a clean disk hit.
+        fresh, registry = self._resolve(bundle, cfg, tmp_path)
         assert fresh.digest == artifact.digest
+        assert registry.counter("repro.index.disk_hits").value == 1
+        assert registry.counter("repro.index.builds").value == 0
 
     def test_clean_cache_loads_with_verification(self, bundle, tmp_path):
-        from repro.index.builder import build_index, load_artifact, save_artifact
-
-        cfg = WorkflowConfig(iterations_per_token=0)
-        artifact = build_index(bundle, cfg)
-        save_artifact(artifact, tmp_path)
-        loaded = load_artifact(bundle, cfg, tmp_path)
+        cfg = ReproConfig(iterations_per_token=0)
+        artifact, _root = self._cached_shard(bundle, cfg, tmp_path)
+        loaded, registry = self._resolve(bundle, cfg, tmp_path)
         assert loaded.digest == artifact.digest
+        # A disk hit skips the embed pass.
+        assert registry.counter("repro.index.disk_hits").value == 1
+        assert registry.counter("repro.index.builds").value == 0
 
     def test_verification_can_be_disabled(self, bundle, tmp_path):
-        from repro.index.builder import build_index, load_artifact, save_artifact
-
-        cfg = WorkflowConfig(iterations_per_token=0)
-        artifact = build_index(bundle, cfg)
-        root = save_artifact(artifact, tmp_path)
+        cfg = ReproConfig(iterations_per_token=0)
+        artifact, root = self._cached_shard(bundle, cfg, tmp_path)
         manifest_file = root / "store" / "manifest.json"
         # Cosmetic corruption that keeps the JSON loadable.
         manifest_file.write_text(manifest_file.read_text() + " ")
         cfg.durability.verify_index_checksums = False
-        loaded = load_artifact(bundle, cfg, tmp_path)
+        loaded, registry = self._resolve(bundle, cfg, tmp_path)
         assert loaded.digest == artifact.digest
+        assert registry.counter("repro.index.checksum_failures").value == 0
+        assert registry.counter("repro.index.disk_hits").value == 1

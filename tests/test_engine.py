@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.config import EngineConfig, WorkflowConfig
+from repro.api import open_engine
+from repro.config import EngineConfig, ReproConfig
 from repro.engine import LRUCache, QueryEngine
 from repro.errors import ConfigurationError
 from repro.index import clear_index_cache, get_or_build_index
@@ -90,7 +91,7 @@ class TestSequentialAnswer:
 
     def test_retrieval_cache_warms_across_requests(self, artifact, fast_config):
         reg = MetricsRegistry()
-        cfg = WorkflowConfig(
+        cfg = ReproConfig(
             iterations_per_token=0, engine=EngineConfig(answer_cache_size=0)
         )
         engine = fresh_engine(artifact, cfg, registry=reg)
@@ -103,7 +104,7 @@ class TestSequentialAnswer:
         # embed_query only re-runs — and can only hit its cache — when
         # retrieval itself recomputes.
         reg = MetricsRegistry()
-        cfg = WorkflowConfig(
+        cfg = ReproConfig(
             iterations_per_token=0,
             engine=EngineConfig(answer_cache_size=0, retrieval_cache_size=0),
         )
@@ -174,7 +175,7 @@ class TestBatchDeterminism:
             engine.answer_many(QUESTIONS, workers=0)
 
     def test_batch_defers_token_burn(self, artifact, bundle):
-        cfg = WorkflowConfig()  # latency simulation ON
+        cfg = ReproConfig()  # latency simulation ON
         engine = QueryEngine(
             get_or_build_index(bundle, cfg), cfg, registry=MetricsRegistry()
         )
@@ -188,24 +189,24 @@ class TestSharedArtifact:
         """The acceptance check: workflow, chatbot, evaluation, and the
         engine (the CLI ``ask`` path) all answer through one cached
         artifact — ``repro.index.builds`` stays at 1."""
-        from repro.bots.system import build_support_system
+        from repro.api import open_support_system
         from repro.discordsim.models import User
         from repro.evaluation import run_experiment
         from repro.evaluation.benchmark import krylov_benchmark
-        from repro.pipeline.workflow import build_workflow
+        from repro.api import open_workflow
 
         clear_index_cache()
         reg = MetricsRegistry()
         try:
             with use_registry(reg):
                 # CLI `ask` path.
-                engine = QueryEngine.from_corpus(bundle, fast_config)
+                engine = open_engine(fast_config, bundle=bundle)
                 engine.answer(QUESTIONS[0])
                 # Augmented workflow.
-                workflow = build_workflow(bundle, fast_config)
+                workflow = open_workflow(fast_config, bundle=bundle)
                 workflow.ask(QUESTIONS[1])
                 # Support system / chatbot.
-                system = build_support_system(bundle, fast_config)
+                system = open_support_system(fast_config, bundle=bundle)
                 system.chatbot.direct_message(User(name="visitor"), QUESTIONS[2])
                 # Evaluation.
                 run_experiment(
@@ -217,11 +218,11 @@ class TestSharedArtifact:
         assert reg.counter("repro.index.memory_hits").value >= 2
 
     def test_workflow_feed_history_invalidates_caches(self, bundle, fast_config):
-        from repro.pipeline.workflow import build_workflow
+        from repro.api import open_workflow
 
         from repro.history.records import ScoreRecord
 
-        workflow = build_workflow(bundle, fast_config)
+        workflow = open_workflow(fast_config, bundle=bundle)
         assert workflow.engine is not None
         answer = workflow.ask("What is the default KSP type?")
         workflow.store.add_score(

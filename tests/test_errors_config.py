@@ -90,14 +90,14 @@ class TestWorkflowConfigSurface:
         assert rc.first_pass_k == 10
 
     def test_include_mail_archives_plumbs_through(self, bundle):
-        from repro.config import RetrievalConfig, WorkflowConfig
-        from repro.pipeline import build_rag_pipeline
+        from repro.config import RetrievalConfig, ReproConfig
+        from repro.api import open_pipeline
 
-        cfg = WorkflowConfig(
+        cfg = ReproConfig(
             retrieval=RetrievalConfig(include_mail_archives=True),
             iterations_per_token=0,
         )
-        pipeline = build_rag_pipeline(bundle, cfg, mode="rag")
+        pipeline = open_pipeline(cfg, bundle=bundle, mode="rag")
         sources = set()
         for q in ("GMRES runs out of memory on a large problem",):
             for c in pipeline.answer(q).candidates:

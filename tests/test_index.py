@@ -6,16 +6,13 @@ import json
 
 import pytest
 
-from repro.config import RetrievalConfig, WorkflowConfig
+from repro.config import RetrievalConfig, ReproConfig
 from repro.errors import IndexBuildError
 from repro.index import (
-    IndexArtifact,
-    build_index,
     clear_index_cache,
     compute_digest,
     get_or_build_index,
-    load_artifact,
-    save_artifact,
+    read_cached_payload,
 )
 from repro.observability import MetricsRegistry, use_registry
 
@@ -35,7 +32,7 @@ class TestDigests:
 
     def test_digest_tracks_index_relevant_config(self, bundle, fast_config):
         base = compute_digest(bundle, fast_config)
-        chunked = WorkflowConfig(
+        chunked = ReproConfig(
             retrieval=RetrievalConfig(chunk_size=500), iterations_per_token=0
         )
         assert compute_digest(bundle, chunked) != base
@@ -43,12 +40,12 @@ class TestDigests:
     def test_digest_ignores_serving_config(self, bundle):
         # Serving knobs (chat model, latency, resilience) don't change
         # what gets indexed, so they must not fragment the cache.
-        a = compute_digest(bundle, WorkflowConfig(iterations_per_token=0))
-        b = compute_digest(bundle, WorkflowConfig(chat_model="llama-3-sim"))
+        a = compute_digest(bundle, ReproConfig(iterations_per_token=0))
+        b = compute_digest(bundle, ReproConfig(chat_model="llama-3-sim"))
         assert a == b
 
     def test_build_stamps_matching_digest(self, bundle, fast_config, fresh_cache):
-        artifact = build_index(bundle, fast_config)
+        artifact = get_or_build_index(bundle, fast_config)
         assert artifact.digest == compute_digest(bundle, fast_config)
         assert len(artifact.chunks) > 0
         assert len(artifact.store) == len(artifact.chunks)
@@ -67,7 +64,7 @@ class TestMemoryCache:
 
     def test_different_config_builds_again(self, bundle, fast_config, fresh_cache):
         reg = MetricsRegistry()
-        other = WorkflowConfig(
+        other = ReproConfig(
             retrieval=RetrievalConfig(chunk_size=500), iterations_per_token=0
         )
         with use_registry(reg):
@@ -97,33 +94,47 @@ class TestDiskCache:
         assert a == b
 
     def test_save_load_roundtrip(self, bundle, fast_config, tmp_path, fresh_cache):
-        artifact = build_index(bundle, fast_config)
-        root = save_artifact(artifact, tmp_path)
-        manifest = json.loads((root / "artifact.json").read_text())
-        assert manifest["digest"] == artifact.digest
-        restored = load_artifact(bundle, fast_config, tmp_path)
-        assert isinstance(restored, IndexArtifact)
+        # Disk entries are per shard, keyed by the shard digest.
+        artifact = get_or_build_index(bundle, fast_config, cache_dir=tmp_path)
+        (shard,) = artifact.shards
+        manifest = json.loads(
+            (tmp_path / shard.digest[:16] / "artifact.json").read_text()
+        )
+        assert manifest["digest"] == shard.digest
+        clear_index_cache()
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            restored = get_or_build_index(bundle, fast_config, cache_dir=tmp_path)
         assert restored.digest == artifact.digest
+        assert [s.digest for s in restored.shards] == [shard.digest]
+        # A disk hit skips the embed pass.
+        assert reg.counter("repro.index.disk_hits").value == 1
+        assert reg.counter("repro.index.builds").value == 0
 
     def test_missing_entry_raises(self, bundle, fast_config, tmp_path):
         with pytest.raises(IndexBuildError):
-            load_artifact(bundle, fast_config, tmp_path)
+            read_cached_payload(
+                tmp_path, compute_digest(bundle, fast_config), fast_config
+            )
 
     def test_corrupt_manifest_falls_back_to_build(
         self, bundle, fast_config, tmp_path, fresh_cache
     ):
-        artifact = build_index(bundle, fast_config)
-        root = save_artifact(artifact, tmp_path)
-        (root / "artifact.json").write_text('{"digest": "tampered"}')
+        artifact = get_or_build_index(bundle, fast_config, cache_dir=tmp_path)
+        (shard,) = artifact.shards
+        manifest = tmp_path / shard.digest[:16] / "artifact.json"
+        manifest.write_text('{"digest": "tampered"}')
         with pytest.raises(IndexBuildError):
-            load_artifact(bundle, fast_config, tmp_path)
+            read_cached_payload(tmp_path, shard.digest, fast_config)
+        clear_index_cache()
         reg = MetricsRegistry()
         with use_registry(reg):
             rebuilt = get_or_build_index(bundle, fast_config, cache_dir=tmp_path)
         assert rebuilt.digest == artifact.digest
+        assert reg.counter("repro.index.disk_hits").value == 0
         assert reg.counter("repro.index.builds").value == 1
         # The corrupt entry was overwritten with a valid one.
-        assert json.loads((root / "artifact.json").read_text())["digest"] == artifact.digest
+        assert json.loads(manifest.read_text())["digest"] == shard.digest
 
 
 class TestArtifactImmutability:

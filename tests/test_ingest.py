@@ -25,7 +25,6 @@ from repro.index import (
     build_index_from_parent,
     cache_artifact,
     clear_index_cache,
-    config_fingerprint,
     get_or_build_index,
     lineage_parent,
 )
@@ -55,7 +54,7 @@ def fresh_cache():
     clear_index_cache()
 
 
-def _cfg(shards: int = 0, **ingest_kw) -> ReproConfig:
+def _cfg(shards: int = 1, **ingest_kw) -> ReproConfig:
     return ReproConfig(
         iterations_per_token=0,
         retrieval=RetrievalConfig(embedding_model=EMBED),
@@ -177,12 +176,36 @@ class TestLineage:
         assert child.digest != parent.digest
         assert cached_artifact(child.digest) is child
         assert cached_artifact(parent.digest) is None
-        assert reg.counter("repro.index.lineage_evictions").value == 1
+        # The edited shard and the composite over it.
+        assert reg.counter("repro.index.lineage_evictions").value == 2
+
+    def test_corpus_fitted_lineage_evicts_on_every_ingest(self, bundle, fresh_cache):
+        """A corpus-fitted embedder folds the corpus digest into every
+        fingerprint (``embedding_scope``); lineage must still follow the
+        config across edits, or each ingest strands a dead artifact."""
+        from repro.index import builder
+
+        engine = open_engine(ReproConfig(iterations_per_token=0), bundle=bundle)
+        assert engine.artifact.fingerprint["embedding_scope"] != "corpus-free"
+        reg = MetricsRegistry()
+        evictions = reg.counter("repro.index.lineage_evictions")
+        revised = bundle
+        for i in range(5):
+            before = evictions.value
+            revised = _edit_source(
+                revised, "manualpages/KSPGMRES.md", f"\n\nRevision {i}."
+            )
+            with use_registry(reg):  # the index cache reports to the ambient scope
+                assert ingest_corpus(engine, revised).swapped
+            assert evictions.value > before
+            assert len(builder._artifacts) <= 1 + engine.num_shards
 
     def test_lineage_parent_tracks_latest(self, bundle, fresh_cache):
         cfg = _cfg()
         artifact = get_or_build_index(bundle, cfg)
-        assert lineage_parent(config_fingerprint(cfg)) is artifact
+        assert lineage_parent(artifact.fingerprint) is artifact
+        (shard,) = artifact.shards
+        assert lineage_parent(shard.fingerprint) is shard
 
 
 class TestDeltaBuild:
@@ -422,12 +445,6 @@ class TestApplyDocuments:
 
 
 class TestDeprecatedWritePath:
-    def test_public_add_documents_warns(self, chunks, embedding):
-        store = VectorStore.from_documents(chunks[:5], embedding)
-        doc = Document(text="late addition", metadata={"source": "x.md"})
-        with pytest.warns(DeprecationWarning, match="repro.ingest"):
-            store.add_documents([doc])
-
     def test_internal_paths_do_not_warn(self, bundle, fresh_cache):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

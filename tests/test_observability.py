@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import WorkflowConfig
+from repro.config import ReproConfig
 from repro.errors import ConfigurationError, ObservabilityError, TransientError
 from repro.history import InteractionStore
 from repro.llm.base import ChatMessage, ChatModel, CompletionResult, TokenUsage
@@ -27,11 +27,8 @@ from repro.observability import (
     stage,
     use_registry,
 )
-from repro.pipeline import (
-    DegradationEvent,
-    PipelineMode,
-    build_rag_pipeline,
-)
+from repro.api import open_pipeline
+from repro.pipeline import DegradationEvent, PipelineMode
 from repro.pipeline.rag import RAGPipeline
 from repro.rerank.base import Reranker
 from repro.resilience import FaultConfig, FaultInjector, RetryPolicy
@@ -319,12 +316,12 @@ class TestTypedEnums:
             reg.counter(f"repro.pipeline.degradation.{event.metric_suffix}")
 
     def test_build_pipeline_accepts_enum_and_string(self, bundle, fast_config):
-        by_str = build_rag_pipeline(bundle, fast_config, mode="baseline")
-        by_enum = build_rag_pipeline(bundle, fast_config, mode=PipelineMode.BASELINE)
+        by_str = open_pipeline(fast_config, bundle=bundle, mode="baseline")
+        by_enum = open_pipeline(fast_config, bundle=bundle, mode=PipelineMode.BASELINE)
         assert by_str.mode is PipelineMode.BASELINE
         assert by_enum.mode is PipelineMode.BASELINE
         with pytest.raises(ConfigurationError):
-            build_rag_pipeline(bundle, fast_config, mode="turbo")
+            open_pipeline(fast_config, bundle=bundle, mode="turbo")
 
     def test_history_schema_unchanged_on_disk(self, tmp_path):
         store = InteractionStore()
@@ -550,8 +547,8 @@ class TestEndToEndDeterminism:
             injector = FaultInjector(seed, FaultConfig(transient_rate=0.3))
             reg = MetricsRegistry()
             with use_registry(reg):
-                pipeline = build_rag_pipeline(
-                    bundle, fast_config, fault_injector=injector
+                pipeline = open_pipeline(
+                    fast_config, bundle=bundle, fault_injector=injector
                 )
                 digests = []
                 for q in ("How do I set the KSP tolerance?", "What is GMRES?"):

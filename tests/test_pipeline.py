@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import RetrievalConfig, WorkflowConfig
+from repro.config import RetrievalConfig, ReproConfig
 from repro.errors import ConfigurationError
-from repro.pipeline import build_rag_pipeline, build_workflow
+from repro.api import open_pipeline, open_workflow
 from repro.prompts import parse_rag_prompt
 
 
 class TestConfigValidation:
     def test_defaults_valid(self):
-        WorkflowConfig().validate()
+        ReproConfig().validate()
 
     def test_bad_k(self):
         with pytest.raises(ConfigurationError):
@@ -39,7 +39,7 @@ class TestModes:
 
     def test_unknown_mode(self, bundle, fast_config):
         with pytest.raises(ConfigurationError):
-            build_rag_pipeline(bundle, fast_config, mode="turbo")
+            open_pipeline(fast_config, bundle=bundle, mode="turbo")
 
     def test_baseline_has_no_contexts(self, baseline_pipeline):
         res = baseline_pipeline.answer("What is the default KSP type?")
@@ -104,7 +104,7 @@ class TestInvalidConstruction:
 class TestWorkflow:
     @pytest.fixture(scope="class")
     def workflow(self, bundle, fast_config):
-        return build_workflow(bundle, fast_config, mode="rag+rerank")
+        return open_workflow(fast_config, bundle=bundle, mode="rag+rerank")
 
     def test_ask_returns_html(self, workflow):
         ans = workflow.ask("How do I print the residual norm at each iteration?")
@@ -132,9 +132,9 @@ class TestWorkflow:
         assert "unit-test" in rec.tags
 
     def test_no_record_when_disabled(self, bundle):
-        wf = build_workflow(
-            bundle,
-            WorkflowConfig(iterations_per_token=0, record_history=False),
+        wf = open_workflow(
+            ReproConfig(iterations_per_token=0, record_history=False),
+            bundle=bundle,
             mode="baseline",
         )
         wf.ask("anything")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ResilienceConfig, WorkflowConfig
+from repro.config import ResilienceConfig, ReproConfig
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -381,7 +381,7 @@ class TestFaultInjector:
 # ---------------------------------------------------------------- config
 class TestResilienceConfig:
     def test_defaults_validate(self):
-        WorkflowConfig().validate()
+        ReproConfig().validate()
 
     @pytest.mark.parametrize(
         "kw",

@@ -9,6 +9,10 @@ snapshot.  Regenerate (deliberately!) with::
 
     PYTHONPATH=src:. python scripts/capture_service_golden.py
 
+The one re-capture so far (monolithic serving became the 1-shard case)
+is itself pinned by ``TestGoldenRecapture``: what was allowed to move,
+and that nothing else did.
+
 The rest of the file pins the interceptor contract: chain validation
 fails fast with :class:`ServiceConfigurationError`, engine-less services
 serve byte-identically to direct pipeline calls, and request-lifecycle
@@ -17,12 +21,14 @@ internals stay inside ``repro.service`` (architecture conformance).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from repro.api import open_engine
 import repro
 from repro.engine import QueryEngine
 from repro.errors import ReproError, ServiceConfigurationError
@@ -75,6 +81,121 @@ class TestGoldenDigests:
 
 
 # ---------------------------------------------------------------------------
+# The fixture's one re-capture: what moved, and that nothing else did
+# ---------------------------------------------------------------------------
+#: Values of the fixture before monolithic serving became the 1-shard
+#: case.  ``prompt_tokens`` is ``repro.llm.prompt_tokens`` in the
+#: workload's registry: "What is DMDA?" scores 0.0 against every chunk,
+#: and the scatter merge breaks that corpus-wide tie by doc id where the
+#: monolithic scan broke it by insertion row, so rag mode hands the model
+#: four other (equally irrelevant) chunks — the answer does not move,
+#: the prompt length does.
+_PRE_COLLAPSE = {
+    "ask": {
+        "answers": "0410d47f931e752136c249678e5c2397ebaa227b1f81ba3461625aeef16535bd",
+        "metrics": "c2f61830cd8c3a76c45061f316cf417162d7791f6fb6fa4d2c4da19d9565098b",
+        "prompt_tokens": 4105,
+    },
+    "batch": {
+        "answers": "0468683e6b2f89b9bb22d7df0c2c08fc90b726b1f227e46e6db3597f46b83335",
+        "metrics": "83d69e08c04827a0bc1d3e327feef3f6264052d8ef4f61f5708ada406af3cf3a",
+        "prompt_tokens": 4105,
+    },
+    "sharded": {
+        "answers": "0468683e6b2f89b9bb22d7df0c2c08fc90b726b1f227e46e6db3597f46b83335",
+        "metrics": "b486b88efcbef2fac3527a520adeed02268a94e0c77437c0306039e7a307bdf2",
+        "spans": "3f9d5b6d0f8698b8714e84c9916c3907c4135aa12b915504cc98823c82002e7a",
+    },
+    "chaos": {
+        "answered": 9,
+        "results": "fb03f984214fa869b174104cb0694488decba6e7254482d399eb26134cca11fb",
+        "schedule": "dac4aebf42288e3970a65a1ca149d9b2843ec5f6b8544c098ab33fadccffef3e",
+    },
+    "overload": {
+        "answers_digest": "d78fc39c698d6019c279e46697a4aa2540761240e1671dad60a8fa188f0e9c64",
+        "metrics_digest": "92e230728b4088b371ea602004673ddb89ea753b75291d8abc9bc23168b63598",
+    },
+}
+
+
+class _RecordingRegistry(MetricsRegistry):
+    """Remembers every instance, to reach registries a workload owns."""
+
+    made: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made.append(self)
+
+
+def _pre_collapse_metrics_digest(registry, prompt_tokens=None) -> str:
+    """The registry's digest as the monolithic path would have produced
+    it: no ``repro.shard.*`` instruments, the old prompt-token total."""
+    if prompt_tokens is not None:
+        counter = registry.counter("repro.llm.prompt_tokens")
+        counter.inc(prompt_tokens - counter.value)
+    view = {
+        kind: {n: v for n, v in table.items() if not n.startswith("repro.shard.")}
+        for kind, table in registry.deterministic_view().items()
+    }
+    payload = json.dumps(view, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestGoldenRecapture:
+    def test_answers_results_and_schedules_did_not_move(self):
+        for workload in ("ask", "sharded", "chaos"):
+            for key, value in _PRE_COLLAPSE[workload].items():
+                if key not in ("metrics", "prompt_tokens"):
+                    assert GOLDEN[workload][key] == value, (workload, key)
+        for batch in GOLDEN["batch"].values():
+            assert batch["answers"] == _PRE_COLLAPSE["batch"]["answers"]
+        assert (
+            GOLDEN["overload"]["answers_digest"]
+            == _PRE_COLLAPSE["overload"]["answers_digest"]
+        )
+        # The already-sharded workload is untouched, metrics included.
+        assert GOLDEN["sharded"] == _PRE_COLLAPSE["sharded"]
+
+    def test_default_config_spans_are_the_sharded_spans(self):
+        for batch in GOLDEN["batch"].values():
+            assert batch["spans"] == _PRE_COLLAPSE["sharded"]["spans"]
+
+    @pytest.mark.parametrize("workload", ["ask", "batch"])
+    def test_metrics_moved_only_by_shard_counters(self, bundle, monkeypatch, workload):
+        from tests import golden_workloads
+
+        _RecordingRegistry.made.clear()
+        monkeypatch.setattr(golden_workloads, "MetricsRegistry", _RecordingRegistry)
+        if workload == "ask":
+            current = ask_workload(bundle)
+        else:
+            current = batch_workload(bundle, workers=2)
+        (registry,) = _RecordingRegistry.made
+        assert current["metrics"] != _PRE_COLLAPSE[workload]["metrics"]
+        assert registry.counter("repro.shard.queries").value > 0
+        assert (
+            _pre_collapse_metrics_digest(
+                registry, _PRE_COLLAPSE[workload]["prompt_tokens"]
+            )
+            == _PRE_COLLAPSE[workload]["metrics"]
+        )
+
+    def test_overload_metrics_moved_only_by_shard_counters(self, bundle, monkeypatch):
+        from repro.evaluation import chaos
+
+        _RecordingRegistry.made.clear()
+        monkeypatch.setattr(chaos, "MetricsRegistry", _RecordingRegistry)
+        current = overload_workload(bundle)
+        (registry,) = _RecordingRegistry.made
+        assert current["metrics_digest"] != _PRE_COLLAPSE["overload"]["metrics_digest"]
+        assert (
+            _pre_collapse_metrics_digest(registry)
+            == _PRE_COLLAPSE["overload"]["metrics_digest"]
+        )
+
+
+# ---------------------------------------------------------------------------
 # Chain validation: malformed chains fail fast, before any request runs
 # ---------------------------------------------------------------------------
 class TestChainValidation:
@@ -120,7 +241,7 @@ class TestChainValidation:
     def test_service_needs_exactly_one_backend(self, bundle, fast_config, rag_pipeline):
         with pytest.raises(ServiceConfigurationError, match="exactly one backend"):
             ReproService()
-        engine = QueryEngine.from_corpus(bundle, fast_config)
+        engine = open_engine(fast_config, bundle=bundle)
         with pytest.raises(ServiceConfigurationError, match="exactly one backend"):
             ReproService(engine=engine, pipeline=rag_pipeline)
 
@@ -148,7 +269,7 @@ class TestChainValidation:
 # ---------------------------------------------------------------------------
 class TestFrontDoor:
     def test_engine_service_is_cached_singleton(self, bundle, fast_config):
-        engine = QueryEngine.from_corpus(bundle, fast_config)
+        engine = open_engine(fast_config, bundle=bundle)
         assert engine.service is engine.service
         assert engine.service.engine is engine
 
@@ -168,10 +289,10 @@ class TestFrontDoor:
     def test_single_is_batch_of_one(self, bundle, fast_config):
         question = "What is the default KSP type?"
         single = QueryEngine(
-            QueryEngine.from_corpus(bundle, fast_config).artifact, fast_config
+            open_engine(fast_config, bundle=bundle).artifact, fast_config
         ).answer(question, mode="rag")
         batch = QueryEngine(
-            QueryEngine.from_corpus(bundle, fast_config).artifact, fast_config
+            open_engine(fast_config, bundle=bundle).artifact, fast_config
         ).answer_many([question], mode="rag")
         assert batch.items[0].result.answer == single.answer
         assert batch.items[0].error == ""
@@ -179,7 +300,7 @@ class TestFrontDoor:
 
     def test_single_answer_serves_cache_hit_on_repeat(self, bundle, fast_config):
         registry = MetricsRegistry()
-        engine = QueryEngine.from_corpus(bundle, fast_config)
+        engine = open_engine(fast_config, bundle=bundle)
         engine = QueryEngine(engine.artifact, fast_config, registry=registry)
         first = engine.answer("What is DMDA?", mode="rag")
         second = engine.answer("What is DMDA?", mode="rag")
@@ -199,7 +320,7 @@ class TestFrontDoor:
         self, bundle, fast_config, grader, rag_pipeline
     ):
         questions = krylov_benchmark()[:3]
-        service = QueryEngine.from_corpus(bundle, fast_config).service
+        service = open_engine(fast_config, bundle=bundle).service
         via_service = run_experiment(service, grader, mode="rag", questions=questions)
         legacy = run_experiment(rag_pipeline, grader, questions=questions)
         assert via_service.mode == legacy.mode == "rag"
@@ -216,7 +337,7 @@ class TestFrontDoor:
         try:
             registry = MetricsRegistry()
             with use_registry(registry):
-                service = QueryEngine.from_corpus(bundle, fast_config).service
+                service = open_engine(fast_config, bundle=bundle).service
                 run = run_experiment(
                     service, grader, mode="rag", questions=krylov_benchmark()[:6]
                 )
@@ -253,4 +374,38 @@ def test_lifecycle_internals_confined_to_service_modules():
     assert not offenders, (
         "request-lifecycle internals leaked outside repro.service "
         "(route through ReproService instead):\n" + "\n".join(offenders)
+    )
+
+
+#: One index, one engine, one store: nothing may fork on which kind it
+#: was handed, or on whether there is more than one shard.
+_FORK_PATTERNS = (
+    r"isinstance\([^()]*,\s*\(?[^()]*\b\w*(?:Artifact|Engine|VectorStore)\b",
+    r"num_shards\s*(?:==|!=|<=|>=|<|>)\s*[01]\b",
+    r"\b[01]\s*(?:==|!=|<=|>=|<|>)\s*[\w.]*num_shards",
+)
+#: (file, matched text) pairs that are not forks.
+_ALLOWED_SHARD_COMPARISONS = {
+    ("config.py", "num_shards < 1"),  # range validation
+    ("vectorstore/sharded.py", "num_shards <= 0"),  # shard_for_source's modulus guard
+    ("vectorstore/sharded.py", "num_shards == 1"),  # _scatter's serial fast path
+}
+
+
+def test_no_fork_on_artifact_engine_store_kind_or_shard_count():
+    src_root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(src_root.rglob("*.py")):
+        rel = path.relative_to(src_root).as_posix()
+        text = path.read_text(encoding="utf-8")
+        for pattern in _FORK_PATTERNS:
+            for match in re.finditer(pattern, text):
+                if (rel, match.group(0)) in _ALLOWED_SHARD_COMPARISONS:
+                    continue
+                line = text.count("\n", 0, match.start()) + 1
+                offenders.append(f"src/repro/{rel}:{line}: {match.group(0)}")
+    assert not offenders, (
+        "monolithic serving is the 1-shard x 1-replica case of one path; "
+        "do not branch on artifact/engine/store type or on num_shards 0/1:\n"
+        + "\n".join(offenders)
     )
