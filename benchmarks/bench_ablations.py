@@ -19,15 +19,17 @@ from repro.config import RetrievalConfig, ReproConfig
 from repro.corpus.builder import chunk_corpus
 from repro.embeddings import create_embedding_model
 from repro.evaluation import krylov_benchmark, run_experiment
-from repro.api import open_pipeline
+from repro.api import open_service
 from repro.vectorstore import BruteForceIndex, IVFIndex
 
 SUBSET = 16
 
 
 def _mean(bundle, grader, cfg, *, mode="rag+rerank", n=SUBSET):
-    pipeline = open_pipeline(cfg, bundle=bundle, mode=mode)
-    return run_experiment(pipeline, grader, questions=krylov_benchmark()[:n]).mean_score()
+    service = open_service(cfg, bundle=bundle)
+    return run_experiment(
+        service, grader, mode=mode, questions=krylov_benchmark()[:n]
+    ).mean_score()
 
 
 def test_ablation_kl_sweep(benchmark, bundle, grader):

@@ -17,22 +17,18 @@ from repro.evaluation.casestudies import (
     CASE_STUDY_2_QID,
     run_case_study,
 )
-from repro.api import open_pipeline
+from repro.api import open_service
 
 
-def _pipelines(bundle):
-    cfg = ReproConfig(iterations_per_token=0)
-    return (
-        open_pipeline(cfg, bundle=bundle, mode="rag"),
-        open_pipeline(cfg, bundle=bundle, mode="rag+rerank"),
-    )
+def _service(bundle):
+    return open_service(ReproConfig(iterations_per_token=0), bundle=bundle)
 
 
 def test_case_study_1_ksplsqr(benchmark, bundle, grader):
-    rag, rerank = _pipelines(bundle)
+    service = _service(bundle)
 
     def run():
-        return run_case_study(CASE_STUDY_1_QID, rag, rerank, grader)
+        return run_case_study(CASE_STUDY_1_QID, service, grader)
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
@@ -46,10 +42,10 @@ def test_case_study_1_ksplsqr(benchmark, bundle, grader):
 
 
 def test_case_study_2_info_option(benchmark, bundle, grader):
-    rag, rerank = _pipelines(bundle)
+    service = _service(bundle)
 
     def run():
-        return run_case_study(CASE_STUDY_2_QID, rag, rerank, grader)
+        return run_case_study(CASE_STUDY_2_QID, service, grader)
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -16,7 +16,7 @@ from repro.config import RetrievalConfig, ReproConfig
 from repro.embeddings import EMBEDDING_MODEL_NAMES
 from repro.evaluation import krylov_benchmark, run_experiment
 from repro.llm import CHAT_MODEL_NAMES
-from repro.api import open_pipeline
+from repro.api import open_service
 
 #: Subset keeps the grid affordable: 4 chat models x 3 embeddings.
 SUBSET_SIZE = 16
@@ -34,8 +34,8 @@ def test_model_grid(benchmark, bundle, grader):
                     retrieval=RetrievalConfig(embedding_model=emb),
                     iterations_per_token=0,
                 )
-                pipeline = open_pipeline(cfg, bundle=bundle, mode="rag+rerank")
-                run = run_experiment(pipeline, grader, questions=questions)
+                service = open_service(cfg, bundle=bundle)
+                run = run_experiment(service, grader, mode="rag+rerank", questions=questions)
                 grid[(chat, emb)] = run.mean_score()
         return grid
 

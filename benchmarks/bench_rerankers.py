@@ -13,7 +13,7 @@ import time
 
 from repro.config import RetrievalConfig, ReproConfig
 from repro.evaluation import krylov_benchmark, run_experiment
-from repro.api import open_pipeline
+from repro.api import open_service
 from repro.rerank import FlashrankLiteReranker, NvidiaSimReranker
 from repro.retrieval import VectorRetriever
 from repro.vectorstore import VectorStore
@@ -32,8 +32,10 @@ def test_reranker_accuracy_similar(benchmark, bundle, grader):
                 retrieval=RetrievalConfig(reranker=reranker),
                 iterations_per_token=0,
             )
-            pipeline = open_pipeline(cfg, bundle=bundle, mode="rag+rerank")
-            means[reranker] = run_experiment(pipeline, grader, questions=questions).mean_score()
+            service = open_service(cfg, bundle=bundle)
+            means[reranker] = run_experiment(
+                service, grader, mode="rag+rerank", questions=questions
+            ).mean_score()
         return means
 
     means = benchmark.pedantic(accuracy, rounds=1, iterations=1)

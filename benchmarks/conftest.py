@@ -14,7 +14,7 @@ from repro.config import ReproConfig
 from repro.corpus import build_default_corpus
 from repro.corpus.builder import chunk_corpus
 from repro.evaluation import BlindGrader, run_experiment
-from repro.api import open_pipeline
+from repro.api import open_service
 from repro.retrieval import ManualPageKeywordSearch
 
 
@@ -36,9 +36,9 @@ def grader(bundle):
 
 @pytest.fixture(scope="session")
 def runs_fast(bundle, grader):
-    cfg = ReproConfig(iterations_per_token=0)
+    service = open_service(ReproConfig(iterations_per_token=0), bundle=bundle)
     return {
-        mode: run_experiment(open_pipeline(cfg, bundle=bundle, mode=mode), grader)
+        mode: run_experiment(service, grader, mode=mode)
         for mode in ("baseline", "rag", "rag+rerank")
     }
 
@@ -46,7 +46,9 @@ def runs_fast(bundle, grader):
 @pytest.fixture(scope="session")
 def runs_timed(bundle, grader):
     cfg = ReproConfig()  # persona-default latency burn
+    # One engine per mode: a shared one would serve the second mode's
+    # first-pass retrieval from the first mode's retrieval cache.
     return {
-        mode: run_experiment(open_pipeline(cfg, bundle=bundle, mode=mode), grader)
+        mode: run_experiment(open_service(cfg, bundle=bundle), grader, mode=mode)
         for mode in ("rag", "rag+rerank")
     }

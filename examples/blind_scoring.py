@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro import ReproConfig, build_default_corpus
 from repro.agentmem import AgentMemory
 from repro.history import BlindScoringSession, InteractionStore
-from repro.api import open_pipeline
+from repro.api import open_service
 
 QUESTIONS = [
     "What is the default Krylov method and restart?",
@@ -30,10 +30,12 @@ def main() -> None:
     store = InteractionStore()
 
     print("collecting answers from two configurations ...")
+    service = open_service(cfg, bundle=bundle)
     for mode in ("baseline", "rag+rerank"):
-        pipeline = open_pipeline(cfg, bundle=bundle, mode=mode)
         for q in QUESTIONS:
-            store.record_pipeline_result(pipeline.answer(q), embedding_model="petsc-embed-large")
+            store.record_pipeline_result(
+                service.answer(q, mode=mode), embedding_model="petsc-embed-large"
+            )
 
     # A developer-written answer lives in the same database and gets
     # scored the same way (the paper: "We can also score answers from

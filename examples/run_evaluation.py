@@ -19,7 +19,7 @@ from repro.evaluation import (
     render_latency_table,
     render_score_histogram,
 )
-from repro.api import open_pipeline
+from repro.api import open_service
 from repro.retrieval import ManualPageKeywordSearch
 
 
@@ -33,11 +33,11 @@ def main() -> None:
         registry=bundle.registry, known_identifiers=keyword.known_identifiers()
     )
 
+    service = open_service(cfg, bundle=bundle)
     runs = {}
     for mode in ("baseline", "rag", "rag+rerank"):
         print(f"running {mode} over the 37-question Krylov benchmark ...")
-        pipeline = open_pipeline(cfg, bundle=bundle, mode=mode)
-        runs[mode] = run_experiment(pipeline, grader)
+        runs[mode] = run_experiment(service, grader, mode=mode)
 
     print()
     print(render_comparison(

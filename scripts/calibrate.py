@@ -11,7 +11,7 @@ import argparse
 from repro.config import RetrievalConfig, ReproConfig
 from repro.corpus import build_default_corpus
 from repro.evaluation import BlindGrader, compare_modes, run_experiment
-from repro.api import open_pipeline
+from repro.api import open_service
 from repro.retrieval import ManualPageKeywordSearch
 
 
@@ -31,10 +31,10 @@ def main() -> None:
     kw = ManualPageKeywordSearch(bundle)
     grader = BlindGrader(registry=bundle.registry, known_identifiers=kw.known_identifiers())
 
+    service = open_service(cfg, bundle=bundle)
     runs = {}
     for mode in ("baseline", "rag", "rag+rerank"):
-        pipeline = open_pipeline(cfg, bundle=bundle, mode=mode)
-        runs[mode] = run_experiment(pipeline, grader)
+        runs[mode] = run_experiment(service, grader, mode=mode)
         print(f"{mode:<11} hist: {runs[mode].score_histogram()}  mean {runs[mode].mean_score():.2f}")
 
     for a, b, label, paper in (

@@ -95,22 +95,16 @@ def open_pipeline(
     mode: str | PipelineMode = PipelineMode.RAG_RERANK,
     fault_injector: "FaultInjector | None" = None,
 ) -> "RAGPipeline":
-    """A bare pipeline (no engine caches) over the shared artifact.
-
-    Baseline mode needs no index and is assembled directly; retrieval
-    modes resolve the artifact first.
-    """
-    from repro.pipeline.rag import baseline_pipeline, pipeline_from_artifact
+    """A bare pipeline (no engine caches) over the shared artifact: the
+    reference a service's answers are compared against, not a serving
+    path."""
+    from repro.pipeline.rag import pipeline_from_artifact
 
     config = config or ReproConfig()
     config.validate()
     mode = PipelineMode.coerce(mode)
-    bundle = bundle or build_default_corpus()
-    if mode is PipelineMode.BASELINE:
-        return baseline_pipeline(bundle, config, fault_injector=fault_injector)
-    artifact = resolve_artifact(bundle, config)
     return pipeline_from_artifact(
-        artifact, config, mode=mode, fault_injector=fault_injector
+        resolve_artifact(bundle, config), config, mode=mode, fault_injector=fault_injector
     )
 
 
@@ -129,16 +123,10 @@ def open_workflow(
     config.validate()
     bundle = bundle or build_default_corpus()
     mode = PipelineMode.coerce(mode)
-    if mode is PipelineMode.BASELINE:
-        engine = None
-        pipeline = open_pipeline(config, bundle=bundle, mode=mode)
-    else:
-        engine = open_engine(config, bundle=bundle)
-        pipeline = engine.pipeline(mode)
     workflow = AugmentedWorkflow(
         bundle,
-        pipeline,
-        engine=engine,
+        open_service(config, bundle=bundle),
+        mode=mode,
         store=store,
         embedding_model=(
             config.retrieval.embedding_model if mode is not PipelineMode.BASELINE else ""
@@ -187,7 +175,6 @@ def open_support_system(
     from repro.mail.gmail import GmailAccount
     from repro.mail.mailinglist import MailingList
     from repro.resilience import RetryPolicy
-    from repro.service import ReproService
 
     bundle = bundle or build_default_corpus()
     config = config or ReproConfig()
@@ -198,16 +185,13 @@ def open_support_system(
     deliver = account.deliver
     if fault_injector is not None:
         chaos_deliver = fault_injector.wrap_callable("mail", account.deliver)
-        if config.resilience.enabled:
-            policy = RetryPolicy.from_config(config.resilience)
+        policy = RetryPolicy.from_config(config.resilience)
 
-            def deliver(message) -> None:
-                policy.execute(
-                    lambda: chaos_deliver(message), key=("mail", message.message_id)
-                )
+        def deliver(message) -> None:
+            policy.execute(
+                lambda: chaos_deliver(message), key=("mail", message.message_id)
+            )
 
-        else:
-            deliver = chaos_deliver
     mailing_list.subscribe(account.address, deliver)
 
     gateway = Gateway()
@@ -227,23 +211,16 @@ def open_support_system(
 
     email_bot = EmailBot(server, gateway, account=account)
     store = InteractionStore()
-    # Non-baseline bots serve through the shared index artifact; chaos
-    # builds keep determinism because a fault injector disables the
-    # engine's answer cache.  Either way the chatbot gets one
-    # ReproService front door.
-    if PipelineMode.coerce(mode) is PipelineMode.BASELINE:
-        engine = None
-        pipeline = open_pipeline(
-            config, bundle=bundle, mode=mode, fault_injector=fault_injector
-        )
-        service = ReproService.for_pipeline(pipeline)
-    else:
-        engine = open_engine(config, bundle=bundle, fault_injector=fault_injector)
-        pipeline = engine.pipeline(mode)
-        service = engine.service
+    # Chaos builds keep determinism because a fault injector disables
+    # the engine's answer cache.
     chatbot = PetscChatbot(
-        server, gateway, pipeline=pipeline, mailing_list=mailing_list,
-        bot_email=bot_email, store=store, engine=engine, service=service,
+        server,
+        gateway,
+        service=open_service(config, bundle=bundle, fault_injector=fault_injector),
+        mode=mode,
+        mailing_list=mailing_list,
+        bot_email=bot_email,
+        store=store,
     )
 
     return SupportSystem(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.discordsim.app import App
 from repro.discordsim.channels import ForumPost
@@ -31,12 +30,10 @@ from repro.history import InteractionStore
 from repro.observability.metrics import get_registry
 from repro.mail.mailinglist import MailingList
 from repro.mail.message import EmailMessage
-from repro.pipeline.rag import PipelineResult, RAGPipeline
+from repro.pipeline.rag import PipelineResult
+from repro.pipeline.types import PipelineMode
 from repro.prompts import REVISE_PROMPT
 from repro.service import ReproService
-
-if TYPE_CHECKING:
-    from repro.engine import QueryEngine
 
 
 @dataclass
@@ -65,27 +62,16 @@ class PetscChatbot(App):
         server: Server,
         gateway: Gateway,
         *,
-        pipeline: RAGPipeline,
+        service: ReproService,
+        mode: str | PipelineMode | None = None,
         mailing_list: MailingList,
         bot_email: str = "petscbot@gmail.com",
         store: InteractionStore | None = None,
-        engine: "QueryEngine | None" = None,
-        service: ReproService | None = None,
     ) -> None:
         super().__init__(name="petsc-chatbot", server=server, gateway=gateway)
-        self.pipeline = pipeline
-        #: The request front door every question goes through.  Built
-        #: from ``engine`` (shared caches, admission) when one is given,
-        #: else an engine-less service over the bare pipeline — one code
-        #: path either way.
-        if service is None:
-            service = (
-                engine.service
-                if engine is not None
-                else ReproService.for_pipeline(pipeline)
-            )
+        #: The request front door every question goes through.
         self.service = service
-        self.engine = engine if engine is not None else service.engine
+        self.mode = service.resolve_mode(mode)
         self.mailing_list = mailing_list
         self.bot_email = bot_email
         self.store = store if store is not None else InteractionStore()
@@ -95,7 +81,7 @@ class PetscChatbot(App):
         self.command("reply", "Draft an LLM answer for a petsc-users post", self._cmd_reply)
 
     def _answer(self, question: str) -> PipelineResult:
-        return self.service.answer(question, mode=self.pipeline.mode)
+        return self.service.answer(question, mode=self.mode)
 
     # ------------------------------------------------------------ /reply flow
     def _require_developer(self, user: User) -> None:

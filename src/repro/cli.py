@@ -68,7 +68,7 @@ from typing import Sequence
 
 from pathlib import Path
 
-from repro.api import open_service, resolve_artifact
+from repro.api import open_service
 from repro.config import (
     AdmissionConfig,
     ReplicationConfig,
@@ -94,10 +94,8 @@ from repro.evaluation.casestudies import CASE_STUDY_1_QID, CASE_STUDY_2_QID, run
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.llm import CHAT_MODEL_NAMES
 from repro.observability import MetricsRegistry, use_registry
-from repro.pipeline.rag import pipeline_from_artifact
 from repro.resilience import FaultConfig, FaultInjector
 from repro.retrieval import ManualPageKeywordSearch
-from repro.service import ReproService
 
 _MODES = ("baseline", "rag", "rag+rerank")
 
@@ -389,45 +387,22 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         else None
     )
     cfg = _config(args)
-    # Resolve the artifact *before* scoping the registry: index build /
+    # Failover / hedge / health counters land in the measured registry
+    # alongside the workload's.
+    cfg.replication = ReplicationConfig(
+        replicas=args.replicas, hedging=args.replicas > 1
+    )
+    # Open the engine *before* scoping the registry: index build /
     # cache counters vary with process history (first call builds,
     # later calls hit), and folding them into the measured registry
     # would break the same-workload digest-equality guarantee.
-    artifact = resolve_artifact(bundle, cfg)
-    replicated = args.replicas > 1 or args.shard_fault_rate > 0
-    health = None
+    service = open_service(cfg, bundle=bundle, fault_injector=injector)
     registry = MetricsRegistry()
     traces = []
     with use_registry(registry):
-        store = None
-        if replicated:
-            # Replicated serving view: failover / hedge / health counters
-            # land in the measured registry alongside the workload's.
-            from repro.replication import HealthTracker
-
-            rep = ReplicationConfig(replicas=args.replicas, hedging=args.replicas > 1)
-            health = HealthTracker(rep)
-            wrapper = None
-            if injector is not None and args.shard_fault_rate > 0:
-                wrapper = lambda s, shard, replica: (  # noqa: E731
-                    injector.wrap_store(s, site=f"shard:{shard}")
-                    if replica == 0
-                    else s
-                )
-            store = artifact.fork_store().with_replication(
-                rep, health=health, store_wrapper=wrapper
-            )
-        # An engine-less service over a bare pipeline: the chain's
-        # engine concerns no-op, so the measured workload is exactly the
-        # historical direct-pipeline one.
-        service = ReproService.for_pipeline(
-            pipeline_from_artifact(
-                artifact, cfg, mode=args.mode, fault_injector=injector, store=store
-            )
-        )
         for q in krylov_benchmark()[: args.questions]:
             try:
-                result = service.answer(q.text)
+                result = service.answer(q.text, mode=args.mode)
             except ReproError:
                 continue
             if result.trace is not None:
@@ -439,50 +414,38 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     span_digest = hashlib.sha256(
         json.dumps([t.structure_digest() for t in traces]).encode()
     ).hexdigest()
-    shard_rows = artifact.shard_summaries(
-        replicas=args.replicas if replicated else 1, health=health
-    )
+    shards = service.engine.shard_summary()
     if args.json:
-        workload = {
-            "mode": args.mode,
-            "model": args.model,
-            "questions": args.questions,
-            "seed": args.seed,
-            "transient_rate": args.transient_rate,
-        }
-        if replicated:
-            # Only attached on the replicated path: the default JSON
-            # payload stays byte-identical (CI's determinism gate).
-            workload["replicas"] = args.replicas
-            workload["shard_fault_rate"] = args.shard_fault_rate
         payload = {
-            "workload": workload,
+            "workload": {
+                "mode": args.mode,
+                "model": args.model,
+                "questions": args.questions,
+                "seed": args.seed,
+                "transient_rate": args.transient_rate,
+                "replicas": args.replicas,
+                "shard_fault_rate": args.shard_fault_rate,
+            },
             "digest": registry.digest(),
             "span_digest": span_digest,
             "spans": dict(sorted(span_counts.items())),
             "metrics": registry.deterministic_view(),
-        }
-        payload["shards"] = {
-            "num_shards": len(shard_rows),
-            "composite_digest": artifact.digest,
-            "shards": shard_rows,
+            "shards": shards,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(registry.render_text())
-        print(f"\nshards ({len(shard_rows)}, composite {artifact.digest[:12]}):")
-        for row in shard_rows:
-            line = (
+        print(
+            f"\nshards ({shards['num_shards']}, "
+            f"composite {shards['composite_digest'][:12]}):"
+        )
+        for row in shards["shards"]:
+            print(
                 f"  shard {row['shard']}: {row['chunks']:>4} chunks, "
                 f"{row['vectors']:>4} vectors, {row['manual_pages']:>3} pages  "
-                f"[{row['digest'][:12]}]"
+                f"[{row['digest'][:12]}]  replicas={row['replicas']} "
+                f"health={'/'.join(row['health'])}"
             )
-            if "health" in row:
-                line += (
-                    f"  replicas={row['replicas']} "
-                    f"health={'/'.join(row['health'])}"
-                )
-            print(line)
         print(f"\nspans: {dict(sorted(span_counts.items()))}")
         print(f"metrics digest: {registry.digest()}")
         print(f"span digest:    {span_digest}")

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
 
+from repro.embeddings.registry import EMBEDDING_MODEL_NAMES
 from repro.errors import ConfigurationError
+from repro.llm.registry import CHAT_MODEL_NAMES
 
 
 @dataclass
@@ -22,13 +24,17 @@ class RetrievalConfig:
     first_pass_k: int = 8
     final_l: int = 4
     use_keyword_search: bool = True
-    use_rerank: bool = True
     reranker: str = "flashrank-lite"
     chunk_size: int = 800
     chunk_overlap: int = 120
     include_mail_archives: bool = False
 
     def validate(self) -> None:
+        if self.embedding_model not in EMBEDDING_MODEL_NAMES:
+            raise ConfigurationError(
+                f"retrieval.embedding_model must be one of "
+                f"{', '.join(EMBEDDING_MODEL_NAMES)}, got {self.embedding_model!r}"
+            )
         if self.first_pass_k <= 0:
             raise ConfigurationError(f"first_pass_k must be positive, got {self.first_pass_k}")
         if not 0 < self.final_l <= self.first_pass_k:
@@ -52,7 +58,6 @@ class ResilienceConfig:
     workload produce identical schedules.
     """
 
-    enabled: bool = True
     #: Total tries per LLM call (1 = no retries).
     max_attempts: int = 4
     backoff_base_seconds: float = 0.05
@@ -102,16 +107,13 @@ class ResilienceConfig:
 
 @dataclass
 class ObservabilityConfig:
-    """Tracing/metrics knobs for the observability layer.
+    """Tracing knobs for the observability layer.
 
     Tracing itself is always on (a span tree per invocation is cheap and
-    the timing surface depends on it); these flags control where the
+    the timing surface depends on it); this flag controls where the
     data goes.
     """
 
-    #: Report into the process-wide metrics registry.  When off, the
-    #: pipeline writes to a private throwaway registry instead.
-    metrics_enabled: bool = True
     #: Persist the serialized span tree into interaction-history records.
     record_traces: bool = True
 
@@ -220,7 +222,7 @@ class DurabilityConfig:
 
 @dataclass
 class EngineConfig:
-    """Query-engine parameters: caches, batch scheduling, burn kernel."""
+    """Query-engine parameters: caches and batch scheduling."""
 
     #: Entries kept per cache; 0 disables that cache entirely.
     answer_cache_size: int = 256
@@ -228,8 +230,6 @@ class EngineConfig:
     embedding_cache_size: int = 4096
     #: Default worker-pool width for :meth:`QueryEngine.answer_many`.
     batch_workers: int = 4
-    #: Vector width of the batched latency-burn kernel.
-    burn_lanes: int = 4096
     #: Directory for on-disk index artifacts; None keeps them in memory only.
     index_cache_dir: str | None = None
 
@@ -245,8 +245,6 @@ class EngineConfig:
             raise ConfigurationError(
                 f"batch_workers must be positive, got {self.batch_workers}"
             )
-        if self.burn_lanes <= 0:
-            raise ConfigurationError(f"burn_lanes must be positive, got {self.burn_lanes}")
 
 
 @dataclass
@@ -312,10 +310,6 @@ class ReplicationConfig:
     #: result when the primary fails (``repro.replica.hedges`` /
     #: ``hedge_wins``).
     hedging: bool = False
-    #: Optional wall-clock hedge trigger: also hedge when the request
-    #: deadline is more than this fraction spent.  Clock-driven, so runs
-    #: using it are excluded from the byte-identical digest guarantee.
-    hedge_deadline_fraction: float | None = None
     #: Raise :class:`~repro.errors.PartialResultError` instead of serving
     #: a partial merge when a whole shard is unreachable.
     require_full_coverage: bool = False
@@ -334,13 +328,6 @@ class ReplicationConfig:
             )
         if self.probe_after < 1:
             raise ConfigurationError(f"probe_after must be >= 1, got {self.probe_after}")
-        if self.hedge_deadline_fraction is not None and not (
-            0.0 < self.hedge_deadline_fraction <= 1.0
-        ):
-            raise ConfigurationError(
-                f"hedge_deadline_fraction must be in (0, 1], got "
-                f"{self.hedge_deadline_fraction}"
-            )
 
 
 @dataclass
@@ -400,6 +387,15 @@ class ReproConfig:
     record_history: bool = True
 
     def validate(self) -> None:
+        if self.chat_model not in CHAT_MODEL_NAMES:
+            raise ConfigurationError(
+                f"chat_model must be one of {', '.join(CHAT_MODEL_NAMES)}, "
+                f"got {self.chat_model!r}"
+            )
+        if self.iterations_per_token is not None and self.iterations_per_token < 0:
+            raise ConfigurationError(
+                f"iterations_per_token must be None or >= 0, got {self.iterations_per_token}"
+            )
         self.retrieval.validate()
         self.resilience.validate()
         self.observability.validate()

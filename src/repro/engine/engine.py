@@ -106,7 +106,7 @@ class QueryEngine:
         if self._service is None:
             from repro.service import ReproService
 
-            self._service = ReproService.for_engine(self)
+            self._service = ReproService(self)
         return self._service
 
     def _metrics(self) -> MetricsRegistry:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.errors import EvaluationError
 from repro.evaluation.benchmark import BenchmarkQuestion, krylov_benchmark
 from repro.evaluation.grader import BlindGrader, GradedAnswer
-from repro.pipeline.rag import PipelineResult, RAGPipeline
+from repro.pipeline.rag import PipelineResult
 
 #: The benchmark questions the paper's case studies correspond to.
 CASE_STUDY_1_QID = "Q02"
@@ -79,38 +79,10 @@ class CaseStudyResult:
         return "\n".join(lines)
 
 
-def run_case_study(
-    qid: str,
-    service,
-    rerank_pipeline=None,
-    grader: BlindGrader | None = None,
-) -> CaseStudyResult:
-    """Execute one case-study question under both configurations.
-
-    Preferred form — ``run_case_study(qid, service, grader)`` with a
-    multi-mode (engine-backed) :class:`~repro.service.ReproService`
-    serving both the ``rag`` and ``rag+rerank`` runs through the request
-    lifecycle.  Legacy form — ``run_case_study(qid, rag_pipeline,
-    rerank_pipeline, grader)`` with two bare pipelines, each wrapped in
-    an engine-less service on the spot.
-    """
-    from repro.service import ReproService
-
-    if grader is None:
-        # Service form: the third positional argument is the grader.
-        grader = rerank_pipeline
-        if isinstance(service, RAGPipeline):
-            service = ReproService.for_pipeline(service)
-        rag_service = rerank_service = service
-    else:
-        rag_pipeline, rerank_pipeline = service, rerank_pipeline
-        if rag_pipeline.mode != "rag" or rerank_pipeline.mode != "rag+rerank":
-            raise EvaluationError(
-                "case studies need one 'rag' and one 'rag+rerank' pipeline, got "
-                f"{rag_pipeline.mode!r} and {rerank_pipeline.mode!r}"
-            )
-        rag_service = ReproService.for_pipeline(rag_pipeline)
-        rerank_service = ReproService.for_pipeline(rerank_pipeline)
+def run_case_study(qid: str, service, grader: BlindGrader) -> CaseStudyResult:
+    """Execute one case-study question under both configurations: one
+    :class:`~repro.service.ReproService` serves the ``rag`` and the
+    ``rag+rerank`` run through the request lifecycle."""
     try:
         question = next(q for q in krylov_benchmark() if q.qid == qid)
     except StopIteration:
@@ -121,8 +93,8 @@ def run_case_study(
         CASE_STUDY_2_QID: CASE_STUDY_2_MARKER,
     }.get(qid, "")
 
-    rag_result = rag_service.answer(question.text, mode="rag")
-    rerank_result = rerank_service.answer(question.text, mode="rag+rerank")
+    rag_result = service.answer(question.text, mode="rag")
+    rerank_result = service.answer(question.text, mode="rag+rerank")
     rag_ids = {c.doc_id for c in rag_result.contexts}
     common = [
         str(c.document.metadata.get("source", ""))

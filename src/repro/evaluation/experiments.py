@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.errors import EvaluationError
 from repro.evaluation.benchmark import BenchmarkQuestion, krylov_benchmark
 from repro.evaluation.grader import BlindGrader, GradedAnswer
-from repro.pipeline.rag import PipelineResult, RAGPipeline
+from repro.pipeline.rag import PipelineResult
 from repro.utils.timing import StageTimer, TimingStats
 
 
@@ -90,17 +90,9 @@ def run_experiment(
     """Run every benchmark question through ``service`` and grade blind.
 
     ``service`` is a :class:`~repro.service.ReproService` (the front
-    door — every question runs the full request lifecycle); a legacy
-    bare :class:`~repro.pipeline.rag.RAGPipeline` is also accepted and
-    wrapped in an engine-less service on the spot, which serves it
-    identically to the historical direct calls.  ``mode`` selects the
-    pipeline mode on multi-mode (engine-backed) services; the default is
-    the service's own default mode.
+    door — every question runs the full request lifecycle); ``mode``
+    selects the pipeline mode, defaulting to the service's own.
     """
-    from repro.service import ReproService
-
-    if isinstance(service, RAGPipeline):
-        service = ReproService.for_pipeline(service)
     mode = service.resolve_mode(mode)
     questions = questions if questions is not None else krylov_benchmark()
     run = ExperimentRun(mode=mode, model=service.model_name(mode))

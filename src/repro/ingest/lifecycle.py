@@ -159,7 +159,7 @@ def ingest_corpus(
 
 
 def apply_documents(
-    engine: "QueryEngine | None",
+    engine: "QueryEngine",
     documents: list[Document],
     *,
     store=None,
@@ -174,38 +174,24 @@ def apply_documents(
     the insertion can affect when ``config.ingest.scoped_invalidation``
     is on.  No artifact swap happens: the insertion lives on top of the
     current epoch, exactly like the workflow's history feed always has.
-
-    ``engine=None`` (engine-less services) skips all cache work — there
-    are no caches to invalidate.
     """
     if store is None:
-        if engine is None:
-            raise IngestError("apply_documents needs an engine or an explicit store")
         pipeline = engine.pipeline()
         if pipeline.retriever is None:
             raise IngestError("the target pipeline has no retriever store")
         store = pipeline.retriever.store
 
-    registry = engine._metrics() if engine is not None else None
-
-    def _count(name: str, n: int = 1) -> None:
-        if registry is not None and n:
-            registry.counter(name).inc(n)
-
-    _count("repro.ingest.runs")
-    with stage(
-        "ingest:apply",
-        metric="repro.ingest.apply",
-        registry=registry,
-    ) if registry is not None else _null_stage():
+    registry = engine._metrics()
+    registry.counter("repro.ingest.runs").inc()
+    with stage("ingest:apply", metric="repro.ingest.apply", registry=registry):
         added = store._add_documents(documents)
+    digest = engine.artifact.digest
     if not added:
-        _count("repro.ingest.noops")
-        digest = engine.artifact.digest if engine is not None else ""
+        registry.counter("repro.ingest.noops").inc()
         return IngestReport(
             digest=digest,
             previous_digest=digest,
-            epoch=engine.epoch if engine is not None else 0,
+            epoch=engine.epoch,
             swapped=False,
             noop=True,
             resolution="live-store",
@@ -213,31 +199,16 @@ def apply_documents(
 
     added_set = set(added)
     delta = delta_from_added_documents([d for d in documents if d.doc_id in added_set])
-    _count("repro.ingest.applied_documents", len(added))
-
-    invalidation: dict = {}
-    if engine is not None:
-        scoped = delta if engine.config.ingest.scoped_invalidation else None
-        invalidation = invalidate_engine_caches(engine, scoped, stale_digest=None)
-    digest = engine.artifact.digest if engine is not None else ""
+    registry.counter("repro.ingest.applied_documents").inc(len(added))
+    scoped = delta if engine.config.ingest.scoped_invalidation else None
     return IngestReport(
         digest=digest,
         previous_digest=digest,
-        epoch=engine.epoch if engine is not None else 0,
+        epoch=engine.epoch,
         swapped=False,
         noop=False,
         resolution="live-store",
         delta=delta.summary(),
-        invalidation=invalidation,
+        invalidation=invalidate_engine_caches(engine, scoped, stale_digest=None),
         added_ids=list(added),
     )
-
-
-class _null_stage:
-    """``with``-compatible no-op used when there is no metrics registry."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.config import ReproConfig
 from repro.context import RequestContext
-from repro.corpus.builder import CorpusBundle
 from repro.errors import ConfigurationError, PartialResultError, ReproError
 from repro.llm import ChatMessage, ChatModel, CompletionResult, create_chat_model
 from repro.observability import MetricsRegistry, Trace, Tracer, get_registry, stage
@@ -26,7 +25,7 @@ from repro.rerank import FlashrankLiteReranker, NvidiaSimReranker, Reranker
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultInjector
 from repro.resilience.policy import Deadline, RetryPolicy
-from repro.retrieval import ManualPageKeywordSearch, RetrievedDocument, VectorRetriever
+from repro.retrieval import RetrievedDocument, VectorRetriever
 from repro.retrieval.base import Retriever, dedupe_by_id
 
 if TYPE_CHECKING:
@@ -55,9 +54,9 @@ class PipelineResult:
     #: Degradation-ladder rungs taken (serialize to their wire strings).
     degraded: list[DegradationEvent] = field(default_factory=list)
     #: Fraction of index shards that answered the retrieval scatter
-    #: (1.0 for monolithic indexes and fully healthy scatters; < 1.0
-    #: when every replica of some shard was down and the merge degraded
-    #: to the survivors — mirrored by ``shard:partial`` in ``degraded``).
+    #: (1.0 for a fully healthy scatter; < 1.0 when every replica of
+    #: some shard was down and the merge degraded to the survivors —
+    #: mirrored by ``shard:partial`` in ``degraded``).
     coverage: float = 1.0
     #: The span tree of this invocation; timings below derive from it.
     trace: Trace | None = None
@@ -374,34 +373,6 @@ class RAGPipeline:
         )
 
 
-def _resilience_parts(config: ReproConfig):
-    resil = config.resilience
-    policy = RetryPolicy.from_config(resil) if resil.enabled else None
-    breaker = CircuitBreaker.from_config(resil, name="llm") if resil.enabled else None
-    # metrics=None routes to the process registry; a disabled config gets
-    # a private sink so the shared registry stays untouched.
-    metrics = None if config.observability.metrics_enabled else MetricsRegistry()
-    return policy, breaker, resil.deadline_seconds, metrics
-
-
-def _chat_model(
-    config: ReproConfig,
-    *,
-    registry,
-    keyword: ManualPageKeywordSearch,
-    fault_injector: FaultInjector | None,
-) -> ChatModel:
-    chat: ChatModel = create_chat_model(
-        config.chat_model,
-        registry=registry,
-        known_identifiers=keyword.known_identifiers(),
-        iterations_per_token=config.iterations_per_token,
-    )
-    if fault_injector is not None:
-        chat = fault_injector.wrap_model(chat)
-    return chat
-
-
 def pipeline_from_artifact(
     artifact: "IndexArtifact",
     config: ReproConfig | None = None,
@@ -430,20 +401,23 @@ def pipeline_from_artifact(
     config.validate()
     mode = PipelineMode.coerce(mode)
     rc = config.retrieval
-    policy, breaker, deadline_seconds, metrics = _resilience_parts(config)
+    resilience = {
+        "retry_policy": RetryPolicy.from_config(config.resilience),
+        "breaker": CircuitBreaker.from_config(config.resilience, name="llm"),
+        "deadline_seconds": config.resilience.deadline_seconds,
+    }
 
     keyword = artifact.keyword_search()
-    chat = _chat_model(
-        config, registry=artifact.registry, keyword=keyword, fault_injector=fault_injector
+    chat: ChatModel = create_chat_model(
+        config.chat_model,
+        registry=artifact.registry,
+        known_identifiers=keyword.known_identifiers(),
+        iterations_per_token=config.iterations_per_token,
     )
+    if fault_injector is not None:
+        chat = fault_injector.wrap_model(chat)
     if mode is PipelineMode.BASELINE:
-        return RAGPipeline(
-            chat,
-            retry_policy=policy,
-            breaker=breaker,
-            deadline_seconds=deadline_seconds,
-            metrics=metrics,
-        )
+        return RAGPipeline(chat, **resilience)
 
     retriever: Retriever = VectorRetriever(store if store is not None else artifact.store)
     if fault_injector is not None:
@@ -467,30 +441,6 @@ def pipeline_from_artifact(
         reranker=reranker,
         first_pass_k=rc.first_pass_k,
         final_l=rc.final_l,
-        retry_policy=policy,
-        breaker=breaker,
-        deadline_seconds=deadline_seconds,
-        metrics=metrics,
+        **resilience,
     )
 
-
-def baseline_pipeline(
-    bundle: CorpusBundle,
-    config: ReproConfig | None = None,
-    *,
-    fault_injector: FaultInjector | None = None,
-) -> RAGPipeline:
-    """A retrieval-free pipeline: no index, keyword search + LLM only."""
-    config = config or ReproConfig()
-    policy, breaker, deadline_seconds, metrics = _resilience_parts(config)
-    keyword = ManualPageKeywordSearch(bundle)
-    chat = _chat_model(
-        config, registry=bundle.registry, keyword=keyword, fault_injector=fault_injector
-    )
-    return RAGPipeline(
-        chat,
-        retry_policy=policy,
-        breaker=breaker,
-        deadline_seconds=deadline_seconds,
-        metrics=metrics,
-    )

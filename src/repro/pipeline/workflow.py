@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.corpus.builder import CorpusBundle
 from repro.history import InteractionStore
-from repro.pipeline.rag import PipelineResult, RAGPipeline
+from repro.pipeline.rag import PipelineResult
+from repro.pipeline.types import PipelineMode
 from repro.service import ReproService
-
-if TYPE_CHECKING:
-    from repro.engine import QueryEngine
 from repro.postprocess import check_code_block, extract_code_blocks, render_html
 from repro.postprocess.codecheck import CodeCheckResult
 
@@ -37,36 +34,26 @@ class WorkflowAnswer:
 class AugmentedWorkflow:
     """End-to-end question answering with postprocessing and history.
 
-    One instance owns the corpus, the pipeline (in a chosen mode), the
-    interaction store, and the identifier set used for code checking.
+    One instance owns the corpus, the service it asks (in a chosen
+    mode), the interaction store, and the identifier set used for code
+    checking.
     """
 
     def __init__(
         self,
         bundle: CorpusBundle,
-        pipeline: RAGPipeline,
+        service: ReproService,
         *,
-        engine: "QueryEngine | None" = None,
-        service: ReproService | None = None,
+        mode: str | PipelineMode | None = None,
         store: InteractionStore | None = None,
         embedding_model: str = "",
         record_history: bool = True,
         record_traces: bool = True,
     ) -> None:
         self.bundle = bundle
-        self.pipeline = pipeline
-        #: The request front door every question goes through: built
-        #: from ``engine`` (answer/retrieval/embedding caches, shared
-        #: artifact) when one is given, else an engine-less service over
-        #: the bare pipeline — one code path either way.
-        if service is None:
-            service = (
-                engine.service
-                if engine is not None
-                else ReproService.for_pipeline(pipeline)
-            )
+        #: The request front door every question goes through.
         self.service = service
-        self.engine = engine if engine is not None else service.engine
+        self.mode = service.resolve_mode(mode)
         self.store = store if store is not None else InteractionStore()
         self.embedding_model = embedding_model
         self.record_history = record_history
@@ -83,23 +70,22 @@ class AugmentedWorkflow:
         added (idempotent: already-indexed interactions are skipped by
         the store's doc-id dedupe).
         """
-        if self.pipeline.retriever is None:
+        retriever = self.service.pipeline_for(self.mode).retriever
+        if retriever is None:
             return 0
         docs = self.store.as_documents(min_mean_score=min_mean_score)
         # One write path: the insertion rides the ingest delta lane,
         # which applies the documents to the serving store and scopes
         # cache invalidation to exactly the entries the new material
-        # can affect.  (Engine-less services have no caches to touch.)
+        # can affect.
         from repro.ingest.lifecycle import apply_documents
 
-        report = apply_documents(
-            self.engine, docs, store=self.pipeline.retriever.store
-        )
+        report = apply_documents(self.service.engine, docs, store=retriever.store)
         return len(report.added_ids)
 
     def ask(self, question: str, *, tags: list[str] | None = None) -> WorkflowAnswer:
         """Answer a question; postprocess and (optionally) record it."""
-        result = self.service.answer(question, mode=self.pipeline.mode)
+        result = self.service.answer(question, mode=self.mode)
         html = render_html(result.answer)
         checks = [
             check_code_block(blk, known_identifiers=self._known)

@@ -11,8 +11,7 @@ keeps answers, metrics, and span digests byte-identical to the healthy
 single-copy baseline.
 
 Hedging, when enabled, probes the first backup *alongside* a primary
-whose health is already suspect (or once the request deadline is mostly
-spent — the one wall-clock trigger, off by default).  The hedge is
+whose health is already suspect.  The hedge is
 accounted in ``repro.replica.hedges`` and, when the backup's answer is
 the one used, ``repro.replica.hedge_wins``.
 """
@@ -70,12 +69,7 @@ class ReplicaSet:
         ]
 
     def top_k(
-        self,
-        qvec: np.ndarray,
-        k: int,
-        where: dict | None,
-        *,
-        deadline_pressure: bool = False,
+        self, qvec: np.ndarray, k: int, where: dict | None
     ) -> "list[tuple[Document, float]] | None":
         """This shard's top-k from the first replica that answers.
 
@@ -91,10 +85,7 @@ class ReplicaSet:
         if (
             self.hedging
             and len(order) > 1
-            and (
-                deadline_pressure
-                or self.health.state(self.shard_index, order[0]) is ReplicaState.SUSPECT
-            )
+            and self.health.state(self.shard_index, order[0]) is ReplicaState.SUSPECT
         ):
             hedge_replica = order[1]
             registry.counter("repro.replica.hedges").inc()

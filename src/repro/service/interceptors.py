@@ -199,11 +199,7 @@ class DedupeInterceptor(Interceptor):
     def on_request(
         self, req: AnswerRequest, state: LifecycleState
     ) -> AnswerResponse | None:
-        key = state.key_of(req)
-        if key is not None:
-            first = state.primary_of.get(key)
-            if first is not None:
-                req.dup_of = first
+        req.dup_of = state.primary_of.get(state.key_of(req))
         return None
 
     def claim(self, req: AnswerRequest, state: LifecycleState) -> bool:
@@ -214,9 +210,7 @@ class DedupeInterceptor(Interceptor):
         return True
 
     def on_job(self, req: AnswerRequest, state: LifecycleState) -> None:
-        key = state.key_of(req)
-        if key is not None:
-            state.primary_of[key] = req.index
+        state.primary_of[state.key_of(req)] = req.index
 
 
 @dataclass
@@ -321,18 +315,11 @@ class AnswerCacheInterceptor(Interceptor):
 
 
 class TracingInterceptor(Interceptor):
-    """Request/batch counters, the shared burn collector, wall timing.
-
-    Engine-backed only — a pipeline-backed (engine-less) service keeps
-    the bare pipeline's exact metric surface, which has no
-    ``repro.engine.*`` instruments.
-    """
+    """Request/batch counters, the shared burn collector, wall timing."""
 
     name = "tracing"
 
     def setup(self, state: LifecycleState) -> None:
-        if state.service.engine is None:
-            return
         if state.kind is SINGLE:
             state.registry.counter("repro.engine.requests").inc()
             return
@@ -341,13 +328,12 @@ class TracingInterceptor(Interceptor):
         state.collector = TokenBurnCollector()
 
     def finish(self, state: LifecycleState) -> None:
-        engine = state.service.engine
-        if engine is None or state.kind is not BATCH:
+        if state.kind is not BATCH:
             return
         collector = state.collector
         if collector is not None:
             state.deferred_tokens, _ = collector.pending()
-            state.burn_seconds = collector.flush(lanes=engine.config.engine.burn_lanes)
+            state.burn_seconds = collector.flush()
             state.registry.counter("repro.engine.deferred_tokens").inc(
                 state.deferred_tokens
             )
@@ -365,15 +351,13 @@ class ExecuteInterceptor(Interceptor):
     :class:`RequestContext` (seeded RNG, deferred cache transaction,
     shared burn collector); single jobs run inline with a lazily
     created context, and their errors propagate instead of being
-    recorded.  Engine-less services delegate straight to the bare
-    pipeline, which builds its own context — byte-identical to the
-    historical direct call.
+    recorded.
     """
 
     name = "execute"
 
     def setup(self, state: LifecycleState) -> None:
-        if state.kind is BATCH and state.service.engine is not None:
+        if state.kind is BATCH:
             # Built on the coordinator, before classification, shared.
             state.pipeline = state.service.pipeline_for(state.mode)
 
@@ -381,55 +365,37 @@ class ExecuteInterceptor(Interceptor):
         jobs = state.jobs
         if not jobs:
             return
-        if state.service.engine is None:
-            self._execute_bare(jobs, state)
-        elif state.kind is SINGLE:
+        if state.kind is SINGLE:
+            state.pipeline = state.service.pipeline_for(state.mode)
             self._execute_single(jobs[0], state)
         else:
             self._execute_batch(jobs, state)
 
-    def _execute_bare(self, jobs, state: LifecycleState) -> None:
-        """Engine-less serving: the pipeline owns context and tracing."""
-        pipeline = state.service.pipeline_for(state.mode)
-        for req in jobs:
-            if state.kind is SINGLE:
-                state.outcomes[req.index] = (pipeline.answer(req.question), "", None)
-                continue
-            try:
-                result: PipelineResult | None = pipeline.answer(req.question)
-                error = ""
-            except ReproError as exc:
-                result = None
-                error = f"{type(exc).__name__}: {exc}"
-            state.outcomes[req.index] = (result, error, None)
+    @staticmethod
+    def _answer(state: LifecycleState, question: str, ctx: RequestContext) -> PipelineResult:
+        """One pipeline call with ``ctx`` bound as the engine's active request."""
+        binder = state.service.engine.binder
+        previous = binder.ctx
+        binder.ctx = ctx
+        try:
+            return state.pipeline.answer(question, ctx=ctx)
+        finally:
+            binder.ctx = previous
+
+    @staticmethod
+    def _deadline(state: LifecycleState) -> Deadline | None:
+        seconds = state.pipeline.deadline_seconds
+        return Deadline(seconds) if seconds is not None else None
 
     def _execute_single(self, req: AnswerRequest, state: LifecycleState) -> None:
-        engine = state.service.engine
-        pipeline = state.pipeline
-        if pipeline is None:
-            pipeline = state.pipeline = state.service.pipeline_for(state.mode)
         ctx = req.ctx
         if ctx is None:
             ctx = RequestContext.create(
-                registry=state.registry,
-                deadline=(
-                    Deadline(pipeline.deadline_seconds)
-                    if pipeline.deadline_seconds is not None
-                    else None
-                ),
+                registry=state.registry, deadline=self._deadline(state)
             )
-        previous = engine.binder.ctx
-        engine.binder.ctx = ctx
-        try:
-            result = pipeline.answer(req.question, ctx=ctx)
-        finally:
-            engine.binder.ctx = previous
-        state.outcomes[req.index] = (result, "", None)
+        state.outcomes[req.index] = (self._answer(state, req.question, ctx), "", None)
 
     def _execute_batch(self, jobs, state: LifecycleState) -> None:
-        engine = state.service.engine
-        pipeline = state.pipeline
-        deadline_seconds = pipeline.deadline_seconds
         seed = state.seed
 
         def run_one(index: int, question: str):
@@ -437,23 +403,17 @@ class ExecuteInterceptor(Interceptor):
                 request_id=f"batch{seed}-{index:05d}",
                 seed=derive_seed("engine-batch", seed, index),
                 registry=state.registry,
-                deadline=(
-                    Deadline(deadline_seconds) if deadline_seconds is not None else None
-                ),
+                deadline=self._deadline(state),
                 burn_collector=state.collector,
             )
             txn = CacheTransaction()
             ctx.scratch["cache_txn"] = txn
-            engine.binder.ctx = ctx
             try:
-                try:
-                    result: PipelineResult | None = pipeline.answer(question, ctx=ctx)
-                    error = ""
-                except ReproError as exc:
-                    result = None
-                    error = f"{type(exc).__name__}: {exc}"
-            finally:
-                engine.binder.ctx = None
+                result: PipelineResult | None = self._answer(state, question, ctx)
+                error = ""
+            except ReproError as exc:
+                result = None
+                error = f"{type(exc).__name__}: {exc}"
             return result, error, txn
 
         if state.workers == 1:

@@ -55,8 +55,7 @@ class AnswerRequest:
     #: always get a deterministic per-index context at execute time.
     ctx: "RequestContext | None" = None
     #: Identity key ``(question digest, mode, artifact digest)`` — the
-    #: answer-cache and dedupe interceptors share it.  Computed lazily;
-    #: ``None`` on engine-less services (no artifact, no caches).
+    #: answer-cache and dedupe interceptors share it.  Computed lazily.
     key: tuple | None = None
     #: Set by dedupe when an earlier in-flight request has the same key.
     dup_of: int | None = None
@@ -257,14 +256,13 @@ class LifecycleState:
     mode: PipelineMode
     requests: list[AnswerRequest]
     registry: MetricsRegistry
+    #: ``req.key`` factory installed by the service.
+    key_fn: Callable[[AnswerRequest], tuple]
     seed: int = 0
     workers: int = 1
     #: Normalized admission inputs (batch kind only).
     arrivals: list[float] = field(default_factory=list)
     client_ids: list[str] = field(default_factory=list)
-    #: ``req.key`` factory installed by the service; None ⇒ keyless
-    #: (engine-less) serving: no dedupe, no answer cache.
-    key_fn: Callable[[AnswerRequest], tuple] | None = None
     #: name → interceptor for the validated chain serving this run.
     interceptors: dict[str, Any] = field(default_factory=dict)
 
@@ -294,8 +292,8 @@ class LifecycleState:
         if not self.items:
             self.items = [None] * len(self.requests)
 
-    def key_of(self, req: AnswerRequest) -> tuple | None:
+    def key_of(self, req: AnswerRequest) -> tuple:
         """The request's identity key, computed once on first use."""
-        if req.key is None and self.key_fn is not None:
+        if req.key is None:
             req.key = self.key_fn(req)
         return req.key

@@ -8,21 +8,16 @@ evaluation, and the chaos/robustness sweeps all route here; the only
 ``pipeline.answer()`` call site left in the library is the execute
 interceptor.
 
-A service is backed either by a :class:`~repro.engine.QueryEngine`
-(shared artifact, answer/retrieval/embedding caches, admission,
-engine metrics — the normal case) or by a bare
-:class:`~repro.pipeline.rag.RAGPipeline` (baseline mode, or legacy
-callers holding a pipeline).  The chain is identical either way;
-engine-backed concerns simply no-op when there is no engine, which is
-what makes the two historical fallback branches in the bots and the
-workflow collapse into one code path.
+Every service is backed by a :class:`~repro.engine.QueryEngine`: the
+shared artifact, the per-mode pipelines (baseline included), the
+answer/retrieval/embedding caches, admission, and the engine metrics.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError, ReproError, ServiceConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.observability import get_registry
 from repro.pipeline.types import PipelineMode
 from repro.service.interceptors import Interceptor, default_chain, validate_chain
@@ -48,63 +43,34 @@ class ReproService:
 
     def __init__(
         self,
+        engine: "QueryEngine",
         *,
-        engine: "QueryEngine | None" = None,
-        pipeline: "RAGPipeline | None" = None,
         default_mode: str | PipelineMode | None = None,
         chain: list[Interceptor] | None = None,
     ) -> None:
-        if (engine is None) == (pipeline is None):
-            raise ServiceConfigurationError(
-                "ReproService needs exactly one backend: engine= or pipeline="
-            )
         self.engine = engine
-        self._pipeline = pipeline
-        if default_mode is not None:
-            self.default_mode = PipelineMode.coerce(default_mode)
-        elif engine is not None:
-            self.default_mode = engine.default_mode
-        else:
-            self.default_mode = PipelineMode.coerce(pipeline.mode)
+        self.default_mode = (
+            PipelineMode.coerce(default_mode)
+            if default_mode is not None
+            else engine.default_mode
+        )
         self.chain: list[Interceptor] = (
             list(chain) if chain is not None else default_chain()
         )
         validate_chain(self.chain)
         self._interceptors = {icp.name: icp for icp in self.chain}
 
-    # ------------------------------------------------------------ factories
-    @classmethod
-    def for_engine(cls, engine: "QueryEngine", **kwargs) -> "ReproService":
-        return cls(engine=engine, **kwargs)
-
-    @classmethod
-    def for_pipeline(cls, pipeline: "RAGPipeline", **kwargs) -> "ReproService":
-        """An engine-less service over a bare pipeline: same chain, but
-        the admission/cache/engine-metrics interceptors have nothing to
-        act on and no-op, leaving behaviour byte-identical to calling
-        the pipeline directly."""
-        return cls(pipeline=pipeline, **kwargs)
-
     # ------------------------------------------------------------ plumbing
     @property
     def admission(self) -> "AdmissionController | None":
-        return self.engine.admission if self.engine is not None else None
+        return self.engine.admission
 
     def resolve_mode(self, mode: str | PipelineMode | None = None) -> PipelineMode:
         return PipelineMode.coerce(mode) if mode is not None else self.default_mode
 
     def pipeline_for(self, mode: str | PipelineMode | None = None) -> "RAGPipeline":
-        """The pipeline serving ``mode`` (engine-built and cached, or
-        the injected bare pipeline)."""
-        mode = self.resolve_mode(mode)
-        if self.engine is not None:
-            return self.engine.pipeline(mode)
-        if mode != self._pipeline.mode:
-            raise ServiceConfigurationError(
-                f"this service wraps a bare {self._pipeline.mode!r} pipeline "
-                f"and cannot serve mode {str(mode)!r}; use an engine-backed service"
-            )
-        return self._pipeline
+        """The engine's pipeline serving ``mode`` (built once, cached)."""
+        return self.engine.pipeline(self.resolve_mode(mode))
 
     def model_name(self, mode: str | PipelineMode | None = None) -> str:
         return self.pipeline_for(mode).chat_model.name
@@ -112,24 +78,20 @@ class ReproService:
     def cache_answers_enabled(self) -> bool:
         # Fault injection is per-call state; serving a cached answer
         # would silently skip scheduled faults, so chaos builds bypass.
-        if self.engine is None:
-            return False
         return (
             self.engine.config.engine.answer_cache_size > 0
             and self.engine.fault_injector is None
         )
 
     def invalidate_query_caches(self, delta=None) -> None:
-        """Invalidate the engine's query caches (no-op when engine-less)
-        after mutating the store a pipeline retrieves from.
+        """Invalidate the engine's query caches after mutating the store
+        a pipeline retrieves from.
 
         With a :class:`~repro.ingest.delta.CorpusDelta` (and
         ``config.ingest.scoped_invalidation`` on), eviction is scoped to
         exactly the entries the change can affect; without one every
         entry is dropped, the pre-lifecycle behavior.
         """
-        if self.engine is None:
-            return
         if delta is not None and self.engine.config.ingest.scoped_invalidation:
             from repro.ingest.invalidation import invalidate_engine_caches
 
@@ -138,8 +100,6 @@ class ReproService:
             self.engine.clear_query_caches()
 
     def _key_fn(self, mode: PipelineMode):
-        if self.engine is None:
-            return None
         artifact_digest = self.engine.artifact.digest
         return lambda req: (question_digest(req.question), str(mode), artifact_digest)
 
@@ -149,7 +109,7 @@ class ReproService:
         coordinator, never inside worker threads."""
         if ctx is not None and ctx.registry is not None:
             return ctx.registry
-        if self.engine is not None and self.engine.registry is not None:
+        if self.engine.registry is not None:
             return self.engine.registry
         return get_registry()
 
@@ -238,9 +198,7 @@ class ReproService:
         """
         mode = self.resolve_mode(mode)
         if workers is None:
-            workers = (
-                self.engine.config.engine.batch_workers if self.engine is not None else 1
-            )
+            workers = self.engine.config.engine.batch_workers
         if workers <= 0:
             raise ConfigurationError(f"workers must be positive, got {workers}")
         n = len(questions)
@@ -285,5 +243,5 @@ class ReproService:
             batch_seconds=state.batch_seconds,
             burn_seconds=state.burn_seconds,
             deferred_tokens=state.deferred_tokens,
-            cache_sizes=self.engine.cache_sizes() if self.engine is not None else {},
+            cache_sizes=self.engine.cache_sizes(),
         )

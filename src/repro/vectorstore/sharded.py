@@ -219,13 +219,10 @@ class ShardedVectorStore:
     def _scatter(
         self, qvec: np.ndarray, k: int, where: dict | None
     ) -> "list[list[tuple[Document, float]] | None]":
-        hedge_pressure = (
-            self._deadline_pressure() if self.replica_sets is not None else False
-        )
         if self.num_shards == 1 or self.scatter_workers <= 1:
             # Fast serial path: pool setup dominates single-shard probes.
             return [
-                self._probe_shard(index, qvec, k, where, hedge_pressure)
+                self._probe_shard(index, qvec, k, where)
                 for index in range(self.num_shards)
             ]
         with ThreadPoolExecutor(
@@ -233,18 +230,13 @@ class ShardedVectorStore:
         ) as pool:
             return list(
                 pool.map(
-                    lambda index: self._probe_shard(index, qvec, k, where, hedge_pressure),
+                    lambda index: self._probe_shard(index, qvec, k, where),
                     range(self.num_shards),
                 )
             )
 
     def _probe_shard(
-        self,
-        index: int,
-        qvec: np.ndarray,
-        k: int,
-        where: dict | None,
-        hedge_pressure: bool,
+        self, index: int, qvec: np.ndarray, k: int, where: dict | None
     ) -> "list[tuple[Document, float]] | None":
         """One shard's top-k; ``None`` when no replica answered.
 
@@ -253,25 +245,7 @@ class ShardedVectorStore:
         """
         if self.replica_sets is None:
             return _shard_top_k(self.shards[index], qvec, k, where)
-        return self.replica_sets[index].top_k(
-            qvec, k, where, deadline_pressure=hedge_pressure
-        )
-
-    def _deadline_pressure(self) -> bool:
-        """Whether the wall-clock hedge trigger fired for this request.
-
-        Only consulted when ``hedge_deadline_fraction`` is set — the one
-        clock-driven decision in the replication layer, excluded from
-        the byte-identical digest guarantee.
-        """
-        rep = self.replication
-        if rep is None or rep.hedge_deadline_fraction is None or self.binder is None:
-            return False
-        ctx = self.binder.ctx
-        deadline = ctx.deadline if ctx is not None else None
-        if deadline is None:
-            return False
-        return deadline.elapsed() >= rep.hedge_deadline_fraction * deadline.budget_seconds
+        return self.replica_sets[index].top_k(qvec, k, where)
 
     def similarity_search(
         self, query: str, *, k: int = 4, where: dict | None = None

@@ -9,7 +9,7 @@ from repro.corpus import build_default_corpus
 from repro.corpus.builder import chunk_corpus
 from repro.embeddings import create_embedding_model
 from repro.evaluation import BlindGrader
-from repro.api import open_pipeline
+from repro.api import open_pipeline, open_service
 from repro.retrieval import ManualPageKeywordSearch
 from repro.vectorstore import VectorStore
 
@@ -57,6 +57,12 @@ def grader(bundle, keyword_search):
     return BlindGrader(
         registry=bundle.registry, known_identifiers=keyword_search.known_identifiers()
     )
+
+
+@pytest.fixture(scope="session")
+def service(bundle, fast_config):
+    """One engine-backed front door serving every mode via ``mode=``."""
+    return open_service(fast_config, bundle=bundle)
 
 
 @pytest.fixture(scope="session")

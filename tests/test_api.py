@@ -13,7 +13,7 @@ import inspect
 import pytest
 
 import repro
-from repro.config import ReproConfig, ShardingConfig
+from repro.config import ReproConfig, RetrievalConfig, ShardingConfig
 from repro.errors import ConfigurationError
 
 #: The public surface.  Additions belong at the right spot in this list
@@ -114,6 +114,40 @@ class TestReproConfigRoundTrip:
             ReproConfig.from_dict({"shardingg": {}})
         with pytest.raises(ConfigurationError, match="sharding"):
             ReproConfig.from_dict({"sharding": {"num_shard": 1}})
+        # A removed knob is an unknown key like any other.
+        with pytest.raises(ConfigurationError, match="unknown config key.*burn_lanes"):
+            ReproConfig.from_dict({"engine": {"burn_lanes": 1}})
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (ReproConfig(chat_model="nope"), "chat_model"),
+            (ReproConfig(iterations_per_token=-1), "iterations_per_token"),
+            (
+                ReproConfig(retrieval=RetrievalConfig(embedding_model="nope")),
+                "retrieval.embedding_model",
+            ),
+        ],
+    )
+    def test_unknown_models_and_negative_burn_fail_at_the_front_door(self, config, key):
+        # Pipelines are lazy: without this the first *ask* died with ModelError.
+        with pytest.raises(ConfigurationError, match=key):
+            ReproConfig.from_dict(config.to_dict())
+        with pytest.raises(ConfigurationError, match=key):
+            repro.open_service(config)
+
+    def test_independently_settable_field_count(self):
+        import dataclasses
+
+        def count(section) -> int:
+            return sum(
+                count(getattr(section, f.name))
+                if dataclasses.is_dataclass(getattr(section, f.name))
+                else 1
+                for f in dataclasses.fields(section)
+            )
+
+        assert count(ReproConfig()) == 53
 
 
 class TestWrapperDelegation:
@@ -135,7 +169,7 @@ class TestWrapperDelegation:
         monkeypatch.setattr(api, "open_engine", recording)
         system = open_support_system(fast_config, bundle=bundle)
         assert calls["config"] is fast_config
-        assert system.chatbot.pipeline is not None
+        assert system.chatbot.service.pipeline_for(system.chatbot.mode) is not None
 
     def test_open_engine_sharded_support_system(self, bundle):
         # The facade threads sharding through to the bots' engine.
@@ -145,4 +179,4 @@ class TestWrapperDelegation:
             iterations_per_token=0, sharding=ShardingConfig(num_shards=2)
         )
         system = open_support_system(cfg, bundle=bundle)
-        assert system.chatbot.engine.num_shards == 2
+        assert system.chatbot.service.engine.num_shards == 2

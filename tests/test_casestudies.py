@@ -13,37 +13,33 @@ from repro.evaluation.casestudies import (
 
 
 class TestCaseStudies:
-    def test_case_study_1_rerank_finds_ksplsqr(self, rag_pipeline, rerank_pipeline, grader):
-        res = run_case_study(CASE_STUDY_1_QID, rag_pipeline, rerank_pipeline, grader)
+    def test_case_study_1_rerank_finds_ksplsqr(self, service, grader):
+        res = run_case_study(CASE_STUDY_1_QID, service, grader)
         assert res.marker == "KSPLSQR"
         assert res.marker_in_rerank_context()
         # The shape constraint: reranking never scores below plain RAG.
         assert int(res.rerank_grade.score) >= int(res.rag_grade.score)
         assert "KSPLSQR" in res.rerank.answer
 
-    def test_case_study_2_rerank_finds_info(self, rag_pipeline, rerank_pipeline, grader):
-        res = run_case_study(CASE_STUDY_2_QID, rag_pipeline, rerank_pipeline, grader)
+    def test_case_study_2_rerank_finds_info(self, service, grader):
+        res = run_case_study(CASE_STUDY_2_QID, service, grader)
         assert res.marker == "-info"
         assert res.marker_in_rerank_context()
         assert int(res.rerank_grade.score) >= 3
         assert "-info" in res.rerank.answer
 
-    def test_render_contains_both_answers(self, rag_pipeline, rerank_pipeline, grader):
-        res = run_case_study(CASE_STUDY_1_QID, rag_pipeline, rerank_pipeline, grader)
+    def test_render_contains_both_answers(self, service, grader):
+        res = run_case_study(CASE_STUDY_1_QID, service, grader)
         text = res.render()
         assert "LLM with RAG" in text
         assert "reranking-enhanced RAG" in text
         assert "contexts in common" in text
 
-    def test_sources_listed(self, rag_pipeline, rerank_pipeline, grader):
-        res = run_case_study(CASE_STUDY_1_QID, rag_pipeline, rerank_pipeline, grader)
+    def test_sources_listed(self, service, grader):
+        res = run_case_study(CASE_STUDY_1_QID, service, grader)
         assert len(res.rag_sources) == 4
         assert len(res.rerank_sources) == 4
 
-    def test_mode_validation(self, rag_pipeline, rerank_pipeline, grader):
+    def test_unknown_qid(self, service, grader):
         with pytest.raises(EvaluationError):
-            run_case_study(CASE_STUDY_1_QID, rerank_pipeline, rag_pipeline, grader)
-
-    def test_unknown_qid(self, rag_pipeline, rerank_pipeline, grader):
-        with pytest.raises(EvaluationError):
-            run_case_study("Q99", rag_pipeline, rerank_pipeline, grader)
+            run_case_study("Q99", service, grader)

@@ -56,15 +56,16 @@ class TestHistoryFeedback:
         ans = wf.ask("How do I change the relative tolerance for a KSP solve?")
         wf.store.add_score(ans.interaction_id, ScoreRecord(scorer="dev", score=4))
 
-        before = len(wf.pipeline.retriever.store)
+        store = wf.service.pipeline_for(wf.mode).retriever.store
+        before = len(store)
         added = wf.feed_history_into_rag(min_mean_score=3.0)
         assert added == 1
-        assert len(wf.pipeline.retriever.store) == before + 1
+        assert len(store) == before + 1
         # Idempotent: re-feeding the same interaction adds nothing.
         assert wf.feed_history_into_rag(min_mean_score=3.0) == 0
 
         # The vetted Q/A is now retrievable.
-        hits = wf.pipeline.retriever.store.similarity_search(
+        hits = store.similarity_search(
             "change the relative tolerance for a KSP solve",
             k=5, where={"doc_type": "history"},
         )

@@ -210,7 +210,7 @@ class TestSharedArtifact:
                 system.chatbot.direct_message(User(name="visitor"), QUESTIONS[2])
                 # Evaluation.
                 run_experiment(
-                    engine.pipeline("rag"), grader, questions=krylov_benchmark()[:3]
+                    engine.service, grader, mode="rag", questions=krylov_benchmark()[:3]
                 )
         finally:
             clear_index_cache()
@@ -223,15 +223,14 @@ class TestSharedArtifact:
         from repro.history.records import ScoreRecord
 
         workflow = open_workflow(fast_config, bundle=bundle)
-        assert workflow.engine is not None
         answer = workflow.ask("What is the default KSP type?")
         workflow.store.add_score(
             answer.interaction_id, ScoreRecord(scorer="dev", score=4)
         )
-        assert any(workflow.engine.cache_sizes().values())
+        assert any(workflow.service.engine.cache_sizes().values())
         added = workflow.feed_history_into_rag(min_mean_score=3.0)
         assert added == 1
-        sizes = workflow.engine.cache_sizes()
+        sizes = workflow.service.engine.cache_sizes()
         # Scoped invalidation (DESIGN.md §14.3): the stale answer and
         # retrieval entries are dropped, but query-embedding entries
         # stay valid — the embedding model did not change.

@@ -130,34 +130,34 @@ class TestExperiments:
     def subset(self):
         return krylov_benchmark()[:5]
 
-    def test_run_experiment(self, baseline_pipeline, grader, subset):
-        run = run_experiment(baseline_pipeline, grader, questions=subset)
+    def test_run_experiment(self, service, grader, subset):
+        run = run_experiment(service, grader, mode="baseline", questions=subset)
         assert len(run.outcomes) == 5
         assert run.mode == "baseline"
         assert set(run.scores()) == {q.qid for q in subset}
         assert sum(run.score_histogram().values()) == 5
         assert 0 <= run.mean_score() <= 4
 
-    def test_compare(self, baseline_pipeline, rerank_pipeline, grader, subset):
-        base = run_experiment(baseline_pipeline, grader, questions=subset)
-        new = run_experiment(rerank_pipeline, grader, questions=subset)
+    def test_compare(self, service, grader, subset):
+        base = run_experiment(service, grader, mode="baseline", questions=subset)
+        new = run_experiment(service, grader, questions=subset)
         cmp_ = compare_modes(base, new)
         assert len(cmp_.deltas) == 5
         assert set(cmp_.improved) | set(cmp_.worsened) | set(cmp_.unchanged) == set(cmp_.deltas)
 
-    def test_compare_mismatched_rejected(self, baseline_pipeline, grader):
-        a = run_experiment(baseline_pipeline, grader, questions=krylov_benchmark()[:2])
-        b = run_experiment(baseline_pipeline, grader, questions=krylov_benchmark()[2:4])
+    def test_compare_mismatched_rejected(self, service, grader):
+        a = run_experiment(service, grader, mode="baseline", questions=krylov_benchmark()[:2])
+        b = run_experiment(service, grader, mode="baseline", questions=krylov_benchmark()[2:4])
         with pytest.raises(EvaluationError):
             compare_modes(a, b)
 
-    def test_timing_collected(self, rerank_pipeline, grader, subset):
-        run = run_experiment(rerank_pipeline, grader, questions=subset)
+    def test_timing_collected(self, service, grader, subset):
+        run = run_experiment(service, grader, questions=subset)
         assert run.rag_stats() is not None
         assert run.llm_stats().count == 5
 
-    def test_baseline_has_no_rag_stats(self, baseline_pipeline, grader, subset):
-        run = run_experiment(baseline_pipeline, grader, questions=subset)
+    def test_baseline_has_no_rag_stats(self, service, grader, subset):
+        run = run_experiment(service, grader, mode="baseline", questions=subset)
         assert run.rag_stats() is None
 
     def test_empty_mean_rejected(self):
@@ -166,18 +166,18 @@ class TestExperiments:
 
 
 class TestReporting:
-    def test_render_comparison(self, baseline_pipeline, rerank_pipeline, grader):
+    def test_render_comparison(self, service, grader):
         subset = krylov_benchmark()[:3]
-        base = run_experiment(baseline_pipeline, grader, questions=subset)
-        new = run_experiment(rerank_pipeline, grader, questions=subset)
+        base = run_experiment(service, grader, mode="baseline", questions=subset)
+        new = run_experiment(service, grader, questions=subset)
         text = render_comparison(compare_modes(base, new), title="Fig 6x")
         assert "Fig 6x" in text
         assert "improved:" in text
         for q in subset:
             assert q.qid in text
 
-    def test_render_histogram(self, baseline_pipeline, grader):
-        run = run_experiment(baseline_pipeline, grader, questions=krylov_benchmark()[:3])
+    def test_render_histogram(self, service, grader):
+        run = run_experiment(service, grader, mode="baseline", questions=krylov_benchmark()[:3])
         text = render_score_histogram(run, title="baseline")
         assert "score 4" in text and "mean score" in text
 

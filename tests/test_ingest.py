@@ -41,6 +41,7 @@ from repro.ingest import (
     source_digest,
 )
 from repro.observability import MetricsRegistry, use_registry
+from repro.pipeline.types import PipelineMode
 from repro.vectorstore import VectorStore
 
 
@@ -433,15 +434,23 @@ class TestApplyDocuments:
         second = apply_documents(engine, [doc])
         assert second.noop and not second.added_ids
 
-    def test_requires_engine_or_store(self):
-        with pytest.raises(IngestError):
-            apply_documents(None, [self._doc()])
+    def test_requires_a_retriever_store(self, bundle, fresh_cache):
+        # Was test_requires_engine_or_store: the engine is now required,
+        # so the one IngestError left is a default pipeline with no store.
+        engine = open_engine(_cfg(), bundle=bundle)
+        engine.default_mode = PipelineMode.BASELINE
+        with pytest.raises(IngestError, match="no retriever store"):
+            apply_documents(engine, [self._doc()])
 
-    def test_explicit_store_without_engine(self, chunks, embedding):
+    def test_explicit_store_with_engine(self, bundle, fresh_cache, chunks, embedding):
+        # Was test_explicit_store_without_engine.
+        engine = open_engine(_cfg(), bundle=bundle)
+        engine.answer("What does KSPGMRES do?")
         store = VectorStore.from_documents(chunks[:5], embedding)
-        report = apply_documents(None, [self._doc()], store=store)
-        assert len(report.added_ids) == 1
-        assert report.epoch == 0 and report.digest == ""
+        report = apply_documents(engine, [self._doc()], store=store)
+        assert len(report.added_ids) == 1 and len(store) == 6
+        assert report.epoch == 0 and report.digest == engine.artifact.digest
+        assert report.invalidation["scoped"] is True
 
 
 class TestDeprecatedWritePath:

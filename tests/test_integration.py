@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import open_service
 from repro.evaluation import compare_modes, krylov_benchmark, run_experiment
 
 
 @pytest.fixture(scope="module")
-def runs(baseline_pipeline, rag_pipeline, rerank_pipeline, grader):
+def runs(bundle, fast_config, grader):
+    # A fresh service: no answer-cache hits, so every run is timed.
+    service = open_service(fast_config, bundle=bundle)
     qs = krylov_benchmark()
     return {
-        "baseline": run_experiment(baseline_pipeline, grader, questions=qs),
-        "rag": run_experiment(rag_pipeline, grader, questions=qs),
-        "rag+rerank": run_experiment(rerank_pipeline, grader, questions=qs),
+        mode: run_experiment(service, grader, mode=mode, questions=qs)
+        for mode in ("baseline", "rag", "rag+rerank")
     }
 
 
@@ -69,10 +71,10 @@ class TestPaperShape:
 
 
 class TestDeterminism:
-    def test_full_run_reproducible(self, rerank_pipeline, grader):
+    def test_full_run_reproducible(self, service, grader):
         qs = krylov_benchmark()[:6]
-        a = run_experiment(rerank_pipeline, grader, questions=qs).scores()
-        b = run_experiment(rerank_pipeline, grader, questions=qs).scores()
+        a = run_experiment(service, grader, questions=qs).scores()
+        b = run_experiment(service, grader, questions=qs).scores()
         assert a == b
 
 

@@ -77,7 +77,7 @@ def _kill_primary(store, shard_index, replica_index):
 class TestReplicationConfig:
     def test_defaults_validate(self):
         ReplicationConfig().validate()
-        ReplicationConfig(replicas=3, hedging=True, hedge_deadline_fraction=1.0).validate()
+        ReplicationConfig(replicas=3, hedging=True).validate()
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
@@ -88,8 +88,6 @@ class TestReplicationConfig:
             ReplicationConfig(suspect_after=3, down_after=2).validate()
         with pytest.raises(ConfigurationError):
             ReplicationConfig(probe_after=0).validate()
-        with pytest.raises(ConfigurationError):
-            ReplicationConfig(hedge_deadline_fraction=0.0).validate()
 
     def test_round_trips_through_repro_config(self):
         cfg = ReproConfig(

@@ -14,14 +14,16 @@ is itself pinned by ``TestGoldenRecapture``: what was allowed to move,
 and that nothing else did.
 
 The rest of the file pins the interceptor contract: chain validation
-fails fast with :class:`ServiceConfigurationError`, engine-less services
-serve byte-identically to direct pipeline calls, and request-lifecycle
-internals stay inside ``repro.service`` (architecture conformance).
+fails fast with :class:`ServiceConfigurationError`, every service —
+baseline mode included — serves through an engine and answers like the
+reference pipeline, and request-lifecycle internals stay inside
+``repro.service`` (architecture conformance).
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -232,20 +234,13 @@ class TestChainValidation:
         with pytest.raises(ServiceConfigurationError, match="non-empty"):
             validate_chain(default_chain() + [Nameless()])
 
-    def test_service_constructor_validates_chain(self, rag_pipeline):
+    def test_service_constructor_validates_chain(self, bundle, fast_config):
         chain = default_chain()
         chain.reverse()
         with pytest.raises(ServiceConfigurationError):
-            ReproService.for_pipeline(rag_pipeline, chain=chain)
+            ReproService(open_engine(fast_config, bundle=bundle), chain=chain)
 
-    def test_service_needs_exactly_one_backend(self, bundle, fast_config, rag_pipeline):
-        with pytest.raises(ServiceConfigurationError, match="exactly one backend"):
-            ReproService()
-        engine = open_engine(fast_config, bundle=bundle)
-        with pytest.raises(ServiceConfigurationError, match="exactly one backend"):
-            ReproService(engine=engine, pipeline=rag_pipeline)
-
-    def test_custom_interceptor_may_interleave(self, rag_pipeline):
+    def test_custom_interceptor_may_interleave(self, bundle, fast_config):
         observed = []
 
         class Audit(Interceptor):
@@ -258,7 +253,7 @@ class TestChainValidation:
         chain = default_chain()
         chain.insert(1, Audit())  # between admission and dedupe
         validate_chain(chain)
-        service = ReproService.for_pipeline(rag_pipeline, chain=chain)
+        service = ReproService(open_engine(fast_config, bundle=bundle), chain=chain)
         result = service.answer("What does KSPSolve do?")
         assert result.answer
         assert observed == ["What does KSPSolve do?"]
@@ -273,18 +268,65 @@ class TestFrontDoor:
         assert engine.service is engine.service
         assert engine.service.engine is engine
 
-    def test_engineless_service_matches_direct_pipeline(self, rag_pipeline):
-        service = ReproService.for_pipeline(rag_pipeline)
+    def test_service_matches_reference_pipeline(self, bundle, fast_config):
+        # Was test_engineless_service_matches_direct_pipeline; the deleted
+        # test_engineless_service_rejects_other_modes pinned a limit of the
+        # pipeline= backend this PR removed — one service serves every mode.
+        service = repro.open_service(fast_config, bundle=bundle)
         question = "How do I set the KSP tolerance?"
-        via_service = service.answer(question)
-        direct = rag_pipeline.answer(question)
-        assert via_service.answer == direct.answer
-        assert via_service.mode == direct.mode
+        for mode in ("baseline", "rag", "rag+rerank"):
+            via_service = service.answer(question, mode=mode)
+            direct = repro.open_pipeline(fast_config, bundle=bundle, mode=mode).answer(
+                question
+            )
+            assert via_service.answer == direct.answer
+            assert via_service.mode == direct.mode == mode
 
-    def test_engineless_service_rejects_other_modes(self, rag_pipeline):
-        service = ReproService.for_pipeline(rag_pipeline)
-        with pytest.raises(ServiceConfigurationError, match="bare"):
-            service.answer("What is DMDA?", mode="rag+rerank")
+    def test_baseline_workflow_and_chatbot_serve_through_an_engine(
+        self, bundle, fast_config
+    ):
+        workflow = repro.open_workflow(fast_config, bundle=bundle, mode="baseline")
+        system = repro.open_support_system(fast_config, bundle=bundle, mode="baseline")
+        assert isinstance(workflow.service.engine, QueryEngine)
+        assert isinstance(system.chatbot.service.engine, QueryEngine)
+        assert workflow.mode == system.chatbot.mode == "baseline"
+        question = "What is the default KSP type?"
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            first = workflow.ask(question).result
+            again = workflow.ask(question).result
+        assert first.mode == "baseline" and not first.contexts
+        assert again.answer == first.answer
+        assert registry.counter("repro.engine.answer_cache.hits").value == 1
+
+    def test_baseline_batch_dedupes_and_times_through_the_engine(
+        self, bundle, fast_config
+    ):
+        service = repro.open_service(fast_config, bundle=bundle, registry=MetricsRegistry())
+        q, q2 = "What is the default KSP type?", "What is DMDA?"
+        batch = service.answer_many([q, q, q2], mode="baseline", workers=4)
+        assert batch.answered_count == 3 and batch.workers == 4
+        assert [it.cached for it in batch.items] == [False, True, False]
+        assert service.engine.registry.counter("repro.engine.batch_deduped").value == 1
+        assert batch.batch_seconds > 0 and batch.questions_per_second > 0
+        service.answer(q, mode="baseline")
+        assert service.engine.registry.counter("repro.engine.answer_cache.hits").value == 1
+
+    def test_fault_injector_keeps_baseline_answer_cache_off(self, bundle, fast_config):
+        from repro.resilience import FaultConfig, FaultInjector
+
+        registry = MetricsRegistry()
+        system = repro.open_support_system(
+            fast_config, bundle=bundle, mode="baseline",
+            fault_injector=FaultInjector(0, FaultConfig()),
+        )
+        service = system.chatbot.service
+        assert not service.cache_answers_enabled()
+        with use_registry(registry):
+            service.answer("What is DMDA?", mode="baseline")
+            service.answer("What is DMDA?", mode="baseline")
+        assert registry.counter("repro.engine.answer_cache.hits").value == 0
+        assert registry.counter("repro.pipeline.requests").value == 2
 
     def test_single_is_batch_of_one(self, bundle, fast_config):
         question = "What is the default KSP type?"
@@ -311,20 +353,24 @@ class TestFrontDoor:
     def test_workflow_and_chatbot_route_through_service(self, bundle, fast_config):
         workflow = repro.open_workflow(fast_config, bundle=bundle, mode="rag")
         assert isinstance(workflow.service, ReproService)
-        assert workflow.service.engine is workflow.engine
+        assert workflow.service is workflow.service.engine.service
         system = repro.open_support_system(fast_config, bundle=bundle)
         assert isinstance(system.chatbot.service, ReproService)
-        assert system.chatbot.service.engine is system.chatbot.engine
+        assert system.chatbot.service is system.chatbot.service.engine.service
 
-    def test_run_experiment_accepts_service_and_legacy_pipeline(
+    def test_run_experiment_scores_match_reference_pipeline(
         self, bundle, fast_config, grader, rag_pipeline
     ):
+        # Was test_run_experiment_accepts_service_and_legacy_pipeline; a
+        # bare pipeline is no longer accepted, it is only the reference.
         questions = krylov_benchmark()[:3]
         service = open_engine(fast_config, bundle=bundle).service
         via_service = run_experiment(service, grader, mode="rag", questions=questions)
-        legacy = run_experiment(rag_pipeline, grader, questions=questions)
-        assert via_service.mode == legacy.mode == "rag"
-        assert via_service.scores() == legacy.scores()
+        assert via_service.mode == "rag"
+        assert via_service.scores() == {
+            q.qid: int(grader.grade(q, rag_pipeline.answer(q.text).answer).score)
+            for q in questions
+        }
 
     def test_evaluate_run_builds_index_exactly_once(self, bundle, fast_config, grader):
         from repro.index import builder
@@ -375,6 +421,29 @@ def test_lifecycle_internals_confined_to_service_modules():
         "request-lifecycle internals leaked outside repro.service "
         "(route through ReproService instead):\n" + "\n".join(offenders)
     )
+
+
+def test_one_backend_and_one_pipeline_call_site():
+    """Every service has an engine: no engine-less branch, no second
+    constructor, and one place that calls a pipeline."""
+    src_root = Path(repro.__file__).parent
+    banned = re.compile(r"engine is (?:not )?None|for_pipeline|for_engine")
+    offenders, call_sites = [], []
+    for path in sorted(src_root.rglob("*.py")):
+        rel = path.relative_to(src_root).as_posix()
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if banned.search(line):
+                offenders.append(f"src/repro/{rel}:{number}: {line.strip()}")
+            # A call with arguments; docstrings only ever write ``answer()``.
+            if re.search(r"pipeline\.answer\([^)]", line):
+                call_sites.append(f"{rel}:{number}")
+    assert not offenders, "\n".join(offenders)
+    assert len(call_sites) == 1 and call_sites[0].startswith("service/interceptors.py")
+    # Was test_service_needs_exactly_one_backend: with the pipeline=
+    # backend gone there is no second backend left to mis-combine.
+    params = inspect.signature(ReproService.__init__).parameters
+    assert list(params) == ["self", "engine", "default_mode", "chain"]
+    assert params["engine"].default is inspect.Parameter.empty
 
 
 #: One index, one engine, one store: nothing may fork on which kind it
