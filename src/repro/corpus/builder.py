@@ -218,8 +218,9 @@ def tag_chunks_with_facts(chunks: list[Document], registry: FactRegistry) -> lis
     """
     tagged: list[Document] = []
     for chunk in chunks:
-        fact_ids = sorted(f.fact_id for f in registry.facts_in(chunk.text))
-        false_ids = sorted(f.false_id for f in registry.falsehoods_in(chunk.text))
+        facts, falsehoods = registry.detect(chunk.text)
+        fact_ids = sorted(f.fact_id for f in facts)
+        false_ids = sorted(f.false_id for f in falsehoods)
         md = dict(chunk.metadata)
         if fact_ids:
             md["facts"] = ",".join(fact_ids)

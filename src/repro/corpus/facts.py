@@ -27,21 +27,117 @@ that unrelated prose does not trigger them.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.errors import CorpusError
+from repro.utils.textproc import sentences
+
+#: A :class:`Fact` or a :class:`Falsehood`: anything with a ``signature``.
+_Signed = TypeVar("_Signed", "Fact", "Falsehood")
 
 _IDENT_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$|^-[a-z][a-z0-9_]*$")
 
 
-def _contains_term(text: str, text_lower: str, term: str) -> bool:
-    """Word-boundary containment; identifiers match case-sensitively."""
-    if _IDENT_RE.match(term):
-        return re.search(rf"(?<![A-Za-z0-9_]){re.escape(term)}(?![A-Za-z0-9_])", text) is not None
-    return (
-        re.search(rf"(?<![a-z0-9_]){re.escape(term.lower())}(?![a-z0-9_])", text_lower)
-        is not None
-    )
+class _Term:
+    """One signature term, compiled: word-boundary containment where
+    identifiers match case-sensitively and words case-insensitively."""
+
+    __slots__ = ("ident", "literal", "_search")
+
+    def __init__(self, term: str) -> None:
+        self.ident = _IDENT_RE.match(term) is not None
+        self.literal = term if self.ident else term.lower()
+        edge = "A-Za-z0-9_" if self.ident else "a-z0-9_"
+        self._search = re.compile(
+            rf"(?<![{edge}]){re.escape(self.literal)}(?![{edge}])"
+        ).search
+
+    def found_in(self, text: str, text_lower: str) -> bool:
+        hay = text if self.ident else text_lower
+        # Any pattern match contains the literal, so the substring test
+        # only skips searches that cannot succeed.
+        return self.literal in hay and self._search(hay) is not None
+
+
+class TextScan:
+    """One text checked against signature terms.
+
+    ``terms`` is the table of compiled terms the scan reads and fills on
+    demand (a :class:`FactRegistry` passes its own, so each distinct term
+    compiles once per registry).  The text is lower-cased once, split
+    into sentences at most once, and every term is looked up at most
+    once however many signatures share it.
+    """
+
+    def __init__(self, terms: dict[str, _Term], text: str) -> None:
+        self._terms = terms
+        self._text = text
+        self._lower = text.lower()
+        self._sentences: list[tuple[str, str]] | None = None
+        self._in_text: dict[str, bool] = {}
+        self._in_sentences: dict[str, frozenset[int]] = {}
+
+    def _term(self, term: str) -> _Term:
+        compiled = self._terms.get(term)
+        if compiled is None:
+            compiled = self._terms[term] = _Term(term)
+        return compiled
+
+    def contains(self, term: str) -> bool:
+        """Whether ``term`` occurs anywhere in the text."""
+        found = self._in_text.get(term)
+        if found is None:
+            found = self._in_text[term] = self._term(term).found_in(self._text, self._lower)
+        return found
+
+    def _sentences_with(self, term: str) -> frozenset[int]:
+        hits = self._in_sentences.get(term)
+        if hits is None:
+            if self._sentences is None:
+                self._sentences = [(s, s.lower()) for s in sentences(self._text)]
+            compiled = self._term(term)
+            hits = self._in_sentences[term] = frozenset(
+                i for i, (sent, sent_lower) in enumerate(self._sentences)
+                if compiled.found_in(sent, sent_lower)
+            )
+        return hits
+
+    def asserts(self, signature: tuple[str, ...]) -> bool:
+        """Whether the text asserts ``signature``.
+
+        Two checks, both required: every term occurs in the text as
+        written, and every term occurs within one sentence — so terms
+        assembled from *different* statements of a longer text do not
+        count.  Neither implies the other: sentences are
+        whitespace-normalised, the text is not.
+        """
+        if not all(self.contains(term) for term in signature):
+            return False
+        together: frozenset[int] | None = None
+        for term in signature:
+            hits = self._sentences_with(term)
+            together = hits if together is None else together & hits
+            if not together:
+                return False
+        return True
+
+    def asserted(self, signed: Iterable[_Signed]) -> list[_Signed]:
+        """Those of ``signed`` (facts or falsehoods) the text asserts, in order."""
+        return [x for x in signed if self.asserts(x.signature)]
+
+
+def _validate_signature(label: str, statement: str, signature: tuple[str, ...]) -> None:
+    """Every signature term must occur in the owner's (``label``) own statement."""
+    if not signature:
+        raise CorpusError(f"{label} has an empty signature")
+    scan = TextScan({}, statement)
+    for term in signature:
+        if not scan.contains(term):
+            raise CorpusError(
+                f"{label}: signature term {term!r} does not occur in its own statement"
+            )
 
 
 @dataclass(frozen=True)
@@ -69,36 +165,11 @@ class Fact:
     topics: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.signature:
-            raise CorpusError(f"fact {self.fact_id!r} has an empty signature")
-        stmt_lower = self.statement.lower()
-        for term in self.signature:
-            if not _contains_term(self.statement, stmt_lower, term):
-                raise CorpusError(
-                    f"fact {self.fact_id!r}: signature term {term!r} does not occur in its own statement"
-                )
+        _validate_signature(f"fact {self.fact_id!r}", self.statement, self.signature)
 
-    def appears_in(self, text: str, text_lower: str | None = None) -> bool:
-        """Whether ``text`` asserts this fact.
-
-        Detection is sentence-scoped: all signature terms must co-occur
-        within one sentence, so assembling the terms from *different*
-        statements in a longer text does not count as asserting the fact.
-        """
-        tl = text.lower() if text_lower is None else text_lower
-        if not all(_contains_term(text, tl, term) for term in self.signature):
-            return False
-        return _signature_in_one_sentence(text, self.signature)
-
-
-def _signature_in_one_sentence(text: str, signature: tuple[str, ...]) -> bool:
-    from repro.utils.textproc import sentences  # local import to avoid a cycle
-
-    for sent in sentences(text):
-        sl = sent.lower()
-        if all(_contains_term(sent, sl, term) for term in signature):
-            return True
-    return False
+    def appears_in(self, text: str) -> bool:
+        """Whether ``text`` asserts this fact (see :meth:`TextScan.asserts`)."""
+        return TextScan({}, text).asserts(self.signature)
 
 
 @dataclass(frozen=True)
@@ -114,21 +185,11 @@ class Falsehood:
     dominates an answer, per the paper's scoring of the KSPBurb reply)."""
 
     def __post_init__(self) -> None:
-        if not self.signature:
-            raise CorpusError(f"falsehood {self.false_id!r} has an empty signature")
-        stmt_lower = self.statement.lower()
-        for term in self.signature:
-            if not _contains_term(self.statement, stmt_lower, term):
-                raise CorpusError(
-                    f"falsehood {self.false_id!r}: signature term {term!r} missing from statement"
-                )
+        _validate_signature(f"falsehood {self.false_id!r}", self.statement, self.signature)
 
-    def appears_in(self, text: str, text_lower: str | None = None) -> bool:
-        """Sentence-scoped assertion check (see :meth:`Fact.appears_in`)."""
-        tl = text.lower() if text_lower is None else text_lower
-        if not all(_contains_term(text, tl, term) for term in self.signature):
-            return False
-        return _signature_in_one_sentence(text, self.signature)
+    def appears_in(self, text: str) -> bool:
+        """Whether ``text`` asserts this falsehood (see :meth:`TextScan.asserts`)."""
+        return TextScan({}, text).asserts(self.signature)
 
 
 @dataclass
@@ -137,6 +198,9 @@ class FactRegistry:
 
     facts: dict[str, Fact] = field(default_factory=dict)
     falsehoods: dict[str, Falsehood] = field(default_factory=dict)
+    #: Compiled signature terms, filled by detection as terms are first
+    #: looked up; keyed by the term itself, so nothing ever goes stale.
+    _terms: dict[str, _Term] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_fact(self, fact: Fact) -> Fact:
         if fact.fact_id in self.facts:
@@ -165,15 +229,18 @@ class FactRegistry:
     def statement(self, fact_id: str) -> str:
         return self.fact(fact_id).statement
 
+    def detect(self, text: str) -> tuple[list[Fact], list[Falsehood]]:
+        """The facts and the falsehoods ``text`` asserts, from one scan."""
+        scan = TextScan(self._terms, text)
+        return scan.asserted(self.facts.values()), scan.asserted(self.falsehoods.values())
+
     def facts_in(self, text: str) -> list[Fact]:
         """All registered facts asserted by ``text``."""
-        tl = text.lower()
-        return [f for f in self.facts.values() if f.appears_in(text, tl)]
+        return TextScan(self._terms, text).asserted(self.facts.values())
 
     def falsehoods_in(self, text: str) -> list[Falsehood]:
         """All registered falsehoods asserted by ``text``."""
-        tl = text.lower()
-        return [f for f in self.falsehoods.values() if f.appears_in(text, tl)]
+        return TextScan(self._terms, text).asserted(self.falsehoods.values())
 
     def facts_about(self, topic: str) -> list[Fact]:
         """Facts whose topic list contains ``topic`` (case-insensitive)."""

@@ -73,15 +73,9 @@ class BlindGrader:
     def grade(self, question: BenchmarkQuestion, answer: str) -> GradedAnswer:
         if not isinstance(answer, str):
             raise EvaluationError(f"answer for {question.qid} must be a string")
-        answer_lower = answer.lower()
-        facts_found = {
-            f.fact_id for f in self.registry.facts.values() if f.appears_in(answer, answer_lower)
-        }
-        falsehoods = tuple(sorted(
-            f.false_id
-            for f in self.registry.falsehoods.values()
-            if f.appears_in(answer, answer_lower)
-        ))
+        asserted, wrong = self.registry.detect(answer)
+        facts_found = {f.fact_id for f in asserted}
+        falsehoods = tuple(sorted(f.false_id for f in wrong))
         registered_fabrications = tuple(
             fid for fid in falsehoods if self.registry.falsehood(fid).fabrication
         )

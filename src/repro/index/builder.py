@@ -388,12 +388,12 @@ def read_cached_payload(
 def _map_shards(fn: Callable, items: list, workers: int) -> list:
     """``fn`` over per-shard items, in shard order.
 
-    With one shard or one worker there is nothing to parallelise, so the
-    work stays in the calling thread: a pool thread would allocate the
-    build from its own malloc arena, which holds on to one artifact
+    With at most one shard or one worker there is nothing to parallelise,
+    so the work stays in the calling thread: a pool thread would allocate
+    the build from its own malloc arena, which holds on to one artifact
     generation of memory after the build is freed.
     """
-    if len(items) == 1 or workers <= 1:
+    if len(items) <= 1 or workers <= 1:
         return [fn(item) for item in items]
     # use_registry scopes are thread-local: pool workers re-enter the
     # caller's scope or their counters would leak into the process default.
@@ -439,9 +439,17 @@ def _build_composite(
                 return None, chunks, store_dir
             except IndexBuildError:
                 pass
-        return None, chunk(spec), None
+        return None, None, None
 
-    resolved = _map_shards(resolve, plan.shards, workers)
+    # Cache lookups and disk loads are cheap and stay in the calling
+    # thread; only the shards that need chunking and a build share the
+    # pool, so one dirty shard beside clean ones never waits on pool
+    # threads for the interpreter lock.
+    resolved = [resolve(spec) for spec in plan.shards]
+    dirty = [i for i, (_mem, chunks, _dir) in enumerate(resolved) if chunks is None]
+    dirty_chunks = _map_shards(chunk, [plan.shards[i] for i in dirty], workers)
+    for i, chunks in zip(dirty, dirty_chunks):
+        resolved[i] = (None, chunks, None)
     embedding = create_embedding_model(
         rc.embedding_model,
         corpus_texts=[c.text for _mem, chunks, _dir in resolved for c in chunks],
@@ -497,7 +505,9 @@ def _build_composite(
             save_artifact(shard, cache_dir)
         return cache_artifact(shard)
 
-    shards = _map_shards(materialize, list(zip(plan.shards, resolved)), workers)
+    items = list(zip(plan.shards, resolved))
+    built = dict(zip(dirty, _map_shards(materialize, [items[i] for i in dirty], workers)))
+    shards = [built[i] if i in built else materialize(items[i]) for i in range(len(items))]
     return IndexArtifact(
         digest=plan.composite,
         corpus_digest=corpus_digest(bundle),

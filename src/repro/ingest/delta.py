@@ -132,41 +132,35 @@ def diff_chunks(
     split into added / modified / removed by content address.  Sources
     touched by any non-unchanged chunk land in ``sources_changed``.
     """
-    old_by_doc_id = {c.doc_id for c in old_chunks}
+    # ``doc_id`` hashes the whole chunk text: take it once per chunk.
+    old_doc_ids = [c.doc_id for c in old_chunks]
+    new_doc_ids = [c.doc_id for c in new_chunks]
+    old_by_doc_id = set(old_doc_ids)
+    new_by_doc_id = set(new_doc_ids)
     old_addresses = {chunk_id(c) for c in old_chunks}
-    new_doc_ids = {c.doc_id for c in new_chunks}
-    new_addresses: set[str] = set()
 
     delta = CorpusDelta(parent_digest=parent_digest, target_digest=target_digest)
     sources: set[str] = set()
-    for chunk in new_chunks:
-        address = chunk_id(chunk)
-        new_addresses.add(address)
-        if chunk.doc_id in old_by_doc_id:
+    for chunk, doc_id in zip(new_chunks, new_doc_ids):
+        if doc_id in old_by_doc_id:
             delta.unchanged += 1
             continue
         sources.add(str(chunk.metadata.get("source", "")))
-        if address in old_addresses:
+        if chunk_id(chunk) in old_addresses:
             delta.modified.append(chunk)
         else:
             delta.added.append(chunk)
-    for chunk in old_chunks:
-        if chunk.doc_id in new_doc_ids:
+    for chunk, doc_id in zip(old_chunks, old_doc_ids):
+        if doc_id in new_by_doc_id:
             continue
-        address = chunk_id(chunk)
+        # Removed outright, or rewritten in place (the new bytes are
+        # already in ``modified``): either way record the old bytes so
+        # caches holding them can be invalidated.
         source = str(chunk.metadata.get("source", ""))
         sources.add(source)
-        if address not in new_addresses:
-            delta.removed.append(
-                ChunkRef(address=address, doc_id=chunk.doc_id, source=source)
-            )
-        else:
-            # Rewritten in place: the new bytes are already in
-            # ``modified``; record the old bytes so caches holding them
-            # can be invalidated.
-            delta.removed.append(
-                ChunkRef(address=address, doc_id=chunk.doc_id, source=source)
-            )
+        delta.removed.append(
+            ChunkRef(address=chunk_id(chunk), doc_id=doc_id, source=source)
+        )
     delta.sources_changed = tuple(sorted(sources))
     return delta
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import re
 import unicodedata
+from functools import lru_cache
 
 from repro.documents.document import Document
 
@@ -40,6 +41,7 @@ def normalized_text(text: str) -> str:
     return _WS_RE.sub(" ", unicodedata.normalize("NFC", text)).strip()
 
 
+@lru_cache(maxsize=8192)  # an ingest diffs the same chunks twice (shard, composite)
 def chunk_address(text: str, source: str = "") -> str:
     """The content address of a chunk: sha256(normalized text + source)."""
     h = hashlib.sha256()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.corpus.facts import Fact, FactRegistry
 from repro.utils.textproc import code_tokens, stem, stemmed_tokens
@@ -24,6 +25,31 @@ from repro.utils.textproc import code_tokens, stem, stemmed_tokens
 class ScoredFact:
     fact: Fact
     score: float
+
+
+class _TopicPlan(NamedTuple):
+    """Everything about one topic of one fact that no question changes."""
+
+    topic: str
+    lower: str
+    weight: float
+    #: Multi-word topics match as a substring of the question only.
+    phrase: bool
+    stem: str
+    #: ``stem`` of an option key without its dashes; None for other topics.
+    undashed_stem: str | None
+    #: Stems of the topic with each class prefix it carries taken off.
+    unprefixed_stems: tuple[str, ...]
+
+
+class _QuestionFeatures(NamedTuple):
+    """Everything about one question that no fact changes."""
+
+    lower: str
+    stems: set[str]
+    idents: set[str]
+    #: IDF mass of ``stems`` (the paraphrase score's denominator).
+    idf_mass: float
 
 
 class RelevanceModel:
@@ -50,60 +76,87 @@ class RelevanceModel:
             t: math.log((1 + n) / (1 + c)) + 0.1 for t, c in tok_df.items()
         }
         self._max_token_idf = max(self._token_idf.values(), default=1.0)
-        # Cache per-fact stemmed statement tokens (hot loop in selection).
+        # Per-fact tables for the selection loop: stemmed statement tokens
+        # by fact id, and topic plans by the topics tuple itself (so a
+        # fact is always scored on the topics it carries).
         self._stmt_tokens: dict[str, frozenset[str]] = {
             fid: frozenset(stemmed_tokens(f.statement))
             for fid, f in registry.facts.items()
         }
+        self._topic_plans: dict[tuple[str, ...], tuple[_TopicPlan, ...]] = {}
+        for fact in registry.facts.values():
+            self._plans(fact.topics)
 
     def topic_weight(self, topic: str) -> float:
         return self._topic_weight.get(topic.lower(), 1.0)
 
+    def _plans(self, topics: tuple[str, ...]) -> tuple[_TopicPlan, ...]:
+        plans = self._topic_plans.get(topics)
+        if plans is None:
+            plans = self._topic_plans[topics] = tuple(self._plan_topic(t) for t in topics)
+        return plans
+
+    def _plan_topic(self, topic: str) -> _TopicPlan:
+        tl = topic.lower()
+        return _TopicPlan(
+            topic=topic,
+            lower=tl,
+            weight=self.topic_weight(topic),
+            phrase=" " in tl,
+            stem=stem(tl),
+            undashed_stem=stem(tl.lstrip("-")) if tl.startswith("-") else None,
+            # Users name solver types without the class prefix
+            # ("preonly" for KSPPREONLY, "gmres" for KSPGMRES).
+            unprefixed_stems=tuple(
+                stem(tl[len(prefix):])
+                for prefix in self._PREFIXES
+                if tl.startswith(prefix) and len(tl) - len(prefix) >= 2
+            ),
+        )
+
     # ------------------------------------------------------------------ scoring
-    def _topic_score(self, fact: Fact, q_lower: str, q_stems: set[str], q_idents: set[str]) -> float:
+    def _topic_score(self, fact: Fact, q: _QuestionFeatures) -> float:
         s = 0.0
-        for topic in fact.topics:
-            tl = topic.lower()
-            w = self.topic_weight(topic)
-            if topic in q_idents:
-                s += 1.3 * w
-            elif " " in tl:
-                if tl in q_lower:
-                    s += 1.3 * w
-            elif stem(tl) in q_stems or tl in q_stems:
-                s += 1.0 * w
-            elif tl.startswith("-") and stem(tl.lstrip("-")) in q_stems:
-                s += 1.0 * w
-            else:
-                # Users name solver types without the class prefix
-                # ("preonly" for KSPPREONLY, "gmres" for KSPGMRES).
-                for prefix in self._PREFIXES:
-                    rest = tl[len(prefix):]
-                    if tl.startswith(prefix) and len(rest) >= 2 and stem(rest) in q_stems:
-                        s += 1.0 * w
-                        break
+        for p in self._plans(fact.topics):
+            if p.topic in q.idents:
+                s += 1.3 * p.weight
+            elif p.phrase:
+                if p.lower in q.lower:
+                    s += 1.3 * p.weight
+            elif p.stem in q.stems or p.lower in q.stems:
+                s += 1.0 * p.weight
+            elif p.undashed_stem is not None and p.undashed_stem in q.stems:
+                s += 1.0 * p.weight
+            elif any(rest in q.stems for rest in p.unprefixed_stems):
+                s += 1.0 * p.weight
         return s
 
-    def _paraphrase_score(self, fact: Fact, q_stems: set[str]) -> float:
+    def _paraphrase_score(self, fact: Fact, q: _QuestionFeatures) -> float:
         stmt = self._stmt_tokens[fact.fact_id]
-        shared = q_stems & stmt
-        if not shared or not q_stems:
+        shared = q.stems & stmt
+        if not shared:
             return 0.0
         # Sum in sorted order: float addition is non-associative, and set
         # iteration order varies with the process hash seed — summing in
         # hash order made near-tied scores (and thus answers) flip
         # between runs.
         num = sum(self._token_idf.get(t, self._max_token_idf) for t in sorted(shared))
-        den = sum(self._token_idf.get(t, self._max_token_idf) for t in sorted(q_stems))
-        return num / den if den > 0 else 0.0
+        return num / q.idf_mass if q.idf_mass > 0 else 0.0
+
+    def _question_features(self, question: str) -> _QuestionFeatures:
+        stems = set(stemmed_tokens(question))
+        return _QuestionFeatures(
+            lower=question.lower(),
+            stems=stems,
+            idents=set(code_tokens(question)),
+            idf_mass=sum(self._token_idf.get(t, self._max_token_idf) for t in sorted(stems)),
+        )
+
+    def _score(self, fact: Fact, q: _QuestionFeatures) -> float:
+        return self._topic_score(fact, q) + 3.2 * self._paraphrase_score(fact, q)
 
     def score(self, fact: Fact, question: str) -> float:
-        q_lower = question.lower()
-        q_stems = set(stemmed_tokens(question))
-        q_idents = set(code_tokens(question))
-        s = self._topic_score(fact, q_lower, q_stems, q_idents)
-        s += 3.2 * self._paraphrase_score(fact, q_stems)
-        return s
+        return self._score(fact, self._question_features(question))
 
     def select(
         self,
@@ -120,17 +173,8 @@ class RelevanceModel:
         fraction of the best score (so one dominant topic match does not
         drag in everything mildly related).
         """
-        q_lower = question.lower()
-        q_stems = set(stemmed_tokens(question))
-        q_idents = set(code_tokens(question))
-        scored = [
-            ScoredFact(
-                fact=f,
-                score=self._topic_score(f, q_lower, q_stems, q_idents)
-                + 3.2 * self._paraphrase_score(f, q_stems),
-            )
-            for f in facts
-        ]
+        q = self._question_features(question)
+        scored = [ScoredFact(fact=f, score=self._score(f, q)) for f in facts]
         scored.sort(key=lambda sf: (-sf.score, sf.fact.fact_id))
         if not scored or scored[0].score < min_score:
             return []

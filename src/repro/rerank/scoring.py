@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +65,7 @@ def _concept_index() -> dict[str, int]:
 _CONCEPT_OF: dict[str, int] = _concept_index()
 
 
+@lru_cache(maxsize=16384)  # the corpus vocabulary is a few thousand stems
 def _concept(token: str) -> int | None:
     """The concept-group id of a (stemmed) token, by prefix match."""
     if token in _CONCEPT_OF:
@@ -80,6 +83,23 @@ def build_idf(documents: list[Document]) -> dict[str, float]:
         df.update(set(stemmed_tokens(doc.text)))
     n = max(len(documents), 1)
     return {t: math.log((1 + n) / (1 + c)) + 1.0 for t, c in df.items()}
+
+
+#: Chunks whose document-side features one scorer keeps (least recently
+#: used dropped first); several times the corpus.
+_DOC_CACHE_SIZE = 2048
+
+
+class _QueryFeatures(NamedTuple):
+    """What one query contributes to every pair it is scored in."""
+
+    terms: set[str]
+    #: (stem, IDF weight, concept group) in sorted stem order.
+    weighted: list[tuple[str, float, int | None]]
+    #: Sum of the weights, in that order.
+    total: float
+    idents: set[str]
+    bigrams: set[tuple[str, ...]]
 
 
 class InteractionScorer:
@@ -109,43 +129,35 @@ class InteractionScorer:
         self.w_proximity = w_proximity
         self.w_focus = w_focus
         self.focus_chars = focus_chars
-        # Document-side features are query-independent; candidates repeat
-        # heavily across queries, so cache them (bounded by corpus size).
-        self._doc_cache: dict[int, tuple[list[str], set[str], set[int], set[tuple[str, str]]]] = {}
+        # Document-side features are query-independent and candidates
+        # repeat heavily across queries.
+        self._doc_features = lru_cache(maxsize=_DOC_CACHE_SIZE)(self._analyse_doc)
 
     # ------------------------------------------------------------------ features
-    def _coverage(self, q_terms: set[str], d_terms: set[str], d_concepts: set[int]) -> float:
-        if not q_terms:
-            return 0.0
-        total = 0.0
+    @staticmethod
+    def _coverage(q: _QueryFeatures, d_terms: set[str], d_concepts: set[int]) -> float:
         hit = 0.0
-        for t in q_terms:
-            w = self.idf.get(t, self.default_idf)
-            total += w
+        for t, w, gid in q.weighted:
             if t in d_terms:
                 hit += w
-            else:
-                gid = _concept(t)
-                if gid is not None and gid in d_concepts:
-                    hit += 0.7 * w  # synonym match: strong but below exact
-        if total <= 0:
+            elif gid is not None and gid in d_concepts:
+                hit += 0.7 * w  # synonym match: strong but below exact
+        if q.total <= 0:
             return 0.0
         # Saturating matched-mass factor: a tiny page matching three weak
         # terms must not outscore a substantive section matching eight.
         mass = hit / (hit + 6.0)
-        return (hit / total) * (0.4 + 1.2 * mass)
+        return (hit / q.total) * (0.4 + 1.2 * mass)
 
     @staticmethod
-    def _identifier(query: str, text: str) -> float:
-        idents = set(code_tokens(query))
+    def _identifier(idents: set[str], text: str) -> float:
         if not idents:
             return 0.0
         present = sum(1 for i in idents if i in text)
         return present / len(idents)
 
     @staticmethod
-    def _bigram(q_tokens: list[str], d_bigrams: set[tuple[str, str]]) -> float:
-        q_bigrams = set(word_ngrams(q_tokens, 2))
+    def _bigram(q_bigrams: set[tuple[str, ...]], d_bigrams: set[tuple[str, ...]]) -> float:
         if not q_bigrams:
             return 0.0
         return len(q_bigrams & d_bigrams) / len(q_bigrams)
@@ -188,31 +200,46 @@ class InteractionScorer:
         return math.log(len(text) / self.focus_chars)
 
     # ------------------------------------------------------------------ scoring
-    def _doc_features(self, text: str) -> tuple[list[str], set[str], set[int], set[tuple[str, str]]]:
-        key = hash(text)
-        cached = self._doc_cache.get(key)
-        if cached is not None:
-            return cached
+    @staticmethod
+    def _analyse_doc(text: str) -> tuple[list[str], set[str], set[int], set[tuple[str, ...]]]:
         d_stems = stemmed_tokens(text)
         d_terms = set(d_stems)
         d_concepts = {g for g in (_concept(t) for t in d_terms) if g is not None}
         d_bigrams = set(word_ngrams([stem(t) for t in tokenize_with_stopwords(text)], 2))
-        features = (d_stems, d_terms, d_concepts, d_bigrams)
-        self._doc_cache[key] = features
-        return features
+        return d_stems, d_terms, d_concepts, d_bigrams
+
+    def _analyse_query(self, query: str) -> _QueryFeatures:
+        terms = set(stemmed_tokens(query))
+        # Sorted: float addition is non-associative and set order varies
+        # with the process hash seed, so sums taken in set order differ in
+        # their last bits between processes.
+        weighted = [
+            (t, self.idf.get(t, self.default_idf), _concept(t)) for t in sorted(terms)
+        ]
+        total = 0.0
+        for _, w, _ in weighted:
+            total += w
+        return _QueryFeatures(
+            terms=terms,
+            weighted=weighted,
+            total=total,
+            idents=set(code_tokens(query)),
+            bigrams=set(word_ngrams([stem(t) for t in tokenize_with_stopwords(query)], 2)),
+        )
 
     def score(self, query: str, text: str) -> float:
-        q_stems = stemmed_tokens(query)
-        q_terms = set(q_stems)
-        d_stems, d_terms, d_concepts, d_bigrams = self._doc_features(text)
-        s = self.w_coverage * self._coverage(q_terms, d_terms, d_concepts)
-        s += self.w_identifier * self._identifier(query, text)
-        q_all = [stem(t) for t in tokenize_with_stopwords(query)]
-        s += self.w_bigram * self._bigram(q_all, d_bigrams)
-        if self.w_proximity:
-            s += self.w_proximity * self._proximity(q_terms, d_stems)
-        s -= self.w_focus * self._focus(text)
-        return s
+        return float(self.score_batch(query, [text])[0])
 
     def score_batch(self, query: str, texts: list[str]) -> np.ndarray:
-        return np.array([self.score(query, t) for t in texts], dtype=np.float64)
+        q = self._analyse_query(query)
+        scores = np.empty(len(texts), dtype=np.float64)
+        for i, text in enumerate(texts):
+            d_stems, d_terms, d_concepts, d_bigrams = self._doc_features(text)
+            s = self.w_coverage * self._coverage(q, d_terms, d_concepts)
+            s += self.w_identifier * self._identifier(q.idents, text)
+            s += self.w_bigram * self._bigram(q.bigrams, d_bigrams)
+            if self.w_proximity:
+                s += self.w_proximity * self._proximity(q.terms, d_stems)
+            s -= self.w_focus * self._focus(text)
+            scores[i] = s
+        return scores

@@ -12,6 +12,7 @@ manual-page keyword search depends on exact identifier matching.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 # A compact English stopword list.  Kept small on purpose: technical
@@ -158,6 +159,7 @@ _SUFFIXES: tuple[str, ...] = (
 )
 
 
+@lru_cache(maxsize=16384)  # the corpus vocabulary is a few thousand tokens
 def stem(token: str) -> str:
     """A crude suffix-stripping stemmer for relevance matching.
 

@@ -22,6 +22,7 @@ exactly rather than approximately:
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable
 
@@ -62,6 +63,16 @@ def shard_for_document(doc: Document, num_shards: int) -> int:
     return shard_for_source(key, num_shards)
 
 
+def _sort_hits(hits: list[tuple[Document, float]]) -> None:
+    """Sort in place under the global ``(-score, doc_id)`` order.
+
+    ``doc_id`` hashes the whole chunk text, so it is taken only for hits
+    whose score another hit shares — the others never reach the tie-break.
+    """
+    shared = Counter(score for _, score in hits)
+    hits.sort(key=lambda pair: (-pair[1], pair[0].doc_id if shared[pair[1]] > 1 else ""))
+
+
 def _shard_top_k(
     store: VectorStore, qvec: np.ndarray, k: int, where: dict | None
 ) -> list[tuple[Document, float]]:
@@ -74,7 +85,7 @@ def _shard_top_k(
         if exhausted or boundary_clear:
             break
         fetch *= 2
-    hits.sort(key=lambda pair: (-pair[1], pair[0].doc_id))
+    _sort_hits(hits)
     return hits[:k]
 
 
@@ -213,7 +224,7 @@ class ShardedVectorStore:
         if ctx is not None:
             previous = float(ctx.scratch.get("shard_coverage", 1.0))
             ctx.scratch["shard_coverage"] = min(previous, coverage)
-        merged.sort(key=lambda pair: (-pair[1], pair[0].doc_id))
+        _sort_hits(merged)
         return merged[:k]
 
     def _scatter(

@@ -1,0 +1,388 @@
+"""The compiled text-analysis tables against the per-call code they replaced.
+
+Fact detection, rerank features and fact relevance each derive static
+things once (per registry, per chunk, per question).  The functions in
+the first section are the *old* per-call implementations, kept here as
+references: the production code must agree with them exactly.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.corpus.builder import chunk_corpus
+from repro.corpus.facts import Fact, FactRegistry, default_registry
+from repro.documents import Document
+from repro.evaluation.benchmark import krylov_benchmark
+from repro.llm.relevance import RelevanceModel
+from repro.rerank import FlashrankLiteReranker, NvidiaSimReranker
+from repro.rerank import scoring
+from repro.utils.textproc import (
+    code_tokens,
+    sentences,
+    stem,
+    stemmed_tokens,
+    tokenize_with_stopwords,
+    word_ngrams,
+)
+from repro.vectorstore.sharded import _sort_hits
+
+# --------------------------------------------------------------------- references
+_IDENT_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$|^-[a-z][a-z0-9_]*$")
+
+
+def ref_contains_term(text: str, text_lower: str, term: str) -> bool:
+    if _IDENT_RE.match(term):
+        return re.search(rf"(?<![A-Za-z0-9_]){re.escape(term)}(?![A-Za-z0-9_])", text) is not None
+    return (
+        re.search(rf"(?<![a-z0-9_]){re.escape(term.lower())}(?![a-z0-9_])", text_lower)
+        is not None
+    )
+
+
+def ref_appears_in(signature: tuple[str, ...], text: str) -> bool:
+    """Per-term ``re.search`` over the text, then a sentence split per signature."""
+    tl = text.lower()
+    if not all(ref_contains_term(text, tl, term) for term in signature):
+        return False
+    for sent in sentences(text):
+        sl = sent.lower()
+        if all(ref_contains_term(sent, sl, term) for term in signature):
+            return True
+    return False
+
+
+def ref_detect(registry: FactRegistry, text: str) -> tuple[list[str], list[str]]:
+    return (
+        [f.fact_id for f in registry.facts.values() if ref_appears_in(f.signature, text)],
+        [f.false_id for f in registry.falsehoods.values() if ref_appears_in(f.signature, text)],
+    )
+
+
+#: The lexicon scan itself, without the memo in front of it.
+ref_concept = scoring._concept.__wrapped__
+
+
+def ref_pair_score(sc: scoring.InteractionScorer, query: str, text: str) -> float:
+    """One (query, text) pair with every feature derived from scratch
+    (coverage summed in sorted term order)."""
+    q_terms = set(stemmed_tokens(query))
+    d_stems = stemmed_tokens(text)
+    d_terms = set(d_stems)
+    d_concepts = {g for g in (ref_concept(t) for t in d_terms) if g is not None}
+    coverage = 0.0
+    if q_terms:
+        total = hit = 0.0
+        for t in sorted(q_terms):
+            w = sc.idf.get(t, sc.default_idf)
+            total += w
+            if t in d_terms:
+                hit += w
+            else:
+                gid = ref_concept(t)
+                if gid is not None and gid in d_concepts:
+                    hit += 0.7 * w
+        if total > 0:
+            coverage = (hit / total) * (0.4 + 1.2 * (hit / (hit + 6.0)))
+    s = sc.w_coverage * coverage
+    idents = set(code_tokens(query))
+    s += sc.w_identifier * (sum(1 for i in idents if i in text) / len(idents) if idents else 0.0)
+    q_bigrams = set(word_ngrams([stem(t) for t in tokenize_with_stopwords(query)], 2))
+    d_bigrams = set(word_ngrams([stem(t) for t in tokenize_with_stopwords(text)], 2))
+    s += sc.w_bigram * (len(q_bigrams & d_bigrams) / len(q_bigrams) if q_bigrams else 0.0)
+    if sc.w_proximity:
+        s += sc.w_proximity * sc._proximity(q_terms, d_stems)
+    s -= sc.w_focus * sc._focus(text)
+    return s
+
+
+def ref_topic_score(rel: RelevanceModel, fact: Fact, question: str) -> float:
+    """Every topic lower-cased and stemmed again for every question."""
+    q_lower = question.lower()
+    q_stems = set(stemmed_tokens(question))
+    q_idents = set(code_tokens(question))
+    s = 0.0
+    for topic in fact.topics:
+        tl = topic.lower()
+        w = rel.topic_weight(topic)
+        if topic in q_idents:
+            s += 1.3 * w
+        elif " " in tl:
+            if tl in q_lower:
+                s += 1.3 * w
+        elif stem(tl) in q_stems or tl in q_stems:
+            s += 1.0 * w
+        elif tl.startswith("-") and stem(tl.lstrip("-")) in q_stems:
+            s += 1.0 * w
+        else:
+            for prefix in rel._PREFIXES:
+                rest = tl[len(prefix):]
+                if tl.startswith(prefix) and len(rest) >= 2 and stem(rest) in q_stems:
+                    s += 1.0 * w
+                    break
+    return s
+
+
+# --------------------------------------------------------------------- fact detection
+_REGISTRY = default_registry()
+_SIGNED = [*_REGISTRY.facts.values(), *_REGISTRY.falsehoods.values()]
+_STATEMENTS = [x.statement for x in _SIGNED]
+_TERMS = sorted({t for x in _SIGNED for t in x.signature})
+_PHRASES = [t for t in _TERMS if " " in t]
+
+_terms = st.sampled_from(_TERMS)
+_statements = st.sampled_from(_STATEMENTS)
+_fragments = st.one_of(
+    _statements,
+    # case flips: identifiers must stop matching, words must not
+    _statements.map(str.lower),
+    _statements.map(str.upper),
+    _statements.map(str.swapcase),
+    # bare terms, so a signature can be scattered over sentences
+    _terms,
+    # glue on either side: KSP / KSPSetOperators, -ksp_monitor /
+    # -ksp_monitor_true_residual, normal / normal equations, -pc_type /
+    # -pc_type lu
+    st.builds(
+        lambda term, tail: term + tail,
+        _terms,
+        st.sampled_from(["SetOperators", "_true_residual", "X", "s", "0", "-", " lu", " equations"]),
+    ),
+    st.builds(
+        lambda head, term: head + term, st.sampled_from(["K", "x", "_", "-", "9", "Pre"]), _terms
+    ),
+    # multi-word terms broken by a newline, a double space or a tab
+    st.builds(
+        lambda phrase, gap: phrase.replace(" ", gap),
+        st.sampled_from(_PHRASES),
+        st.sampled_from(["\n", "  ", "\t", " \n "]),
+    ),
+    st.builds(
+        lambda signed, gap: signed.statement.replace(" ", gap),
+        st.sampled_from([x for x in _SIGNED if any(" " in t for t in x.signature)]),
+        st.sampled_from(["\n", "  "]),
+    ),
+)
+_joiners = st.sampled_from([" ", "  ", ". ", ".\n", "\n", "\n\n- ", "! ", "? ", ", ", ""])
+_texts = st.lists(st.tuples(_fragments, _joiners), min_size=1, max_size=8).map(
+    lambda parts: "".join(fragment + joiner for fragment, joiner in parts)
+)
+
+
+def _detected(registry: FactRegistry, text: str) -> tuple[list[str], list[str]]:
+    facts, falsehoods = registry.detect(text)
+    return [f.fact_id for f in facts], [f.false_id for f in falsehoods]
+
+
+class TestMatcherAgainstReference:
+    def test_every_corpus_chunk(self, bundle):
+        registry = bundle.registry
+        chunks = chunk_corpus(bundle, include_mail=True)
+        assert len(chunks) > 200
+        tagged = 0
+        for chunk in chunks:
+            expected = ref_detect(registry, chunk.text)
+            assert _detected(registry, chunk.text) == expected
+            assert [f.fact_id for f in registry.facts_in(chunk.text)] == expected[0]
+            assert [f.false_id for f in registry.falsehoods_in(chunk.text)] == expected[1]
+            assert chunk.metadata.get("facts", "") == ",".join(sorted(expected[0]))
+            assert chunk.metadata.get("falsehoods", "") == ",".join(sorted(expected[1]))
+            tagged += bool(expected[0] or expected[1])
+        assert tagged > 50
+
+    @given(_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_assembled_texts(self, text):
+        expected = ref_detect(_REGISTRY, text)
+        assert _detected(_REGISTRY, text) == expected
+        for signed in _SIGNED[::7]:
+            assert signed.appears_in(text) == ref_appears_in(signed.signature, text)
+
+    @pytest.mark.parametrize(
+        "signature, text, asserted",
+        [
+            (("KSP",), "call KSPSetOperators() first", False),
+            (("KSP",), "the KSP object", True),
+            (("KSP",), "the ksp object", False),
+            (("-ksp_monitor",), "run with -ksp_monitor_true_residual", False),
+            (("-ksp_monitor",), "run with -ksp_monitor.", True),
+            (("-ksp_monitor",), "run with --ksp_monitor", True),
+            (("normal",), "the normal equations", True),
+            (("normal equations",), "a normal equation", False),
+            (("normal equations",), "The Normal Equations are formed", True),
+            (("-pc_type lu",), "use -pc_type lu here", True),
+            (("-pc_type lu",), "use -pc_type lum here", False),
+            (("-pc_type", "-pc_type lu"), "use -pc_type lu here", True),
+            # The whole-text check sees the text as written ...
+            (("least squares",), "least\nsquares", False),
+            (("least squares",), "least  squares", False),
+            # ... the sentence check sees it whitespace-normalised, and
+            # both must hold.
+            (("least squares", "KSPLSQR"), "KSPLSQR does least  squares. Also least squares.", True),
+            (("KSPLSQR", "rectangular"), "KSPLSQR is a solver. Some are rectangular.", False),
+            (("KSPLSQR", "rectangular"), "KSPLSQR is a solver.\nrectangular ones too", False),
+            (("KSPLSQR", "rectangular"), "So KSPLSQR takes RECTANGULAR ones.", True),
+        ],
+    )
+    def test_named_cases(self, signature, text, asserted):
+        statement = " ".join(signature)
+        fact = Fact(fact_id="t", statement=statement, signature=signature)
+        assert ref_appears_in(signature, text) is asserted
+        assert fact.appears_in(text) is asserted
+        registry = FactRegistry()
+        registry.add_fact(fact)
+        assert bool(registry.facts_in(text)) is asserted
+
+    def test_facts_added_after_a_scan_are_detected(self):
+        registry = FactRegistry()
+        registry.add_fact(Fact(fact_id="a", statement="KSPLSQR here", signature=("KSPLSQR",)))
+        assert [f.fact_id for f in registry.facts_in("KSPLSQR and PCGAMG")] == ["a"]
+        registry.add_fact(Fact(fact_id="b", statement="PCGAMG here", signature=("PCGAMG",)))
+        assert [f.fact_id for f in registry.facts_in("KSPLSQR and PCGAMG")] == ["a", "b"]
+        # ``facts`` is a public dict: a direct write is detected as well.
+        registry.facts["c"] = Fact(fact_id="c", statement="and here", signature=("and",))
+        assert [f.fact_id for f in registry.facts_in("KSPLSQR and PCGAMG")] == ["a", "b", "c"]
+
+    def test_grader_detection_matches_reference(self, service, grader):
+        for question in krylov_benchmark()[:12]:
+            if question.kind != "standard":
+                continue
+            answer = service.answer(question.text).answer
+            graded = grader.grade(question, answer)
+            facts, falsehoods = ref_detect(grader.registry, answer)
+            found = set(graded.key_found + graded.extra_found)
+            wanted = set(question.key_facts + question.extra_facts)
+            assert found == wanted & set(facts)
+            assert list(graded.falsehoods) == sorted(falsehoods)
+
+
+# --------------------------------------------------------------------- rerank features
+@pytest.fixture(scope="module")
+def chunk_texts(chunks):
+    return [c.text for c in chunks]
+
+
+@pytest.fixture(scope="module", params=[FlashrankLiteReranker, NvidiaSimReranker])
+def scorer(request, chunks):
+    return request.param(chunks)._scorer
+
+
+class TestRerankFeatures:
+    def test_batch_is_score_per_text_and_both_equal_the_reference(self, scorer, chunk_texts):
+        for question in krylov_benchmark():
+            texts = chunk_texts[:: 1 + len(question.text) % 5][:24]
+            batch = scorer.score_batch(question.text, texts).tolist()
+            assert batch == [scorer.score(question.text, t) for t in texts]
+            assert batch == [ref_pair_score(scorer, question.text, t) for t in texts]
+
+    def test_empty_query_and_empty_batch(self, scorer):
+        assert scorer.score_batch("anything", []).shape == (0,)
+        assert scorer.score("", "KSPLSQR") == ref_pair_score(scorer, "", "KSPLSQR")
+
+    def test_doc_cache_is_keyed_on_text_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(scoring, "_DOC_CACHE_SIZE", 4)
+        sc = scoring.InteractionScorer()
+        texts = [f"gmres restart number {i}" for i in range(10)]
+        sc.score_batch("gmres restart", texts)
+        info = sc._doc_features.cache_info()
+        assert (info.currsize, info.maxsize, info.misses) == (4, 4, 10)
+        sc.score("gmres restart", texts[-1])
+        assert sc._doc_features.cache_info().hits == 1
+        # Features come back for the text asked about, whatever was cached.
+        assert sc.score("gmres restart", texts[0]) == ref_pair_score(sc, "gmres restart", texts[0])
+
+    def test_scores_do_not_depend_on_the_hash_seed(self):
+        """Coverage sums float IDF weights; in set order the last bits
+        would follow ``PYTHONHASHSEED``."""
+        script = (
+            "import hashlib\n"
+            "from repro.corpus import build_default_corpus\n"
+            "from repro.corpus.builder import chunk_corpus\n"
+            "from repro.evaluation.benchmark import krylov_benchmark\n"
+            "from repro.rerank import FlashrankLiteReranker\n"
+            "chunks = chunk_corpus(build_default_corpus())\n"
+            "texts = [c.text for c in chunks]\n"
+            "rr = FlashrankLiteReranker(chunks)\n"
+            "h = hashlib.sha256()\n"
+            "for q in krylov_benchmark():\n"
+            "    h.update(repr(rr.score_pairs(q.text, texts)).encode())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1, digests
+
+
+# --------------------------------------------------------------------- shard merge order
+class _CountingDocument(Document):
+    """Counts how often its content hash is taken."""
+
+    hashed = 0
+
+    @property
+    def doc_id(self) -> str:
+        type(self).hashed += 1
+        return hashlib.sha256(self.text.encode()).hexdigest()
+
+
+class TestSortHits:
+    @given(st.lists(st.tuples(st.integers(0, 30), st.sampled_from([0.1, 0.25, 0.5, 0.75])), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_order_is_score_then_doc_id(self, pairs):
+        hits = [(Document(text=f"chunk {n}"), score) for n, score in pairs]
+        expected = sorted(hits, key=lambda pair: (-pair[1], pair[0].doc_id))
+        _sort_hits(hits)
+        assert [(d.doc_id, s) for d, s in hits] == [(d.doc_id, s) for d, s in expected]
+
+    def test_doc_id_is_taken_only_inside_score_ties(self):
+        _CountingDocument.hashed = 0
+        hits = [(_CountingDocument(text=f"chunk {n}"), score)
+                for n, score in enumerate([0.9, 0.5, 0.7, 0.5, 0.1, 0.3])]
+        _sort_hits(hits)
+        assert [s for _, s in hits] == [0.9, 0.7, 0.5, 0.5, 0.3, 0.1]
+        assert _CountingDocument.hashed == 2
+        assert hits[2][0].doc_id < hits[3][0].doc_id
+
+
+# --------------------------------------------------------------------- fact relevance
+class TestTopicPlans:
+    def test_score_equals_select_and_the_reference(self, registry):
+        rel = RelevanceModel(registry)
+        facts = list(registry.facts.values())
+        questions = [q.text for q in krylov_benchmark()]
+        questions += ["", "I ran with -ksp_type preonly and -pc_type ilu", "what does -log_view print"]
+        nonzero = 0
+        for question in questions:
+            selected = rel.select(
+                facts, question, max_facts=len(facts), min_score=0.0, relative=0.0
+            )
+            by_id = {sf.fact.fact_id: sf.score for sf in selected}
+            q_stems = set(stemmed_tokens(question))
+            for fact in facts:
+                score = rel.score(fact, question)
+                assert by_id.get(fact.fact_id, score) == score
+                shared = q_stems & rel._stmt_tokens[fact.fact_id]
+                paraphrase = 0.0
+                if shared:
+                    num = sum(rel._token_idf.get(t, rel._max_token_idf) for t in sorted(shared))
+                    den = sum(rel._token_idf.get(t, rel._max_token_idf) for t in sorted(q_stems))
+                    paraphrase = num / den if den > 0 else 0.0
+                assert score == ref_topic_score(rel, fact, question) + 3.2 * paraphrase
+                nonzero += score > 0
+            assert len(selected) == len(facts) or not question or selected == []
+        assert nonzero > 500
