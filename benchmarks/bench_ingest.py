@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import open_engine
-from repro.config import IngestConfig, ReproConfig, RetrievalConfig
+from repro.config import ReproConfig, RetrievalConfig
 from repro.corpus.builder import CorpusBundle
 from repro.documents import Document
 from repro.evaluation.benchmark import krylov_benchmark
@@ -54,7 +54,6 @@ def _cfg() -> ReproConfig:
     return ReproConfig(
         iterations_per_token=0,
         retrieval=RetrievalConfig(embedding_model=EMBEDDING),
-        ingest=IngestConfig(),
     )
 
 

@@ -29,7 +29,6 @@ Main entry points
 
 from repro.config import (
     EngineConfig,
-    IngestConfig,
     ReplicationConfig,
     ReproConfig,
     RetrievalConfig,
@@ -65,7 +64,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "EngineConfig",
-    "IngestConfig",
     "ReplicationConfig",
     "ReproConfig",
     "RetrievalConfig",

@@ -208,6 +208,13 @@ def open_support_system(
         # redelivered on the next tick, so no wrapper retry here.
         webhook_post = fault_injector.wrap_callable("webhook", webhook.execute)
     poller = AppsScriptPoller(account=account, webhook_post=webhook_post)
+    if config.durability.dead_letter_journal:
+        # The dead-letter queue outlives the process: take back what an
+        # earlier one left undelivered, then journal every mutation.
+        poller.restore_dead_letters(config.durability.dead_letter_journal)
+        poller.attach_journal(
+            config.durability.dead_letter_journal, fsync=config.durability.fsync
+        )
 
     email_bot = EmailBot(server, gateway, account=account)
     store = InteractionStore()

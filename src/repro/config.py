@@ -204,8 +204,6 @@ class DurabilityConfig:
     #: fsync temp files and journal appends before acknowledging them.
     #: Turning this off trades power-loss safety for speed (tests, CI).
     fsync: bool = True
-    #: Verify the index disk cache's payload checksums before serving it.
-    verify_index_checksums: bool = True
     #: When set, the workflow's interaction store journals every record here.
     history_journal: str | None = None
     #: When set, the poller journals dead-letter queue mutations here.
@@ -263,9 +261,6 @@ class ShardingConfig:
     num_shards: int = 1
     #: Worker-pool width for parallel per-shard index builds.
     build_workers: int = 4
-    #: Worker-pool width for the per-query scatter across shards;
-    #: 0 probes shards sequentially (results are identical either way).
-    scatter_workers: int = 0
 
     def validate(self) -> None:
         if self.num_shards < 1:
@@ -275,10 +270,6 @@ class ShardingConfig:
         if self.build_workers <= 0:
             raise ConfigurationError(
                 f"build_workers must be positive, got {self.build_workers}"
-            )
-        if self.scatter_workers < 0:
-            raise ConfigurationError(
-                f"scatter_workers must be >= 0, got {self.scatter_workers}"
             )
 
 
@@ -331,37 +322,6 @@ class ReplicationConfig:
 
 
 @dataclass
-class IngestConfig:
-    """Ingestion-lifecycle knobs: delta builds, epochs, invalidation.
-
-    The write path (:mod:`repro.ingest`) stages every corpus mutation
-    through one lifecycle: load → split → content-address → diff →
-    embed-the-delta → apply to dirty shards → fan out to replicas →
-    epoch swap → scoped cache invalidation.  These flags tune how
-    aggressive the delta reuse is; they never change *what* is served —
-    a delta-built artifact is value-identical to a from-scratch build
-    by contract.
-    """
-
-    #: Resolve ``get_or_build_index`` via delta-from-parent when a
-    #: lineage parent is available (corpus-free embeddings only).
-    delta_enabled: bool = True
-    #: Fall back to a full rebuild when more than this fraction of
-    #: chunks changed — at that point a delta saves nothing.
-    max_delta_fraction: float = 0.5
-    #: Invalidate only the cache entries the delta can affect; when
-    #: off, an ingest clears the query caches wholesale (old blunt
-    #: behaviour, always safe).
-    scoped_invalidation: bool = True
-
-    def validate(self) -> None:
-        if not 0.0 < self.max_delta_fraction <= 1.0:
-            raise ConfigurationError(
-                f"max_delta_fraction must be in (0, 1], got {self.max_delta_fraction}"
-            )
-
-
-@dataclass
 class ReproConfig:
     """Root configuration nesting every subsystem's knobs.
 
@@ -380,7 +340,6 @@ class ReproConfig:
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
     replication: ReplicationConfig = field(default_factory=ReplicationConfig)
-    ingest: IngestConfig = field(default_factory=IngestConfig)
     #: Latency-burn override for the simulated model; None keeps the
     #: persona default, 0 disables the burn (unit tests).
     iterations_per_token: int | None = None
@@ -404,7 +363,6 @@ class ReproConfig:
         self.durability.validate()
         self.sharding.validate()
         self.replication.validate()
-        self.ingest.validate()
 
     def to_dict(self) -> dict:
         """Serialize to a plain nested dict (JSON-compatible)."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from repro.corpus.chapters import manual_chapters
 from repro.corpus.facts import FactRegistry, default_registry
@@ -239,10 +240,9 @@ def _chunk_source(
     """One source document's chunks, partitioned into (whole, split).
 
     Chunking is self-contained per source — no splitter state crosses
-    document boundaries — which is what lets the ingest delta path
-    re-chunk only the sources whose text changed
-    (:func:`chunk_corpus_delta`) and still match a full
-    :func:`chunk_corpus` byte-for-byte.
+    document boundaries — which is what lets :func:`chunk_corpus` reuse
+    a parent's chunks for the sources whose text did not change and
+    still match a from-scratch pass byte-for-byte.
     """
     if doc.metadata.get("doc_type") == "manual_page" and len(doc.text) <= 4 * chunk_size:
         return [doc], []
@@ -272,6 +272,8 @@ def chunk_corpus(
     include_mail: bool = False,
     chunk_size: int = 800,
     chunk_overlap: int = 120,
+    parent_chunks: Sequence[Document] = (),
+    parent_source_digests: Mapping[str, str] | None = None,
 ) -> list[Document]:
     """Split the corpus into tagged retrieval chunks.
 
@@ -287,43 +289,14 @@ def chunk_corpus(
     Output order is all whole pages in corpus order, then all split
     chunks in corpus order — the order every artifact digest is pinned
     to.
-    """
-    header_splitter = MarkdownHeaderTextSplitter(max_depth=2)
-    char_splitter = RecursiveCharacterTextSplitter(
-        chunk_size=chunk_size, chunk_overlap=chunk_overlap
-    )
-    whole: list[Document] = []
-    split_chunks: list[Document] = []
-    for doc in _chunking_docs(bundle, include_mail):
-        w, s = _chunk_source(doc, header_splitter, char_splitter, chunk_size)
-        whole.extend(w)
-        split_chunks.extend(s)
-    return tag_chunks_with_facts(whole + split_chunks, bundle.registry)
-
-
-def chunk_corpus_delta(
-    bundle: CorpusBundle,
-    parent_chunks: list[Document],
-    parent_source_digests: dict[str, str],
-    *,
-    include_mail: bool = False,
-    chunk_size: int = 800,
-    chunk_overlap: int = 120,
-) -> tuple[list[Document], list[str]]:
-    """Chunk the corpus, re-splitting only the sources whose text changed.
 
     ``parent_source_digests`` maps each source path to the sha256 of the
     text it had when ``parent_chunks`` were produced (see
-    :func:`repro.ingest.identity.source_digest` /
-    :func:`corpus_source_digests`).  Sources whose digest is unchanged
-    reuse their parent chunks verbatim — tags included — so the result
-    is byte-identical to a fresh :func:`chunk_corpus` over the same
-    bundle while paying splitter + tagger cost only for the dirty
-    sources.
-
-    Returns ``(chunks, changed_sources)`` where ``changed_sources``
-    lists the source paths that were re-chunked (added or modified) or
-    dropped.
+    :func:`corpus_source_digests`).  A source whose digest is unchanged
+    reuses its parent chunks verbatim — tags included — so only the
+    edited sources pay for the splitter and the tagger; the result is
+    byte-identical to a pass with no parent, which is the same pass with
+    nothing to reuse.
     """
     from repro.ingest.identity import source_digest as _source_digest
 
@@ -341,26 +314,19 @@ def chunk_corpus_delta(
         bucket = parent_split if "chunk" in chunk.metadata else parent_whole
         bucket.setdefault(source, []).append(chunk)
 
-    changed: list[str] = []
-    seen_sources: set[str] = set()
+    parent_digests = parent_source_digests or {}
     whole: list[Document] = []
     split_chunks: list[Document] = []
     for doc in _chunking_docs(bundle, include_mail):
         source = str(doc.metadata.get("source", ""))
-        seen_sources.add(source)
-        if (
-            source in parent_source_digests
-            and parent_source_digests[source] == _source_digest(doc.text)
-        ):
+        if source in parent_digests and parent_digests[source] == _source_digest(doc.text):
             whole.extend(parent_whole.get(source, ()))
             split_chunks.extend(parent_split.get(source, ()))
             continue
-        changed.append(source)
         w, s = _chunk_source(doc, header_splitter, char_splitter, chunk_size)
         whole.extend(tag_chunks_with_facts(w, bundle.registry))
         split_chunks.extend(tag_chunks_with_facts(s, bundle.registry))
-    changed.extend(sorted(set(parent_source_digests) - seen_sources))
-    return whole + split_chunks, changed
+    return whole + split_chunks
 
 
 def corpus_source_digests(

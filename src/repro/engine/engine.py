@@ -133,11 +133,7 @@ class QueryEngine:
             return None
         store = self.artifact.fork_store(
             embedding=self._query_embedding
-        ).with_serving_context(
-            binder=self.binder,
-            registry_fn=self._metrics,
-            scatter_workers=self.config.sharding.scatter_workers,
-        )
+        ).with_serving_context(binder=self.binder, registry_fn=self._metrics)
         wrapper = self._replica_fault_wrapper()
         rep = self.config.replication
         if rep.replicas > 1 or rep.require_full_coverage or wrapper is not None:
@@ -221,9 +217,8 @@ class QueryEngine:
         rebinds query embedding to the new artifact's model; the epoch
         counter advances and exactly the affected cache entries are
         invalidated — scoped by ``delta`` (a
-        :class:`~repro.ingest.delta.CorpusDelta`) when
-        ``config.ingest.scoped_invalidation`` is on, wholesale
-        otherwise.
+        :class:`~repro.ingest.delta.CorpusDelta`), wholesale without
+        one.
 
         A no-op swap (same digest) returns ``False`` and changes
         nothing: no epoch advance, no cache invalidation, no pipeline
@@ -245,10 +240,9 @@ class QueryEngine:
             artifact.embedding.name == previous.embedding.name
             and artifact.embedding.dim == previous.embedding.dim
         )
-        scoped = delta if self.config.ingest.scoped_invalidation else None
         self._last_invalidation = invalidate_engine_caches(
             self,
-            scoped,
+            delta,
             stale_digest=previous.digest,
             embedding_preserved=embedding_preserved,
         )

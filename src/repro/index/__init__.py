@@ -14,8 +14,6 @@ from repro.index.artifact import (
     corpus_digest,
 )
 from repro.index.builder import (
-    build_index,
-    build_index_from_parent,
     cache_artifact,
     cached_artifact,
     clear_index_cache,
@@ -23,6 +21,7 @@ from repro.index.builder import (
     get_or_build_index,
     lineage_parent,
     read_cached_payload,
+    resolve_index,
     save_artifact,
 )
 from repro.index.sharding import ShardPlan, ShardSpec, composite_digest, plan_shards
@@ -33,8 +32,6 @@ __all__ = [
     "ShardPlan",
     "ShardSpec",
     "artifact_digest",
-    "build_index",
-    "build_index_from_parent",
     "cache_artifact",
     "cached_artifact",
     "clear_index_cache",
@@ -46,5 +43,6 @@ __all__ = [
     "lineage_parent",
     "plan_shards",
     "read_cached_payload",
+    "resolve_index",
     "save_artifact",
 ]

@@ -110,17 +110,15 @@ class IndexArtifact:
         Manual-page name → document, for exact keyword lookup.
     registry:
         Ground-truth fact registry (simulated models and graders need it).
-    parent_digest / delta_digest:
-        Lineage: when the artifact was produced by a delta build,
-        ``parent_digest`` names the artifact the delta was applied to
-        and ``delta_digest`` the :class:`~repro.ingest.CorpusDelta` that
-        carried it there.  Both ``None`` for from-scratch builds.  The
-        lineage never feeds :attr:`digest` — a delta-built artifact is
-        value-identical to a from-scratch build and shares its name.
+    parent_digest:
+        Lineage: the artifact this shard's build copied vector rows
+        from; ``None`` when it embedded every chunk itself.  The lineage
+        never feeds :attr:`digest` — a build that reused rows is
+        value-identical to one that did not and shares its name.
     source_digests:
         Source path → sha256 of the source text the chunks came from.
-        The diff stage of the next ingest uses this to re-chunk only the
-        sources that changed.
+        The next build over this artifact re-chunks only the sources
+        whose digest moved.
     shards:
         The per-shard child artifacts, in shard order (empty on a shard).
     """
@@ -134,7 +132,6 @@ class IndexArtifact:
     manual_pages: dict[str, Document] = field(default_factory=dict)
     registry: FactRegistry | None = None
     parent_digest: str | None = None
-    delta_digest: str | None = None
     source_digests: dict[str, str] = field(default_factory=dict)
     shards: "list[IndexArtifact]" = field(default_factory=list)
 
@@ -167,7 +164,6 @@ class IndexArtifact:
             "embedding_model": self.embedding.name,
             "embedding_dim": self.embedding.dim,
             "parent_digest": self.parent_digest,
-            "delta_digest": self.delta_digest,
             "num_shards": self.num_shards,
             "shard_digests": [s.digest for s in self.shards],
         }

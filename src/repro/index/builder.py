@@ -18,17 +18,21 @@ shard** through the same ladder before assembling the composite:
    (the digest is a pure function of the inputs, and the saved chunk
    texts refit the corpus-trained embedding deterministically).  A
    corrupt or mismatched entry raises :class:`IndexBuildError`
-   internally and falls back to a fresh build that overwrites it;
-   loading never silently serves the wrong index.
-3. **Delta-from-parent**: the in-process cache tracks a *lineage* — for
-   every config fingerprint, the most recently cached digest.  When the
-   corpus changes under a fixed fingerprint, a dirty shard is diffed
-   against its lineage parent and, for corpus-free embedding models,
-   assembled by reusing the parent's vectors for unchanged chunks and
-   embedding only the changed ones (:func:`build_index_from_parent`).
-   The result is value-identical to a from-scratch build — same digest,
-   same vectors, same answers.
-4. **Full build** of the shard (:func:`build_index`).
+   internally and falls back to a build that overwrites it; loading
+   never silently serves the wrong index.
+3. **Build** (:func:`build_shard`): the in-process cache tracks a
+   *lineage* — for every config fingerprint, the most recently cached
+   digest.  A dirty shard re-splits only the sources that changed since
+   its lineage parent, copies the parent's vector for every chunk the
+   parent already holds (corpus-free embedding models only) and embeds
+   the rest in one batch.  A from-scratch build is the same code with
+   nothing to reuse — no parent, or a corpus-fitted model whose vectors
+   all depend on the whole corpus — so both are value-identical by
+   construction: same digest, same vectors, same answers.
+
+Each resolution reports the *lane* it took — ``memory``, ``disk``,
+``delta`` (some rows reused) or ``full`` (none) — and a composite
+reports the dearest lane among its shards (:func:`resolve_index`).
 
 One embedding model is fitted over the chunks of *all* shards and shared
 by every shard build, which keeps scores comparable across shards.
@@ -41,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
@@ -48,25 +53,14 @@ from typing import Callable
 import numpy as np
 
 from repro.config import ReproConfig
-from repro.corpus.builder import (
-    CorpusBundle,
-    chunk_corpus,
-    chunk_corpus_delta,
-    corpus_source_digests,
-)
+from repro.corpus.builder import CorpusBundle, chunk_corpus, corpus_source_digests
 from repro.documents import Document
 from repro.durability.atomic import atomic_write_json
 from repro.embeddings import create_embedding_model
 from repro.embeddings.registry import is_corpus_fitted
-from repro.errors import IndexBuildError, ReproError
-from repro.index.artifact import (
-    IndexArtifact,
-    artifact_digest,
-    config_fingerprint,
-    corpus_digest,
-)
+from repro.errors import IndexBuildError, VectorStoreError
+from repro.index.artifact import IndexArtifact, config_fingerprint, corpus_digest
 from repro.index.sharding import ShardPlan, ShardSpec, plan_shards
-from repro.ingest.delta import CorpusDelta, diff_chunks
 from repro.observability import get_registry, use_registry
 from repro.vectorstore.sharded import ShardedVectorStore
 from repro.vectorstore.store import VectorStore
@@ -140,158 +134,107 @@ def cache_artifact(artifact: IndexArtifact) -> IndexArtifact:
         return published
 
 
+#: How a resolution obtained its artifact, cheapest first.
+LANES = ("memory", "disk", "delta", "full")
+
+
 def _chunk(
-    bundle: CorpusBundle, config: ReproConfig, parent: IndexArtifact | None = None
+    spec: ShardSpec, config: ReproConfig, parent: IndexArtifact | None
 ) -> list[Document]:
-    """Chunk ``bundle``; with a lineage ``parent``, re-split only the
-    sources whose text changed since it was built (byte-identical to a
-    full pass, see :func:`~repro.corpus.builder.chunk_corpus_delta`)."""
+    """Chunk one shard; sources unchanged since ``parent`` keep its chunks."""
     rc = config.retrieval
-    params = dict(
+    return chunk_corpus(
+        spec.bundle,
         include_mail=rc.include_mail_archives,
         chunk_size=rc.chunk_size,
         chunk_overlap=rc.chunk_overlap,
+        parent_chunks=parent.chunks if parent is not None else (),
+        parent_source_digests=parent.source_digests if parent is not None else None,
     )
-    if parent is not None and parent.source_digests:
-        return chunk_corpus_delta(
-            bundle, parent.chunks, parent.source_digests, **params
-        )[0]
-    return chunk_corpus(bundle, **params)
 
 
-def build_index(
-    bundle: CorpusBundle,
-    config: ReproConfig | None = None,
-    *,
-    chunks: list[Document] | None = None,
-    embedding=None,
-    fingerprint: dict | None = None,
+def _assemble_shard(
+    spec: ShardSpec,
+    chunks: list[Document],
+    vectors: np.ndarray,
+    embedding,
+    parent_digest: str | None = None,
 ) -> IndexArtifact:
-    """Build one shard from scratch: chunk → embed → store.
-
-    This is the uncached leaf builder; callers almost always want
-    :func:`get_or_build_index`, which calls it per dirty shard with the
-    shard's precomputed ``chunks``, the shared (globally fitted)
-    ``embedding``, and the shard-scoped ``fingerprint`` that keys the
-    shard's cache entry.
-    """
-    config = config or ReproConfig()
-    rc = config.retrieval
-    get_registry().counter("repro.index.builds").inc()
-    if chunks is None:
-        chunks = _chunk(bundle, config)
-    if embedding is None:
-        embedding = create_embedding_model(
-            rc.embedding_model, corpus_texts=[c.text for c in chunks]
-        )
-    store = VectorStore.from_documents(chunks, embedding)
-    if fingerprint is None:
-        fingerprint = config_fingerprint(config)
+    """The shard artifact over ``chunks`` and their row-aligned ``vectors``
+    — freshly embedded, copied from a parent, or read back from disk."""
     return IndexArtifact(
-        digest=artifact_digest(corpus_digest(bundle), fingerprint),
-        corpus_digest=corpus_digest(bundle),
-        fingerprint=fingerprint,
+        digest=spec.digest,
+        corpus_digest=spec.corpus_digest,
+        fingerprint=spec.fingerprint,
         chunks=chunks,
         embedding=embedding,
-        store=store,
-        manual_pages=dict(bundle.manual_page_names),
-        registry=bundle.registry,
+        store=VectorStore.from_precomputed(chunks, vectors, embedding),
+        manual_pages=dict(spec.bundle.manual_page_names),
+        registry=spec.bundle.registry,
+        parent_digest=parent_digest,
         source_digests=corpus_source_digests(
-            bundle, include_mail=rc.include_mail_archives
+            spec.bundle, include_mail=spec.fingerprint["include_mail_archives"]
         ),
     )
 
 
-def build_index_from_parent(
-    bundle: CorpusBundle,
-    config: ReproConfig | None,
-    parent: IndexArtifact,
-    *,
-    chunks: list[Document] | None = None,
-    fingerprint: dict | None = None,
-) -> "tuple[IndexArtifact, CorpusDelta] | None":
-    """Build the successor artifact by delta against ``parent``.
+def build_shard(
+    spec: ShardSpec,
+    chunks: list[Document],
+    embedding,
+    parent: IndexArtifact | None = None,
+) -> IndexArtifact:
+    """Build one shard: embed ``chunks`` into a store, reusing ``parent``.
 
-    Re-chunks only the sources whose text changed, diffs the chunk lists
-    by byte-exact identity, reuses the parent store's vectors for every
-    unchanged chunk, and embeds only the new/changed ones.  Returns
-    ``None`` when a delta cannot preserve value-identity with a
-    from-scratch build — corpus-fitted embedding models (every vector
-    depends on the whole corpus) — or would not pay: more than
-    ``config.ingest.max_delta_fraction`` of the chunks changed, or the
-    parent has no usable chunk bookkeeping.
+    ``embedding`` is the model shared by every shard of the composite.
+    With a lineage ``parent`` built by a corpus-free model of the same
+    name, every chunk the parent already holds (same ``doc_id``, i.e.
+    the same bytes) takes the parent's row and only the rest are
+    embedded, in one batch.  Hashing embeddings are computed and
+    normalized per row, so a subset batch equals the matching rows of
+    the full batch and the result is value-identical to a build with no
+    parent.  A corpus-fitted model reuses nothing: every vector depends
+    on the whole corpus.
 
-    On success the result is *value-identical* to :func:`build_index`
-    over the same inputs: same digest, byte-identical vectors (hashing
-    embeddings are computed and normalized per row, so a subset batch
-    equals the matching rows of the full batch), same chunk order.  The
-    ``repro.index.builds`` counter is **not** incremented — counters
-    under ``repro.ingest.*`` account the delta work instead.
+    A build that reused rows names the parent in ``parent_digest`` and
+    is accounted under ``repro.ingest.delta_builds`` / ``chunks_embedded``
+    / ``chunks_reused``; one that reused none counts as
+    ``repro.index.builds`` +1.
     """
-    config = config or ReproConfig()
-    rc = config.retrieval
-    if not config.ingest.delta_enabled or is_corpus_fitted(rc.embedding_model):
-        return None
-    if parent.embedding.name != rc.embedding_model or not parent.chunks:
-        return None
     registry = get_registry()
-    if chunks is None:
-        chunks = _chunk(bundle, config, parent)
-    if fingerprint is None:
-        fingerprint = config_fingerprint(config)
-    digest = artifact_digest(corpus_digest(bundle), fingerprint)
-    delta = diff_chunks(
-        parent.chunks, chunks, parent_digest=parent.digest, target_digest=digest
-    )
-    if delta.total and delta.embed_count / delta.total > config.ingest.max_delta_fraction:
-        registry.counter("repro.ingest.delta_fallbacks").inc()
-        return None
+    held: dict[str, int] = {}
+    if (
+        parent is not None
+        and parent.embedding.name == embedding.name
+        and not is_corpus_fitted(embedding.name)
+    ):
+        held = parent.store._ids
+    # ``doc_id`` hashes the whole chunk text: take it once per chunk.
+    doc_ids = [c.doc_id for c in chunks]
+    parent_rows = [held.get(doc_id) for doc_id in doc_ids]
+    fresh = {d: c for d, c, row in zip(doc_ids, chunks, parent_rows) if row is None}
+    embedded: dict[str, np.ndarray] = {}
+    if fresh:
+        embedded = dict(
+            zip(fresh, embedding.embed_documents([c.text for c in fresh.values()]))
+        )
+    parent_matrix = parent.store.index.matrix if held else None
+    vectors = np.empty((len(chunks), embedding.dim), dtype=np.float32)
+    for row, (doc_id, parent_row) in enumerate(zip(doc_ids, parent_rows)):
+        vectors[row] = embedded[doc_id] if parent_row is None else parent_matrix[parent_row]
+    reused = len(chunks) - parent_rows.count(None)
 
-    embedding = parent.embedding
-    # Assemble the successor's matrix row-aligned with the deduped chunk
-    # order from_documents would use: parent rows for unchanged chunks,
-    # fresh embeddings for the rest (one batch).
-    to_embed: list[Document] = []
-    for chunk in chunks:
-        if chunk.doc_id not in parent.store._ids:
-            to_embed.append(chunk)
-    fresh_vectors = (
-        embedding.embed_documents([c.text for c in to_embed])
-        if to_embed
-        else np.zeros((0, embedding.dim))
+    if reused:
+        registry.counter("repro.ingest.delta_builds").inc()
+        registry.counter("repro.shard.delta_builds").inc()
+        registry.counter("repro.ingest.chunks_embedded").inc(len(chunks) - reused)
+        registry.counter("repro.ingest.chunks_reused").inc(reused)
+    else:
+        registry.counter("repro.index.builds").inc()
+        registry.counter("repro.shard.builds").inc()
+    return _assemble_shard(
+        spec, chunks, vectors, embedding, parent.digest if reused else None
     )
-    fresh_rows = {c.doc_id: i for i, c in enumerate(to_embed)}
-    parent_matrix = parent.store.index.matrix
-    vectors = np.empty((len(chunks), embedding.dim), dtype=parent_matrix.dtype)
-    reused = 0
-    for row, chunk in enumerate(chunks):
-        parent_row = parent.store._ids.get(chunk.doc_id)
-        if parent_row is not None:
-            vectors[row] = parent_matrix[parent_row]
-            reused += 1
-        else:
-            vectors[row] = fresh_vectors[fresh_rows[chunk.doc_id]]
-    store = VectorStore.from_precomputed(chunks, vectors, embedding)
-
-    registry.counter("repro.ingest.delta_builds").inc()
-    registry.counter("repro.ingest.chunks_embedded").inc(len(to_embed))
-    registry.counter("repro.ingest.chunks_reused").inc(reused)
-    artifact = IndexArtifact(
-        digest=digest,
-        corpus_digest=corpus_digest(bundle),
-        fingerprint=fingerprint,
-        chunks=chunks,
-        embedding=embedding,
-        store=store,
-        manual_pages=dict(bundle.manual_page_names),
-        registry=bundle.registry,
-        parent_digest=parent.digest,
-        delta_digest=delta.digest,
-        source_digests=corpus_source_digests(
-            bundle, include_mail=rc.include_mail_archives
-        ),
-    )
-    return artifact, delta
 
 
 # ------------------------------------------------------------------ disk cache
@@ -328,16 +271,18 @@ def save_artifact(artifact: IndexArtifact, cache_dir: str | Path) -> Path:
 
 
 def read_cached_payload(
-    cache_dir: str | Path, digest: str, config: ReproConfig
-) -> tuple[Path, dict, list[Document]]:
+    cache_dir: str | Path, digest: str
+) -> tuple[list[Document], np.ndarray]:
     """Verify and read the cache entry for ``digest``.
 
-    Returns ``(store_dir, manifest, chunks)`` with payload checksums
-    verified (when configured) and chunk counts cross-checked; raises
-    :class:`IndexBuildError` on a miss or any corruption.  Restoring the
-    vector store itself is the caller's job: it needs the embedding
-    model fitted over the chunks of every shard, which only the resolver
-    has.
+    Returns ``(chunks, vectors)``.  Every payload file is read
+    once: its checksum is verified over the bytes that are then parsed
+    (manifests written before checksums existed load as trusted), and
+    chunk and vector counts are cross-checked against the manifest.
+    Raises :class:`IndexBuildError` on a miss or any corruption.
+    Assembling the vector store is the caller's job: it needs the
+    embedding model fitted over the chunks of every shard, which only
+    the resolver has.
     """
     root = Path(cache_dir) / digest[:16]
     manifest_path = root / _MANIFEST
@@ -352,36 +297,37 @@ def read_cached_payload(
             f"cached artifact digest {manifest.get('digest')!r} != expected {digest!r}"
         )
     store_dir = root / _STORE_DIR
-    checksums = manifest.get("payload_checksums")
-    if checksums and config.durability.verify_index_checksums:
-        # Manifests written before checksums existed verify as trusted.
-        for name, expected_sum in sorted(checksums.items()):
-            try:
-                actual = hashlib.sha256((store_dir / name).read_bytes()).hexdigest()
-            except OSError as exc:
-                raise IndexBuildError(
-                    f"cached payload {name} unreadable in {store_dir}: {exc}"
-                ) from exc
-            if actual != expected_sum:
-                get_registry().counter("repro.index.checksum_failures").inc()
-                raise IndexBuildError(
-                    f"cached payload {name} fails checksum in {store_dir} "
-                    f"(expected {expected_sum[:12]}…, got {actual[:12]}…)"
-                )
+    checksums = manifest.get("payload_checksums") or {}
+    payload: dict[str, bytes] = {}
+    for name in _PAYLOAD_FILES:
+        try:
+            payload[name] = (store_dir / name).read_bytes()
+        except OSError as exc:
+            raise IndexBuildError(
+                f"cached payload {name} unreadable in {store_dir}: {exc}"
+            ) from exc
+        if name not in checksums:
+            continue
+        expected_sum = checksums[name]
+        actual = hashlib.sha256(payload[name]).hexdigest()
+        if actual != expected_sum:
+            get_registry().counter("repro.index.checksum_failures").inc()
+            raise IndexBuildError(
+                f"cached payload {name} fails checksum in {store_dir} "
+                f"(expected {expected_sum[:12]}…, got {actual[:12]}…)"
+            )
     try:
-        chunk_lines = (store_dir / "documents.jsonl").read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IndexBuildError(f"unreadable cached store in {store_dir}: {exc}") from exc
-    chunks = [
-        Document(text=obj["text"], metadata=obj["metadata"])
-        for obj in map(json.loads, chunk_lines)
-    ]
-    if len(chunks) != int(manifest.get("chunk_count", -1)):
-        raise IndexBuildError(
-            f"cached store holds {len(chunks)} chunks, manifest says "
-            f"{manifest.get('chunk_count')}"
+        chunks, vectors = VectorStore.decode_payload(
+            payload["documents.jsonl"], payload["vectors.npz"]
         )
-    return store_dir, manifest, chunks
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile, VectorStoreError) as exc:
+        raise IndexBuildError(f"unreadable cached store in {store_dir}: {exc}") from exc
+    expected_shape = (int(manifest.get("chunk_count", -1)), manifest.get("embedding_dim"))
+    if vectors.shape != expected_shape:
+        raise IndexBuildError(
+            f"cached store holds {vectors.shape} vectors, manifest says {expected_shape}"
+        )
+    return chunks, vectors
 
 
 # ------------------------------------------------------------------ entry point
@@ -408,107 +354,67 @@ def _map_shards(fn: Callable, items: list, workers: int) -> list:
 
 
 def _build_composite(
-    bundle: CorpusBundle, config: ReproConfig, plan: ShardPlan, cache_dir
-) -> IndexArtifact:
+    plan: ShardPlan, config: ReproConfig, cache_dir
+) -> tuple[IndexArtifact, str]:
     """Resolve every shard of ``plan`` and assemble the composite.
 
     Three phases: resolve each shard's chunks (in-process artifact, disk
     entry, or a chunking pass for dirty shards), fit the embedding once
     over all of them, then materialize the shard stores — clean shards
-    load vectors straight from npz, dirty shards delta-build from their
-    lineage parent or run the embed pass through :func:`build_index`
-    (``repro.index.builds`` +1 per dirty shard, not +N).
+    take their vectors straight from the npz, dirty shards go through
+    :func:`build_shard` with their lineage parent.  Returns the composite
+    and the dearest lane any shard took.
     """
     registry = get_registry()
-    rc = config.retrieval
     workers = config.sharding.build_workers
-
-    def chunk(spec: ShardSpec) -> list[Document]:
-        return _chunk(spec.bundle, config, lineage_parent(spec.fingerprint))
-
-    def resolve(spec: ShardSpec):
-        mem = cached_artifact(spec.digest)
-        if mem is not None:
-            registry.counter("repro.shard.memory_hits").inc()
-            return mem, mem.chunks, None
-        if cache_dir is not None:
-            try:
-                store_dir, _manifest, chunks = read_cached_payload(
-                    cache_dir, spec.digest, config
-                )
-                return None, chunks, store_dir
-            except IndexBuildError:
-                pass
-        return None, None, None
+    bundle, specs = plan.bundle, plan.shards
+    shards: dict[int, IndexArtifact] = {}
+    lanes: dict[int, str] = {}
+    chunks: dict[int, list[Document]] = {}
+    disk_vectors: dict[int, np.ndarray] = {}
 
     # Cache lookups and disk loads are cheap and stay in the calling
     # thread; only the shards that need chunking and a build share the
     # pool, so one dirty shard beside clean ones never waits on pool
     # threads for the interpreter lock.
-    resolved = [resolve(spec) for spec in plan.shards]
-    dirty = [i for i, (_mem, chunks, _dir) in enumerate(resolved) if chunks is None]
-    dirty_chunks = _map_shards(chunk, [plan.shards[i] for i in dirty], workers)
-    for i, chunks in zip(dirty, dirty_chunks):
-        resolved[i] = (None, chunks, None)
+    for i, spec in enumerate(specs):
+        mem = cached_artifact(spec.digest)
+        if mem is not None:
+            registry.counter("repro.shard.memory_hits").inc()
+            shards[i], lanes[i], chunks[i] = mem, "memory", mem.chunks
+        elif cache_dir is not None:
+            try:
+                chunks[i], disk_vectors[i] = read_cached_payload(cache_dir, spec.digest)
+            except IndexBuildError:
+                pass
+    dirty = [i for i in range(len(specs)) if i not in chunks]
+    parents = {i: lineage_parent(specs[i].fingerprint) for i in dirty}
+    chunks.update(
+        zip(dirty, _map_shards(lambda i: _chunk(specs[i], config, parents[i]), dirty, workers))
+    )
     embedding = create_embedding_model(
-        rc.embedding_model,
-        corpus_texts=[c.text for _mem, chunks, _dir in resolved for c in chunks],
+        config.retrieval.embedding_model,
+        corpus_texts=[c.text for i in range(len(specs)) for c in chunks[i]],
     )
 
-    def materialize(item) -> IndexArtifact:
-        spec, (mem, chunks, store_dir) = item
-        if mem is not None:
-            return mem
-        if store_dir is not None:
-            try:
-                store = VectorStore.load(store_dir, embedding)
-            except ReproError:
-                # Corrupt store payload: rebuild from the corpus.
-                chunks = chunk(spec)
-            else:
-                registry.counter("repro.index.disk_hits").inc()
-                registry.counter("repro.shard.disk_hits").inc()
-                return cache_artifact(
-                    IndexArtifact(
-                        digest=spec.digest,
-                        corpus_digest=spec.corpus_digest,
-                        fingerprint=spec.fingerprint,
-                        chunks=chunks,
-                        embedding=embedding,
-                        store=store,
-                        manual_pages=dict(spec.bundle.manual_page_names),
-                        registry=bundle.registry,
-                        source_digests=corpus_source_digests(
-                            spec.bundle, include_mail=rc.include_mail_archives
-                        ),
-                    )
-                )
-        shard = None
-        parent = lineage_parent(spec.fingerprint)
-        if parent is not None and parent.digest != spec.digest:
-            built = build_index_from_parent(
-                spec.bundle, config, parent, chunks=chunks, fingerprint=spec.fingerprint
-            )
-            if built is not None:
-                shard = built[0]
-                registry.counter("repro.shard.delta_builds").inc()
-        if shard is None:
-            shard = build_index(
-                spec.bundle,
-                config,
-                chunks=chunks,
-                embedding=embedding,
-                fingerprint=spec.fingerprint,
-            )
-            registry.counter("repro.shard.builds").inc()
+    for i, vectors in disk_vectors.items():
+        registry.counter("repro.index.disk_hits").inc()
+        registry.counter("repro.shard.disk_hits").inc()
+        shards[i] = cache_artifact(_assemble_shard(specs[i], chunks[i], vectors, embedding))
+        lanes[i] = "disk"
+
+    def build(i: int) -> tuple[IndexArtifact, str]:
+        shard = build_shard(specs[i], chunks[i], embedding, parents[i])
         if cache_dir is not None:
             save_artifact(shard, cache_dir)
-        return cache_artifact(shard)
+        # The lane is what *this* call did, whoever published first.
+        return cache_artifact(shard), "delta" if shard.parent_digest else "full"
 
-    items = list(zip(plan.shards, resolved))
-    built = dict(zip(dirty, _map_shards(materialize, [items[i] for i in dirty], workers)))
-    shards = [built[i] if i in built else materialize(items[i]) for i in range(len(items))]
-    return IndexArtifact(
+    for i, (shard, lane) in zip(dirty, _map_shards(build, dirty, workers)):
+        shards[i], lanes[i] = shard, lane
+
+    ordered = [shards[i] for i in range(len(specs))]
+    composite = IndexArtifact(
         digest=plan.composite,
         corpus_digest=corpus_digest(bundle),
         fingerprint={
@@ -516,20 +422,45 @@ def _build_composite(
             "num_shards": plan.num_shards,
             "embedding_scope": plan.embedding_scope,
         },
-        chunks=[c for s in shards for c in s.chunks],
+        chunks=[c for s in ordered for c in s.chunks],
         embedding=embedding,
-        store=ShardedVectorStore(
-            [s.store for s in shards],
-            embedding,
-            scatter_workers=config.sharding.scatter_workers,
-        ),
+        store=ShardedVectorStore([s.store for s in ordered], embedding),
         manual_pages=dict(bundle.manual_page_names),
         registry=bundle.registry,
         source_digests=corpus_source_digests(
-            bundle, include_mail=rc.include_mail_archives
+            bundle, include_mail=config.retrieval.include_mail_archives
         ),
-        shards=shards,
+        shards=ordered,
     )
+    return composite, max(lanes.values(), key=LANES.index)
+
+
+def resolve_index(
+    plan: ShardPlan, config: ReproConfig, cache_dir: str | Path | None = None
+) -> tuple[IndexArtifact, str]:
+    """Resolve ``plan`` to its shared artifact and the lane that got it.
+
+    The lane is one of :data:`LANES`: ``memory`` for a composite
+    in-process hit, otherwise the dearest lane among the shards (each
+    memory → disk → build, and a build is ``delta`` when it reused
+    parent rows, ``full`` when it reused none).  It describes this call
+    only — concurrent resolutions never relabel each other.
+
+    ``cache_dir`` defaults to ``config.engine.index_cache_dir``; ``None``
+    keeps artifacts in memory only.  A freshly built shard is written
+    back to the disk cache when one is configured, so a corpus edit
+    rebuilds only the shards whose documents changed.
+    """
+    if cache_dir is None:
+        cache_dir = config.engine.index_cache_dir
+    cached = cached_artifact(plan.composite)
+    if cached is not None:
+        get_registry().counter("repro.index.memory_hits").inc()
+        return cached, "memory"
+    composite, lane = _build_composite(plan, config, cache_dir)
+    # Another thread may have raced the build; first writer wins so
+    # every consumer shares one object.
+    return cache_artifact(composite), lane
 
 
 def get_or_build_index(
@@ -539,21 +470,7 @@ def get_or_build_index(
     cache_dir: str | Path | None = None,
 ) -> IndexArtifact:
     """The shared artifact for (bundle, config): a composite in-process
-    hit, else per shard memory → disk → delta-from-parent → full build.
-
-    ``cache_dir`` defaults to ``config.engine.index_cache_dir``; ``None``
-    keeps artifacts in memory only.  A freshly built shard (delta or
-    full) is written back to the disk cache when one is configured, so a
-    corpus edit rebuilds only the shards whose documents changed.
+    hit, else per shard memory → disk → build (see :func:`resolve_index`).
     """
     config = config or ReproConfig()
-    if cache_dir is None:
-        cache_dir = config.engine.index_cache_dir
-    plan = plan_shards(bundle, config)
-    cached = cached_artifact(plan.composite)
-    if cached is not None:
-        get_registry().counter("repro.index.memory_hits").inc()
-        return cached
-    # Another thread may have raced the build; first writer wins so
-    # every consumer shares one object.
-    return cache_artifact(_build_composite(bundle, config, plan, cache_dir))
+    return resolve_index(plan_shards(bundle, config), config, cache_dir)[0]

@@ -53,6 +53,8 @@ class ShardSpec:
 class ShardPlan:
     """The deterministic partition of a corpus into shards."""
 
+    #: The corpus the plan partitions (each spec holds its own slice).
+    bundle: CorpusBundle
     num_shards: int
     #: Global corpus digest for corpus-fitted embeddings (any edit
     #: dirties all shards), or :data:`CORPUS_FREE_SCOPE`.
@@ -113,4 +115,4 @@ def plan_shards(bundle: CorpusBundle, config: ReproConfig) -> ShardPlan:
                 digest=artifact_digest(shard_corpus, fingerprint),
             )
         )
-    return ShardPlan(num_shards=n, embedding_scope=scope, shards=specs)
+    return ShardPlan(bundle=bundle, num_shards=n, embedding_scope=scope, shards=specs)

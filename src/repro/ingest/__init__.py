@@ -8,12 +8,12 @@ epoch swap → scoped cache invalidation) and live-store insertions via
 are deprecated in favor of these entry points.
 
 Layering: :mod:`repro.ingest.identity` and :mod:`repro.ingest.delta`
-are leaves (documents-only imports) so the index builder can diff
-chunk sets; :mod:`repro.ingest.lifecycle` and
+are leaves (documents-only imports) — the chunker takes its per-source
+digests from the former; :mod:`repro.ingest.lifecycle` and
 :mod:`repro.ingest.invalidation` sit *above* the index and engine
 layers and are therefore exposed lazily — importing them eagerly here
-would cycle back through ``repro.index.builder``, which imports
-:mod:`repro.ingest.delta`.
+would cycle back through ``repro.corpus.builder``, which imports
+:mod:`repro.ingest.identity`.
 """
 
 from repro.ingest.delta import (

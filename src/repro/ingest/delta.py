@@ -1,10 +1,10 @@
 """The typed corpus delta: what changed between two chunk lists.
 
 A :class:`CorpusDelta` is the contract between the diff stage of the
-ingestion lifecycle and everything downstream of it — the delta index
-build (embed exactly ``added + modified``), the replica fan-out, and
-the scoped cache invalidation (drop exactly the entries those chunks
-could affect).  It is a pure value computed from two chunk lists; no
+ingestion lifecycle and everything downstream of it — the ingest
+report (the build embedded exactly ``added + modified``), the replica
+fan-out, and the scoped cache invalidation (drop exactly the entries
+those chunks could affect).  It is a pure value computed from two chunk lists; no
 stage mutates it.
 
 Classification is two-level (see :mod:`repro.ingest.identity`):
@@ -92,7 +92,7 @@ class CorpusDelta:
 
     @property
     def digest(self) -> str:
-        """The delta's own content hash (``delta_digest`` in lineage)."""
+        """The delta's own content hash (``delta_digest`` in :meth:`summary`)."""
         payload = json.dumps(
             {
                 "parent": self.parent_digest,

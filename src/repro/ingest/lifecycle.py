@@ -4,10 +4,10 @@ Two entry points, both operating on a live
 :class:`~repro.engine.QueryEngine`:
 
 * :func:`ingest_corpus` — the full lifecycle for a corpus revision:
-  resolve the target artifact (memory → disk → delta-from-parent → full
-  build, all inside the index layer), diff it against the artifact the
-  engine is serving, swap the engine onto the new epoch, and invalidate
-  exactly the affected cache entries.  A no-op ingest (same corpus,
+  plan the shards, resolve the target artifact (memory → disk → build
+  over the lineage parent, all inside the index layer), diff it against
+  the artifact the engine is serving, swap the engine onto the new
+  epoch, and invalidate exactly the affected cache entries.  A no-op ingest (same corpus,
   same config) touches nothing: no epoch advance, no cache churn, no
   disk writes — the serving digest is byte-identical before and after.
 * :func:`apply_documents` — the live-store insertion path (interaction
@@ -43,9 +43,10 @@ class IngestReport:
     """What one ingest run did, stage by stage.
 
     ``resolution`` names how the target artifact was obtained:
-    ``noop`` (already serving it), ``memory``/``disk`` (cache hits),
-    ``delta`` (built from the lineage parent by re-embedding only
-    changed chunks), ``full`` (from-scratch build), or ``live-store``
+    ``noop`` (already serving it), the lane the resolver reported for
+    this call — ``memory``/``disk`` (cache hits), ``delta`` (a build
+    that copied the lineage parent's rows for unchanged chunks),
+    ``full`` (a build that embedded every chunk) — or ``live-store``
     (an :func:`apply_documents` insertion, no artifact swap).
     """
 
@@ -73,30 +74,6 @@ class IngestReport:
         }
 
 
-def _counter_values(registry, names: tuple[str, ...]) -> dict[str, int]:
-    return {name: registry.counter(name).value for name in names}
-
-
-_RESOLUTION_COUNTERS = (
-    "repro.index.memory_hits",
-    "repro.index.disk_hits",
-    "repro.ingest.delta_builds",
-    "repro.index.builds",
-)
-
-
-def _resolution_label(before: dict[str, int], after: dict[str, int]) -> str:
-    for name, label in (
-        ("repro.index.builds", "full"),
-        ("repro.ingest.delta_builds", "delta"),
-        ("repro.index.disk_hits", "disk"),
-        ("repro.index.memory_hits", "memory"),
-    ):
-        if after[name] > before[name]:
-            return label
-    return "memory"
-
-
 def ingest_corpus(
     engine: "QueryEngine",
     bundle: CorpusBundle,
@@ -111,15 +88,16 @@ def ingest_corpus(
     Safe to call with an unchanged corpus: the run is detected as a
     no-op before any build or cache work happens.
     """
-    from repro.index.builder import compute_digest, get_or_build_index
+    from repro.index.builder import resolve_index
+    from repro.index.sharding import plan_shards
 
     registry = engine._metrics()
     registry.counter("repro.ingest.runs").inc()
     previous = engine.artifact
 
     with stage("ingest:resolve", metric="repro.ingest.resolve", registry=registry):
-        target = compute_digest(bundle, engine.config)
-    if target == previous.digest:
+        plan = plan_shards(bundle, engine.config)
+    if plan.composite == previous.digest:
         registry.counter("repro.ingest.noops").inc()
         return IngestReport(
             digest=previous.digest,
@@ -130,10 +108,8 @@ def ingest_corpus(
             resolution="noop",
         )
 
-    before = _counter_values(registry, _RESOLUTION_COUNTERS)
     with stage("ingest:build", metric="repro.ingest.build", registry=registry):
-        artifact = get_or_build_index(bundle, engine.config, cache_dir=cache_dir)
-    resolution = _resolution_label(before, _counter_values(registry, _RESOLUTION_COUNTERS))
+        artifact, resolution = resolve_index(plan, engine.config, cache_dir)
 
     with stage("ingest:diff", metric="repro.ingest.diff", registry=registry):
         delta = diff_chunks(
@@ -171,8 +147,7 @@ def apply_documents(
     (defaulting to the engine's default-mode pipeline store; sharded
     stores route per shard and fan out to replicas internally), and the
     engine's caches are invalidated *in place* — scoped to the entries
-    the insertion can affect when ``config.ingest.scoped_invalidation``
-    is on.  No artifact swap happens: the insertion lives on top of the
+    the insertion can affect.  No artifact swap happens: the insertion lives on top of the
     current epoch, exactly like the workflow's history feed always has.
     """
     if store is None:
@@ -200,7 +175,6 @@ def apply_documents(
     added_set = set(added)
     delta = delta_from_added_documents([d for d in documents if d.doc_id in added_set])
     registry.counter("repro.ingest.applied_documents").inc(len(added))
-    scoped = delta if engine.config.ingest.scoped_invalidation else None
     return IngestReport(
         digest=digest,
         previous_digest=digest,
@@ -209,6 +183,6 @@ def apply_documents(
         noop=False,
         resolution="live-store",
         delta=delta.summary(),
-        invalidation=invalidate_engine_caches(engine, scoped, stale_digest=None),
+        invalidation=invalidate_engine_caches(engine, delta, stale_digest=None),
         added_ids=list(added),
     )

@@ -87,12 +87,11 @@ class ReproService:
         """Invalidate the engine's query caches after mutating the store
         a pipeline retrieves from.
 
-        With a :class:`~repro.ingest.delta.CorpusDelta` (and
-        ``config.ingest.scoped_invalidation`` on), eviction is scoped to
-        exactly the entries the change can affect; without one every
-        entry is dropped, the pre-lifecycle behavior.
+        With a :class:`~repro.ingest.delta.CorpusDelta`, eviction is
+        scoped to exactly the entries the change can affect; without one
+        every entry is dropped, the pre-lifecycle behavior.
         """
-        if delta is not None and self.engine.config.ingest.scoped_invalidation:
+        if delta is not None:
             from repro.ingest.invalidation import invalidate_engine_caches
 
             invalidate_engine_caches(self.engine, delta, stale_digest=None)

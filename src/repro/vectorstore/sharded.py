@@ -23,7 +23,6 @@ exactly rather than approximately:
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -94,10 +93,10 @@ class ShardedVectorStore:
 
     This is the store every index artifact serves from; the default
     single-database deployment is the one-shard case.  Queries scatter
-    across shards (optionally on a thread pool) and gather under a
+    across shards in a plain loop (a probe costs tens of microseconds,
+    less than handing it to a pool thread) and gather under a
     deterministic merge; mutations route each document to its
-    planner-assigned shard.  Search results are identical whether the
-    scatter runs sequentially or on any number of workers.
+    planner-assigned shard.
     """
 
     def __init__(
@@ -106,7 +105,6 @@ class ShardedVectorStore:
         embedding: EmbeddingModel,
         *,
         collection_name: str = "petsc-docs-sharded",
-        scatter_workers: int = 0,
         binder: "ContextBinder | None" = None,
         registry_fn: Callable[[], MetricsRegistry] | None = None,
         replica_sets: "list[ReplicaSet] | None" = None,
@@ -126,7 +124,6 @@ class ShardedVectorStore:
         self.shards = list(shards)
         self.embedding = embedding
         self.collection_name = collection_name
-        self.scatter_workers = scatter_workers
         self.binder = binder
         self._registry_fn = registry_fn if registry_fn is not None else get_registry
         self.replica_sets = replica_sets
@@ -195,7 +192,9 @@ class ShardedVectorStore:
         span,
     ) -> list[tuple[Document, float]]:
         """Merge the scatter; degrade (or raise) when shards went dark."""
-        per_shard = self._scatter(qvec, k, where)
+        per_shard = [
+            self._probe_shard(index, qvec, k, where) for index in range(self.num_shards)
+        ]
         merged = [hit for hits in per_shard if hits is not None for hit in hits]
         if span is not None:
             span.attributes["candidates"] = len(merged)
@@ -226,25 +225,6 @@ class ShardedVectorStore:
             ctx.scratch["shard_coverage"] = min(previous, coverage)
         _sort_hits(merged)
         return merged[:k]
-
-    def _scatter(
-        self, qvec: np.ndarray, k: int, where: dict | None
-    ) -> "list[list[tuple[Document, float]] | None]":
-        if self.num_shards == 1 or self.scatter_workers <= 1:
-            # Fast serial path: pool setup dominates single-shard probes.
-            return [
-                self._probe_shard(index, qvec, k, where)
-                for index in range(self.num_shards)
-            ]
-        with ThreadPoolExecutor(
-            max_workers=min(self.scatter_workers, self.num_shards)
-        ) as pool:
-            return list(
-                pool.map(
-                    lambda index: self._probe_shard(index, qvec, k, where),
-                    range(self.num_shards),
-                )
-            )
 
     def _probe_shard(
         self, index: int, qvec: np.ndarray, k: int, where: dict | None
@@ -325,7 +305,6 @@ class ShardedVectorStore:
             "shards": self.shards,
             "embedding": self.embedding,
             "collection_name": self.collection_name,
-            "scatter_workers": self.scatter_workers,
             "binder": self.binder,
             "registry_fn": self._registry_fn,
             "replica_sets": self.replica_sets,
@@ -362,12 +341,9 @@ class ShardedVectorStore:
         *,
         binder: "ContextBinder",
         registry_fn: Callable[[], MetricsRegistry],
-        scatter_workers: int,
     ) -> "ShardedVectorStore":
         """A view bound to an engine's request plumbing (binder/metrics)."""
-        return self._replace(
-            binder=binder, registry_fn=registry_fn, scatter_workers=scatter_workers
-        )
+        return self._replace(binder=binder, registry_fn=registry_fn)
 
     def with_replication(
         self,

@@ -124,13 +124,16 @@ class VectorStore:
         store = cls(embedding, collection_name=collection_name)
         keep: list[int] = []
         for row, doc in enumerate(documents):
-            if doc.doc_id in store._ids:
+            doc_id = doc.doc_id
+            if doc_id in store._ids:
                 continue
-            store._ids[doc.doc_id] = len(store._docs)
+            store._ids[doc_id] = len(store._docs)
             store._docs.append(doc)
             keep.append(row)
-        if keep:
-            store.index.add(np.ascontiguousarray(vectors[keep]))
+        if len(keep) == len(documents):
+            store.index.add(vectors)
+        elif keep:
+            store.index.add(vectors[keep])
         return store
 
     def _add_documents(self, documents: list[Document]) -> list[str]:
@@ -310,6 +313,23 @@ class VectorStore:
         }))
         return d
 
+    @staticmethod
+    def decode_payload(
+        documents_jsonl: bytes, vectors_npz: bytes
+    ) -> tuple[list[Document], np.ndarray]:
+        """Parse the bytes :meth:`save` wrote as ``documents.jsonl`` and
+        ``vectors.npz`` into row-aligned documents and vectors."""
+        docs = [
+            Document(text=obj["text"], metadata=obj["metadata"])
+            for obj in map(json.loads, documents_jsonl.decode("utf-8").splitlines())
+        ]
+        vectors = np.load(io.BytesIO(vectors_npz))["vectors"]
+        if len(docs) != vectors.shape[0]:
+            raise VectorStoreError(
+                f"corrupt store: {len(docs)} documents but {vectors.shape[0]} vectors"
+            )
+        return docs, vectors
+
     @classmethod
     def load(cls, directory: str | Path, embedding: EmbeddingModel) -> "VectorStore":
         """Load a persisted store; the embedding model must match the manifest."""
@@ -327,19 +347,10 @@ class VectorStore:
             raise VectorStoreError(
                 f"store dim {manifest['dim']} != embedding dim {embedding.dim}"
             )
-        vectors = np.load(d / "vectors.npz")["vectors"]
-        store = cls(embedding, collection_name=manifest["collection_name"])
-        docs: list[Document] = []
-        for line in (d / "documents.jsonl").read_text(encoding="utf-8").splitlines():
-            obj = json.loads(line)
-            docs.append(Document(text=obj["text"], metadata=obj["metadata"]))
-        if len(docs) != vectors.shape[0]:
-            raise VectorStoreError(
-                f"corrupt store: {len(docs)} documents but {vectors.shape[0]} vectors"
-            )
-        # Re-insert without re-embedding: push vectors straight into the index.
-        store.index.add(vectors)
-        for doc in docs:
-            store._ids[doc.doc_id] = len(store._docs)
-            store._docs.append(doc)
-        return store
+        docs, vectors = cls.decode_payload(
+            (d / "documents.jsonl").read_bytes(), (d / "vectors.npz").read_bytes()
+        )
+        # Re-insert without re-embedding: the vectors go straight into the index.
+        return cls.from_precomputed(
+            docs, vectors, embedding, collection_name=manifest["collection_name"]
+        )

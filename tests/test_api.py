@@ -20,7 +20,6 @@ from repro.errors import ConfigurationError
 #: (and in ``repro/__init__.py``); removals are breaking changes.
 PUBLIC_API = [
     "EngineConfig",
-    "IngestConfig",
     "ReplicationConfig",
     "ReproConfig",
     "RetrievalConfig",
@@ -97,7 +96,7 @@ class TestReproConfigRoundTrip:
         cfg = ReproConfig(
             chat_model="gpt-4o-sim",
             iterations_per_token=0,
-            sharding=ShardingConfig(num_shards=4, scatter_workers=2),
+            sharding=ShardingConfig(num_shards=4, build_workers=2),
         )
         clone = ReproConfig.from_dict(cfg.to_dict())
         assert clone == cfg
@@ -117,6 +116,13 @@ class TestReproConfigRoundTrip:
         # A removed knob is an unknown key like any other.
         with pytest.raises(ConfigurationError, match="unknown config key.*burn_lanes"):
             ReproConfig.from_dict({"engine": {"burn_lanes": 1}})
+        for removed in (
+            {"ingest": {"max_delta_fraction": 0.5}},
+            {"sharding": {"scatter_workers": 2}},
+            {"durability": {"verify_index_checksums": False}},
+        ):
+            with pytest.raises(ConfigurationError, match="unknown config key"):
+                ReproConfig.from_dict(removed)
 
     @pytest.mark.parametrize(
         "config, key",
@@ -147,7 +153,7 @@ class TestReproConfigRoundTrip:
                 for f in dataclasses.fields(section)
             )
 
-        assert count(ReproConfig()) == 53
+        assert count(ReproConfig()) == 48
 
 
 class TestWrapperDelegation:

@@ -354,6 +354,42 @@ class TestPollerDeadLetters:
         assert list(survivor.dead_letters) == ["n0", "n1"]
         assert report.truncated
 
+    def test_config_journal_survives_a_support_system_restart(self, bundle, tmp_path):
+        """``durability.dead_letter_journal`` is wired at the front door:
+        a notification lost to a dead webhook is redelivered by the next
+        support system opened on the same path."""
+        from repro.api import open_support_system
+        from repro.config import DurabilityConfig
+        from repro.mail.message import EmailMessage
+        from repro.resilience import FaultConfig, FaultInjector
+
+        cfg = ReproConfig(
+            iterations_per_token=0,
+            durability=DurabilityConfig(
+                dead_letter_journal=str(tmp_path / "dlq.journal"), fsync=False
+            ),
+        )
+        down = FaultInjector(seed=0, config=FaultConfig(transient_rate=1.0))
+        system = open_support_system(cfg, bundle=bundle, fault_injector=down)
+        # Straight into the inbox: the mailing-list hop is chaos-wrapped too.
+        system.account.deliver(
+            EmailMessage(sender="user@example.org", subject="GMRES stalls", body="Help?")
+        )
+        assert system.poll() is False
+        (lost,) = system.poller.dead_letters
+        system.poller.journal.close()  # the process dies here
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            reopened = open_support_system(cfg, bundle=bundle)
+            assert list(reopened.poller.dead_letters) == [lost]
+            assert reopened.poll() is True
+        assert not reopened.poller.dead_letters
+        assert registry.counter("repro.mail.redeliveries").value == 1
+        # ... and the delivery is itself journaled: a third process starts empty.
+        reopened.poller.journal.close()
+        assert not open_support_system(cfg, bundle=bundle).poller.dead_letters
+
 
 # ------------------------------------------------------------------ index cache
 class TestIndexCacheChecksums:
@@ -402,7 +438,7 @@ class TestIndexCacheChecksums:
         registry = MetricsRegistry()
         with use_registry(registry):
             with pytest.raises(IndexBuildError, match="checksum"):
-                read_cached_payload(tmp_path, artifact.shards[0].digest, cfg)
+                read_cached_payload(tmp_path, artifact.shards[0].digest)
         assert registry.counter("repro.index.checksum_failures").value == 1
         # The entry point falls back to a fresh build over the bad cache.
         rebuilt, registry = self._resolve(bundle, cfg, tmp_path)
@@ -425,13 +461,17 @@ class TestIndexCacheChecksums:
         assert registry.counter("repro.index.disk_hits").value == 1
         assert registry.counter("repro.index.builds").value == 0
 
-    def test_verification_can_be_disabled(self, bundle, tmp_path):
+    def test_pre_checksum_manifest_loads_as_trusted(self, bundle, tmp_path):
+        # Was test_verification_can_be_disabled: the check is always on;
+        # only an entry written before checksums existed skips it.
         cfg = ReproConfig(iterations_per_token=0)
         artifact, root = self._cached_shard(bundle, cfg, tmp_path)
         manifest_file = root / "store" / "manifest.json"
-        # Cosmetic corruption that keeps the JSON loadable.
+        # A byte moved since the save: a checksum would catch it.
         manifest_file.write_text(manifest_file.read_text() + " ")
-        cfg.durability.verify_index_checksums = False
+        artifact_json = json.loads((root / "artifact.json").read_text())
+        del artifact_json["payload_checksums"]
+        (root / "artifact.json").write_text(json.dumps(artifact_json))
         loaded, registry = self._resolve(bundle, cfg, tmp_path)
         assert loaded.digest == artifact.digest
         assert registry.counter("repro.index.checksum_failures").value == 0

@@ -113,9 +113,7 @@ class TestDiskCache:
 
     def test_missing_entry_raises(self, bundle, fast_config, tmp_path):
         with pytest.raises(IndexBuildError):
-            read_cached_payload(
-                tmp_path, compute_digest(bundle, fast_config), fast_config
-            )
+            read_cached_payload(tmp_path, compute_digest(bundle, fast_config))
 
     def test_corrupt_manifest_falls_back_to_build(
         self, bundle, fast_config, tmp_path, fresh_cache
@@ -125,7 +123,7 @@ class TestDiskCache:
         manifest = tmp_path / shard.digest[:16] / "artifact.json"
         manifest.write_text('{"digest": "tampered"}')
         with pytest.raises(IndexBuildError):
-            read_cached_payload(tmp_path, shard.digest, fast_config)
+            read_cached_payload(tmp_path, shard.digest)
         clear_index_cache()
         reg = MetricsRegistry()
         with use_registry(reg):

@@ -1,32 +1,36 @@
 """The unified ingestion lifecycle: one write path for the knowledge base.
 
 Covers the full staged lane (ISSUE 10): content-addressed chunk
-identity, typed corpus deltas, lineage-aware delta builds that re-embed
-only changed chunks, artifact epochs on the live engine, scoped cache
-invalidation, the live-store insertion path, and the deprecation of
-direct ``VectorStore.add_documents`` mutation.
+identity, typed corpus deltas, lineage-aware builds that re-embed only
+changed chunks (a from-scratch build is the same build with nothing to
+reuse), the lane each resolution reports, artifact epochs on the live
+engine, scoped cache invalidation, the live-store insertion path, and
+the deprecation of direct ``VectorStore.add_documents`` mutation.
 """
 
 from __future__ import annotations
 
-import copy
 import json
+import re
+import threading
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import open_engine
-from repro.config import IngestConfig, ReproConfig, RetrievalConfig, ShardingConfig
+from repro.config import EngineConfig, ReproConfig, RetrievalConfig, ShardingConfig
 from repro.corpus.builder import CorpusBundle, chunk_corpus, overlay_tree
 from repro.documents import Document
-from repro.errors import ConfigurationError, IngestError
+from repro.embeddings.registry import EMBEDDING_MODEL_NAMES
+from repro.errors import IngestError
 from repro.index import (
-    build_index,
-    build_index_from_parent,
-    cache_artifact,
     clear_index_cache,
     get_or_build_index,
     lineage_parent,
+    plan_shards,
+    resolve_index,
 )
 from repro.index.builder import compute_digest
 from repro.ingest import (
@@ -55,12 +59,25 @@ def fresh_cache():
     clear_index_cache()
 
 
-def _cfg(shards: int = 1, **ingest_kw) -> ReproConfig:
+def _cfg(shards: int = 1, *, embedding: str = EMBED, cache_dir=None) -> ReproConfig:
     return ReproConfig(
         iterations_per_token=0,
-        retrieval=RetrievalConfig(embedding_model=EMBED),
+        retrieval=RetrievalConfig(embedding_model=embedding),
         sharding=ShardingConfig(num_shards=shards),
-        ingest=IngestConfig(**ingest_kw),
+        engine=EngineConfig(index_cache_dir=cache_dir),
+    )
+
+
+def _with_documents(bundle, docs) -> CorpusBundle:
+    sources = {d.metadata.get("source") for d in docs}
+    return CorpusBundle(
+        registry=bundle.registry,
+        documents=list(docs),
+        manual_page_names={
+            name: page
+            for name, page in bundle.manual_page_names.items()
+            if page.metadata.get("source") in sources
+        },
     )
 
 
@@ -79,7 +96,8 @@ def _edit_source(bundle, source: str, suffix: str) -> CorpusBundle:
     )
 
 
-def _edited(bundle) -> CorpusBundle:
+def _edited(bundle, cfg=None) -> CorpusBundle:
+    # Revisers share the (bundle, cfg) shape; only the shard-aware one reads cfg.
     return _edit_source(
         bundle, "faq.md", "\n\nRevision note: clarified the guidance above.\n"
     )
@@ -209,64 +227,82 @@ class TestLineage:
         assert lineage_parent(shard.fingerprint) is shard
 
 
+def _rewrite_most_of_first_shard(bundle, cfg) -> CorpusBundle:
+    """Every document of shard 0 rewritten except its first (which keeps
+    a few rows reusable): far more than half of the shard's chunks move."""
+    victims = {
+        d.metadata["source"] for d in plan_shards(bundle, cfg).shards[0].bundle.documents[1:]
+    }
+    return _with_documents(
+        bundle,
+        [
+            Document(text=d.text.replace(" the ", " THE "), metadata=dict(d.metadata))
+            if d.metadata["source"] in victims
+            else d
+            for d in bundle.documents
+        ],
+    )
+
+
 class TestDeltaBuild:
     def test_reembeds_only_changed_chunks(self, bundle, fresh_cache):
         cfg = _cfg()
         reg = MetricsRegistry()
         with use_registry(reg):
-            parent = build_index(bundle, cfg)
-            cache_artifact(parent)
+            parent = get_or_build_index(bundle, cfg)
             builds_before = reg.counter("repro.index.builds").value
-            built = build_index_from_parent(_edited(bundle), cfg, parent)
-        assert built is not None
-        artifact, delta = built
-        assert artifact.parent_digest == parent.digest
-        assert artifact.delta_digest == delta.digest
+            artifact = get_or_build_index(_edited(bundle), cfg)
+        assert artifact.shards[0].parent_digest == parent.shards[0].digest
+        delta = diff_chunks(parent.chunks, artifact.chunks)
         embedded = reg.counter("repro.ingest.chunks_embedded").value
         reused = reg.counter("repro.ingest.chunks_reused").value
         assert embedded == delta.embed_count
         assert 0 < embedded < len(artifact.chunks) / 10
         assert embedded + reused == len(artifact.chunks)
-        # A delta build is not a full build.
+        # A build that reused rows is not counted as a full build.
         assert reg.counter("repro.index.builds").value == builds_before
         assert reg.counter("repro.ingest.delta_builds").value == 1
 
     def test_delta_equals_scratch_byte_for_byte(self, bundle, fresh_cache):
-        import numpy as np
-
         cfg = _cfg()
         edited = _edited(bundle)
-        parent = build_index(bundle, cfg)
-        artifact, _delta = build_index_from_parent(edited, cfg, parent)
-        scratch = build_index(edited, cfg)
-        assert artifact.digest == scratch.digest
-        assert [c.doc_id for c in artifact.chunks] == [
-            c.doc_id for c in scratch.chunks
-        ]
-        assert np.array_equal(
-            artifact.store.index.matrix, scratch.store.index.matrix
-        )
+        get_or_build_index(bundle, cfg)
+        artifact = get_or_build_index(edited, cfg)
+        assert artifact.shards[0].parent_digest is not None
+        clear_index_cache()
+        scratch = get_or_build_index(edited, cfg)
+        assert scratch.shards[0].parent_digest is None
+        _assert_same_artifact(artifact, scratch)
 
     def test_corpus_fitted_embedding_declines(self, bundle, fresh_cache):
-        cfg = ReproConfig(
-            iterations_per_token=0,
-            retrieval=RetrievalConfig(embedding_model="petsc-embed-large"),
-        )
-        parent = build_index(bundle, cfg)
-        assert build_index_from_parent(_edited(bundle), cfg, parent) is None
-
-    def test_delta_disabled_declines(self, bundle, fresh_cache):
-        cfg = _cfg(delta_enabled=False)
-        parent = build_index(bundle, cfg)
-        assert build_index_from_parent(_edited(bundle), cfg, parent) is None
-
-    def test_large_delta_falls_back_to_full_build(self, bundle, fresh_cache):
-        cfg = _cfg(max_delta_fraction=0.0001)
+        # Every TF-IDF vector depends on the whole corpus: nothing is
+        # reusable, so the build over a parent is a full build.
         reg = MetricsRegistry()
         with use_registry(reg):
-            parent = build_index(bundle, cfg)
-            assert build_index_from_parent(_edited(bundle), cfg, parent) is None
-        assert reg.counter("repro.ingest.delta_fallbacks").value == 1
+            engine = open_engine(_cfg(embedding="petsc-embed-large"), bundle=bundle)
+            builds_before = reg.counter("repro.index.builds").value
+            report = ingest_corpus(engine, _edited(bundle))
+        assert report.resolution == "full"
+        assert engine.artifact.shards[0].parent_digest is None
+        assert reg.counter("repro.index.builds").value == builds_before + 1
+        assert reg.counter("repro.ingest.chunks_reused").value == 0
+        assert reg.counter("repro.ingest.delta_builds").value == 0
+
+    def test_large_delta_still_copies_unchanged_rows(self, bundle, fresh_cache):
+        # Was test_large_delta_falls_back_to_full_build: reuse is a row
+        # copy, so there is no fraction past which it stops paying.
+        cfg = _cfg()
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            engine = open_engine(cfg, bundle=bundle)
+            builds_before = reg.counter("repro.index.builds").value
+            report = ingest_corpus(engine, _rewrite_most_of_first_shard(bundle, cfg))
+        embedded = reg.counter("repro.ingest.chunks_embedded").value
+        reused = reg.counter("repro.ingest.chunks_reused").value
+        assert report.resolution == "delta"
+        assert embedded > report.delta["total"] / 2 and reused > 0
+        assert embedded + reused == report.delta["total"]
+        assert reg.counter("repro.index.builds").value == builds_before
 
     def test_get_or_build_resolves_via_delta(self, bundle, fresh_cache):
         cfg = _cfg()
@@ -279,11 +315,176 @@ class TestDeltaBuild:
         assert reg.counter("repro.ingest.delta_builds").value == 1
         assert successor.digest == compute_digest(_edited(bundle), cfg)
 
-    def test_bad_ingest_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ReproConfig(ingest=IngestConfig(max_delta_fraction=0.0)).validate()
-        with pytest.raises(ConfigurationError):
-            ReproConfig(ingest=IngestConfig(max_delta_fraction=1.5)).validate()
+
+def _assert_same_artifact(a, b) -> None:
+    assert a.digest == b.digest
+    assert [s.digest for s in a.shards] == [s.digest for s in b.shards]
+    assert [c.doc_id for c in a.chunks] == [c.doc_id for c in b.chunks]
+    assert a.source_digests == b.source_digests
+    for x, y in zip(a.shards, b.shards):
+        assert [c.doc_id for c in x.chunks] == [c.doc_id for c in y.chunks]
+        assert [d.doc_id for d in x.store._docs] == [d.doc_id for d in y.store._docs]
+        assert x.store.index.matrix.dtype == y.store.index.matrix.dtype
+        assert np.array_equal(x.store.index.matrix, y.store.index.matrix)
+
+
+def _added(bundle, cfg=None) -> CorpusBundle:
+    page = Document(
+        text="# KSPNEWTHING\n\nA new Krylov method page added by the ingest test.\n",
+        metadata={
+            "source": "manualpages/KSPNEWTHING.md",
+            "doc_type": "manual_page",
+            "title": "KSPNEWTHING",
+        },
+    )
+    revised = _with_documents(bundle, [*bundle.documents, page])
+    revised.manual_page_names["KSPNEWTHING"] = page
+    return revised
+
+
+def _removed(bundle, cfg=None) -> CorpusBundle:
+    return _with_documents(
+        bundle,
+        [d for d in bundle.documents if d.metadata.get("source") != "manualpages/KSPGMRES.md"],
+    )
+
+
+class TestBuildOverParentEqualsFromScratch:
+    """A full build is a delta from an empty parent: whatever the lineage
+    parent let the build reuse, the result is the from-scratch artifact."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("embedding", EMBEDDING_MODEL_NAMES)
+    @pytest.mark.parametrize(
+        "revise",
+        [_edited, _added, _removed, _rewrite_most_of_first_shard],
+        ids=["edit-one", "add-one", "remove-one", "rewrite-most-of-a-shard"],
+    )
+    def test_lineage_resolved_equals_scratch(
+        self, bundle, fresh_cache, embedding, shards, revise
+    ):
+        cfg = _cfg(shards, embedding=embedding)
+        revised = revise(bundle, cfg)
+        get_or_build_index(bundle, cfg)
+        over_parent, lane = resolve_index(plan_shards(revised, cfg), cfg)
+        assert lane == ("full" if embedding == "petsc-embed-large" else "delta")
+        clear_index_cache()
+        scratch, scratch_lane = resolve_index(plan_shards(revised, cfg), cfg)
+        assert scratch_lane == "full"
+        _assert_same_artifact(over_parent, scratch)
+        if revise is _rewrite_most_of_first_shard and lane == "delta":
+            # The case the fraction threshold used to send to a full build.
+            rebuilt = over_parent.shards[0]
+            parent_ids = {c.doc_id for c in get_or_build_index(bundle, cfg).shards[0].chunks}
+            kept = sum(c.doc_id in parent_ids for c in rebuilt.chunks)
+            assert 0 < kept < len(rebuilt.chunks) / 2
+            assert rebuilt.parent_digest is not None
+
+
+class TestResolutionLanes:
+    def test_resolver_reports_full_memory_disk_delta(self, bundle, tmp_path, fresh_cache):
+        cfg = _cfg(2, cache_dir=str(tmp_path))
+        plan = plan_shards(bundle, cfg)
+        built, lane = resolve_index(plan, cfg)
+        assert lane == "full"
+        again, lane = resolve_index(plan, cfg)
+        assert lane == "memory" and again is built
+        clear_index_cache()
+        loaded, lane = resolve_index(plan, cfg)
+        assert lane == "disk"
+        _assert_same_artifact(loaded, built)
+        # One dirty shard over its parent, one clean shard from memory:
+        # the composite reports the dearest lane.
+        _edited_artifact, lane = resolve_index(plan_shards(_edited(bundle), cfg), cfg)
+        assert lane == "delta"
+
+    def test_ingest_reports_the_lane_of_each_call(self, bundle, tmp_path, fresh_cache):
+        cfg = _cfg(cache_dir=str(tmp_path))
+        edited = _edited(bundle)
+        first = open_engine(cfg, bundle=bundle)
+        second = open_engine(cfg, bundle=bundle)
+        assert ingest_corpus(first, edited).resolution == "delta"
+        # The other engine finds the successor already resolved.
+        assert ingest_corpus(second, edited).resolution == "memory"
+        # Back to the original: evicted from memory by its successor,
+        # still on disk.
+        assert ingest_corpus(first, bundle).resolution == "disk"
+
+    def test_lane_is_per_call_across_threads(self, bundle, fresh_cache, monkeypatch):
+        """Two engines ingest different revisions into one registry at
+        once: each report names its own lane, not whichever counter the
+        other thread's build moved."""
+        from repro.index import builder
+
+        reg = MetricsRegistry()
+        engines = {
+            "delta": open_engine(_cfg(), bundle=bundle, registry=reg),
+            "full": open_engine(_cfg(embedding="petsc-embed-large"), bundle=bundle, registry=reg),
+        }
+        full_done = threading.Event()
+        real_build_shard = builder.build_shard
+
+        def gated(*args, **kwargs):
+            # The whole full build lands inside the delta thread's resolve.
+            if threading.current_thread().name == "delta":
+                assert full_done.wait(timeout=60)
+            return real_build_shard(*args, **kwargs)
+
+        monkeypatch.setattr(builder, "build_shard", gated)
+        reports, errors = {}, []
+
+        def run(name):
+            try:
+                with use_registry(reg):
+                    reports[name] = ingest_corpus(engines[name], _edited(bundle))
+            except Exception as exc:  # surfaced below, with the thread's name
+                errors.append((name, exc))
+            finally:
+                if name == "full":
+                    full_done.set()
+
+        builds_before = reg.counter("repro.index.builds").value
+        threads = [threading.Thread(target=run, args=(name,), name=name) for name in engines]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert reg.counter("repro.index.builds").value == builds_before + 1
+        assert {name: r.resolution for name, r in reports.items()} == {
+            "delta": "delta",
+            "full": "full",
+        }
+
+
+def test_one_chunker_one_shard_builder_one_resolution():
+    """Conformance: the write path has one of everything."""
+    import repro
+
+    src = Path(repro.__file__).parent
+    builder = (src / "index" / "builder.py").read_text(encoding="utf-8")
+    assert len(re.findall(r"\bIndexArtifact\(", builder)) <= 2  # shard, composite
+    assert len(re.findall(r"\bembed_documents\(", builder)) == 1
+    for path in sorted((src / "ingest").rglob("*.py")):
+        # The lane comes from the resolver, never from counter arithmetic.
+        assert not re.search(r"\.counter\([^)]*\)\.value", path.read_text(encoding="utf-8")), path
+    for path in sorted((src / "vectorstore").rglob("*.py")):
+        assert "ThreadPoolExecutor" not in path.read_text(encoding="utf-8"), path
+    gone = (
+        "chunk_corpus_delta",
+        "build_index_from_parent",
+        "_resolution_label",
+        "_counter_values",
+        "delta_fallbacks",
+        "scatter_workers",
+        "IngestConfig",
+        "verify_index_checksums",
+        "max_delta_fraction",
+    )
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not [name for name in gone if name in text], path
 
 
 class TestEpochSwap:
@@ -354,11 +555,18 @@ class TestIngestCorpus:
         assert inv["invalidated_retrieval"] == 0
         assert engine.cache_sizes()["retrieval"] == 1
 
-    def test_blunt_invalidation_when_scoping_disabled(self, bundle, fresh_cache):
-        engine = open_engine(_cfg(scoped_invalidation=False), bundle=bundle)
+    def test_blunt_invalidation_without_a_delta(self, bundle, fresh_cache):
+        # Was test_blunt_invalidation_when_scoping_disabled: the blunt
+        # path is what a caller with no delta to scope by gets.
+        engine = open_engine(_cfg(), bundle=bundle)
         engine.answer("What does KSPGMRES do?")
-        report = ingest_corpus(engine, _edited(bundle))
-        assert report.invalidation["scoped"] is False
+        assert engine.cache_sizes()["retrieval"] == 1
+        engine.service.invalidate_query_caches()
+        assert engine.cache_sizes() == {"answer": 0, "retrieval": 0, "embedding": 0}
+        successor = get_or_build_index(_edited(bundle), engine.config)
+        engine.answer("What does KSPGMRES do?")
+        assert engine.swap_artifact(successor) is True
+        assert engine._last_invalidation["scoped"] is False
         assert engine.cache_sizes()["retrieval"] == 0
 
     def test_removed_source_evicts_dependent_retrievals(self, bundle, fresh_cache):

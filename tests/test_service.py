@@ -457,7 +457,6 @@ _FORK_PATTERNS = (
 _ALLOWED_SHARD_COMPARISONS = {
     ("config.py", "num_shards < 1"),  # range validation
     ("vectorstore/sharded.py", "num_shards <= 0"),  # shard_for_source's modulus guard
-    ("vectorstore/sharded.py", "num_shards == 1"),  # _scatter's serial fast path
 }
 
 

@@ -12,7 +12,6 @@ from repro.embeddings import HashingEmbedding
 from repro.engine import QueryEngine
 from repro.errors import ConfigurationError, VectorStoreError
 from repro.index import (
-    build_index,
     clear_index_cache,
     composite_digest,
     get_or_build_index,
@@ -27,13 +26,11 @@ from repro.vectorstore import (
 )
 
 
-def _cfg(num_shards, *, embedding="petsc-embed-large", scatter_workers=0):
+def _cfg(num_shards, *, embedding="petsc-embed-large"):
     return ReproConfig(
         iterations_per_token=0,
         retrieval=RetrievalConfig(embedding_model=embedding),
-        sharding=ShardingConfig(
-            num_shards=num_shards, scatter_workers=scatter_workers
-        ),
+        sharding=ShardingConfig(num_shards=num_shards),
     )
 
 
@@ -289,10 +286,11 @@ class TestShardedEngine:
         assert summary["composite_digest"] == engine.artifact.digest
 
     def test_sharded_engine_rejects_monolithic_artifact(self, bundle):
-        # A bare shard (the leaf builder's output) has no scatter store;
-        # the engine serves only the composite the resolver returns.
+        # A bare shard has no scatter store; the engine serves only the
+        # composite the resolver returns.
+        shard = get_or_build_index(bundle, _cfg(2)).shards[0]
         with pytest.raises(ConfigurationError):
-            QueryEngine(build_index(bundle, _cfg(2)), _cfg(2))
+            QueryEngine(shard, _cfg(2))
 
     def test_from_corpus_requires_shards(self, bundle):
         with pytest.raises(ConfigurationError):
@@ -306,7 +304,5 @@ class TestShardingConfig:
         with pytest.raises(ConfigurationError):
             ShardingConfig(build_workers=0).validate()
         with pytest.raises(ConfigurationError):
-            ShardingConfig(scatter_workers=-2).validate()
-        with pytest.raises(ConfigurationError):
             ShardingConfig(num_shards=0).validate()
-        ShardingConfig(num_shards=1, scatter_workers=0).validate()
+        ShardingConfig(num_shards=1).validate()
