@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +47,18 @@ class EmbeddingModel(ABC):
     def embed_query(self, text: str) -> np.ndarray:
         """Embed one query string → (dim,), L2-normalized."""
         return self.embed_documents([text])[0]
+
+    def moved_since(self, since: "EmbeddingModel") -> Callable[[str], bool]:
+        """A predicate over texts: does this model embed ``text`` to a
+        different vector than ``since`` did?
+
+        It decides which parent rows a build may copy and which cached
+        query embeddings survive a swap.  A corpus-free model's vector
+        is a function of the text alone, so nothing moves while the
+        model stays the same; corpus-fitted models override this.
+        """
+        same = (since.name, since.dim) == (self.name, self.dim)
+        return lambda text: not same
 
 
 def _normalize_rows(mat: np.ndarray) -> np.ndarray:

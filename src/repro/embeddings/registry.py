@@ -28,10 +28,14 @@ EMBEDDING_MODEL_NAMES: tuple[str, ...] = (
 def is_corpus_fitted(name: str) -> bool:
     """Whether a model's vectors depend on the corpus it was fitted over.
 
-    Corpus-fitted models couple every shard of a sharded index to the
-    full corpus (any document edit shifts the global IDF table, so all
-    shard caches go stale together); hashing models are corpus-free and
-    let a one-document edit dirty exactly one shard.
+    A corpus-fitted model is fitted once over the chunks of every shard,
+    so each shard's digest names the whole corpus (``embedding_scope``)
+    and any document edit re-keys every shard.  Vectors are still reused
+    per chunk: an edit moves the IDF of a handful of terms, and only the
+    chunks holding one are re-embedded
+    (:meth:`~repro.embeddings.base.EmbeddingModel.moved_since`).  Hashing
+    models are corpus-free and let a one-document edit dirty exactly one
+    shard.
     """
     if name not in EMBEDDING_MODEL_NAMES:
         raise EmbeddingError(
@@ -41,19 +45,24 @@ def is_corpus_fitted(name: str) -> bool:
 
 
 def create_embedding_model(
-    name: str, *, corpus_texts: list[str] | None = None
+    name: str,
+    *,
+    corpus_texts: list[str] | None = None,
+    parent: EmbeddingModel | None = None,
 ) -> EmbeddingModel:
     """Instantiate a registered embedding model.
 
     ``petsc-embed-large`` is corpus-fitted and therefore requires
-    ``corpus_texts``; the hashing models ignore it.
+    ``corpus_texts``; given the ``parent`` model of the artifact the new
+    one succeeds, its fit is derived from the parent's
+    (:meth:`TfidfEmbedding.fit`).  The hashing models ignore both.
     """
     if name == "petsc-embed-large":
         if corpus_texts is None:
             raise EmbeddingError(
                 "petsc-embed-large is corpus-fitted; pass corpus_texts to create it"
             )
-        return TfidfEmbedding(dim=1536, ngram_max=2, name=name).fit(corpus_texts)
+        return TfidfEmbedding(dim=1536, ngram_max=2, name=name).fit(corpus_texts, parent)
     if name == "petsc-embed-small":
         return HashingEmbedding(dim=512, ngram_max=2, name=name)
     if name == "petsc-embed-mini":

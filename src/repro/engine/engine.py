@@ -236,15 +236,11 @@ class QueryEngine:
                 artifact.embedding, self._embedding_lru, self.binder, self._metrics
             )
             self.epoch += 1
-        embedding_preserved = (
-            artifact.embedding.name == previous.embedding.name
-            and artifact.embedding.dim == previous.embedding.dim
-        )
         self._last_invalidation = invalidate_engine_caches(
             self,
             delta,
             stale_digest=previous.digest,
-            embedding_preserved=embedding_preserved,
+            moved=artifact.embedding.moved_since(previous.embedding),
         )
         self._metrics().counter("repro.ingest.epoch_swaps").inc()
         return True

@@ -24,18 +24,23 @@ shard** through the same ladder before assembling the composite:
    *lineage* — for every config fingerprint, the most recently cached
    digest.  A dirty shard re-splits only the sources that changed since
    its lineage parent, copies the parent's vector for every chunk the
-   parent already holds (corpus-free embedding models only) and embeds
-   the rest in one batch.  A from-scratch build is the same code with
-   nothing to reuse — no parent, or a corpus-fitted model whose vectors
-   all depend on the whole corpus — so both are value-identical by
-   construction: same digest, same vectors, same answers.
+   parent already holds and the embedding model still maps to the same
+   vector (:meth:`~repro.embeddings.base.EmbeddingModel.moved_since`:
+   always, for a hashing model; for the corpus-fitted one, when no term
+   of the chunk changed IDF since the parent's fit) and embeds the rest
+   in one batch.  A from-scratch build is the same code with nothing to
+   reuse — no parent, or an edit that changed the chunk count and with
+   it every IDF — so both are value-identical by construction: same
+   digest, same vectors, same answers.
 
 Each resolution reports the *lane* it took — ``memory``, ``disk``,
 ``delta`` (some rows reused) or ``full`` (none) — and a composite
 reports the dearest lane among its shards (:func:`resolve_index`).
 
 One embedding model is fitted over the chunks of *all* shards and shared
-by every shard build, which keeps scores comparable across shards.
+by every shard build, which keeps scores comparable across shards; its
+fit is derived from the lineage parents' model, which carries over what
+an edit did not change (term counts, projection rows).
 Caching a lineage successor evicts the superseded digest, so a stale
 in-memory artifact can never outlive the corpus state it was built from.
 """
@@ -57,7 +62,6 @@ from repro.corpus.builder import CorpusBundle, chunk_corpus, corpus_source_diges
 from repro.documents import Document
 from repro.durability.atomic import atomic_write_json
 from repro.embeddings import create_embedding_model
-from repro.embeddings.registry import is_corpus_fitted
 from repro.errors import IndexBuildError, VectorStoreError
 from repro.index.artifact import IndexArtifact, config_fingerprint, corpus_digest
 from repro.index.sharding import ShardPlan, ShardSpec, plan_shards
@@ -187,14 +191,14 @@ def build_shard(
     """Build one shard: embed ``chunks`` into a store, reusing ``parent``.
 
     ``embedding`` is the model shared by every shard of the composite.
-    With a lineage ``parent`` built by a corpus-free model of the same
-    name, every chunk the parent already holds (same ``doc_id``, i.e.
-    the same bytes) takes the parent's row and only the rest are
-    embedded, in one batch.  Hashing embeddings are computed and
-    normalized per row, so a subset batch equals the matching rows of
-    the full batch and the result is value-identical to a build with no
-    parent.  A corpus-fitted model reuses nothing: every vector depends
-    on the whole corpus.
+    A chunk the lineage ``parent`` already holds (same ``doc_id``, i.e.
+    the same bytes) takes the parent's row iff ``embedding`` maps it to
+    the same vector as the model that produced the parent's rows
+    (:meth:`~repro.embeddings.base.EmbeddingModel.moved_since`); the
+    rest are embedded, in one batch.  Every registered model computes
+    and normalizes vectors per row, so a subset batch equals the
+    matching rows of the full batch and the result is value-identical
+    to a build with no parent.
 
     A build that reused rows names the parent in ``parent_digest`` and
     is accounted under ``repro.ingest.delta_builds`` / ``chunks_embedded``
@@ -202,23 +206,23 @@ def build_shard(
     ``repro.index.builds`` +1.
     """
     registry = get_registry()
-    held: dict[str, int] = {}
-    if (
-        parent is not None
-        and parent.embedding.name == embedding.name
-        and not is_corpus_fitted(embedding.name)
-    ):
-        held = parent.store._ids
     # ``doc_id`` hashes the whole chunk text: take it once per chunk.
     doc_ids = [c.doc_id for c in chunks]
-    parent_rows = [held.get(doc_id) for doc_id in doc_ids]
+    parent_rows: list[int | None] = [None] * len(chunks)
+    if parent is not None:
+        held = parent.store._ids
+        moved = embedding.moved_since(parent.embedding)
+        parent_rows = [
+            None if row is None or moved(c.text) else row
+            for c, row in zip(chunks, map(held.get, doc_ids))
+        ]
     fresh = {d: c for d, c, row in zip(doc_ids, chunks, parent_rows) if row is None}
     embedded: dict[str, np.ndarray] = {}
     if fresh:
         embedded = dict(
             zip(fresh, embedding.embed_documents([c.text for c in fresh.values()]))
         )
-    parent_matrix = parent.store.index.matrix if held else None
+    parent_matrix = parent.store.index.matrix if parent is not None else None
     vectors = np.empty((len(chunks), embedding.dim), dtype=np.float32)
     for row, (doc_id, parent_row) in enumerate(zip(doc_ids, parent_rows)):
         vectors[row] = embedded[doc_id] if parent_row is None else parent_matrix[parent_row]
@@ -360,7 +364,8 @@ def _build_composite(
 
     Three phases: resolve each shard's chunks (in-process artifact, disk
     entry, or a chunking pass for dirty shards), fit the embedding once
-    over all of them, then materialize the shard stores — clean shards
+    over all of them (derived from the lineage parents' model), then
+    materialize the shard stores — clean shards
     take their vectors straight from the npz, dirty shards go through
     :func:`build_shard` with their lineage parent.  Returns the composite
     and the dearest lane any shard took.
@@ -395,6 +400,7 @@ def _build_composite(
     embedding = create_embedding_model(
         config.retrieval.embedding_model,
         corpus_texts=[c.text for i in range(len(specs)) for c in chunks[i]],
+        parent=next((p.embedding for p in parents.values() if p is not None), None),
     )
 
     for i, vectors in disk_vectors.items():

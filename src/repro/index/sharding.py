@@ -13,10 +13,11 @@ shared by every shard build.  This is what makes scores — and therefore
 merged retrieval results — identical across shard counts: a per-shard
 TF-IDF fit would give each shard its own IDF table and incomparable
 scores.  The flip side is a coupling caveat: for corpus-fitted models
-(``petsc-embed-large``) any document edit shifts the global IDF table,
-so every shard's vectors change and every shard digest must change with
-them — the shard fingerprint therefore folds in the *global* corpus
-digest as its ``embedding_scope``.  Corpus-free hashing models carry
+(``petsc-embed-large``) the shard fingerprint folds in the *global*
+corpus digest as its ``embedding_scope``, so any document edit re-keys
+every shard.  Re-keyed is not re-embedded: the builder still copies the
+parent's row for every chunk none of whose terms changed IDF, so a
+clean shard costs a row copy.  Corpus-free hashing models carry
 ``embedding_scope="corpus-free"`` and get true single-dirty-shard
 incremental rebuilds.
 """
@@ -57,7 +58,7 @@ class ShardPlan:
     bundle: CorpusBundle
     num_shards: int
     #: Global corpus digest for corpus-fitted embeddings (any edit
-    #: dirties all shards), or :data:`CORPUS_FREE_SCOPE`.
+    #: re-keys all shards), or :data:`CORPUS_FREE_SCOPE`.
     embedding_scope: str
     shards: list[ShardSpec] = field(default_factory=list)
 

@@ -2,16 +2,19 @@
 
 A :class:`CorpusDelta` is the contract between the diff stage of the
 ingestion lifecycle and everything downstream of it — the ingest
-report (the build embedded exactly ``added + modified``), the replica
-fan-out, and the scoped cache invalidation (drop exactly the entries
-those chunks could affect).  It is a pure value computed from two chunk lists; no
-stage mutates it.
+report (the build embedded exactly ``added + modified + reembedded``),
+the replica fan-out, and the scoped cache invalidation (drop exactly
+the entries those chunks could affect).  It is a pure value computed
+from two chunk lists and the embedding models on either side; no stage
+mutates it.
 
 Classification is two-level (see :mod:`repro.ingest.identity`):
 
 * ``doc_id`` (byte-exact) decides whether a chunk's *embedding* can be
   reused — only byte-identical chunks reuse parent vectors, which is
   what keeps a delta-built artifact bit-equal to a from-scratch build.
+  Under a corpus-fitted model a byte-identical chunk is still
+  ``reembedded`` when the edit moved the IDF of one of its terms.
 * the content address (whitespace/NFC-normalized) decides how the
   change is *reported*: a chunk whose address survives but whose bytes
   moved is ``modified`` (a cosmetic rewrite), one with a fresh address
@@ -23,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.documents.document import Document
 from repro.ingest.identity import chunk_id
@@ -55,7 +59,13 @@ class CorpusDelta:
     removed:
         References to chunks whose content address disappeared.
     unchanged:
-        Count of chunks reused byte-for-byte (vectors included).
+        Count of chunks whose bytes did not change; their vectors are
+        reused too, except for the ``reembedded`` ones.
+    reembedded:
+        The unchanged chunks whose vector was recomputed all the same: a
+        corpus-fitted model's weight for one of their terms moved
+        (always empty under a hashing model).  Reported apart from
+        ``added``/``modified`` and kept out of :attr:`digest`.
     sources_changed:
         The ``source`` paths whose documents changed, sorted.
     """
@@ -66,6 +76,7 @@ class CorpusDelta:
     modified: list[Document] = field(default_factory=list)
     removed: list[ChunkRef] = field(default_factory=list)
     unchanged: int = 0
+    reembedded: list[Document] = field(default_factory=list)
     sources_changed: tuple[str, ...] = ()
 
     # ------------------------------------------------------------ views
@@ -76,19 +87,20 @@ class CorpusDelta:
     @property
     def embed_count(self) -> int:
         """Chunks the delta build must actually embed."""
-        return len(self.added) + len(self.modified)
+        return len(self.added) + len(self.modified) + len(self.reembedded)
 
     @property
     def total(self) -> int:
         """Chunk count of the successor corpus."""
-        return self.embed_count + self.unchanged
+        return len(self.added) + len(self.modified) + self.unchanged
 
     def embedded_chunks(self) -> list[Document]:
-        return list(self.added) + list(self.modified)
+        return list(self.added) + list(self.modified) + list(self.reembedded)
 
-    def removed_doc_ids(self) -> set[str]:
-        """Byte-exact ids no longer served (dropped or rewritten)."""
-        return {ref.doc_id for ref in self.removed}
+    def stale_doc_ids(self) -> set[str]:
+        """Byte-exact ids whose cached hits are stale: no longer served
+        (dropped or rewritten), or served with a recomputed vector."""
+        return {ref.doc_id for ref in self.removed} | {d.doc_id for d in self.reembedded}
 
     @property
     def digest(self) -> str:
@@ -112,6 +124,7 @@ class CorpusDelta:
             "modified": len(self.modified),
             "removed": len(self.removed),
             "unchanged": self.unchanged,
+            "reembedded": len(self.reembedded),
             "embedded": self.embed_count,
             "total": self.total,
             "sources_changed": list(self.sources_changed),
@@ -125,12 +138,16 @@ def diff_chunks(
     *,
     parent_digest: str = "",
     target_digest: str = "",
+    moved: Callable[[str], bool] | None = None,
 ) -> CorpusDelta:
     """Classify every chunk of ``new_chunks`` against ``old_chunks``.
 
     Byte-identical chunks (same ``doc_id``) are unchanged; the rest are
     split into added / modified / removed by content address.  Sources
     touched by any non-unchanged chunk land in ``sources_changed``.
+    ``moved`` is the new embedding model's
+    :meth:`~repro.embeddings.base.EmbeddingModel.moved_since` the old
+    one: the unchanged chunks it flags are listed as ``reembedded``.
     """
     # ``doc_id`` hashes the whole chunk text: take it once per chunk.
     old_doc_ids = [c.doc_id for c in old_chunks]
@@ -144,6 +161,8 @@ def diff_chunks(
     for chunk, doc_id in zip(new_chunks, new_doc_ids):
         if doc_id in old_by_doc_id:
             delta.unchanged += 1
+            if moved is not None and moved(chunk.text):
+                delta.reembedded.append(chunk)
             continue
         sources.add(str(chunk.metadata.get("source", "")))
         if chunk_id(chunk) in old_addresses:

@@ -10,11 +10,14 @@ replaces that with per-entry reasoning driven by the typed
 **Retrieval entries** (key ``(retriever_name, query, k)``, value a tuple
 of :class:`~repro.retrieval.base.RetrievedDocument`):
 
+* An entry whose query the embedding model now maps to a different
+  vector (see below) is stale — evict.
 * An entry containing a removed/rewritten chunk (byte-exact ``doc_id``)
-  is stale — evict.
-* For additions, a ``vector`` entry survives iff no added chunk can
-  enter its top-k: the entry is full (``len == k``) and
-  ``max(added_vectors @ query_vector)`` is strictly below the entry's
+  or a *re-embedded* one (same bytes, vector recomputed because a
+  corpus-fitted model's IDF moved) is stale — evict.
+* For additions, a ``vector`` entry survives iff no added or re-embedded
+  chunk can enter its top-k: the entry is full (``len == k``) and
+  ``max(embedded_vectors @ query_vector)`` is strictly below the entry's
   k-th score.  Brute-force cosine retrieval admits a new document only
   when it beats the boundary, so this test is exact (ties evict,
   conservatively, because the merge tie-break could prefer the new
@@ -33,14 +36,20 @@ change) an entry survives only if its question's retrieval entries
 *provably* survived: its question digest must match a surviving
 retrieval query and must not match an evicted one.
 
-**Query-embedding entries** depend only on the embedding model, which a
-delta build preserves by contract — they are kept unless the swap
-changed models.
+**Query-embedding entries** (key: the query text) depend on the
+embedding model *and its fit*.  The caller passes the live model's
+:meth:`~repro.embeddings.base.EmbeddingModel.moved_since` the model the
+caches were filled under; an entry is dropped iff that predicate flags
+its query — never under a hashing model, for the corpus-fitted one iff
+the query holds a term whose IDF moved or that entered or left the
+vocabulary (every query, once the chunk count changed), and always
+when the swap changed models.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import functools
+from typing import TYPE_CHECKING, Callable
 
 from repro.ingest.delta import CorpusDelta
 from repro.service.lifecycle import question_digest
@@ -54,36 +63,40 @@ def invalidate_engine_caches(
     delta: CorpusDelta | None = None,
     *,
     stale_digest: str | None = None,
-    embedding_preserved: bool = True,
+    moved: Callable[[str], bool] | None = None,
 ) -> dict:
     """Invalidate the engine's query caches for one corpus change.
 
     ``delta=None`` is the blunt path: every retrieval and answer entry
-    is dropped (and the embedding cache too unless the embedding model
-    was preserved).  With a delta, eviction is scoped as described in
-    the module docstring.  ``stale_digest`` marks an epoch swap — the
+    is dropped.  With a delta, eviction is scoped as described in the
+    module docstring.  ``stale_digest`` marks an epoch swap — the
     digest the engine just moved off — while ``None`` means an in-place
-    mutation of the live store.
+    mutation of the live store.  ``moved`` flags the texts the live
+    embedding model embeds differently than the one the caches were
+    filled under (``None``: same model, same fit); on either path it
+    scopes the query-embedding cache.
 
     Returns an accounting dict; the same numbers land on
     ``repro.ingest.invalidated_*`` / ``repro.ingest.retained_retrieval``
     counters.
     """
     registry = engine._metrics()
+    # One verdict per query text, shared by the embedding and retrieval
+    # passes; the memo dies with this call.
+    query_moved = functools.cache(moved) if moved is not None else (lambda text: False)
+    invalidated_embeddings = engine._embedding_lru.evict_where(
+        lambda text, _vector: query_moved(text)
+    )
     if delta is None:
         summary = {
             "scoped": False,
             "invalidated_retrieval": len(engine._retrieval_lru),
             "retained_retrieval": 0,
             "invalidated_answers": len(engine._answer_lru),
-            "invalidated_embeddings": (
-                0 if embedding_preserved else len(engine._embedding_lru)
-            ),
+            "invalidated_embeddings": invalidated_embeddings,
         }
         engine._retrieval_lru.clear()
         engine._answer_lru.clear()
-        if not embedding_preserved:
-            engine._embedding_lru.clear()
         registry.counter("repro.ingest.invalidated_retrieval").inc(
             summary["invalidated_retrieval"]
         )
@@ -92,12 +105,10 @@ def invalidate_engine_caches(
         )
         return summary
 
-    removed_ids = delta.removed_doc_ids()
-    added = delta.embedded_chunks()
+    stale_ids = delta.stale_doc_ids()
+    embedded = delta.embedded_chunks()
     embedding = engine.artifact.embedding
-    added_vectors = (
-        embedding.embed_documents([c.text for c in added]) if added else None
-    )
+    embedded_vectors = None
     changed = not delta.is_noop
 
     evicted_queries: set[str] = set()
@@ -113,17 +124,27 @@ def invalidate_engine_caches(
         return stale
 
     def _entry_stale(name, query, k, hits) -> bool:
-        if any(hit.doc_id in removed_ids for hit in hits):
+        nonlocal embedded_vectors
+        if query_moved(str(query)):
             return True
-        if added_vectors is None:
+        if any(hit.doc_id in stale_ids for hit in hits):
+            return True
+        if not embedded:
             return False
         if name != "vector":
             return changed  # corpus-statistic scores: conservative
         if len(hits) < k:
             return True  # a free slot: any addition could fill it
-        qvec = embedding.embed_query(str(query))
+        if embedded_vectors is None:
+            # Only for an entry the cheaper tests let through: once the
+            # chunk count changed none does, and nothing is embedded twice.
+            embedded_vectors = embedding.embed_documents([c.text for c in embedded])
+        # The query did not move, so a cached embedding of it is current.
+        qvec = engine._embedding_lru.peek(str(query))
+        if qvec is None:
+            qvec = embedding.embed_query(str(query))
         boundary = min(hit.score for hit in hits)
-        return bool(float((added_vectors @ qvec).max()) >= boundary)
+        return bool(float((embedded_vectors @ qvec).max()) >= boundary)
 
     invalidated_retrieval = engine._retrieval_lru.evict_where(retrieval_stale)
     retained_retrieval = len(engine._retrieval_lru)
@@ -149,10 +170,6 @@ def invalidate_engine_caches(
             return key[0] in unsafe or key[0] not in safe
 
     invalidated_answers = engine._answer_lru.evict_where(answer_stale)
-    invalidated_embeddings = 0
-    if not embedding_preserved:
-        invalidated_embeddings = len(engine._embedding_lru)
-        engine._embedding_lru.clear()
 
     registry.counter("repro.ingest.invalidated_retrieval").inc(invalidated_retrieval)
     registry.counter("repro.ingest.retained_retrieval").inc(retained_retrieval)

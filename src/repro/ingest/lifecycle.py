@@ -117,6 +117,7 @@ def ingest_corpus(
             artifact.chunks,
             parent_digest=previous.digest,
             target_digest=artifact.digest,
+            moved=artifact.embedding.moved_since(previous.embedding),
         )
 
     with stage("ingest:swap", metric="repro.ingest.swap", registry=registry):

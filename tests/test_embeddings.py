@@ -115,6 +115,105 @@ class TestTfidfEmbedding:
         assert np.array_equal(a, b)
 
 
+class TestTfidfDerivedFit:
+    """``fit(texts, parent=...)`` carries counts and projection rows over
+    and is value-identical to a fit that carried nothing."""
+
+    EDITED = [*CORPUS[:3], "The Chebyshev iteration needs eigenvalue bounds"]
+
+    def test_equals_a_from_scratch_fit(self):
+        parent = TfidfEmbedding(dim=64).fit(CORPUS)
+        parent.embed_documents(CORPUS)
+        derived = TfidfEmbedding(dim=64).fit(self.EDITED, parent)
+        scratch = TfidfEmbedding(dim=64).fit(self.EDITED)
+        assert derived._idf == scratch._idf
+        assert derived._counts == scratch._counts
+        assert np.array_equal(
+            derived.embed_documents(self.EDITED), scratch.embed_documents(self.EDITED)
+        )
+        query = "Chebyshev eigenvalue bounds for GMRES"
+        assert np.array_equal(derived.embed_query(query), scratch.embed_query(query))
+
+    def test_carries_the_parents_objects_and_leaves_it_untouched(self):
+        parent = TfidfEmbedding(dim=64).fit(CORPUS)
+        parent.embed_documents(CORPUS)
+        before = (dict(parent._rows), dict(parent._counts), dict(parent._idf))
+        derived = TfidfEmbedding(dim=64).fit(self.EDITED, parent)
+        derived.embed_documents(self.EDITED)
+        after = (parent._rows, parent._counts, parent._idf)
+        for was, now in zip(before, after):
+            assert was.keys() == now.keys()
+            assert all(was[k] is now[k] for k in was)
+        # Same arrays and counters, in tables of the derived fit's own.
+        assert derived._rows is not parent._rows and derived._counts is not parent._counts
+        assert derived._counts[CORPUS[0]] is parent._counts[CORPUS[0]]
+        assert derived._rows["gmres"] is parent._rows["gmres"]
+        # What left the corpus is not carried.
+        assert CORPUS[3] not in derived._counts
+        assert "avoids" in parent._rows and "avoids" not in derived._rows
+
+    def test_a_parent_of_another_shape_is_ignored(self):
+        parent = TfidfEmbedding(dim=32).fit(CORPUS)
+        parent.embed_documents(CORPUS)
+        derived = TfidfEmbedding(dim=64).fit(CORPUS, parent)
+        assert not derived._rows
+        assert np.array_equal(
+            derived.embed_documents(CORPUS), TfidfEmbedding(dim=64).fit(CORPUS).embed_documents(CORPUS)
+        )
+        assert TfidfEmbedding(dim=64).fit(CORPUS, HashingEmbedding(dim=64))._idf == derived._idf
+
+    def test_changed_terms_and_moved_texts(self):
+        parent = TfidfEmbedding(dim=64).fit(CORPUS)
+        derived = TfidfEmbedding(dim=64).fit(self.EDITED, parent)
+        changed = derived.changed_terms(parent)
+        assert changed == {
+            t
+            for t in set(parent._idf) | set(derived._idf)
+            if parent._idf.get(t) != derived._idf.get(t)
+        }
+        # Entered, left, and the edited text's own unigrams whose
+        # document frequency did not move are not in it.
+        assert {"needs", "eigenvalue", "avoids", "global"} <= changed
+        assert not {"chebyshev", "iteration", "gmres"} & changed
+        moved = derived.moved_since(parent)
+        assert not moved(CORPUS[0]) and not moved("Chebyshev iteration")
+        assert moved("global reductions")  # both terms left the vocabulary
+        assert moved("needs preallocation") and not moved("never seen")
+        assert np.array_equal(derived.embed_query(CORPUS[0]), parent.embed_query(CORPUS[0]))
+
+    def test_a_changed_text_count_moves_every_term(self):
+        parent = TfidfEmbedding(dim=64).fit(CORPUS)
+        derived = TfidfEmbedding(dim=64).fit(CORPUS[:3], parent)
+        assert derived.changed_terms(parent) == set(parent._idf)
+        moved = derived.moved_since(parent)
+        assert all(moved(text) for text in CORPUS)
+        assert not moved("zzz qqq")  # the zero vector stays the zero vector
+
+    def test_another_model_moves_everything(self):
+        fit = TfidfEmbedding(dim=64).fit(CORPUS)
+        assert fit.moved_since(HashingEmbedding(dim=64))("anything")
+        assert fit.moved_since(TfidfEmbedding(dim=64, ngram_max=1).fit(CORPUS))("anything")
+        hashing = HashingEmbedding(dim=64)
+        assert not hashing.moved_since(HashingEmbedding(dim=64))("anything")
+        assert hashing.moved_since(HashingEmbedding(dim=32))("anything")
+
+    def test_a_long_edit_chain_holds_only_the_live_vocabulary(self):
+        # Carried state lives on the fit and dies with it: 1,000 derived
+        # fits never hold a row or a count the live corpus does not use.
+        texts = list(CORPUS)
+        fit = TfidfEmbedding(dim=16).fit(texts)
+        fit.embed_documents(texts)
+        for step in range(1000):
+            texts[step % len(texts)] = f"{CORPUS[step % len(CORPUS)]} revision r{step}"
+            fit = TfidfEmbedding(dim=16).fit(texts, fit)
+            fit.embed_documents(texts)
+            assert len(fit._rows) <= fit.vocabulary_size()
+            assert len(fit._counts) <= len(texts)
+        assert np.array_equal(
+            fit.embed_documents(texts), TfidfEmbedding(dim=16).fit(texts).embed_documents(texts)
+        )
+
+
 class TestRegistry:
     def test_names(self):
         assert "petsc-embed-large" in EMBEDDING_MODEL_NAMES

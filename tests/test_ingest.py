@@ -14,17 +14,27 @@ import json
 import re
 import threading
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from repro.api import open_engine
-from repro.config import EngineConfig, ReproConfig, RetrievalConfig, ShardingConfig
+from repro.api import open_engine, open_service
+from repro.config import (
+    EngineConfig,
+    ReplicationConfig,
+    ReproConfig,
+    RetrievalConfig,
+    ShardingConfig,
+)
 from repro.corpus.builder import CorpusBundle, chunk_corpus, overlay_tree
+from repro.corpus.facts import FactRegistry
 from repro.documents import Document
 from repro.embeddings.registry import EMBEDDING_MODEL_NAMES
 from repro.errors import IngestError
+from repro.evaluation.benchmark import krylov_benchmark
 from repro.index import (
     clear_index_cache,
     get_or_build_index,
@@ -274,19 +284,41 @@ class TestDeltaBuild:
         assert scratch.shards[0].parent_digest is None
         _assert_same_artifact(artifact, scratch)
 
-    def test_corpus_fitted_embedding_declines(self, bundle, fresh_cache):
-        # Every TF-IDF vector depends on the whole corpus: nothing is
-        # reusable, so the build over a parent is a full build.
+    def test_corpus_fitted_embedding_reembeds_only_moved_chunks(self, bundle, fresh_cache):
+        # Was test_corpus_fitted_embedding_declines.  A TF-IDF vector
+        # depends only on the IDF of the chunk's own terms: an edit that
+        # keeps the chunk count re-embeds the edited chunk and the
+        # chunks holding a term whose IDF moved, nothing else.
         reg = MetricsRegistry()
         with use_registry(reg):
             engine = open_engine(_cfg(embedding="petsc-embed-large"), bundle=bundle)
+            parent = engine.artifact
             builds_before = reg.counter("repro.index.builds").value
             report = ingest_corpus(engine, _edited(bundle))
-        assert report.resolution == "full"
-        assert engine.artifact.shards[0].parent_digest is None
-        assert reg.counter("repro.index.builds").value == builds_before + 1
-        assert reg.counter("repro.ingest.chunks_reused").value == 0
-        assert reg.counter("repro.ingest.delta_builds").value == 0
+        assert report.resolution == "delta"
+        artifact = engine.artifact
+        assert artifact.shards[0].parent_digest == parent.shards[0].digest
+        changed = artifact.embedding.changed_terms(parent.embedding)
+        assert 0 < len(changed) < artifact.embedding.vocabulary_size() / 10
+        parent_ids = {c.doc_id for c in parent.chunks}
+        edited = [c for c in artifact.chunks if c.doc_id not in parent_ids]
+        holding = [
+            c
+            for c in artifact.chunks
+            if c.doc_id in parent_ids
+            and not changed.isdisjoint(artifact.embedding._term_counts(c.text))
+        ]
+        assert len(edited) == 1 and holding
+        embedded = reg.counter("repro.ingest.chunks_embedded").value
+        assert embedded == len(edited) + len(holding) < len(artifact.chunks) / 4
+        assert embedded + reg.counter("repro.ingest.chunks_reused").value == len(artifact.chunks)
+        assert reg.counter("repro.index.builds").value == builds_before
+        assert reg.counter("repro.ingest.delta_builds").value == 1
+        # The report says why a one-document edit embedded more than one chunk.
+        assert report.delta["added"] + report.delta["modified"] == len(edited)
+        assert report.delta["reembedded"] == len(holding)
+        assert report.delta["embedded"] == embedded
+        assert report.delta["unchanged"] == len(artifact.chunks) - len(edited)
 
     def test_large_delta_still_copies_unchanged_rows(self, bundle, fresh_cache):
         # Was test_large_delta_falls_back_to_full_build: reuse is a row
@@ -367,7 +399,10 @@ class TestBuildOverParentEqualsFromScratch:
         revised = revise(bundle, cfg)
         get_or_build_index(bundle, cfg)
         over_parent, lane = resolve_index(plan_shards(revised, cfg), cfg)
-        assert lane == ("full" if embedding == "petsc-embed-large" else "delta")
+        # A changed chunk count moves every IDF: nothing of the parent's
+        # is reusable under the corpus-fitted model.
+        refit_all = embedding == "petsc-embed-large" and revise in (_added, _removed)
+        assert lane == ("full" if refit_all else "delta")
         clear_index_cache()
         scratch, scratch_lane = resolve_index(plan_shards(revised, cfg), cfg)
         assert scratch_lane == "full"
@@ -379,6 +414,142 @@ class TestBuildOverParentEqualsFromScratch:
             kept = sum(c.doc_id in parent_ids for c in rebuilt.chunks)
             assert 0 < kept < len(rebuilt.chunks) / 2
             assert rebuilt.parent_digest is not None
+
+
+    def test_two_hop_lineage_compares_against_the_parents_own_fit(self, bundle, fresh_cache):
+        """A → B → C where C undoes B's edit: the terms B's note moved
+        have the IDF at C they had at A.  B's rows were computed under
+        B's fit, so the chunks holding those terms must be re-embedded
+        at C — a reuse test against the fit that seeded the caches (A's)
+        would copy B's rows and miss scratch by a few bytes."""
+        cfg = _cfg(embedding="petsc-embed-large")
+        a = get_or_build_index(bundle, cfg)
+        b, lane_b = resolve_index(plan_shards(_edited(bundle), cfg), cfg)
+        revised = _edit_source(bundle, "manualpages/KSPGMRES.md", "\n\nSee also KSPFGMRES.\n")
+        c, lane_c = resolve_index(plan_shards(revised, cfg), cfg)
+        assert (lane_b, lane_c) == ("delta", "delta")
+        assert c.shards[0].parent_digest == b.shards[0].digest
+        undone = b.embedding.changed_terms(a.embedding) & c.embedding.changed_terms(b.embedding)
+        assert undone and not undone & c.embedding.changed_terms(a.embedding)
+        b_rows = dict(zip((d.doc_id for d in b.shards[0].store._docs), b.shards[0].store.index.matrix))
+        c_rows = dict(zip((d.doc_id for d in c.shards[0].store._docs), c.shards[0].store.index.matrix))
+        carried_terms_only = [
+            doc.doc_id
+            for doc in c.chunks
+            if doc.doc_id in b_rows and not undone.isdisjoint(c.embedding._term_counts(doc.text))
+        ]
+        assert carried_terms_only
+        assert all(not np.array_equal(b_rows[d], c_rows[d]) for d in carried_terms_only)
+        clear_index_cache()
+        _assert_same_artifact(c, get_or_build_index(revised, cfg))
+
+
+# ------------------------------------------------------------ sequence property
+_WORDS = (
+    "krylov gmres restart residual tolerance preconditioner jacobi matrix "
+    "vector assembly solver monitor converged breakdown orthogonalization"
+).split()
+_texts = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=14).map(" ".join)
+_steps = st.lists(
+    st.tuples(st.sampled_from(["edit", "add", "remove", "noop"]), st.integers(0, 50), _texts),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _page(slot: int, body: str) -> Document:
+    return Document(
+        text=f"# PAGE{slot}\n\n{body}\n",
+        metadata={"source": f"pages/p{slot}.md", "doc_type": "manual_page", "title": f"PAGE{slot}"},
+    )
+
+
+def _long_doc(body: str) -> Document:
+    # Long enough that the splitter cuts it: an edit here can change the
+    # chunk count, not only an add or a remove.
+    sections = "\n\n".join(f"## Part {i}\n\n" + " ".join([body] * 12) for i in range(3))
+    return Document(text=f"# Guide\n\n{sections}\n", metadata={"source": "guide.md", "doc_type": "faq"})
+
+
+@contextmanager
+def _outside_the_cache():
+    """Run a from-scratch build without disturbing the lineage under test."""
+    from repro.index import builder
+
+    with builder._cache_lock:
+        saved = dict(builder._artifacts), dict(builder._lineage)
+    clear_index_cache()
+    try:
+        yield
+    finally:
+        clear_index_cache()
+        with builder._cache_lock:
+            builder._artifacts.update(saved[0])
+            builder._lineage.update(saved[1])
+
+
+class TestLineageSequenceEqualsFromScratch:
+    """Whatever sequence of edits, adds, removes and no-ops the lineage
+    went through, each resolved artifact is the from-scratch artifact."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("embedding", EMBEDDING_MODEL_NAMES)
+    @given(steps=_steps)
+    @settings(max_examples=30, deadline=None)
+    def test_every_step_equals_a_scratch_rebuild(self, embedding, shards, steps):
+        cfg = _cfg(shards, embedding=embedding)
+        registry = FactRegistry()
+        docs = {
+            d.metadata["source"]: d
+            for d in [_long_doc("krylov solver"), *(_page(i, w) for i, w in enumerate(_WORDS[:5]))]
+        }
+        next_slot = len(docs)
+        clear_index_cache()
+        try:
+            previous = get_or_build_index(CorpusBundle(registry, list(docs.values())), cfg)
+            for op, pick, body in steps:
+                victim = sorted(docs)[pick % len(docs)]
+                if op == "edit":
+                    docs[victim] = (
+                        _long_doc(body) if victim == "guide.md" else _page(int(victim[7:-3]), body)
+                    )
+                elif op == "add":
+                    docs[f"pages/p{next_slot}.md"] = _page(next_slot, body)
+                    next_slot += 1
+                elif op == "remove" and len(docs) > 2:
+                    del docs[victim]
+                revised = CorpusBundle(registry, list(docs.values()))
+                reg = MetricsRegistry()
+                with use_registry(reg):
+                    artifact, lane = resolve_index(plan_shards(revised, cfg), cfg)
+                with _outside_the_cache():
+                    scratch, scratch_lane = resolve_index(plan_shards(revised, cfg), cfg)
+                assert scratch_lane == "full"
+                _assert_same_artifact(artifact, scratch)
+                event(f"lane {lane}")
+                if artifact is previous:
+                    assert lane == "memory"
+                    continue
+                served = {s.digest for s in previous.shards}
+                built = [s for s in artifact.shards if s.digest not in served]
+                delta_built = [s for s in built if s.parent_digest is not None]
+                # The composite reports its dearest shard.
+                assert lane == ("delta" if len(delta_built) == len(built) else "full")
+                assert reg.counter("repro.ingest.chunks_embedded").value + reg.counter(
+                    "repro.ingest.chunks_reused"
+                ).value == sum(len(s.chunks) for s in delta_built)
+                if embedding == "petsc-embed-large":
+                    fit, ref, old = artifact.embedding, scratch.embedding, previous.embedding
+                    assert fit._idf == ref._idf
+                    assert set(fit._rows) <= set(fit._idf)
+                    assert fit.changed_terms(old) == {
+                        t
+                        for t in set(ref._idf) | set(old._idf)
+                        if ref._idf.get(t) != old._idf.get(t)
+                    }
+                previous = artifact
+        finally:
+            clear_index_cache()
 
 
 class TestResolutionLanes:
@@ -432,11 +603,14 @@ class TestResolutionLanes:
 
         monkeypatch.setattr(builder, "build_shard", gated)
         reports, errors = {}, []
+        # Adding a page changes the chunk count, so the corpus-fitted
+        # engine's build reuses nothing: lane ``full``.
+        revisions = {"delta": _edited(bundle), "full": _added(bundle)}
 
         def run(name):
             try:
                 with use_registry(reg):
-                    reports[name] = ingest_corpus(engines[name], _edited(bundle))
+                    reports[name] = ingest_corpus(engines[name], revisions[name])
             except Exception as exc:  # surfaced below, with the thread's name
                 errors.append((name, exc))
             finally:
@@ -618,6 +792,94 @@ class TestIngestCorpus:
         scratch = open_engine(cfg, bundle=edited)
         assert scratch.artifact.digest == report.digest
         assert scratch.answer("What does KSPCG do?").answer == swapped_answer
+
+
+def _revision_note(bundle, source: str, step: int) -> CorpusBundle:
+    """The ledger's edit: (re)write the revision note ending one page."""
+    docs = list(bundle.documents)
+    pages = dict(bundle.manual_page_names)
+    slot = next(i for i, d in enumerate(docs) if d.metadata.get("source") == source)
+    victim = docs[slot]
+    base = victim.text.split("\n\nRevision note")[0]
+    docs[slot] = edited = Document(
+        text=f"{base}\n\nRevision note r{step}: wording revised.", metadata=dict(victim.metadata)
+    )
+    for name, page in pages.items():
+        if page is victim:
+            pages[name] = edited
+    return CorpusBundle(registry=bundle.registry, documents=docs, manual_page_names=pages)
+
+
+class TestSwapLeavesNoStaleCacheEntry:
+    """After a swap under the corpus-fitted model, with every cache left
+    warm, the engine answers like one opened fresh on the final corpus:
+    an edit moves the IDF of a few terms, and with it query vectors and
+    the vectors of chunks the edit never touched."""
+
+    PAGES = ("KSPGMRES", "KSPCG", "KSPBCGS", "KSPGMRES", "PCJACOBI")
+    POOL_EXTRA = (
+        "Which manual pages carry a revision note?",
+        "Was the wording of the GMRES restart note revised?",
+        "What changed in revision note r1?",
+    )
+
+    @pytest.mark.parametrize(("shards", "replicas"), [(1, 1), (4, 2)], ids=["1x1", "4x2"])
+    def test_warm_engine_equals_fresh_engine(self, bundle, fresh_cache, shards, replicas):
+        cfg = ReproConfig(
+            iterations_per_token=0,
+            sharding=ShardingConfig(num_shards=shards),
+            replication=ReplicationConfig(replicas=replicas),
+        )
+        assert cfg.retrieval.embedding_model == "petsc-embed-large"
+        pool = [q.text for q in krylov_benchmark()] + list(self.POOL_EXTRA)
+        service = open_service(cfg, bundle=bundle)
+        revised = bundle
+        for step, page in enumerate(self.PAGES, start=1):
+            for question in pool:
+                service.answer(question)
+            revised = _revision_note(revised, f"manualpages/{page}.md", step)
+            report = ingest_corpus(service.engine, revised)
+            assert report.resolution == "delta"
+        assert report.delta["reembedded"] > 0
+        retained = report.invalidation["retained_retrieval"]
+        assert 0 < retained < len(pool)  # scoped: neither blunt nor a no-op
+        warm = [service.answer(question) for question in pool]
+        clear_index_cache()
+        fresh = open_service(cfg, bundle=revised)
+        assert fresh.engine.artifact.digest == service.engine.artifact.digest
+        for question, got in zip(pool, warm):
+            want = fresh.answer(question)
+            assert [(c.doc_id, c.score) for c in got.candidates] == [
+                (c.doc_id, c.score) for c in want.candidates
+            ], question
+            assert got.answer == want.answer, question
+
+    def test_query_holding_a_term_that_left_the_vocabulary(self, bundle, fresh_cache):
+        engine = open_engine(ReproConfig(iterations_per_token=0), bundle=bundle)
+        page = "manualpages/KSPGMRES.md"
+        first = _revision_note(bundle, page, 1)
+        ingest_corpus(engine, first)
+        leaving, staying = "What changed in revision note r1?", "What is DMDA?"
+        for question in (leaving, staying):
+            engine.answer(question)
+        kept = engine._embedding_lru.peek(staying)
+        assert engine._embedding_lru.peek(leaving) is not None and kept is not None
+        # ``r1`` becomes ``r2``: same chunk count, ``r1`` leaves the vocabulary.
+        report = ingest_corpus(engine, _revision_note(first, page, 2))
+        assert report.resolution == "delta"
+        assert "r1" not in engine.artifact.embedding._idf
+        assert engine._embedding_lru.peek(leaving) is None
+        assert engine._embedding_lru.peek(staying) is kept
+        assert report.invalidation["invalidated_embeddings"] == 1
+
+    def test_changed_chunk_count_drops_everything(self, bundle, fresh_cache):
+        engine = open_engine(ReproConfig(iterations_per_token=0), bundle=bundle)
+        for question in ("What does KSPGMRES do?", "How do I set the KSP tolerance?"):
+            engine.answer(question)
+        report = ingest_corpus(engine, _added(bundle))
+        assert report.resolution == "full"
+        assert report.delta["reembedded"] == report.delta["unchanged"]
+        assert engine.cache_sizes() == {"answer": 0, "retrieval": 0, "embedding": 0}
 
 
 class TestApplyDocuments:
