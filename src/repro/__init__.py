@@ -14,8 +14,8 @@ True
 Main entry points
 -----------------
 ``open_service``              the serving front door: ReproConfig →
-                              ReproService (one interceptor chain, one
-                              scheduler, for every consumer)
+                              ReproService (one admission, cache and
+                              scheduler path for every consumer)
 ``open_engine``               ReproConfig → QueryEngine (scatter-gather
                               over N shards × R replicas, 1 × 1 by default)
 ``ReproConfig``               root config nesting every subsystem's knobs

@@ -78,9 +78,9 @@ def open_service(
     """Open the serving front door: an :func:`open_engine` engine wrapped
     in its :class:`~repro.service.ReproService`.
 
-    Every request — single or batch, from any consumer — runs the same
-    interceptor chain (``admission → dedupe → answer-cache → tracing →
-    execute → record``) and the same deterministic scheduler.
+    Every request — single or batch, from any consumer — is admitted,
+    looked up in the answer cache, executed and committed by that one
+    deterministic scheduler.
     """
     engine = open_engine(
         config, bundle=bundle, fault_injector=fault_injector, registry=registry

@@ -53,7 +53,7 @@ All question-answering commands serve through the
 :class:`~repro.service.ReproService` front door (see
 :func:`repro.api.open_service`), over one cached index artifact, so a
 multi-command process builds the index exactly once and every request —
-single or batch — runs the same interceptor chain.  The global
+single or batch — is served by the same scheduler.  The global
 ``--shards N`` flag partitions the index into N shards built in parallel
 and served scatter-gather — answers are byte-identical at any N.
 """

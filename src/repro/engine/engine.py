@@ -6,12 +6,11 @@ mode, the answer/retrieval/embedding LRU caches, and the health tracker
 of the shard replicas it serves from.  Retrieval is scatter-gather over
 the artifact's shards — one shard, one replica by default — and nothing
 above the store knows the shard count: the merge order ``(-score,
-doc_id)`` makes retrieval partition-invariant.  Serving goes through the request lifecycle in :mod:`repro.service`:
-:meth:`QueryEngine.answer` and :meth:`QueryEngine.answer_many` are thin
-wrappers that route every request — one question is a batch of one —
-through the engine's :class:`~repro.service.ReproService` and its
-interceptor chain (``admission → dedupe → answer-cache → tracing →
-execute → record``).
+doc_id)`` makes retrieval partition-invariant.  Serving goes through the
+request lifecycle in :mod:`repro.service`: :meth:`QueryEngine.answer`
+and :meth:`QueryEngine.answer_many` are thin wrappers over the engine's
+:class:`~repro.service.ReproService`, whose scheduler admits, consults
+the answer cache, dedupes, executes and commits every request.
 
 Determinism contract (see DESIGN.md §8 and §12): everything
 digest-relevant is a pure function of (artifact digest, question list,
@@ -260,7 +259,8 @@ class QueryEngine:
         mode: str | PipelineMode | None = None,
         ctx: RequestContext | None = None,
     ) -> PipelineResult:
-        """Answer one question — a batch of one through the service chain."""
+        """Answer one question through the service (the steps of a
+        batch, for one synchronous request)."""
         return self.service.answer(question, mode=mode, ctx=ctx)
 
     def answer_many(
@@ -273,8 +273,8 @@ class QueryEngine:
         arrivals: list[float] | None = None,
         client_ids: list[str] | None = None,
     ) -> BatchResult:
-        """Answer a batch through the service chain's deterministic
-        scheduler (see :meth:`repro.service.ReproService.answer_many`)."""
+        """Answer a batch through the service's deterministic scheduler
+        (see :meth:`repro.service.ReproService.answer_many`)."""
         return self.service.answer_many(
             questions,
             mode=mode,

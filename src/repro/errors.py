@@ -87,14 +87,6 @@ class ConfigurationError(ReproError):
     """A configuration object is inconsistent or out of range. Permanent."""
 
 
-class ServiceConfigurationError(ConfigurationError):
-    """The service's interceptor chain is malformed: a required
-    interceptor is missing, duplicated, or out of canonical order, or
-    the service was constructed over an inconsistent backend. Permanent
-    — the chain is validated at construction, before any request runs.
-    """
-
-
 class CorpusError(ReproError):
     """The knowledge-base corpus is malformed or missing content."""
 
@@ -189,10 +181,6 @@ class PromptError(ReproError):
 
 class PostprocessError(ReproError):
     """Markdown/HTML postprocessing failed."""
-
-
-class CodeCheckError(ReproError):
-    """The mini code checker rejected a code block structurally."""
 
 
 class HistoryError(ReproError):

@@ -1,44 +1,11 @@
 """The request-lifecycle service layer (DESIGN.md §12).
 
-One typed request/response pair, one composable interceptor chain
-(``admission → dedupe → answer-cache → tracing → execute → record``),
-one deterministic scheduler, one front door: :class:`ReproService`.
+One front door, :class:`ReproService`, whose two entry points are the
+scheduler: ``answer_many`` (open → classify → execute → commit/close)
+and ``answer``, the same steps for one synchronous request.
 """
 
-from repro.service.interceptors import (
-    CANONICAL_CHAIN,
-    AdmissionInterceptor,
-    AnswerCacheInterceptor,
-    DedupeInterceptor,
-    ExecuteInterceptor,
-    Interceptor,
-    RecordInterceptor,
-    TracingInterceptor,
-    default_chain,
-    validate_chain,
-)
-from repro.service.lifecycle import (
-    AnswerRequest,
-    AnswerResponse,
-    BatchResult,
-    LifecycleState,
-)
+from repro.service.lifecycle import AnswerResponse, BatchResult
 from repro.service.service import ReproService
 
-__all__ = [
-    "AdmissionInterceptor",
-    "AnswerCacheInterceptor",
-    "AnswerRequest",
-    "AnswerResponse",
-    "BatchResult",
-    "CANONICAL_CHAIN",
-    "DedupeInterceptor",
-    "ExecuteInterceptor",
-    "Interceptor",
-    "LifecycleState",
-    "RecordInterceptor",
-    "ReproService",
-    "TracingInterceptor",
-    "default_chain",
-    "validate_chain",
-]
+__all__ = ["AnswerResponse", "BatchResult", "ReproService"]

@@ -1,64 +1,27 @@
-"""Typed request-lifecycle objects: request, response, batch, run state.
+"""The scheduler's result types: one response per question, one batch.
 
-One request through the serving stack is an :class:`AnswerRequest`
-flowing down the interceptor chain and an :class:`AnswerResponse`
-flowing back.  A batch is a list of requests scheduled together; a
-single ``answer()`` call is a batch of one (same chain, same
-scheduler).  :class:`LifecycleState` is the blackboard one scheduler
-run shares across the chain — each interceptor reads and writes only
-the fields its contract names (DESIGN.md §12).
+:meth:`ReproService.answer_many <repro.service.ReproService.answer_many>`
+returns a :class:`BatchResult` holding one :class:`AnswerResponse` per
+question, in input order; the digests every gate compares are computed
+here (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
 
 from repro.admission import ADMIT, QUEUE, AdmissionDecision
-from repro.observability import MetricsRegistry
 from repro.observability.trace import Trace
 from repro.pipeline.rag import PipelineResult
 from repro.pipeline.types import PipelineMode
 
-if TYPE_CHECKING:
-    from repro.context import RequestContext
-    from repro.llm.latency import TokenBurnCollector
-    from repro.pipeline.rag import RAGPipeline
-    from repro.service.service import ReproService
-
-#: The two request kinds one scheduler serves.  They differ only where
-#: the pre-lifecycle code paths differed observably: a single request
-#: raises admission/pipeline errors instead of recording them, creates
-#: its context lazily, and burns LLM latency inline instead of
-#: deferring it to the batch coordinator's vectorized flush.
-SINGLE = "single"
-BATCH = "batch"
-
 
 def question_digest(question: str) -> str:
+    """SHA-256 of the question text: the first part of a request's
+    identity key ``(question digest, mode, artifact digest)``."""
     return hashlib.sha256(question.encode("utf-8", errors="replace")).hexdigest()
-
-
-@dataclass
-class AnswerRequest:
-    """One question entering the chain, plus per-request scratch."""
-
-    question: str
-    mode: PipelineMode
-    index: int = 0
-    client_id: str = "default"
-    arrival: float = 0.0
-    #: Caller-supplied context (single requests only); batch requests
-    #: always get a deterministic per-index context at execute time.
-    ctx: "RequestContext | None" = None
-    #: Identity key ``(question digest, mode, artifact digest)`` — the
-    #: answer-cache and dedupe interceptors share it.  Computed lazily.
-    key: tuple | None = None
-    #: Set by dedupe when an earlier in-flight request has the same key.
-    dup_of: int | None = None
 
 
 @dataclass
@@ -84,6 +47,7 @@ class AnswerResponse:
 
     @property
     def answered(self) -> bool:
+        """True when a pipeline result (fresh, cached or shared) came back."""
         return self.result is not None
 
     @property
@@ -123,10 +87,12 @@ class BatchResult:
 
     @property
     def results(self) -> list[PipelineResult | None]:
+        """Pipeline results in input order (``None`` for shed/failed items)."""
         return [it.result for it in self.items]
 
     @property
     def answered_count(self) -> int:
+        """Items that carry a result."""
         return sum(1 for it in self.items if it.answered)
 
     @property
@@ -142,14 +108,17 @@ class BatchResult:
 
     @property
     def cached_count(self) -> int:
+        """Items served from the answer cache or shared from a dedupe primary."""
         return sum(1 for it in self.items if it.cached)
 
     @property
     def shed_count(self) -> int:
+        """Items admission rejected before any work ran."""
         return sum(1 for it in self.items if it.shed)
 
     @property
     def queued_count(self) -> int:
+        """Items admission parked on the simulated queue before serving."""
         if self.decisions is None:
             return 0
         return sum(1 for d in self.decisions if d.outcome == QUEUE)
@@ -163,6 +132,7 @@ class BatchResult:
 
     @property
     def questions_per_second(self) -> float:
+        """Batch throughput over the coordinator's wall clock."""
         return len(self.items) / self.batch_seconds if self.batch_seconds > 0 else 0.0
 
     # ------------------------------------------------------------ digests
@@ -197,6 +167,8 @@ class BatchResult:
 
     # ------------------------------------------------------------ rendering
     def render(self, *, show_answers: bool = False) -> str:
+        """The ``repro batch`` report: one status line per item, totals,
+        admission counts and the two digests."""
         lines: list[str] = []
         for it in self.items:
             if it.shed:
@@ -240,60 +212,3 @@ class BatchResult:
         lines.append(f"answers digest: {self.answers_digest()}")
         lines.append(f"span digest:    {self.span_digest()}")
         return "\n".join(lines)
-
-
-@dataclass
-class LifecycleState:
-    """The blackboard one scheduler run shares across the chain.
-
-    Which interceptor may write which field is part of the interceptor
-    contract (DESIGN.md §12); everything else treats the state as
-    read-only.
-    """
-
-    service: "ReproService"
-    kind: str
-    mode: PipelineMode
-    requests: list[AnswerRequest]
-    registry: MetricsRegistry
-    #: ``req.key`` factory installed by the service.
-    key_fn: Callable[[AnswerRequest], tuple]
-    seed: int = 0
-    workers: int = 1
-    #: Normalized admission inputs (batch kind only).
-    arrivals: list[float] = field(default_factory=list)
-    client_ids: list[str] = field(default_factory=list)
-    #: name → interceptor for the validated chain serving this run.
-    interceptors: dict[str, Any] = field(default_factory=dict)
-
-    # --- written by admission ---
-    decisions: list[AdmissionDecision] | None = None
-    # --- written by dedupe ---
-    primary_of: dict[tuple, int] = field(default_factory=dict)
-    duplicates: list[tuple[int, int]] = field(default_factory=list)
-    # --- written by answer-cache ---
-    use_cache: bool = False
-    hit_keys: dict[int, tuple] = field(default_factory=dict)
-    # --- written by tracing/metrics ---
-    collector: "TokenBurnCollector | None" = None
-    started: float = field(default_factory=time.perf_counter)
-    batch_seconds: float = 0.0
-    burn_seconds: float = 0.0
-    deferred_tokens: int = 0
-    # --- written by the scheduler (requests that passed the chain) ---
-    jobs: list[AnswerRequest] = field(default_factory=list)
-    # --- written by execute ---
-    pipeline: "RAGPipeline | None" = None
-    outcomes: dict[int, tuple] = field(default_factory=dict)
-    # --- written by the scheduler (disposals) and record (assembly) ---
-    items: list = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.items:
-            self.items = [None] * len(self.requests)
-
-    def key_of(self, req: AnswerRequest) -> tuple:
-        """The request's identity key, computed once on first use."""
-        if req.key is None:
-            req.key = self.key_fn(req)
-        return req.key

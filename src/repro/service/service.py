@@ -1,71 +1,162 @@
-"""The service front door: every consumer's one way in.
+"""The service front door: every consumer's one way in, and the scheduler.
 
-:class:`ReproService` owns a validated interceptor chain and one
-deterministic scheduler.  ``answer()`` is a batch of one through the
-same chain as ``answer_many()`` — there is no separate sequential code
-path anymore.  CLI commands, the chatbot, the email bot, the workflow,
-evaluation, and the chaos/robustness sweeps all route here; the only
-``pipeline.answer()`` call site left in the library is the execute
-interceptor.
+:class:`ReproService` serves a request with two straight-line
+functions.  :meth:`~ReproService.answer_many` is the deterministic
+batch scheduler, one body of four phases — open, classify, execute,
+commit/close; :meth:`~ReproService.answer` is the same steps for one
+request, differing exactly where a synchronous caller differs: its own
+counter, admission sheds and pipeline errors raise, the context is the
+caller's (or created lazily), and the LLM burn and cache writes happen
+inline rather than at a batch commit.  CLI commands, the chatbot, the
+email bot, the workflow, evaluation and the chaos sweeps all route
+here; :meth:`~ReproService._call` holds the only ``pipeline.answer()``
+call site in the library.
 
 Every service is backed by a :class:`~repro.engine.QueryEngine`: the
 shared artifact, the per-mode pipelines (baseline included), the
 answer/retrieval/embedding caches, admission, and the engine metrics.
+Everything digest-relevant below — metric names and increment order,
+span shapes, event payloads, error strings, commit order — is frozen by
+the golden fixtures of ``tests/test_service.py`` (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.admission import ADMIT, QUEUE, SHED, AdmissionDecision
+from repro.context import RequestContext
+from repro.engine.caches import CacheTransaction
 from repro.errors import ConfigurationError, ReproError
-from repro.observability import get_registry
+from repro.llm.latency import TokenBurnCollector
+from repro.observability import Tracer, get_registry
+from repro.observability.trace import Trace
+from repro.pipeline.rag import PipelineResult
 from repro.pipeline.types import PipelineMode
-from repro.service.interceptors import Interceptor, default_chain, validate_chain
-from repro.service.lifecycle import (
-    BATCH,
-    SINGLE,
-    AnswerRequest,
-    BatchResult,
-    LifecycleState,
-    question_digest,
-)
+from repro.resilience.policy import Deadline
+from repro.service.lifecycle import AnswerResponse, BatchResult, question_digest
+from repro.utils.rng import derive_seed
 
 if TYPE_CHECKING:
-    from repro.admission import AdmissionController
-    from repro.context import RequestContext
     from repro.engine import QueryEngine
     from repro.observability import MetricsRegistry
-    from repro.pipeline.rag import PipelineResult, RAGPipeline
+    from repro.pipeline.rag import RAGPipeline
+
+
+@dataclass
+class _CachedAnswer:
+    """The replayable slice of a pipeline result (no trace, no timings)."""
+
+    answer: str
+    model: str
+    contexts: tuple
+    candidates: tuple
+    prompt: str
+    completion: object
+    attempts: int
+    degraded: tuple
+    coverage: float = 1.0
+
+    @classmethod
+    def from_result(cls, result: PipelineResult) -> "_CachedAnswer":
+        return cls(
+            answer=result.answer,
+            model=result.model,
+            contexts=tuple(result.contexts),
+            candidates=tuple(result.candidates),
+            prompt=result.prompt,
+            completion=result.completion,
+            attempts=result.attempts,
+            degraded=tuple(result.degraded),
+            coverage=result.coverage,
+        )
+
+    def replay(self, question: str, mode: PipelineMode) -> PipelineResult:
+        """Materialize the cached answer: fresh root span, no llm child."""
+        tracer = Tracer()
+        with tracer.trace(
+            "pipeline", mode=str(mode), model=self.model, cached=True
+        ) as trace:
+            tracer.event("cache:answer-hit")
+        return PipelineResult(
+            question=question,
+            answer=self.answer,
+            mode=mode,
+            model=self.model,
+            contexts=list(self.contexts),
+            candidates=list(self.candidates),
+            prompt=self.prompt,
+            completion=self.completion,
+            attempts=self.attempts,
+            degraded=list(self.degraded),
+            coverage=self.coverage,
+            trace=trace,
+        )
+
+
+def _deadline(pipeline: "RAGPipeline") -> Deadline | None:
+    """A fresh wall-clock budget for one request, if the pipeline sets one."""
+    seconds = pipeline.deadline_seconds
+    return Deadline(seconds) if seconds is not None else None
+
+
+def _shed_response(
+    index: int, question: str, decision: AdmissionDecision
+) -> AnswerResponse:
+    """A rejected request's record: no work ran, but the rejection is
+    traced so shed requests show up in span digests like any other."""
+    tracer = Tracer()
+    with tracer.trace("admission", outcome=SHED) as trace:
+        tracer.event(
+            "admission:shed",
+            client=decision.client,
+            retry_after=round(decision.retry_after, 6),
+        )
+    return AnswerResponse(
+        index=index,
+        question=question,
+        result=None,
+        error=(
+            f"OverloadedError: shed by admission "
+            f"(retry after {decision.retry_after:.3f}s)"
+        ),
+        shed=True,
+        retry_after=decision.retry_after,
+        trace=trace,
+    )
+
+
+def _queued_trace(base: Trace, decision: AdmissionDecision) -> Trace:
+    """A copy of ``base`` carrying the item's queue wait.  A copy, because
+    dedupe duplicates share the result trace with their primary, which
+    must not inherit this item's queueing; ``at=end`` keeps the closed
+    root span well-formed."""
+    queued = Trace.from_dict(base.to_dict())
+    queued.root.add_event(
+        "admission:queued",
+        at=queued.root.end,
+        queue_wait=round(decision.queue_wait, 6),
+    )
+    return queued
 
 
 class ReproService:
-    """One front door over one validated interceptor chain."""
+    """One front door, one scheduler, over one engine."""
 
-    def __init__(
-        self,
-        engine: "QueryEngine",
-        *,
-        default_mode: str | PipelineMode | None = None,
-        chain: list[Interceptor] | None = None,
-    ) -> None:
+    def __init__(self, engine: "QueryEngine") -> None:
         self.engine = engine
-        self.default_mode = (
-            PipelineMode.coerce(default_mode)
-            if default_mode is not None
-            else engine.default_mode
-        )
-        self.chain: list[Interceptor] = (
-            list(chain) if chain is not None else default_chain()
-        )
-        validate_chain(self.chain)
-        self._interceptors = {icp.name: icp for icp in self.chain}
 
     # ------------------------------------------------------------ plumbing
     @property
-    def admission(self) -> "AdmissionController | None":
-        return self.engine.admission
+    def default_mode(self) -> PipelineMode:
+        """The engine's default mode, read live so the two never disagree."""
+        return self.engine.default_mode
 
     def resolve_mode(self, mode: str | PipelineMode | None = None) -> PipelineMode:
+        """``mode`` coerced, or the engine's default when ``None``."""
         return PipelineMode.coerce(mode) if mode is not None else self.default_mode
 
     def pipeline_for(self, mode: str | PipelineMode | None = None) -> "RAGPipeline":
@@ -73,9 +164,11 @@ class ReproService:
         return self.engine.pipeline(self.resolve_mode(mode))
 
     def model_name(self, mode: str | PipelineMode | None = None) -> str:
+        """Name of the chat model behind ``mode``'s pipeline."""
         return self.pipeline_for(mode).chat_model.name
 
     def cache_answers_enabled(self) -> bool:
+        """Whether requests may be served from / stored to the answer LRU."""
         # Fault injection is per-call state; serving a cached answer
         # would silently skip scheduled faults, so chaos builds bypass.
         return (
@@ -98,11 +191,7 @@ class ReproService:
         else:
             self.engine.clear_query_caches()
 
-    def _key_fn(self, mode: PipelineMode):
-        artifact_digest = self.engine.artifact.digest
-        return lambda req: (question_digest(req.question), str(mode), artifact_digest)
-
-    def _registry_for(self, ctx: "RequestContext | None") -> "MetricsRegistry":
+    def _registry_for(self, ctx: RequestContext | None) -> "MetricsRegistry":
         """The run's registry: request-scoped handle first, explicit
         engine handle, then the ambient scope — resolved on the
         coordinator, never inside worker threads."""
@@ -112,34 +201,32 @@ class ReproService:
             return self.engine.registry
         return get_registry()
 
-    # ------------------------------------------------------------ scheduler
-    def _run(self, state: LifecycleState) -> LifecycleState:
-        """Drive one lifecycle: setups in chain order, the per-request
-        walk (dispose → claim → job), execute, then finishes in
-        reverse chain order."""
-        state.interceptors = self._interceptors
-        chain = self.chain
-        for icp in chain:
-            icp.setup(state)
-        for req in state.requests:
-            response = None
-            for icp in chain:
-                response = icp.on_request(req, state)
-                if response is not None:
-                    state.items[req.index] = response
-                    break
-            if response is not None:
-                continue
-            if any(icp.claim(req, state) for icp in chain):
-                continue
-            state.jobs.append(req)
-            for icp in chain:
-                icp.on_job(req, state)
-        for icp in chain:
-            icp.execute(state)
-        for icp in reversed(chain):
-            icp.finish(state)
-        return state
+    # ------------------------------------------------------------ shared steps
+    def _lookup(
+        self, key: tuple, question: str, mode: PipelineMode, registry: "MetricsRegistry"
+    ) -> PipelineResult | None:
+        """Peek the answer cache under ``key`` (``question digest, mode,
+        artifact digest``), count the hit or miss, replay a hit.  A peek
+        never reorders the LRU: the caller touches, inline or at commit."""
+        payload = self.engine._answer_lru.peek(key)
+        if payload is None:
+            registry.counter("repro.engine.answer_cache.misses").inc()
+            return None
+        registry.counter("repro.engine.answer_cache.hits").inc()
+        return payload.replay(question, mode)
+
+    def _call(
+        self, pipeline: "RAGPipeline", question: str, ctx: RequestContext
+    ) -> PipelineResult:
+        """The one pipeline call, with ``ctx`` bound as the engine's
+        active request so the cache wrappers below the pipeline see it."""
+        binder = self.engine.binder
+        previous = binder.ctx
+        binder.ctx = ctx
+        try:
+            return pipeline.answer(question, ctx=ctx)
+        finally:
+            binder.ctx = previous
 
     # ------------------------------------------------------------ entry points
     def answer(
@@ -147,27 +234,43 @@ class ReproService:
         question: str,
         *,
         mode: str | PipelineMode | None = None,
-        ctx: "RequestContext | None" = None,
-    ) -> "PipelineResult":
-        """Answer one question: a batch of one through the chain.
+        ctx: RequestContext | None = None,
+    ) -> PipelineResult:
+        """Answer one question, synchronously.
 
-        Admission sheds raise ``OverloadedError`` and pipeline failures
-        propagate, exactly like the pre-service sequential path.
+        The steps of :meth:`answer_many` for one request: admission sheds
+        raise ``OverloadedError`` and pipeline failures propagate (nothing
+        here catches them); retrieval/embedding cache writes and the LLM
+        burn happen inline, under the caller's ``ctx`` when given.
         """
+        engine = self.engine
         mode = self.resolve_mode(mode)
-        state = LifecycleState(
-            service=self,
-            kind=SINGLE,
-            mode=mode,
-            requests=[AnswerRequest(question=question, mode=mode, ctx=ctx)],
-            registry=self._registry_for(ctx),
-            key_fn=self._key_fn(mode),
-        )
-        self._run(state)
-        item = state.items[0]
-        if item.result is None:  # pragma: no cover — single-kind errors raise
-            raise ReproError(item.error or "request produced no result")
-        return item.result
+        registry = self._registry_for(ctx)
+        registry.counter("repro.engine.requests").inc()
+        if engine.admission is not None:
+            # Raises (retry_safe) before any work: a shed request
+            # consumes no cache lookup and no pipeline.
+            engine.admission.admit_one(registry=registry)
+        use_cache = self.cache_answers_enabled()
+        key = (question_digest(question), str(mode), engine.artifact.digest)
+        if use_cache:
+            hit = self._lookup(key, question, mode, registry)
+            if hit is not None:
+                engine._answer_lru.touch(key)
+                return hit
+        pipeline = self.pipeline_for(mode)
+        if ctx is None:
+            ctx = RequestContext.create(registry=registry, deadline=_deadline(pipeline))
+        result = self._call(pipeline, question, ctx)
+        if use_cache:
+            # Same guard as the batch commit: an answer computed while an
+            # ingest swapped the engine must not be stored (DESIGN §14.3).
+            with engine._build_lock:
+                if engine.artifact.digest == key[2]:
+                    engine._answer_lru.put(key, _CachedAnswer.from_result(result))
+                else:
+                    registry.counter("repro.engine.stale_commits_dropped").inc()
+        return result
 
     def answer_many(
         self,
@@ -181,23 +284,23 @@ class ReproService:
     ) -> BatchResult:
         """Answer a batch deterministically over a bounded worker pool.
 
-        The chain runs three phases: (1) per-request classification in
-        input order — admission sheds, answer-cache hits, dedupe claims;
-        (2) unique misses execute on the pool, each under its own
-        :class:`~repro.context.RequestContext` (tracer, seeded RNG,
-        deferred cache transaction, shared burn collector); (3) the
-        finish phase replays cache commits in submission order, spends
-        the deferred token burn through one vectorized kernel, and
-        feeds admission outcomes to the AIMD controller.
+        Four phases: **open** (admission, counters, the shared burn
+        collector, the mode's pipeline), **classify** each request in
+        input order (shed, answer-cache hit, duplicate of an in-flight
+        question, or job), **execute** the unique misses on the pool,
+        each under its own :class:`~repro.context.RequestContext`, then
+        **commit/close** in input order (cache effects, the deferred
+        token burn through one vectorized kernel, admission feedback).
 
         Per-question pipeline failures are recorded on their
         :class:`~repro.service.AnswerResponse` — a batch never aborts
         mid-flight.  Digests are byte-identical regardless of worker
         count (DESIGN.md §12).
         """
+        engine = self.engine
         mode = self.resolve_mode(mode)
         if workers is None:
-            workers = self.engine.config.engine.batch_workers
+            workers = engine.config.engine.batch_workers
         if workers <= 0:
             raise ConfigurationError(f"workers must be positive, got {workers}")
         n = len(questions)
@@ -209,38 +312,155 @@ class ReproService:
             raise ConfigurationError(
                 f"client_ids has {len(client_ids)} entries for {n} questions"
             )
-        arrivals = [0.0] * n if arrivals is None else [float(t) for t in arrivals]
-        client_ids = ["default"] * n if client_ids is None else list(client_ids)
-        state = LifecycleState(
-            service=self,
-            kind=BATCH,
-            mode=mode,
-            requests=[
-                AnswerRequest(
-                    question=question,
-                    mode=mode,
-                    index=i,
-                    client_id=client_ids[i],
-                    arrival=arrivals[i],
+
+        # ---- open.  The artifact digest is read *before* the pipeline is
+        # resolved: if an ingest swaps the engine in between, the batch
+        # holds the new pipeline under the old digest and its commit is
+        # dropped below — the other order would publish old-epoch results
+        # under the live digest.
+        started = time.perf_counter()
+        registry = self._registry_for(None)
+        digest = engine.artifact.digest
+        admission = engine.admission
+        decisions: list[AdmissionDecision] | None = None
+        if admission is not None:
+            decisions = admission.admit_batch(
+                [0.0] * n if arrivals is None else [float(t) for t in arrivals],
+                ["default"] * n if client_ids is None else list(client_ids),
+                registry=registry,
+            )
+            workers = max(1, min(workers, admission.concurrency_limit))
+            registry.gauge("repro.admission.concurrency_limit").set(
+                float(admission.concurrency_limit)
+            )
+        use_cache = self.cache_answers_enabled()
+        registry.counter("repro.engine.batches").inc()
+        registry.counter("repro.engine.batch_requests").inc(n)
+        collector = TokenBurnCollector()
+        pipeline = self.pipeline_for(mode)
+
+        # ---- classify, in input order.  Shed first: a rejected request
+        # consumes nothing — no dedupe slot, no LRU touch.  The answer
+        # cache is peeked (and counts its hit or miss) before the dedupe
+        # check, so a repeat of an in-flight miss counts a miss and then
+        # a dedupe; the caches are frozen for the whole batch, so both
+        # counts are pure functions of the workload.
+        mode_name = str(mode)
+        items: list[AnswerResponse | None] = [None] * n
+        keys: list[tuple | None] = [None] * n
+        hits: set[int] = set()
+        primary_of: dict[tuple, int] = {}
+        duplicates: list[tuple[int, int]] = []
+        jobs: list[int] = []
+        for i, question in enumerate(questions):
+            if decisions is not None and decisions[i].outcome == SHED:
+                items[i] = _shed_response(i, question, decisions[i])
+                continue
+            key = keys[i] = (question_digest(question), mode_name, digest)
+            hit = self._lookup(key, question, mode, registry) if use_cache else None
+            if hit is not None:
+                hits.add(i)
+                items[i] = AnswerResponse(
+                    index=i, question=question, result=hit, cached=True
                 )
-                for i, question in enumerate(questions)
-            ],
-            registry=self._registry_for(None),
-            seed=seed,
-            workers=workers,
-            arrivals=arrivals,
-            client_ids=client_ids,
-            key_fn=self._key_fn(mode),
+            elif key in primary_of:
+                registry.counter("repro.engine.batch_deduped").inc()
+                duplicates.append((i, primary_of[key]))
+            else:
+                primary_of[key] = i
+                jobs.append(i)
+
+        # ---- execute.  Each job's identity (request id, RNG seed) is a
+        # function of (batch seed, input index), never of the worker that
+        # ran it; cache effects go to a transaction, the LLM burn to the
+        # shared collector, and a pipeline failure is recorded, not raised.
+        def run_one(index: int) -> tuple[PipelineResult | None, str, CacheTransaction]:
+            ctx = RequestContext.create(
+                request_id=f"batch{seed}-{index:05d}",
+                seed=derive_seed("engine-batch", seed, index),
+                registry=registry,
+                deadline=_deadline(pipeline),
+                burn_collector=collector,
+            )
+            txn = ctx.scratch["cache_txn"] = CacheTransaction()
+            try:
+                return self._call(pipeline, questions[index], ctx), "", txn
+            except ReproError as exc:
+                return None, f"{type(exc).__name__}: {exc}", txn
+
+        if workers == 1:
+            outcomes = {i: run_one(i) for i in jobs}
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = {i: pool.submit(run_one, i) for i in jobs}
+                outcomes = {i: future.result() for i, future in futures.items()}
+
+        # ---- commit, in input order, so the cache state future requests
+        # observe is independent of worker count.  Under the build lock,
+        # and only if the engine still serves the epoch this batch opened
+        # on: after a swap, invalidation has already run and these entries
+        # describe a store nobody serves any more (DESIGN §14.3).  The
+        # items are returned either way — they are consistent with
+        # exactly one epoch.
+        with engine._build_lock:
+            if engine.artifact.digest == digest:
+                for i in range(n):
+                    if i in hits:
+                        engine._answer_lru.touch(keys[i])
+                    elif i in outcomes:
+                        result, _error, txn = outcomes[i]
+                        txn.commit()
+                        if result is not None and use_cache:
+                            engine._answer_lru.put(
+                                keys[i], _CachedAnswer.from_result(result)
+                            )
+            else:
+                registry.counter("repro.engine.stale_commits_dropped").inc()
+        for i, (result, error, _txn) in outcomes.items():
+            items[i] = AnswerResponse(
+                index=i, question=questions[i], result=result, error=error
+            )
+        for i, first in duplicates:
+            primary = items[first]
+            items[i] = AnswerResponse(
+                index=i,
+                question=questions[i],
+                result=primary.result,
+                cached=True,
+                error=primary.error,
+            )
+        assert all(it is not None for it in items), "scheduler dropped a request"
+
+        # ---- close.  One vectorized flush spends every deferred token.
+        deferred_tokens, _ = collector.pending()
+        burn_seconds = collector.flush()
+        registry.counter("repro.engine.deferred_tokens").inc(deferred_tokens)
+        registry.counter("repro.engine.batch_answers").inc(
+            sum(1 for it in items if it.answered)
         )
-        self._run(state)
+        batch_seconds = time.perf_counter() - started
+        if decisions is not None:
+            # AIMD feedback last and in input order, so the limit two
+            # batches from now is as reproducible as this batch's answers.
+            for d in decisions:
+                it = items[d.index]
+                queued = d.outcome == QUEUE and it.result is not None
+                base = it.result.trace if queued else None
+                if base is not None and base.root.end is not None:
+                    it.trace = _queued_trace(base, d)
+                if d.outcome in (ADMIT, QUEUE):
+                    admission.observe_outcome(it.answered, it.error, registry=registry)
+            registry.gauge("repro.admission.concurrency_limit").set(
+                float(admission.concurrency_limit)
+            )
         return BatchResult(
             mode=mode,
-            workers=state.workers,
+            workers=workers,
             seed=seed,
-            items=state.items,
-            decisions=state.decisions,
-            batch_seconds=state.batch_seconds,
-            burn_seconds=state.burn_seconds,
-            deferred_tokens=state.deferred_tokens,
-            cache_sizes=self.engine.cache_sizes(),
+            items=items,
+            decisions=decisions,
+            batch_seconds=batch_seconds,
+            burn_seconds=burn_seconds,
+            deferred_tokens=deferred_tokens,
+            cache_sizes=engine.cache_sizes(),
         )

@@ -9,6 +9,8 @@ API — update the snapshot *deliberately* or revert the change.
 from __future__ import annotations
 
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +58,17 @@ class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
+
+    def test_package_version_has_one_source(self):
+        """``pyproject.toml`` carries no version literal of its own: it reads
+        ``repro.__version__`` (a regex, not ``tomllib`` — CI still runs 3.10)."""
+        text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        assert not re.search(r'(?m)^version\s*=\s*"', text)
+        assert re.search(r'(?m)^dynamic\s*=\s*\[\s*"version"\s*\]', text)
+        assert re.search(
+            r'(?m)^version\s*=\s*\{\s*attr\s*=\s*"repro\.__version__"\s*\}', text
+        )
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
 
     def test_open_engine_signature(self):
         params = inspect.signature(repro.open_engine).parameters

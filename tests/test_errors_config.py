@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro.errors as errors
@@ -17,6 +20,30 @@ class TestErrorHierarchy:
             if isinstance(obj, type) and issubclass(obj, Exception) and obj is not ReproError:
                 if obj.__module__ == "repro.errors":
                     assert issubclass(obj, ReproError), name
+
+    def test_every_error_class_is_reachable(self):
+        """A class in ``errors.py`` is raised somewhere in ``src/repro``, or
+        is a base of one that is — nothing in the taxonomy is only declared."""
+        src_root = Path(errors.__file__).parent
+        source = "\n".join(
+            path.read_text(encoding="utf-8")
+            for path in sorted(src_root.rglob("*.py"))
+            if path.name != "errors.py"
+        )
+        classes = [
+            obj
+            for obj in vars(errors).values()
+            if isinstance(obj, type) and obj.__module__ == "repro.errors"
+        ]
+        raised = {
+            cls for cls in classes if re.search(rf"\braise {cls.__name__}\b", source)
+        }
+        unreachable = [
+            cls.__name__
+            for cls in classes
+            if not any(issubclass(sub, cls) for sub in raised)
+        ]
+        assert not unreachable, f"declared but never raised: {unreachable}"
 
     def test_catching_base_catches_subsystem_errors(self):
         from repro.corpus.facts import FactRegistry

@@ -69,11 +69,14 @@ def fresh_cache():
     clear_index_cache()
 
 
-def _cfg(shards: int = 1, *, embedding: str = EMBED, cache_dir=None) -> ReproConfig:
+def _cfg(
+    shards: int = 1, *, replicas: int = 1, embedding: str = EMBED, cache_dir=None
+) -> ReproConfig:
     return ReproConfig(
         iterations_per_token=0,
         retrieval=RetrievalConfig(embedding_model=embedding),
         sharding=ShardingConfig(num_shards=shards),
+        replication=ReplicationConfig(replicas=replicas),
         engine=EngineConfig(index_cache_dir=cache_dir),
     )
 
@@ -91,11 +94,11 @@ def _with_documents(bundle, docs) -> CorpusBundle:
     )
 
 
-def _edit_source(bundle, source: str, suffix: str) -> CorpusBundle:
+def _rewrite_source(bundle, source: str, rewrite) -> CorpusBundle:
     docs = list(bundle.documents)
     for i, doc in enumerate(docs):
         if doc.metadata.get("source") == source:
-            docs[i] = Document(text=doc.text + suffix, metadata=dict(doc.metadata))
+            docs[i] = Document(text=rewrite(doc.text), metadata=dict(doc.metadata))
             break
     else:
         raise AssertionError(f"no document with source {source!r}")
@@ -104,6 +107,10 @@ def _edit_source(bundle, source: str, suffix: str) -> CorpusBundle:
         documents=docs,
         manual_page_names=dict(bundle.manual_page_names),
     )
+
+
+def _edit_source(bundle, source: str, suffix: str) -> CorpusBundle:
+    return _rewrite_source(bundle, source, lambda text: text + suffix)
 
 
 def _edited(bundle, cfg=None) -> CorpusBundle:
@@ -880,6 +887,86 @@ class TestSwapLeavesNoStaleCacheEntry:
         assert report.resolution == "full"
         assert report.delta["reembedded"] == report.delta["unchanged"]
         assert engine.cache_sizes() == {"answer": 0, "retrieval": 0, "embedding": 0}
+
+
+class TestSwapDuringBatch:
+    """A batch in flight across an ``ingest_corpus`` swap is answered from
+    the epoch it opened on and publishes nothing: retrieval-cache keys
+    carry no digest, so its deferred commit would otherwise land
+    old-epoch entries in the live caches *after* the swap's invalidation
+    ran (DESIGN §14.3)."""
+
+    QUESTION = "What does KSPBurb do?"
+
+    @staticmethod
+    def _engine(bundle, shards, replicas):
+        cfg = _cfg(shards, replicas=replicas)
+        return open_engine(cfg, bundle=bundle, registry=MetricsRegistry())
+
+    @pytest.mark.parametrize(("shards", "replicas"), [(1, 1), (4, 2)], ids=["1x1", "4x2"])
+    def test_batch_committing_after_a_swap_publishes_nothing(
+        self, bundle, fresh_cache, monkeypatch, shards, replicas
+    ):
+        engine = self._engine(bundle, shards, replicas)
+        old_ids = {chunk.doc_id for chunk in engine.artifact.chunks}
+        # Every paragraph of the page the question retrieves from changes.
+        revised = _rewrite_source(
+            bundle, "manual/ksp.md", lambda text: text.replace("\n\n", "\n\n(rev 2) ")
+        )
+        # Hold the batch's one job between retrieval and its commit.
+        chat = engine.pipeline("rag").chat_model
+        complete = chat.complete
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(*args, **kwargs):
+            entered.set()
+            assert release.wait(30)
+            return complete(*args, **kwargs)
+
+        monkeypatch.setattr(chat, "complete", gated)
+        out = {}
+        worker = threading.Thread(
+            target=lambda: out.update(
+                batch=engine.answer_many([self.QUESTION], mode="rag", workers=1)
+            )
+        )
+        worker.start()
+        try:
+            assert entered.wait(30)
+            report = ingest_corpus(engine, revised)
+        finally:
+            release.set()
+            worker.join(30)
+        assert not worker.is_alive()
+        assert report.swapped and report.invalidation["invalidated_retrieval"] == 0
+
+        (item,) = out["batch"].items
+        assert item.answered and not item.error
+        assert item.result.contexts
+        assert {c.doc_id for c in item.result.contexts} <= old_ids  # one epoch: the old
+        assert engine.cache_sizes() == {"answer": 0, "retrieval": 0, "embedding": 0}
+        dropped = engine.registry.counter("repro.engine.stale_commits_dropped")
+        assert dropped.value == 1
+
+        live_ids = {chunk.doc_id for chunk in engine.artifact.chunks}
+        got = engine.answer(self.QUESTION, mode="rag")
+        assert {c.doc_id for c in got.contexts} <= live_ids
+        clear_index_cache()
+        want = self._engine(revised, shards, replicas).answer(self.QUESTION, mode="rag")
+        assert [(c.doc_id, c.score) for c in got.contexts] == [
+            (c.doc_id, c.score) for c in want.contexts
+        ]
+        assert got.answer == want.answer
+        assert dropped.value == 1  # the single answer's store guard did not fire
+
+    def test_guard_is_a_noop_without_a_swap(self, bundle, fresh_cache):
+        engine = self._engine(bundle, 1, 1)
+        batch = engine.answer_many([self.QUESTION], mode="rag", workers=1)
+        assert batch.cache_sizes == {"answer": 1, "retrieval": 1, "embedding": 1}
+        # Not even a zero-valued counter: no existing metrics digest moves.
+        counters = engine.registry.snapshot()["counters"]
+        assert "repro.engine.stale_commits_dropped" not in counters
+        assert engine.answer_many([self.QUESTION], mode="rag").items[0].cached
 
 
 class TestApplyDocuments:

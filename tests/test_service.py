@@ -1,8 +1,8 @@
-"""The service layer: golden digest equivalence + interceptor contract.
+"""The service layer: golden digest equivalence + front-door contract.
 
 The golden fixtures in ``fixtures/service_golden.json`` were captured
 from the PRE-refactor serving code (inline engine paths) on fixed seeds.
-The tests here re-run the same workloads through the interceptor chain
+The tests here re-run the same workloads through the service scheduler
 and assert the answers/metrics/span digests reproduce those bytes
 exactly — a cross-refactor equivalence oracle, not a self-fulfilling
 snapshot.  Regenerate (deliberately!) with::
@@ -13,11 +13,11 @@ The one re-capture so far (monolithic serving became the 1-shard case)
 is itself pinned by ``TestGoldenRecapture``: what was allowed to move,
 and that nothing else did.
 
-The rest of the file pins the interceptor contract: chain validation
-fails fast with :class:`ServiceConfigurationError`, every service —
+The rest of the file pins the front-door contract: every service —
 baseline mode included — serves through an engine and answers like the
 reference pipeline, and request-lifecycle internals stay inside
-``repro.service`` (architecture conformance).
+``repro.service``, written as one scheduler rather than a hook
+framework (architecture conformance).
 """
 
 from __future__ import annotations
@@ -33,17 +33,10 @@ import pytest
 from repro.api import open_engine
 import repro
 from repro.engine import QueryEngine
-from repro.errors import ReproError, ServiceConfigurationError
 from repro.evaluation import krylov_benchmark, run_experiment
 from repro.observability import MetricsRegistry, use_registry
-from repro.service import (
-    CANONICAL_CHAIN,
-    AdmissionInterceptor,
-    Interceptor,
-    ReproService,
-    default_chain,
-    validate_chain,
-)
+from repro.pipeline.types import PipelineMode
+from repro.service import ReproService
 from tests.golden_workloads import (
     ask_workload,
     batch_workload,
@@ -58,7 +51,7 @@ GOLDEN = json.loads(
 
 
 # ---------------------------------------------------------------------------
-# Golden digest equivalence: chain output == pre-refactor output, byte for byte
+# Golden digest equivalence: service output == pre-refactor output, byte for byte
 # ---------------------------------------------------------------------------
 class TestGoldenDigests:
     def test_single_requests_match_pre_refactor(self, bundle):
@@ -198,68 +191,6 @@ class TestGoldenRecapture:
 
 
 # ---------------------------------------------------------------------------
-# Chain validation: malformed chains fail fast, before any request runs
-# ---------------------------------------------------------------------------
-class TestChainValidation:
-    def test_default_chain_is_canonical_and_valid(self):
-        chain = default_chain()
-        assert tuple(icp.name for icp in chain) == CANONICAL_CHAIN
-        validate_chain(chain)
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ServiceConfigurationError, match="empty"):
-            validate_chain([])
-
-    @pytest.mark.parametrize("dropped", list(CANONICAL_CHAIN))
-    def test_dropping_any_core_interceptor_rejected(self, dropped):
-        chain = [icp for icp in default_chain() if icp.name != dropped]
-        with pytest.raises(ServiceConfigurationError, match=f"missing.*{dropped}"):
-            validate_chain(chain)
-
-    def test_reordering_core_interceptors_rejected(self):
-        chain = default_chain()
-        chain[1], chain[2] = chain[2], chain[1]  # dedupe <-> answer-cache
-        with pytest.raises(ServiceConfigurationError, match="canonical"):
-            validate_chain(chain)
-
-    def test_duplicate_interceptor_rejected(self):
-        chain = default_chain() + [AdmissionInterceptor()]
-        with pytest.raises(ServiceConfigurationError, match="more than once"):
-            validate_chain(chain)
-
-    def test_unnamed_interceptor_rejected(self):
-        class Nameless(Interceptor):
-            pass
-
-        with pytest.raises(ServiceConfigurationError, match="non-empty"):
-            validate_chain(default_chain() + [Nameless()])
-
-    def test_service_constructor_validates_chain(self, bundle, fast_config):
-        chain = default_chain()
-        chain.reverse()
-        with pytest.raises(ServiceConfigurationError):
-            ReproService(open_engine(fast_config, bundle=bundle), chain=chain)
-
-    def test_custom_interceptor_may_interleave(self, bundle, fast_config):
-        observed = []
-
-        class Audit(Interceptor):
-            name = "audit"
-
-            def on_request(self, req, state):
-                observed.append(req.question)
-                return None
-
-        chain = default_chain()
-        chain.insert(1, Audit())  # between admission and dedupe
-        validate_chain(chain)
-        service = ReproService(open_engine(fast_config, bundle=bundle), chain=chain)
-        result = service.answer("What does KSPSolve do?")
-        assert result.answer
-        assert observed == ["What does KSPSolve do?"]
-
-
-# ---------------------------------------------------------------------------
 # Front-door semantics
 # ---------------------------------------------------------------------------
 class TestFrontDoor:
@@ -267,6 +198,14 @@ class TestFrontDoor:
         engine = open_engine(fast_config, bundle=bundle)
         assert engine.service is engine.service
         assert engine.service.engine is engine
+
+    def test_default_mode_follows_the_engine(self, bundle, fast_config):
+        engine = open_engine(fast_config, bundle=bundle)
+        service = engine.service  # touched before the engine's default moves
+        engine.default_mode = PipelineMode.BASELINE
+        assert service.default_mode is PipelineMode.BASELINE
+        assert service.resolve_mode(None) is PipelineMode.BASELINE
+        assert service.pipeline_for(None) is engine.pipeline(None)
 
     def test_service_matches_reference_pipeline(self, bundle, fast_config):
         # Was test_engineless_service_matches_direct_pipeline; the deleted
@@ -397,7 +336,7 @@ class TestFrontDoor:
 # ---------------------------------------------------------------------------
 # Architecture conformance: lifecycle internals stay inside repro.service
 # ---------------------------------------------------------------------------
-#: Serving internals only the service/interceptor modules may touch.
+#: Serving internals only the service package may touch.
 _SERVICE_ONLY = (
     r"pipeline\.answer\(",
     r"admission\.admit_(?:one|batch)\(",
@@ -427,7 +366,12 @@ def test_one_backend_and_one_pipeline_call_site():
     """Every service has an engine: no engine-less branch, no second
     constructor, and one place that calls a pipeline."""
     src_root = Path(repro.__file__).parent
-    banned = re.compile(r"engine is (?:not )?None|for_pipeline|for_engine")
+    banned = re.compile(
+        r"engine is (?:not )?None|for_pipeline|for_engine"
+        # The scheduler is a function: no hook framework, no kind flag.
+        r"|\bInterceptor\b|LifecycleState|CANONICAL_CHAIN|validate_chain"
+        r"|state\.kind|\bkind\s*=\s*(SINGLE|BATCH)"
+    )
     offenders, call_sites = [], []
     for path in sorted(src_root.rglob("*.py")):
         rel = path.relative_to(src_root).as_posix()
@@ -438,11 +382,11 @@ def test_one_backend_and_one_pipeline_call_site():
             if re.search(r"pipeline\.answer\([^)]", line):
                 call_sites.append(f"{rel}:{number}")
     assert not offenders, "\n".join(offenders)
-    assert len(call_sites) == 1 and call_sites[0].startswith("service/interceptors.py")
+    assert len(call_sites) == 1 and call_sites[0].startswith("service/service.py")
     # Was test_service_needs_exactly_one_backend: with the pipeline=
     # backend gone there is no second backend left to mis-combine.
     params = inspect.signature(ReproService.__init__).parameters
-    assert list(params) == ["self", "engine", "default_mode", "chain"]
+    assert list(params) == ["self", "engine"]
     assert params["engine"].default is inspect.Parameter.empty
 
 
