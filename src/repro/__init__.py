@@ -37,12 +37,7 @@ from repro.config import (
 from repro.corpus import build_default_corpus
 from repro.engine import QueryEngine
 from repro.index import IndexArtifact, get_or_build_index
-from repro.ingest import (
-    CorpusDelta,
-    IngestReport,
-    apply_documents,
-    ingest_corpus,
-)
+from repro.ingest import CorpusDelta, IngestReport, ingest_corpus
 from repro.api import (
     open_engine,
     open_pipeline,
@@ -60,7 +55,7 @@ from repro.evaluation import (
     run_experiment,
 )
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "EngineConfig",
@@ -74,7 +69,6 @@ __all__ = [
     "ReproService",
     "CorpusDelta",
     "IngestReport",
-    "apply_documents",
     "get_or_build_index",
     "ingest_corpus",
     "open_engine",

@@ -277,14 +277,15 @@ class ShardingConfig:
 class ReplicationConfig:
     """Replicated shard serving: health tracking, failover, hedging.
 
-    Each shard serves from ``replicas`` copy-on-write forks of the same
-    shard artifact (byte-identical by construction), tracked by a
-    clock-free up → suspect → down health state machine fed by per-probe
-    outcomes.  The scatter walks replicas in fixed order (primary first,
-    then failover), so under any single-replica-per-shard fault schedule
-    answers, metrics, and span digests match the healthy single-copy
-    baseline byte-for-byte.  When every replica of a shard is down the
-    merge degrades to the surviving shards — or raises
+    Each shard serves from ``replicas`` references to the same immutable
+    shard store (what differs is the transport in front of each, which
+    the fault seam can fail), tracked by a clock-free up → suspect →
+    down health state machine fed by per-probe outcomes.  The scatter
+    walks replicas in fixed order (primary first, then failover), so
+    under any single-replica-per-shard fault schedule answers, metrics,
+    and span digests match the healthy single-copy baseline
+    byte-for-byte.  When every replica of a shard is down the merge
+    degrades to the surviving shards — or raises
     :class:`~repro.errors.PartialResultError` when
     ``require_full_coverage`` is set.
     """

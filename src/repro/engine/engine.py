@@ -123,16 +123,20 @@ class QueryEngine:
         return self.artifact.num_shards
 
     def _serving_store(self, mode: PipelineMode):
-        """The mutable store a pipeline for ``mode`` retrieves from: a
-        fork of the artifact's store bound to the engine's request
-        plumbing, so scatter spans land on the active request's tracer
-        and ``repro.shard.*`` counters in the request's registry scope.
+        """The store a pipeline for ``mode`` retrieves from: a view over
+        the artifact's own shard stores (no copy — stores are never
+        written to) that embeds queries through the engine's cache and
+        is bound to its request plumbing, so scatter spans land on the
+        active request's tracer and ``repro.shard.*`` counters in the
+        request's registry scope.
         """
         if mode is PipelineMode.BASELINE:
             return None
-        store = self.artifact.fork_store(
-            embedding=self._query_embedding
-        ).with_serving_context(binder=self.binder, registry_fn=self._metrics)
+        store = self.artifact.store.with_serving_context(
+            embedding=self._query_embedding,
+            binder=self.binder,
+            registry_fn=self._metrics,
+        )
         wrapper = self._replica_fault_wrapper()
         rep = self.config.replication
         if rep.replicas > 1 or rep.require_full_coverage or wrapper is not None:
@@ -200,8 +204,8 @@ class QueryEngine:
             return pipeline
 
     def clear_query_caches(self) -> None:
-        """Drop answer/retrieval/embedding caches (call after mutating a
-        pipeline's store, e.g. feeding history into the RAG database)."""
+        """Drop every answer/retrieval/embedding cache entry (the blunt
+        tool; an :meth:`swap_artifact` with a delta evicts per entry)."""
         self._answer_lru.clear()
         self._retrieval_lru.clear()
         self._embedding_lru.clear()
@@ -236,10 +240,7 @@ class QueryEngine:
             )
             self.epoch += 1
         self._last_invalidation = invalidate_engine_caches(
-            self,
-            delta,
-            stale_digest=previous.digest,
-            moved=artifact.embedding.moved_since(previous.embedding),
+            self, delta, moved=artifact.embedding.moved_since(previous.embedding)
         )
         self._metrics().counter("repro.ingest.epoch_swaps").inc()
         return True

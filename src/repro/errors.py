@@ -138,17 +138,6 @@ class IndexBuildError(ReproError):
     """
 
 
-class IngestError(ReproError):
-    """The ingestion lifecycle was misused or a stage's contract broke.
-
-    Permanent: raised for structural problems (delta applied to the
-    wrong parent artifact, epoch swap onto a mismatched store, delta
-    requested for a corpus-fitted embedding) that will fail identically
-    on every retry.  Transient hop failures inside a stage surface as
-    :class:`TransientError` as usual.
-    """
-
-
 class RetrievalError(ReproError):
     """A retriever could not satisfy a query.
 

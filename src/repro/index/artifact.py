@@ -10,10 +10,11 @@ were loaded from the disk cache.
 
 Artifacts are *shared*: every pipeline mode, bot, evaluation run, and
 benchmark in a process answers over one artifact instead of rebuilding
-the index per constructor.  The sharing contract is immutability — no
-consumer may mutate the artifact's store or chunk list.  Consumers that
-need a mutable store (the workflow feeds vetted history back into its
-RAG database) take a copy-on-write :meth:`fork_store` instead.
+the index per constructor.  The sharing contract is immutability, and
+it is structural: the stores expose no write method, so the engine
+serves from views over the artifact's own shard stores and a changed
+corpus — the workflow feeding vetted history back into the RAG
+database included — is a new artifact (:func:`repro.ingest.ingest_corpus`).
 """
 
 from __future__ import annotations
@@ -104,8 +105,7 @@ class IndexArtifact:
     embedding:
         The fitted embedding model the store's vectors came from.
     store:
-        The populated vector store.  **Never mutated** — consumers call
-        :meth:`fork_store`.
+        The populated vector store; read-only, like every store.
     manual_pages:
         Manual-page name → document, for exact keyword lookup.
     registry:
@@ -140,15 +140,6 @@ class IndexArtifact:
         return len(self.shards)
 
     # ------------------------------------------------------------ consumers
-    def fork_store(self, *, embedding: EmbeddingModel | None = None):
-        """A mutable store sharing this artifact's vectors copy-on-write.
-
-        ``embedding`` substitutes a (caching) wrapper for query
-        embedding; it must be dimension-compatible with the artifact's
-        model.
-        """
-        return self.store.fork(embedding=embedding)
-
     def keyword_search(self) -> ManualPageKeywordSearch:
         """A fresh keyword retriever over the manual-page table."""
         return ManualPageKeywordSearch(self.manual_pages)

@@ -1,11 +1,11 @@
 """One write path: the unified ingestion lifecycle.
 
-Every mutation of the knowledge base flows through this package —
-corpus revisions via :func:`ingest_corpus` (load → split →
-content-address → diff → embed-only-changed → apply to dirty shards →
-epoch swap → scoped cache invalidation) and live-store insertions via
-:func:`apply_documents`.  Direct ``VectorStore.add_documents`` calls
-are deprecated in favor of these entry points.
+Every change to the knowledge base is a corpus revision handed to
+:func:`ingest_corpus` (load → split → content-address → diff →
+embed-only-changed → rebuild dirty shards → epoch swap → scoped cache
+invalidation).  Stores and artifacts are values: nothing writes to one
+after it is built, so "add these documents" is an ingest of the bundle
+that holds them (the workflow's history feed is exactly that).
 
 Layering: :mod:`repro.ingest.identity` and :mod:`repro.ingest.delta`
 are leaves (documents-only imports) — the chunker takes its per-source
@@ -16,12 +16,7 @@ would cycle back through ``repro.corpus.builder``, which imports
 :mod:`repro.ingest.identity`.
 """
 
-from repro.ingest.delta import (
-    ChunkRef,
-    CorpusDelta,
-    delta_from_added_documents,
-    diff_chunks,
-)
+from repro.ingest.delta import ChunkRef, CorpusDelta, diff_chunks
 from repro.ingest.identity import (
     chunk_address,
     chunk_id,
@@ -33,10 +28,8 @@ __all__ = [
     "ChunkRef",
     "CorpusDelta",
     "IngestReport",
-    "apply_documents",
     "chunk_address",
     "chunk_id",
-    "delta_from_added_documents",
     "diff_chunks",
     "ingest_corpus",
     "invalidate_engine_caches",
@@ -46,7 +39,6 @@ __all__ = [
 
 _LAZY = {
     "IngestReport": ("repro.ingest.lifecycle", "IngestReport"),
-    "apply_documents": ("repro.ingest.lifecycle", "apply_documents"),
     "ingest_corpus": ("repro.ingest.lifecycle", "ingest_corpus"),
     "invalidate_engine_caches": (
         "repro.ingest.invalidation",

@@ -2,11 +2,10 @@
 
 A :class:`CorpusDelta` is the contract between the diff stage of the
 ingestion lifecycle and everything downstream of it — the ingest
-report (the build embedded exactly ``added + modified + reembedded``),
-the replica fan-out, and the scoped cache invalidation (drop exactly
-the entries those chunks could affect).  It is a pure value computed
-from two chunk lists and the embedding models on either side; no stage
-mutates it.
+report (the build embedded exactly ``added + modified + reembedded``)
+and the scoped cache invalidation (drop exactly the entries those
+chunks could affect).  It is a pure value computed from two chunk lists
+and the embedding models on either side; no stage mutates it.
 
 Classification is two-level (see :mod:`repro.ingest.identity`):
 
@@ -48,8 +47,7 @@ class CorpusDelta:
     Attributes
     ----------
     parent_digest / target_digest:
-        Artifact digests on either side of the delta (empty strings for
-        live-store mutations, which happen under one artifact).
+        Artifact digests on either side of the delta.
     added:
         Chunks whose content address is new — genuinely new knowledge.
     modified:
@@ -182,17 +180,3 @@ def diff_chunks(
         )
     delta.sources_changed = tuple(sorted(sources))
     return delta
-
-
-def delta_from_added_documents(documents: list[Document]) -> CorpusDelta:
-    """A delta describing a live-store insertion (no artifact swap).
-
-    Used by the one mutation path serving stores still support — the
-    workflow feeding vetted history back into its RAG database.
-    """
-    return CorpusDelta(
-        added=list(documents),
-        sources_changed=tuple(
-            sorted({str(d.metadata.get("source", "")) for d in documents})
-        ),
-    )

@@ -1,10 +1,10 @@
 """Scoped cache invalidation: drop exactly what a delta can affect.
 
 The engine keeps three query-time caches — answer, retrieval, and
-query-embedding LRUs.  Before the ingestion lifecycle existed the only
-tool was :meth:`~repro.engine.QueryEngine.clear_query_caches`, which
-throws away every warm entry on any corpus mutation.  This module
-replaces that with per-entry reasoning driven by the typed
+query-embedding LRUs.  :meth:`~repro.engine.QueryEngine.clear_query_caches`
+throws away every warm entry; an epoch swap
+(:meth:`~repro.engine.QueryEngine.swap_artifact`, this module's one
+caller) instead reasons per entry from the typed
 :class:`~repro.ingest.delta.CorpusDelta`:
 
 **Retrieval entries** (key ``(retriever_name, query, k)``, value a tuple
@@ -29,12 +29,9 @@ of :class:`~repro.retrieval.base.RetrievedDocument`):
   retrievals, so the conservative branch is a safety net.
 
 **Answer entries** (key ``(question_digest, mode, artifact_digest)``):
-after an epoch swap the stale-digest entries are unreachable (the
-answer-cache key function reads the live artifact digest) — they are
-evicted to free capacity.  For an in-place store mutation (no digest
-change) an entry survives only if its question's retrieval entries
-*provably* survived: its question digest must match a surviving
-retrieval query and must not match an evicted one.
+after the swap every entry keyed to another digest is unreachable (the
+answer-cache key reads the live artifact digest) — they are evicted to
+free capacity.
 
 **Query-embedding entries** (key: the query text) depend on the
 embedding model *and its fit*.  The caller passes the live model's
@@ -52,7 +49,6 @@ import functools
 from typing import TYPE_CHECKING, Callable
 
 from repro.ingest.delta import CorpusDelta
-from repro.service.lifecycle import question_digest
 
 if TYPE_CHECKING:
     from repro.engine.engine import QueryEngine
@@ -62,19 +58,16 @@ def invalidate_engine_caches(
     engine: "QueryEngine",
     delta: CorpusDelta | None = None,
     *,
-    stale_digest: str | None = None,
     moved: Callable[[str], bool] | None = None,
 ) -> dict:
-    """Invalidate the engine's query caches for one corpus change.
+    """Invalidate the engine's query caches after an epoch swap.
 
     ``delta=None`` is the blunt path: every retrieval and answer entry
     is dropped.  With a delta, eviction is scoped as described in the
-    module docstring.  ``stale_digest`` marks an epoch swap — the
-    digest the engine just moved off — while ``None`` means an in-place
-    mutation of the live store.  ``moved`` flags the texts the live
-    embedding model embeds differently than the one the caches were
-    filled under (``None``: same model, same fit); on either path it
-    scopes the query-embedding cache.
+    module docstring.  ``moved`` flags the texts the live embedding
+    model embeds differently than the one the caches were filled under
+    (``None``: same model, same fit); on either path it scopes the
+    query-embedding cache.
 
     Returns an accounting dict; the same numbers land on
     ``repro.ingest.invalidated_*`` / ``repro.ingest.retained_retrieval``
@@ -111,20 +104,12 @@ def invalidate_engine_caches(
     embedded_vectors = None
     changed = not delta.is_noop
 
-    evicted_queries: set[str] = set()
-    surviving_queries: set[str] = set()
-
     def retrieval_stale(key, value) -> bool:
+        nonlocal embedded_vectors
         if not (isinstance(key, tuple) and len(key) == 3):
             return True  # unrecognized entry shape: never serve it stale
         name, query, k = key
         hits = value if isinstance(value, tuple) else tuple(value)
-        stale = _entry_stale(name, query, k, hits)
-        (evicted_queries if stale else surviving_queries).add(str(query))
-        return stale
-
-    def _entry_stale(name, query, k, hits) -> bool:
-        nonlocal embedded_vectors
         if query_moved(str(query)):
             return True
         if any(hit.doc_id in stale_ids for hit in hits):
@@ -149,27 +134,12 @@ def invalidate_engine_caches(
     invalidated_retrieval = engine._retrieval_lru.evict_where(retrieval_stale)
     retained_retrieval = len(engine._retrieval_lru)
 
-    if stale_digest is not None:
-        # Epoch swap: entries keyed to the previous digest are
-        # unreachable behind the live key function — reclaim them.
-        live = engine.artifact.digest
-
-        def answer_stale(key, _value) -> bool:
-            return not (isinstance(key, tuple) and key and key[-1] == live)
-
-    else:
-        # In-place mutation: same artifact digest, so stale answers
-        # would be served verbatim.  Keep an entry only when its
-        # question's retrieval provably survived.
-        unsafe = {question_digest(q) for q in evicted_queries}
-        safe = {question_digest(q) for q in surviving_queries} - unsafe
-
-        def answer_stale(key, _value) -> bool:
-            if not (isinstance(key, tuple) and key):
-                return True
-            return key[0] in unsafe or key[0] not in safe
-
-    invalidated_answers = engine._answer_lru.evict_where(answer_stale)
+    # Entries keyed to another digest are unreachable behind the live
+    # key function — reclaim them.
+    live = engine.artifact.digest
+    invalidated_answers = engine._answer_lru.evict_where(
+        lambda key, _value: not (isinstance(key, tuple) and key and key[-1] == live)
+    )
 
     registry.counter("repro.ingest.invalidated_retrieval").inc(invalidated_retrieval)
     registry.counter("repro.ingest.retained_retrieval").inc(retained_retrieval)

@@ -1,20 +1,14 @@
 """The staged ingestion lifecycle: one write path for the knowledge base.
 
-Two entry points, both operating on a live
-:class:`~repro.engine.QueryEngine`:
-
-* :func:`ingest_corpus` — the full lifecycle for a corpus revision:
-  plan the shards, resolve the target artifact (memory → disk → build
-  over the lineage parent, all inside the index layer), diff it against
-  the artifact the engine is serving, swap the engine onto the new
-  epoch, and invalidate exactly the affected cache entries.  A no-op ingest (same corpus,
-  same config) touches nothing: no epoch advance, no cache churn, no
-  disk writes — the serving digest is byte-identical before and after.
-* :func:`apply_documents` — the live-store insertion path (interaction
-  history fed back into the RAG database): route the documents through
-  a typed :class:`~repro.ingest.delta.CorpusDelta`, apply them to the
-  serving store (sharded stores fan out to every replica internally),
-  and run scoped in-place invalidation instead of clearing every cache.
+:func:`ingest_corpus` is the one way the content a live
+:class:`~repro.engine.QueryEngine` serves changes: plan the shards of a
+corpus revision, resolve the target artifact (memory → disk → build
+over the lineage parent, all inside the index layer), diff it against
+the artifact the engine is serving, swap the engine onto the new epoch,
+and invalidate exactly the affected cache entries.  A no-op ingest
+(same corpus, same config) touches nothing: no epoch advance, no cache
+churn, no disk writes — the serving digest is byte-identical before and
+after.
 
 Every stage reports through :func:`repro.observability.stage` under
 ``repro.ingest.*`` metrics, so operators see chunk/diff/build/swap
@@ -28,10 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.corpus.builder import CorpusBundle
-from repro.documents import Document
-from repro.errors import IngestError
-from repro.ingest.delta import CorpusDelta, delta_from_added_documents, diff_chunks
-from repro.ingest.invalidation import invalidate_engine_caches
+from repro.ingest.delta import diff_chunks
 from repro.observability.stage import stage
 
 if TYPE_CHECKING:
@@ -45,9 +36,8 @@ class IngestReport:
     ``resolution`` names how the target artifact was obtained:
     ``noop`` (already serving it), the lane the resolver reported for
     this call — ``memory``/``disk`` (cache hits), ``delta`` (a build
-    that copied the lineage parent's rows for unchanged chunks),
-    ``full`` (a build that embedded every chunk) — or ``live-store``
-    (an :func:`apply_documents` insertion, no artifact swap).
+    that copied the lineage parent's rows for unchanged chunks) or
+    ``full`` (a build that embedded every chunk).
     """
 
     digest: str
@@ -58,7 +48,6 @@ class IngestReport:
     resolution: str
     delta: dict = field(default_factory=dict)
     invalidation: dict = field(default_factory=dict)
-    added_ids: list[str] = field(default_factory=list)
 
     def summary(self) -> dict:
         return {
@@ -70,7 +59,6 @@ class IngestReport:
             "resolution": self.resolution,
             "delta": dict(self.delta),
             "invalidation": dict(self.invalidation),
-            "added": len(self.added_ids),
         }
 
 
@@ -132,58 +120,4 @@ def ingest_corpus(
         resolution=resolution,
         delta=delta.summary(),
         invalidation=dict(getattr(engine, "_last_invalidation", {}) or {}),
-    )
-
-
-def apply_documents(
-    engine: "QueryEngine",
-    documents: list[Document],
-    *,
-    store=None,
-) -> IngestReport:
-    """Insert documents into a live serving store through the delta path.
-
-    This is the one sanctioned store-level mutation: the documents
-    become a :class:`~repro.ingest.delta.CorpusDelta`, land in ``store``
-    (defaulting to the engine's default-mode pipeline store; sharded
-    stores route per shard and fan out to replicas internally), and the
-    engine's caches are invalidated *in place* — scoped to the entries
-    the insertion can affect.  No artifact swap happens: the insertion lives on top of the
-    current epoch, exactly like the workflow's history feed always has.
-    """
-    if store is None:
-        pipeline = engine.pipeline()
-        if pipeline.retriever is None:
-            raise IngestError("the target pipeline has no retriever store")
-        store = pipeline.retriever.store
-
-    registry = engine._metrics()
-    registry.counter("repro.ingest.runs").inc()
-    with stage("ingest:apply", metric="repro.ingest.apply", registry=registry):
-        added = store._add_documents(documents)
-    digest = engine.artifact.digest
-    if not added:
-        registry.counter("repro.ingest.noops").inc()
-        return IngestReport(
-            digest=digest,
-            previous_digest=digest,
-            epoch=engine.epoch,
-            swapped=False,
-            noop=True,
-            resolution="live-store",
-        )
-
-    added_set = set(added)
-    delta = delta_from_added_documents([d for d in documents if d.doc_id in added_set])
-    registry.counter("repro.ingest.applied_documents").inc(len(added))
-    return IngestReport(
-        digest=digest,
-        previous_digest=digest,
-        epoch=engine.epoch,
-        swapped=False,
-        noop=False,
-        resolution="live-store",
-        delta=delta.summary(),
-        invalidation=invalidate_engine_caches(engine, delta, stale_digest=None),
-        added_ids=list(added),
     )

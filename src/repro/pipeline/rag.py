@@ -389,13 +389,12 @@ def pipeline_from_artifact(
     wires retrievers, reranker, resilience, and the chat model around it.
 
     ``store`` substitutes a view of the artifact's vector store — the
-    engine passes a copy-on-write fork carrying its caching query
-    embedding, so live pipelines can mutate their store without touching
-    the shared artifact.  ``retriever_wrapper`` is applied to the main
-    retriever *after* fault wrapping, which puts engine caches outside
-    the fault site (a cache hit legitimately skips an injected fault
-    only in cache-enabled, non-chaos builds; chaos engines disable the
-    caches entirely).
+    engine passes one over the same shard stores that carries its
+    caching query embedding, request plumbing and replica sets.
+    ``retriever_wrapper`` is applied to the main retriever *after* fault
+    wrapping, which puts engine caches outside the fault site (a cache
+    hit legitimately skips an injected fault only in cache-enabled,
+    non-chaos builds; chaos engines disable the caches entirely).
     """
     config = config or ReproConfig()
     config.validate()

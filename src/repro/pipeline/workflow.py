@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.corpus.builder import CorpusBundle
 from repro.history import InteractionStore
+from repro.ingest.lifecycle import ingest_corpus
 from repro.pipeline.rag import PipelineResult
 from repro.pipeline.types import PipelineMode
 from repro.service import ReproService
@@ -61,27 +62,30 @@ class AugmentedWorkflow:
         self._known = frozenset(bundle.manual_page_names)
 
     def feed_history_into_rag(self, *, min_mean_score: float = 3.0) -> int:
-        """Index vetted past interactions into the RAG database.
+        """Ingest vetted past interactions into the RAG database.
 
         This is the paper's Fig. 3 dotted arrow from "Shared histories"
         back into box 1: question/answer pairs whose blind scores cleared
-        ``min_mean_score`` become retrievable documents, so the assistant
-        learns from its vetted answers.  Returns the number of documents
-        added (idempotent: already-indexed interactions are skipped by
-        the store's doc-id dedupe).
+        ``min_mean_score`` become ``history/<interaction-id>`` sources of
+        the corpus, so the assistant learns from its vetted answers.  A
+        feed is an ingest: the engine swaps onto the index of the revised
+        corpus, which this workflow then holds as :attr:`bundle`, so the
+        fed material serves every mode and survives later ingests of that
+        bundle.  Returns the number of new sources; with none, nothing is
+        touched.
         """
-        retriever = self.service.pipeline_for(self.mode).retriever
-        if retriever is None:
+        held = {doc.metadata.get("source") for doc in self.bundle.documents}
+        fresh = [
+            doc
+            for doc in self.store.as_documents(min_mean_score=min_mean_score)
+            if doc.metadata["source"] not in held
+        ]
+        if not fresh:
             return 0
-        docs = self.store.as_documents(min_mean_score=min_mean_score)
-        # One write path: the insertion rides the ingest delta lane,
-        # which applies the documents to the serving store and scopes
-        # cache invalidation to exactly the entries the new material
-        # can affect.
-        from repro.ingest.lifecycle import apply_documents
-
-        report = apply_documents(self.service.engine, docs, store=retriever.store)
-        return len(report.added_ids)
+        revised = replace(self.bundle, documents=[*self.bundle.documents, *fresh])
+        ingest_corpus(self.service.engine, revised)
+        self.bundle = revised
+        return len(fresh)
 
     def ask(self, question: str, *, tags: list[str] | None = None) -> WorkflowAnswer:
         """Answer a question; postprocess and (optionally) record it."""

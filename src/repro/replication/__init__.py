@@ -1,9 +1,10 @@
 """Replicated shard serving: health tracking, failover, hedging.
 
 Each shard of a :class:`~repro.vectorstore.sharded.ShardedVectorStore`
-can serve from a :class:`ReplicaSet` of N copy-on-write forks of the
-same shard artifact — byte-identical by construction — while a
-clock-free :class:`HealthTracker` folds per-probe outcomes into an
+can serve from a :class:`ReplicaSet` of N serving copies — each a
+reference to the one immutable shard store, told apart only by the
+(fault-injectable) transport in front of it — while a clock-free
+:class:`HealthTracker` folds per-probe outcomes into an
 up → suspect → down state machine per replica.  The scatter walks
 replicas in fixed order (primary first), so under any
 single-replica-per-shard fault schedule the merged answers, metrics,

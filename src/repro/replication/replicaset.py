@@ -1,14 +1,15 @@
 """Ordered serving replicas for one shard: failover walk + hedged probes.
 
 A :class:`ReplicaSet` holds the replicas of a single shard in a fixed
-order — replica 0 is the primary, the rest are copy-on-write forks of
-the same shard store, byte-identical by construction.  A query walks
-the healthy replicas in that order and returns the first answer, so a
-fault schedule that kills one replica per shard changes *which copy*
-answered (and the ``repro.replica.*`` counters) but never the answer
-itself: no span events are emitted on the failover path, which is what
-keeps answers, metrics, and span digests byte-identical to the healthy
-single-copy baseline.
+order — replica 0 is the primary; every replica is a reference to the
+same immutable shard store (behind the fault seam where a schedule says
+so), so copies cannot diverge.  A query walks the healthy replicas in
+that order and returns the first answer, so a fault schedule that kills
+one replica per shard changes *which copy* answered (and the
+``repro.replica.*`` counters) but never the answer itself: no span
+events are emitted on the failover path, which is what keeps answers,
+metrics, and span digests byte-identical to the healthy single-copy
+baseline.
 
 Hedging, when enabled, probes the first backup *alongside* a primary
 whose health is already suspect.  The hedge is

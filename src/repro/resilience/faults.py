@@ -274,8 +274,8 @@ class FaultyVectorStore:
     """A shard replica behind a flaky transport.
 
     Only search probes fault (the scatter path is what failover
-    protects); mutations and lookups delegate untouched, so a wrapped
-    replica stays byte-identical to its siblings under writes.
+    protects); lookups delegate untouched.  The transport is all the
+    wrapper adds: the data is the one shard store its siblings serve.
     """
 
     def __init__(
@@ -307,22 +307,11 @@ class FaultyVectorStore:
             doc for doc, _ in self.similarity_search_with_score(query, k=k, where=where)
         ]
 
-    def _add_documents(self, documents):
-        return self.inner._add_documents(documents)
-
-    def delete(self, ids):
-        return self.inner.delete(ids)
-
     def get(self, doc_id):
         return self.inner.get(doc_id)
 
     def __len__(self) -> int:
         return len(self.inner)
-
-    def fork(self, *, embedding=None):
-        # Forks are fresh healthy copies: the flaky transport belongs to
-        # this serving replica, not to the data it carries.
-        return self.inner.fork(embedding=embedding)
 
 
 class FaultyRetriever(Retriever):

@@ -176,20 +176,11 @@ class ReproService:
             and self.engine.fault_injector is None
         )
 
-    def invalidate_query_caches(self, delta=None) -> None:
-        """Invalidate the engine's query caches after mutating the store
-        a pipeline retrieves from.
-
-        With a :class:`~repro.ingest.delta.CorpusDelta`, eviction is
-        scoped to exactly the entries the change can affect; without one
-        every entry is dropped, the pre-lifecycle behavior.
-        """
-        if delta is not None:
-            from repro.ingest.invalidation import invalidate_engine_caches
-
-            invalidate_engine_caches(self.engine, delta, stale_digest=None)
-        else:
-            self.engine.clear_query_caches()
+    def invalidate_query_caches(self) -> None:
+        """Drop every entry of the engine's query caches (cold-ask
+        measurements; a corpus change invalidates through
+        :func:`~repro.ingest.ingest_corpus`, per entry)."""
+        self.engine.clear_query_caches()
 
     def _registry_for(self, ctx: RequestContext | None) -> "MetricsRegistry":
         """The run's registry: request-scoped handle first, explicit

@@ -3,10 +3,11 @@
 The paper feeds LangChain loader/splitter output into
 ``Chroma.from_documents``; :class:`VectorStore` provides the same
 surface: ``from_documents``, ``similarity_search(_with_score)``,
-metadata ``where`` filters, deletion, persistence, and maximal marginal
-relevance search.  Exact brute-force kNN is the default index; an
-IVF-style coarse-quantized index is available for the approximate-search
-ablation.
+metadata ``where`` filters, persistence, and maximal marginal relevance
+search — everything but writes: a store is built once and a changed
+corpus is a new one.  A store searches by exact brute-force kNN; an
+IVF-style coarse-quantized index is kept beside it for the
+approximate-search ablation.
 """
 
 from repro.vectorstore.filters import matches_where

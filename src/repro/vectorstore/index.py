@@ -85,24 +85,6 @@ class BruteForceIndex(VectorIndex):
         idx = top_k_indices(scores, k)
         return idx, scores[idx]
 
-    def fork(self) -> "BruteForceIndex":
-        """Copy-on-write child sharing this index's rows (no copy now).
-
-        The child references the parent's storage through a read-only
-        view sized exactly to the current row count, so its first
-        :meth:`add` necessarily reallocates (``needed > capacity``) and
-        copies — the parent never observes the child's writes.  Forks are
-        how one cached :class:`~repro.index.IndexArtifact` serves many
-        mutable pipeline stores.
-        """
-        child = BruteForceIndex.__new__(BruteForceIndex)
-        child.dim = self.dim
-        view = self._data[: self._n]
-        view.flags.writeable = False
-        child._data = view
-        child._n = self._n
-        return child
-
 
 class IVFIndex(VectorIndex):
     """Inverted-file (coarse k-means) approximate index.

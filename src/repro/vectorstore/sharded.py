@@ -95,8 +95,8 @@ class ShardedVectorStore:
     single-database deployment is the one-shard case.  Queries scatter
     across shards in a plain loop (a probe costs tens of microseconds,
     less than handing it to a pool thread) and gather under a
-    deterministic merge; mutations route each document to its
-    planner-assigned shard.
+    deterministic merge.  Like its shards the store is read-only, so the
+    views below share the shard objects instead of copying them.
     """
 
     def __init__(
@@ -256,37 +256,6 @@ class ShardedVectorStore:
             self, query, k=k, fetch_k=fetch_k, lambda_mult=lambda_mult, where=where
         )
 
-    # ------------------------------------------------------------ mutation
-    def _add_documents(self, documents: list[Document]) -> list[str]:
-        """Route each document to its planner shard; returns added ids
-        in input order."""
-        by_shard: dict[int, list[Document]] = {}
-        for doc in documents:
-            by_shard.setdefault(shard_for_document(doc, self.num_shards), []).append(doc)
-        added: set[str] = set()
-        for shard_idx in sorted(by_shard):
-            added.update(self.shards[shard_idx]._add_documents(by_shard[shard_idx]))
-            if self.replica_sets is not None:
-                # Replica 0 *is* the shard store; apply the same batch to
-                # every fork so copies stay byte-identical under mutation.
-                for replica in self.replica_sets[shard_idx].replicas[1:]:
-                    replica._add_documents(by_shard[shard_idx])
-        if added:
-            self._registry_fn().counter("repro.shard.adds").inc(len(added))
-        out: list[str] = []
-        for doc in documents:
-            if doc.doc_id in added:
-                out.append(doc.doc_id)
-                added.discard(doc.doc_id)
-        return out
-
-    def delete(self, ids: list[str]) -> int:
-        if self.replica_sets is not None:
-            for replica_set in self.replica_sets:
-                for replica in replica_set.replicas[1:]:
-                    replica.delete(ids)
-        return sum(shard.delete(ids) for shard in self.shards)
-
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
 
@@ -298,52 +267,35 @@ class ShardedVectorStore:
                 continue
         raise VectorStoreError(f"unknown document id {doc_id!r}")
 
-    # ------------------------------------------------------------ sharing
+    # ------------------------------------------------------------ views
     def _replace(self, **changes) -> "ShardedVectorStore":
-        """A store like this one except for ``changes`` (constructor args)."""
+        """A view over the same shard objects, differing in ``changes``."""
         args = {
-            "shards": self.shards,
             "embedding": self.embedding,
-            "collection_name": self.collection_name,
             "binder": self.binder,
             "registry_fn": self._registry_fn,
             "replica_sets": self.replica_sets,
             "replication": self.replication,
-        }
-        args.update(changes)
-        return ShardedVectorStore(args.pop("shards"), args.pop("embedding"), **args)
-
-    def fork(
-        self, *, embedding: EmbeddingModel | None = None
-    ) -> "ShardedVectorStore":
-        """Copy-on-write fork of every shard (see :meth:`VectorStore.fork`).
-
-        The fork's query embedding (typically a caching wrapper) applies
-        at the composite layer — shards are probed by vector, so the
-        query is embedded once per search regardless of shard count.
-        Replica sets serve the parent's shard objects, so the fork
-        starts without them.
-        """
-        emb = embedding if embedding is not None else self.embedding
-        if emb.dim != self.embedding.dim:
-            raise VectorStoreError(
-                f"fork embedding dim {emb.dim} != store dim {self.embedding.dim}"
-            )
-        return self._replace(
-            shards=[shard.fork() for shard in self.shards],
-            embedding=emb,
-            replica_sets=None,
-            replication=None,
+        } | changes
+        return ShardedVectorStore(
+            self.shards,
+            args.pop("embedding"),
+            collection_name=self.collection_name,
+            **args,
         )
 
     def with_serving_context(
         self,
         *,
+        embedding: EmbeddingModel,
         binder: "ContextBinder",
         registry_fn: Callable[[], MetricsRegistry],
     ) -> "ShardedVectorStore":
-        """A view bound to an engine's request plumbing (binder/metrics)."""
-        return self._replace(binder=binder, registry_fn=registry_fn)
+        """A view bound to an engine's request plumbing: ``embedding``
+        (its caching wrapper) embeds the query, once per search whatever
+        the shard count — shards are probed by vector — and spans and
+        counters go through ``binder`` / ``registry_fn``."""
+        return self._replace(embedding=embedding, binder=binder, registry_fn=registry_fn)
 
     def with_replication(
         self,
@@ -354,10 +306,10 @@ class ShardedVectorStore:
     ) -> "ShardedVectorStore":
         """A serving view where each shard answers from a replica set.
 
-        Replica 0 of every set is this store's shard object; replicas
-        1..N-1 are copy-on-write forks of it, byte-identical until
-        mutated (and mutations fan out, see :meth:`_add_documents`).
-        ``store_wrapper(store, shard_index, replica_index)`` is the
+        Every replica of a set is a reference to this store's one
+        immutable shard object, so copies cannot diverge; what tells
+        them apart is the transport in front of them.
+        ``store_wrapper(store, shard_index, replica_index)`` is that
         fault seam: the engine uses it to interpose
         :meth:`~repro.resilience.faults.FaultInjector.wrap_store` on
         chosen replicas so shard outages join the seeded fault-schedule
@@ -368,13 +320,10 @@ class ShardedVectorStore:
         config.validate()
         replica_sets = []
         for index, shard in enumerate(self.shards):
-            replicas: list[VectorStore] = [shard]
-            replicas.extend(shard.fork() for _ in range(config.replicas - 1))
-            if store_wrapper is not None:
-                replicas = [
-                    store_wrapper(replica, index, position)
-                    for position, replica in enumerate(replicas)
-                ]
+            replicas = [
+                shard if store_wrapper is None else store_wrapper(shard, index, position)
+                for position in range(config.replicas)
+            ]
             replica_sets.append(
                 ReplicaSet(
                     index,

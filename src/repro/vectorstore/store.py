@@ -13,7 +13,7 @@ from repro.durability.atomic import atomic_write
 from repro.embeddings.base import EmbeddingModel
 from repro.errors import VectorStoreError
 from repro.vectorstore.filters import matches_where
-from repro.vectorstore.index import BruteForceIndex, VectorIndex
+from repro.vectorstore.index import BruteForceIndex
 
 
 def mmr_search(
@@ -58,28 +58,21 @@ class VectorStore:
         store = VectorStore.from_documents(chunks, embedding_model)
         hits = store.similarity_search("What does KSPSolve do?", k=8)
 
-    Duplicate documents (same :attr:`Document.doc_id`) are skipped on
-    insert, so rebuilding a database over an unchanged corpus is
-    idempotent.
+    A store is a value: it is filled once, by one of the constructors
+    below, and nothing writes to it afterwards — a changed corpus is a
+    new store (:func:`repro.ingest.ingest_corpus`), which is what lets
+    every serving view and replica share one.  Duplicate documents (same
+    :attr:`Document.doc_id`) keep their first occurrence.
     """
 
     def __init__(
-        self,
-        embedding: EmbeddingModel,
-        *,
-        index: VectorIndex | None = None,
-        collection_name: str = "petsc-docs",
+        self, embedding: EmbeddingModel, *, collection_name: str = "petsc-docs"
     ) -> None:
         self.embedding = embedding
         self.collection_name = collection_name
-        self.index = index or BruteForceIndex(embedding.dim)
-        if self.index.dim != embedding.dim:
-            raise VectorStoreError(
-                f"index dim {self.index.dim} != embedding dim {embedding.dim}"
-            )
+        self.index = BruteForceIndex(embedding.dim)
         self._docs: list[Document] = []
         self._ids: dict[str, int] = {}
-        self._deleted: set[int] = set()
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -88,12 +81,13 @@ class VectorStore:
         documents: list[Document],
         embedding: EmbeddingModel,
         *,
-        index: VectorIndex | None = None,
         collection_name: str = "petsc-docs",
     ) -> "VectorStore":
-        store = cls(embedding, index=index, collection_name=collection_name)
-        store._add_documents(documents)
-        return store
+        """Embed ``documents`` in one batch, then :meth:`from_precomputed`."""
+        vectors = embedding.embed_documents([d.text for d in documents])
+        return cls.from_precomputed(
+            documents, vectors, embedding, collection_name=collection_name
+        )
 
     @classmethod
     def from_precomputed(
@@ -136,48 +130,12 @@ class VectorStore:
             store.index.add(vectors[keep])
         return store
 
-    def _add_documents(self, documents: list[Document]) -> list[str]:
-        """Embed and insert documents; returns the ids actually added.
-
-        Internal: a store-level write bypasses the artifact/digest
-        contract (nothing invalidates caches, updates lineage, or fans
-        out to replicas).  The supported write path is
-        :func:`repro.ingest.apply_documents` or a full
-        :func:`repro.ingest.ingest_corpus`.
-        """
-        fresh = [d for d in documents if d.doc_id not in self._ids]
-        # Dedupe within the batch as well.
-        unique: dict[str, Document] = {}
-        for d in fresh:
-            unique.setdefault(d.doc_id, d)
-        batch = list(unique.values())
-        if not batch:
-            return []
-        vectors = self.embedding.embed_documents([d.text for d in batch])
-        self.index.add(vectors)
-        added: list[str] = []
-        for d in batch:
-            self._ids[d.doc_id] = len(self._docs)
-            self._docs.append(d)
-            added.append(d.doc_id)
-        return added
-
-    def delete(self, ids: list[str]) -> int:
-        """Tombstone documents by id; returns how many were deleted."""
-        n = 0
-        for doc_id in ids:
-            row = self._ids.get(doc_id)
-            if row is not None and row not in self._deleted:
-                self._deleted.add(row)
-                n += 1
-        return n
-
     def __len__(self) -> int:
-        return len(self._docs) - len(self._deleted)
+        return len(self._docs)
 
     def get(self, doc_id: str) -> Document:
         row = self._ids.get(doc_id)
-        if row is None or row in self._deleted:
+        if row is None:
             raise VectorStoreError(f"unknown document id {doc_id!r}")
         return self._docs[row]
 
@@ -191,10 +149,10 @@ class VectorStore:
     ) -> list[tuple[Document, float]]:
         """Top-k documents by cosine similarity, with scores.
 
-        Filtering and tombstones are applied after the kNN scan by
-        over-fetching, which is exact as long as matches are not
-        vanishingly rare; the fetch width doubles until ``k`` matches are
-        found or the index is exhausted.
+        Filtering is applied after the kNN scan by over-fetching, which
+        is exact as long as matches are not vanishingly rare; the fetch
+        width doubles until ``k`` matches are found or the index is
+        exhausted.
         """
         if k <= 0:
             return []
@@ -217,13 +175,11 @@ class VectorStore:
         """
         if k <= 0:
             return []
-        fetch = k if (where is None and not self._deleted) else max(4 * k, 32)
+        fetch = k if where is None else max(4 * k, 32)
         while True:
             idx, scores = self.index.search(qvec, fetch)
             hits: list[tuple[Document, float]] = []
             for i, s in zip(idx.tolist(), scores.tolist()):
-                if i in self._deleted:
-                    continue
                 doc = self._docs[i]
                 if matches_where(doc.metadata, where):
                     hits.append((doc, float(s)))
@@ -252,38 +208,6 @@ class VectorStore:
             self, query, k=k, fetch_k=fetch_k, lambda_mult=lambda_mult, where=where
         )
 
-    # ------------------------------------------------------------ sharing
-    def fork(self, *, embedding: EmbeddingModel | None = None) -> "VectorStore":
-        """Independent store sharing this one's vectors copy-on-write.
-
-        Document bookkeeping (list/ids/tombstones) is copied eagerly —
-        it is small — while the embedding matrix is shared through
-        :meth:`BruteForceIndex.fork` until the child first adds vectors.
-        Mutations on either side are invisible to the other, which is
-        the contract that lets one immutable index artifact back many
-        live pipelines (e.g. a workflow feeding interaction history into
-        its own store without poisoning the shared cache).
-
-        ``embedding`` substitutes a different (typically caching) model
-        for the child's query embedding; it must match the parent's
-        dimension since the shared vectors came from the parent's model.
-        """
-        if not isinstance(self.index, BruteForceIndex):
-            raise VectorStoreError("only BruteForceIndex-backed stores can be forked")
-        if embedding is not None and embedding.dim != self.embedding.dim:
-            raise VectorStoreError(
-                f"fork embedding dim {embedding.dim} != store dim {self.embedding.dim}"
-            )
-        child = VectorStore(
-            embedding if embedding is not None else self.embedding,
-            index=self.index.fork(),
-            collection_name=self.collection_name,
-        )
-        child._docs = list(self._docs)
-        child._ids = dict(self._ids)
-        child._deleted = set(self._deleted)
-        return child
-
     # ------------------------------------------------------------ persistence
     def save(self, directory: str | Path) -> Path:
         """Persist documents + vectors; format is npz + jsonl + manifest.
@@ -292,24 +216,21 @@ class VectorStore:
         (temp + fsync + rename), so a crash mid-save never leaves a
         half-written file where a complete one used to be.
         """
-        if not isinstance(self.index, BruteForceIndex):
-            raise VectorStoreError("only BruteForceIndex-backed stores can be persisted")
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
-        live = [i for i in range(len(self._docs)) if i not in self._deleted]
         buf = io.BytesIO()
-        np.savez_compressed(buf, vectors=self.index.matrix[live])
+        np.savez_compressed(buf, vectors=self.index.matrix)
         atomic_write(d / "vectors.npz", buf.getvalue())
         lines = [
-            json.dumps({"text": self._docs[i].text, "metadata": self._docs[i].metadata})
-            for i in live
+            json.dumps({"text": doc.text, "metadata": doc.metadata})
+            for doc in self._docs
         ]
         atomic_write(d / "documents.jsonl", "".join(line + "\n" for line in lines))
         atomic_write(d / "manifest.json", json.dumps({
             "collection_name": self.collection_name,
             "embedding_model": self.embedding.name,
             "dim": self.embedding.dim,
-            "count": len(live),
+            "count": len(self._docs),
         }))
         return d
 

@@ -32,7 +32,6 @@ PUBLIC_API = [
     "ReproService",
     "CorpusDelta",
     "IngestReport",
-    "apply_documents",
     "get_or_build_index",
     "ingest_corpus",
     "open_engine",

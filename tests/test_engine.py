@@ -217,23 +217,32 @@ class TestSharedArtifact:
         assert reg.counter("repro.index.builds").value == 1
         assert reg.counter("repro.index.memory_hits").value >= 2
 
-    def test_workflow_feed_history_invalidates_caches(self, bundle, fast_config):
+    def test_workflow_feed_history_invalidates_caches(self, bundle):
         from repro.api import open_workflow
-
+        from repro.config import RetrievalConfig
         from repro.history.records import ScoreRecord
 
-        workflow = open_workflow(fast_config, bundle=bundle)
-        answer = workflow.ask("What is the default KSP type?")
+        # The hashing model: a fed document moves no other vector.
+        config = ReproConfig(
+            iterations_per_token=0,
+            retrieval=RetrievalConfig(embedding_model="petsc-embed-small"),
+        )
+        workflow = open_workflow(config, bundle=bundle)
+        engine = workflow.service.engine
+        fed, unrelated = "What is the default KSP type?", "What is DMDA?"
+        answer = workflow.ask(fed)
+        workflow.ask(unrelated)
         workflow.store.add_score(
             answer.interaction_id, ScoreRecord(scorer="dev", score=4)
         )
-        assert any(workflow.service.engine.cache_sizes().values())
-        added = workflow.feed_history_into_rag(min_mean_score=3.0)
-        assert added == 1
-        sizes = workflow.service.engine.cache_sizes()
-        # Scoped invalidation (DESIGN.md §14.3): the stale answer and
-        # retrieval entries are dropped, but query-embedding entries
-        # stay valid — the embedding model did not change.
-        assert sizes["answer"] == 0
-        assert sizes["retrieval"] == 0
-        assert sizes["embedding"] >= 1
+        old_digest = engine.artifact.digest
+        assert engine.cache_sizes() == {"answer": 2, "retrieval": 2, "embedding": 2}
+        assert workflow.feed_history_into_rag(min_mean_score=3.0) == 1
+        # A feed is an ingest (DESIGN.md §14.3): answers keyed to the old
+        # digest are gone, the retrieval the fed Q/A can enter is evicted
+        # and the other kept, and no query embedding moved.
+        assert engine.artifact.digest != old_digest and engine.epoch == 1
+        assert engine.cache_sizes() == {"answer": 0, "retrieval": 1, "embedding": 2}
+        ((kept, _hits),) = engine._retrieval_lru.items()
+        assert kept[1] == unrelated
+        assert engine._last_invalidation["scoped"] is True

@@ -136,15 +136,21 @@ class TestDiskCache:
 
 
 class TestArtifactImmutability:
-    def test_fork_isolates_mutations(self, bundle, fast_config, fresh_cache):
-        from repro.documents import Document
+    def test_serving_views_share_the_artifact_shard_stores(
+        self, bundle, fast_config, fresh_cache
+    ):
+        from repro.engine import QueryEngine
 
         artifact = get_or_build_index(bundle, fast_config)
-        before = len(artifact.store)
-        fork = artifact.fork_store()
-        fork._add_documents([Document(text="scratch note", metadata={"source": "x"})])
-        assert len(fork) == before + 1
-        assert len(artifact.store) == before
+        engine = QueryEngine(artifact, fast_config)
+        views = [engine.pipeline(mode).retriever.store for mode in ("rag", "rag+rerank")]
+        assert views[0] is not views[1] and artifact.store not in views
+        for view in views:
+            assert len(view.shards) == len(artifact.store.shards)
+            assert all(a is b for a, b in zip(view.shards, artifact.store.shards))
+            # The engine's cache embeds queries; shards keep the artifact's model.
+            assert view.embedding is not artifact.embedding
+            assert all(s.embedding is artifact.embedding for s in view.shards)
 
     def test_keyword_search_from_artifact(self, bundle, fast_config, fresh_cache):
         artifact = get_or_build_index(bundle, fast_config)

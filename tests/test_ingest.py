@@ -4,8 +4,8 @@ Covers the full staged lane (ISSUE 10): content-addressed chunk
 identity, typed corpus deltas, lineage-aware builds that re-embed only
 changed chunks (a from-scratch build is the same build with nothing to
 reuse), the lane each resolution reports, artifact epochs on the live
-engine, scoped cache invalidation, the live-store insertion path, and
-the deprecation of direct ``VectorStore.add_documents`` mutation.
+engine, scoped cache invalidation, and the history feed as an ingest
+(stores are values: there is no other write path).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -33,7 +32,6 @@ from repro.corpus.builder import CorpusBundle, chunk_corpus, overlay_tree
 from repro.corpus.facts import FactRegistry
 from repro.documents import Document
 from repro.embeddings.registry import EMBEDDING_MODEL_NAMES
-from repro.errors import IngestError
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.index import (
     clear_index_cache,
@@ -45,18 +43,14 @@ from repro.index import (
 from repro.index.builder import compute_digest
 from repro.ingest import (
     CorpusDelta,
-    apply_documents,
     chunk_address,
     chunk_id,
-    delta_from_added_documents,
     diff_chunks,
     ingest_corpus,
     normalized_text,
     source_digest,
 )
 from repro.observability import MetricsRegistry, use_registry
-from repro.pipeline.types import PipelineMode
-from repro.vectorstore import VectorStore
 
 
 EMBED = "petsc-embed-small"  # corpus-free: the delta lane's precondition
@@ -189,13 +183,6 @@ class TestCorpusDelta:
         d1 = diff_chunks(old, new)
         d2 = diff_chunks(list(reversed(old)), list(reversed(new)))
         assert d1.digest == d2.digest
-
-    def test_delta_from_added_documents(self):
-        docs = self._chunks(["history note"])
-        delta = delta_from_added_documents(docs)
-        assert [d.text for d in delta.added] == ["history note"]
-        assert not delta.removed and not delta.modified
-        assert not delta.is_noop
 
 
 class TestLineage:
@@ -639,11 +626,21 @@ class TestResolutionLanes:
         }
 
 
-def test_one_chunker_one_shard_builder_one_resolution():
-    """Conformance: the write path has one of everything."""
+def _src_root() -> Path:
     import repro
 
-    src = Path(repro.__file__).parent
+    return Path(repro.__file__).parent
+
+
+def _assert_absent_from_src(names) -> None:
+    for path in sorted(_src_root().rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not [name for name in names if name in text], path
+
+
+def test_one_chunker_one_shard_builder_one_resolution():
+    """Conformance: the write path has one of everything."""
+    src = _src_root()
     builder = (src / "index" / "builder.py").read_text(encoding="utf-8")
     assert len(re.findall(r"\bIndexArtifact\(", builder)) <= 2  # shard, composite
     assert len(re.findall(r"\bembed_documents\(", builder)) == 1
@@ -652,20 +649,48 @@ def test_one_chunker_one_shard_builder_one_resolution():
         assert not re.search(r"\.counter\([^)]*\)\.value", path.read_text(encoding="utf-8")), path
     for path in sorted((src / "vectorstore").rglob("*.py")):
         assert "ThreadPoolExecutor" not in path.read_text(encoding="utf-8"), path
-    gone = (
-        "chunk_corpus_delta",
-        "build_index_from_parent",
-        "_resolution_label",
-        "_counter_values",
-        "delta_fallbacks",
-        "scatter_workers",
-        "IngestConfig",
-        "verify_index_checksums",
-        "max_delta_fraction",
+    _assert_absent_from_src(
+        (
+            "chunk_corpus_delta",
+            "build_index_from_parent",
+            "_resolution_label",
+            "_counter_values",
+            "delta_fallbacks",
+            "scatter_workers",
+            "IngestConfig",
+            "verify_index_checksums",
+            "max_delta_fraction",
+        )
     )
-    for path in sorted(src.rglob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        assert not [name for name in gone if name in text], path
+
+
+def test_stores_are_values_and_ingest_is_the_one_write_path():
+    """Conformance: nothing writes to a store after it is built."""
+    import inspect
+
+    from repro.embeddings import HashingEmbedding
+    from repro.vectorstore import VectorStore
+
+    _assert_absent_from_src(
+        (
+            "apply_documents",
+            "delta_from_added_documents",
+            "fork_store",
+            "_add_documents",
+            "_deleted",
+            "stale_digest",
+            "live-store",
+        )
+    )
+    for path in sorted((_src_root() / "vectorstore").rglob("*.py")):
+        assert not re.search(r"def (fork|delete)\b", path.read_text(encoding="utf-8")), path
+    assert "index" not in inspect.signature(VectorStore.__init__).parameters
+    store = VectorStore.from_documents(
+        [Document(text="gmres restart", metadata={"source": "a"})], HashingEmbedding(dim=8)
+    )
+    assert store.index.matrix.flags.writeable is False
+    with pytest.raises(ValueError):
+        store.index.matrix[0, 0] = 1.0
 
 
 class TestEpochSwap:
@@ -969,68 +994,86 @@ class TestSwapDuringBatch:
         assert engine.answer_many([self.QUESTION], mode="rag").items[0].cached
 
 
-class TestApplyDocuments:
-    def _doc(self, text="Vetted interaction: KSPFOO usage note."):
-        return Document(
-            text=text, metadata={"source": "history/note.md", "doc_type": "interaction"}
-        )
+class TestHistoryFeedEqualsFromScratch:
+    """A history feed is an ingest of ``bundle + history/<id>`` sources:
+    the engine ends on the artifact a from-scratch build of that bundle
+    names, so the fed Q/A serves every mode, moves the digest and the
+    epoch, survives later ingests and resolves from the disk cache."""
 
-    def test_insertion_and_scoped_invalidation(self, bundle, fresh_cache):
-        engine = open_engine(_cfg(), bundle=bundle)
-        engine.answer("What does KSPGMRES do?")
-        report = apply_documents(engine, [self._doc()])
-        assert report.resolution == "live-store"
-        assert not report.swapped and engine.epoch == 0
-        assert len(report.added_ids) == 1
-        assert report.invalidation["scoped"] is True
+    QUESTION = "How do I change the relative tolerance for a KSP solve?"
+    QUERY = "change the relative tolerance for a KSP solve"
 
-    def test_duplicate_insertion_is_noop(self, bundle, fresh_cache):
-        engine = open_engine(_cfg(), bundle=bundle)
-        doc = self._doc()
-        assert len(apply_documents(engine, [doc]).added_ids) == 1
-        second = apply_documents(engine, [doc])
-        assert second.noop and not second.added_ids
-
-    def test_requires_a_retriever_store(self, bundle, fresh_cache):
-        # Was test_requires_engine_or_store: the engine is now required,
-        # so the one IngestError left is a default pipeline with no store.
-        engine = open_engine(_cfg(), bundle=bundle)
-        engine.default_mode = PipelineMode.BASELINE
-        with pytest.raises(IngestError, match="no retriever store"):
-            apply_documents(engine, [self._doc()])
-
-    def test_explicit_store_with_engine(self, bundle, fresh_cache, chunks, embedding):
-        # Was test_explicit_store_without_engine.
-        engine = open_engine(_cfg(), bundle=bundle)
-        engine.answer("What does KSPGMRES do?")
-        store = VectorStore.from_documents(chunks[:5], embedding)
-        report = apply_documents(engine, [self._doc()], store=store)
-        assert len(report.added_ids) == 1 and len(store) == 6
-        assert report.epoch == 0 and report.digest == engine.artifact.digest
-        assert report.invalidation["scoped"] is True
-
-
-class TestDeprecatedWritePath:
-    def test_internal_paths_do_not_warn(self, bundle, fresh_cache):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            engine = open_engine(_cfg(), bundle=bundle)
-            apply_documents(
-                engine,
-                [Document(text="quiet insert", metadata={"source": "h.md"})],
-            )
-            ingest_corpus(engine, _edited(bundle))
-            engine.answer("What does KSPGMRES do?")
-
-    def test_workflow_feed_routes_through_ingest(self, fresh_cache):
+    @classmethod
+    def _workflow(cls, cfg, bundle, store=None):
         from repro.api import open_workflow
+        from repro.history import ScoreRecord
 
-        wf = open_workflow(_cfg())
-        wf.ask("What is the default KSP type?")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            added = wf.feed_history_into_rag(min_mean_score=0.0)
-        assert added >= 0  # the reroute is warning-free either way
+        workflow = open_workflow(cfg, bundle=bundle, store=store)
+        if store is None:
+            asked = workflow.ask(cls.QUESTION)
+            workflow.store.add_score(asked.interaction_id, ScoreRecord(scorer="dev", score=4))
+        return workflow
+
+    @classmethod
+    def _history_hits(cls, workflow, mode):
+        store = workflow.service.pipeline_for(mode).retriever.store
+        return store.similarity_search(cls.QUERY, k=5, where={"doc_type": "history"})
+
+    @pytest.mark.parametrize("embedding", ["petsc-embed-large", "petsc-embed-small"])
+    @pytest.mark.parametrize(("shards", "replicas"), [(1, 1), (4, 2)], ids=["1x1", "4x2"])
+    def test_feed_is_an_ingest(
+        self, bundle, fresh_cache, tmp_path, shards, replicas, embedding
+    ):
+        cfg = _cfg(shards, replicas=replicas, embedding=embedding, cache_dir=str(tmp_path))
+        workflow = self._workflow(cfg, bundle)
+        engine = workflow.service.engine
+        for mode in ("rag", "rag+rerank"):
+            assert not self._history_hits(workflow, mode)
+        before = engine.artifact.digest
+
+        assert workflow.feed_history_into_rag() == 1
+        assert engine.epoch == 1 and engine.artifact.digest != before
+        assert len(workflow.bundle.documents) == len(bundle.documents) + 1
+        # The corpus is the engine's, not a mode's.
+        fed = {m: self._history_hits(workflow, m) for m in ("rag", "rag+rerank")}
+        assert fed["rag"] and [h.doc_id for h in fed["rag"]] == [
+            h.doc_id for h in fed["rag+rerank"]
+        ]
+        assert fed["rag"][0].metadata["source"].startswith("history/")
+        assert {h.doc_id for h in fed["rag"]} <= {c.doc_id for c in engine.artifact.chunks}
+
+        # A second feed has nothing new: a strict no-op.
+        sizes = engine.cache_sizes()
+        assert workflow.feed_history_into_rag() == 0
+        assert (engine.epoch, engine.cache_sizes()) == (1, sizes)
+        served = engine.artifact
+        assert served.digest == compute_digest(workflow.bundle, cfg)
+
+        # An unrelated ingest of the workflow's corpus keeps what was fed.
+        report = ingest_corpus(engine, _edited(workflow.bundle))
+        assert report.swapped and engine.epoch == 2
+        assert [h.doc_id for h in self._history_hits(workflow, "rag")] == [
+            h.doc_id for h in fed["rag"]
+        ]
+
+        # The served artifact is the one a from-scratch build names.
+        clear_index_cache()
+        scratch = get_or_build_index(workflow.bundle, _cfg(shards, embedding=embedding))
+        _assert_same_artifact(served, scratch)
+
+        # A second process over the same interaction store and disk
+        # cache re-feeds without building anything.
+        clear_index_cache()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            again = self._workflow(cfg, bundle, store=workflow.store)
+            assert again.feed_history_into_rag() == 1
+        assert again.service.engine.artifact.digest == served.digest
+        assert self._history_hits(again, "rag")
+        counters = registry.snapshot()["counters"]
+        assert counters.get("repro.shard.builds", 0) == 0
+        assert counters.get("repro.shard.delta_builds", 0) == 0
+        assert counters["repro.shard.disk_hits"] >= shards
 
 
 class TestOverlayTree:
