@@ -29,6 +29,8 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from typing import TypeVar
 
 from repro.errors import CorpusError
@@ -39,16 +41,37 @@ _Signed = TypeVar("_Signed", "Fact", "Falsehood")
 
 _IDENT_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$|^-[a-z][a-z0-9_]*$")
 
+#: Distinct lines whose records one registry keeps (least recently read
+#: dropped first); several times the corpus, which is ~800 lines.
+_LINE_MEMO_SIZE = 4096
+
+#: What one line holds: the terms written in it, and one term set for
+#: each of its sentences that holds any.  Term strings are the table's
+#: own keys; the line's text is not kept.
+_LineRecord = tuple[frozenset[str], tuple[frozenset[str], ...]]
+
+_EMPTY_LINE: _LineRecord = (frozenset(), ())
+
 
 class _Term:
     """One signature term, compiled: word-boundary containment where
     identifiers match case-sensitively and words case-insensitively."""
 
-    __slots__ = ("ident", "literal", "_search")
+    __slots__ = ("term", "ident", "literal", "phrase", "probe", "_search")
 
     def __init__(self, term: str) -> None:
+        self.term = term
         self.ident = _IDENT_RE.match(term) is not None
         self.literal = term if self.ident else term.lower()
+        pieces = self.literal.split()
+        #: Whether the term has whitespace in it (``least squares``).
+        #: Whitespace is all that sentence normalisation changes, so only
+        #: a phrase can be in a sentence and not in the line as written,
+        #: or the reverse.
+        self.phrase = pieces != [self.literal]
+        #: A substring of every line that holds the term either way: the
+        #: literal, or a phrase's longest whitespace-free piece.
+        self.probe = max(pieces, key=len, default="")
         edge = "A-Za-z0-9_" if self.ident else "a-z0-9_"
         self._search = re.compile(
             rf"(?<![{edge}]){re.escape(self.literal)}(?![{edge}])"
@@ -61,48 +84,93 @@ class _Term:
         return self.literal in hay and self._search(hay) is not None
 
 
-class TextScan:
-    """One text checked against signature terms.
+class _TermTable:
+    """Compiled signature terms, and what each line holds of them.
 
-    ``terms`` is the table of compiled terms the scan reads and fills on
-    demand (a :class:`FactRegistry` passes its own, so each distinct term
-    compiles once per registry).  The text is lower-cased once, split
-    into sentences at most once, and every term is looked up at most
-    once however many signatures share it.
+    ``terms`` is keyed by the term itself and only ever appended to, so
+    its first ``size`` entries never change and a line read against them
+    never goes stale: a record is keyed on the line *and* that size, and
+    a table that has grown simply asks under a new key.  Records are
+    immutable, so threads share them; ``memo_size`` bounds how many are
+    kept (0: none, for a throwaway table).
     """
 
-    def __init__(self, terms: dict[str, _Term], text: str) -> None:
-        self._terms = terms
-        self._text = text
-        self._lower = text.lower()
-        self._sentences: list[tuple[str, str]] | None = None
-        self._in_text: dict[str, bool] = {}
-        self._in_sentences: dict[str, frozenset[int]] = {}
+    def __init__(self, memo_size: int = 0) -> None:
+        self.terms: dict[str, _Term] = {}
+        self.read_line = lru_cache(maxsize=memo_size)(self._read_line)
+        # One size is in use at a time, bar a thread caught mid-growth.
+        self._by_case = lru_cache(maxsize=2)(self._split_by_case)
 
-    def _term(self, term: str) -> _Term:
-        compiled = self._terms.get(term)
-        if compiled is None:
-            compiled = self._terms[term] = _Term(term)
-        return compiled
+    def add(self, terms: Iterable[str]) -> int:
+        """Compile those of ``terms`` the table lacks; its size afterwards."""
+        for term in set(terms).difference(self.terms):
+            self.terms.setdefault(term, _Term(term))
+        return len(self.terms)
+
+    def _split_by_case(self, size: int) -> tuple[tuple[_Term, ...], tuple[_Term, ...]]:
+        """The first ``size`` terms: the case-sensitive ones, and the rest."""
+        first = list(self.terms.values())[:size]
+        return tuple(t for t in first if t.ident), tuple(t for t in first if not t.ident)
+
+    def _read_line(self, line: str, size: int) -> _LineRecord:
+        cased, uncased = self._by_case(size)
+        lower = line.lower()
+        # The substring test first: it only skips terms that cannot match.
+        maybe = [t for t in cased if t.probe in line]
+        maybe += [t for t in uncased if t.probe in lower]
+        written = [t for t in maybe if t.found_in(line, lower)]
+        # A phrase can be in a sentence of a line it is not written in; any
+        # other term is in one of them iff it is written in the line.
+        in_sentence = [t for t in maybe if t.phrase or t in written]
+        if not in_sentence:
+            return _EMPTY_LINE
+        per_sentence = []
+        for sent in sentences(line):
+            sent_lower = sent.lower()
+            held = frozenset(t.term for t in in_sentence if t.found_in(sent, sent_lower))
+            if held:
+                per_sentence.append(held)
+        return frozenset(t.term for t in written), tuple(per_sentence)
+
+
+class TextScan:
+    """One text checked against signature terms, line by line.
+
+    A text's scan is the union of its lines' records.  That is exact:
+    ``sentences()`` splits on ``str.splitlines()`` before anything else,
+    so no sentence crosses a line; no signature term holds a line break
+    (:func:`_validate_signature`), and a line break is outside both
+    boundary classes, so a term occurs in the text as written iff it
+    occurs in some line as written.  ``table`` is the
+    :class:`_TermTable` the scan reads and fills on demand (a
+    :class:`FactRegistry` passes its own, so each distinct term compiles
+    once and each distinct line is read once per registry).
+    """
+
+    def __init__(self, table: _TermTable, text: str) -> None:
+        self._table = table
+        self._lines = text.splitlines()
+        self._size = -1  # of the table the lines were last read against
+        self._written: frozenset[str] = frozenset()
+        self._sentences: list[frozenset[str]] = []
+
+    def _know(self, terms: Iterable[str]) -> None:
+        """Read the lines against a table that holds every one of ``terms``."""
+        size = self._table.add(terms)
+        if size != self._size:
+            records = [self._table.read_line(line, size) for line in self._lines]
+            self._written = frozenset().union(*[written for written, _ in records])
+            self._sentences = [held for _, per_sentence in records for held in per_sentence]
+            self._size = size
+
+    def _together(self, signature: tuple[str, ...]) -> bool:
+        """Whether one sentence holds every term of ``signature``."""
+        return any(held.issuperset(signature) for held in self._sentences)
 
     def contains(self, term: str) -> bool:
         """Whether ``term`` occurs anywhere in the text."""
-        found = self._in_text.get(term)
-        if found is None:
-            found = self._in_text[term] = self._term(term).found_in(self._text, self._lower)
-        return found
-
-    def _sentences_with(self, term: str) -> frozenset[int]:
-        hits = self._in_sentences.get(term)
-        if hits is None:
-            if self._sentences is None:
-                self._sentences = [(s, s.lower()) for s in sentences(self._text)]
-            compiled = self._term(term)
-            hits = self._in_sentences[term] = frozenset(
-                i for i, (sent, sent_lower) in enumerate(self._sentences)
-                if compiled.found_in(sent, sent_lower)
-            )
-        return hits
+        self._know((term,))
+        return term in self._written
 
     def asserts(self, signature: tuple[str, ...]) -> bool:
         """Whether the text asserts ``signature``.
@@ -113,27 +181,30 @@ class TextScan:
         count.  Neither implies the other: sentences are
         whitespace-normalised, the text is not.
         """
-        if not all(self.contains(term) for term in signature):
-            return False
-        together: frozenset[int] | None = None
-        for term in signature:
-            hits = self._sentences_with(term)
-            together = hits if together is None else together & hits
-            if not together:
-                return False
-        return True
+        self._know(signature)
+        return self._written.issuperset(signature) and self._together(signature)
 
     def asserted(self, signed: Iterable[_Signed]) -> list[_Signed]:
         """Those of ``signed`` (facts or falsehoods) the text asserts, in order."""
-        return [x for x in signed if self.asserts(x.signature)]
+        signed = list(signed)
+        self._know(chain.from_iterable(x.signature for x in signed))
+        written = self._written
+        return [
+            x for x in signed if written.issuperset(x.signature) and self._together(x.signature)
+        ]
 
 
 def _validate_signature(label: str, statement: str, signature: tuple[str, ...]) -> None:
-    """Every signature term must occur in the owner's (``label``) own statement."""
+    """Every signature term must be one line of text that occurs in the
+    owner's (``label``) own statement."""
     if not signature:
         raise CorpusError(f"{label} has an empty signature")
-    scan = TextScan({}, statement)
+    table = _TermTable()
+    table.add(signature)
+    scan = TextScan(table, statement)
     for term in signature:
+        if term.splitlines() != [term]:
+            raise CorpusError(f"{label}: signature term {term!r} is empty or holds a line break")
         if not scan.contains(term):
             raise CorpusError(
                 f"{label}: signature term {term!r} does not occur in its own statement"
@@ -169,7 +240,7 @@ class Fact:
 
     def appears_in(self, text: str) -> bool:
         """Whether ``text`` asserts this fact (see :meth:`TextScan.asserts`)."""
-        return TextScan({}, text).asserts(self.signature)
+        return TextScan(_TermTable(), text).asserts(self.signature)
 
 
 @dataclass(frozen=True)
@@ -189,7 +260,7 @@ class Falsehood:
 
     def appears_in(self, text: str) -> bool:
         """Whether ``text`` asserts this falsehood (see :meth:`TextScan.asserts`)."""
-        return TextScan({}, text).asserts(self.signature)
+        return TextScan(_TermTable(), text).asserts(self.signature)
 
 
 @dataclass
@@ -198,9 +269,12 @@ class FactRegistry:
 
     facts: dict[str, Fact] = field(default_factory=dict)
     falsehoods: dict[str, Falsehood] = field(default_factory=dict)
-    #: Compiled signature terms, filled by detection as terms are first
-    #: looked up; keyed by the term itself, so nothing ever goes stale.
-    _terms: dict[str, _Term] = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: Compiled signature terms and the memo of lines read against them,
+    #: both filled by detection; see :class:`_TermTable` for why a write
+    #: to ``facts`` or ``falsehoods`` leaves nothing stale.
+    _terms: _TermTable = field(
+        default_factory=lambda: _TermTable(_LINE_MEMO_SIZE), init=False, repr=False, compare=False
+    )
 
     def add_fact(self, fact: Fact) -> Fact:
         if fact.fact_id in self.facts:

@@ -32,13 +32,21 @@ class ParametricKnowledge:
         self.registry = registry
         self.model_name = model_name
         self.knowledge_rate = knowledge_rate
+        #: The draw for each registered fact id asked about so far: a
+        #: pure function of (model, id), so whatever the registry holds
+        #: now — a late fact, a re-bound id — is judged without hashing
+        #: the ones already drawn again.
+        self._drawn: dict[str, bool] = {}
 
     def knows(self, fact_id: str) -> bool:
         """Whether this model 'remembers' the fact without retrieval."""
         if fact_id not in self.registry.facts:
             return False
-        h = stable_hash(f"{self.model_name}\x1f{fact_id}", namespace="knows")
-        return (h / _HASH_SPACE) < self.knowledge_rate
+        known = self._drawn.get(fact_id)
+        if known is None:
+            h = stable_hash(f"{self.model_name}\x1f{fact_id}", namespace="knows")
+            known = self._drawn[fact_id] = (h / _HASH_SPACE) < self.knowledge_rate
+        return known
 
     def known_facts(self) -> list[Fact]:
         return [f for fid, f in self.registry.facts.items() if self.knows(fid)]

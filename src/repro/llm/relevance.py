@@ -76,19 +76,24 @@ class RelevanceModel:
             t: math.log((1 + n) / (1 + c)) + 0.1 for t, c in tok_df.items()
         }
         self._max_token_idf = max(self._token_idf.values(), default=1.0)
-        # Per-fact tables for the selection loop: stemmed statement tokens
-        # by fact id, and topic plans by the topics tuple itself (so a
-        # fact is always scored on the topics it carries).
-        self._stmt_tokens: dict[str, frozenset[str]] = {
-            fid: frozenset(stemmed_tokens(f.statement))
-            for fid, f in registry.facts.items()
-        }
+        # Per-fact tables for the selection loop, keyed on what they are
+        # derived from — stemmed statement tokens by the statement, topic
+        # plans by the topics tuple — so a fact registered later, or an id
+        # bound to another fact, is scored on what it carries.
+        self._stmt_tokens: dict[str, frozenset[str]] = {}
         self._topic_plans: dict[tuple[str, ...], tuple[_TopicPlan, ...]] = {}
         for fact in registry.facts.values():
+            self._statement_stems(fact.statement)
             self._plans(fact.topics)
 
     def topic_weight(self, topic: str) -> float:
         return self._topic_weight.get(topic.lower(), 1.0)
+
+    def _statement_stems(self, statement: str) -> frozenset[str]:
+        stems = self._stmt_tokens.get(statement)
+        if stems is None:
+            stems = self._stmt_tokens[statement] = frozenset(stemmed_tokens(statement))
+        return stems
 
     def _plans(self, topics: tuple[str, ...]) -> tuple[_TopicPlan, ...]:
         plans = self._topic_plans.get(topics)
@@ -132,8 +137,7 @@ class RelevanceModel:
         return s
 
     def _paraphrase_score(self, fact: Fact, q: _QuestionFeatures) -> float:
-        stmt = self._stmt_tokens[fact.fact_id]
-        shared = q.stems & stmt
+        shared = q.stems & self._statement_stems(fact.statement)
         if not shared:
             return 0.0
         # Sum in sorted order: float addition is non-associative, and set
@@ -143,7 +147,9 @@ class RelevanceModel:
         num = sum(self._token_idf.get(t, self._max_token_idf) for t in sorted(shared))
         return num / q.idf_mass if q.idf_mass > 0 else 0.0
 
-    def _question_features(self, question: str) -> _QuestionFeatures:
+    def question_features(self, question: str) -> _QuestionFeatures:
+        """What :meth:`select` derives from ``question``; pass it in place
+        of the question to select from several fact lists with one analysis."""
         stems = set(stemmed_tokens(question))
         return _QuestionFeatures(
             lower=question.lower(),
@@ -156,12 +162,12 @@ class RelevanceModel:
         return self._topic_score(fact, q) + 3.2 * self._paraphrase_score(fact, q)
 
     def score(self, fact: Fact, question: str) -> float:
-        return self._score(fact, self._question_features(question))
+        return self._score(fact, self.question_features(question))
 
     def select(
         self,
         facts: list[Fact],
-        question: str,
+        question: str | _QuestionFeatures,
         *,
         max_facts: int = 7,
         min_score: float = 0.9,
@@ -173,7 +179,7 @@ class RelevanceModel:
         fraction of the best score (so one dominant topic match does not
         drag in everything mildly related).
         """
-        q = self._question_features(question)
+        q = self.question_features(question) if isinstance(question, str) else question
         scored = [ScoredFact(fact=f, score=self._score(f, q)) for f in facts]
         scored.sort(key=lambda sf: (-sf.score, sf.fact.fact_id))
         if not scored or scored[0].score < min_score:

@@ -35,7 +35,7 @@ from repro.llm.base import ChatMessage, ChatModel, CompletionResult, TokenUsage
 from repro.llm.hallucination import HallucinationGenerator
 from repro.llm.latency import LatencyEngine
 from repro.llm.parametric import ParametricKnowledge
-from repro.llm.relevance import RelevanceModel
+from repro.llm.relevance import RelevanceModel, _QuestionFeatures
 from repro.llm.tokens import count_tokens
 from repro.prompts.library import parse_rag_prompt
 from repro.utils.rng import stable_hash
@@ -151,12 +151,14 @@ class SimulatedChatModel(ChatModel):
 
     def _answer_grounded(self, question: str, context: str) -> str:
         context_facts = self.registry.facts_in(context)
+        # One analysis of the question serves every selection below.
+        features = self.relevance.question_features(question)
         # Retrieval already filtered the material, so the model reads it
         # generously: everything plausibly related to the question makes
         # it into the answer (the paper's score-4 answers synthesize all
         # the relevant retrieved content, not just the single best hit).
         picked = self.relevance.select(
-            context_facts, question, max_facts=9, min_score=0.35, relative=0.0
+            context_facts, features, max_facts=9, min_score=0.35, relative=0.0
         )
         unknown = self._unknown_identifiers(question)
         if unknown:
@@ -174,15 +176,17 @@ class SimulatedChatModel(ChatModel):
             # grounded context makes it braver, not dumber.
             extra = [
                 sf.fact
-                for sf in self.relevance.select(self.knowledge.known_facts(), question)
+                for sf in self.relevance.select(self.knowledge.known_facts(), features)
                 if sf.fact not in facts
                 and self.knowledge.coin("blend", question, sf.fact.fact_id, p=0.5)
             ]
             return self._render(question, facts + extra[:2], grounded=True)
         # Anchored degradation: context retrieved, none of it relevant.
-        return self._answer_anchored(question, context_facts)
+        return self._answer_anchored(question, features, context_facts)
 
-    def _answer_anchored(self, question: str, context_facts: list[Fact]) -> str:
+    def _answer_anchored(
+        self, question: str, features: _QuestionFeatures, context_facts: list[Fact]
+    ) -> str:
         parts = [
             _HEDGES[stable_hash(f"{self.name}{question}", namespace="hedge") % len(_HEDGES)]
         ]
@@ -190,7 +194,7 @@ class SimulatedChatModel(ChatModel):
         parts.extend(f.statement for f in tangential)
         # Anchoring suppresses parametric recall: keep at most one known
         # fact, and only sometimes.
-        parametric = self.relevance.select(self.knowledge.known_facts(), question, max_facts=3)
+        parametric = self.relevance.select(self.knowledge.known_facts(), features, max_facts=3)
         if parametric and self.knowledge.coin("anchored-recall", question, p=0.4):
             parts.append(parametric[0].fact.statement)
         # Misreading tangential context into a misconception.

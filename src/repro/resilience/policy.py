@@ -132,7 +132,9 @@ class RetryPolicy:
         error; an exhausted ``deadline`` raises
         :class:`DeadlineExceededError` chained to it.
         """
-        delays = self.backoff_schedule(*key)
+        # Derived on the first retry: a pure function of the key, and a
+        # call that succeeds at once never reads it.
+        delays: list[float] | None = None
         backoff_total = 0.0
         errors: list[str] = []
         for attempt in range(1, self.max_attempts + 1):
@@ -145,6 +147,8 @@ class RetryPolicy:
                 if not classify(exc) or attempt == self.max_attempts:
                     raise
                 get_registry().counter("repro.resilience.retries").inc()
+                if delays is None:
+                    delays = self.backoff_schedule(*key)
                 delay = delays[attempt - 1]
                 if deadline is not None and deadline.remaining() < delay:
                     get_registry().counter("repro.resilience.deadline_exceeded").inc()

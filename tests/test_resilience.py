@@ -143,6 +143,30 @@ class TestRetryPolicy:
         policy.execute(flaky, key=("s",), sleep=slept.append)
         assert slept == policy.backoff_schedule("s")[:2]
 
+    def test_schedule_is_derived_on_the_first_retry_only(self, monkeypatch):
+        derived: list[tuple] = []
+        schedule = RetryPolicy.backoff_schedule
+
+        def counting(policy, *key):
+            derived.append(key)
+            return schedule(policy, *key)
+
+        monkeypatch.setattr(RetryPolicy, "backoff_schedule", counting)
+        policy = RetryPolicy(max_attempts=4)
+        assert policy.execute(lambda: "ok", key=("h", 1)).backoff_total == 0.0
+        assert derived == []  # a healthy call never reads it
+        calls = {"n": 0}
+
+        def flaky():
+            calls["n"] += 1
+            if calls["n"] < 4:
+                raise TransientError("blip")
+            return "ok"
+
+        outcome = policy.execute(flaky, key=("h", 1))
+        assert derived == [("h", 1)]  # once, however many retries
+        assert outcome.backoff_total == sum(schedule(policy, "h", 1))
+
     def test_deadline_cuts_retry_loop(self):
         clock = FakeClock()
         deadline = Deadline(0.01, clock=clock)

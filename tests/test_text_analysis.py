@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,11 +19,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.corpus import facts as facts_module
 from repro.corpus.builder import chunk_corpus
-from repro.corpus.facts import Fact, FactRegistry, default_registry
+from repro.corpus.facts import Fact, FactRegistry, Falsehood, default_registry
+from repro.errors import CorpusError
 from repro.documents import Document
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.llm.relevance import RelevanceModel
+from repro.llm.tokens import count_tokens
+from repro.prompts import parse_rag_prompt
 from repro.rerank import FlashrankLiteReranker, NvidiaSimReranker
 from repro.rerank import scoring
 from repro.utils.textproc import (
@@ -65,6 +70,17 @@ def ref_detect(registry: FactRegistry, text: str) -> tuple[list[str], list[str]]
         [f.fact_id for f in registry.facts.values() if ref_appears_in(f.signature, text)],
         [f.false_id for f in registry.falsehoods.values() if ref_appears_in(f.signature, text)],
     )
+
+
+_TOKENISH_RE = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
+
+
+def ref_count_tokens(text: str) -> int:
+    """Each alphanumeric run measured in Python, five characters a token."""
+    n = 0
+    for piece in _TOKENISH_RE.findall(text):
+        n += max(1, (len(piece) + 4) // 5) if piece.isalnum() else 1
+    return n
 
 
 #: The lexicon scan itself, without the memo in front of it.
@@ -264,6 +280,266 @@ class TestMatcherAgainstReference:
             assert list(graded.falsehoods) == sorted(falsehoods)
 
 
+# --------------------------------------------------------------------- line by line
+#: Everything ``str.splitlines`` breaks a line on.
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_breaks = st.sampled_from(_LINE_BREAKS)
+
+
+@pytest.fixture(scope="module")
+def corpus_lines(chunks):
+    return sorted({line for chunk in chunks for line in chunk.text.splitlines() if line.strip()})
+
+
+@pytest.fixture(scope="module")
+def prompts(rag_pipeline, rerank_pipeline):
+    """The rendered prompt of every Krylov question, rag then rag+rerank."""
+    return [
+        pipeline.answer(question.text).prompt
+        for pipeline in (rag_pipeline, rerank_pipeline)
+        for question in krylov_benchmark()
+    ]
+
+
+@pytest.fixture(scope="module")
+def contexts(prompts):
+    """What the model reads fact signatures in: each prompt's context block."""
+    return [parse_rag_prompt(prompt).context for prompt in prompts]
+
+
+def _gapped(text: str, phrase: str, gap: str) -> str:
+    """``text`` with the blanks inside each occurrence of ``phrase`` widened to ``gap``."""
+    return re.sub(re.escape(phrase), lambda m: m.group().replace(" ", gap), text, flags=re.I)
+
+
+class TestLineScanEqualsWholeText:
+    """Detection reads a text line by line (DESIGN §15, fifth invariant);
+    ``ref_detect`` reads it whole.  Same facts, same falsehoods, same order."""
+
+    def test_every_context_and_every_chunk(self, registry, contexts, chunks):
+        assert len(contexts) == 2 * len(krylov_benchmark())
+        for text in [*contexts, *(chunk.text for chunk in chunks)]:
+            assert _detected(registry, text) == ref_detect(registry, text)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_corpus_lines_under_every_separator(self, corpus_lines, data):
+        line = st.one_of(st.sampled_from(corpus_lines), _statements, st.sampled_from(["", "  ", "\t"]))
+        parts = data.draw(st.lists(st.tuples(line, _breaks), min_size=1, max_size=10))
+        text = "".join(part + sep for part, sep in parts)
+        expected = ref_detect(_REGISTRY, text)
+        assert _detected(_REGISTRY, text) == expected
+        # Shuffled: what a line holds does not depend on its neighbours.
+        random.Random(len(text)).shuffle(parts)
+        text = "".join(part + sep for part, sep in parts)
+        assert _detected(_REGISTRY, text) == ref_detect(_REGISTRY, text)
+
+    @pytest.mark.parametrize("sep", _LINE_BREAKS)
+    def test_terms_at_the_first_and_last_character_of_a_line(self, sep):
+        # Word characters on either side of the break: a line break is
+        # outside both boundary classes, so the term still stands alone.
+        for term in _TERMS:
+            text = f"x{sep}{term}{sep}x"
+            fact = Fact(fact_id="t", statement=term, signature=(term,))
+            assert ref_appears_in(fact.signature, text) is True
+            assert fact.appears_in(text) is True
+        text = sep.join(f"x{sep}{x.statement}{sep}9" for x in _SIGNED)
+        assert _detected(_REGISTRY, text) == ref_detect(_REGISTRY, text)
+        assert len(_detected(_REGISTRY, text)[0]) == len(_REGISTRY.facts)
+
+    @pytest.mark.parametrize("gap", ["  ", "\t", " \t "])
+    @pytest.mark.parametrize("phrase", _PHRASES)
+    def test_widened_blanks_inside_each_phrase(self, phrase, gap):
+        """The ``least  squares`` case, for all ten multi-word terms."""
+        assert len(_PHRASES) == 10
+        owners = [x for x in _SIGNED if phrase in x.signature]
+        assert owners
+        for owner in owners:
+            owner_id = getattr(owner, "fact_id", None) or owner.false_id
+            widened = _gapped(owner.statement, phrase, gap)
+            assert widened != owner.statement
+            # In a sentence (normalised), not in the line as written.
+            ids = _detected(_REGISTRY, widened)
+            assert ids == ref_detect(_REGISTRY, widened)
+            assert owner_id not in ids[0] + ids[1]
+            # Written in one line, together only in another line's sentence.
+            for sep in _LINE_BREAKS:
+                for text in (widened + sep + phrase, phrase.upper() + sep + widened):
+                    ids = _detected(_REGISTRY, text)
+                    assert ids == ref_detect(_REGISTRY, text)
+                    assert owner_id in ids[0] + ids[1]
+
+    @pytest.mark.parametrize(
+        "signature, text, asserted",
+        [
+            # written in line 2, with KSPLSQR only in line 1's sentence
+            (("least squares", "KSPLSQR"), "KSPLSQR does least  squares.\nAlso least squares.", True),
+            (("least squares", "KSPLSQR"), "KSPLSQR does least  squares.\nAlso least\tsquares.", False),
+            # written in the text, but never in one sentence
+            (("KSPLSQR", "rectangular"), "KSPLSQR\u2028rectangular", False),
+            (("KSPLSQR", "rectangular"), "KSPLSQR\x0brectangular KSPLSQR", True),
+            # a phrase a sentence split cuts: written, in no sentence
+            (("solver. some",), "A solver. Some are rectangular.", False),
+            (("solver. some",), "A solver. some are rectangular.", True),
+            (("KSP",), "", False),
+            (("KSP",), "\n\n", False),
+        ],
+    )
+    def test_named_cases(self, signature, text, asserted):
+        fact = Fact(fact_id="t", statement=" ".join(signature), signature=signature)
+        assert ref_appears_in(signature, text) is asserted
+        assert fact.appears_in(text) is asserted
+        registry = FactRegistry()
+        registry.add_fact(fact)
+        assert bool(registry.facts_in(text)) is asserted
+        assert bool(registry.facts_in(text)) is asserted  # from the memo
+
+    @pytest.mark.parametrize("term", ["", "least\nsquares", "KSP\n", "\u2028x"])
+    def test_a_term_must_be_one_line(self, term):
+        """The premise of the line decomposition, enforced at the door."""
+        with pytest.raises(CorpusError, match="line break"):
+            Fact(fact_id="t", statement=f"x {term} y", signature=(term,))
+        with pytest.raises(CorpusError, match="line break"):
+            Falsehood(false_id="t", statement=f"x {term} y", signature=("x", term))
+
+
+class _Counted:
+    """Counts calls to a function it stands in for."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.fixture
+def scan_work(monkeypatch):
+    """(pattern searches, ``sentences()`` calls) made by fact detection."""
+    found_in = facts_module._Term.found_in
+    searches = _Counted(found_in)
+    monkeypatch.setattr(
+        facts_module._Term, "found_in", lambda term, *args: searches(term, *args)
+    )
+    splits = _Counted(facts_module.sentences)
+    monkeypatch.setattr(facts_module, "sentences", splits)
+    return searches, splits
+
+
+class TestLineScanMemo:
+    def test_a_text_read_again_does_no_work(self, contexts, scan_work):
+        searches, splits = scan_work
+        registry = default_registry()
+        first = [_detected(registry, text) for text in contexts]
+        assert searches.calls > 0 and splits.calls > 0
+        # Only a line that holds a term is split, and each distinct line
+        # once: 483 of the 2,355 lines the 37 rag+rerank contexts hold.
+        rerank = contexts[len(contexts) // 2:]
+        fresh = default_registry()
+        searches.calls = splits.calls = 0
+        for text in rerank:
+            fresh.facts_in(text)
+        lines = [line for text in rerank for line in text.splitlines()]
+        assert 0 < splits.calls <= len(set(lines)) < len(lines) // 2
+        searches.calls = splits.calls = 0
+        assert [_detected(registry, text) for text in contexts] == first
+        assert (searches.calls, splits.calls) == (0, 0)
+
+    def test_nothing_goes_stale_when_the_registry_changes(self, scan_work):
+        searches, _ = scan_work
+        text = "KSPLSQR and PCGAMG.\nA wrong claim about PCJACOBI here"
+        registry = FactRegistry()
+        registry.add_fact(Fact(fact_id="a", statement="KSPLSQR here", signature=("KSPLSQR",)))
+        assert _detected(registry, text) == (["a"], [])
+        searches.calls = 0
+        assert _detected(registry, text) == (["a"], [])
+        assert searches.calls == 0  # both lines are memoised
+        # ... and each of these is judged on lines read before it existed.
+        registry.add_fact(Fact(fact_id="b", statement="PCGAMG here", signature=("PCGAMG",)))
+        assert _detected(registry, text) == (["a", "b"], [])
+        registry.add_falsehood(
+            Falsehood(false_id="x", statement="wrong PCJACOBI", signature=("wrong", "PCJACOBI"))
+        )
+        assert _detected(registry, text) == (["a", "b"], ["x"])
+        registry.facts["c"] = Fact(fact_id="c", statement="and here", signature=("and",))
+        registry.falsehoods["y"] = Falsehood(false_id="y", statement="a claim", signature=("claim",))
+        assert _detected(registry, text) == (["a", "b", "c"], ["x", "y"])
+        # An id bound to another signature is judged on the new one.
+        registry.facts["a"] = Fact(fact_id="a", statement="KSPCG here", signature=("KSPCG",))
+        registry.falsehoods["x"] = Falsehood(
+            false_id="x", statement="wrong PCGAMG", signature=("wrong", "PCGAMG")
+        )
+        assert _detected(registry, text) == (["b", "c"], ["y"])
+        assert _detected(registry, text + "\nKSPCG") == (["a", "b", "c"], ["y"])
+        assert _detected(registry, text) == ref_detect(registry, text)
+
+    def test_memo_is_bounded_and_keeps_no_text(self, monkeypatch):
+        monkeypatch.setattr(facts_module, "_LINE_MEMO_SIZE", 8)
+        registry = FactRegistry()
+        registry.add_fact(Fact(fact_id="a", statement="KSPLSQR is least squares",
+                               signature=("KSPLSQR", "least squares")))
+        lines = [f"KSPLSQR does least squares, run {i}. KSPLSQR again" for i in range(24)]
+        for line in lines:
+            assert _detected(registry, line) == (["a"], [])
+        table = registry._terms
+        info = table.read_line.cache_info()
+        assert (info.currsize, info.maxsize, info.misses) == (8, 8, 24)
+        assert _detected(registry, "\n".join(lines)) == (["a"], [])
+        assert table.read_line.cache_info().currsize == 8
+        own = {id(term) for term in table.terms}
+        for line in lines:
+            written, per_sentence = record = table.read_line(line, len(table.terms))
+            assert type(record) is tuple and type(per_sentence) is tuple
+            assert written == {"KSPLSQR", "least squares"}
+            assert per_sentence == (written, {"KSPLSQR"})
+            for held in (written, *per_sentence):
+                assert type(held) is frozenset
+                assert {id(term) for term in held} <= own
+
+    def test_worker_threads_share_one_cold_memo(self, service):
+        questions = [q.text for q in krylov_benchmark()]
+        service.invalidate_query_caches()
+        sequential = [service.answer(q).answer for q in questions]
+        # The registry the model reads with is the index artifact's.
+        table = service.pipeline_for("rag+rerank").chat_model.registry._terms
+        assert table.read_line.cache_info().currsize > 400
+        service.invalidate_query_caches()
+        table.read_line.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            batch = service.answer_many(questions, workers=4, seed=0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [result.answer for result in batch.results] == sequential
+        assert table.read_line.cache_info().currsize > 400
+
+
+class TestTokenCount:
+    """``count_tokens`` lets the pattern take a run five characters at a
+    time; the reference measures each run in Python."""
+
+    def test_every_chunk_and_every_prompt(self, chunks, prompts):
+        for text in [*(chunk.text for chunk in chunks), *prompts]:
+            assert count_tokens(text) == ref_count_tokens(text) > 0
+
+    @given(st.text(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text(self, text):
+        assert count_tokens(text) == ref_count_tokens(text)
+
+    @given(st.text(alphabet="aZ09_-. \n\u00e9\u00b2\u00df\u0416\u4e2d\u0660", max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_long_runs_and_non_ascii_alphanumerics(self, text):
+        assert count_tokens(text) == ref_count_tokens(text)
+
+    @pytest.mark.parametrize("length", range(0, 23))
+    def test_a_run_is_one_token_per_five_characters_rounded_up(self, length):
+        assert count_tokens("a" * length) == ref_count_tokens("a" * length) == -(-length // 5)
+
+
 # --------------------------------------------------------------------- rerank features
 @pytest.fixture(scope="module")
 def chunk_texts(chunks):
@@ -376,7 +652,7 @@ class TestTopicPlans:
             for fact in facts:
                 score = rel.score(fact, question)
                 assert by_id.get(fact.fact_id, score) == score
-                shared = q_stems & rel._stmt_tokens[fact.fact_id]
+                shared = q_stems & rel._statement_stems(fact.statement)
                 paraphrase = 0.0
                 if shared:
                     num = sum(rel._token_idf.get(t, rel._max_token_idf) for t in sorted(shared))
