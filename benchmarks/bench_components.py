@@ -10,8 +10,10 @@ from __future__ import annotations
 import pytest
 
 from repro.embeddings import create_embedding_model
-from repro.retrieval import BM25Retriever, ManualPageKeywordSearch, VectorRetriever
+from repro.retrieval import ManualPageKeywordSearch, VectorRetriever
 from repro.vectorstore import VectorStore
+
+from benchmarks.arms import BM25Retriever
 
 QUERY = "After KSPSolve returns, how do I find out whether the iteration converged?"
 

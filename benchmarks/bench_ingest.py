@@ -122,7 +122,7 @@ def test_ingest_delta_speed_and_exactness(bundle):
 
     # Claim 3a: byte-identical artifact, byte-identical answers.
     for served, built in zip(engine.artifact.shards, scratch.shards, strict=True):
-        assert np.array_equal(served.store.index.matrix, built.store.index.matrix)
+        assert np.array_equal(served.store.matrix, built.store.matrix)
     clear_index_cache()
     reg_ref = MetricsRegistry()
     scratch_engine = open_engine(cfg, bundle=edited, registry=reg_ref)

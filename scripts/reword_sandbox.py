@@ -76,7 +76,7 @@ def main() -> None:
             extra_facts=base.extra_facts, kind=base.kind,
         )
         qvec = emb.embed_query(q.text)
-        s = store.index.matrix @ qvec
+        s = store.matrix @ qvec
         order = np.argsort(-s)
         ranks = []
         for fid in q.key_facts + q.extra_facts:

@@ -22,7 +22,7 @@ from repro.embeddings.registry import (
     EMBEDDING_MODEL_NAMES,
     create_embedding_model,
 )
-from repro.embeddings.similarity import cosine_similarity_matrix, top_k_indices
+from repro.embeddings.similarity import top_k_indices
 
 __all__ = [
     "EmbeddingModel",
@@ -30,6 +30,5 @@ __all__ = [
     "TfidfEmbedding",
     "EMBEDDING_MODEL_NAMES",
     "create_embedding_model",
-    "cosine_similarity_matrix",
     "top_k_indices",
 ]

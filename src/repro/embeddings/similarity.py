@@ -1,26 +1,10 @@
-"""Vectorized similarity kernels shared by the vector store and rerankers."""
+"""The top-k selection kernel behind every score-ranked search."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.errors import EmbeddingError
-
-
-def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine similarity between every row of ``a`` and every row of ``b``.
-
-    Inputs need not be normalized.  Returns an ``(len(a), len(b))`` array.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float32))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float32))
-    if a.shape[1] != b.shape[1]:
-        raise EmbeddingError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    an = np.linalg.norm(a, axis=1, keepdims=True)
-    bn = np.linalg.norm(b, axis=1, keepdims=True)
-    np.maximum(an, np.finfo(np.float32).tiny, out=an)
-    np.maximum(bn, np.finfo(np.float32).tiny, out=bn)
-    return (a / an) @ (b / bn).T
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:

@@ -138,16 +138,6 @@ class IndexBuildError(ReproError):
     """
 
 
-class RetrievalError(ReproError):
-    """A retriever could not satisfy a query.
-
-    Permanent: raised for malformed queries/indexes, not flaky transport.
-    Transient retrieval-hop failures surface as :class:`TransientError`.
-    """
-
-    retry_safe = False
-
-
 class RerankError(ReproError):
     """A reranker received invalid candidates or scoring failed. Permanent."""
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
@@ -222,7 +221,7 @@ def build_shard(
         embedded = dict(
             zip(fresh, embedding.embed_documents([c.text for c in fresh.values()]))
         )
-    parent_matrix = parent.store.index.matrix if parent is not None else None
+    parent_matrix = parent.store.matrix if parent is not None else None
     vectors = np.empty((len(chunks), embedding.dim), dtype=np.float32)
     for row, (doc_id, parent_row) in enumerate(zip(doc_ids, parent_rows)):
         vectors[row] = embedded[doc_id] if parent_row is None else parent_matrix[parent_row]
@@ -324,7 +323,7 @@ def read_cached_payload(
         chunks, vectors = VectorStore.decode_payload(
             payload["documents.jsonl"], payload["vectors.npz"]
         )
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile, VectorStoreError) as exc:
+    except VectorStoreError as exc:
         raise IndexBuildError(f"unreadable cached store in {store_dir}: {exc}") from exc
     expected_shape = (int(manifest.get("chunk_count", -1)), manifest.get("embedding_dim"))
     if vectors.shape != expected_shape:

@@ -7,26 +7,22 @@ throws away every warm entry; an epoch swap
 caller) instead reasons per entry from the typed
 :class:`~repro.ingest.delta.CorpusDelta`:
 
-**Retrieval entries** (key ``(retriever_name, query, k)``, value a tuple
-of :class:`~repro.retrieval.base.RetrievedDocument`):
+**Retrieval entries** (key ``("vector", query, k)`` — the first-pass
+vector retriever is the only one the engine caches — value a tuple of
+:class:`~repro.retrieval.base.RetrievedDocument`):
 
 * An entry whose query the embedding model now maps to a different
   vector (see below) is stale — evict.
 * An entry containing a removed/rewritten chunk (byte-exact ``doc_id``)
   or a *re-embedded* one (same bytes, vector recomputed because a
   corpus-fitted model's IDF moved) is stale — evict.
-* For additions, a ``vector`` entry survives iff no added or re-embedded
-  chunk can enter its top-k: the entry is full (``len == k``) and
+* For additions, an entry survives iff no added or re-embedded chunk
+  can enter its top-k: the entry is full (``len == k``) and
   ``max(embedded_vectors @ query_vector)`` is strictly below the entry's
   k-th score.  Brute-force cosine retrieval admits a new document only
   when it beats the boundary, so this test is exact (ties evict,
   conservatively, because the merge tie-break could prefer the new
   doc_id).
-* Entries from retrievers whose scores depend on corpus statistics
-  (``bm25``, ``hybrid``) or on tables the delta may have changed
-  (``keyword``) are evicted whenever the delta is non-empty — correct,
-  just not minimal.  In practice the engine caches only ``vector``
-  retrievals, so the conservative branch is a safety net.
 
 **Answer entries** (key ``(question_digest, mode, artifact_digest)``):
 after the swap every entry keyed to another digest is unreachable (the
@@ -102,22 +98,16 @@ def invalidate_engine_caches(
     embedded = delta.embedded_chunks()
     embedding = engine.artifact.embedding
     embedded_vectors = None
-    changed = not delta.is_noop
 
-    def retrieval_stale(key, value) -> bool:
+    def retrieval_stale(key, hits) -> bool:
         nonlocal embedded_vectors
-        if not (isinstance(key, tuple) and len(key) == 3):
-            return True  # unrecognized entry shape: never serve it stale
-        name, query, k = key
-        hits = value if isinstance(value, tuple) else tuple(value)
-        if query_moved(str(query)):
+        _name, query, k = key
+        if query_moved(query):
             return True
         if any(hit.doc_id in stale_ids for hit in hits):
             return True
         if not embedded:
             return False
-        if name != "vector":
-            return changed  # corpus-statistic scores: conservative
         if len(hits) < k:
             return True  # a free slot: any addition could fill it
         if embedded_vectors is None:
@@ -125,9 +115,9 @@ def invalidate_engine_caches(
             # chunk count changed none does, and nothing is embedded twice.
             embedded_vectors = embedding.embed_documents([c.text for c in embedded])
         # The query did not move, so a cached embedding of it is current.
-        qvec = engine._embedding_lru.peek(str(query))
+        qvec = engine._embedding_lru.peek(query)
         if qvec is None:
-            qvec = embedding.embed_query(str(query))
+            qvec = embedding.embed_query(query)
         boundary = min(hit.score for hit in hits)
         return bool(float((embedded_vectors @ qvec).max()) >= boundary)
 

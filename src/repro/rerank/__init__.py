@@ -17,7 +17,6 @@ from repro.rerank.base import Reranker, RerankResult
 from repro.rerank.scoring import InteractionScorer, build_idf
 from repro.rerank.flashrank import FlashrankLiteReranker
 from repro.rerank.nvidia_sim import NvidiaSimReranker
-from repro.rerank.pipeline import RerankingRetriever
 
 __all__ = [
     "Reranker",
@@ -26,5 +25,4 @@ __all__ = [
     "build_idf",
     "FlashrankLiteReranker",
     "NvidiaSimReranker",
-    "RerankingRetriever",
 ]

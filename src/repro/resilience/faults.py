@@ -273,9 +273,10 @@ class FaultyChatModel(ChatModel):
 class FaultyVectorStore:
     """A shard replica behind a flaky transport.
 
-    Only search probes fault (the scatter path is what failover
-    protects); lookups delegate untouched.  The transport is all the
-    wrapper adds: the data is the one shard store its siblings serve.
+    The by-vector probe is the whole surface: it is the one call the
+    replica walk makes, and the scatter path is what failover protects.
+    The transport is all the wrapper adds: the data is the one shard
+    store its siblings serve.
     """
 
     def __init__(
@@ -286,32 +287,9 @@ class FaultyVectorStore:
         self.site = site
         self._rates = rates
 
-    @property
-    def embedding(self):
-        return self.inner.embedding
-
-    @property
-    def collection_name(self):
-        return self.inner.collection_name
-
     def similarity_search_by_vector_with_score(self, qvec, *, k=4, where=None):
         self.injector._maybe_raise(self.site, rates=self._rates)
         return self.inner.similarity_search_by_vector_with_score(qvec, k=k, where=where)
-
-    def similarity_search_with_score(self, query, *, k=4, where=None):
-        self.injector._maybe_raise(self.site, rates=self._rates)
-        return self.inner.similarity_search_with_score(query, k=k, where=where)
-
-    def similarity_search(self, query, *, k=4, where=None):
-        return [
-            doc for doc, _ in self.similarity_search_with_score(query, k=k, where=where)
-        ]
-
-    def get(self, doc_id):
-        return self.inner.get(doc_id)
-
-    def __len__(self) -> int:
-        return len(self.inner)
 
 
 class FaultyRetriever(Retriever):

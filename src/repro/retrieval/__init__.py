@@ -1,17 +1,12 @@
-"""First-pass retrieval: vector search, BM25, keyword lookup, hybrid fusion."""
+"""First-pass retrieval: vector search and the manual-page keyword lookup."""
 
 from repro.retrieval.base import RetrievedDocument, Retriever
-from repro.retrieval.bm25 import BM25Retriever
 from repro.retrieval.keyword import ManualPageKeywordSearch
 from repro.retrieval.vector import VectorRetriever
-from repro.retrieval.hybrid import HybridRetriever, reciprocal_rank_fusion
 
 __all__ = [
     "Retriever",
     "RetrievedDocument",
     "VectorRetriever",
-    "BM25Retriever",
     "ManualPageKeywordSearch",
-    "HybridRetriever",
-    "reciprocal_rank_fusion",
 ]

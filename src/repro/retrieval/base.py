@@ -1,4 +1,4 @@
-"""Retriever interface shared by vector, BM25, keyword and hybrid retrieval."""
+"""Retriever interface shared by vector and keyword retrieval."""
 
 from __future__ import annotations
 
@@ -17,10 +17,9 @@ class RetrievedDocument:
     """A document plus where/why it was retrieved.
 
     ``origin`` records the stage that produced it (``"vector"``,
-    ``"bm25"``, ``"keyword"``, ``"hybrid"``); the rerank pipeline and the
-    interaction-history database both log it, mirroring the paper's
-    emphasis on giving developers visibility into what was passed to the
-    LLM.
+    ``"keyword"``); the rerank pipeline and the interaction-history
+    database both log it, mirroring the paper's emphasis on giving
+    developers visibility into what was passed to the LLM.
     """
 
     document: Document

@@ -3,32 +3,25 @@
 The paper feeds LangChain loader/splitter output into
 ``Chroma.from_documents``; :class:`VectorStore` provides the same
 surface: ``from_documents``, ``similarity_search(_with_score)``,
-metadata ``where`` filters, persistence, and maximal marginal relevance
-search — everything but writes: a store is built once and a changed
-corpus is a new one.  A store searches by exact brute-force kNN; an
-IVF-style coarse-quantized index is kept beside it for the
-approximate-search ablation.
+metadata ``where`` filters and persistence — everything but writes: a
+store is built once and a changed corpus is a new one.  A store is a
+list of documents beside one read-only embedding matrix and searches it
+by exact brute-force kNN; :class:`ShardedVectorStore` scatters a query
+over several and merges deterministically.
 """
 
 from repro.vectorstore.filters import matches_where
-from repro.vectorstore.index import BruteForceIndex, IVFIndex, VectorIndex
 from repro.vectorstore.store import VectorStore
 from repro.vectorstore.sharded import (
     ShardedVectorStore,
     shard_for_document,
     shard_for_source,
 )
-from repro.vectorstore.catalog import CatalogRetriever, DatabaseCatalog
 
 __all__ = [
     "VectorStore",
     "ShardedVectorStore",
-    "VectorIndex",
-    "BruteForceIndex",
-    "IVFIndex",
     "matches_where",
     "shard_for_document",
     "shard_for_source",
-    "DatabaseCatalog",
-    "CatalogRetriever",
 ]

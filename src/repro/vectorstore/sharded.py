@@ -12,7 +12,7 @@ be the same list for 1, 2, 4, or 8 shards.  Two details make that hold
 exactly rather than approximately:
 
 * Per-shard candidate lists are re-sorted by ``(-score, doc_id)`` before
-  the merge — the brute-force index breaks score ties by insertion row,
+  the merge — a shard store breaks score ties by insertion row,
   which is a per-shard accident.
 * When a shard's k-th score ties with candidates beyond the fetch
   boundary, the fetch width doubles until the boundary score strictly
@@ -32,7 +32,7 @@ from repro.embeddings.base import EmbeddingModel
 from repro.errors import PartialResultError, VectorStoreError
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.utils.rng import stable_hash
-from repro.vectorstore.store import VectorStore, mmr_search
+from repro.vectorstore.store import VectorStore
 
 if TYPE_CHECKING:
     from repro.config import ReplicationConfig
@@ -242,19 +242,6 @@ class ShardedVectorStore:
         self, query: str, *, k: int = 4, where: dict | None = None
     ) -> list[Document]:
         return [doc for doc, _ in self.similarity_search_with_score(query, k=k, where=where)]
-
-    def max_marginal_relevance_search(
-        self,
-        query: str,
-        *,
-        k: int = 4,
-        fetch_k: int = 20,
-        lambda_mult: float = 0.5,
-        where: dict | None = None,
-    ) -> list[Document]:
-        return mmr_search(
-            self, query, k=k, fetch_k=fetch_k, lambda_mult=lambda_mult, where=where
-        )
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)

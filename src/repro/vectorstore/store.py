@@ -1,4 +1,4 @@
-"""The vector store: documents + embeddings + kNN index + persistence."""
+"""The vector store: documents + their embedding matrix + persistence."""
 
 from __future__ import annotations
 
@@ -11,43 +11,9 @@ import numpy as np
 from repro.documents import Document
 from repro.durability.atomic import atomic_write
 from repro.embeddings.base import EmbeddingModel
+from repro.embeddings.similarity import top_k_indices
 from repro.errors import VectorStoreError
 from repro.vectorstore.filters import matches_where
-from repro.vectorstore.index import BruteForceIndex
-
-
-def mmr_search(
-    store,
-    query: str,
-    *,
-    k: int = 4,
-    fetch_k: int = 20,
-    lambda_mult: float = 0.5,
-    where: dict | None = None,
-) -> list[Document]:
-    """MMR selection over any store exposing the VectorStore search surface."""
-    if not 0.0 <= lambda_mult <= 1.0:
-        raise VectorStoreError(f"lambda_mult must be in [0, 1], got {lambda_mult}")
-    candidates = store.similarity_search_with_score(query, k=max(fetch_k, k), where=where)
-    if not candidates:
-        return []
-    qvec = store.embedding.embed_query(query)
-    cand_vecs = store.embedding.embed_documents([d.text for d, _ in candidates])
-    rel = cand_vecs @ qvec
-    selected: list[int] = []
-    remaining = list(range(len(candidates)))
-    while remaining and len(selected) < k:
-        if not selected:
-            best = max(remaining, key=lambda i: rel[i])
-        else:
-            sel_mat = cand_vecs[selected]
-            # Max similarity of each remaining candidate to the picks.
-            redundancy = (cand_vecs[remaining] @ sel_mat.T).max(axis=1)
-            mmr = lambda_mult * rel[remaining] - (1.0 - lambda_mult) * redundancy
-            best = remaining[int(np.argmax(mmr))]
-        selected.append(best)
-        remaining.remove(best)
-    return [candidates[i][0] for i in selected]
 
 
 class VectorStore:
@@ -63,6 +29,11 @@ class VectorStore:
     new store (:func:`repro.ingest.ingest_corpus`), which is what lets
     every serving view and replica share one.  Duplicate documents (same
     :attr:`Document.doc_id`) keep their first occurrence.
+
+    :attr:`matrix` is the store's own read-only C-contiguous float32
+    array, one L2-normalised row per document in insertion order; a
+    search is one ``matrix @ query`` product and a top-k selection, which
+    breaks score ties by row.
     """
 
     def __init__(
@@ -70,7 +41,10 @@ class VectorStore:
     ) -> None:
         self.embedding = embedding
         self.collection_name = collection_name
-        self.index = BruteForceIndex(embedding.dim)
+        if embedding.dim <= 0:
+            raise VectorStoreError(f"store dim must be positive, got {embedding.dim}")
+        self.matrix = np.empty((0, embedding.dim), dtype=np.float32)
+        self.matrix.setflags(write=False)
         self._docs: list[Document] = []
         self._ids: dict[str, int] = {}
 
@@ -105,7 +79,8 @@ class VectorStore:
         changed ones, then assembles the successor store here without
         touching the embedding model.  ``vectors`` must be row-aligned
         with ``documents``; duplicates (same ``doc_id``) keep the first
-        occurrence, exactly like :meth:`from_documents`.
+        occurrence, exactly like :meth:`from_documents`.  The store copies
+        the rows it keeps, so the caller's array stays the caller's.
         """
         if vectors.shape[0] != len(documents):
             raise VectorStoreError(
@@ -124,10 +99,10 @@ class VectorStore:
             store._ids[doc_id] = len(store._docs)
             store._docs.append(doc)
             keep.append(row)
-        if len(keep) == len(documents):
-            store.index.add(vectors)
-        elif keep:
-            store.index.add(vectors[keep])
+        if keep:
+            rows = vectors if len(keep) == len(documents) else vectors[keep]
+            store.matrix = np.array(rows, dtype=np.float32, order="C")
+            store.matrix.setflags(write=False)
         return store
 
     def __len__(self) -> int:
@@ -151,7 +126,7 @@ class VectorStore:
 
         Filtering is applied after the kNN scan by over-fetching, which
         is exact as long as matches are not vanishingly rare; the fetch
-        width doubles until ``k`` matches are found or the index is
+        width doubles until ``k`` matches are found or the store is
         exhausted.
         """
         if k <= 0:
@@ -175,38 +150,30 @@ class VectorStore:
         """
         if k <= 0:
             return []
+        q = np.asarray(qvec, dtype=np.float32).reshape(-1)
+        if q.shape[0] != self.embedding.dim:
+            raise VectorStoreError(
+                f"query dim {q.shape[0]} != store dim {self.embedding.dim}"
+            )
+        scores = self.matrix @ q
         fetch = k if where is None else max(4 * k, 32)
         while True:
-            idx, scores = self.index.search(qvec, fetch)
+            idx = top_k_indices(scores, fetch)
             hits: list[tuple[Document, float]] = []
-            for i, s in zip(idx.tolist(), scores.tolist()):
+            for i, s in zip(idx.tolist(), scores[idx].tolist()):
                 doc = self._docs[i]
                 if matches_where(doc.metadata, where):
-                    hits.append((doc, float(s)))
+                    hits.append((doc, s))
                     if len(hits) == k:
                         return hits
-            if fetch >= self.index.size:
+            if fetch >= len(self._docs):
                 return hits
-            fetch = min(2 * fetch, self.index.size)
+            fetch = min(2 * fetch, len(self._docs))
 
     def similarity_search(
         self, query: str, *, k: int = 4, where: dict | None = None
     ) -> list[Document]:
         return [doc for doc, _ in self.similarity_search_with_score(query, k=k, where=where)]
-
-    def max_marginal_relevance_search(
-        self,
-        query: str,
-        *,
-        k: int = 4,
-        fetch_k: int = 20,
-        lambda_mult: float = 0.5,
-        where: dict | None = None,
-    ) -> list[Document]:
-        """MMR search: trade off query relevance against mutual diversity."""
-        return mmr_search(
-            self, query, k=k, fetch_k=fetch_k, lambda_mult=lambda_mult, where=where
-        )
 
     # ------------------------------------------------------------ persistence
     def save(self, directory: str | Path) -> Path:
@@ -219,7 +186,7 @@ class VectorStore:
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         buf = io.BytesIO()
-        np.savez_compressed(buf, vectors=self.index.matrix)
+        np.savez_compressed(buf, vectors=self.matrix)
         atomic_write(d / "vectors.npz", buf.getvalue())
         lines = [
             json.dumps({"text": doc.text, "metadata": doc.metadata})
@@ -239,39 +206,56 @@ class VectorStore:
         documents_jsonl: bytes, vectors_npz: bytes
     ) -> tuple[list[Document], np.ndarray]:
         """Parse the bytes :meth:`save` wrote as ``documents.jsonl`` and
-        ``vectors.npz`` into row-aligned documents and vectors."""
-        docs = [
-            Document(text=obj["text"], metadata=obj["metadata"])
-            for obj in map(json.loads, documents_jsonl.decode("utf-8").splitlines())
-        ]
-        vectors = np.load(io.BytesIO(vectors_npz))["vectors"]
-        if len(docs) != vectors.shape[0]:
+        ``vectors.npz`` into row-aligned documents and vectors.
+
+        Malformed bytes of either file raise :class:`VectorStoreError`.
+        """
+        try:
+            docs = [
+                Document(text=obj["text"], metadata=obj["metadata"])
+                for obj in map(json.loads, documents_jsonl.decode("utf-8").splitlines())
+            ]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise VectorStoreError(f"corrupt store: bad documents.jsonl: {exc!r}") from exc
+        try:
+            vectors = np.load(io.BytesIO(vectors_npz), allow_pickle=False)["vectors"]
+        except Exception as exc:
+            # Damaged bytes leave the zip and npy readers as BadZipFile,
+            # zlib.error, ValueError, KeyError, EOFError, NotImplementedError
+            # or RuntimeError (seen by fuzzing): no narrower list is complete.
+            raise VectorStoreError(f"corrupt store: bad vectors.npz: {exc!r}") from exc
+        if vectors.dtype != np.float32 or vectors.ndim != 2 or vectors.shape[0] != len(docs):
             raise VectorStoreError(
-                f"corrupt store: {len(docs)} documents but {vectors.shape[0]} vectors"
+                f"corrupt store: {len(docs)} documents but {vectors.dtype} "
+                f"vectors of shape {vectors.shape}"
             )
         return docs, vectors
 
     @classmethod
     def load(cls, directory: str | Path, embedding: EmbeddingModel) -> "VectorStore":
-        """Load a persisted store; the embedding model must match the manifest."""
+        """Load a persisted store; the embedding model must match the manifest.
+
+        Raises :class:`VectorStoreError` for a missing, unreadable or
+        malformed file as well as for a model mismatch.
+        """
         d = Path(directory)
         try:
             manifest = json.loads((d / "manifest.json").read_text())
-        except OSError as exc:
-            raise VectorStoreError(f"cannot read manifest in {d}: {exc}") from exc
-        if manifest["embedding_model"] != embedding.name:
+            built_with = manifest["embedding_model"]
+            dim = manifest["dim"]
+            collection_name = manifest["collection_name"]
+            documents_jsonl = (d / "documents.jsonl").read_bytes()
+            vectors_npz = (d / "vectors.npz").read_bytes()
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise VectorStoreError(f"cannot read store in {d}: {exc!r}") from exc
+        if built_with != embedding.name:
             raise VectorStoreError(
-                f"store was built with {manifest['embedding_model']!r}, "
-                f"got {embedding.name!r}"
+                f"store was built with {built_with!r}, got {embedding.name!r}"
             )
-        if manifest["dim"] != embedding.dim:
-            raise VectorStoreError(
-                f"store dim {manifest['dim']} != embedding dim {embedding.dim}"
-            )
-        docs, vectors = cls.decode_payload(
-            (d / "documents.jsonl").read_bytes(), (d / "vectors.npz").read_bytes()
-        )
-        # Re-insert without re-embedding: the vectors go straight into the index.
+        if dim != embedding.dim:
+            raise VectorStoreError(f"store dim {dim} != embedding dim {embedding.dim}")
+        docs, vectors = cls.decode_payload(documents_jsonl, vectors_npz)
+        # Re-insert without re-embedding: the vectors go straight into the matrix.
         return cls.from_precomputed(
-            docs, vectors, embedding, collection_name=manifest["collection_name"]
+            docs, vectors, embedding, collection_name=collection_name
         )

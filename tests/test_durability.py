@@ -407,6 +407,13 @@ class TestIndexCacheChecksums:
         return artifact, cache_dir / shard.digest[:16]
 
     @staticmethod
+    def _forget_checksums(root):
+        """Rewrite the entry's manifest as one saved before checksums existed."""
+        artifact_json = json.loads((root / "artifact.json").read_text())
+        del artifact_json["payload_checksums"]
+        (root / "artifact.json").write_text(json.dumps(artifact_json))
+
+    @staticmethod
     def _resolve(bundle, cfg, cache_dir):
         """A cold-memory resolve; returns (artifact, registry it reported to)."""
         from repro.index.builder import clear_index_cache, get_or_build_index
@@ -469,10 +476,37 @@ class TestIndexCacheChecksums:
         manifest_file = root / "store" / "manifest.json"
         # A byte moved since the save: a checksum would catch it.
         manifest_file.write_text(manifest_file.read_text() + " ")
-        artifact_json = json.loads((root / "artifact.json").read_text())
-        del artifact_json["payload_checksums"]
-        (root / "artifact.json").write_text(json.dumps(artifact_json))
+        self._forget_checksums(root)
         loaded, registry = self._resolve(bundle, cfg, tmp_path)
         assert loaded.digest == artifact.digest
         assert registry.counter("repro.index.checksum_failures").value == 0
         assert registry.counter("repro.index.disk_hits").value == 1
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("vectors.npz", lambda data: data[: len(data) // 2]),  # torn write
+            ("vectors.npz", lambda data: b""),  # zero-length file
+            ("documents.jsonl", lambda data: b'{"text": "row without metadata"}\n'),
+            ("documents.jsonl", lambda data: b"[1, 2]\n"),  # a row that is no object
+        ],
+        ids=["torn-npz", "empty-npz", "row-without-metadata", "row-not-an-object"],
+    )
+    def test_damaged_store_behind_a_trusted_manifest_rebuilds(
+        self, bundle, tmp_path, name, damage
+    ):
+        # No checksum stands in front of the store reader here, so what it
+        # raises is what the disk lane sees: only a typed error may come out.
+        from repro.index.builder import read_cached_payload
+
+        cfg = ReproConfig(iterations_per_token=0)
+        artifact, root = self._cached_shard(bundle, cfg, tmp_path)
+        self._forget_checksums(root)
+        payload = root / "store" / name
+        payload.write_bytes(damage(payload.read_bytes()))
+        with pytest.raises(IndexBuildError, match="unreadable cached store"):
+            read_cached_payload(tmp_path, artifact.shards[0].digest)
+        rebuilt, registry = self._resolve(bundle, cfg, tmp_path)
+        assert rebuilt.digest == artifact.digest
+        assert registry.counter("repro.index.disk_hits").value == 0
+        assert registry.counter("repro.index.builds").value == 1

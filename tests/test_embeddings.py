@@ -10,7 +10,6 @@ from repro.embeddings import (
     EMBEDDING_MODEL_NAMES,
     HashingEmbedding,
     TfidfEmbedding,
-    cosine_similarity_matrix,
     create_embedding_model,
     top_k_indices,
 )
@@ -233,25 +232,6 @@ class TestRegistry:
 
 
 class TestSimilarity:
-    def test_cosine_self_is_one(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-        sims = cosine_similarity_matrix(a, a)
-        assert np.allclose(np.diag(sims), 1.0)
-
-    def test_orthogonal_is_zero(self):
-        a = np.array([[1.0, 0.0]], dtype=np.float32)
-        b = np.array([[0.0, 1.0]], dtype=np.float32)
-        assert abs(cosine_similarity_matrix(a, b)[0, 0]) < 1e-6
-
-    def test_dim_mismatch(self):
-        with pytest.raises(EmbeddingError):
-            cosine_similarity_matrix(np.ones((1, 2)), np.ones((1, 3)))
-
-    def test_zero_vector_safe(self):
-        a = np.zeros((1, 4), dtype=np.float32)
-        sims = cosine_similarity_matrix(a, np.ones((1, 4), dtype=np.float32))
-        assert np.isfinite(sims).all()
-
     def test_top_k_order(self):
         scores = np.array([0.1, 0.9, 0.5, 0.7])
         assert top_k_indices(scores, 2).tolist() == [1, 3]

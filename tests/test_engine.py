@@ -163,6 +163,24 @@ class TestBatchDeterminism:
         assert rerun.cached_count == len(QUESTIONS)
         assert all(it.result.trace.find("llm") == [] for it in rerun.items)
 
+    def test_retrieval_cache_holds_only_vector_entries(self, artifact, fast_config):
+        # What scoped invalidation (ingest/invalidation.py) takes as given:
+        # the keyword lookup runs beside the retrieval cache, never through it.
+        from repro.retrieval import RetrievedDocument
+
+        assert fast_config.retrieval.use_keyword_search is True
+        engine = fresh_engine(artifact, fast_config, registry=MetricsRegistry())
+        for mode in ("rag", "rag+rerank"):
+            engine.answer_many(QUESTIONS, workers=2, mode=mode)
+            engine.answer_many(QUESTIONS, workers=2, mode=mode)  # warm
+        entries = engine._retrieval_lru.items()
+        assert entries
+        for key, hits in entries:
+            name, query, k = key
+            assert name == "vector" and type(query) is str and type(k) is int
+            assert type(hits) is tuple
+            assert hits and all(type(hit) is RetrievedDocument for hit in hits)
+
     def test_results_keep_input_order(self, artifact, fast_config):
         engine = fresh_engine(artifact, fast_config, registry=MetricsRegistry())
         batch = engine.answer_many(QUESTIONS, workers=4)

@@ -350,8 +350,8 @@ def _assert_same_artifact(a, b) -> None:
     for x, y in zip(a.shards, b.shards):
         assert [c.doc_id for c in x.chunks] == [c.doc_id for c in y.chunks]
         assert [d.doc_id for d in x.store._docs] == [d.doc_id for d in y.store._docs]
-        assert x.store.index.matrix.dtype == y.store.index.matrix.dtype
-        assert np.array_equal(x.store.index.matrix, y.store.index.matrix)
+        assert x.store.matrix.dtype == y.store.matrix.dtype
+        assert np.array_equal(x.store.matrix, y.store.matrix)
 
 
 def _added(bundle, cfg=None) -> CorpusBundle:
@@ -425,8 +425,8 @@ class TestBuildOverParentEqualsFromScratch:
         assert c.shards[0].parent_digest == b.shards[0].digest
         undone = b.embedding.changed_terms(a.embedding) & c.embedding.changed_terms(b.embedding)
         assert undone and not undone & c.embedding.changed_terms(a.embedding)
-        b_rows = dict(zip((d.doc_id for d in b.shards[0].store._docs), b.shards[0].store.index.matrix))
-        c_rows = dict(zip((d.doc_id for d in c.shards[0].store._docs), c.shards[0].store.index.matrix))
+        b_rows = dict(zip((d.doc_id for d in b.shards[0].store._docs), b.shards[0].store.matrix))
+        c_rows = dict(zip((d.doc_id for d in c.shards[0].store._docs), c.shards[0].store.matrix))
         carried_terms_only = [
             doc.doc_id
             for doc in c.chunks
@@ -680,6 +680,21 @@ def test_stores_are_values_and_ingest_is_the_one_write_path():
             "_deleted",
             "stale_digest",
             "live-store",
+            # One store shape, one first pass: the index hierarchy and the
+            # ablation arms (now benchmarks/arms.py) are not in src/.
+            "VectorIndex",
+            "BruteForceIndex",
+            "IVFIndex",
+            "mmr_search",
+            "max_marginal_relevance",
+            "DatabaseCatalog",
+            "CatalogRetriever",
+            "BM25Retriever",
+            "HybridRetriever",
+            "reciprocal_rank_fusion",
+            "RerankingRetriever",
+            "cosine_similarity_matrix",
+            "RetrievalError",
         )
     )
     for path in sorted((_src_root() / "vectorstore").rglob("*.py")):
@@ -688,9 +703,10 @@ def test_stores_are_values_and_ingest_is_the_one_write_path():
     store = VectorStore.from_documents(
         [Document(text="gmres restart", metadata={"source": "a"})], HashingEmbedding(dim=8)
     )
-    assert store.index.matrix.flags.writeable is False
+    assert not hasattr(store, "index")
+    assert store.matrix.flags.writeable is False
     with pytest.raises(ValueError):
-        store.index.matrix[0, 0] = 1.0
+        store.matrix[0, 0] = 1.0
 
 
 class TestEpochSwap:

@@ -15,7 +15,6 @@ from repro.documents import Document
 from repro.embeddings import HashingEmbedding
 from repro.evaluation import BenchmarkQuestion, Score
 from repro.rerank import FlashrankLiteReranker
-from repro.retrieval import BM25Retriever
 from repro.retrieval.base import RetrievedDocument
 from repro.vectorstore import VectorStore
 
@@ -36,16 +35,6 @@ class TestRetrievalProperties:
         hits = store.similarity_search_with_score(query, k=len(docs))
         scores = [s for _, s in hits]
         assert scores == sorted(scores, reverse=True)
-
-    @given(_DOCSET, _SENTENCE)
-    @settings(max_examples=25, deadline=None)
-    def test_bm25_self_retrieval(self, texts, query):
-        """A document is always retrievable by its own full text."""
-        docs = [Document(text=t, metadata={"source": str(i)}) for i, t in enumerate(texts)]
-        r = BM25Retriever(docs)
-        target = docs[0]
-        hits = r.retrieve(target.text, k=len(docs))
-        assert any(h.doc_id == target.doc_id for h in hits)
 
     @given(_DOCSET, _SENTENCE, st.integers(min_value=1, max_value=6))
     @settings(max_examples=25, deadline=None)

@@ -1,4 +1,4 @@
-"""Tests for the rerankers and the K→L pipeline."""
+"""Tests for the rerankers."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ from repro.rerank import (
     FlashrankLiteReranker,
     InteractionScorer,
     NvidiaSimReranker,
-    RerankingRetriever,
     build_idf,
 )
-from repro.retrieval import VectorRetriever
 from repro.retrieval.base import RetrievedDocument
 
 DOCS = [
@@ -106,42 +104,3 @@ class TestRerankers:
         rr = NvidiaSimReranker(DOCS, batch_size=2)
         scores = rr.score_pairs("gmres restart", [d.text for d in DOCS] * 3)
         assert len(scores) == 9
-
-
-class TestRerankingRetriever:
-    def test_k_to_l(self, store, chunks):
-        rr = RerankingRetriever(
-            retriever=VectorRetriever(store),
-            reranker=FlashrankLiteReranker(chunks),
-            first_pass_k=8,
-        )
-        out = rr.retrieve("Can KSP solve rectangular least squares problems?", k=4)
-        assert len(out) == 4
-        assert all(h.origin == "rerank[flashrank-lite]" for h in out)
-
-    def test_k_larger_than_first_pass_rejected(self, store):
-        rr = RerankingRetriever(
-            retriever=VectorRetriever(store),
-            reranker=FlashrankLiteReranker(),
-            first_pass_k=4,
-        )
-        with pytest.raises(RerankError):
-            rr.retrieve("q", k=8)
-
-    def test_invalid_first_pass(self, store):
-        with pytest.raises(RerankError):
-            RerankingRetriever(
-                retriever=VectorRetriever(store),
-                reranker=FlashrankLiteReranker(),
-                first_pass_k=0,
-            )
-
-    def test_detailed_returns_candidates(self, store, chunks):
-        rr = RerankingRetriever(
-            retriever=VectorRetriever(store),
-            reranker=FlashrankLiteReranker(chunks),
-            first_pass_k=8,
-        )
-        candidates, results = rr.retrieve_detailed("GMRES restart", k=4)
-        assert len(candidates) == 8
-        assert len(results) == 4

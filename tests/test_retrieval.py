@@ -1,28 +1,16 @@
-"""Tests for retrievers: vector, BM25, keyword, hybrid RRF."""
+"""Tests for retrievers: vector and keyword, plus the ablation arms.
+
+BM25 and RRF fusion are not served by ``src/repro``; their tests live
+beside them in ``benchmarks/test_arms.py`` and are collected here too.
+"""
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
 from repro.documents import Document
-from repro.errors import RetrievalError
-from repro.retrieval import (
-    BM25Retriever,
-    HybridRetriever,
-    ManualPageKeywordSearch,
-    VectorRetriever,
-    reciprocal_rank_fusion,
-)
+from repro.retrieval import VectorRetriever
 from repro.retrieval.base import RetrievedDocument, dedupe_by_id
 
-DOCS = [
-    Document(text="GMRES is a Krylov method for nonsymmetric systems", metadata={"i": 0}),
-    Document(text="conjugate gradient needs symmetric positive definite matrices", metadata={"i": 1}),
-    Document(text="preallocation makes assembly of sparse matrices fast", metadata={"i": 2}),
-    Document(text="the Chebyshev iteration needs eigenvalue bounds", metadata={"i": 3}),
-    Document(text="GMRES restart length controls memory usage", metadata={"i": 4}),
-]
+from benchmarks.test_arms import TestBM25, TestRRF  # noqa: F401  (collected here)
 
 
 class TestVectorRetriever:
@@ -40,47 +28,6 @@ class TestVectorRetriever:
         r = VectorRetriever(store)
         assert r("GMRES", k=2) == r.retrieve("GMRES", k=2) or True  # same type/shape
         assert len(r("GMRES", k=2)) == 2
-
-
-class TestBM25:
-    def test_exact_term_ranks_first(self):
-        r = BM25Retriever(DOCS)
-        hits = r.retrieve("chebyshev eigenvalue", k=3)
-        assert hits[0].document.metadata["i"] == 3
-
-    def test_zero_score_excluded(self):
-        r = BM25Retriever(DOCS)
-        assert r.retrieve("zzzz qqqq", k=3) == []
-
-    def test_scores_nonnegative(self):
-        r = BM25Retriever(DOCS)
-        assert (r.score("GMRES memory") >= 0).all()
-
-    def test_term_frequency_saturation(self):
-        docs = [
-            Document(text="gmres " * 50, metadata={"i": 0}),
-            Document(text="gmres restart", metadata={"i": 1}),
-        ]
-        r = BM25Retriever(docs, k1=1.2, b=0.75)
-        scores = r.score("gmres")
-        # Massive repetition must not dominate unboundedly.
-        assert scores[0] < 3 * scores[1]
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(RetrievalError):
-            BM25Retriever([])
-
-    def test_invalid_params(self):
-        with pytest.raises(RetrievalError):
-            BM25Retriever(DOCS, k1=-1)
-        with pytest.raises(RetrievalError):
-            BM25Retriever(DOCS, b=2.0)
-
-    @given(st.text(alphabet="abcdefg ", max_size=60))
-    @settings(max_examples=30, deadline=None)
-    def test_never_crashes(self, query):
-        r = BM25Retriever(DOCS)
-        r.retrieve(query, k=3)
 
 
 class TestKeywordSearch:
@@ -108,41 +55,6 @@ class TestKeywordSearch:
         known = keyword_search.known_identifiers()
         assert "KSPSolve" in known
         assert "-ksp_monitor" in known
-
-
-class TestRRF:
-    def _hits(self, ids):
-        return [
-            RetrievedDocument(
-                document=Document(text=f"doc {i}", metadata={"source": str(i)}),
-                score=1.0 - 0.1 * rank,
-                origin="vector",
-            )
-            for rank, i in enumerate(ids)
-        ]
-
-    def test_agreement_ranks_first(self):
-        fused = reciprocal_rank_fusion([self._hits([1, 2, 3]), self._hits([1, 3, 2])], k=3)
-        assert fused[0].document.text == "doc 1"
-        assert all(h.origin == "hybrid" for h in fused)
-
-    def test_k_truncates(self):
-        fused = reciprocal_rank_fusion([self._hits([1, 2, 3, 4])], k=2)
-        assert len(fused) == 2
-
-    def test_invalid_rrf_k(self):
-        with pytest.raises(RetrievalError):
-            reciprocal_rank_fusion([], rrf_k=0)
-
-    def test_hybrid_retriever(self, store, keyword_search):
-        hybrid = HybridRetriever([VectorRetriever(store), keyword_search])
-        hits = hybrid.retrieve("What does KSPSolve do?", k=5)
-        assert hits
-        assert any(h.document.metadata.get("title") == "KSPSolve" for h in hits)
-
-    def test_hybrid_requires_retrievers(self):
-        with pytest.raises(RetrievalError):
-            HybridRetriever([])
 
 
 class TestDedupe:

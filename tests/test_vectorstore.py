@@ -1,4 +1,8 @@
-"""Tests for the vector store, filters, and indexes."""
+"""Tests for the vector store and its filters.
+
+The IVF ablation arm is not served by ``src/repro``; its tests live
+beside it in ``benchmarks/test_arms.py`` and are collected here too.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from repro.documents import Document
 from repro.embeddings import HashingEmbedding
 from repro.errors import VectorStoreError
-from repro.vectorstore import BruteForceIndex, IVFIndex, VectorStore, matches_where
+from repro.vectorstore import VectorStore, matches_where
+
+from benchmarks.test_arms import TestIVFIndex  # noqa: F401  (collected here)
 
 DOCS = [
     Document(text="GMRES handles nonsymmetric systems", metadata={"doc_type": "manual_page", "n": 1}),
@@ -66,95 +72,115 @@ class TestWhereFilters:
             matches_where({"a": 1}, {"$xor": []})
 
 
+def _store(vectors: np.ndarray) -> VectorStore:
+    """A store over ``vectors`` as given, one distinct document per row."""
+    docs = [Document(text=f"row {i}", metadata={"n": i}) for i in range(len(vectors))]
+    emb = HashingEmbedding(dim=vectors.shape[1])
+    return VectorStore.from_precomputed(docs, vectors, emb)
+
+
+def _rows(store: VectorStore, query, k: int) -> list[int]:
+    hits = store.similarity_search_by_vector_with_score(np.asarray(query, np.float32), k=k)
+    return [doc.metadata["n"] for doc, _ in hits]
+
+
+DIM = 8  # the smallest dimension a hashing model accepts
+E = np.eye(DIM, dtype=np.float32)
+
+
 class TestBruteForceIndex:
+    """The exact scan a store runs over its own ``matrix``."""
+
     def test_add_and_search(self):
-        idx = BruteForceIndex(4, initial_capacity=2)
-        vecs = np.eye(4, dtype=np.float32)
-        idx.add(vecs)
-        assert idx.size == 4
-        found, scores = idx.search(np.array([1, 0, 0, 0], dtype=np.float32), 2)
-        assert found[0] == 0
-        assert scores[0] == pytest.approx(1.0)
+        store = _store(E)
+        assert store.matrix.shape == (DIM, DIM)
+        (doc, score), _second = store.similarity_search_by_vector_with_score(E[0], k=2)
+        assert doc.metadata["n"] == 0
+        assert score == pytest.approx(1.0)
 
     def test_growth_preserves_data(self):
-        idx = BruteForceIndex(3, initial_capacity=1)
-        for i in range(10):
-            v = np.zeros(3, dtype=np.float32)
-            v[i % 3] = 1.0
-            idx.add(v)
-        assert idx.size == 10
+        # More rows than any fixed preallocation: every row is kept, in order.
+        vecs = np.random.default_rng(0).standard_normal((1500, DIM)).astype(np.float32)
+        store = _store(vecs)
+        assert store.matrix.dtype == np.float32 and store.matrix.flags.c_contiguous
+        assert np.array_equal(store.matrix, vecs)
+        assert len(store) == 1500
 
     def test_dim_mismatch(self):
-        idx = BruteForceIndex(4)
         with pytest.raises(VectorStoreError):
-            idx.add(np.ones((1, 3), dtype=np.float32))
-        with pytest.raises(VectorStoreError):
-            idx.search(np.ones(3, dtype=np.float32), 1)
+            VectorStore.from_precomputed(
+                DOCS[:1], np.ones((1, 3), dtype=np.float32), HashingEmbedding(dim=DIM)
+            )
+        with pytest.raises(VectorStoreError, match="query dim 3"):
+            _store(E).similarity_search_by_vector_with_score(np.ones(3, dtype=np.float32), k=1)
 
     def test_empty_search(self):
-        idx = BruteForceIndex(4)
-        found, scores = idx.search(np.ones(4, dtype=np.float32), 3)
-        assert len(found) == 0
+        store = VectorStore.from_documents([], HashingEmbedding(dim=DIM))
+        assert store.matrix.shape == (0, DIM)
+        assert store.similarity_search_by_vector_with_score(E[0], k=3) == []
+        assert store.similarity_search("anything", k=3) == []
 
     def test_matrix_view_readonly(self):
-        idx = BruteForceIndex(2)
-        idx.add(np.ones((1, 2), dtype=np.float32))
+        store = _store(E)
+        assert store.matrix.flags.writeable is False
         with pytest.raises(ValueError):
-            idx.matrix[0, 0] = 5.0
+            store.matrix[0, 0] = 5.0
+
+    def test_matrix_is_the_stores_own_copy(self):
+        vecs = E.copy()
+        store = _store(vecs)
+        before = _rows(store, E[2], DIM)
+        vecs[:] = E[0]  # the caller scribbles over the array it passed in
+        assert _rows(store, E[2], DIM) == before
+        assert np.array_equal(store.matrix, E)
+
+    def test_ties_break_by_row(self):
+        vecs = np.tile(E[0], (6, 1))  # six identical rows: every score ties
+        assert _rows(_store(vecs), E[0], 4) == [0, 1, 2, 3]
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=25, deadline=None)
+    def test_top_k_is_a_prefix_of_top_k_plus_one(self, seed, k):
+        # Scores drawn from three values, so ties straddle most cuts.
+        levels = np.random.default_rng(seed).choice([0.25, 0.5, 1.0], size=10)
+        store = _store(np.outer(levels, E[0]).astype(np.float32))
+        small, big = _rows(store, E[0], k), _rows(store, E[0], k + 1)
+        assert big[: len(small)] == small
+        assert len(small) == min(k, 10)  # k > n returns every row once
+
+    def test_save_load_roundtrip_keeps_the_matrix(self, tmp_path):
+        vecs = np.random.default_rng(1).standard_normal((7, DIM)).astype(np.float32)
+        store = _store(vecs)
+        loaded = VectorStore.load(store.save(tmp_path / "db"), store.embedding)
+        assert loaded.matrix.dtype == np.float32
+        assert np.array_equal(loaded.matrix, store.matrix)
+        assert loaded.matrix.flags.writeable is False
+        assert [d.doc_id for d in loaded._docs] == [d.doc_id for d in store._docs]
 
 
-class TestIVFIndex:
-    def _vectors(self, n=200, dim=16, seed=3):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal((n, dim)).astype(np.float32)
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
+def _corrupt_manifest_json(d):
+    (d / "manifest.json").write_text("{not json")
 
-    def test_train_and_search(self):
-        vecs = self._vectors()
-        idx = IVFIndex(16, n_clusters=8, nprobe=8)
-        idx.add(vecs)
-        idx.train()
-        found, _ = idx.search(vecs[17], 1)
-        assert found[0] == 17  # full probe = exact
 
-    def test_lazy_training_on_search(self):
-        vecs = self._vectors(50)
-        idx = IVFIndex(16, n_clusters=4)
-        idx.add(vecs)
-        assert not idx.is_trained
-        idx.search(vecs[0], 1)
-        assert idx.is_trained
+def _corrupt_manifest_keys(d):
+    (d / "manifest.json").write_text('{"count": 4}')
 
-    def test_add_after_train_rejected(self):
-        vecs = self._vectors(20)
-        idx = IVFIndex(16, n_clusters=2)
-        idx.add(vecs)
-        idx.train()
-        with pytest.raises(VectorStoreError):
-            idx.add(vecs)
 
-    def test_recall_vs_bruteforce(self):
-        vecs = self._vectors(400)
-        bf = BruteForceIndex(16)
-        bf.add(vecs)
-        ivf = IVFIndex(16, n_clusters=16, nprobe=6)
-        ivf.add(vecs)
-        ivf.train()
-        rng = np.random.default_rng(5)
-        hits = 0
-        trials = 25
-        for _ in range(trials):
-            q = rng.standard_normal(16).astype(np.float32)
-            q /= np.linalg.norm(q)
-            exact, _ = bf.search(q, 5)
-            approx, _ = ivf.search(q, 5)
-            hits += len(set(exact.tolist()) & set(approx.tolist()))
-        recall = hits / (trials * 5)
-        assert recall >= 0.5  # approximate but not useless
+def _corrupt_document_row(d):
+    (d / "documents.jsonl").write_text('{"text": "no metadata key"}\n' * 4)
 
-    def test_train_empty_raises(self):
-        with pytest.raises(VectorStoreError):
-            IVFIndex(4).train()
+
+def _corrupt_vectors(d):
+    payload = (d / "vectors.npz").read_bytes()
+    (d / "vectors.npz").write_bytes(payload[: len(payload) // 2])
+
+
+CORRUPTIONS = [
+    _corrupt_manifest_json,
+    _corrupt_manifest_keys,
+    _corrupt_document_row,
+    _corrupt_vectors,
+]
 
 
 class TestVectorStore:
@@ -177,7 +203,7 @@ class TestVectorStore:
     def test_duplicate_insert_skipped(self, small_store):
         store = VectorStore.from_documents(DOCS + [DOCS[0]], HashingEmbedding(dim=128))
         assert len(store) == 4
-        assert np.array_equal(store.index.matrix, small_store.index.matrix)
+        assert np.array_equal(store.matrix, small_store.matrix)
         hits = store.similarity_search("GMRES nonsymmetric", k=5)
         assert [h.doc_id for h in hits].count(DOCS[0].doc_id) == 1
 
@@ -189,21 +215,6 @@ class TestVectorStore:
 
     def test_k_zero(self, small_store):
         assert small_store.similarity_search("x", k=0) == []
-
-    def test_mmr_diversifies(self):
-        near_dupes = [
-            Document(text="GMRES restart memory tradeoff", metadata={"i": i})
-            for i in range(3)
-        ] + [Document(text="conjugate gradient symmetric", metadata={"i": 9})]
-        store = VectorStore.from_documents(near_dupes, HashingEmbedding(dim=128))
-        # near-dupes share doc_id? texts identical → same id; make unique
-        assert len(store) == 2  # identical texts+no source dedupe to one
-        out = store.max_marginal_relevance_search("GMRES restart", k=2, lambda_mult=0.5)
-        assert len(out) == 2
-
-    def test_mmr_invalid_lambda(self, small_store):
-        with pytest.raises(VectorStoreError):
-            small_store.max_marginal_relevance_search("x", lambda_mult=1.5)
 
     def test_persistence_roundtrip(self, tmp_path, small_store):
         d = small_store.save(tmp_path / "db")
@@ -219,6 +230,13 @@ class TestVectorStore:
         other = HashingEmbedding(dim=128, name="other-model")
         with pytest.raises(VectorStoreError):
             VectorStore.load(d, other)
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda fn: fn.__name__)
+    def test_load_of_a_damaged_directory_raises_typed(self, tmp_path, small_store, corrupt):
+        d = small_store.save(tmp_path / "db")
+        corrupt(d)
+        with pytest.raises(VectorStoreError):
+            VectorStore.load(d, small_store.embedding)
 
     def test_load_wrong_dim_rejected(self, tmp_path, small_store):
         d = small_store.save(tmp_path / "db")
