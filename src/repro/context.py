@@ -1,35 +1,32 @@
 """Request-scoped execution context.
 
-Before this layer, a pipeline invocation pulled its collaborators from a
-mix of globals and ad-hoc keyword arguments: the tracer lived on the
-pipeline (one mutable span stack shared by every caller), the metrics
-registry came from a thread-local, and the deadline was rebuilt from
-config inside ``answer``.  That is fine for one request at a time and
-wrong the moment two requests run concurrently.
-
-:class:`RequestContext` makes the per-request state explicit: one
-object, created at the entry point, threaded through
-pipeline → retrieval → rerank → llm.  Each request gets its *own*
-tracer (so span trees cannot interleave), an explicit registry handle
-(so worker threads report into the caller's scope), a deterministic
-per-request RNG, and — during batched serving — the shared
+:class:`RequestContext` is the one carrier of per-request state: one
+object, created at the entry point, handed down every hop as a plain
+argument — pipeline → retrieval (query-embedding cache, shard scatter,
+replica walk) → rerank → llm.  Each request gets its *own* tracer (so
+span trees cannot interleave), a concrete registry handle resolved once
+on the coordinator (so worker threads report into the caller's scope),
+a deterministic per-request RNG, the transaction its cache effects are
+recorded into, and — during batched serving — the shared
 :class:`~repro.llm.latency.TokenBurnCollector` that defers generation
-work to the batch coordinator.
+work to the batch coordinator.  It is data: it says where spans and
+counts go, never what is computed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
-from repro.observability.metrics import MetricsRegistry, get_registry
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Tracer
 from repro.utils.rng import derive_seed
 
 if TYPE_CHECKING:
+    from repro.engine.caches import LRUCache
     from repro.llm.latency import TokenBurnCollector
     from repro.resilience.policy import Deadline
 
@@ -37,6 +34,30 @@ if TYPE_CHECKING:
 #: (interactive/sequential callers).  Engine batches always pass explicit,
 #: deterministic ids, so nothing digest-relevant depends on this counter.
 _ids = itertools.count(1)
+
+
+class CacheTransaction:
+    """Per-request record of deferred cache effects.
+
+    The request appends; the service replays via :meth:`commit` — for a
+    batch, in request-submission order after the barrier.
+    """
+
+    def __init__(self) -> None:
+        self.touches: "list[tuple[LRUCache, Hashable]]" = []
+        self.writes: "list[tuple[LRUCache, Hashable, object]]" = []
+
+    def touch(self, cache: "LRUCache", key: Hashable) -> None:
+        self.touches.append((cache, key))
+
+    def write(self, cache: "LRUCache", key: Hashable, value: object) -> None:
+        self.writes.append((cache, key, value))
+
+    def commit(self) -> None:
+        for cache, key in self.touches:
+            cache.touch(key)
+        for cache, key, value in self.writes:
+            cache.put(key, value)
 
 
 @dataclass
@@ -47,13 +68,11 @@ class RequestContext:
     ----------
     request_id:
         Stable identifier for logs and seed derivation.
+    registry:
+        Metrics sink of every hop of this request.
     tracer:
         The span-tree builder for this request.  Never shared between
         concurrent requests — a tracer holds a mutable span stack.
-    registry:
-        Metrics sink; ``None`` falls back to the ambient
-        :func:`~repro.observability.metrics.get_registry` scope at the
-        point of use (see :meth:`metrics`).
     deadline:
         Optional wall-clock budget for the whole request.
     seed / rng:
@@ -63,44 +82,45 @@ class RequestContext:
     burn_collector:
         When set (batched serving), the simulated LLM defers its
         per-token latency burn here instead of spending it inline.
-    scratch:
-        Free-form per-request storage; the engine uses it to record
-        cache touches that must be replayed in deterministic order.
+    cache_txn:
+        The engine's cache wrappers record their touches and writes
+        here; the service replays them at its commit point (a direct
+        ``pipeline.answer`` records into one nobody commits).
+    shard_coverage:
+        Lowest fraction of shards that answered a scatter of this
+        request; the store lowers it, the pipeline reads and resets it.
     """
 
     request_id: str
+    registry: MetricsRegistry
     tracer: Tracer = field(default_factory=Tracer)
-    registry: MetricsRegistry | None = None
     deadline: "Deadline | None" = None
     seed: int = 0
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0)
     )
     burn_collector: "TokenBurnCollector | None" = None
-    scratch: dict = field(default_factory=dict)
+    cache_txn: CacheTransaction = field(default_factory=CacheTransaction)
+    shard_coverage: float = 1.0
 
     @classmethod
     def create(
         cls,
         *,
+        registry: MetricsRegistry,
         request_id: str | None = None,
         seed: int = 0,
         tracer: Tracer | None = None,
-        registry: MetricsRegistry | None = None,
         deadline: "Deadline | None" = None,
         burn_collector: "TokenBurnCollector | None" = None,
     ) -> "RequestContext":
         rid = request_id if request_id is not None else f"req-{next(_ids):06d}"
         return cls(
             request_id=rid,
-            tracer=tracer if tracer is not None else Tracer(),
             registry=registry,
+            tracer=tracer if tracer is not None else Tracer(),
             deadline=deadline,
             seed=seed,
             rng=np.random.default_rng(derive_seed("request", rid, seed)),
             burn_collector=burn_collector,
         )
-
-    def metrics(self) -> MetricsRegistry:
-        """The effective registry: explicit handle or the ambient scope."""
-        return self.registry if self.registry is not None else get_registry()

@@ -4,13 +4,8 @@ See DESIGN.md §8 for the artifact/engine/context layering and the
 digest-stability contract the batch scheduler upholds.
 """
 
-from repro.engine.caches import (
-    CachedEmbedding,
-    CacheTransaction,
-    CachingRetriever,
-    ContextBinder,
-    LRUCache,
-)
+from repro.context import CacheTransaction
+from repro.engine.caches import CachedEmbedding, CachingRetriever, LRUCache
 from repro.engine.engine import BatchResult, QueryEngine
 
 __all__ = [
@@ -18,7 +13,6 @@ __all__ = [
     "CacheTransaction",
     "CachedEmbedding",
     "CachingRetriever",
-    "ContextBinder",
     "LRUCache",
     "QueryEngine",
 ]

@@ -7,17 +7,15 @@ provides the primitives and the two wrapper layers).
 The determinism problem: an LRU mutates on *every* access (recency
 reordering), so letting batch workers touch a shared LRU concurrently
 would make its ordering — and therefore its future evictions — depend on
-thread scheduling.  The fix is a transaction protocol.  During a batch,
-the shared caches are frozen for writes: workers read them (hit/miss
+thread scheduling.  The fix is a transaction protocol.  While a request
+runs, the shared caches are frozen for writes: it reads them (hit/miss
 counts stay pure functions of the workload, since the frozen contents
-can't change mid-batch) and record every touch and insert into their
-request's :class:`CacheTransaction`.  After the barrier the coordinator
-replays the transactions in request-submission order, so the cache state
-any *future* request observes is identical regardless of how many
-workers ran the batch.
-
-Sequential requests (no transaction bound) mutate the caches directly —
-single-threaded access is already deterministic.
+can't change mid-batch) and records every touch and insert into its
+context's :class:`~repro.context.CacheTransaction`.  The service replays the
+transactions at its commit point — after the barrier, in
+request-submission order, for a batch — so the cache state any *future*
+request observes is identical regardless of how many workers ran the
+batch, and a request an ingest overtook publishes nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from typing import TYPE_CHECKING, Callable, Hashable
 import numpy as np
 
 from repro.embeddings.base import EmbeddingModel
-from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.retrieval.base import RetrievedDocument, Retriever
 
 if TYPE_CHECKING:
@@ -105,98 +102,27 @@ class LRUCache:
             return len(doomed)
 
 
-class CacheTransaction:
-    """Per-request record of deferred cache effects.
-
-    Workers append; the batch coordinator replays via :meth:`commit` in
-    request-submission order after the barrier.
-    """
-
-    def __init__(self) -> None:
-        self.touches: list[tuple[LRUCache, Hashable]] = []
-        self.writes: list[tuple[LRUCache, Hashable, object]] = []
-
-    def touch(self, cache: LRUCache, key: Hashable) -> None:
-        self.touches.append((cache, key))
-
-    def write(self, cache: LRUCache, key: Hashable, value: object) -> None:
-        self.writes.append((cache, key, value))
-
-    def commit(self) -> None:
-        for cache, key in self.touches:
-            cache.touch(key)
-        for cache, key, value in self.writes:
-            cache.put(key, value)
-
-
-class ContextBinder(threading.local):
-    """The engine's thread-local pointer to the request being served.
-
-    Cache wrappers sit below layers whose interfaces don't carry the
-    request context (``EmbeddingModel.embed_query`` is called from
-    inside the vector store), so the engine binds the active context
-    here around each request instead of threading it through every
-    signature on the way down.
-    """
-
-    def __init__(self) -> None:
-        self.ctx: "RequestContext | None" = None
-
-
-def _txn_of(ctx: "RequestContext | None") -> CacheTransaction | None:
-    if ctx is None:
-        return None
-    txn = ctx.scratch.get("cache_txn")
-    return txn if isinstance(txn, CacheTransaction) else None
-
-
-class CachedEmbedding(EmbeddingModel):
+class CachedEmbedding:
     """Query-embedding memoization in front of a fitted model.
 
-    Document embedding passes straight through (documents are embedded
-    once, at index build); only ``embed_query`` — called on every vector
-    retrieval — is cached.
+    Documents are embedded once, at index build, by the model itself;
+    only ``embed_query`` — called on every vector retrieval — is cached.
     """
 
-    def __init__(
-        self,
-        inner: EmbeddingModel,
-        cache: LRUCache,
-        binder: ContextBinder,
-        registry_fn: Callable[[], MetricsRegistry] | None = None,
-    ) -> None:
+    def __init__(self, inner: EmbeddingModel, cache: LRUCache) -> None:
         self.inner = inner
-        self.name = inner.name
-        self.dim = inner.dim
         self.cache = cache
-        self.binder = binder
-        self._registry_fn = registry_fn if registry_fn is not None else get_registry
 
-    def _embed_batch(self, texts: list[str]) -> np.ndarray:
-        return self.inner._embed_batch(texts)
-
-    def embed_documents(self, texts: list[str]) -> np.ndarray:
-        return self.inner.embed_documents(texts)
-
-    def embed_query(self, text: str) -> np.ndarray:
-        registry = self._registry_fn()
-        ctx = self.binder.ctx
-        txn = _txn_of(ctx)
+    def embed_query(self, text: str, ctx: "RequestContext") -> np.ndarray:
         cached = self.cache.peek(text)
         if cached is not None:
-            registry.counter("repro.engine.embedding_cache.hits").inc()
-            if txn is not None:
-                txn.touch(self.cache, text)
-            else:
-                self.cache.touch(text)
+            ctx.registry.counter("repro.engine.embedding_cache.hits").inc()
+            ctx.cache_txn.touch(self.cache, text)
             return cached  # vectors are never mutated downstream
-        registry.counter("repro.engine.embedding_cache.misses").inc()
+        ctx.registry.counter("repro.engine.embedding_cache.misses").inc()
         vec = self.inner.embed_query(text)
         vec.flags.writeable = False
-        if txn is not None:
-            txn.write(self.cache, text, vec)
-        else:
-            self.cache.put(text, vec)
+        ctx.cache_txn.write(self.cache, text, vec)
         return vec
 
 
@@ -208,18 +134,10 @@ class CachingRetriever(Retriever):
     reorder without corrupting the cached entry.
     """
 
-    def __init__(
-        self,
-        inner: Retriever,
-        cache: LRUCache,
-        binder: ContextBinder,
-        registry_fn: Callable[[], MetricsRegistry] | None = None,
-    ) -> None:
+    def __init__(self, inner: Retriever, cache: LRUCache) -> None:
         self.inner = inner
         self.name = inner.name
         self.cache = cache
-        self.binder = binder
-        self._registry_fn = registry_fn if registry_fn is not None else get_registry
 
     @property
     def store(self):
@@ -227,24 +145,15 @@ class CachingRetriever(Retriever):
         return self.inner.store
 
     def retrieve(
-        self, query: str, *, k: int = 8, ctx: "RequestContext | None" = None
+        self, query: str, *, k: int = 8, ctx: "RequestContext"
     ) -> list[RetrievedDocument]:
-        registry = self._registry_fn()
-        ctx = ctx if ctx is not None else self.binder.ctx
-        txn = _txn_of(ctx)
         key = (self.name, query, k)
         cached = self.cache.peek(key)
         if cached is not None:
-            registry.counter("repro.engine.retrieval_cache.hits").inc()
-            if txn is not None:
-                txn.touch(self.cache, key)
-            else:
-                self.cache.touch(key)
+            ctx.registry.counter("repro.engine.retrieval_cache.hits").inc()
+            ctx.cache_txn.touch(self.cache, key)
             return list(cached)
-        registry.counter("repro.engine.retrieval_cache.misses").inc()
+        ctx.registry.counter("repro.engine.retrieval_cache.misses").inc()
         hits = self.inner.retrieve(query, k=k, ctx=ctx)
-        if txn is not None:
-            txn.write(self.cache, key, tuple(hits))
-        else:
-            self.cache.put(key, tuple(hits))
+        ctx.cache_txn.write(self.cache, key, tuple(hits))
         return hits

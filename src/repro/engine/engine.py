@@ -22,11 +22,12 @@ by construction.
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
 from repro.admission import AdmissionController
 from repro.config import ReproConfig
 from repro.context import RequestContext
-from repro.engine.caches import CachedEmbedding, CachingRetriever, ContextBinder, LRUCache
+from repro.engine.caches import CachedEmbedding, CachingRetriever, LRUCache
 from repro.errors import ConfigurationError
 from repro.index import IndexArtifact
 from repro.observability import MetricsRegistry, get_registry
@@ -34,7 +35,11 @@ from repro.pipeline.rag import PipelineResult, RAGPipeline, pipeline_from_artifa
 from repro.pipeline.types import PipelineMode
 from repro.replication import HealthTracker
 from repro.resilience.faults import FaultInjector
+from repro.retrieval import VectorRetriever
 from repro.service.lifecycle import BatchResult
+
+if TYPE_CHECKING:
+    from repro.ingest.delta import CorpusDelta
 
 
 class QueryEngine:
@@ -68,23 +73,16 @@ class QueryEngine:
             self.admission = AdmissionController(self.config.admission)
         else:
             self.admission = None
-        #: Explicit metrics sink; ``None`` resolves the ambient scope at
-        #: the *coordinator*, never inside worker threads (a worker's
-        #: thread-local scope would not see the caller's ``use_registry``).
+        #: Explicit metrics sink; ``None`` means the ambient scope, read
+        #: once per request at the front door (:meth:`_metrics`).
         self.registry = registry
         ec = self.config.engine
-        self.binder = ContextBinder()
         self._embedding_lru = LRUCache(ec.embedding_cache_size)
         self._retrieval_lru = LRUCache(ec.retrieval_cache_size)
         self._answer_lru = LRUCache(ec.answer_cache_size)
-        self._query_embedding = CachedEmbedding(
-            artifact.embedding, self._embedding_lru, self.binder, self._metrics
-        )
         # One tracker across every pipeline mode: health is a property
         # of the serving copies, not of the mode that probed them.
-        self.replica_health = HealthTracker(
-            self.config.replication, registry_fn=self._metrics
-        )
+        self.replica_health = HealthTracker(self.config.replication)
         self._pipelines: dict[PipelineMode, RAGPipeline] = {}
         self._build_lock = threading.Lock()
         self._service = None
@@ -92,10 +90,6 @@ class QueryEngine:
         #: :meth:`swap_artifact`.  Purely observational — answer-cache
         #: keys carry the artifact digest, not the epoch.
         self.epoch = 0
-        #: Accounting dict from the most recent cache invalidation
-        #: (:func:`repro.ingest.invalidation.invalidate_engine_caches`),
-        #: surfaced in :class:`~repro.ingest.lifecycle.IngestReport`.
-        self._last_invalidation: dict = {}
 
     # ------------------------------------------------------------ plumbing
     @property
@@ -109,34 +103,21 @@ class QueryEngine:
         return self._service
 
     def _metrics(self) -> MetricsRegistry:
-        """The registry for the *current* call: request-scoped handle
-        first (worker threads), explicit engine handle, then ambient."""
-        ctx = self.binder.ctx
-        if ctx is not None and ctx.registry is not None:
-            return ctx.registry
-        if self.registry is not None:
-            return self.registry
-        return get_registry()
+        """The engine's sink outside a request (and the one a request
+        without a caller's context gets): explicit handle, else ambient."""
+        return self.registry if self.registry is not None else get_registry()
 
     @property
     def num_shards(self) -> int:
         return self.artifact.num_shards
 
-    def _serving_store(self, mode: PipelineMode):
-        """The store a pipeline for ``mode`` retrieves from: a view over
-        the artifact's own shard stores (no copy — stores are never
-        written to) that embeds queries through the engine's cache and
-        is bound to its request plumbing, so scatter spans land on the
-        active request's tracer and ``repro.shard.*`` counters in the
-        request's registry scope.
+    def _serving_store(self):
+        """The store the pipelines retrieve from: the artifact's own,
+        or — replicated, or under a shard-fault schedule — a view over
+        the same shard stores (no copy: stores are never written to)
+        where each shard answers from a replica set.
         """
-        if mode is PipelineMode.BASELINE:
-            return None
-        store = self.artifact.store.with_serving_context(
-            embedding=self._query_embedding,
-            binder=self.binder,
-            registry_fn=self._metrics,
-        )
+        store = self.artifact.store
         wrapper = self._replica_fault_wrapper()
         rep = self.config.replication
         if rep.replicas > 1 or rep.require_full_coverage or wrapper is not None:
@@ -183,47 +164,54 @@ class QueryEngine:
         }
 
     def pipeline(self, mode: str | PipelineMode | None = None) -> RAGPipeline:
-        """The engine's pipeline for ``mode``, built once and shared."""
+        """The engine's pipeline for ``mode``, built once and shared.
+
+        Its cache wrappers record into the request's transaction, which
+        only :attr:`service` commits: a direct ``.answer(q)`` reads the
+        caches and publishes nothing.
+        """
         mode = PipelineMode.coerce(mode) if mode is not None else self.default_mode
         with self._build_lock:
             existing = self._pipelines.get(mode)
             if existing is not None:
                 return existing
-            store = self._serving_store(mode)
+            retriever = None
+            if mode is not PipelineMode.BASELINE:
+                query_embedding = CachedEmbedding(self.artifact.embedding, self._embedding_lru)
+                retriever = VectorRetriever(
+                    self._serving_store(), embed_query=query_embedding.embed_query
+                )
             pipeline = pipeline_from_artifact(
                 self.artifact,
                 self.config,
                 mode=mode,
                 fault_injector=self.fault_injector,
-                store=store,
-                retriever_wrapper=lambda r: CachingRetriever(
-                    r, self._retrieval_lru, self.binder, self._metrics
-                ),
+                retriever=retriever,
+                retriever_wrapper=lambda r: CachingRetriever(r, self._retrieval_lru),
             )
             self._pipelines[mode] = pipeline
             return pipeline
 
     def clear_query_caches(self) -> None:
         """Drop every answer/retrieval/embedding cache entry (the blunt
-        tool; an :meth:`swap_artifact` with a delta evicts per entry)."""
+        tool; :meth:`swap_artifact` evicts per entry)."""
         self._answer_lru.clear()
         self._retrieval_lru.clear()
         self._embedding_lru.clear()
 
     # ------------------------------------------------------------ epochs
-    def swap_artifact(self, artifact: IndexArtifact, delta=None) -> bool:
+    def swap_artifact(self, artifact: IndexArtifact, delta: "CorpusDelta") -> dict | None:
         """Swap the engine onto a new artifact epoch.
 
         The one sanctioned way serving state changes after construction.
-        Under the build lock the engine rebinds its artifact, drops the
-        per-mode pipelines (rebuilt lazily over the new store), and
-        rebinds query embedding to the new artifact's model; the epoch
-        counter advances and exactly the affected cache entries are
-        invalidated — scoped by ``delta`` (a
-        :class:`~repro.ingest.delta.CorpusDelta`), wholesale without
-        one.
+        Under the build lock the engine rebinds its artifact and drops
+        the per-mode pipelines (rebuilt lazily over the new store and
+        embedding model); the epoch counter advances and exactly the
+        cache entries ``delta`` (the diff from the served chunks to
+        ``artifact``'s) can affect are invalidated.  Returns that
+        invalidation's accounting.
 
-        A no-op swap (same digest) returns ``False`` and changes
+        A no-op swap (same digest) returns ``None`` and changes
         nothing: no epoch advance, no cache invalidation, no pipeline
         rebuilds.
         """
@@ -231,19 +219,16 @@ class QueryEngine:
 
         with self._build_lock:
             if artifact.digest == self.artifact.digest:
-                return False
+                return None
             previous = self.artifact
             self.artifact = artifact
             self._pipelines.clear()
-            self._query_embedding = CachedEmbedding(
-                artifact.embedding, self._embedding_lru, self.binder, self._metrics
-            )
             self.epoch += 1
-        self._last_invalidation = invalidate_engine_caches(
+        summary = invalidate_engine_caches(
             self, delta, moved=artifact.embedding.moved_since(previous.embedding)
         )
         self._metrics().counter("repro.ingest.epoch_swaps").inc()
-        return True
+        return summary
 
     def cache_sizes(self) -> dict:
         return {

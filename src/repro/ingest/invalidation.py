@@ -52,18 +52,16 @@ if TYPE_CHECKING:
 
 def invalidate_engine_caches(
     engine: "QueryEngine",
-    delta: CorpusDelta | None = None,
+    delta: CorpusDelta,
     *,
     moved: Callable[[str], bool] | None = None,
 ) -> dict:
     """Invalidate the engine's query caches after an epoch swap.
 
-    ``delta=None`` is the blunt path: every retrieval and answer entry
-    is dropped.  With a delta, eviction is scoped as described in the
-    module docstring.  ``moved`` flags the texts the live embedding
-    model embeds differently than the one the caches were filled under
-    (``None``: same model, same fit); on either path it scopes the
-    query-embedding cache.
+    Eviction is scoped by ``delta`` as described in the module
+    docstring.  ``moved`` flags the texts the live embedding model
+    embeds differently than the one the caches were filled under
+    (``None``: same model, same fit).
 
     Returns an accounting dict; the same numbers land on
     ``repro.ingest.invalidated_*`` / ``repro.ingest.retained_retrieval``
@@ -76,24 +74,6 @@ def invalidate_engine_caches(
     invalidated_embeddings = engine._embedding_lru.evict_where(
         lambda text, _vector: query_moved(text)
     )
-    if delta is None:
-        summary = {
-            "scoped": False,
-            "invalidated_retrieval": len(engine._retrieval_lru),
-            "retained_retrieval": 0,
-            "invalidated_answers": len(engine._answer_lru),
-            "invalidated_embeddings": invalidated_embeddings,
-        }
-        engine._retrieval_lru.clear()
-        engine._answer_lru.clear()
-        registry.counter("repro.ingest.invalidated_retrieval").inc(
-            summary["invalidated_retrieval"]
-        )
-        registry.counter("repro.ingest.invalidated_answers").inc(
-            summary["invalidated_answers"]
-        )
-        return summary
-
     stale_ids = delta.stale_doc_ids()
     embedded = delta.embedded_chunks()
     embedding = engine.artifact.embedding

@@ -109,15 +109,15 @@ def ingest_corpus(
         )
 
     with stage("ingest:swap", metric="repro.ingest.swap", registry=registry):
-        swapped = engine.swap_artifact(artifact, delta)
+        invalidation = engine.swap_artifact(artifact, delta)
 
     return IngestReport(
         digest=engine.artifact.digest,
         previous_digest=previous.digest,
         epoch=engine.epoch,
-        swapped=swapped,
+        swapped=invalidation is not None,
         noop=False,
         resolution=resolution,
         delta=delta.summary(),
-        invalidation=dict(getattr(engine, "_last_invalidation", {}) or {}),
+        invalidation=invalidation or {},
     )

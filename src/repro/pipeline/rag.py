@@ -30,7 +30,6 @@ from repro.retrieval.base import Retriever, dedupe_by_id
 
 if TYPE_CHECKING:
     from repro.index import IndexArtifact
-    from repro.vectorstore.store import VectorStore
 
 #: Deterministic bucket layouts for count-valued histograms.
 _ATTEMPT_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
@@ -149,14 +148,11 @@ class RAGPipeline:
             return PipelineMode.BASELINE
         return PipelineMode.RAG_RERANK if self.reranker is not None else PipelineMode.RAG
 
-    def _registry(self) -> MetricsRegistry:
-        return self._metrics if self._metrics is not None else get_registry()
-
     # ------------------------------------------------------------------ stages
     def _locate(self, question: str, ctx: RequestContext) -> list[RetrievedDocument]:
         """Box 1: every retriever runs in its own child span."""
         assert self.retriever is not None
-        registry = self._effective_registry(ctx)
+        registry = ctx.registry
         hits: list[RetrievedDocument] = []
         # Priority hits are prepended: they outrank similarity scores.
         for r in self.priority_retrievers:
@@ -197,10 +193,6 @@ class RAGPipeline:
             )
             for r in results
         ]
-
-    def _effective_registry(self, ctx: RequestContext) -> MetricsRegistry:
-        """The request's explicit registry, else the pipeline fallback."""
-        return ctx.registry if ctx.registry is not None else self._registry()
 
     # ------------------------------------------------------------------ resilience
     def _complete_resilient(
@@ -263,14 +255,14 @@ class RAGPipeline:
         if ctx is None:
             ctx = RequestContext.create(
                 tracer=self.tracer,
-                registry=self._metrics,
+                registry=self._metrics if self._metrics is not None else get_registry(),
                 deadline=(
                     Deadline(self.deadline_seconds)
                     if self.deadline_seconds is not None
                     else None
                 ),
             )
-        registry = self._effective_registry(ctx)
+        registry = ctx.registry
         tracer = ctx.tracer
         registry.counter("repro.pipeline.requests").inc()
         degraded: list[DegradationEvent] = []
@@ -307,7 +299,7 @@ class RAGPipeline:
                         raise
                     except ReproError:
                         degrade(DegradationEvent.RETRIEVAL_BASELINE_FALLBACK)
-                    coverage = float(ctx.scratch.pop("shard_coverage", 1.0))
+                    coverage, ctx.shard_coverage = ctx.shard_coverage, 1.0
                     if located and coverage < 1.0:
                         degrade(DegradationEvent.SHARD_PARTIAL)
                     if located:
@@ -379,7 +371,7 @@ def pipeline_from_artifact(
     *,
     mode: str | PipelineMode = PipelineMode.RAG_RERANK,
     fault_injector: FaultInjector | None = None,
-    store: "VectorStore | None" = None,
+    retriever: Retriever | None = None,
     retriever_wrapper: "Callable[[Retriever], Retriever] | None" = None,
 ) -> RAGPipeline:
     """Assemble a pipeline over a prebuilt :class:`~repro.index.IndexArtifact`.
@@ -388,9 +380,10 @@ def pipeline_from_artifact(
     already happened when the artifact was built; this function only
     wires retrievers, reranker, resilience, and the chat model around it.
 
-    ``store`` substitutes a view of the artifact's vector store — the
-    engine passes one over the same shard stores that carries its
-    caching query embedding, request plumbing and replica sets.
+    ``retriever`` substitutes the first-pass retriever, by default a
+    :class:`VectorRetriever` over the artifact's store — the engine
+    passes one that embeds queries through its cache and, replicated,
+    searches the replica-set view of the same shard stores.
     ``retriever_wrapper`` is applied to the main retriever *after* fault
     wrapping, which puts engine caches outside the fault site (a cache
     hit legitimately skips an injected fault only in cache-enabled,
@@ -418,7 +411,8 @@ def pipeline_from_artifact(
     if mode is PipelineMode.BASELINE:
         return RAGPipeline(chat, **resilience)
 
-    retriever: Retriever = VectorRetriever(store if store is not None else artifact.store)
+    if retriever is None:
+        retriever = VectorRetriever(artifact.store)
     if fault_injector is not None:
         retriever = fault_injector.wrap_retriever(retriever)
     if retriever_wrapper is not None:

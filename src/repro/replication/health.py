@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Callable
 
 from repro.config import ReplicationConfig
-from repro.observability.metrics import MetricsRegistry, get_registry
+from repro.observability.metrics import MetricsRegistry
 
 
 class ReplicaState(str, enum.Enum):
@@ -56,22 +55,15 @@ class _Cell:
 class HealthTracker:
     """Attempt-count-based up → suspect → down tracker per replica.
 
-    Thread-safe: the scatter probes shards on a worker pool, and each
-    shard's walk mutates only its own ``(shard, replica)`` cells, so
-    per-key state stays a deterministic fold even under a parallel
-    scatter.  Transitions are counted in ``repro.replica.marked_suspect``
-    / ``marked_down`` / ``recovered``.
+    Thread-safe: requests on different threads (batch workers, a bot
+    answering beside an ingest) probe through one tracker.  Transitions
+    are counted in ``repro.replica.marked_suspect`` / ``marked_down`` /
+    ``recovered`` on the registry of the request whose probe caused them.
     """
 
-    def __init__(
-        self,
-        config: ReplicationConfig | None = None,
-        *,
-        registry_fn: Callable[[], MetricsRegistry] | None = None,
-    ) -> None:
+    def __init__(self, config: ReplicationConfig | None = None) -> None:
         self.config = config if config is not None else ReplicationConfig()
         self.config.validate()
-        self._registry_fn = registry_fn if registry_fn is not None else get_registry
         self._lock = threading.Lock()
         self._cells: dict[tuple[int, int], _Cell] = {}
 
@@ -82,7 +74,7 @@ class HealthTracker:
         with self._lock:
             return self._cell(shard, replica).state
 
-    def record_success(self, shard: int, replica: int) -> None:
+    def record_success(self, shard: int, replica: int, registry: MetricsRegistry) -> None:
         """A probe answered: the replica is fully up again."""
         with self._lock:
             cell = self._cell(shard, replica)
@@ -91,9 +83,9 @@ class HealthTracker:
             cell.failures = 0
             cell.skips = 0
         if recovered:
-            self._registry_fn().counter("repro.replica.recovered").inc()
+            registry.counter("repro.replica.recovered").inc()
 
-    def record_failure(self, shard: int, replica: int) -> None:
+    def record_failure(self, shard: int, replica: int, registry: MetricsRegistry) -> None:
         """A probe failed: advance toward suspect/down thresholds."""
         with self._lock:
             cell = self._cell(shard, replica)
@@ -107,9 +99,9 @@ class HealthTracker:
                 cell.state = ReplicaState.SUSPECT
             transition = (previous, cell.state)
         if transition[0] is not ReplicaState.DOWN and transition[1] is ReplicaState.DOWN:
-            self._registry_fn().counter("repro.replica.marked_down").inc()
+            registry.counter("repro.replica.marked_down").inc()
         elif transition[0] is ReplicaState.UP and transition[1] is ReplicaState.SUSPECT:
-            self._registry_fn().counter("repro.replica.marked_suspect").inc()
+            registry.counter("repro.replica.marked_suspect").inc()
 
     def should_probe(self, shard: int, replica: int) -> bool:
         """Whether the failover walk may try this replica this selection.

@@ -19,12 +19,12 @@ the one used, ``repro.replica.hedge_wins``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import TransientError, VectorStoreError
-from repro.observability.metrics import MetricsRegistry, get_registry
+from repro.observability.metrics import MetricsRegistry
 from repro.replication.health import HealthTracker, ReplicaState
 
 if TYPE_CHECKING:
@@ -41,7 +41,6 @@ class ReplicaSet:
         health: HealthTracker,
         *,
         hedging: bool = False,
-        registry_fn: Callable[[], MetricsRegistry] | None = None,
     ) -> None:
         if not replicas:
             raise VectorStoreError(
@@ -51,7 +50,6 @@ class ReplicaSet:
         self.replicas = list(replicas)
         self.health = health
         self.hedging = hedging
-        self._registry_fn = registry_fn if registry_fn is not None else get_registry
 
     @property
     def num_replicas(self) -> int:
@@ -70,15 +68,15 @@ class ReplicaSet:
         ]
 
     def top_k(
-        self, qvec: np.ndarray, k: int, where: dict | None
+        self, qvec: np.ndarray, k: int, where: dict | None, registry: MetricsRegistry
     ) -> "list[tuple[Document, float]] | None":
-        """This shard's top-k from the first replica that answers.
+        """This shard's top-k from the first replica that answers,
+        counting the walk on ``registry`` (the querying request's).
 
         Returns ``None`` when no replica answers (every copy down or
         failing) — the composite store degrades the merge to the
         surviving shards and reports partial coverage.
         """
-        registry = self._registry_fn()
         order = self.probe_order()
         hedge_replica: int | None = None
         hedge_hits: "list[tuple[Document, float]] | None" = None
@@ -118,8 +116,8 @@ class ReplicaSet:
         try:
             hits = _shard_top_k(self.replicas[replica], qvec, k, where)
         except (TransientError, VectorStoreError):
-            self.health.record_failure(self.shard_index, replica)
+            self.health.record_failure(self.shard_index, replica, registry)
             registry.counter("repro.replica.probe_failures").inc()
             return None, False
-        self.health.record_success(self.shard_index, replica)
+        self.health.record_success(self.shard_index, replica, registry)
         return hits, True

@@ -44,8 +44,9 @@ class Retriever(ABC):
     ) -> list[RetrievedDocument]:
         """Top-k documents, best first.
 
-        ``ctx`` is the request-scoped context; caching wrappers use it to
-        defer LRU bookkeeping until the batch commit point.
+        ``ctx`` is the request's context, handed on to whatever this
+        retriever calls (the engine's caches record into it; the store
+        traces and counts on it).
         """
 
     def __call__(

@@ -6,11 +6,12 @@ batch scheduler, one body of four phases — open, classify, execute,
 commit/close; :meth:`~ReproService.answer` is the same steps for one
 request, differing exactly where a synchronous caller differs: its own
 counter, admission sheds and pipeline errors raise, the context is the
-caller's (or created lazily), and the LLM burn and cache writes happen
-inline rather than at a batch commit.  CLI commands, the chatbot, the
-email bot, the workflow, evaluation and the chaos sweeps all route
-here; :meth:`~ReproService._call` holds the only ``pipeline.answer()``
-call site in the library.
+caller's (or created lazily), and the LLM burn happens inline rather
+than at the batch close.  Both commit their cache effects through
+:meth:`~ReproService._commit`.  CLI commands, the chatbot, the email
+bot, the workflow, evaluation and the chaos sweeps all route here;
+:meth:`~ReproService._call` holds the only ``pipeline.answer()`` call
+site in the library.
 
 Every service is backed by a :class:`~repro.engine.QueryEngine`: the
 shared artifact, the per-mode pipelines (baseline included), the
@@ -25,14 +26,13 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.admission import ADMIT, QUEUE, SHED, AdmissionDecision
-from repro.context import RequestContext
-from repro.engine.caches import CacheTransaction
+from repro.context import CacheTransaction, RequestContext
 from repro.errors import ConfigurationError, ReproError
 from repro.llm.latency import TokenBurnCollector
-from repro.observability import Tracer, get_registry
+from repro.observability import Tracer
 from repro.observability.trace import Trace
 from repro.pipeline.rag import PipelineResult
 from repro.pipeline.types import PipelineMode
@@ -182,16 +182,6 @@ class ReproService:
         :func:`~repro.ingest.ingest_corpus`, per entry)."""
         self.engine.clear_query_caches()
 
-    def _registry_for(self, ctx: RequestContext | None) -> "MetricsRegistry":
-        """The run's registry: request-scoped handle first, explicit
-        engine handle, then the ambient scope — resolved on the
-        coordinator, never inside worker threads."""
-        if ctx is not None and ctx.registry is not None:
-            return ctx.registry
-        if self.engine.registry is not None:
-            return self.engine.registry
-        return get_registry()
-
     # ------------------------------------------------------------ shared steps
     def _lookup(
         self, key: tuple, question: str, mode: PipelineMode, registry: "MetricsRegistry"
@@ -209,15 +199,40 @@ class ReproService:
     def _call(
         self, pipeline: "RAGPipeline", question: str, ctx: RequestContext
     ) -> PipelineResult:
-        """The one pipeline call, with ``ctx`` bound as the engine's
-        active request so the cache wrappers below the pipeline see it."""
-        binder = self.engine.binder
-        previous = binder.ctx
-        binder.ctx = ctx
-        try:
-            return pipeline.answer(question, ctx=ctx)
-        finally:
-            binder.ctx = previous
+        """The one pipeline call.  The cache wrappers below the pipeline
+        record into the request's transaction (``ctx.cache_txn``); the
+        caller commits it, also when this raises."""
+        return pipeline.answer(question, ctx=ctx)
+
+    def _commit(
+        self,
+        digest: str,
+        registry: "MetricsRegistry",
+        entries: "Iterable[tuple[tuple, CacheTransaction | None, PipelineResult | None]]",
+    ) -> None:
+        """Publish requests' cache effects, in the order given.
+
+        An entry is ``(answer key, transaction, result)``: no
+        transaction means an answer-cache hit (its key is touched), else
+        the request's recorded touches and writes are replayed and its
+        result, if any, stored.  Under the build lock, and only if the
+        engine still serves the epoch (``digest``) the requests opened
+        on: after a swap, invalidation has already run and these entries
+        describe a store nobody serves any more (DESIGN §14.3).
+        """
+        engine = self.engine
+        use_cache = self.cache_answers_enabled()
+        with engine._build_lock:
+            if engine.artifact.digest != digest:
+                registry.counter("repro.engine.stale_commits_dropped").inc()
+                return
+            for key, txn, result in entries:
+                if txn is None:
+                    engine._answer_lru.touch(key)
+                    continue
+                txn.commit()
+                if result is not None and use_cache:
+                    engine._answer_lru.put(key, _CachedAnswer.from_result(result))
 
     # ------------------------------------------------------------ entry points
     def answer(
@@ -231,12 +246,15 @@ class ReproService:
 
         The steps of :meth:`answer_many` for one request: admission sheds
         raise ``OverloadedError`` and pipeline failures propagate (nothing
-        here catches them); retrieval/embedding cache writes and the LLM
-        burn happen inline, under the caller's ``ctx`` when given.
+        here catches them, though what the request computed before
+        failing is still committed); the LLM burn happens inline, under
+        the caller's ``ctx`` when given.
         """
         engine = self.engine
         mode = self.resolve_mode(mode)
-        registry = self._registry_for(ctx)
+        # The run's registry, resolved once, here on the coordinator: the
+        # caller's context, else the engine's handle, else the ambient scope.
+        registry = ctx.registry if ctx is not None else engine._metrics()
         registry.counter("repro.engine.requests").inc()
         if engine.admission is not None:
             # Raises (retry_safe) before any work: a shed request
@@ -252,16 +270,12 @@ class ReproService:
         pipeline = self.pipeline_for(mode)
         if ctx is None:
             ctx = RequestContext.create(registry=registry, deadline=_deadline(pipeline))
-        result = self._call(pipeline, question, ctx)
-        if use_cache:
-            # Same guard as the batch commit: an answer computed while an
-            # ingest swapped the engine must not be stored (DESIGN §14.3).
-            with engine._build_lock:
-                if engine.artifact.digest == key[2]:
-                    engine._answer_lru.put(key, _CachedAnswer.from_result(result))
-                else:
-                    registry.counter("repro.engine.stale_commits_dropped").inc()
-        return result
+        result = None
+        try:
+            result = self._call(pipeline, question, ctx)
+            return result
+        finally:
+            self._commit(key[2], registry, [(key, ctx.cache_txn, result)])
 
     def answer_many(
         self,
@@ -310,7 +324,7 @@ class ReproService:
         # dropped below — the other order would publish old-epoch results
         # under the live digest.
         started = time.perf_counter()
-        registry = self._registry_for(None)
+        registry = engine._metrics()
         digest = engine.artifact.digest
         admission = engine.admission
         decisions: list[AdmissionDecision] | None = None
@@ -338,8 +352,8 @@ class ReproService:
         # counts are pure functions of the workload.
         mode_name = str(mode)
         items: list[AnswerResponse | None] = [None] * n
-        keys: list[tuple | None] = [None] * n
-        hits: set[int] = set()
+        #: (answer key, job index — ``None`` for a hit), in input order.
+        commits: list[tuple[tuple, int | None]] = []
         primary_of: dict[tuple, int] = {}
         duplicates: list[tuple[int, int]] = []
         jobs: list[int] = []
@@ -347,10 +361,10 @@ class ReproService:
             if decisions is not None and decisions[i].outcome == SHED:
                 items[i] = _shed_response(i, question, decisions[i])
                 continue
-            key = keys[i] = (question_digest(question), mode_name, digest)
+            key = (question_digest(question), mode_name, digest)
             hit = self._lookup(key, question, mode, registry) if use_cache else None
             if hit is not None:
-                hits.add(i)
+                commits.append((key, None))
                 items[i] = AnswerResponse(
                     index=i, question=question, result=hit, cached=True
                 )
@@ -360,6 +374,7 @@ class ReproService:
             else:
                 primary_of[key] = i
                 jobs.append(i)
+                commits.append((key, i))
 
         # ---- execute.  Each job's identity (request id, RNG seed) is a
         # function of (batch seed, input index), never of the worker that
@@ -373,11 +388,10 @@ class ReproService:
                 deadline=_deadline(pipeline),
                 burn_collector=collector,
             )
-            txn = ctx.scratch["cache_txn"] = CacheTransaction()
             try:
-                return self._call(pipeline, questions[index], ctx), "", txn
+                return self._call(pipeline, questions[index], ctx), "", ctx.cache_txn
             except ReproError as exc:
-                return None, f"{type(exc).__name__}: {exc}", txn
+                return None, f"{type(exc).__name__}: {exc}", ctx.cache_txn
 
         if workers == 1:
             outcomes = {i: run_one(i) for i in jobs}
@@ -387,26 +401,17 @@ class ReproService:
                 outcomes = {i: future.result() for i, future in futures.items()}
 
         # ---- commit, in input order, so the cache state future requests
-        # observe is independent of worker count.  Under the build lock,
-        # and only if the engine still serves the epoch this batch opened
-        # on: after a swap, invalidation has already run and these entries
-        # describe a store nobody serves any more (DESIGN §14.3).  The
-        # items are returned either way — they are consistent with
+        # observe is independent of worker count.  The items are returned
+        # whether or not the commit is dropped — they are consistent with
         # exactly one epoch.
-        with engine._build_lock:
-            if engine.artifact.digest == digest:
-                for i in range(n):
-                    if i in hits:
-                        engine._answer_lru.touch(keys[i])
-                    elif i in outcomes:
-                        result, _error, txn = outcomes[i]
-                        txn.commit()
-                        if result is not None and use_cache:
-                            engine._answer_lru.put(
-                                keys[i], _CachedAnswer.from_result(result)
-                            )
-            else:
-                registry.counter("repro.engine.stale_commits_dropped").inc()
+        self._commit(
+            digest,
+            registry,
+            (
+                (key, None, None) if job is None else (key, outcomes[job][2], outcomes[job][0])
+                for key, job in commits
+            ),
+        )
         for i, (result, error, _txn) in outcomes.items():
             items[i] = AnswerResponse(
                 index=i, question=questions[i], result=result, error=error

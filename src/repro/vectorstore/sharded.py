@@ -36,7 +36,7 @@ from repro.vectorstore.store import VectorStore
 
 if TYPE_CHECKING:
     from repro.config import ReplicationConfig
-    from repro.engine.caches import ContextBinder
+    from repro.context import RequestContext
     from repro.replication import HealthTracker, ReplicaSet
 
 #: Hash namespace for the shard planner; changing it repartitions every
@@ -96,7 +96,7 @@ class ShardedVectorStore:
     across shards in a plain loop (a probe costs tens of microseconds,
     less than handing it to a pool thread) and gather under a
     deterministic merge.  Like its shards the store is read-only, so the
-    views below share the shard objects instead of copying them.
+    replicated view below shares the shard objects instead of copying them.
     """
 
     def __init__(
@@ -105,8 +105,6 @@ class ShardedVectorStore:
         embedding: EmbeddingModel,
         *,
         collection_name: str = "petsc-docs-sharded",
-        binder: "ContextBinder | None" = None,
-        registry_fn: Callable[[], MetricsRegistry] | None = None,
         replica_sets: "list[ReplicaSet] | None" = None,
         replication: "ReplicationConfig | None" = None,
     ) -> None:
@@ -124,8 +122,6 @@ class ShardedVectorStore:
         self.shards = list(shards)
         self.embedding = embedding
         self.collection_name = collection_name
-        self.binder = binder
-        self._registry_fn = registry_fn if registry_fn is not None else get_registry
         self.replica_sets = replica_sets
         self.replication = replication
 
@@ -160,14 +156,19 @@ class ShardedVectorStore:
         *,
         k: int = 4,
         where: dict | None = None,
+        ctx: "RequestContext | None" = None,
     ) -> list[tuple[Document, float]]:
-        """Scatter the vector across shards, gather a deterministic top-k."""
+        """Scatter the vector across shards, gather a deterministic top-k.
+
+        With the request's ``ctx`` the scatter is a span on its tracer
+        and counts on its registry; without one (a probe outside any
+        request) it counts on the ambient registry and opens no span.
+        """
         if k <= 0:
             return []
-        registry = self._registry_fn()
+        registry = ctx.registry if ctx is not None else get_registry()
         registry.counter("repro.shard.queries").inc()
         registry.counter("repro.shard.probes").inc(self.num_shards)
-        ctx = self.binder.ctx if self.binder is not None else None
         if ctx is not None and ctx.tracer._stack:
             # One constant-named child span regardless of shard count:
             # shard details ride in attributes, which the span-structure
@@ -193,7 +194,8 @@ class ShardedVectorStore:
     ) -> list[tuple[Document, float]]:
         """Merge the scatter; degrade (or raise) when shards went dark."""
         per_shard = [
-            self._probe_shard(index, qvec, k, where) for index in range(self.num_shards)
+            self._probe_shard(index, qvec, k, where, registry)
+            for index in range(self.num_shards)
         ]
         merged = [hit for hits in per_shard if hits is not None for hit in hits]
         if span is not None:
@@ -221,13 +223,17 @@ class ShardedVectorStore:
                     failed_shards=tuple(failed),
                 )
         if ctx is not None:
-            previous = float(ctx.scratch.get("shard_coverage", 1.0))
-            ctx.scratch["shard_coverage"] = min(previous, coverage)
+            ctx.shard_coverage = min(ctx.shard_coverage, coverage)
         _sort_hits(merged)
         return merged[:k]
 
     def _probe_shard(
-        self, index: int, qvec: np.ndarray, k: int, where: dict | None
+        self,
+        index: int,
+        qvec: np.ndarray,
+        k: int,
+        where: dict | None,
+        registry: MetricsRegistry,
     ) -> "list[tuple[Document, float]] | None":
         """One shard's top-k; ``None`` when no replica answered.
 
@@ -236,7 +242,7 @@ class ShardedVectorStore:
         """
         if self.replica_sets is None:
             return _shard_top_k(self.shards[index], qvec, k, where)
-        return self.replica_sets[index].top_k(qvec, k, where)
+        return self.replica_sets[index].top_k(qvec, k, where, registry)
 
     def similarity_search(
         self, query: str, *, k: int = 4, where: dict | None = None
@@ -255,35 +261,6 @@ class ShardedVectorStore:
         raise VectorStoreError(f"unknown document id {doc_id!r}")
 
     # ------------------------------------------------------------ views
-    def _replace(self, **changes) -> "ShardedVectorStore":
-        """A view over the same shard objects, differing in ``changes``."""
-        args = {
-            "embedding": self.embedding,
-            "binder": self.binder,
-            "registry_fn": self._registry_fn,
-            "replica_sets": self.replica_sets,
-            "replication": self.replication,
-        } | changes
-        return ShardedVectorStore(
-            self.shards,
-            args.pop("embedding"),
-            collection_name=self.collection_name,
-            **args,
-        )
-
-    def with_serving_context(
-        self,
-        *,
-        embedding: EmbeddingModel,
-        binder: "ContextBinder",
-        registry_fn: Callable[[], MetricsRegistry],
-    ) -> "ShardedVectorStore":
-        """A view bound to an engine's request plumbing: ``embedding``
-        (its caching wrapper) embeds the query, once per search whatever
-        the shard count — shards are probed by vector — and spans and
-        counters go through ``binder`` / ``registry_fn``."""
-        return self._replace(embedding=embedding, binder=binder, registry_fn=registry_fn)
-
     def with_replication(
         self,
         config: "ReplicationConfig",
@@ -311,13 +288,11 @@ class ShardedVectorStore:
                 shard if store_wrapper is None else store_wrapper(shard, index, position)
                 for position in range(config.replicas)
             ]
-            replica_sets.append(
-                ReplicaSet(
-                    index,
-                    replicas,
-                    health,
-                    hedging=config.hedging,
-                    registry_fn=self._registry_fn,
-                )
-            )
-        return self._replace(replica_sets=replica_sets, replication=config)
+            replica_sets.append(ReplicaSet(index, replicas, health, hedging=config.hedging))
+        return ShardedVectorStore(
+            self.shards,
+            self.embedding,
+            collection_name=self.collection_name,
+            replica_sets=replica_sets,
+            replication=config,
+        )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -14,6 +15,9 @@ from repro.embeddings.base import EmbeddingModel
 from repro.embeddings.similarity import top_k_indices
 from repro.errors import VectorStoreError
 from repro.vectorstore.filters import matches_where
+
+if TYPE_CHECKING:
+    from repro.context import RequestContext
 
 
 class VectorStore:
@@ -140,13 +144,16 @@ class VectorStore:
         *,
         k: int = 4,
         where: dict | None = None,
+        ctx: "RequestContext | None" = None,
     ) -> list[tuple[Document, float]]:
         """Top-k documents for an already-embedded query vector.
 
-        This is the scatter primitive for sharded search: the composite
-        store embeds the query once and probes every shard by vector, so
-        embedding cost (and the embedding cache) stays per-query rather
-        than per-shard.
+        This is the scatter primitive for sharded search: the query is
+        embedded once and every shard probed by vector, so embedding
+        cost (and the embedding cache) stays per-query rather than
+        per-shard.  ``ctx`` is the store surface's request argument —
+        where a composite store's scatter span and counts go; a single
+        store emits neither.
         """
         if k <= 0:
             return []

@@ -64,6 +64,8 @@ class TestSequentialAnswer:
     def test_answer_matches_pipeline_answer(self, artifact, fast_config):
         engine = fresh_engine(artifact, fast_config, registry=MetricsRegistry())
         direct = engine.pipeline("rag+rerank").answer(QUESTIONS[0])
+        # Only the service commits: a direct call publishes nothing.
+        assert engine.cache_sizes() == {"answer": 0, "retrieval": 0, "embedding": 0}
         via_engine = fresh_engine(
             artifact, fast_config, registry=MetricsRegistry()
         ).answer(QUESTIONS[0])
@@ -263,4 +265,3 @@ class TestSharedArtifact:
         assert engine.cache_sizes() == {"answer": 0, "retrieval": 1, "embedding": 2}
         ((kept, _hits),) = engine._retrieval_lru.items()
         assert kept[1] == unrelated
-        assert engine._last_invalidation["scoped"] is True

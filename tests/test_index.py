@@ -139,17 +139,25 @@ class TestArtifactImmutability:
     def test_serving_views_share_the_artifact_shard_stores(
         self, bundle, fast_config, fresh_cache
     ):
+        from repro.config import ReplicationConfig
         from repro.engine import QueryEngine
 
         artifact = get_or_build_index(bundle, fast_config)
+        modes = ("rag", "rag+rerank")
+        # Unreplicated, every mode retrieves from the artifact's store itself.
         engine = QueryEngine(artifact, fast_config)
-        views = [engine.pipeline(mode).retriever.store for mode in ("rag", "rag+rerank")]
+        assert all(engine.pipeline(m).retriever.store is artifact.store for m in modes)
+        # The one serving view left is the replicated one.
+        replicated = QueryEngine(
+            artifact,
+            ReproConfig(iterations_per_token=0, replication=ReplicationConfig(replicas=2)),
+        )
+        views = [replicated.pipeline(m).retriever.store for m in modes]
         assert views[0] is not views[1] and artifact.store not in views
         for view in views:
             assert len(view.shards) == len(artifact.store.shards)
             assert all(a is b for a, b in zip(view.shards, artifact.store.shards))
-            # The engine's cache embeds queries; shards keep the artifact's model.
-            assert view.embedding is not artifact.embedding
+            assert view.embedding is artifact.embedding
             assert all(s.embedding is artifact.embedding for s in view.shards)
 
     def test_keyword_search_from_artifact(self, bundle, fast_config, fresh_cache):

@@ -709,12 +709,22 @@ def test_stores_are_values_and_ingest_is_the_one_write_path():
         store.matrix[0, 0] = 1.0
 
 
+def _delta(previous, successor) -> CorpusDelta:
+    return diff_chunks(
+        previous.chunks,
+        successor.chunks,
+        parent_digest=previous.digest,
+        target_digest=successor.digest,
+    )
+
+
 class TestEpochSwap:
     def test_same_digest_swap_is_noop(self, bundle, fresh_cache):
         engine = open_engine(_cfg(), bundle=bundle)
         engine.answer("What does KSPGMRES do?")
         sizes = engine.cache_sizes()
-        assert engine.swap_artifact(engine.artifact) is False
+        same = engine.artifact
+        assert engine.swap_artifact(same, _delta(same, same)) is None
         assert engine.epoch == 0
         assert engine.cache_sizes() == sizes
 
@@ -725,7 +735,8 @@ class TestEpochSwap:
         engine = open_engine(cfg, bundle=bundle)
         old_store = engine.pipeline().retriever.store
         successor = get_or_build_index(_edited(bundle), cfg)
-        assert engine.swap_artifact(successor) is True
+        summary = engine.swap_artifact(successor, _delta(engine.artifact, successor))
+        assert summary["invalidated_retrieval"] == 0  # nothing was cached
         assert engine.epoch == 1
         assert engine.artifact is successor
         assert engine.pipeline().retriever.store is not old_store
@@ -776,20 +787,6 @@ class TestIngestCorpus:
         assert inv["retained_retrieval"] == 1
         assert inv["invalidated_retrieval"] == 0
         assert engine.cache_sizes()["retrieval"] == 1
-
-    def test_blunt_invalidation_without_a_delta(self, bundle, fresh_cache):
-        # Was test_blunt_invalidation_when_scoping_disabled: the blunt
-        # path is what a caller with no delta to scope by gets.
-        engine = open_engine(_cfg(), bundle=bundle)
-        engine.answer("What does KSPGMRES do?")
-        assert engine.cache_sizes()["retrieval"] == 1
-        engine.service.invalidate_query_caches()
-        assert engine.cache_sizes() == {"answer": 0, "retrieval": 0, "embedding": 0}
-        successor = get_or_build_index(_edited(bundle), engine.config)
-        engine.answer("What does KSPGMRES do?")
-        assert engine.swap_artifact(successor) is True
-        assert engine._last_invalidation["scoped"] is False
-        assert engine.cache_sizes()["retrieval"] == 0
 
     def test_removed_source_evicts_dependent_retrievals(self, bundle, fresh_cache):
         engine = open_engine(_cfg(), bundle=bundle)
@@ -1008,6 +1005,70 @@ class TestSwapDuringBatch:
         counters = engine.registry.snapshot()["counters"]
         assert "repro.engine.stale_commits_dropped" not in counters
         assert engine.answer_many([self.QUESTION], mode="rag").items[0].cached
+
+
+class TestSwapDuringAnswer:
+    """The same window for one synchronous ``answer``: a request an
+    ingest overtakes between its retrieval and its return is answered
+    from the epoch it opened on and publishes nothing — neither the
+    answer nor the retrieval and query-embedding entries beside it."""
+
+    QUESTION = TestSwapDuringBatch.QUESTION
+
+    @pytest.mark.parametrize(("shards", "replicas"), [(1, 1), (4, 2)], ids=["1x1", "4x2"])
+    def test_answer_returning_after_a_swap_publishes_nothing(
+        self, bundle, fresh_cache, monkeypatch, shards, replicas
+    ):
+        engine = TestSwapDuringBatch._engine(bundle, shards, replicas)
+        old_ids = {chunk.doc_id for chunk in engine.artifact.chunks}
+        revised = _rewrite_source(
+            bundle, "manual/ksp.md", lambda text: text.replace("\n\n", "\n\n(rev 2) ")
+        )
+        # Hold the vector retriever under the caching wrapper once it has
+        # its hits (query embedded, shards searched) and before it returns.
+        inner = engine.pipeline("rag").retriever.inner
+        retrieve = inner.retrieve
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(*args, **kwargs):
+            hits = retrieve(*args, **kwargs)
+            entered.set()
+            assert release.wait(30)
+            return hits
+
+        monkeypatch.setattr(inner, "retrieve", gated)
+        out = {}
+        worker = threading.Thread(
+            target=lambda: out.update(result=engine.answer(self.QUESTION, mode="rag"))
+        )
+        worker.start()
+        try:
+            assert entered.wait(30)
+            report = ingest_corpus(engine, revised)
+        finally:
+            release.set()
+            worker.join(30)
+        assert not worker.is_alive()
+        assert report.swapped
+
+        in_flight = out["result"]
+        assert in_flight.contexts
+        assert {c.doc_id for c in in_flight.contexts} <= old_ids  # one epoch: the old
+        assert engine.cache_sizes() == {"answer": 0, "retrieval": 0, "embedding": 0}
+        dropped = engine.registry.counter("repro.engine.stale_commits_dropped")
+        assert dropped.value == 1
+
+        live_ids = {chunk.doc_id for chunk in engine.artifact.chunks}
+        got = engine.answer(self.QUESTION, mode="rag")
+        assert {c.doc_id for c in got.contexts} <= live_ids
+        clear_index_cache()
+        want = TestSwapDuringBatch._engine(revised, shards, replicas).answer(
+            self.QUESTION, mode="rag"
+        )
+        assert [(c.doc_id, c.score) for c in got.contexts] == [
+            (c.doc_id, c.score) for c in want.contexts
+        ]
+        assert got.answer == want.answer
 
 
 class TestHistoryFeedEqualsFromScratch:

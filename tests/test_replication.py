@@ -35,13 +35,13 @@ def _docs(n=12):
     ]
 
 
-def _sharded(docs, num_shards=3, **kwargs):
+def _sharded(docs, num_shards=3):
     emb = HashingEmbedding(dim=32)
     buckets = [[] for _ in range(num_shards)]
     for d in docs:
         buckets[shard_for_document(d, num_shards)].append(d)
     shards = [VectorStore.from_documents(b, emb) for b in buckets]
-    return ShardedVectorStore(shards, emb, **kwargs)
+    return ShardedVectorStore(shards, emb)
 
 
 class DeadStore:
@@ -92,10 +92,8 @@ class TestReplicationConfig:
 
 
 class TestHealthTracker:
-    def _tracker(self, reg=None, **kwargs):
-        cfg = ReplicationConfig(replicas=2, **kwargs)
-        registry = reg if reg is not None else MetricsRegistry()
-        return HealthTracker(cfg, registry_fn=lambda: registry), registry
+    def _tracker(self, **kwargs):
+        return HealthTracker(ReplicationConfig(replicas=2, **kwargs)), MetricsRegistry()
 
     def test_initial_state_is_up(self):
         tracker, _ = self._tracker()
@@ -104,18 +102,18 @@ class TestHealthTracker:
 
     def test_failures_walk_up_suspect_down(self):
         tracker, reg = self._tracker(suspect_after=1, down_after=3)
-        tracker.record_failure(0, 0)
+        tracker.record_failure(0, 0, reg)
         assert tracker.state(0, 0) is ReplicaState.SUSPECT
-        tracker.record_failure(0, 0)
+        tracker.record_failure(0, 0, reg)
         assert tracker.state(0, 0) is ReplicaState.SUSPECT
-        tracker.record_failure(0, 0)
+        tracker.record_failure(0, 0, reg)
         assert tracker.state(0, 0) is ReplicaState.DOWN
         assert reg.counter("repro.replica.marked_suspect").value == 1
         assert reg.counter("repro.replica.marked_down").value == 1
 
     def test_down_replica_sits_out_then_half_open_probes(self):
-        tracker, _ = self._tracker(down_after=1, probe_after=3)
-        tracker.record_failure(2, 1)
+        tracker, reg = self._tracker(down_after=1, probe_after=3)
+        tracker.record_failure(2, 1, reg)
         assert tracker.state(2, 1) is ReplicaState.DOWN
         # probe_after - 1 selections skipped, then one half-open probe.
         assert not tracker.should_probe(2, 1)
@@ -126,23 +124,23 @@ class TestHealthTracker:
 
     def test_success_fully_recovers(self):
         tracker, reg = self._tracker(down_after=1)
-        tracker.record_failure(0, 0)
+        tracker.record_failure(0, 0, reg)
         assert tracker.state(0, 0) is ReplicaState.DOWN
-        tracker.record_success(0, 0)
+        tracker.record_success(0, 0, reg)
         assert tracker.state(0, 0) is ReplicaState.UP
         assert tracker.should_probe(0, 0)
         assert reg.counter("repro.replica.recovered").value == 1
         # Recovery resets the failure fold: one new failure is suspect,
         # not down-continued.
-        tracker.record_failure(0, 0)
+        tracker.record_failure(0, 0, reg)
         assert tracker.state(0, 0) is ReplicaState.DOWN  # down_after=1
 
     def test_snapshot_groups_by_shard(self):
-        tracker, _ = self._tracker(suspect_after=1, down_after=2)
-        tracker.record_failure(1, 0)
-        tracker.record_failure(0, 1)
-        tracker.record_failure(0, 1)
-        tracker.record_success(0, 0)
+        tracker, reg = self._tracker(suspect_after=1, down_after=2)
+        tracker.record_failure(1, 0, reg)
+        tracker.record_failure(0, 1, reg)
+        tracker.record_failure(0, 1, reg)
+        tracker.record_success(0, 0, reg)
         assert tracker.snapshot() == {0: ["up", "down"], 1: ["suspect"]}
 
 
@@ -152,18 +150,15 @@ class TestReplicaSet:
         store = VectorStore.from_documents(_docs(6), emb)
         reg = MetricsRegistry()
         cfg = ReplicationConfig(replicas=2, **(health_kwargs or {}))
-        health = HealthTracker(cfg, registry_fn=lambda: reg)
+        health = HealthTracker(cfg)
         primary = DeadStore(store) if dead_primary else store
-        rs = ReplicaSet(
-            0, [primary, store], health,
-            hedging=hedging, registry_fn=lambda: reg,
-        )
+        rs = ReplicaSet(0, [primary, store], health, hedging=hedging)
         qvec = emb.embed_query("krylov gmres")
         return rs, health, reg, qvec, store
 
     def test_failover_returns_backup_answer(self):
         rs, health, reg, qvec, store = self._set()
-        hits = rs.top_k(qvec, 3, None)
+        hits = rs.top_k(qvec, 3, None, reg)
         from repro.vectorstore.sharded import _shard_top_k
 
         expected = _shard_top_k(store, qvec, 3, None)
@@ -177,10 +172,10 @@ class TestReplicaSet:
 
     def test_down_primary_is_skipped_not_probed(self):
         rs, health, reg, qvec, _ = self._set(health_kwargs={"down_after": 1})
-        rs.top_k(qvec, 3, None)  # primary fails once -> straight to down
+        rs.top_k(qvec, 3, None, reg)  # primary fails once -> straight to down
         assert health.state(0, 0) is ReplicaState.DOWN
         probes_before = reg.counter("repro.replica.probes").value
-        rs.top_k(qvec, 3, None)
+        rs.top_k(qvec, 3, None, reg)
         # Only the backup was probed; no failover counted for a walk
         # that never included the down primary.
         assert reg.counter("repro.replica.probes").value == probes_before + 1
@@ -189,14 +184,14 @@ class TestReplicaSet:
     def test_every_replica_down_returns_none(self):
         rs, _, reg, qvec, _ = self._set()
         rs.replicas[1] = DeadStore(rs.replicas[1])
-        assert rs.top_k(qvec, 3, None) is None
+        assert rs.top_k(qvec, 3, None, reg) is None
         assert reg.counter("repro.replica.probe_failures").value == 2
 
     def test_suspect_primary_triggers_hedge_and_win(self):
         rs, health, reg, qvec, store = self._set(hedging=True)
-        rs.top_k(qvec, 3, None)  # first walk: plain failover, marks suspect
+        rs.top_k(qvec, 3, None, reg)  # first walk: plain failover, marks suspect
         assert reg.counter("repro.replica.hedges").value == 0
-        hits = rs.top_k(qvec, 3, None)  # suspect primary -> hedged probe
+        hits = rs.top_k(qvec, 3, None, reg)  # suspect primary -> hedged probe
         assert reg.counter("repro.replica.hedges").value == 1
         assert reg.counter("repro.replica.hedge_wins").value == 1
         from repro.vectorstore.sharded import _shard_top_k
@@ -207,8 +202,8 @@ class TestReplicaSet:
 
     def test_healthy_primary_never_hedges(self):
         rs, _, reg, qvec, _ = self._set(hedging=True, dead_primary=False)
-        rs.top_k(qvec, 3, None)
-        rs.top_k(qvec, 3, None)
+        rs.top_k(qvec, 3, None, reg)
+        rs.top_k(qvec, 3, None, reg)
         assert reg.counter("repro.replica.hedges").value == 0
         assert reg.counter("repro.replica.failovers").value == 0
 
@@ -221,18 +216,24 @@ class TestReplicaSet:
 class TestReplicatedStore:
     """with_replication on the composite store: the digest contract."""
 
-    def _replicated(self, docs, *, replicas=2, wrapper=_kill_primary,
-                    num_shards=3, reg=None, **rep_kwargs):
-        registry = reg if reg is not None else MetricsRegistry()
-        base = _sharded(docs, num_shards, registry_fn=lambda: registry)
-        cfg = ReplicationConfig(replicas=replicas, **rep_kwargs)
-        health = HealthTracker(cfg, registry_fn=lambda: registry)
-        return base.with_replication(cfg, health=health, store_wrapper=wrapper), registry
+    @pytest.fixture()
+    def reg(self):
+        """The sink of a search made outside any request: the ambient scope."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            yield registry
 
-    def test_failover_results_match_healthy_baseline(self):
+    def _replicated(self, docs, *, replicas=2, wrapper=_kill_primary,
+                    num_shards=3, **rep_kwargs):
+        cfg = ReplicationConfig(replicas=replicas, **rep_kwargs)
+        return _sharded(docs, num_shards).with_replication(
+            cfg, health=HealthTracker(cfg), store_wrapper=wrapper
+        )
+
+    def test_failover_results_match_healthy_baseline(self, reg):
         docs = _docs()
         healthy = _sharded(docs).similarity_search_with_score("krylov gmres", k=5)
-        store, reg = self._replicated(docs)
+        store = self._replicated(docs)
         rescued = store.similarity_search_with_score("krylov gmres", k=5)
         assert [(d.doc_id, round(s, 9)) for d, s in rescued] == [
             (d.doc_id, round(s, 9)) for d, s in healthy
@@ -251,7 +252,7 @@ class TestReplicatedStore:
             return injector.wrap_store(store, site=f"shard:{shard_index}")
 
         healthy = _sharded(docs).similarity_search_with_score("krylov gmres", k=4)
-        store, _ = self._replicated(docs, wrapper=wrap)
+        store = self._replicated(docs, wrapper=wrap)
         assert [
             (d.doc_id, round(s, 9))
             for d, s in store.similarity_search_with_score("krylov gmres", k=4)
@@ -259,14 +260,14 @@ class TestReplicatedStore:
         sites = {event.site for event in injector.schedule()}
         assert sites and all(site.startswith("shard:") for site in sites)
 
-    def test_single_copy_outage_degrades_to_partial(self):
+    def test_single_copy_outage_degrades_to_partial(self, reg):
         docs = _docs()
         dead_shard = shard_for_document(docs[0], 3)
 
         def wrap(store, shard_index, replica_index):
             return DeadStore(store) if shard_index == dead_shard else store
 
-        store, reg = self._replicated(docs, replicas=1, wrapper=wrap)
+        store = self._replicated(docs, replicas=1, wrapper=wrap)
         hits = store.similarity_search_with_score("krylov gmres", k=6)
         survivors = [d for d in docs if shard_for_document(d, 3) != dead_shard]
         expected = VectorStore.from_documents(
@@ -291,7 +292,7 @@ class TestReplicatedStore:
         def wrap(store, shard_index, replica_index):
             return DeadStore(store) if shard_index == dead_shard else store
 
-        store, _ = self._replicated(
+        store = self._replicated(
             docs, replicas=1, wrapper=wrap, require_full_coverage=True
         )
         with pytest.raises(PartialResultError) as err:
@@ -303,10 +304,10 @@ class TestReplicatedStore:
         # Nothing writes to a store, so a replica is the shard object
         # itself; only the fault seam's transport tells copies apart.
         docs = _docs(6)
-        store, _ = self._replicated(docs, wrapper=None)
+        store = self._replicated(docs, wrapper=None)
         for shard, replica_set in zip(store.shards, store.replica_sets):
             assert [r is shard for r in replica_set.replicas] == [True, True]
-        killed, _ = self._replicated(docs)
+        killed = self._replicated(docs)
         for shard, replica_set in zip(killed.shards, killed.replica_sets):
             primary, backup = replica_set.replicas
             assert isinstance(primary, DeadStore) and primary.inner is shard
@@ -314,7 +315,7 @@ class TestReplicatedStore:
 
     def test_replica_count_mismatch_rejected(self):
         docs = _docs(6)
-        store, _ = self._replicated(docs, wrapper=None)
+        store = self._replicated(docs, wrapper=None)
         with pytest.raises(VectorStoreError):
             ShardedVectorStore(
                 store.shards[:2], store.embedding, replica_sets=store.replica_sets

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import open_engine
+from repro.api import open_engine, open_pipeline
 from repro.config import ReproConfig, RetrievalConfig, ShardingConfig
 from repro.corpus.builder import CorpusBundle
 from repro.documents import Document
@@ -236,6 +236,20 @@ class TestShardedEngine:
         result = engine.answer("What is the default KSP type?")
         assert result.trace is not None
         assert "scatter" in result.trace.span_counts()
+
+    def test_bare_pipeline_traces_and_counts_the_scatter_like_a_served_one(self, bundle):
+        # A bare pipeline hands its own context down the same way the
+        # service does: the scatter is a child of ``vector`` on its
+        # trace and ``repro.shard.*`` counts on the registry it reports to.
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            result = open_pipeline(_cfg(2), bundle=bundle).answer(
+                "What is the default KSP type?"
+            )
+        (vector,) = result.trace.find("vector")
+        assert [child.name for child in vector.children] == ["scatter"]
+        assert reg.counter("repro.shard.queries").value == 1
+        assert reg.counter("repro.shard.probes").value == 2
 
     def test_shard_summary(self, bundle):
         engine = open_engine(_cfg(2), bundle=bundle)
