@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="worker threads (default: engine config)",
     )
-    batch.add_argument("--seed", type=int, default=0, help="per-request RNG seed")
+    batch.add_argument("--seed", type=int, default=0, help="batch seed (request ids derive from it)")
     batch.add_argument("--show-answers", action="store_true")
     batch.add_argument(
         "--rate", type=float, default=None,

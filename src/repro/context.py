@@ -6,8 +6,8 @@ argument — pipeline → retrieval (query-embedding cache, shard scatter,
 replica walk) → rerank → llm.  Each request gets its *own* tracer (so
 span trees cannot interleave), a concrete registry handle resolved once
 on the coordinator (so worker threads report into the caller's scope),
-a deterministic per-request RNG, the transaction its cache effects are
-recorded into, and — during batched serving — the shared
+the transaction its cache effects are recorded into, and — during
+batched serving — the shared
 :class:`~repro.llm.latency.TokenBurnCollector` that defers generation
 work to the batch coordinator.  It is data: it says where spans and
 counts go, never what is computed.
@@ -19,11 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable
 
-import numpy as np
-
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Tracer
-from repro.utils.rng import derive_seed
 
 if TYPE_CHECKING:
     from repro.engine.caches import LRUCache
@@ -67,7 +64,7 @@ class RequestContext:
     Attributes
     ----------
     request_id:
-        Stable identifier for logs and seed derivation.
+        Stable identifier for logs.
     registry:
         Metrics sink of every hop of this request.
     tracer:
@@ -75,10 +72,6 @@ class RequestContext:
         concurrent requests — a tracer holds a mutable span stack.
     deadline:
         Optional wall-clock budget for the whole request.
-    seed / rng:
-        Deterministic per-request randomness, derived from
-        ``(request_id, seed)`` so results are independent of worker
-        assignment or completion order.
     burn_collector:
         When set (batched serving), the simulated LLM defers its
         per-token latency burn here instead of spending it inline.
@@ -95,10 +88,6 @@ class RequestContext:
     registry: MetricsRegistry
     tracer: Tracer = field(default_factory=Tracer)
     deadline: "Deadline | None" = None
-    seed: int = 0
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0)
-    )
     burn_collector: "TokenBurnCollector | None" = None
     cache_txn: CacheTransaction = field(default_factory=CacheTransaction)
     shard_coverage: float = 1.0
@@ -109,7 +98,6 @@ class RequestContext:
         *,
         registry: MetricsRegistry,
         request_id: str | None = None,
-        seed: int = 0,
         tracer: Tracer | None = None,
         deadline: "Deadline | None" = None,
         burn_collector: "TokenBurnCollector | None" = None,
@@ -120,7 +108,5 @@ class RequestContext:
             registry=registry,
             tracer=tracer if tracer is not None else Tracer(),
             deadline=deadline,
-            seed=seed,
-            rng=np.random.default_rng(derive_seed("request", rid, seed)),
             burn_collector=burn_collector,
         )

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.utils.rng import stable_hash
 
 
-@dataclass
+@dataclass(frozen=True)
 class Document:
     """A chunk of text plus provenance metadata.
+
+    A document is a value: nothing assigns its ``text`` or ``metadata``
+    after construction (:meth:`with_metadata` returns a new object),
+    which is what lets :attr:`doc_id` be computed once per object.
 
     Attributes
     ----------
@@ -33,9 +38,9 @@ class Document:
     text: str
     metadata: dict[str, Any] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def doc_id(self) -> str:
-        """A stable content-derived identifier.
+        """A stable content-derived identifier, hashed once per object.
 
         Two documents with identical text *and* identical source/chunk
         metadata share an id; this is what the vector store dedupes on.

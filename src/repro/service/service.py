@@ -38,7 +38,6 @@ from repro.pipeline.rag import PipelineResult
 from repro.pipeline.types import PipelineMode
 from repro.resilience.policy import Deadline
 from repro.service.lifecycle import AnswerResponse, BatchResult, question_digest
-from repro.utils.rng import derive_seed
 
 if TYPE_CHECKING:
     from repro.engine import QueryEngine
@@ -376,14 +375,13 @@ class ReproService:
                 jobs.append(i)
                 commits.append((key, i))
 
-        # ---- execute.  Each job's identity (request id, RNG seed) is a
-        # function of (batch seed, input index), never of the worker that
-        # ran it; cache effects go to a transaction, the LLM burn to the
-        # shared collector, and a pipeline failure is recorded, not raised.
+        # ---- execute.  Each job's request id is a function of (batch
+        # seed, input index), never of the worker that ran it; cache
+        # effects go to a transaction, the LLM burn to the shared
+        # collector, and a pipeline failure is recorded, not raised.
         def run_one(index: int) -> tuple[PipelineResult | None, str, CacheTransaction]:
             ctx = RequestContext.create(
                 request_id=f"batch{seed}-{index:05d}",
-                seed=derive_seed("engine-batch", seed, index),
                 registry=registry,
                 deadline=_deadline(pipeline),
                 burn_collector=collector,

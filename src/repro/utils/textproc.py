@@ -70,6 +70,8 @@ def normalize_text(text: str) -> str:
 
 _CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]+|[a-z]+|[0-9]+")
 
+_COMPOUND_SPLIT_RE = re.compile(r"[-_]")
+
 
 def _subtokens(raw: str) -> list[str]:
     """Component tokens of a compound: hyphen, underscore, CamelCase parts.
@@ -80,7 +82,7 @@ def _subtokens(raw: str) -> list[str]:
     ``low-memory`` → ``low, memory``.
     """
     parts: list[str] = []
-    for piece in re.split(r"[-_]", raw):
+    for piece in _COMPOUND_SPLIT_RE.split(raw):
         if not piece:
             continue
         camel = _CAMEL_RE.findall(piece)

@@ -11,13 +11,17 @@ Partition invariance is the load-bearing property: the merged top-k must
 be the same list for 1, 2, 4, or 8 shards.  Two details make that hold
 exactly rather than approximately:
 
-* Per-shard candidate lists are re-sorted by ``(-score, doc_id)`` before
-  the merge — a shard store breaks score ties by insertion row,
-  which is a per-shard accident.
-* When a shard's k-th score ties with candidates beyond the fetch
-  boundary, the fetch width doubles until the boundary score strictly
-  separates (or the shard is exhausted), so no tied candidate that could
-  win the global ``doc_id`` tie-break is left unfetched.
+* A shard is asked for ``k + 1`` hits — the smallest width at which the
+  k-th score can be seen to separate from the next.  When it ties with
+  candidates beyond the fetch boundary, the width doubles until the
+  boundary score strictly separates (or the shard is exhausted), so no
+  tied candidate that could win the global ``doc_id`` tie-break is left
+  unfetched.
+* A shard store breaks score ties by insertion row, a per-shard accident,
+  so when the cut at ``k`` falls inside a score tie the shard's list is
+  re-sorted by ``(-score, doc_id)`` before it is cut.  Otherwise the
+  first ``k`` hits are already the shard's top-k *set* and the merge's
+  own sort imposes the order.
 """
 
 from __future__ import annotations
@@ -75,16 +79,20 @@ def _sort_hits(hits: list[tuple[Document, float]]) -> None:
 def _shard_top_k(
     store: VectorStore, qvec: np.ndarray, k: int, where: dict | None
 ) -> list[tuple[Document, float]]:
-    """One shard's top-k under the global ``(-score, doc_id)`` order."""
-    fetch = k
+    """One shard's top-k *set* under the global ``(-score, doc_id)`` order.
+
+    The store returns hits by descending score, so they need the
+    ``doc_id`` sort only when the cut at ``k`` splits a score tie; the
+    caller's merge orders whatever is returned.
+    """
+    fetch = k + 1
     while True:
         hits = store.similarity_search_by_vector_with_score(qvec, k=fetch, where=where)
-        exhausted = len(hits) < fetch
-        boundary_clear = len(hits) > k and hits[-1][1] < hits[k - 1][1]
-        if exhausted or boundary_clear:
+        if len(hits) < fetch or hits[-1][1] < hits[k - 1][1]:
             break
         fetch *= 2
-    _sort_hits(hits)
+    if len(hits) > k and hits[k][1] == hits[k - 1][1]:
+        _sort_hits(hits)
     return hits[:k]
 
 

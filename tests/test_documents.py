@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.documents import (
@@ -40,6 +44,46 @@ class TestDocument:
 
     def test_len(self):
         assert len(Document(text="abcd")) == 4
+
+    def test_doc_id_memo_is_not_a_field(self):
+        # The memo lives beside the fields, never among them: equality,
+        # repr and asdict read the same before and after the first access.
+        d = Document(text="hello", metadata={"source": "x.md", "chunk": 0})
+        fresh = Document(text="hello", metadata={"source": "x.md", "chunk": 0})
+        before = (repr(d), dataclasses.asdict(d))
+        assert d.doc_id == fresh.doc_id
+        assert [f.name for f in dataclasses.fields(d)] == ["text", "metadata"]
+        assert (repr(d), dataclasses.asdict(d)) == before
+        assert d == Document(text="hello", metadata={"source": "x.md", "chunk": 0})
+        assert d != Document(text="hello", metadata={"source": "y.md", "chunk": 0})
+
+    def test_copies_get_their_own_doc_id(self):
+        d = Document(text="hello", metadata={"source": "x.md", "chunk": 0})
+        original = d.doc_id
+        moved = d.with_metadata(source="y.md")
+        assert moved.doc_id == Document(text="hello", metadata=moved.metadata).doc_id
+        assert moved.doc_id != original
+        retexted = dataclasses.replace(d, text="other")
+        assert retexted.doc_id == Document(text="other", metadata=d.metadata).doc_id
+        assert retexted.doc_id != original
+        assert d.doc_id == original
+
+    def test_deepcopy_and_pickle_keep_a_true_doc_id(self):
+        d = Document(text="hello", metadata={"source": "x.md", "chunk": 0})
+        for accessed_first in (False, True):
+            if accessed_first:
+                d.doc_id
+            for clone in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+                assert clone == d
+                recomputed = Document(text=clone.text, metadata=dict(clone.metadata))
+                assert clone.doc_id == recomputed.doc_id == d.doc_id
+
+    def test_document_is_frozen(self):
+        d = Document(text="hello", metadata={"source": "x.md"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.text = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.metadata = {}
 
 
 class TestTextLoader:

@@ -10,11 +10,14 @@ from repro.evaluation import compare_modes, krylov_benchmark, run_experiment
 
 @pytest.fixture(scope="module")
 def runs(bundle, fast_config, grader):
-    # A fresh service: no answer-cache hits, so every run is timed.
-    service = open_service(fast_config, bundle=bundle)
+    # A fresh service per mode: no answer-cache hits, and no first pass
+    # served from the retrieval cache an earlier mode warmed, so every
+    # run is timed cold.
     qs = krylov_benchmark()
     return {
-        mode: run_experiment(service, grader, mode=mode, questions=qs)
+        mode: run_experiment(
+            open_service(fast_config, bundle=bundle), grader, mode=mode, questions=qs
+        )
         for mode in ("baseline", "rag", "rag+rerank")
     }
 
@@ -67,7 +70,10 @@ class TestPaperShape:
         rag_t = runs["rag"].rag_stats()
         rerank_t = runs["rag+rerank"].rag_stats()
         assert rag_t is not None and rerank_t is not None
-        assert rerank_t.average > rag_t.average
+        # One cold wall-clock pass per mode: every rerank ask pays a first
+        # pass too, and interference only ever adds time, so the floors
+        # are compared, not the averages.
+        assert rerank_t.minimum > rag_t.minimum
 
 
 class TestDeterminism:

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import ReplicationConfig
 from repro.documents import Document
 from repro.embeddings import HashingEmbedding
 from repro.evaluation import BenchmarkQuestion, Score
+from repro.replication import HealthTracker
 from repro.rerank import FlashrankLiteReranker
 from repro.retrieval.base import RetrievedDocument
-from repro.vectorstore import VectorStore
+from repro.vectorstore import ShardedVectorStore, VectorStore, shard_for_document
 
 _WORDS = st.sampled_from(
     "gmres cg restart memory matrix vector solver preconditioner residual "
@@ -124,3 +126,55 @@ class TestEmbeddingStoreConsistency:
         # and the two accumulation orders/precisions can straddle any
         # fixed rounding boundary.
         assert got == pytest.approx(manual[: len(got)], abs=1e-5)
+
+
+class TestTopKTies:
+    """Partition invariance when score ties straddle a shard's cut.
+
+    Scores are planted (one-hot query over hand-made rows) so ties are
+    exact: a repeated text under different sources is a duplicate, two
+    texts on one level are a plateau.  The tie-break is a hash and the
+    merge's candidates pass through a ``Counter``, so CI reruns this
+    class under ``PYTHONHASHSEED=0`` and ``1``.
+    """
+
+    _EMB = HashingEmbedding(dim=8)
+    _QVEC = np.eye(8, dtype=np.float32)[0]
+
+    @staticmethod
+    def _level(text_id: int) -> float:
+        return (text_id // 2) * 0.125
+
+    def _sharded(self, docs, levels, num_shards):
+        buckets = [[] for _ in range(num_shards)]
+        for doc, level in zip(docs, levels):
+            buckets[shard_for_document(doc, num_shards)].append((doc, level))
+        shards = []
+        for bucket in buckets:
+            vectors = np.zeros((len(bucket), 8), dtype=np.float32)
+            vectors[:, 0] = [level for _, level in bucket]
+            shards.append(
+                VectorStore.from_precomputed([d for d, _ in bucket], vectors, self._EMB)
+            )
+        return ShardedVectorStore(shards, self._EMB)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=40),
+        st.integers(min_value=1, max_value=10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merge_equals_brute_force_at_every_shard_count(self, text_ids, k):
+        docs = [
+            Document(text=f"planted text {t}", metadata={"source": f"src{i}"})
+            for i, t in enumerate(text_ids)
+        ]
+        levels = [self._level(t) for t in text_ids]
+        ranked = sorted(zip(docs, levels), key=lambda p: (-p[1], p[0].doc_id))
+        expected = [(d.doc_id, level) for d, level in ranked[:k]]
+        rep = ReplicationConfig(replicas=2)
+        for num_shards in (1, 2, 4, 8):
+            store = self._sharded(docs, levels, num_shards)
+            replicated = store.with_replication(rep, health=HealthTracker(rep))
+            for view in (store, replicated):
+                hits = view.similarity_search_by_vector_with_score(self._QVEC, k=k)
+                assert [(d.doc_id, s) for d, s in hits] == expected, num_shards

@@ -10,6 +10,8 @@ never *what* was answered.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.api import open_engine
@@ -358,6 +360,47 @@ class TestEngineFailover:
         assert failover[1] == base[1]
         assert fail_reg.counter("repro.replica.failovers").value > 0
         assert base_reg.counter("repro.replica.failovers").value == 0
+
+    def test_one_probe_draws_one_fault_schedule_step(self, bundle, monkeypatch):
+        # DESIGN §13.1: a probe of a wrapped primary is one store search,
+        # so ``shard_fault_rate`` is the chance that *a probe* fails.
+        probed: Counter = Counter()
+        real_probe = ReplicaSet._probe
+
+        def counting_probe(self, replica, *args):
+            probed[(self.shard_index, replica)] += 1
+            return real_probe(self, replica, *args)
+
+        monkeypatch.setattr(ReplicaSet, "_probe", counting_probe)
+        cfg = ReproConfig(
+            iterations_per_token=0,
+            sharding=ShardingConfig(num_shards=4),
+            replication=ReplicationConfig(replicas=2),
+        )
+        questions = [q.text for q in krylov_benchmark()]
+
+        def run(fault_config):
+            probed.clear()
+            injector = FaultInjector(11, fault_config)
+            engine = open_engine(
+                cfg, bundle=bundle, fault_injector=injector, registry=MetricsRegistry()
+            )
+            batch = engine.service.answer_many(questions, workers=1)
+            draws = Counter(
+                event.site
+                for event in injector.schedule()
+                if event.site.startswith("shard:")
+            )
+            return batch.answers_digest(), draws, dict(probed)
+
+        healthy_answers, healthy_draws, _ = run(FaultConfig())
+        answers, draws, probes = run(FaultConfig(shard_fault_rate=0.5))
+        assert not healthy_draws
+        assert answers == healthy_answers
+        assert draws == {f"shard:{n}": probes[(n, 0)] for n in range(4)}
+        # Faults did land, and every one was absorbed by the backup.
+        assert 0 < sum(probes[(n, 1)] for n in range(4)) < sum(draws.values())
+        assert run(FaultConfig(shard_fault_rate=0.5)) == (answers, draws, probes)
 
     def test_partial_coverage_marks_degradation_deterministically(self, bundle):
         cfg = self._cfg(replication=ReplicationConfig(replicas=1))

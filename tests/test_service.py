@@ -427,13 +427,17 @@ def test_one_backend_and_one_pipeline_call_site():
         # per-layer registry callback, no stringly side channel on it.
         r"|ContextBinder|registry_fn|with_serving_context|\.scratch\b|_last_invalidation"
     )
+    # Nothing reads per-request randomness, so the context carries no
+    # Generator and the service seeds none.
+    request_rng = re.compile(r"ctx\.rng|\.rng\s*=|rng=np\.random")
     offenders, call_sites = [], []
     for path in sorted(src_root.rglob("*.py")):
         rel = path.relative_to(src_root).as_posix()
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             # The one thread-local: how a test or CLI command names its sink.
             ambient = "threading.local" in line and rel != "observability/metrics.py"
-            if banned.search(line) or ambient:
+            carrier = rel == "context.py" or rel.startswith("service/")
+            if banned.search(line) or ambient or (carrier and request_rng.search(line)):
                 offenders.append(f"src/repro/{rel}:{number}: {line.strip()}")
             # A call with arguments; docstrings only ever write ``answer()``.
             if re.search(r"pipeline\.answer\([^)]", line):

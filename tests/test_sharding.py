@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import open_engine, open_pipeline
@@ -32,6 +33,18 @@ def _cfg(num_shards, *, embedding="petsc-embed-large"):
         retrieval=RetrievalConfig(embedding_model=embedding),
         sharding=ShardingConfig(num_shards=num_shards),
     )
+
+
+class CountingStore:
+    """A shard store (or replica) that reports each by-vector search's ``k``."""
+
+    def __init__(self, inner, on_search):
+        self.inner = inner
+        self.on_search = on_search
+
+    def similarity_search_by_vector_with_score(self, qvec, *, k=4, where=None):
+        self.on_search(k)
+        return self.inner.similarity_search_by_vector_with_score(qvec, k=k, where=where)
 
 
 class TestPlanner:
@@ -155,6 +168,95 @@ class TestShardedStore:
         assert len(hits) == 2
         # All scores tie, so the winners are the lowest doc ids.
         assert [d.doc_id for d, _ in hits] == sorted(d.doc_id for d in docs)[:2]
+
+    def test_shard_top_k_searches_once_and_sorts_only_on_a_straddling_tie(
+        self, monkeypatch
+    ):
+        # Planted scores (one-hot query over hand-made rows), so which
+        # scores tie is exact.  ``searches`` counts store searches,
+        # ``sorts`` the doc-id sorts, ``hashes`` the doc ids hashed.
+        from repro.documents import document
+        from repro.vectorstore import sharded
+
+        searches, sorts, hashes = [], [], []
+        real_sort, real_hash = sharded._sort_hits, document.stable_hash
+
+        def counting_sort(hits):
+            sorts.append(1)
+            real_sort(hits)
+
+        def counting_hash(*args, **kwargs):
+            hashes.append(1)
+            return real_hash(*args, **kwargs)
+
+        monkeypatch.setattr(sharded, "_sort_hits", counting_sort)
+        monkeypatch.setattr(document, "stable_hash", counting_hash)
+        emb = HashingEmbedding(dim=8)
+        qvec = np.eye(8, dtype=np.float32)[0]
+
+        def probe(scores, k):
+            docs = [
+                Document(text="planted", metadata={"source": f"s{i}"})
+                for i in range(len(scores))
+            ]
+            vectors = np.zeros((len(scores), 8), dtype=np.float32)
+            vectors[:, 0] = scores
+            store = CountingStore(
+                VectorStore.from_precomputed(docs, vectors, emb), searches.append
+            )
+            del searches[:], sorts[:], hashes[:]
+            hits = sharded._shard_top_k(store, qvec, k, None)
+            return docs, [(d.doc_id, s) for d, s in hits]
+
+        # Distinct scores: one search, no sort, no id hashed.
+        docs, hits = probe([0.5, 0.875, 0.25, 0.75, 0.125, 0.625], 3)
+        assert hits == [(docs[1].doc_id, 0.875), (docs[3].doc_id, 0.75), (docs[5].doc_id, 0.625)]
+        assert (searches, sorts, hashes) == ([4], [], [])
+        # A tie wholly inside the top-k is the merge's to order: no sort.
+        docs, hits = probe([0.75, 0.75, 0.5, 0.25], 3)
+        assert {i for i, _ in hits} == {d.doc_id for d in docs[:3]}
+        assert (searches, sorts) == ([4], [])
+        # A tie straddling k: widened until it is whole, then the lowest
+        # doc ids win — not the lowest rows.
+        docs, hits = probe([0.875, 0.5, 0.5, 0.5, 0.5, 0.5, 0.25, 0.125], 3)
+        tied = sorted(d.doc_id for d in docs[1:6])
+        assert hits == [(docs[0].doc_id, 0.875), (tied[0], 0.5), (tied[1], 0.5)]
+        assert (searches, sorts) == ([4, 8], [1])
+        # k >= len(shard): exhausted after one search.
+        for k in (4, 9):
+            docs, hits = probe([0.5, 0.75, 0.25, 0.125], k)
+            assert [i for i, _ in hits] == [docs[i].doc_id for i in (1, 0, 2, 3)]
+            assert (searches, sorts) == ([k + 1], [])
+        # k + 1 == len(shard) with a clear boundary: one search.
+        docs, hits = probe([0.5, 0.75, 0.25, 0.125], 3)
+        assert [i for i, _ in hits] == [docs[i].doc_id for i in (1, 0, 2)]
+        assert (searches, sorts) == ([4], [])
+
+    def test_one_store_search_per_shard_per_cold_ask(self, bundle):
+        # 4 shards x 2 replicas over the 37 Krylov questions, each asked
+        # once: a healthy probe is one search of one replica.
+        from repro.config import ReplicationConfig
+        from repro.evaluation import krylov_benchmark
+        from repro.replication import HealthTracker
+
+        searched: list[tuple[int, int]] = []
+
+        cfg = _cfg(4)
+        rep = ReplicationConfig(replicas=2)
+        view = get_or_build_index(bundle, cfg).store.with_replication(
+            rep,
+            health=HealthTracker(rep),
+            store_wrapper=lambda store, shard, replica: CountingStore(
+                store, lambda k: searched.append((shard, replica))
+            ),
+        )
+        questions = [q.text for q in krylov_benchmark()]
+        for question in questions:
+            hits = view.similarity_search_with_score(question, k=cfg.retrieval.first_pass_k)
+            assert len(hits) == cfg.retrieval.first_pass_k
+        assert len(questions) == 37
+        assert len(searched) == 4 * 37
+        assert {replica for _, replica in searched} == {0}
 
     def test_save_load_unsupported(self):
         # Sharded stores persist per shard through the index disk cache.
