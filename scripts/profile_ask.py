@@ -1,0 +1,74 @@
+"""Profile the cold asks of one ledger workload's config.
+
+Run from the repo root::
+
+    PYTHONPATH=src python scripts/profile_ask.py --workload stack_zero_burn
+    PYTHONPATH=src python scripts/profile_ask.py --workload paper_eval --sort cumulative --rounds 3
+
+Opens a service on the config ``benchmarks/ledger/workloads.py`` gives
+the workload and asks the 37 Krylov questions ``--rounds`` times over,
+the query caches cleared before each pass: once untimed by the profiler,
+for the ask p50 (the ledger's rule: the best time per question, the
+median over questions), and once under ``cProfile``.  This sizes a perf
+issue — where the time of a cold ask goes — and claims nothing: the
+profiler taxes every Python call and no native one, so a gain is shown
+with alternating ledger pairs (``benchmarks/ledger/README.md``), never
+with this table.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import pstats
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from repro.api import open_service
+from repro.config import ReproConfig
+from repro.evaluation import krylov_benchmark
+
+LEDGER = Path(__file__).resolve().parent.parent / "benchmarks" / "ledger"
+TABLE_ROWS = 30
+
+
+def main() -> None:
+    sys.path.insert(0, str(LEDGER))
+    from workloads import WORKLOADS
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime")
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    service = open_service(ReproConfig.from_dict(WORKLOADS[args.workload].config))
+    questions = [question.text for question in krylov_benchmark()]
+    best = dict.fromkeys(questions, float("inf"))
+    profile = cProfile.Profile()
+    for _ in range(args.rounds):
+        service.invalidate_query_caches()
+        for question in questions:
+            start = time.perf_counter()
+            service.answer(question)
+            best[question] = min(best[question], time.perf_counter() - start)
+        service.invalidate_query_caches()
+        profile.enable()
+        for question in questions:
+            service.answer(question)
+        profile.disable()
+
+    print(
+        f"{args.workload}: ask p50 {statistics.median(best.values()) * 1e3:.3f} ms unprofiled "
+        f"(best of {args.rounds} per question, {len(questions)} cold asks); "
+        f"below, {args.rounds * len(questions)} profiled cold asks by {args.sort}"
+    )
+    pstats.Stats(profile).sort_stats(args.sort).print_stats(TABLE_ROWS)
+
+
+if __name__ == "__main__":
+    main()

@@ -9,8 +9,9 @@ on the coordinator (so worker threads report into the caller's scope),
 the transaction its cache effects are recorded into, and — during
 batched serving — the shared
 :class:`~repro.llm.latency.TokenBurnCollector` that defers generation
-work to the batch coordinator.  It is data: it says where spans and
-counts go, never what is computed.
+work to the batch coordinator — and the one reading of the question
+(tokens, stems, identifiers) its stages would otherwise each derive.  It
+is data: it says where spans and counts go, never what is computed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import TYPE_CHECKING, Hashable
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Tracer
+from repro.utils.textproc import QuestionReading
 
 if TYPE_CHECKING:
     from repro.engine.caches import LRUCache
@@ -82,6 +84,9 @@ class RequestContext:
     shard_coverage:
         Lowest fraction of shards that answered a scatter of this
         request; the store lowers it, the pipeline reads and resets it.
+    question:
+        The request's one reading of its question, set by the pipeline;
+        stages take it through :func:`read_question`.
     """
 
     request_id: str
@@ -91,6 +96,7 @@ class RequestContext:
     burn_collector: "TokenBurnCollector | None" = None
     cache_txn: CacheTransaction = field(default_factory=CacheTransaction)
     shard_coverage: float = 1.0
+    question: QuestionReading | None = None
 
     @classmethod
     def create(
@@ -110,3 +116,13 @@ class RequestContext:
             deadline=deadline,
             burn_collector=burn_collector,
         )
+
+
+def read_question(text: str, ctx: RequestContext | None) -> QuestionReading:
+    """The reading ``ctx`` carries when it is of ``text``, else a fresh one
+    (no context, or a stage handed another text: the model's question
+    with revision guidance folded in)."""
+    reading = ctx.question if ctx is not None else None
+    if reading is not None and reading.text == text:
+        return reading
+    return QuestionReading(text)

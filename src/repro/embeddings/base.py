@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,11 +25,27 @@ class EmbeddingModel(ABC):
     dim: int = 0
 
     @abstractmethod
-    def _embed_batch(self, texts: list[str]) -> np.ndarray:
-        """Return an (n, dim) float32 array; rows need not be normalized."""
+    def _embed_batch(
+        self, texts: list[str], tokens: list[Sequence[str]] | None = None
+    ) -> np.ndarray:
+        """Return an (n, dim) float32 array; rows need not be normalized.
+
+        ``tokens[i]``, when given, is ``tokenize(texts[i])``.
+        """
 
     def embed_documents(self, texts: list[str]) -> np.ndarray:
         """Embed a batch of document texts → (n, dim), rows L2-normalized."""
+        return self._embed(texts, None)
+
+    def embed_query(self, text: str, tokens: Sequence[str] | None = None) -> np.ndarray:
+        """Embed one query string → (dim,), L2-normalized.
+
+        ``tokens`` is ``tokenize(text)`` when the caller holds it already
+        (a request reads its question once); the vector is the same.
+        """
+        return self._embed([text], None if tokens is None else [tokens])[0]
+
+    def _embed(self, texts: list[str], tokens: list[Sequence[str]] | None) -> np.ndarray:
         if not isinstance(texts, list):
             raise EmbeddingError(f"expected a list of texts, got {type(texts).__name__}")
         if not texts:
@@ -37,16 +53,12 @@ class EmbeddingModel(ABC):
         for i, t in enumerate(texts):
             if not isinstance(t, str):
                 raise EmbeddingError(f"texts[{i}] is {type(t).__name__}, expected str")
-        mat = np.ascontiguousarray(self._embed_batch(texts), dtype=np.float32)
+        mat = np.ascontiguousarray(self._embed_batch(texts, tokens), dtype=np.float32)
         if mat.shape != (len(texts), self.dim):
             raise EmbeddingError(
                 f"{self.name}: bad embedding shape {mat.shape}, expected {(len(texts), self.dim)}"
             )
         return _normalize_rows(mat)
-
-    def embed_query(self, text: str) -> np.ndarray:
-        """Embed one query string → (dim,), L2-normalized."""
-        return self.embed_documents([text])[0]
 
     def moved_since(self, since: "EmbeddingModel") -> Callable[[str], bool]:
         """A predicate over texts: does this model embed ``text`` to a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
@@ -50,17 +51,20 @@ class HashingEmbedding(EmbeddingModel):
         self._cache[term] = (idx, sign)
         return idx, sign
 
-    def _terms(self, text: str) -> Counter[str]:
-        tokens = tokenize(text)
+    def _terms(self, text: str, tokens: Sequence[str] | None = None) -> Counter[str]:
+        if tokens is None:
+            tokens = tokenize(text)
         counts: Counter[str] = Counter(tokens)
         for n in range(2, self.ngram_max + 1):
             counts.update(" ".join(g) for g in word_ngrams(tokens, n))
         return counts
 
-    def _embed_batch(self, texts: list[str]) -> np.ndarray:
+    def _embed_batch(
+        self, texts: list[str], tokens: list[Sequence[str]] | None = None
+    ) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
         for row, text in enumerate(texts):
-            counts = self._terms(text)
+            counts = self._terms(text, None if tokens is None else tokens[row])
             if not counts:
                 continue
             idxs = np.empty(len(counts), dtype=np.int64)

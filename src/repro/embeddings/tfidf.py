@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -131,18 +131,19 @@ class TfidfEmbedding(EmbeddingModel):
         return lambda text: not changed.isdisjoint(self._counts_of(text))
 
     # ----------------------------------------------------------------- embedding
-    def _term_counts(self, text: str) -> Counter[str]:
-        tokens = tokenize(text)
+    def _term_counts(self, text: str, tokens: Sequence[str] | None = None) -> Counter[str]:
+        if tokens is None:
+            tokens = tokenize(text)
         counts: Counter[str] = Counter(tokens)
         for n in range(2, self.ngram_max + 1):
             counts.update(" ".join(g) for g in word_ngrams(tokens, n))
         return counts
 
-    def _counts_of(self, text: str) -> Counter[str]:
+    def _counts_of(self, text: str, tokens: Sequence[str] | None = None) -> Counter[str]:
         """Term counts of ``text``: kept for fitted texts, computed (and
         not kept) for anything else, i.e. queries."""
         counts = self._counts.get(text)
-        return counts if counts is not None else self._term_counts(text)
+        return counts if counts is not None else self._term_counts(text, tokens)
 
     def _projection_row(self, term: str) -> np.ndarray:
         row = self._rows.get(term)
@@ -152,7 +153,9 @@ class TfidfEmbedding(EmbeddingModel):
             self._rows[term] = row
         return row
 
-    def _embed_batch(self, texts: list[str]) -> np.ndarray:
+    def _embed_batch(
+        self, texts: list[str], tokens: list[Sequence[str]] | None = None
+    ) -> np.ndarray:
         if not self._fitted:
             raise EmbeddingError(f"{self.name} must be fit() before embedding")
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
@@ -160,7 +163,7 @@ class TfidfEmbedding(EmbeddingModel):
         # document, and giving them weight only injects projection noise
         # into the query vector.
         for row_i, text in enumerate(texts):
-            counts = self._counts_of(text)
+            counts = self._counts_of(text, None if tokens is None else tokens[row_i])
             terms = [t for t in counts if t in self._idf]
             if not terms:
                 continue

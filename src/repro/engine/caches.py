@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import Callable, Hashable
 
 import numpy as np
 
+from repro.context import RequestContext, read_question
 from repro.embeddings.base import EmbeddingModel
 from repro.retrieval.base import RetrievedDocument, Retriever
-
-if TYPE_CHECKING:
-    from repro.context import RequestContext
 
 
 class LRUCache:
@@ -120,7 +118,7 @@ class CachedEmbedding:
             ctx.cache_txn.touch(self.cache, text)
             return cached  # vectors are never mutated downstream
         ctx.registry.counter("repro.engine.embedding_cache.misses").inc()
-        vec = self.inner.embed_query(text)
+        vec = self.inner.embed_query(text, tokens=read_question(text, ctx).tokens)
         vec.flags.writeable = False
         ctx.cache_txn.write(self.cache, text, vec)
         return vec

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.corpus.facts import Fact, FactRegistry
-from repro.utils.textproc import code_tokens, stem, stemmed_tokens
+from repro.utils.textproc import QuestionReading, stem, stemmed_tokens
 
 
 @dataclass
@@ -147,14 +147,15 @@ class RelevanceModel:
         num = sum(self._token_idf.get(t, self._max_token_idf) for t in sorted(shared))
         return num / q.idf_mass if q.idf_mass > 0 else 0.0
 
-    def question_features(self, question: str) -> _QuestionFeatures:
+    def question_features(self, question: str | QuestionReading) -> _QuestionFeatures:
         """What :meth:`select` derives from ``question``; pass it in place
         of the question to select from several fact lists with one analysis."""
-        stems = set(stemmed_tokens(question))
+        reading = QuestionReading.of(question)
+        stems = set(reading.stems)
         return _QuestionFeatures(
-            lower=question.lower(),
+            lower=reading.text.lower(),
             stems=stems,
-            idents=set(code_tokens(question)),
+            idents=set(reading.idents),
             idf_mass=sum(self._token_idf.get(t, self._max_token_idf) for t in sorted(stems)),
         )
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from repro.context import RequestContext, read_question
 from repro.corpus.facts import Fact, FactRegistry
 from repro.llm.base import ChatMessage, ChatModel, CompletionResult, TokenUsage
 from repro.llm.hallucination import HallucinationGenerator
@@ -39,10 +39,7 @@ from repro.llm.relevance import RelevanceModel, _QuestionFeatures
 from repro.llm.tokens import count_tokens
 from repro.prompts.library import parse_rag_prompt
 from repro.utils.rng import stable_hash
-from repro.utils.textproc import code_tokens, is_petsc_api_identifier
-
-if TYPE_CHECKING:
-    from repro.context import RequestContext
+from repro.utils.textproc import QuestionReading, is_petsc_api_identifier
 
 _INTROS = (
     "In PETSc, the relevant behavior is as follows.",
@@ -102,13 +99,13 @@ class SimulatedChatModel(ChatModel):
 
     # ------------------------------------------------------------------ api
     def complete(
-        self, messages: list[ChatMessage], *, ctx: "RequestContext | None" = None
+        self, messages: list[ChatMessage], *, ctx: RequestContext | None = None
     ) -> CompletionResult:
         start = time.perf_counter()
         prompt_tokens = self._check_messages(messages)
         last_user = next(m for m in reversed(messages) if m.role == "user")
         parsed = parse_rag_prompt(last_user.content)
-        text = self._answer(parsed.question, parsed.context, parsed.guidance)
+        text = self._answer(parsed.question, parsed.context, parsed.guidance, ctx)
         completion_tokens = count_tokens(text)
         # Batched serving defers the burn to the coordinator's vectorized
         # flush; answer text is identical either way.
@@ -123,14 +120,14 @@ class SimulatedChatModel(ChatModel):
         )
 
     # ------------------------------------------------------------------ policy
-    def _unknown_identifiers(self, question: str) -> list[str]:
+    def _unknown_identifiers(self, question: QuestionReading) -> list[str]:
         """PETSc-API-shaped identifiers in the question that nothing knows.
 
         Only tokens shaped like real API names or option keys count;
         CamelCase concepts (BiCGStab, Gram-Schmidt) are ordinary words.
         """
         out = []
-        for ident in code_tokens(question):
+        for ident in question.idents:
             if not is_petsc_api_identifier(ident):
                 continue
             if ident in self.known_identifiers:
@@ -140,19 +137,28 @@ class SimulatedChatModel(ChatModel):
             out.append(ident)
         return out
 
-    def _answer(self, question: str, context: str | None, guidance: str | None) -> str:
+    def _answer(
+        self,
+        question: str,
+        context: str | None,
+        guidance: str | None,
+        ctx: RequestContext | None,
+    ) -> str:
         if guidance is not None:
             # Revision mode: honor developer guidance by re-answering with
             # the guidance folded into the relevance query.
             question = f"{question} {guidance}"
+        # The request's own reading when the prompt still asks its question.
+        reading = read_question(question, ctx)
         if context is not None:
-            return self._answer_grounded(question, context)
-        return self._answer_unassisted(question)
+            return self._answer_grounded(reading, context)
+        return self._answer_unassisted(reading)
 
-    def _answer_grounded(self, question: str, context: str) -> str:
+    def _answer_grounded(self, reading: QuestionReading, context: str) -> str:
+        question = reading.text
         context_facts = self.registry.facts_in(context)
         # One analysis of the question serves every selection below.
-        features = self.relevance.question_features(question)
+        features = self.relevance.question_features(reading)
         # Retrieval already filtered the material, so the model reads it
         # generously: everything plausibly related to the question makes
         # it into the answer (the paper's score-4 answers synthesize all
@@ -160,7 +166,7 @@ class SimulatedChatModel(ChatModel):
         picked = self.relevance.select(
             context_facts, features, max_facts=9, min_score=0.35, relative=0.0
         )
-        unknown = self._unknown_identifiers(question)
+        unknown = self._unknown_identifiers(reading)
         if unknown:
             # The question's subject does not exist anywhere in the
             # retrieved documentation: say so (the corrected KSPBurb
@@ -206,14 +212,17 @@ class SimulatedChatModel(ChatModel):
             parts.append(_VAGUE[stable_hash(question, namespace="vague") % len(_VAGUE)])
         return "\n\n".join(parts)
 
-    def _answer_unassisted(self, question: str) -> str:
-        unknown = self._unknown_identifiers(question)
+    def _answer_unassisted(self, reading: QuestionReading) -> str:
+        question = reading.text
+        unknown = self._unknown_identifiers(reading)
         if unknown:
             # Asked about an API it has never seen, an ungrounded model
             # confabulates a confident description (the KSPBurb failure).
             text, _ = self.hallucinator.fabricate(unknown[0], model_name=self.name)
             return text
-        picked = self.relevance.select(self.knowledge.known_facts(), question)
+        picked = self.relevance.select(
+            self.knowledge.known_facts(), self.relevance.question_features(reading)
+        )
         if not picked:
             if self.knowledge.coin("vague-false", question, p=self.persona.hallucination_rate):
                 falsehood = self.hallucinator.topical_falsehood(question, model_name=self.name)

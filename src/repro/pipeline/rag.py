@@ -27,6 +27,7 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.retrieval import RetrievedDocument, VectorRetriever
 from repro.retrieval.base import Retriever, dedupe_by_id
+from repro.utils.textproc import QuestionReading
 
 if TYPE_CHECKING:
     from repro.index import IndexArtifact
@@ -262,6 +263,7 @@ class RAGPipeline:
                     else None
                 ),
             )
+        ctx.question = QuestionReading(question)
         registry = ctx.registry
         tracer = ctx.tracer
         registry.counter("repro.pipeline.requests").inc()

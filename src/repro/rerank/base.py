@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from repro.context import RequestContext, read_question
 from repro.errors import RerankError
 from repro.retrieval.base import RetrievedDocument
-
-if TYPE_CHECKING:
-    from repro.context import RequestContext
+from repro.utils.textproc import QuestionReading
 
 
 @dataclass
@@ -32,8 +30,12 @@ class Reranker(ABC):
     name: str = "reranker"
 
     @abstractmethod
-    def score_pairs(self, query: str, texts: list[str]) -> list[float]:
-        """Relevance score for each (query, text) pair."""
+    def score_pairs(self, query: str | QuestionReading, texts: list[str]) -> list[float]:
+        """Relevance score for each (query, text) pair.
+
+        :meth:`rerank` hands a reading of the query in place of its text:
+        the request's own when ``ctx`` carries one of it.
+        """
 
     def rerank(
         self,
@@ -53,7 +55,9 @@ class Reranker(ABC):
             raise RerankError(f"top_n must be positive, got {top_n}")
         if not candidates:
             return []
-        scores = self.score_pairs(query, [c.document.text for c in candidates])
+        scores = self.score_pairs(
+            read_question(query, ctx), [c.document.text for c in candidates]
+        )
         if len(scores) != len(candidates):
             raise RerankError(
                 f"{self.name} returned {len(scores)} scores for {len(candidates)} candidates"

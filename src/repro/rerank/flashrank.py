@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.documents import Document
 from repro.rerank.base import Reranker
 from repro.rerank.scoring import InteractionScorer, build_idf
+from repro.utils.textproc import QuestionReading
 
 
 class FlashrankLiteReranker(Reranker):
@@ -28,5 +29,5 @@ class FlashrankLiteReranker(Reranker):
             w_focus=0.12,
         )
 
-    def score_pairs(self, query: str, texts: list[str]) -> list[float]:
+    def score_pairs(self, query: str | QuestionReading, texts: list[str]) -> list[float]:
         return self._scorer.score_batch(query, texts).tolist()

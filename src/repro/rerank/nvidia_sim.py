@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.documents import Document
 from repro.rerank.base import Reranker
 from repro.rerank.scoring import InteractionScorer, build_idf
+from repro.utils.textproc import QuestionReading
 
 
 class NvidiaSimReranker(Reranker):
@@ -31,7 +32,7 @@ class NvidiaSimReranker(Reranker):
             w_focus=0.12,
         )
 
-    def score_pairs(self, query: str, texts: list[str]) -> list[float]:
+    def score_pairs(self, query: str | QuestionReading, texts: list[str]) -> list[float]:
         scores: list[float] = []
         for start in range(0, len(texts), self.batch_size):
             batch = texts[start : start + self.batch_size]

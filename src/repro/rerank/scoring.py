@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.documents import Document
 from repro.utils.textproc import (
-    code_tokens,
+    QuestionReading,
     stem,
     stemmed_tokens,
     tokenize_with_stopwords,
@@ -208,8 +208,8 @@ class InteractionScorer:
         d_bigrams = set(word_ngrams([stem(t) for t in tokenize_with_stopwords(text)], 2))
         return d_stems, d_terms, d_concepts, d_bigrams
 
-    def _analyse_query(self, query: str) -> _QueryFeatures:
-        terms = set(stemmed_tokens(query))
+    def _analyse_query(self, query: QuestionReading) -> _QueryFeatures:
+        terms = set(query.stems)
         # Sorted: float addition is non-associative and set order varies
         # with the process hash seed, so sums taken in set order differ in
         # their last bits between processes.
@@ -223,15 +223,15 @@ class InteractionScorer:
             terms=terms,
             weighted=weighted,
             total=total,
-            idents=set(code_tokens(query)),
-            bigrams=set(word_ngrams([stem(t) for t in tokenize_with_stopwords(query)], 2)),
+            idents=set(query.idents),
+            bigrams=set(word_ngrams([stem(t) for t in tokenize_with_stopwords(query.text)], 2)),
         )
 
-    def score(self, query: str, text: str) -> float:
+    def score(self, query: str | QuestionReading, text: str) -> float:
         return float(self.score_batch(query, [text])[0])
 
-    def score_batch(self, query: str, texts: list[str]) -> np.ndarray:
-        q = self._analyse_query(query)
+    def score_batch(self, query: str | QuestionReading, texts: list[str]) -> np.ndarray:
+        q = self._analyse_query(QuestionReading.of(query))
         scores = np.empty(len(texts), dtype=np.float64)
         for i, text in enumerate(texts):
             d_stems, d_terms, d_concepts, d_bigrams = self._doc_features(text)

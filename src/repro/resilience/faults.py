@@ -31,6 +31,7 @@ from repro.utils.rng import rng_for
 
 if TYPE_CHECKING:
     from repro.context import RequestContext
+    from repro.utils.textproc import QuestionReading
 
 T = TypeVar("T")
 
@@ -317,7 +318,7 @@ class FaultyReranker(Reranker):
         self.site = site
         self.name = inner.name
 
-    def score_pairs(self, query: str, texts: list[str]) -> list[float]:
+    def score_pairs(self, query: str | QuestionReading, texts: list[str]) -> list[float]:
         return self.inner.score_pairs(query, texts)
 
     def rerank(

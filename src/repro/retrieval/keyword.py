@@ -9,15 +9,13 @@ matching manual pages.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
+from repro.context import RequestContext, read_question
 from repro.corpus.builder import CorpusBundle
 from repro.documents import Document
 from repro.retrieval.base import RetrievedDocument, Retriever
 from repro.utils.textproc import code_tokens
-
-if TYPE_CHECKING:
-    from repro.context import RequestContext
 
 
 class ManualPageKeywordSearch(Retriever):
@@ -56,7 +54,7 @@ class ManualPageKeywordSearch(Retriever):
     ) -> list[RetrievedDocument]:
         hits: list[RetrievedDocument] = []
         seen: set[str] = set()
-        for ident in code_tokens(query):
+        for ident in read_question(query, ctx).idents:
             page = self.lookup(ident)
             if page is not None and page.doc_id not in seen:
                 seen.add(page.doc_id)

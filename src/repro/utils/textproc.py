@@ -12,7 +12,7 @@ manual-page keyword search depends on exact identifier matching.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 # A compact English stopword list.  Kept small on purpose: technical
@@ -189,6 +189,40 @@ def stem(token: str) -> str:
 def stemmed_tokens(text: str) -> list[str]:
     """Stemmed, lowercased, stopword-filtered tokens."""
     return [stem(t) for t in tokenize(text)]
+
+
+class QuestionReading:
+    """One question read once: what retrieval, rerank and the model each
+    used to derive from its text for themselves.
+
+    A request carries one (:attr:`repro.context.RequestContext.question`)
+    and a stage accepts it in place of the text.  Each view is derived
+    on first use and is a tuple, so stages share it safely; it belongs
+    to the request and is never kept by question, so a cold ask stays
+    cold.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    @classmethod
+    def of(cls, question: "str | QuestionReading") -> "QuestionReading":
+        return question if isinstance(question, cls) else cls(question)
+
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """:func:`tokenize` of the text."""
+        return tuple(tokenize(self.text))
+
+    @cached_property
+    def stems(self) -> tuple[str, ...]:
+        """:func:`stemmed_tokens` of the text."""
+        return tuple(stem(t) for t in self.tokens)
+
+    @cached_property
+    def idents(self) -> tuple[str, ...]:
+        """:func:`code_tokens` of the text."""
+        return tuple(code_tokens(self.text))
 
 
 def truncate_words(text: str, max_words: int) -> str:

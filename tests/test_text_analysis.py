@@ -8,33 +8,44 @@ references: the production code must agree with them exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import random
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import open_service
+from repro.context import RequestContext, read_question
 from repro.corpus import facts as facts_module
 from repro.corpus.builder import chunk_corpus
 from repro.corpus.facts import Fact, FactRegistry, Falsehood, default_registry
-from repro.errors import CorpusError
+from repro.errors import CorpusError, ModelError
 from repro.documents import Document
+from repro.embeddings import create_embedding_model
 from repro.evaluation.benchmark import krylov_benchmark
+from repro.llm import registry as model_registry
+from repro.llm import tokens as tokens_module
 from repro.llm.relevance import RelevanceModel
 from repro.llm.tokens import count_tokens
-from repro.prompts import parse_rag_prompt
+from repro.observability import MetricsRegistry
+from repro.prompts import RAG_SYSTEM_PROMPT, parse_rag_prompt
 from repro.rerank import FlashrankLiteReranker, NvidiaSimReranker
 from repro.rerank import scoring
+from repro.utils import textproc
 from repro.utils.textproc import (
+    QuestionReading,
     code_tokens,
     sentences,
     stem,
     stemmed_tokens,
+    tokenize,
     tokenize_with_stopwords,
     word_ngrams,
 )
@@ -292,13 +303,19 @@ def corpus_lines(chunks):
 
 
 @pytest.fixture(scope="module")
-def prompts(rag_pipeline, rerank_pipeline):
-    """The rendered prompt of every Krylov question, rag then rag+rerank."""
+def results(rag_pipeline, rerank_pipeline):
+    """The result of every Krylov question, rag then rag+rerank."""
     return [
-        pipeline.answer(question.text).prompt
+        pipeline.answer(question.text)
         for pipeline in (rag_pipeline, rerank_pipeline)
         for question in krylov_benchmark()
     ]
+
+
+@pytest.fixture(scope="module")
+def prompts(results):
+    """The rendered prompt of each of ``results``."""
+    return [result.prompt for result in results]
 
 
 @pytest.fixture(scope="module")
@@ -517,13 +534,32 @@ class TestLineScanMemo:
         assert table.read_line.cache_info().currsize > 400
 
 
+@pytest.fixture
+def pattern_runs(monkeypatch):
+    """Runs of the token pattern, counted from an empty line memo."""
+    runs = _Counted(tokens_module._TOKEN_RE.findall)
+    monkeypatch.setattr(tokens_module, "_TOKEN_RE", types.SimpleNamespace(findall=runs))
+    tokens_module._count_short_line.cache_clear()
+    return runs
+
+
 class TestTokenCount:
-    """``count_tokens`` lets the pattern take a run five characters at a
-    time; the reference measures each run in Python."""
+    """``count_tokens`` sums its lines' counts, each distinct line counted
+    once behind a bounded memo, and lets the pattern take a run five
+    characters at a time; the reference reads the text whole and measures
+    each run in Python."""
 
     def test_every_chunk_and_every_prompt(self, chunks, prompts):
         for text in [*(chunk.text for chunk in chunks), *prompts]:
             assert count_tokens(text) == ref_count_tokens(text) > 0
+
+    def test_usage_of_every_answer(self, results):
+        system = ref_count_tokens(RAG_SYSTEM_PROMPT)
+        assert len(results) == 2 * len(krylov_benchmark())
+        for result in results:
+            usage = result.completion.usage
+            assert usage.prompt_tokens == system + ref_count_tokens(result.prompt)
+            assert usage.completion_tokens == ref_count_tokens(result.completion.text)
 
     @given(st.text(max_size=200))
     @settings(max_examples=300, deadline=None)
@@ -535,9 +571,151 @@ class TestTokenCount:
     def test_long_runs_and_non_ascii_alphanumerics(self, text):
         assert count_tokens(text) == ref_count_tokens(text)
 
+    @given(st.text(alphabet="aZ09_. " + "".join(_LINE_BREAKS), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_every_line_break_splitlines_honours(self, text):
+        assert count_tokens(text) == ref_count_tokens(text)
+
+    @pytest.mark.parametrize("line_break", _LINE_BREAKS)
+    def test_a_run_that_straddles_a_line_break_is_two_runs(self, line_break):
+        text = "abcdefg" + line_break + "hij"
+        assert count_tokens(text) == ref_count_tokens(text) == 3
+
     @pytest.mark.parametrize("length", range(0, 23))
     def test_a_run_is_one_token_per_five_characters_rounded_up(self, length):
         assert count_tokens("a" * length) == ref_count_tokens("a" * length) == -(-length // 5)
+
+    def test_a_line_counted_before_is_not_read_again(self, prompts, pattern_runs):
+        prompt = prompts[-1]
+        lines = prompt.split("\n")
+        assert count_tokens(prompt) == ref_count_tokens(prompt)
+        assert 1 < pattern_runs.calls == len(set(lines)) < len(lines)
+        pattern_runs.calls = 0
+        assert count_tokens(prompt) == ref_count_tokens(prompt)
+        assert pattern_runs.calls == 0
+        lines[len(lines) // 2] += " KSPBurb"
+        edited = "\n".join(lines)
+        assert count_tokens(edited) == ref_count_tokens(edited) == ref_count_tokens(prompt) + 2
+        assert pattern_runs.calls == 1
+
+    def test_an_over_long_line_is_counted_and_never_kept(self, pattern_runs):
+        memo = tokens_module._count_short_line
+        limit = tokens_module._LINE_MEMO_MAX_CHARS
+        kept, too_long = "ab " * (limit // 3), "ab " * (limit // 3 + 1)
+        assert len(kept) <= limit < len(too_long)
+        text = f"short\n{too_long}\n{kept}"
+        for _ in range(2):
+            assert count_tokens(text) == ref_count_tokens(text)
+        assert pattern_runs.calls == 4  # the over-long line twice, the other two once
+        assert memo.cache_info().currsize == 2
+
+    def test_the_memo_is_bounded(self, pattern_runs):
+        memo = tokens_module._count_short_line
+        size = tokens_module._LINE_MEMO_SIZE
+        text = "\n".join(f"line {i}" for i in range(size + 100))
+        assert count_tokens(text) == ref_count_tokens(text)
+        info = memo.cache_info()
+        assert (info.currsize, info.maxsize, info.misses) == (size, size, size + 100)
+
+    def test_a_prompt_past_the_context_window_fails_at_the_front_door(
+        self, bundle, fast_config, rerank_pipeline, monkeypatch
+    ):
+        """``ModelError`` through ``ReproService.answer``: the count in the
+        message is the reference count of the prompt that was sent."""
+        question = krylov_benchmark()[0].text
+        sent = rerank_pipeline.answer(question)
+        needed = ref_count_tokens(RAG_SYSTEM_PROMPT) + ref_count_tokens(sent.prompt)
+        persona = model_registry._PERSONAS[fast_config.chat_model]
+
+        def ask(context_window):
+            monkeypatch.setitem(
+                model_registry._PERSONAS,
+                persona.name,
+                dataclasses.replace(persona, context_window=context_window),
+            )
+            registry = MetricsRegistry()
+            service = open_service(fast_config, bundle=bundle, registry=registry)
+            try:
+                return service.answer(question).answer
+            finally:
+                failures = registry.counter("repro.pipeline.failures").value
+                assert failures == (0 if context_window >= needed else 1)
+
+        assert ask(needed) == sent.answer
+        message = (
+            rf"prompt of {needed} tokens exceeds {persona.name} context window \({needed - 1}\)"
+        )
+        with pytest.raises(ModelError, match=message):
+            ask(needed - 1)
+
+
+# --------------------------------------------------------------------- one reading per request
+class TestQuestionReading:
+    """A request reads its question once; each stage used to."""
+
+    @given(st.one_of(_texts, st.text(max_size=80)))
+    @settings(max_examples=200, deadline=None)
+    def test_a_reading_is_what_each_stage_derived_itself(self, text):
+        reading = QuestionReading(text)
+        assert reading.tokens == tuple(tokenize(text))
+        assert reading.stems == tuple(stemmed_tokens(text))
+        assert reading.idents == tuple(code_tokens(text))
+        assert QuestionReading.of(reading) is reading
+        assert QuestionReading.of(text).text == text
+
+    def test_stages_given_a_reading_answer_as_given_the_text(self, registry, chunks):
+        rel = RelevanceModel(registry)
+        scorer = FlashrankLiteReranker(chunks)._scorer
+        texts = [chunk.text for chunk in chunks[::9]]
+        models = [
+            create_embedding_model("petsc-embed-large", corpus_texts=texts),
+            create_embedding_model("petsc-embed-small"),
+        ]
+        for question in [q.text for q in krylov_benchmark()] + ["", "-ksp_type preonly?"]:
+            reading = QuestionReading(question)
+            assert rel.question_features(reading) == rel.question_features(question)
+            assert scorer.score_batch(reading, texts).tolist() == [
+                ref_pair_score(scorer, question, text) for text in texts
+            ]
+            for model in models:
+                given = model.embed_query(question, tokens=reading.tokens)
+                assert given.tobytes() == model.embed_query(question).tobytes()
+                assert given.tobytes() == model.embed_documents([question])[0].tobytes()
+
+    def test_only_the_text_it_was_made_of_gets_the_request_s_reading(self):
+        ctx = RequestContext.create(registry=MetricsRegistry())
+        assert read_question("What is KSPCG?", ctx).text == "What is KSPCG?"
+        assert ctx.question is None  # stages read; only the pipeline sets
+        ctx.question = QuestionReading("What is KSPCG?")
+        assert read_question("What is " + "KSPCG?", ctx) is ctx.question
+        # Revision guidance folded into the model's question, a direct call:
+        for text, given in [("What is KSPCG? be brief", ctx), ("What is KSPCG?", None)]:
+            fresh = read_question(text, given)
+            assert fresh is not ctx.question and fresh.text == text
+
+    def test_a_cold_ask_reads_its_question_once(self, bundle, fast_config, monkeypatch):
+        reads = {"words": [], "idents": []}
+
+        def recording(pattern, into):
+            def finditer(text):
+                into.append(text)
+                return pattern.finditer(text)
+
+            return types.SimpleNamespace(finditer=finditer)
+
+        service = open_service(fast_config, bundle=bundle, registry=MetricsRegistry())
+        questions = [q.text for q in krylov_benchmark()[:6]]
+        expected = [service.answer(question).answer for question in questions]
+        service.invalidate_query_caches()
+        monkeypatch.setattr(textproc, "_WORD_RE", recording(textproc._WORD_RE, reads["words"]))
+        monkeypatch.setattr(
+            textproc, "_PETSC_IDENT_RE", recording(textproc._PETSC_IDENT_RE, reads["idents"])
+        )
+        assert [service.answer(question).answer for question in questions] == expected
+        for question in questions:
+            # Words: the shared tokens, and rerank's stopword-keeping pass.
+            assert reads["words"].count(question) == 2
+            assert reads["idents"].count(question) == 1
 
 
 # --------------------------------------------------------------------- rerank features
