@@ -6,6 +6,13 @@ so any component can grab its counter without wiring a registry through
 every constructor — the default registry is process-wide, and tests or
 CLI commands scope themselves with :func:`use_registry`.
 
+Unit prices: a lookup of an existing instrument is one ``dict.get`` and
+takes no lock (a single ``dict.get`` is atomic under the interpreter
+lock).  The name check and the cross-kind guard run once, when the
+instrument is created, under the registry lock — the only moment either
+can fail, since a name that fails them is never stored.  Writes stay
+under :data:`_write_lock`.
+
 Determinism contract: counters, gauges, and histograms registered with
 ``deterministic=True`` hold values that are pure functions of the
 workload and seed (call counts, token counts, attempt counts...).
@@ -22,11 +29,11 @@ import re
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from repro.errors import ObservabilityError
 
-_NAME_RE = re.compile(r"^repro(\.[a-z0-9_]+){2,}$")
+_NAME_RE = re.compile(r"repro(\.[a-z0-9_]+){2,}")
 
 #: Default buckets for duration histograms, in milliseconds.
 DEFAULT_MS_BUCKETS: tuple[float, ...] = (
@@ -35,7 +42,8 @@ DEFAULT_MS_BUCKETS: tuple[float, ...] = (
 
 
 def _check_name(name: str) -> None:
-    if not _NAME_RE.match(name):
+    # fullmatch: a ``$`` anchor would also accept a trailing newline.
+    if not _NAME_RE.fullmatch(name):
         raise ObservabilityError(
             f"metric name {name!r} violates the repro.<subsystem>.<name> convention"
         )
@@ -122,6 +130,9 @@ class Histogram:
         return full
 
 
+_I = TypeVar("_I", Counter, Gauge, Histogram)
+
+
 class MetricsRegistry:
     """Get-or-create instrument registry with deterministic digests."""
 
@@ -132,25 +143,28 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------ registration
-    def _guard(self, name: str, kind: dict) -> None:
-        _check_name(name)
-        for other in (self._counters, self._gauges, self._histograms):
-            if other is not kind and name in other:
-                raise ObservabilityError(f"metric {name!r} already registered as another type")
+    def _create(self, name: str, kind: dict[str, _I], make: Callable[[str], _I]) -> _I:
+        """Get-or-create ``name`` in ``kind`` under the lock: the one place
+        a name is checked and the cross-kind guard runs."""
+        with self._lock:
+            found = kind.get(name)
+            if found is None:
+                _check_name(name)
+                for other in (self._counters, self._gauges, self._histograms):
+                    if other is not kind and name in other:
+                        raise ObservabilityError(
+                            f"metric {name!r} already registered as another type"
+                        )
+                found = kind[name] = make(name)
+            return found
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            self._guard(name, self._counters)
-            if name not in self._counters:
-                self._counters[name] = Counter(name)
-            return self._counters[name]
+        found = self._counters.get(name)
+        return found if found is not None else self._create(name, self._counters, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            self._guard(name, self._gauges)
-            if name not in self._gauges:
-                self._gauges[name] = Gauge(name)
-            return self._gauges[name]
+        found = self._gauges.get(name)
+        return found if found is not None else self._create(name, self._gauges, Gauge)
 
     def histogram(
         self,
@@ -159,13 +173,16 @@ class MetricsRegistry:
         *,
         deterministic: bool = False,
     ) -> Histogram:
-        with self._lock:
-            self._guard(name, self._histograms)
-            if name not in self._histograms:
-                self._histograms[name] = Histogram(
-                    name, buckets, deterministic=deterministic
-                )
-            return self._histograms[name]
+        """``buckets`` and ``deterministic`` apply when the histogram is
+        created; a lookup of an existing one ignores them."""
+        found = self._histograms.get(name)
+        if found is not None:
+            return found
+        return self._create(
+            name,
+            self._histograms,
+            lambda n: Histogram(n, buckets, deterministic=deterministic),
+        )
 
     def reset(self) -> None:
         with self._lock:

@@ -2,7 +2,7 @@
 
 Every hop of the stack — pipeline stages, individual retrievers, the
 reranker, LLM attempts, poller ticks, webhook posts — goes through
-:func:`stage`, which in one shot:
+:class:`stage`, which in one shot:
 
 * opens a span named ``name`` on the tracer (when one is active),
 * counts the call on ``<metric>.requests``,
@@ -17,41 +17,59 @@ names, and the failure accounting all come from the same place.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.observability.trace import Span, Tracer
 
 
-@contextmanager
-def stage(
-    name: str,
-    *,
-    metric: str,
-    tracer: Tracer | None = None,
-    registry: MetricsRegistry | None = None,
-    **attributes: object,
-) -> Iterator[Span | None]:
-    """Instrument one hop; yields the open span (None without a tracer).
+class stage:
+    """Instrument one hop; the ``with`` target is the open span (None
+    without an active tracer).
 
     ``metric`` is the instrument prefix, e.g. ``repro.pipeline.locate``
     registers ``.requests`` / ``.failures`` counters and a
-    ``.duration_ms`` histogram under it.
+    ``.duration_ms`` histogram under it.  The registry is resolved, and
+    ``.requests`` counted, at ``with`` entry; an escaping exception
+    closes the span as ``error``, counts on ``.failures`` and propagates.
     """
-    reg = registry if registry is not None else get_registry()
-    reg.counter(f"{metric}.requests").inc()
-    start = time.perf_counter()
-    try:
-        if tracer is not None and tracer.active:
-            with tracer.span(name, **attributes) as span:
-                yield span
+
+    __slots__ = ("_name", "_metric", "_tracer", "_registry", "_attributes", "_span", "_start")
+
+    def __init__(
+        self,
+        name: str,
+        *,
+        metric: str,
+        tracer: Tracer | None = None,
+        registry: MetricsRegistry | None = None,
+        **attributes: object,
+    ) -> None:
+        self._name = name
+        self._metric = metric
+        self._tracer = tracer
+        self._registry = registry
+        self._attributes = attributes
+
+    def __enter__(self) -> Span | None:
+        if self._registry is None:
+            self._registry = get_registry()
+        self._registry.counter(self._metric + ".requests").inc()
+        self._start = time.perf_counter()
+        tracer = self._tracer
+        if tracer is not None and tracer._stack:
+            self._span = tracer._push(self._name, self._attributes)
         else:
-            yield None
-    except BaseException:
-        reg.counter(f"{metric}.failures").inc()
-        raise
-    finally:
-        reg.histogram(f"{metric}.duration_ms").observe(
-            1000.0 * (time.perf_counter() - start)
-        )
+            self._span = None
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        registry = self._registry
+        try:
+            if self._span is not None:
+                self._tracer._pop(self._span, exc)
+        finally:
+            if exc is not None:
+                registry.counter(self._metric + ".failures").inc()
+            registry.histogram(self._metric + ".duration_ms").observe(
+                1000.0 * (time.perf_counter() - self._start)
+            )

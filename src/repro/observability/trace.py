@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -254,54 +253,86 @@ class Tracer:
     def active(self) -> bool:
         return bool(self._stack)
 
-    def _close(self, span: Span, exc: BaseException | None) -> None:
-        if exc is not None:
-            span.status = "error"
-            span.add_event(
-                f"error:{type(exc).__name__}",
-                at=self.clock(),
-                message=str(exc)[:200],
-            )
-        span.end = self.clock()
-
-    @contextmanager
-    def trace(self, name: str = "pipeline", **attributes: object) -> Iterator[Trace]:
-        """Open a new root span; yields the :class:`Trace` being built."""
-        if self._stack:
-            raise ObservabilityError(
-                f"cannot start trace {name!r}: span {self._stack[-1].name!r} is active"
-            )
-        root = Span(name=name, start=self.clock(), attributes=dict(attributes))
-        self._stack.append(root)
-        try:
-            yield Trace(root)
-        except BaseException as exc:
-            self._close(root, exc)
-            raise
-        else:
-            self._close(root, None)
-        finally:
-            self._stack.pop()
-
-    @contextmanager
-    def span(self, name: str, **attributes: object) -> Iterator[Span]:
-        """Open a child span under the current span."""
-        if not self._stack:
+    def _push(self, name: str, attributes: dict[str, object]) -> Span:
+        """Open a child span under the current span and make it current."""
+        stack = self._stack
+        if not stack:
             raise ObservabilityError(f"span {name!r} requires an active trace")
-        span = Span(name=name, start=self.clock(), attributes=dict(attributes))
-        self._stack[-1].children.append(span)
-        self._stack.append(span)
+        span = Span(name=name, start=self.clock(), attributes=attributes)
+        stack[-1].children.append(span)
+        stack.append(span)
+        return span
+
+    def _pop(self, span: Span, exc: BaseException | None) -> None:
+        """Close the current span ``span``; an escaping ``exc`` marks it
+        ``error`` with an ``error:<Type>`` event.  The stack is popped
+        whatever happens, so it stays balanced."""
         try:
-            yield span
-        except BaseException as exc:
-            self._close(span, exc)
-            raise
-        else:
-            self._close(span, None)
+            if exc is not None:
+                span.status = "error"
+                span.add_event(
+                    f"error:{type(exc).__name__}",
+                    at=self.clock(),
+                    message=str(exc)[:200],
+                )
+            span.end = self.clock()
         finally:
             self._stack.pop()
+
+    def trace(self, name: str = "pipeline", **attributes: object) -> _TraceScope:
+        """Open a new root span; the ``with`` target is the :class:`Trace`
+        being built.  Raises at ``with`` entry while a span is active."""
+        return _TraceScope(self, name, attributes)
+
+    def span(self, name: str, **attributes: object) -> _SpanScope:
+        """Open a child span under the current span; the ``with`` target is
+        the :class:`Span`.  Raises at ``with`` entry outside a trace."""
+        return _SpanScope(self, name, attributes)
 
     def event(self, name: str, **attributes: object) -> None:
         """Record an event on the current span (no-op outside a trace)."""
         if self._stack:
             self._stack[-1].add_event(name, at=self.clock(), **attributes)
+
+
+class _SpanScope:
+    """``with tracer.span(...)``: a child span from entry to exit."""
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span")
+
+    def __init__(self, tracer: Tracer, name: str, attributes: dict[str, object]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        self._span = self._tracer._push(self._name, self._attributes)
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._tracer._pop(self._span, exc)
+
+
+class _TraceScope:
+    """``with tracer.trace(...)``: a root span from entry to exit."""
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_root")
+
+    def __init__(self, tracer: Tracer, name: str, attributes: dict[str, object]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Trace:
+        tracer = self._tracer
+        if tracer._stack:
+            raise ObservabilityError(
+                f"cannot start trace {self._name!r}: "
+                f"span {tracer._stack[-1].name!r} is active"
+            )
+        self._root = Span(name=self._name, start=tracer.clock(), attributes=self._attributes)
+        tracer._stack.append(self._root)
+        return Trace(self._root)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._tracer._pop(self._root, exc)

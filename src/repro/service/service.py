@@ -32,8 +32,7 @@ from repro.admission import ADMIT, QUEUE, SHED, AdmissionDecision
 from repro.context import CacheTransaction, RequestContext
 from repro.errors import ConfigurationError, ReproError
 from repro.llm.latency import TokenBurnCollector
-from repro.observability import Tracer
-from repro.observability.trace import Trace
+from repro.observability.trace import Span, SpanEvent, Trace
 from repro.pipeline.rag import PipelineResult
 from repro.pipeline.types import PipelineMode
 from repro.resilience.policy import Deadline
@@ -43,6 +42,23 @@ if TYPE_CHECKING:
     from repro.engine import QueryEngine
     from repro.observability import MetricsRegistry
     from repro.pipeline.rag import RAGPipeline
+
+
+def _one_span_trace(
+    name: str, attributes: dict, event: str, event_attributes: dict
+) -> Trace:
+    """A closed root span carrying one event, for a request that ran no
+    stage (an answer-cache hit, a shed): built directly, with the span
+    tree a tracer would have recorded and ``start <= event <= end``."""
+    start = time.perf_counter()
+    root = Span(
+        name=name,
+        start=start,
+        attributes=attributes,
+        events=[SpanEvent(event, start, event_attributes)],
+    )
+    root.end = time.perf_counter()
+    return Trace(root)
 
 
 @dataclass
@@ -75,11 +91,12 @@ class _CachedAnswer:
 
     def replay(self, question: str, mode: PipelineMode) -> PipelineResult:
         """Materialize the cached answer: fresh root span, no llm child."""
-        tracer = Tracer()
-        with tracer.trace(
-            "pipeline", mode=str(mode), model=self.model, cached=True
-        ) as trace:
-            tracer.event("cache:answer-hit")
+        trace = _one_span_trace(
+            "pipeline",
+            {"mode": str(mode), "model": self.model, "cached": True},
+            "cache:answer-hit",
+            {},
+        )
         return PipelineResult(
             question=question,
             answer=self.answer,
@@ -107,13 +124,12 @@ def _shed_response(
 ) -> AnswerResponse:
     """A rejected request's record: no work ran, but the rejection is
     traced so shed requests show up in span digests like any other."""
-    tracer = Tracer()
-    with tracer.trace("admission", outcome=SHED) as trace:
-        tracer.event(
-            "admission:shed",
-            client=decision.client,
-            retry_after=round(decision.retry_after, 6),
-        )
+    trace = _one_span_trace(
+        "admission",
+        {"outcome": SHED},
+        "admission:shed",
+        {"client": decision.client, "retry_after": round(decision.retry_after, 6)},
+    )
     return AnswerResponse(
         index=index,
         question=question,

@@ -9,6 +9,8 @@ round-trips that keep the history JSONL schema unchanged.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from repro.observability import (
     stage,
     use_registry,
 )
-from repro.api import open_pipeline
+from repro.api import open_pipeline, open_service
 from repro.pipeline import DegradationEvent, PipelineMode
 from repro.pipeline.rag import RAGPipeline
 from repro.rerank.base import Reranker
@@ -122,16 +124,57 @@ class TestTracer:
 
     def test_nested_trace_rejected(self):
         tracer = Tracer(clock=TickClock())
-        with tracer.trace("pipeline"):
-            with pytest.raises(ObservabilityError):
-                with tracer.trace("pipeline"):
-                    pass
+        entered = []
+        with tracer.trace("pipeline") as trace:
+            nested = tracer.trace("pipeline")  # creating the scope checks nothing
+            with pytest.raises(ObservabilityError, match="is active"):
+                with nested:
+                    entered.append(True)
+            assert tracer.current_span is trace.root
+        assert entered == [] and not tracer.active
 
     def test_span_requires_active_trace(self):
         tracer = Tracer(clock=TickClock())
-        with pytest.raises(ObservabilityError):
-            with tracer.span("orphan"):
-                pass
+        orphan = tracer.span("orphan")  # the check runs at ``with`` entry
+        entered = []
+        with pytest.raises(ObservabilityError, match="requires an active trace"):
+            with orphan:
+                entered.append(True)
+        assert entered == [] and not tracer.active
+
+    def test_exception_in_nested_spans_unwinds_the_stack(self):
+        tracer = Tracer(clock=TickClock())
+        boom = ValueError("boom")
+        with tracer.trace("pipeline") as trace:
+            with pytest.raises(ValueError) as raised:
+                with tracer.span("outer"):
+                    with tracer.span("inner"):
+                        raise boom
+            assert raised.value is boom
+            assert tracer.current_span is trace.root
+        for name in ("outer", "inner"):
+            span = trace.find(name)[0]
+            assert span.status == "error"
+            assert span.event_names() == ["error:ValueError"]
+            assert span.events[0].attributes == {"message": "boom"}
+        assert trace.root.status == "ok"
+        assert trace.validate() == []
+        assert not tracer.active
+
+    def test_exception_escaping_the_trace_marks_the_root(self):
+        tracer = Tracer(clock=TickClock())
+        boom = KeyError("k")
+        with pytest.raises(KeyError) as raised:
+            with tracer.trace("pipeline", mode="rag") as trace:
+                raise boom
+        assert raised.value is boom
+        assert trace.root.status == "error"
+        assert trace.root.event_names() == ["error:KeyError"]
+        assert trace.root.attributes == {"mode": "rag"}
+        assert trace.validate() == [] and not tracer.active
+        with tracer.trace("pipeline") as again:  # the stack is empty again
+            pass
+        assert again.root.status == "ok"
 
     def test_event_is_noop_outside_trace(self):
         Tracer(clock=TickClock()).event("nobody-listening")  # must not raise
@@ -205,15 +248,90 @@ class TestMetricsRegistry:
 
     def test_name_convention_enforced(self):
         reg = MetricsRegistry()
-        for bad in ("calls", "repro.calls", "repro.Test.calls", "other.test.calls"):
-            with pytest.raises(ObservabilityError):
-                reg.counter(bad)
+        bad_names = (
+            "calls", "repro.calls", "repro.Test.calls", "other.test.calls",
+            "repro.engine.requests\n",  # ``$`` alone would accept this one
+        )
+        for bad in bad_names:
+            for kind in (reg.counter, reg.gauge, reg.histogram):
+                # A bad name is never created, so never cached: every call raises.
+                for _ in range(2):
+                    with pytest.raises(ObservabilityError):
+                        kind(bad)
+        assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
     def test_cross_type_conflict_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("repro.test.thing")
+        counter = reg.counter("repro.test.thing")
+        assert reg.counter("repro.test.thing") is counter
+        for other in (reg.gauge, reg.histogram):
+            for _ in range(2):
+                with pytest.raises(ObservabilityError):
+                    other("repro.test.thing")
+        reg.histogram("repro.test.sizes")
         with pytest.raises(ObservabilityError):
-            reg.gauge("repro.test.thing")
+            reg.counter("repro.test.sizes")
+
+    def test_validation_runs_once_at_creation(self, monkeypatch):
+        from repro.observability import metrics
+
+        checked: list[str] = []
+        real_check = metrics._check_name
+
+        def counting_check(name: str) -> None:
+            checked.append(name)
+            real_check(name)
+
+        monkeypatch.setattr(metrics, "_check_name", counting_check)
+        reg = MetricsRegistry()
+        names = ("repro.test.c", "repro.test.g", "repro.test.h")
+        kinds = (reg.counter, reg.gauge, reg.histogram)
+        created = [kind(name) for kind, name in zip(kinds, names)]
+        assert checked == list(names)
+        checked.clear()
+        for _ in range(3):
+            found = [kind(name) for kind, name in zip(kinds, names)]
+            assert all(a is b for a, b in zip(found, created))
+        assert checked == []  # a lookup of an existing name checks nothing
+        with pytest.raises(ObservabilityError):
+            reg.counter("repro.bad")
+        assert checked == ["repro.bad"]
+
+    def test_concurrent_get_or_create_yields_one_instrument_per_name(self):
+        reg = MetricsRegistry()
+        names = [f"repro.test.race_{i}" for i in range(100)]
+        workers, rounds = 8, 5
+        barrier = threading.Barrier(workers)
+        seen: list[list] = [[] for _ in range(workers)]
+
+        def work(slot: int) -> None:
+            barrier.wait(timeout=10)
+            for _ in range(rounds):
+                for name in names:
+                    counter = reg.counter(name)
+                    counter.inc()
+                    histogram = reg.histogram(name + "_ms")
+                    histogram.observe(1.0)
+                    seen[slot].append((name, counter, histogram))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for name, counter, histogram in (entry for got in seen for entry in got):
+            assert reg.counter(name) is counter
+            assert reg.histogram(name + "_ms") is histogram
+        assert sum(len(got) for got in seen) == workers * rounds * len(names)
+        for name in names:
+            assert reg.counter(name).value == workers * rounds
+            assert reg.histogram(name + "_ms").count == workers * rounds
 
     def test_counter_cannot_decrease(self):
         with pytest.raises(ObservabilityError):
@@ -282,9 +400,61 @@ class TestStageHelper:
         assert reg.counter("repro.test.hop.failures").value == 1
         assert reg.histogram("repro.test.hop.duration_ms").count == 1
 
+    def test_stage_exception_closes_its_span_and_reraises(self):
+        reg = MetricsRegistry()
+        tracer = Tracer(clock=TickClock())
+        boom = TransientError("down")
+        with tracer.trace("pipeline") as trace:
+            with tracer.span("outer") as outer:
+                with pytest.raises(TransientError) as raised:
+                    with stage(
+                        "hop", metric="repro.test.hop", tracer=tracer, registry=reg, k=3
+                    ):
+                        raise boom
+                assert raised.value is boom
+                assert tracer.current_span is outer
+        hop = trace.find("hop")[0]
+        assert hop.status == "error"
+        assert hop.event_names() == ["error:TransientError"]
+        assert hop.attributes == {"k": 3}
+        assert outer.status == "ok"
+        assert reg.counter("repro.test.hop.requests").value == 1
+        assert reg.counter("repro.test.hop.failures").value == 1
+        assert reg.histogram("repro.test.hop.duration_ms").count == 1
+        assert trace.validate() == []
+
     def test_stage_without_tracer_yields_none(self):
         with stage("hop", metric="repro.test.hop", registry=MetricsRegistry()) as span:
             assert span is None
+        tracer = Tracer(clock=TickClock())  # a tracer with no open trace: no span
+        with stage("hop", metric="repro.test.hop", tracer=tracer, registry=MetricsRegistry()) as span:
+            assert span is None
+
+    def test_stage_resolves_the_ambient_registry_at_entry(self):
+        reg = MetricsRegistry()
+        scope = stage("hop", metric="repro.test.hop")
+        with use_registry(reg):
+            with scope:
+                pass
+        assert reg.counter("repro.test.hop.requests").value == 1
+        assert reg.histogram("repro.test.hop.duration_ms").count == 1
+
+
+class TestReplayedTrace:
+    def test_answer_cache_hit_trace_matches_a_recorded_one(self, bundle, fast_config):
+        service = open_service(fast_config, bundle=bundle, registry=MetricsRegistry())
+        question = "How do I set the KSP tolerance?"
+        service.answer(question)
+        hit = service.answer(question)
+        tracer = Tracer(clock=TickClock())
+        with tracer.trace(
+            "pipeline", mode=str(hit.mode), model=hit.model, cached=True
+        ) as recorded:
+            tracer.event("cache:answer-hit")
+        assert hit.trace.validate() == []
+        assert hit.trace.structure_digest() == recorded.structure_digest()
+        assert hit.trace.root.attributes == recorded.root.attributes
+        assert [e.attributes for e in hit.trace.root.events] == [{}]
 
 
 # ---------------------------------------------------------------- typed enums
