@@ -68,14 +68,25 @@ class HealthTracker:
         self._cells: dict[tuple[int, int], _Cell] = {}
 
     def _cell(self, shard: int, replica: int) -> _Cell:
-        return self._cells.setdefault((shard, replica), _Cell())
+        """The key's cell, created on first use; the caller holds the lock."""
+        cell = self._cells.get((shard, replica))
+        if cell is None:
+            cell = self._cells[(shard, replica)] = _Cell()
+        return cell
 
     def state(self, shard: int, replica: int) -> ReplicaState:
         with self._lock:
             return self._cell(shard, replica).state
 
     def record_success(self, shard: int, replica: int, registry: MetricsRegistry) -> None:
-        """A probe answered: the replica is fully up again."""
+        """A probe answered: the replica is fully up again.
+
+        On a clean UP cell this is a no-op, so it returns after an
+        unlocked read (and linearises there); any transition locks.
+        """
+        cell = self._cells.get((shard, replica))
+        if cell is not None and cell.state is ReplicaState.UP and cell.failures == 0:
+            return
         with self._lock:
             cell = self._cell(shard, replica)
             recovered = cell.state is not ReplicaState.UP
@@ -110,7 +121,12 @@ class HealthTracker:
         ``probe_after`` selections and then gets one half-open probe;
         the probe's outcome (success → up, failure → down again) decides
         what happens next — all counted in attempts, never in seconds.
+        Only a down cell's skip count moves, so any other existing cell
+        answers from an unlocked read.
         """
+        cell = self._cells.get((shard, replica))
+        if cell is not None and cell.state is not ReplicaState.DOWN:
+            return True
         with self._lock:
             cell = self._cell(shard, replica)
             if cell.state is not ReplicaState.DOWN:

@@ -4,8 +4,8 @@ A :class:`ReplicaSet` holds the replicas of a single shard in a fixed
 order — replica 0 is the primary; every replica is a reference to the
 same immutable shard store (behind the fault seam where a schedule says
 so), so copies cannot diverge.  A query walks the healthy replicas in
-that order and returns the first answer, so a fault schedule that kills
-one replica per shard changes *which copy* answered (and the
+that order and returns the first score vector, so a fault schedule that
+kills one replica per shard changes *which copy* answered (and the
 ``repro.replica.*`` counters) but never the answer itself: no span
 events are emitted on the failover path, which is what keeps answers,
 metrics, and span digests byte-identical to the healthy single-copy
@@ -19,16 +19,11 @@ the one used, ``repro.replica.hedge_wins``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.errors import TransientError, VectorStoreError
 from repro.observability.metrics import MetricsRegistry
 from repro.replication.health import HealthTracker, ReplicaState
-
-if TYPE_CHECKING:
-    from repro.documents import Document
 
 
 class ReplicaSet:
@@ -67,20 +62,17 @@ class ReplicaSet:
             if self.health.should_probe(self.shard_index, replica)
         ]
 
-    def top_k(
-        self, qvec: np.ndarray, k: int, where: dict | None, registry: MetricsRegistry
-    ) -> "list[tuple[Document, float]] | None":
-        """This shard's top-k from the first replica that answers,
+    def scores(self, qvec: np.ndarray, registry: MetricsRegistry) -> "np.ndarray | None":
+        """This shard's score vector from the first replica that answers,
         counting the walk on ``registry`` (the querying request's).
 
         Returns ``None`` when no replica answers (every copy down or
-        failing) — the composite store degrades the merge to the
-        surviving shards and reports partial coverage.
+        failing) — the composite store selects over the surviving
+        shards and reports partial coverage.
         """
         order = self.probe_order()
         hedge_replica: int | None = None
-        hedge_hits: "list[tuple[Document, float]] | None" = None
-        hedge_ok = False
+        hedge_scores: "np.ndarray | None" = None
         if (
             self.hedging
             and len(order) > 1
@@ -88,36 +80,30 @@ class ReplicaSet:
         ):
             hedge_replica = order[1]
             registry.counter("repro.replica.hedges").inc()
-            hedge_hits, hedge_ok = self._probe(hedge_replica, qvec, k, where, registry)
+            hedge_scores = self._probe(hedge_replica, qvec, registry)
         for position, replica in enumerate(order):
             if replica == hedge_replica:
-                hits, ok = hedge_hits, hedge_ok
-                if ok and position > 0:
+                scores = hedge_scores
+                if scores is not None and position > 0:
                     registry.counter("repro.replica.hedge_wins").inc()
             else:
                 if position > 0:
                     registry.counter("repro.replica.failovers").inc()
-                hits, ok = self._probe(replica, qvec, k, where, registry)
-            if ok:
-                return hits
+                scores = self._probe(replica, qvec, registry)
+            if scores is not None:
+                return scores
         return None
 
     def _probe(
-        self,
-        replica: int,
-        qvec: np.ndarray,
-        k: int,
-        where: dict | None,
-        registry: MetricsRegistry,
-    ) -> "tuple[list[tuple[Document, float]] | None, bool]":
-        from repro.vectorstore.sharded import _shard_top_k
-
+        self, replica: int, qvec: np.ndarray, registry: MetricsRegistry
+    ) -> "np.ndarray | None":
+        """One replica's scores — one store call, so one fault draw."""
         registry.counter("repro.replica.probes").inc()
         try:
-            hits = _shard_top_k(self.replicas[replica], qvec, k, where)
+            scores = self.replicas[replica].scores(qvec)
         except (TransientError, VectorStoreError):
             self.health.record_failure(self.shard_index, replica, registry)
             registry.counter("repro.replica.probe_failures").inc()
-            return None, False
+            return None
         self.health.record_success(self.shard_index, replica, registry)
-        return hits, True
+        return scores

@@ -274,8 +274,8 @@ class FaultyChatModel(ChatModel):
 class FaultyVectorStore:
     """A shard replica behind a flaky transport.
 
-    The by-vector probe is the whole surface: it is the one call the
-    replica walk makes, and the scatter path is what failover protects.
+    The score probe is the whole surface: it is the one call the replica
+    walk makes, so one probe draws one ``(seed, site, call_index)`` step.
     The transport is all the wrapper adds: the data is the one shard
     store its siblings serve.
     """
@@ -288,9 +288,9 @@ class FaultyVectorStore:
         self.site = site
         self._rates = rates
 
-    def similarity_search_by_vector_with_score(self, qvec, *, k=4, where=None):
+    def scores(self, qvec):
         self.injector._maybe_raise(self.site, rates=self._rates)
-        return self.inner.similarity_search_by_vector_with_score(qvec, k=k, where=where)
+        return self.inner.scores(qvec)
 
 
 class FaultyRetriever(Retriever):

@@ -6,8 +6,8 @@ surface: ``from_documents``, ``similarity_search(_with_score)``,
 metadata ``where`` filters and persistence — everything but writes: a
 store is built once and a changed corpus is a new one.  A store is a
 list of documents beside one read-only embedding matrix and searches it
-by exact brute-force kNN; :class:`ShardedVectorStore` scatters a query
-over several and merges deterministically.
+by exact brute-force kNN; :class:`ShardedVectorStore` scores a query
+on several and selects once over their scores.
 """
 
 from repro.vectorstore.filters import matches_where

@@ -3,30 +3,21 @@
 The planner routes every document to a shard by a stable hash of its
 ``source`` metadata (:func:`shard_for_source`), so a given corpus always
 partitions the same way across processes and runs.  At query time the
-composite store embeds the query **once**, probes every shard by vector,
-and merges the per-shard top-k under the total order ``(-score,
-doc_id)``.
+composite store embeds the query **once**, scores every shard by vector
+(one ``matrix @ q`` per shard, from whichever replica answers), and
+makes one exact top-k selection over the answering shards' scores under
+the total order ``(-score, doc_id)``.
 
-Partition invariance is the load-bearing property: the merged top-k must
-be the same list for 1, 2, 4, or 8 shards.  Two details make that hold
-exactly rather than approximately:
-
-* A shard is asked for ``k + 1`` hits — the smallest width at which the
-  k-th score can be seen to separate from the next.  When it ties with
-  candidates beyond the fetch boundary, the width doubles until the
-  boundary score strictly separates (or the shard is exhausted), so no
-  tied candidate that could win the global ``doc_id`` tie-break is left
-  unfetched.
-* A shard store breaks score ties by insertion row, a per-shard accident,
-  so when the cut at ``k`` falls inside a score tie the shard's list is
-  re-sorted by ``(-score, doc_id)`` before it is cut.  Otherwise the
-  first ``k`` hits are already the shard's top-k *set* and the merge's
-  own sort imposes the order.
+Partition invariance is the load-bearing property: the top-k must be the
+same list for 1, 2, 4, or 8 shards.  It holds exactly because a row's
+score is its own shard's product, whatever the shard count, and the
+selection (:func:`~repro.vectorstore.store.top_k_hits`, the one a bare
+store makes too) sees every live row, so no tie at the cut is decided by
+row order or shard order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -36,7 +27,7 @@ from repro.embeddings.base import EmbeddingModel
 from repro.errors import PartialResultError, VectorStoreError
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.utils.rng import stable_hash
-from repro.vectorstore.store import VectorStore
+from repro.vectorstore.store import VectorStore, top_k_hits
 
 if TYPE_CHECKING:
     from repro.config import ReplicationConfig
@@ -66,45 +57,16 @@ def shard_for_document(doc: Document, num_shards: int) -> int:
     return shard_for_source(key, num_shards)
 
 
-def _sort_hits(hits: list[tuple[Document, float]]) -> None:
-    """Sort in place under the global ``(-score, doc_id)`` order.
-
-    ``doc_id`` hashes the whole chunk text, so it is taken only for hits
-    whose score another hit shares — the others never reach the tie-break.
-    """
-    shared = Counter(score for _, score in hits)
-    hits.sort(key=lambda pair: (-pair[1], pair[0].doc_id if shared[pair[1]] > 1 else ""))
-
-
-def _shard_top_k(
-    store: VectorStore, qvec: np.ndarray, k: int, where: dict | None
-) -> list[tuple[Document, float]]:
-    """One shard's top-k *set* under the global ``(-score, doc_id)`` order.
-
-    The store returns hits by descending score, so they need the
-    ``doc_id`` sort only when the cut at ``k`` splits a score tie; the
-    caller's merge orders whatever is returned.
-    """
-    fetch = k + 1
-    while True:
-        hits = store.similarity_search_by_vector_with_score(qvec, k=fetch, where=where)
-        if len(hits) < fetch or hits[-1][1] < hits[k - 1][1]:
-            break
-        fetch *= 2
-    if len(hits) > k and hits[k][1] == hits[k - 1][1]:
-        _sort_hits(hits)
-    return hits[:k]
-
-
 class ShardedVectorStore:
     """N per-shard :class:`VectorStore`\\ s behind the VectorStore surface.
 
     This is the store every index artifact serves from; the default
     single-database deployment is the one-shard case.  Queries scatter
-    across shards in a plain loop (a probe costs tens of microseconds,
-    less than handing it to a pool thread) and gather under a
-    deterministic merge.  Like its shards the store is read-only, so the
-    replicated view below shares the shard objects instead of copying them.
+    across shards in a plain loop (a probe costs microseconds, less than
+    handing it to a pool thread) and gather under one selection.  Like
+    its shards the store is read-only, so the replicated view below
+    shares the shard objects instead of copying them, and each view
+    holds its shards' documents in one row-aligned list built once.
     """
 
     def __init__(
@@ -132,6 +94,9 @@ class ShardedVectorStore:
         self.collection_name = collection_name
         self.replica_sets = replica_sets
         self.replication = replication
+        self._docs = [doc for shard in self.shards for doc in shard._docs]
+        # Reversed, so a duplicate id keeps its first row, as in a shard.
+        self._by_id = {doc.doc_id: doc for doc in reversed(self._docs)}
 
     @property
     def num_shards(self) -> int:
@@ -166,7 +131,7 @@ class ShardedVectorStore:
         where: dict | None = None,
         ctx: "RequestContext | None" = None,
     ) -> list[tuple[Document, float]]:
-        """Scatter the vector across shards, gather a deterministic top-k.
+        """Score the vector on every shard, select one exact top-k.
 
         With the request's ``ctx`` the scatter is a span on its tracer
         and counts on its registry; without one (a probe outside any
@@ -200,15 +165,24 @@ class ShardedVectorStore:
         registry: MetricsRegistry,
         span,
     ) -> list[tuple[Document, float]]:
-        """Merge the scatter; degrade (or raise) when shards went dark."""
+        """Select over the answering shards' rows; degrade (or raise) when
+        shards went dark."""
         per_shard = [
-            self._probe_shard(index, qvec, k, where, registry)
-            for index in range(self.num_shards)
+            self._probe_shard(index, qvec, registry) for index in range(self.num_shards)
         ]
-        merged = [hit for hits in per_shard if hits is not None for hit in hits]
+        failed = [index for index, scores in enumerate(per_shard) if scores is None]
+        docs = self._docs
+        if failed:
+            docs = [
+                doc
+                for shard, scores in zip(self.shards, per_shard)
+                if scores is not None
+                for doc in shard._docs
+            ]
+            per_shard = [scores for scores in per_shard if scores is not None]
         if span is not None:
-            span.attributes["candidates"] = len(merged)
-        failed = [index for index, hits in enumerate(per_shard) if hits is None]
+            # Rows scored: every row of every shard that answered.
+            span.attributes["candidates"] = len(docs)
         coverage = (self.num_shards - len(failed)) / self.num_shards
         if failed:
             registry.counter("repro.shard.partial_queries").inc()
@@ -232,25 +206,20 @@ class ShardedVectorStore:
                 )
         if ctx is not None:
             ctx.shard_coverage = min(ctx.shard_coverage, coverage)
-        _sort_hits(merged)
-        return merged[:k]
+        scores = np.concatenate(per_shard) if per_shard else np.empty(0, np.float32)
+        return top_k_hits(scores, docs, k, where)
 
     def _probe_shard(
-        self,
-        index: int,
-        qvec: np.ndarray,
-        k: int,
-        where: dict | None,
-        registry: MetricsRegistry,
-    ) -> "list[tuple[Document, float]] | None":
-        """One shard's top-k; ``None`` when no replica answered.
+        self, index: int, qvec: np.ndarray, registry: MetricsRegistry
+    ) -> "np.ndarray | None":
+        """One shard's score vector; ``None`` when no replica answered.
 
-        Without replication the shard store is probed directly and its
+        Without replication the shard store is scored directly and its
         failures propagate — byte-for-byte the pre-replication path.
         """
         if self.replica_sets is None:
-            return _shard_top_k(self.shards[index], qvec, k, where)
-        return self.replica_sets[index].top_k(qvec, k, where, registry)
+            return self.shards[index].scores(qvec)
+        return self.replica_sets[index].scores(qvec, registry)
 
     def similarity_search(
         self, query: str, *, k: int = 4, where: dict | None = None
@@ -258,15 +227,13 @@ class ShardedVectorStore:
         return [doc for doc, _ in self.similarity_search_with_score(query, k=k, where=where)]
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
+        return len(self._docs)
 
     def get(self, doc_id: str) -> Document:
-        for shard in self.shards:
-            try:
-                return shard.get(doc_id)
-            except VectorStoreError:
-                continue
-        raise VectorStoreError(f"unknown document id {doc_id!r}")
+        doc = self._by_id.get(doc_id)
+        if doc is None:
+            raise VectorStoreError(f"unknown document id {doc_id!r}")
+        return doc
 
     # ------------------------------------------------------------ views
     def with_replication(

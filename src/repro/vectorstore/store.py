@@ -12,12 +12,46 @@ import numpy as np
 from repro.documents import Document
 from repro.durability.atomic import atomic_write
 from repro.embeddings.base import EmbeddingModel
-from repro.embeddings.similarity import top_k_indices
 from repro.errors import VectorStoreError
 from repro.vectorstore.filters import matches_where
 
 if TYPE_CHECKING:
     from repro.context import RequestContext
+
+
+def _rank(hit: tuple[Document, float]) -> tuple[float, str]:
+    return -hit[1], hit[0].doc_id
+
+
+def top_k_hits(
+    scores: np.ndarray, docs: list[Document], k: int, where: dict | None = None
+) -> list[tuple[Document, float]]:
+    """The first ``k`` rows matching ``where`` under the total order
+    ``(-score, doc_id)``: the one top-k selection every search makes.
+
+    ``scores`` is row-aligned with ``docs``.  Without a filter the k-th
+    largest score is the boundary and every row at or above it is sorted,
+    so a tie straddling the cut is broken by ``doc_id``, never by row.
+    With one, rows are walked in descending score and ``where`` is read
+    only until a score falls strictly below the k-th match.
+    """
+    if not where:
+        cut = len(docs) - k
+        if cut > 0:
+            rows = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+            hits = [(docs[i], s) for i, s in zip(rows.tolist(), scores[rows].tolist())]
+        else:
+            hits = list(zip(docs, scores.tolist()))
+    else:
+        hits = []
+        order = np.argsort(-scores, kind="stable")
+        for i, s in zip(order.tolist(), scores[order].tolist()):
+            if len(hits) >= k and s < hits[k - 1][1]:
+                break
+            if matches_where(docs[i].metadata, where):
+                hits.append((docs[i], s))
+    hits.sort(key=_rank)
+    return hits[:k]
 
 
 class VectorStore:
@@ -36,8 +70,8 @@ class VectorStore:
 
     :attr:`matrix` is the store's own read-only C-contiguous float32
     array, one L2-normalised row per document in insertion order; a
-    search is one ``matrix @ query`` product and a top-k selection, which
-    breaks score ties by row.
+    search is one ``matrix @ query`` product (:meth:`scores`) and one
+    :func:`top_k_hits` selection, which breaks score ties by ``doc_id``.
     """
 
     def __init__(
@@ -128,10 +162,9 @@ class VectorStore:
     ) -> list[tuple[Document, float]]:
         """Top-k documents by cosine similarity, with scores.
 
-        Filtering is applied after the kNN scan by over-fetching, which
-        is exact as long as matches are not vanishingly rare; the fetch
-        width doubles until ``k`` matches are found or the store is
-        exhausted.
+        A ``where`` filter is exact: rows are read in descending score
+        until ``k`` matches are found and the next score is strictly
+        lower, so fewer than ``k`` come back only when fewer match.
         """
         if k <= 0:
             return []
@@ -148,34 +181,27 @@ class VectorStore:
     ) -> list[tuple[Document, float]]:
         """Top-k documents for an already-embedded query vector.
 
-        This is the scatter primitive for sharded search: the query is
-        embedded once and every shard probed by vector, so embedding
-        cost (and the embedding cache) stays per-query rather than
-        per-shard.  ``ctx`` is the store surface's request argument —
-        where a composite store's scatter span and counts go; a single
-        store emits neither.
+        ``ctx`` is the store surface's request argument — where a
+        composite store's scatter span and counts go; a single store
+        emits neither.
         """
         if k <= 0:
             return []
+        return top_k_hits(self.scores(qvec), self._docs, k, where)
+
+    def scores(self, qvec: np.ndarray) -> np.ndarray:
+        """Every row's cosine score against ``qvec``: one ``matrix @ q``.
+
+        This is the scatter primitive for sharded search: the query is
+        embedded once, every shard is scored by vector, and the
+        composite selects once over the answering shards' scores.
+        """
         q = np.asarray(qvec, dtype=np.float32).reshape(-1)
         if q.shape[0] != self.embedding.dim:
             raise VectorStoreError(
                 f"query dim {q.shape[0]} != store dim {self.embedding.dim}"
             )
-        scores = self.matrix @ q
-        fetch = k if where is None else max(4 * k, 32)
-        while True:
-            idx = top_k_indices(scores, fetch)
-            hits: list[tuple[Document, float]] = []
-            for i, s in zip(idx.tolist(), scores[idx].tolist()):
-                doc = self._docs[i]
-                if matches_where(doc.metadata, where):
-                    hits.append((doc, s))
-                    if len(hits) == k:
-                        return hits
-            if fetch >= len(self._docs):
-                return hits
-            fetch = min(2 * fetch, len(self._docs))
+        return self.matrix @ q
 
     def similarity_search(
         self, query: str, *, k: int = 4, where: dict | None = None

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ReplicationConfig
 from repro.documents import Document
 from repro.embeddings import HashingEmbedding
+from repro.errors import VectorStoreError
 from repro.evaluation import BenchmarkQuestion, Score
+from repro.observability import MetricsRegistry, use_registry
 from repro.replication import HealthTracker
 from repro.rerank import FlashrankLiteReranker
 from repro.retrieval.base import RetrievedDocument
@@ -128,14 +130,24 @@ class TestEmbeddingStoreConsistency:
         assert got == pytest.approx(manual[: len(got)], abs=1e-5)
 
 
+class _DarkReplica:
+    """A replica whose score transport never answers."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def scores(self, qvec):
+        raise VectorStoreError("replica dark")
+
+
 class TestTopKTies:
-    """Partition invariance when score ties straddle a shard's cut.
+    """The one top-k selection against brute force when score ties
+    straddle the cut.
 
     Scores are planted (one-hot query over hand-made rows) so ties are
     exact: a repeated text under different sources is a duplicate, two
-    texts on one level are a plateau.  The tie-break is a hash and the
-    merge's candidates pass through a ``Counter``, so CI reruns this
-    class under ``PYTHONHASHSEED=0`` and ``1``.
+    texts on one level are a plateau.  The tie-break is a hash, so CI
+    reruns this class under ``PYTHONHASHSEED=0`` and ``1``.
     """
 
     _EMB = HashingEmbedding(dim=8)
@@ -178,3 +190,43 @@ class TestTopKTies:
             for view in (store, replicated):
                 hits = view.similarity_search_by_vector_with_score(self._QVEC, k=k)
                 assert [(d.doc_id, s) for d, s in hits] == expected, num_shards
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=40),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=10),
+        st.sets(st.integers(min_value=0, max_value=7), max_size=8),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_selection_equals_brute_force_over_live_rows(
+        self, text_ids, num_shards, k, dark, filtered
+    ):
+        """Every live row's per-shard score, sorted by ``(-score,
+        doc_id)`` and cut at k — fewer than k when fewer rows match."""
+        docs = [
+            Document(
+                text=f"planted text {t}",
+                metadata={"source": f"src{i}", "rare": i % 5 == 0},
+            )
+            for i, t in enumerate(text_ids)
+        ]
+        levels = [self._level(t) for t in text_ids]
+        where = {"rare": True} if filtered else None
+        live = [
+            (doc, level)
+            for doc, level in zip(docs, levels)
+            if shard_for_document(doc, num_shards) not in dark
+            and (where is None or doc.metadata["rare"])
+        ]
+        live.sort(key=lambda p: (-p[1], p[0].doc_id))
+        expected = [(d.doc_id, level) for d, level in live[:k]]
+        rep = ReplicationConfig(replicas=1)
+        view = self._sharded(docs, levels, num_shards).with_replication(
+            rep,
+            health=HealthTracker(rep),
+            store_wrapper=lambda s, shard, _: _DarkReplica(s) if shard in dark else s,
+        )
+        with use_registry(MetricsRegistry()):
+            hits = view.similarity_search_by_vector_with_score(self._QVEC, k=k, where=where)
+        assert [(d.doc_id, s) for d, s in hits] == expected

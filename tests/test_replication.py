@@ -10,8 +10,11 @@ never *what* was answered.
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.api import open_engine
@@ -47,23 +50,13 @@ def _sharded(docs, num_shards=3):
 
 
 class DeadStore:
-    """A replica whose search transport never answers."""
+    """A replica whose score transport never answers."""
 
     def __init__(self, inner):
         self.inner = inner
 
-    @property
-    def embedding(self):
-        return self.inner.embedding
-
-    def similarity_search_by_vector_with_score(self, qvec, *, k=4, where=None):
+    def scores(self, qvec):
         raise VectorStoreError("replica dead")
-
-    def similarity_search_with_score(self, query, *, k=4, where=None):
-        raise VectorStoreError("replica dead")
-
-    def __len__(self):
-        return len(self.inner)
 
 
 def _kill_primary(store, shard_index, replica_index):
@@ -137,6 +130,39 @@ class TestHealthTracker:
         tracker.record_failure(0, 0, reg)
         assert tracker.state(0, 0) is ReplicaState.DOWN  # down_after=1
 
+    def test_concurrent_walks_keep_the_fold_exact(self):
+        # Selections of a down replica (locked: its skip count moves)
+        # race unlocked no-op reads of a clean one.  A skip lost to the
+        # race, or a no-op that was not one, breaks the exact counts.
+        tracker, reg = self._tracker(down_after=1, probe_after=3)
+        tracker.record_failure(0, 0, reg)
+        tracker.record_success(0, 1, reg)
+        granted, refused = [], []
+
+        def walk():
+            mine = 0
+            for _ in range(300):
+                mine += tracker.should_probe(0, 0)
+                if not tracker.should_probe(0, 1):
+                    refused.append(1)
+                tracker.record_success(0, 1, reg)
+            granted.append(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(granted) == 4 * 300 // 3 and not refused
+        assert tracker.snapshot() == {0: ["down", "up"]}
+        assert reg.counter("repro.replica.recovered").value == 0
+
     def test_snapshot_groups_by_shard(self):
         tracker, reg = self._tracker(suspect_after=1, down_after=2)
         tracker.record_failure(1, 0, reg)
@@ -158,15 +184,21 @@ class TestReplicaSet:
         qvec = emb.embed_query("krylov gmres")
         return rs, health, reg, qvec, store
 
+    @staticmethod
+    def _search(store, qvec, reg, rs=None):
+        """The composite's top-3 over ``store``, served by ``rs`` when given."""
+        view = ShardedVectorStore(
+            [store], store.embedding, replica_sets=None if rs is None else [rs]
+        )
+        with use_registry(reg):
+            hits = view.similarity_search_by_vector_with_score(qvec, k=3)
+        return [(d.doc_id, s) for d, s in hits]
+
     def test_failover_returns_backup_answer(self):
         rs, health, reg, qvec, store = self._set()
-        hits = rs.top_k(qvec, 3, None, reg)
-        from repro.vectorstore.sharded import _shard_top_k
-
-        expected = _shard_top_k(store, qvec, 3, None)
-        assert [(d.doc_id, round(s, 9)) for d, s in hits] == [
-            (d.doc_id, round(s, 9)) for d, s in expected
-        ]
+        hits = self._search(store, qvec, reg, rs)
+        assert hits == self._search(store, qvec, MetricsRegistry())
+        assert len(hits) == 3
         assert reg.counter("repro.replica.failovers").value == 1
         assert reg.counter("repro.replica.probe_failures").value == 1
         assert health.state(0, 0) is ReplicaState.SUSPECT
@@ -174,10 +206,10 @@ class TestReplicaSet:
 
     def test_down_primary_is_skipped_not_probed(self):
         rs, health, reg, qvec, _ = self._set(health_kwargs={"down_after": 1})
-        rs.top_k(qvec, 3, None, reg)  # primary fails once -> straight to down
+        rs.scores(qvec, reg)  # primary fails once -> straight to down
         assert health.state(0, 0) is ReplicaState.DOWN
         probes_before = reg.counter("repro.replica.probes").value
-        rs.top_k(qvec, 3, None, reg)
+        rs.scores(qvec, reg)
         # Only the backup was probed; no failover counted for a walk
         # that never included the down primary.
         assert reg.counter("repro.replica.probes").value == probes_before + 1
@@ -186,28 +218,55 @@ class TestReplicaSet:
     def test_every_replica_down_returns_none(self):
         rs, _, reg, qvec, _ = self._set()
         rs.replicas[1] = DeadStore(rs.replicas[1])
-        assert rs.top_k(qvec, 3, None, reg) is None
+        assert rs.scores(qvec, reg) is None
         assert reg.counter("repro.replica.probe_failures").value == 2
 
     def test_suspect_primary_triggers_hedge_and_win(self):
         rs, health, reg, qvec, store = self._set(hedging=True)
-        rs.top_k(qvec, 3, None, reg)  # first walk: plain failover, marks suspect
+        rs.scores(qvec, reg)  # first walk: plain failover, marks suspect
         assert reg.counter("repro.replica.hedges").value == 0
-        hits = rs.top_k(qvec, 3, None, reg)  # suspect primary -> hedged probe
+        hits = self._search(store, qvec, reg, rs)  # suspect primary -> hedged probe
         assert reg.counter("repro.replica.hedges").value == 1
         assert reg.counter("repro.replica.hedge_wins").value == 1
-        from repro.vectorstore.sharded import _shard_top_k
-
-        assert [d.doc_id for d, _ in hits] == [
-            d.doc_id for d, _ in _shard_top_k(store, qvec, 3, None)
-        ]
+        assert hits == self._search(store, qvec, MetricsRegistry())
 
     def test_healthy_primary_never_hedges(self):
         rs, _, reg, qvec, _ = self._set(hedging=True, dead_primary=False)
-        rs.top_k(qvec, 3, None, reg)
-        rs.top_k(qvec, 3, None, reg)
+        rs.scores(qvec, reg)
+        rs.scores(qvec, reg)
         assert reg.counter("repro.replica.hedges").value == 0
         assert reg.counter("repro.replica.failovers").value == 0
+
+    def test_a_probe_draws_one_schedule_step_even_at_a_boundary_tie(self):
+        # Planted scores: six rows tie at the k = 2 boundary.  The probe
+        # scores the whole shard once, so a wrapped replica draws exactly
+        # one ``(seed, site, call_index)`` step per probe — a boundary
+        # tie no longer widens a fetch and draws again.
+        emb = HashingEmbedding(dim=8)
+        docs = [Document(text="planted", metadata={"source": f"s{i}"}) for i in range(8)]
+        vectors = np.zeros((8, 8), dtype=np.float32)
+        vectors[:, 0] = [0.875, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.125]
+        store = VectorStore.from_precomputed(docs, vectors, emb)
+        injector = FaultInjector(5, FaultConfig())
+        cfg = ReplicationConfig(replicas=2)
+        view = ShardedVectorStore([store], emb).with_replication(
+            cfg,
+            health=HealthTracker(cfg),
+            store_wrapper=lambda s, shard, replica: injector.wrap_store(
+                s, site=f"shard:{shard}", transient_rate=0.0
+            ),
+        )
+        qvec = np.eye(8, dtype=np.float32)[0]
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            for _ in range(3):
+                hits = view.similarity_search_by_vector_with_score(qvec, k=2)
+        tied = sorted(d.doc_id for d in docs[1:7])
+        assert [(d.doc_id, s) for d, s in hits] == [(docs[0].doc_id, 0.875), (tied[0], 0.5)]
+        assert [(e.site, e.call_index) for e in injector.schedule()] == [
+            ("shard:0", n) for n in range(3)
+        ]
+        assert reg.counter("repro.replica.probes").value == 3
 
     def test_empty_replica_set_rejected(self):
         health = HealthTracker(ReplicationConfig())
@@ -362,8 +421,8 @@ class TestEngineFailover:
         assert base_reg.counter("repro.replica.failovers").value == 0
 
     def test_one_probe_draws_one_fault_schedule_step(self, bundle, monkeypatch):
-        # DESIGN §13.1: a probe of a wrapped primary is one store search,
-        # so ``shard_fault_rate`` is the chance that *a probe* fails.
+        # DESIGN §13.1: a probe of a wrapped primary is one ``scores``
+        # call, so ``shard_fault_rate`` is the chance that *a probe* fails.
         probed: Counter = Counter()
         real_probe = ReplicaSet._probe
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api import open_engine, open_pipeline
@@ -36,15 +35,15 @@ def _cfg(num_shards, *, embedding="petsc-embed-large"):
 
 
 class CountingStore:
-    """A shard store (or replica) that reports each by-vector search's ``k``."""
+    """A replica that reports each score probe."""
 
-    def __init__(self, inner, on_search):
+    def __init__(self, inner, on_probe):
         self.inner = inner
-        self.on_search = on_search
+        self.on_probe = on_probe
 
-    def similarity_search_by_vector_with_score(self, qvec, *, k=4, where=None):
-        self.on_search(k)
-        return self.inner.similarity_search_by_vector_with_score(qvec, k=k, where=where)
+    def scores(self, qvec):
+        self.on_probe()
+        return self.inner.scores(qvec)
 
 
 class TestPlanner:
@@ -106,11 +105,9 @@ class TestShardedStore:
         return ShardedVectorStore(shards, emb)
 
     def test_merge_is_partition_invariant(self):
-        # Identical results for every shard count — and score-for-score
-        # agreement with the monolithic store (document identity can
-        # differ from monolithic only inside an exact score tie at the
-        # k boundary, where monolithic breaks by insertion order and the
-        # merge breaks by doc id).
+        # Identical results for every shard count, and the monolithic
+        # store's too: a bare store and the composite make the same
+        # ``(-score, doc_id)`` selection.
         docs = self._docs()
         emb = HashingEmbedding(dim=32)
         mono = VectorStore.from_documents(docs, emb)
@@ -125,7 +122,7 @@ class TestShardedStore:
             first = [(d.doc_id, round(sc, 9)) for d, sc in results[0]]
             for other in results[1:]:
                 assert [(d.doc_id, round(sc, 9)) for d, sc in other] == first
-            assert [round(sc, 9) for _, sc in m] == [sc for _, sc in first]
+            assert [(d.doc_id, round(sc, 9)) for d, sc in m] == first
 
     def test_merge_tie_break_is_doc_id(self):
         # Two identical texts in different shards: equal scores, so the
@@ -151,90 +148,44 @@ class TestShardedStore:
         with pytest.raises(VectorStoreError):
             sharded.get("no-such-id")
 
-    def test_fetch_doubling_terminates_on_whole_shard_tie(self):
-        # Every document in the shard scores identically, so the fetch
-        # boundary never strictly separates: the loop must exit via the
-        # exhaustion branch, not spin doubling forever.
-        from repro.vectorstore.sharded import _shard_top_k
+    def test_get_and_len_read_the_served_views_documents(self, bundle):
+        # The replicated view an engine serves from holds the artifact's
+        # documents: ``len`` is their count, ``get`` one lookup, and an
+        # unknown id is a typed error, not a KeyError.
+        from repro.config import ReplicationConfig
 
+        cfg = ReproConfig(
+            iterations_per_token=0,
+            retrieval=RetrievalConfig(embedding_model="petsc-embed-large"),
+            sharding=ShardingConfig(num_shards=4),
+            replication=ReplicationConfig(replicas=2),
+        )
+        engine = open_engine(cfg, bundle=bundle)
+        view = engine.pipeline("rag").retriever.store
+        assert view.replica_sets is not None
+        assert len(view) == len(engine.artifact.chunks)
+        for chunk in engine.artifact.chunks[:: 17]:
+            assert view.get(chunk.doc_id) is engine.artifact.store.get(chunk.doc_id)
+        with pytest.raises(VectorStoreError, match="unknown document id"):
+            view.get("no-such-id")
+
+    def test_whole_shard_tie_is_cut_by_doc_id(self):
+        # Every document in the shard scores identically, so the k-th
+        # score is every row's: the selection sorts them all and the
+        # winners are the lowest doc ids, not the lowest rows.
         emb = HashingEmbedding(dim=32)
         docs = [
             Document(text="identical text", metadata={"source": f"tie{i}"})
             for i in range(5)
         ]
-        store = VectorStore.from_documents(docs, emb)
-        qvec = emb.embed_query("identical text")
-        hits = _shard_top_k(store, qvec, 2, None)
-        assert len(hits) == 2
-        # All scores tie, so the winners are the lowest doc ids.
+        store = ShardedVectorStore([VectorStore.from_documents(docs, emb)], emb)
+        hits = store.similarity_search_with_score("identical text", k=2)
+        assert len({s for _, s in hits}) == 1
         assert [d.doc_id for d, _ in hits] == sorted(d.doc_id for d in docs)[:2]
-
-    def test_shard_top_k_searches_once_and_sorts_only_on_a_straddling_tie(
-        self, monkeypatch
-    ):
-        # Planted scores (one-hot query over hand-made rows), so which
-        # scores tie is exact.  ``searches`` counts store searches,
-        # ``sorts`` the doc-id sorts, ``hashes`` the doc ids hashed.
-        from repro.documents import document
-        from repro.vectorstore import sharded
-
-        searches, sorts, hashes = [], [], []
-        real_sort, real_hash = sharded._sort_hits, document.stable_hash
-
-        def counting_sort(hits):
-            sorts.append(1)
-            real_sort(hits)
-
-        def counting_hash(*args, **kwargs):
-            hashes.append(1)
-            return real_hash(*args, **kwargs)
-
-        monkeypatch.setattr(sharded, "_sort_hits", counting_sort)
-        monkeypatch.setattr(document, "stable_hash", counting_hash)
-        emb = HashingEmbedding(dim=8)
-        qvec = np.eye(8, dtype=np.float32)[0]
-
-        def probe(scores, k):
-            docs = [
-                Document(text="planted", metadata={"source": f"s{i}"})
-                for i in range(len(scores))
-            ]
-            vectors = np.zeros((len(scores), 8), dtype=np.float32)
-            vectors[:, 0] = scores
-            store = CountingStore(
-                VectorStore.from_precomputed(docs, vectors, emb), searches.append
-            )
-            del searches[:], sorts[:], hashes[:]
-            hits = sharded._shard_top_k(store, qvec, k, None)
-            return docs, [(d.doc_id, s) for d, s in hits]
-
-        # Distinct scores: one search, no sort, no id hashed.
-        docs, hits = probe([0.5, 0.875, 0.25, 0.75, 0.125, 0.625], 3)
-        assert hits == [(docs[1].doc_id, 0.875), (docs[3].doc_id, 0.75), (docs[5].doc_id, 0.625)]
-        assert (searches, sorts, hashes) == ([4], [], [])
-        # A tie wholly inside the top-k is the merge's to order: no sort.
-        docs, hits = probe([0.75, 0.75, 0.5, 0.25], 3)
-        assert {i for i, _ in hits} == {d.doc_id for d in docs[:3]}
-        assert (searches, sorts) == ([4], [])
-        # A tie straddling k: widened until it is whole, then the lowest
-        # doc ids win — not the lowest rows.
-        docs, hits = probe([0.875, 0.5, 0.5, 0.5, 0.5, 0.5, 0.25, 0.125], 3)
-        tied = sorted(d.doc_id for d in docs[1:6])
-        assert hits == [(docs[0].doc_id, 0.875), (tied[0], 0.5), (tied[1], 0.5)]
-        assert (searches, sorts) == ([4, 8], [1])
-        # k >= len(shard): exhausted after one search.
-        for k in (4, 9):
-            docs, hits = probe([0.5, 0.75, 0.25, 0.125], k)
-            assert [i for i, _ in hits] == [docs[i].doc_id for i in (1, 0, 2, 3)]
-            assert (searches, sorts) == ([k + 1], [])
-        # k + 1 == len(shard) with a clear boundary: one search.
-        docs, hits = probe([0.5, 0.75, 0.25, 0.125], 3)
-        assert [i for i, _ in hits] == [docs[i].doc_id for i in (1, 0, 2)]
-        assert (searches, sorts) == ([4], [])
 
     def test_one_store_search_per_shard_per_cold_ask(self, bundle):
         # 4 shards x 2 replicas over the 37 Krylov questions, each asked
-        # once: a healthy probe is one search of one replica.
+        # once: a healthy probe is one score call on one replica.
         from repro.config import ReplicationConfig
         from repro.evaluation import krylov_benchmark
         from repro.replication import HealthTracker
@@ -247,7 +198,7 @@ class TestShardedStore:
             rep,
             health=HealthTracker(rep),
             store_wrapper=lambda store, shard, replica: CountingStore(
-                store, lambda k: searched.append((shard, replica))
+                store, lambda: searched.append((shard, replica))
             ),
         )
         questions = [q.text for q in krylov_benchmark()]

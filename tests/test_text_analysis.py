@@ -9,7 +9,6 @@ references: the production code must agree with them exactly.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import random
 import re
@@ -18,6 +17,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,7 +49,7 @@ from repro.utils.textproc import (
     tokenize_with_stopwords,
     word_ngrams,
 )
-from repro.vectorstore.sharded import _sort_hits
+from repro.vectorstore.store import top_k_hits
 
 # --------------------------------------------------------------------- references
 _IDENT_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$|^-[a-z][a-z0-9_]*$")
@@ -782,35 +782,17 @@ class TestRerankFeatures:
         assert len(digests) == 1, digests
 
 
-# --------------------------------------------------------------------- shard merge order
-class _CountingDocument(Document):
-    """Counts how often its content hash is taken."""
-
-    hashed = 0
-
-    @property
-    def doc_id(self) -> str:
-        type(self).hashed += 1
-        return hashlib.sha256(self.text.encode()).hexdigest()
-
-
+# --------------------------------------------------------------------- top-k order
 class TestSortHits:
     @given(st.lists(st.tuples(st.integers(0, 30), st.sampled_from([0.1, 0.25, 0.5, 0.75])), max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_order_is_score_then_doc_id(self, pairs):
-        hits = [(Document(text=f"chunk {n}"), score) for n, score in pairs]
-        expected = sorted(hits, key=lambda pair: (-pair[1], pair[0].doc_id))
-        _sort_hits(hits)
-        assert [(d.doc_id, s) for d, s in hits] == [(d.doc_id, s) for d, s in expected]
-
-    def test_doc_id_is_taken_only_inside_score_ties(self):
-        _CountingDocument.hashed = 0
-        hits = [(_CountingDocument(text=f"chunk {n}"), score)
-                for n, score in enumerate([0.9, 0.5, 0.7, 0.5, 0.1, 0.3])]
-        _sort_hits(hits)
-        assert [s for _, s in hits] == [0.9, 0.7, 0.5, 0.5, 0.3, 0.1]
-        assert _CountingDocument.hashed == 2
-        assert hits[2][0].doc_id < hits[3][0].doc_id
+        docs = [Document(text=f"chunk {n}") for n, _ in pairs]
+        scores = np.array([score for _, score in pairs])
+        expected = sorted(zip(docs, scores.tolist()), key=lambda pair: (-pair[1], pair[0].doc_id))
+        for k in range(1, len(docs) + 1):
+            hits = top_k_hits(scores, docs, k)
+            assert [(d.doc_id, s) for d, s in hits] == [(d.doc_id, s) for d, s in expected[:k]]
 
 
 # --------------------------------------------------------------------- fact relevance

@@ -134,9 +134,12 @@ class TestBruteForceIndex:
         assert _rows(store, E[2], DIM) == before
         assert np.array_equal(store.matrix, E)
 
-    def test_ties_break_by_row(self):
-        vecs = np.tile(E[0], (6, 1))  # six identical rows: every score ties
-        assert _rows(_store(vecs), E[0], 4) == [0, 1, 2, 3]
+    def test_ties_break_by_doc_id(self):
+        # Six identical rows: every score ties, so the cut takes the
+        # lowest doc ids — the composite store's order, not row order.
+        store = _store(np.tile(E[0], (6, 1)))
+        by_id = sorted(store._docs, key=lambda doc: doc.doc_id)
+        assert _rows(store, E[0], 4) == [doc.metadata["n"] for doc in by_id[:4]]
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
     @settings(max_examples=25, deadline=None)
