@@ -78,9 +78,10 @@ class RequestContext:
         When set (batched serving), the simulated LLM defers its
         per-token latency burn here instead of spending it inline.
     cache_txn:
-        The engine's cache wrappers record their touches and writes
-        here; the service replays them at its commit point (a direct
-        ``pipeline.answer`` records into one nobody commits).
+        The engine's cache wrappers record here their touches and writes
+        to their generation's LRUs; the service replays them at its
+        commit point (a direct ``pipeline.answer`` records into one
+        nobody commits).
     shard_coverage:
         Lowest fraction of shards that answered a scatter of this
         request; the store lowers it, the pipeline reads and resets it.

@@ -1,8 +1,8 @@
 """Shared query-time caches with deterministic bookkeeping.
 
-Three caches back the engine: query-embedding, retrieval LRU, and the
-answer cache (the last lives in :mod:`repro.engine.engine`; this module
-provides the primitives and the two wrapper layers).
+Three caches back the engine — query-embedding, retrieval and answer
+LRUs, held together by a :class:`~repro.engine.engine.CacheGeneration`;
+this module provides the primitive and the two wrapper layers.
 
 The determinism problem: an LRU mutates on *every* access (recency
 reordering), so letting batch workers touch a shared LRU concurrently
@@ -15,7 +15,7 @@ context's :class:`~repro.context.CacheTransaction`.  The service replays the
 transactions at its commit point — after the barrier, in
 request-submission order, for a batch — so the cache state any *future*
 request observes is identical regardless of how many workers ran the
-batch, and a request an ingest overtook publishes nothing.
+batch; an overtaken request commits into a generation no new one reads.
 """
 
 from __future__ import annotations
@@ -86,18 +86,13 @@ class LRUCache:
         with self._lock:
             return list(self._data.items())
 
-    def evict_where(self, predicate: Callable[[Hashable, object], bool]) -> int:
-        """Drop entries the predicate matches; returns how many.
-
-        Recency order of the survivors is untouched, so scoped
-        invalidation (the ingest lifecycle) does not perturb future
-        eviction decisions for unrelated entries.
-        """
-        with self._lock:
-            doomed = [k for k, v in self._data.items() if predicate(k, v)]
-            for k in doomed:
-                del self._data[k]
-            return len(doomed)
+    def keep_where(self, predicate: Callable[[Hashable, object], bool]) -> "LRUCache":
+        """A new cache of this capacity holding the entries the predicate
+        keeps, in recency order (so it evicts them in the order this one
+        would have); this cache is untouched."""
+        kept = LRUCache(self.capacity)
+        kept._data.update((k, v) for k, v in self.items() if predicate(k, v))
+        return kept
 
 
 class CachedEmbedding:

@@ -1,9 +1,9 @@
-"""The query engine: one artifact, per-mode pipelines, shared caches.
+"""The query engine: one cache generation at a time, shared by every mode.
 
-A :class:`QueryEngine` owns one immutable
-:class:`~repro.index.IndexArtifact`, lazily-built pipelines for each
-mode, the answer/retrieval/embedding LRU caches, and the health tracker
-of the shard replicas it serves from.  Retrieval is scatter-gather over
+A :class:`QueryEngine` serves one :class:`CacheGeneration` at a time —
+an immutable :class:`~repro.index.IndexArtifact`, its epoch, LRU caches
+and per-mode pipelines — and the health tracker of the shard replicas
+it serves from.  Retrieval is scatter-gather over
 the artifact's shards — one shard, one replica by default — and nothing
 above the store knows the shard count: the merge order ``(-score,
 doc_id)`` makes retrieval partition-invariant.  Serving goes through the
@@ -22,6 +22,7 @@ by construction.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.admission import AdmissionController
@@ -40,6 +41,24 @@ from repro.service.lifecycle import BatchResult
 
 if TYPE_CHECKING:
     from repro.ingest.delta import CorpusDelta
+
+
+@dataclass(eq=False, slots=True)
+class CacheGeneration:
+    """One artifact epoch's serving state: the artifact, its epoch, three
+    LRUs of entries computed against it and the per-mode pipelines over
+    them.  No field is rebound: a swap makes a new generation (DESIGN §14.3)."""
+
+    artifact: IndexArtifact
+    epoch: int
+    answers: LRUCache
+    retrieval: LRUCache
+    embeddings: LRUCache
+    pipelines: dict[PipelineMode, RAGPipeline] = field(default_factory=dict)
+
+    def cache_sizes(self) -> dict:
+        lrus = {"answer": self.answers, "retrieval": self.retrieval, "embedding": self.embeddings}
+        return {name: len(lru) for name, lru in lrus.items()}
 
 
 class QueryEngine:
@@ -61,7 +80,6 @@ class QueryEngine:
                 "QueryEngine serves the composite artifact get_or_build_index "
                 "resolves, not a bare shard"
             )
-        self.artifact = artifact
         self.config = config or ReproConfig()
         self.config.validate()
         self.fault_injector = fault_injector
@@ -77,19 +95,30 @@ class QueryEngine:
         #: once per request at the front door (:meth:`_metrics`).
         self.registry = registry
         ec = self.config.engine
-        self._embedding_lru = LRUCache(ec.embedding_cache_size)
-        self._retrieval_lru = LRUCache(ec.retrieval_cache_size)
-        self._answer_lru = LRUCache(ec.answer_cache_size)
+        #: The generation every new request reads; rebound only by
+        #: :meth:`swap_artifact`, under the build lock.
+        self.generation = CacheGeneration(
+            artifact,
+            0,
+            LRUCache(ec.answer_cache_size),
+            LRUCache(ec.retrieval_cache_size),
+            LRUCache(ec.embedding_cache_size),
+        )
         # One tracker across every pipeline mode: health is a property
         # of the serving copies, not of the mode that probed them.
         self.replica_health = HealthTracker(self.config.replication)
-        self._pipelines: dict[PipelineMode, RAGPipeline] = {}
         self._build_lock = threading.Lock()
         self._service = None
-        #: Monotonic artifact generation: 0 at construction, +1 per
-        #: :meth:`swap_artifact`.  Purely observational — answer-cache
-        #: keys carry the artifact digest, not the epoch.
-        self.epoch = 0
+
+    @property
+    def artifact(self) -> IndexArtifact:
+        """The artifact the live generation serves."""
+        return self.generation.artifact
+
+    @property
+    def epoch(self) -> int:
+        """0 at construction, +1 per :meth:`swap_artifact`."""
+        return self.generation.epoch
 
     # ------------------------------------------------------------ plumbing
     @property
@@ -111,13 +140,13 @@ class QueryEngine:
     def num_shards(self) -> int:
         return self.artifact.num_shards
 
-    def _serving_store(self):
-        """The store the pipelines retrieve from: the artifact's own,
+    def _serving_store(self, artifact: IndexArtifact):
+        """The store the pipelines retrieve from: ``artifact``'s own,
         or — replicated, or under a shard-fault schedule — a view over
         the same shard stores (no copy: stores are never written to)
         where each shard answers from a replica set.
         """
-        store = self.artifact.store
+        store = artifact.store
         wrapper = self._replica_fault_wrapper()
         rep = self.config.replication
         if rep.replicas > 1 or rep.require_full_coverage or wrapper is not None:
@@ -163,79 +192,76 @@ class QueryEngine:
             ),
         }
 
-    def pipeline(self, mode: str | PipelineMode | None = None) -> RAGPipeline:
-        """The engine's pipeline for ``mode``, built once and shared.
+    def pipeline(
+        self, mode: str | PipelineMode | None = None, gen: CacheGeneration | None = None
+    ) -> RAGPipeline:
+        """The pipeline for ``mode`` over ``gen`` (default: the live
+        generation), built once per generation and shared.
 
-        Its cache wrappers record into the request's transaction, which
-        only :attr:`service` commits: a direct ``.answer(q)`` reads the
-        caches and publishes nothing.
+        Its cache wrappers hold ``gen``'s LRUs and record into the
+        request's transaction, which only :attr:`service` commits: a
+        direct ``.answer(q)`` reads the caches and publishes nothing.
         """
         mode = PipelineMode.coerce(mode) if mode is not None else self.default_mode
+        gen = gen or self.generation
+        existing = gen.pipelines.get(mode)
+        if existing is not None:
+            return existing
         with self._build_lock:
-            existing = self._pipelines.get(mode)
-            if existing is not None:
-                return existing
+            # Another request may have built it while this one waited.
+            if mode in gen.pipelines:
+                return gen.pipelines[mode]
             retriever = None
             if mode is not PipelineMode.BASELINE:
-                query_embedding = CachedEmbedding(self.artifact.embedding, self._embedding_lru)
+                query_embedding = CachedEmbedding(gen.artifact.embedding, gen.embeddings)
                 retriever = VectorRetriever(
-                    self._serving_store(), embed_query=query_embedding.embed_query
+                    self._serving_store(gen.artifact), embed_query=query_embedding.embed_query
                 )
             pipeline = pipeline_from_artifact(
-                self.artifact,
+                gen.artifact,
                 self.config,
                 mode=mode,
                 fault_injector=self.fault_injector,
                 retriever=retriever,
-                retriever_wrapper=lambda r: CachingRetriever(r, self._retrieval_lru),
+                retriever_wrapper=lambda r: CachingRetriever(r, gen.retrieval),
             )
-            self._pipelines[mode] = pipeline
+            gen.pipelines[mode] = pipeline
             return pipeline
 
     def clear_query_caches(self) -> None:
-        """Drop every answer/retrieval/embedding cache entry (the blunt
-        tool; :meth:`swap_artifact` evicts per entry)."""
-        self._answer_lru.clear()
-        self._retrieval_lru.clear()
-        self._embedding_lru.clear()
+        """Drop every entry of the live generation's caches (the blunt
+        tool; :meth:`swap_artifact` carries forward per entry)."""
+        gen = self.generation
+        gen.answers.clear()
+        gen.retrieval.clear()
+        gen.embeddings.clear()
 
     # ------------------------------------------------------------ epochs
     def swap_artifact(self, artifact: IndexArtifact, delta: "CorpusDelta") -> dict | None:
         """Swap the engine onto a new artifact epoch.
 
         The one sanctioned way serving state changes after construction.
-        Under the build lock the engine rebinds its artifact and drops
-        the per-mode pipelines (rebuilt lazily over the new store and
-        embedding model); the epoch counter advances and exactly the
+        Under the build lock the engine builds the next
+        :class:`CacheGeneration` — ``artifact``, the next epoch, and the
         cache entries ``delta`` (the diff from the served chunks to
-        ``artifact``'s) can affect are invalidated.  Returns that
-        invalidation's accounting.
+        ``artifact``'s) cannot affect — and publishes it with one
+        reference assignment.  Returns the carry-forward's accounting.
 
-        A no-op swap (same digest) returns ``None`` and changes
-        nothing: no epoch advance, no cache invalidation, no pipeline
-        rebuilds.
+        A no-op swap (same digest) returns ``None`` and changes nothing.
         """
-        from repro.ingest.invalidation import invalidate_engine_caches
+        from repro.ingest.invalidation import carry_forward
 
+        registry = self._metrics()
         with self._build_lock:
-            if artifact.digest == self.artifact.digest:
+            if artifact.digest == self.generation.artifact.digest:
                 return None
-            previous = self.artifact
-            self.artifact = artifact
-            self._pipelines.clear()
-            self.epoch += 1
-        summary = invalidate_engine_caches(
-            self, delta, moved=artifact.embedding.moved_since(previous.embedding)
-        )
-        self._metrics().counter("repro.ingest.epoch_swaps").inc()
+            self.generation, summary = carry_forward(self.generation, artifact, delta, registry)
+        registry.counter("repro.ingest.epoch_swaps").inc()
         return summary
 
     def cache_sizes(self) -> dict:
-        return {
-            "answer": len(self._answer_lru),
-            "retrieval": len(self._retrieval_lru),
-            "embedding": len(self._embedding_lru),
-        }
+        """Entry counts of the live generation's three LRUs."""
+        return self.generation.cache_sizes()
 
     # ------------------------------------------------------------ serving
     def answer(

@@ -2,17 +2,19 @@
 
 Every change to the knowledge base is a corpus revision handed to
 :func:`ingest_corpus` (load → split → content-address → diff →
-embed-only-changed → rebuild dirty shards → epoch swap → scoped cache
-invalidation).  Stores and artifacts are values: nothing writes to one
-after it is built, so "add these documents" is an ingest of the bundle
-that holds them (the workflow's history feed is exactly that).
+embed-only-changed → rebuild dirty shards → epoch swap onto a new cache
+generation carrying forward the unaffected entries).  Stores and
+artifacts are values: nothing writes to one after it is built, so "add
+these documents" is an ingest of the bundle that holds them (the
+workflow's history feed is exactly that).
 
 Layering: :mod:`repro.ingest.identity` and :mod:`repro.ingest.delta`
 are leaves (documents-only imports) — the chunker takes its per-source
 digests from the former; :mod:`repro.ingest.lifecycle` and
 :mod:`repro.ingest.invalidation` sit *above* the index and engine
-layers and are therefore exposed lazily — importing them eagerly here
-would cycle back through ``repro.corpus.builder``, which imports
+layers, so the former is exposed lazily and the latter is imported by
+the engine's swap — importing them eagerly here would cycle back
+through ``repro.corpus.builder``, which imports
 :mod:`repro.ingest.identity`.
 """
 
@@ -32,7 +34,6 @@ __all__ = [
     "chunk_id",
     "diff_chunks",
     "ingest_corpus",
-    "invalidate_engine_caches",
     "normalized_text",
     "source_digest",
 ]
@@ -40,10 +41,6 @@ __all__ = [
 _LAZY = {
     "IngestReport": ("repro.ingest.lifecycle", "IngestReport"),
     "ingest_corpus": ("repro.ingest.lifecycle", "ingest_corpus"),
-    "invalidate_engine_caches": (
-        "repro.ingest.invalidation",
-        "invalidate_engine_caches",
-    ),
 }
 
 

@@ -4,11 +4,11 @@
 :class:`~repro.engine.QueryEngine` serves changes: plan the shards of a
 corpus revision, resolve the target artifact (memory → disk → build
 over the lineage parent, all inside the index layer), diff it against
-the artifact the engine is serving, swap the engine onto the new epoch,
-and invalidate exactly the affected cache entries.  A no-op ingest
-(same corpus, same config) touches nothing: no epoch advance, no cache
-churn, no disk writes — the serving digest is byte-identical before and
-after.
+the artifact the engine is serving, and swap the engine onto the new
+epoch, carrying forward exactly the unaffected cache entries.  A no-op
+ingest (same corpus, same config) touches nothing: no epoch advance, no
+cache churn, no disk writes — the serving digest is byte-identical
+before and after.
 
 Every stage reports through :func:`repro.observability.stage` under
 ``repro.ingest.*`` metrics, so operators see chunk/diff/build/swap
@@ -72,7 +72,7 @@ def ingest_corpus(
 
     Resolves the artifact the engine *should* be serving for
     ``bundle`` under its current config, swaps the engine onto it
-    (advancing the epoch), and invalidates the affected cache entries.
+    (advancing the epoch) and carries forward the unaffected cache entries.
     Safe to call with an unchanged corpus: the run is detected as a
     no-op before any build or cache work happens.
     """

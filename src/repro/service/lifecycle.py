@@ -20,7 +20,7 @@ from repro.pipeline.types import PipelineMode
 
 def question_digest(question: str) -> str:
     """SHA-256 of the question text: the first part of a request's
-    identity key ``(question digest, mode, artifact digest)``."""
+    identity key ``(question digest, mode)`` within its cache generation."""
     return hashlib.sha256(question.encode("utf-8", errors="replace")).hexdigest()
 
 

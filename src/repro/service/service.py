@@ -7,7 +7,8 @@ commit/close; :meth:`~ReproService.answer` is the same steps for one
 request, differing exactly where a synchronous caller differs: its own
 counter, admission sheds and pipeline errors raise, the context is the
 caller's (or created lazily), and the LLM burn happens inline rather
-than at the batch close.  Both commit their cache effects through
+than at the batch close.  Both read the engine's cache generation once,
+when they open, and commit their cache effects into it through
 :meth:`~ReproService._commit`.  CLI commands, the chatbot, the email
 bot, the workflow, evaluation and the chaos sweeps all route here;
 :meth:`~ReproService._call` holds the only ``pipeline.answer()`` call
@@ -40,6 +41,7 @@ from repro.service.lifecycle import AnswerResponse, BatchResult, question_digest
 
 if TYPE_CHECKING:
     from repro.engine import QueryEngine
+    from repro.engine.engine import CacheGeneration
     from repro.observability import MetricsRegistry
     from repro.pipeline.rag import RAGPipeline
 
@@ -199,12 +201,17 @@ class ReproService:
 
     # ------------------------------------------------------------ shared steps
     def _lookup(
-        self, key: tuple, question: str, mode: PipelineMode, registry: "MetricsRegistry"
+        self,
+        gen: "CacheGeneration",
+        key: tuple,
+        question: str,
+        mode: PipelineMode,
+        registry: "MetricsRegistry",
     ) -> PipelineResult | None:
-        """Peek the answer cache under ``key`` (``question digest, mode,
-        artifact digest``), count the hit or miss, replay a hit.  A peek
-        never reorders the LRU: the caller touches, inline or at commit."""
-        payload = self.engine._answer_lru.peek(key)
+        """Peek ``gen``'s answer cache under ``key`` (``question digest,
+        mode``), count the hit or miss, replay a hit.  A peek never
+        reorders the LRU: the caller touches, inline or at commit."""
+        payload = gen.answers.peek(key)
         if payload is None:
             registry.counter("repro.engine.answer_cache.misses").inc()
             return None
@@ -221,33 +228,25 @@ class ReproService:
 
     def _commit(
         self,
-        digest: str,
-        registry: "MetricsRegistry",
+        gen: "CacheGeneration",
         entries: "Iterable[tuple[tuple, CacheTransaction | None, PipelineResult | None]]",
     ) -> None:
-        """Publish requests' cache effects, in the order given.
+        """Publish requests' cache effects into ``gen``, in the order given.
 
         An entry is ``(answer key, transaction, result)``: no
         transaction means an answer-cache hit (its key is touched), else
         the request's recorded touches and writes are replayed and its
-        result, if any, stored.  Under the build lock, and only if the
-        engine still serves the epoch (``digest``) the requests opened
-        on: after a swap, invalidation has already run and these entries
-        describe a store nobody serves any more (DESIGN §14.3).
+        result, if any, stored.  All land in ``gen``'s LRUs, which after
+        a swap no new request reads (DESIGN §14.3).
         """
-        engine = self.engine
         use_cache = self.cache_answers_enabled()
-        with engine._build_lock:
-            if engine.artifact.digest != digest:
-                registry.counter("repro.engine.stale_commits_dropped").inc()
-                return
-            for key, txn, result in entries:
-                if txn is None:
-                    engine._answer_lru.touch(key)
-                    continue
-                txn.commit()
-                if result is not None and use_cache:
-                    engine._answer_lru.put(key, _CachedAnswer.from_result(result))
+        for key, txn, result in entries:
+            if txn is None:
+                gen.answers.touch(key)
+                continue
+            txn.commit()
+            if result is not None and use_cache:
+                gen.answers.put(key, _CachedAnswer.from_result(result))
 
     # ------------------------------------------------------------ entry points
     def answer(
@@ -275,14 +274,14 @@ class ReproService:
             # Raises (retry_safe) before any work: a shed request
             # consumes no cache lookup and no pipeline.
             engine.admission.admit_one(registry=registry)
-        use_cache = self.cache_answers_enabled()
-        key = (question_digest(question), str(mode), engine.artifact.digest)
-        if use_cache:
-            hit = self._lookup(key, question, mode, registry)
+        gen = engine.generation  # read once: lookup, pipeline and commit all use it
+        key = (question_digest(question), str(mode))
+        if self.cache_answers_enabled():
+            hit = self._lookup(gen, key, question, mode, registry)
             if hit is not None:
-                engine._answer_lru.touch(key)
+                gen.answers.touch(key)
                 return hit
-        pipeline = self.pipeline_for(mode)
+        pipeline = engine.pipeline(mode, gen)
         if ctx is None:
             ctx = RequestContext.create(registry=registry, deadline=_deadline(pipeline))
         result = None
@@ -290,7 +289,7 @@ class ReproService:
             result = self._call(pipeline, question, ctx)
             return result
         finally:
-            self._commit(key[2], registry, [(key, ctx.cache_txn, result)])
+            self._commit(gen, [(key, ctx.cache_txn, result)])
 
     def answer_many(
         self,
@@ -333,14 +332,11 @@ class ReproService:
                 f"client_ids has {len(client_ids)} entries for {n} questions"
             )
 
-        # ---- open.  The artifact digest is read *before* the pipeline is
-        # resolved: if an ingest swaps the engine in between, the batch
-        # holds the new pipeline under the old digest and its commit is
-        # dropped below — the other order would publish old-epoch results
-        # under the live digest.
+        # ---- open.  The batch reads the generation once; every lookup,
+        # pipeline and commit below is that generation's.
         started = time.perf_counter()
         registry = engine._metrics()
-        digest = engine.artifact.digest
+        gen = engine.generation
         admission = engine.admission
         decisions: list[AdmissionDecision] | None = None
         if admission is not None:
@@ -357,7 +353,7 @@ class ReproService:
         registry.counter("repro.engine.batches").inc()
         registry.counter("repro.engine.batch_requests").inc(n)
         collector = TokenBurnCollector()
-        pipeline = self.pipeline_for(mode)
+        pipeline = engine.pipeline(mode, gen)
 
         # ---- classify, in input order.  Shed first: a rejected request
         # consumes nothing — no dedupe slot, no LRU touch.  The answer
@@ -376,8 +372,8 @@ class ReproService:
             if decisions is not None and decisions[i].outcome == SHED:
                 items[i] = _shed_response(i, question, decisions[i])
                 continue
-            key = (question_digest(question), mode_name, digest)
-            hit = self._lookup(key, question, mode, registry) if use_cache else None
+            key = (question_digest(question), mode_name)
+            hit = self._lookup(gen, key, question, mode, registry) if use_cache else None
             if hit is not None:
                 commits.append((key, None))
                 items[i] = AnswerResponse(
@@ -415,12 +411,9 @@ class ReproService:
                 outcomes = {i: future.result() for i, future in futures.items()}
 
         # ---- commit, in input order, so the cache state future requests
-        # observe is independent of worker count.  The items are returned
-        # whether or not the commit is dropped — they are consistent with
-        # exactly one epoch.
+        # observe is independent of worker count.
         self._commit(
-            digest,
-            registry,
+            gen,
             (
                 (key, None, None) if job is None else (key, outcomes[job][2], outcomes[job][0])
                 for key, job in commits
@@ -472,5 +465,5 @@ class ReproService:
             batch_seconds=batch_seconds,
             burn_seconds=burn_seconds,
             deferred_tokens=deferred_tokens,
-            cache_sizes=engine.cache_sizes(),
+            cache_sizes=gen.cache_sizes(),
         )

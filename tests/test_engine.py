@@ -59,6 +59,23 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(-1)
 
+    def test_keep_where_carries_survivors_in_recency_order(self):
+        source = LRUCache(4)
+        for key in "abcd":
+            source.put(key, key.upper())
+        source.touch("a")  # recency, oldest first: b c d a
+        kept = source.keep_where(lambda key, _value: key != "c")
+        assert [k for k, _v in kept.items()] == ["b", "d", "a"]
+        assert kept.capacity == source.capacity
+        assert [k for k, _v in source.items()] == ["b", "c", "d", "a"]  # untouched
+        assert kept.peek("d") == "D"
+        # Refilled to capacity, the next put evicts the victim the
+        # source's next put evicts.
+        kept.put("c", "C")
+        kept.put("e", "E")
+        source.put("e", "E")
+        assert "b" not in kept and "b" not in source
+
 
 class TestSequentialAnswer:
     def test_answer_matches_pipeline_answer(self, artifact, fast_config):
@@ -160,13 +177,17 @@ class TestBatchDeterminism:
     def test_batch_commits_answer_cache(self, artifact, fast_config):
         reg = MetricsRegistry()
         engine = fresh_engine(artifact, fast_config, registry=reg)
-        engine.answer_many(QUESTIONS, workers=2)
+        first = engine.answer_many(QUESTIONS, workers=2)
+        unique = len(set(QUESTIONS))
+        assert first.cache_sizes == engine.cache_sizes() == dict.fromkeys(
+            ("answer", "retrieval", "embedding"), unique
+        )
         rerun = engine.answer_many(QUESTIONS, workers=2)
         assert rerun.cached_count == len(QUESTIONS)
         assert all(it.result.trace.find("llm") == [] for it in rerun.items)
 
     def test_retrieval_cache_holds_only_vector_entries(self, artifact, fast_config):
-        # What scoped invalidation (ingest/invalidation.py) takes as given:
+        # What the scoped carry-forward (ingest/invalidation.py) takes as given:
         # the keyword lookup runs beside the retrieval cache, never through it.
         from repro.retrieval import RetrievedDocument
 
@@ -175,7 +196,7 @@ class TestBatchDeterminism:
         for mode in ("rag", "rag+rerank"):
             engine.answer_many(QUESTIONS, workers=2, mode=mode)
             engine.answer_many(QUESTIONS, workers=2, mode=mode)  # warm
-        entries = engine._retrieval_lru.items()
+        entries = engine.generation.retrieval.items()
         assert entries
         for key, hits in entries:
             name, query, k = key
@@ -263,5 +284,5 @@ class TestSharedArtifact:
         # and the other kept, and no query embedding moved.
         assert engine.artifact.digest != old_digest and engine.epoch == 1
         assert engine.cache_sizes() == {"answer": 0, "retrieval": 1, "embedding": 2}
-        ((kept, _hits),) = engine._retrieval_lru.items()
+        ((kept, _hits),) = engine.generation.retrieval.items()
         assert kept[1] == unrelated

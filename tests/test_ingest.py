@@ -32,6 +32,7 @@ from repro.corpus.builder import CorpusBundle, chunk_corpus, overlay_tree
 from repro.corpus.facts import FactRegistry
 from repro.documents import Document
 from repro.embeddings.registry import EMBEDDING_MODEL_NAMES
+from repro.engine import QueryEngine
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.index import (
     clear_index_cache,
@@ -811,6 +812,28 @@ class TestIngestCorpus:
         assert report.invalidation["invalidated_retrieval"] == 1
         assert engine.cache_sizes()["retrieval"] == 0
 
+    def test_carry_forward_keeps_survivors_in_recency_order(self, bundle, fresh_cache):
+        engine = open_engine(_cfg(), bundle=bundle)
+        first, gone, last = "What is DMDA?", "What does KSPGMRES do?", "How do I view a matrix?"
+        for question in (first, gone, last):
+            engine.answer(question)
+        old = engine.generation
+        report = ingest_corpus(
+            engine,
+            _with_documents(
+                bundle,
+                [
+                    d
+                    for d in bundle.documents
+                    if d.metadata.get("source") != "manualpages/KSPGMRES.md"
+                ],
+            ),
+        )
+        assert report.invalidation["invalidated_retrieval"] == 1
+        assert [key[1] for key, _hits in engine.generation.retrieval.items()] == [first, last]
+        # The previous generation is a value: the carry-forward copied it.
+        assert [key[1] for key, _hits in old.retrieval.items()] == [first, gone, last]
+
     def test_sharded_engine_ingest(self, bundle, fresh_cache):
         reg = MetricsRegistry()
         with use_registry(reg):
@@ -907,14 +930,14 @@ class TestSwapLeavesNoStaleCacheEntry:
         leaving, staying = "What changed in revision note r1?", "What is DMDA?"
         for question in (leaving, staying):
             engine.answer(question)
-        kept = engine._embedding_lru.peek(staying)
-        assert engine._embedding_lru.peek(leaving) is not None and kept is not None
+        kept = engine.generation.embeddings.peek(staying)
+        assert engine.generation.embeddings.peek(leaving) is not None and kept is not None
         # ``r1`` becomes ``r2``: same chunk count, ``r1`` leaves the vocabulary.
         report = ingest_corpus(engine, _revision_note(first, page, 2))
         assert report.resolution == "delta"
         assert "r1" not in engine.artifact.embedding._idf
-        assert engine._embedding_lru.peek(leaving) is None
-        assert engine._embedding_lru.peek(staying) is kept
+        assert engine.generation.embeddings.peek(leaving) is None
+        assert engine.generation.embeddings.peek(staying) is kept
         assert report.invalidation["invalidated_embeddings"] == 1
 
     def test_changed_chunk_count_drops_everything(self, bundle, fresh_cache):
@@ -929,28 +952,34 @@ class TestSwapLeavesNoStaleCacheEntry:
 
 class TestSwapDuringBatch:
     """A batch in flight across an ``ingest_corpus`` swap is answered from
-    the epoch it opened on and publishes nothing: retrieval-cache keys
-    carry no digest, so its deferred commit would otherwise land
-    old-epoch entries in the live caches *after* the swap's invalidation
-    ran (DESIGN §14.3)."""
+    the epoch it opened on and publishes nothing to the live caches: its
+    deferred commit lands in the cache generation it read from, which no
+    new request reads (DESIGN §14.3)."""
 
     QUESTION = "What does KSPBurb do?"
+    EMPTY = {"answer": 0, "retrieval": 0, "embedding": 0}
+    ONE_EACH = {"answer": 1, "retrieval": 1, "embedding": 1}
 
     @staticmethod
-    def _engine(bundle, shards, replicas):
-        cfg = _cfg(shards, replicas=replicas)
+    def _engine(bundle, shards, replicas, embedding=EMBED):
+        cfg = _cfg(shards, replicas=replicas, embedding=embedding)
         return open_engine(cfg, bundle=bundle, registry=MetricsRegistry())
+
+    @staticmethod
+    def _revised(bundle):
+        # Every paragraph of the page the question retrieves from changes.
+        return _rewrite_source(
+            bundle, "manual/ksp.md", lambda text: text.replace("\n\n", "\n\n(rev 2) ")
+        )
 
     @pytest.mark.parametrize(("shards", "replicas"), [(1, 1), (4, 2)], ids=["1x1", "4x2"])
     def test_batch_committing_after_a_swap_publishes_nothing(
         self, bundle, fresh_cache, monkeypatch, shards, replicas
     ):
         engine = self._engine(bundle, shards, replicas)
+        old = engine.generation
         old_ids = {chunk.doc_id for chunk in engine.artifact.chunks}
-        # Every paragraph of the page the question retrieves from changes.
-        revised = _rewrite_source(
-            bundle, "manual/ksp.md", lambda text: text.replace("\n\n", "\n\n(rev 2) ")
-        )
+        revised = self._revised(bundle)
         # Hold the batch's one job between retrieval and its commit.
         chat = engine.pipeline("rag").chat_model
         complete = chat.complete
@@ -982,9 +1011,9 @@ class TestSwapDuringBatch:
         assert item.answered and not item.error
         assert item.result.contexts
         assert {c.doc_id for c in item.result.contexts} <= old_ids  # one epoch: the old
-        assert engine.cache_sizes() == {"answer": 0, "retrieval": 0, "embedding": 0}
-        dropped = engine.registry.counter("repro.engine.stale_commits_dropped")
-        assert dropped.value == 1
+        # The late commit landed in the generation the batch read from.
+        assert out["batch"].cache_sizes == old.cache_sizes() == self.ONE_EACH
+        assert engine.generation is not old and engine.cache_sizes() == self.EMPTY
 
         live_ids = {chunk.doc_id for chunk in engine.artifact.chunks}
         got = engine.answer(self.QUESTION, mode="rag")
@@ -995,68 +1024,76 @@ class TestSwapDuringBatch:
             (c.doc_id, c.score) for c in want.contexts
         ]
         assert got.answer == want.answer
-        assert dropped.value == 1  # the single answer's store guard did not fire
-
-    def test_guard_is_a_noop_without_a_swap(self, bundle, fresh_cache):
-        engine = self._engine(bundle, 1, 1)
-        batch = engine.answer_many([self.QUESTION], mode="rag", workers=1)
-        assert batch.cache_sizes == {"answer": 1, "retrieval": 1, "embedding": 1}
-        # Not even a zero-valued counter: no existing metrics digest moves.
-        counters = engine.registry.snapshot()["counters"]
-        assert "repro.engine.stale_commits_dropped" not in counters
-        assert engine.answer_many([self.QUESTION], mode="rag").items[0].cached
 
 
 class TestSwapDuringAnswer:
     """The same window for one synchronous ``answer``: a request an
-    ingest overtakes between its retrieval and its return is answered
-    from the epoch it opened on and publishes nothing — neither the
-    answer nor the retrieval and query-embedding entries beside it."""
+    ingest overtakes is answered from the epoch it opened on — it reads
+    nothing a new-epoch request wrote — and publishes nothing to the live
+    caches: neither the answer nor the retrieval and query-embedding
+    entries beside it."""
 
     QUESTION = TestSwapDuringBatch.QUESTION
+
+    @classmethod
+    def _overtaken(cls, monkeypatch, engine, retriever, *, before: bool, overtake):
+        """Answer the question on a thread, holding it inside
+        ``retriever.retrieve`` — before it delegates (``before``) or once
+        it has its hits — while ``overtake()`` runs on this one.  Returns
+        the held answer and what ``overtake`` returned."""
+        retrieve = retriever.retrieve
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(*args, **kwargs):
+            if before:
+                entered.set()
+                assert release.wait(30)
+            hits = retrieve(*args, **kwargs)
+            if not before:
+                entered.set()
+                assert release.wait(30)
+            return hits
+
+        monkeypatch.setattr(retriever, "retrieve", gated)
+        out = {}
+        worker = threading.Thread(
+            target=lambda: out.update(result=engine.answer(cls.QUESTION, mode="rag"))
+        )
+        worker.start()
+        try:
+            assert entered.wait(30)
+            overtook = overtake()
+        finally:
+            release.set()
+            worker.join(30)
+        assert not worker.is_alive()
+        return out["result"], overtook
 
     @pytest.mark.parametrize(("shards", "replicas"), [(1, 1), (4, 2)], ids=["1x1", "4x2"])
     def test_answer_returning_after_a_swap_publishes_nothing(
         self, bundle, fresh_cache, monkeypatch, shards, replicas
     ):
         engine = TestSwapDuringBatch._engine(bundle, shards, replicas)
+        old = engine.generation
         old_ids = {chunk.doc_id for chunk in engine.artifact.chunks}
-        revised = _rewrite_source(
-            bundle, "manual/ksp.md", lambda text: text.replace("\n\n", "\n\n(rev 2) ")
-        )
+        revised = TestSwapDuringBatch._revised(bundle)
         # Hold the vector retriever under the caching wrapper once it has
         # its hits (query embedded, shards searched) and before it returns.
-        inner = engine.pipeline("rag").retriever.inner
-        retrieve = inner.retrieve
-        entered, release = threading.Event(), threading.Event()
-
-        def gated(*args, **kwargs):
-            hits = retrieve(*args, **kwargs)
-            entered.set()
-            assert release.wait(30)
-            return hits
-
-        monkeypatch.setattr(inner, "retrieve", gated)
-        out = {}
-        worker = threading.Thread(
-            target=lambda: out.update(result=engine.answer(self.QUESTION, mode="rag"))
+        in_flight, report = self._overtaken(
+            monkeypatch,
+            engine,
+            engine.pipeline("rag").retriever.inner,
+            before=False,
+            overtake=lambda: ingest_corpus(engine, revised),
         )
-        worker.start()
-        try:
-            assert entered.wait(30)
-            report = ingest_corpus(engine, revised)
-        finally:
-            release.set()
-            worker.join(30)
-        assert not worker.is_alive()
         assert report.swapped
 
-        in_flight = out["result"]
         assert in_flight.contexts
         assert {c.doc_id for c in in_flight.contexts} <= old_ids  # one epoch: the old
-        assert engine.cache_sizes() == {"answer": 0, "retrieval": 0, "embedding": 0}
-        dropped = engine.registry.counter("repro.engine.stale_commits_dropped")
-        assert dropped.value == 1
+        # The late commit landed in the generation the answer read from.
+        assert old.cache_sizes() == TestSwapDuringBatch.ONE_EACH
+        assert engine.generation is not old
+        assert engine.cache_sizes() == TestSwapDuringBatch.EMPTY
 
         live_ids = {chunk.doc_id for chunk in engine.artifact.chunks}
         got = engine.answer(self.QUESTION, mode="rag")
@@ -1069,6 +1106,44 @@ class TestSwapDuringAnswer:
             (c.doc_id, c.score) for c in want.contexts
         ]
         assert got.answer == want.answer
+
+    @pytest.mark.parametrize("embedding", ["petsc-embed-small", "petsc-embed-large"])
+    @pytest.mark.parametrize(("shards", "replicas"), [(1, 1), (4, 2)], ids=["1x1", "4x2"])
+    def test_old_epoch_request_never_reads_a_new_epoch_entry(
+        self, bundle, fresh_cache, monkeypatch, shards, replicas, embedding
+    ):
+        engine = TestSwapDuringBatch._engine(bundle, shards, replicas, embedding)
+        old_artifact = engine.artifact
+        old_ids = {chunk.doc_id for chunk in old_artifact.chunks}
+
+        def swap_then_ask():
+            report = ingest_corpus(engine, TestSwapDuringBatch._revised(bundle))
+            # A new-epoch request commits its retrieval and query embedding.
+            return report, engine.answer(self.QUESTION, mode="rag")
+
+        # Hold the old-epoch request at its retrieval-cache read.
+        held, (report, live) = self._overtaken(
+            monkeypatch,
+            engine,
+            engine.pipeline("rag").retriever,
+            before=True,
+            overtake=swap_then_ask,
+        )
+        assert report.swapped
+        assert held.contexts
+        assert {c.doc_id for c in held.contexts} <= old_ids  # one epoch: the old
+        # Under the corpus-fitted model the ids may stay and the scores
+        # move, so compare with the old epoch served alone.
+        want = QueryEngine(old_artifact, engine.config, registry=MetricsRegistry()).answer(
+            self.QUESTION, mode="rag"
+        )
+
+        def scored(result):
+            return [(c.doc_id, c.score) for c in result.contexts]
+
+        assert scored(live) != scored(want)  # a read of the new epoch's entry would show
+        assert scored(held) == scored(want)
+        assert held.answer == want.answer
 
 
 class TestHistoryFeedEqualsFromScratch:

@@ -293,10 +293,11 @@ class TestFrontDoor:
             hits = engine.registry.counter("repro.engine.answer_cache.hits")
             assert hits.value == len(questions)
             answers.append([r.answer for r in first])
+            gen = engine.generation
             lrus.append(
                 [
                     [key for key, _value in lru.items()]
-                    for lru in (engine._answer_lru, engine._retrieval_lru, engine._embedding_lru)
+                    for lru in (gen.answers, gen.retrieval, gen.embeddings)
                 ]
             )
             assert [len(keys) for keys in lrus[-1]] == [len(questions)] * 3
@@ -326,8 +327,8 @@ class TestFrontDoor:
             else:
                 with pytest.raises(ModelError):
                     engine.answer(question, mode="rag")
-            assert engine._retrieval_lru.items()[0][0] == ("vector", question, 8)
-            assert engine._embedding_lru.items()[0][0] == question
+            assert engine.generation.retrieval.items()[0][0] == ("vector", question, 8)
+            assert engine.generation.embeddings.items()[0][0] == question
             sizes.append(engine.cache_sizes())
         assert sizes[0] == sizes[1] == {"answer": 0, "retrieval": 1, "embedding": 1}
 
@@ -392,7 +393,8 @@ class TestFrontDoor:
 _SERVICE_ONLY = (
     r"pipeline\.answer\(",
     r"admission\.admit_(?:one|batch)\(",
-    r"_answer_lru\.(?:peek|put|touch)\(",
+    # The generation's answer LRU (``gen.answers``, ``engine.generation.answers``).
+    r"\.answers\.(?:peek|put|touch)\(",
 )
 
 
@@ -426,6 +428,9 @@ def test_one_backend_and_one_pipeline_call_site():
         # The request context is an argument: no ambient binder, no
         # per-layer registry callback, no stringly side channel on it.
         r"|ContextBinder|registry_fn|with_serving_context|\.scratch\b|_last_invalidation"
+        # Caches belong to the generation that computed them: no in-place
+        # eviction, no stale-commit guard.
+        r"|stale_commits_dropped|evict_where|invalidate_engine_caches"
     )
     # Nothing reads per-request randomness, so the context carries no
     # Generator and the service seeds none.
