@@ -141,7 +141,12 @@ class IndexArtifact:
 
     # ------------------------------------------------------------ consumers
     def keyword_search(self) -> ManualPageKeywordSearch:
-        """A fresh keyword retriever over the manual-page table."""
+        """A new keyword retriever over the manual-page table.
+
+        Its option-key index is wiring: each page's keys come from the
+        process-wide memo keyed by the page text, so a retriever built for
+        a new cache generation scans only the pages an edit wrote.
+        """
         return ManualPageKeywordSearch(self.manual_pages)
 
     def summary(self) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.corpus.facts import Fact, FactRegistry
-from repro.utils.textproc import QuestionReading, stem, stemmed_tokens
+from repro.utils.textproc import QuestionReading, stem, stem_set
 
 
 @dataclass
@@ -69,31 +69,26 @@ class RelevanceModel:
             t: math.log((1 + n) / (1 + c)) + 0.1 for t, c in topic_df.items()
         }
         # Stemmed-token IDF over fact statements, for the paraphrase signal.
+        # A statement's stems are read from the process-wide memo, which
+        # the paraphrase score reads too: a model built for a new cache
+        # generation stems no statement this process has stemmed before.
         tok_df: Counter[str] = Counter()
         for fact in registry.facts.values():
-            tok_df.update(set(stemmed_tokens(fact.statement)))
+            tok_df.update(stem_set(fact.statement))
         self._token_idf = {
             t: math.log((1 + n) / (1 + c)) + 0.1 for t, c in tok_df.items()
         }
         self._max_token_idf = max(self._token_idf.values(), default=1.0)
-        # Per-fact tables for the selection loop, keyed on what they are
-        # derived from — stemmed statement tokens by the statement, topic
-        # plans by the topics tuple — so a fact registered later, or an id
-        # bound to another fact, is scored on what it carries.
-        self._stmt_tokens: dict[str, frozenset[str]] = {}
+        # Topic plans for the selection loop, keyed on the topics tuple —
+        # as statement stems are keyed on the statement — so a fact
+        # registered later, or an id bound to another fact, is scored on
+        # what it carries.
         self._topic_plans: dict[tuple[str, ...], tuple[_TopicPlan, ...]] = {}
         for fact in registry.facts.values():
-            self._statement_stems(fact.statement)
             self._plans(fact.topics)
 
     def topic_weight(self, topic: str) -> float:
         return self._topic_weight.get(topic.lower(), 1.0)
-
-    def _statement_stems(self, statement: str) -> frozenset[str]:
-        stems = self._stmt_tokens.get(statement)
-        if stems is None:
-            stems = self._stmt_tokens[statement] = frozenset(stemmed_tokens(statement))
-        return stems
 
     def _plans(self, topics: tuple[str, ...]) -> tuple[_TopicPlan, ...]:
         plans = self._topic_plans.get(topics)
@@ -137,7 +132,7 @@ class RelevanceModel:
         return s
 
     def _paraphrase_score(self, fact: Fact, q: _QuestionFeatures) -> float:
-        shared = q.stems & self._statement_stems(fact.statement)
+        shared = q.stems & stem_set(fact.statement)
         if not shared:
             return 0.0
         # Sum in sorted order: float addition is non-associative, and set

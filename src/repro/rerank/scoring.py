@@ -28,6 +28,7 @@ from repro.documents import Document
 from repro.utils.textproc import (
     QuestionReading,
     stem,
+    stem_set,
     stemmed_tokens,
     tokenize_with_stopwords,
     word_ngrams,
@@ -77,17 +78,50 @@ def _concept(token: str) -> int | None:
 
 
 def build_idf(documents: list[Document]) -> dict[str, float]:
-    """Smoothed IDF over a document collection (stem space)."""
+    """Smoothed IDF over a document collection (stem space).
+
+    Each text's stem set comes from the process-wide memo
+    (:func:`~repro.utils.textproc.stem_set`), so a reranker built for a
+    new cache generation stems only the chunks an edit wrote; the rest is
+    one count over cached sets.
+    """
     df: Counter[str] = Counter()
     for doc in documents:
-        df.update(set(stemmed_tokens(doc.text)))
+        df.update(stem_set(doc.text))
     n = max(len(documents), 1)
     return {t: math.log((1 + n) / (1 + c)) + 1.0 for t, c in df.items()}
 
 
-#: Chunks whose document-side features one scorer keeps (least recently
-#: used dropped first); several times the corpus.
-_DOC_CACHE_SIZE = 2048
+class _DocFeatures(NamedTuple):
+    """What one document text contributes to every pair it is scored in."""
+
+    stems: tuple[str, ...]
+    terms: frozenset[str]
+    concepts: frozenset[int]
+    bigrams: frozenset[tuple[str, ...]]
+
+
+#: Texts whose features the process keeps (least recently scored dropped
+#: first); several times the corpus.
+_DOC_MEMO_SIZE = 2048
+
+
+@lru_cache(maxsize=_DOC_MEMO_SIZE)
+def _doc_features(text: str) -> _DocFeatures:
+    """Document-side features of a candidate text, kept by the text.
+
+    Candidates are chunks and manual pages, never a question.  Features
+    depend on the text alone — not on a scorer's weights or IDF — so
+    every scorer in the process shares one memo, and a swap, which builds
+    new scorers, re-analyses only the texts the edit wrote.
+    """
+    terms = stem_set(text)
+    return _DocFeatures(
+        stems=tuple(stemmed_tokens(text)),
+        terms=terms,
+        concepts=frozenset(g for g in map(_concept, terms) if g is not None),
+        bigrams=frozenset(word_ngrams([stem(t) for t in tokenize_with_stopwords(text)], 2)),
+    )
 
 
 class _QueryFeatures(NamedTuple):
@@ -129,13 +163,10 @@ class InteractionScorer:
         self.w_proximity = w_proximity
         self.w_focus = w_focus
         self.focus_chars = focus_chars
-        # Document-side features are query-independent and candidates
-        # repeat heavily across queries.
-        self._doc_features = lru_cache(maxsize=_DOC_CACHE_SIZE)(self._analyse_doc)
 
     # ------------------------------------------------------------------ features
     @staticmethod
-    def _coverage(q: _QueryFeatures, d_terms: set[str], d_concepts: set[int]) -> float:
+    def _coverage(q: _QueryFeatures, d_terms: frozenset[str], d_concepts: frozenset[int]) -> float:
         hit = 0.0
         for t, w, gid in q.weighted:
             if t in d_terms:
@@ -157,13 +188,15 @@ class InteractionScorer:
         return present / len(idents)
 
     @staticmethod
-    def _bigram(q_bigrams: set[tuple[str, ...]], d_bigrams: set[tuple[str, ...]]) -> float:
+    def _bigram(
+        q_bigrams: set[tuple[str, ...]], d_bigrams: frozenset[tuple[str, ...]]
+    ) -> float:
         if not q_bigrams:
             return 0.0
         return len(q_bigrams & d_bigrams) / len(q_bigrams)
 
     @staticmethod
-    def _proximity(q_terms: set[str], d_tokens: list[str]) -> float:
+    def _proximity(q_terms: set[str], d_tokens: "list[str] | tuple[str, ...]") -> float:
         """1 / window: the tightest document window covering the matched terms.
 
         This is the token-interaction-matrix part — O(|doc|) with a
@@ -200,14 +233,6 @@ class InteractionScorer:
         return math.log(len(text) / self.focus_chars)
 
     # ------------------------------------------------------------------ scoring
-    @staticmethod
-    def _analyse_doc(text: str) -> tuple[list[str], set[str], set[int], set[tuple[str, ...]]]:
-        d_stems = stemmed_tokens(text)
-        d_terms = set(d_stems)
-        d_concepts = {g for g in (_concept(t) for t in d_terms) if g is not None}
-        d_bigrams = set(word_ngrams([stem(t) for t in tokenize_with_stopwords(text)], 2))
-        return d_stems, d_terms, d_concepts, d_bigrams
-
     def _analyse_query(self, query: QuestionReading) -> _QueryFeatures:
         terms = set(query.stems)
         # Sorted: float addition is non-associative and set order varies
@@ -234,12 +259,12 @@ class InteractionScorer:
         q = self._analyse_query(QuestionReading.of(query))
         scores = np.empty(len(texts), dtype=np.float64)
         for i, text in enumerate(texts):
-            d_stems, d_terms, d_concepts, d_bigrams = self._doc_features(text)
-            s = self.w_coverage * self._coverage(q, d_terms, d_concepts)
+            d = _doc_features(text)
+            s = self.w_coverage * self._coverage(q, d.terms, d.concepts)
             s += self.w_identifier * self._identifier(q.idents, text)
-            s += self.w_bigram * self._bigram(q.bigrams, d_bigrams)
+            s += self.w_bigram * self._bigram(q.bigrams, d.bigrams)
             if self.w_proximity:
-                s += self.w_proximity * self._proximity(q.terms, d_stems)
+                s += self.w_proximity * self._proximity(q.terms, d.stems)
             s -= self.w_focus * self._focus(text)
             scores[i] = s
         return scores

@@ -9,6 +9,7 @@ matching manual pages.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 from repro.context import RequestContext, read_question
@@ -16,6 +17,21 @@ from repro.corpus.builder import CorpusBundle
 from repro.documents import Document
 from repro.retrieval.base import RetrievedDocument, Retriever
 from repro.utils.textproc import code_tokens
+
+#: Manual pages whose option keys the process keeps (least recently read
+#: dropped first); several times the corpus's 117.
+_PAGE_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_PAGE_MEMO_SIZE)
+def _option_keys(text: str) -> tuple[str, ...]:
+    """The distinct option keys (``-ksp_rtol``) a manual page's text
+    mentions, in order of first mention, kept by the page text.
+
+    A pure function of the page, so nothing clears it: the retriever a
+    new cache generation builds scans only the pages an edit wrote.
+    """
+    return tuple(dict.fromkeys(tok for tok in code_tokens(text) if tok.startswith("-")))
 
 
 class ManualPageKeywordSearch(Retriever):
@@ -35,9 +51,8 @@ class ManualPageKeywordSearch(Retriever):
         # Option keys resolve to the page whose Options section mentions them.
         self._option_index: dict[str, Document] = {}
         for doc in self._pages.values():
-            for tok in code_tokens(doc.text):
-                if tok.startswith("-"):
-                    self._option_index.setdefault(tok, doc)
+            for key in _option_keys(doc.text):
+                self._option_index.setdefault(key, doc)
 
     def known_identifiers(self) -> frozenset[str]:
         """All identifiers the corpus knows: page names and option keys."""

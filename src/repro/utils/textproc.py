@@ -191,6 +191,26 @@ def stemmed_tokens(text: str) -> list[str]:
     return [stem(t) for t in tokenize(text)]
 
 
+#: Distinct texts whose stem sets the process keeps (least recently read
+#: dropped first); several times the corpus's 188 chunks, 117 manual
+#: pages and 84 fact statements.
+_STEM_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_STEM_MEMO_SIZE)
+def stem_set(text: str) -> frozenset[str]:
+    """The set of :func:`stemmed_tokens` of a corpus text, kept by the text.
+
+    Only corpus-side text is read through it — chunks, manual pages, fact
+    statements — never a question, so a cold ask stays cold in the
+    question.  A set is a pure function of its text: no ingest, registry
+    or engine can make an entry stale, and nothing clears it, so a new
+    cache generation stems only the texts an edit wrote.  It iterates in
+    hash order; only membership and counts may reach a weight or a score.
+    """
+    return frozenset(stemmed_tokens(text))
+
+
 class QuestionReading:
     """One question read once: what retrieval, rerank and the model each
     used to derive from its text for themselves.

@@ -52,6 +52,7 @@ from repro.ingest import (
     source_digest,
 )
 from repro.observability import MetricsRegistry, use_registry
+from tests.test_text_analysis import _memo_misses
 
 
 EMBED = "petsc-embed-small"  # corpus-free: the delta lane's precondition
@@ -878,6 +879,12 @@ def _revision_note(bundle, source: str, step: int) -> CorpusBundle:
     return CorpusBundle(registry=bundle.registry, documents=docs, manual_page_names=pages)
 
 
+def _corpus_texts(artifact) -> set[str]:
+    return {chunk.text for chunk in artifact.chunks} | {
+        page.text for page in artifact.manual_pages.values()
+    }
+
+
 class TestSwapLeavesNoStaleCacheEntry:
     """After a swap under the corpus-fitted model, with every cache left
     warm, the engine answers like one opened fresh on the final corpus:
@@ -921,6 +928,54 @@ class TestSwapLeavesNoStaleCacheEntry:
                 (c.doc_id, c.score) for c in want.candidates
             ], question
             assert got.answer == want.answer, question
+
+    @pytest.mark.parametrize("embedding", ["petsc-embed-large", EMBED])
+    @pytest.mark.parametrize(("shards", "replicas"), [(1, 1), (4, 2)], ids=["1x1", "4x2"])
+    def test_a_swap_re_analyses_only_the_text_it_wrote(
+        self, bundle, fresh_cache, shards, replicas, embedding
+    ):
+        """The new generation's reranker, model and keyword retriever read
+        the process-wide text memos (DESIGN §15): after a one-document
+        edit they analyse the texts the edit wrote and nothing else, and
+        answer like a fresh engine on the edited corpus."""
+        cfg = _cfg(shards, replicas=replicas, embedding=embedding)
+        questions = [q.text for q in krylov_benchmark()]
+        engine = open_engine(cfg, bundle=bundle, registry=MetricsRegistry())
+        old = _corpus_texts(engine.artifact)
+        # Every corpus text analysed once, as a long-running service's are.
+        engine.pipeline().reranker.score_pairs("", sorted(old))
+        for question in questions:
+            engine.answer(question)
+        # A note no other test writes, so the texts it makes are new to the process.
+        revised = _revision_note(
+            bundle, "manualpages/KSPGMRES.md", f"{shards}x{replicas}-{embedding}"
+        )
+        before = _memo_misses()
+        assert ingest_corpus(engine, revised).swapped
+        got = [engine.answer(question) for question in questions]
+        after = _memo_misses()
+
+        new = _corpus_texts(engine.artifact) - old
+        new_chunks = new & {chunk.text for chunk in engine.artifact.chunks}
+        new_pages = new & {page.text for page in engine.artifact.manual_pages.values()}
+        scored = new & {c.document.text for result in got for c in result.candidates}
+        assert new_chunks and new_pages
+        assert {name: after[name] - before[name] for name in after} == {
+            "stems": len(new_chunks | scored),
+            "features": len(scored),
+            "option keys": len(new_pages),
+        }
+
+        clear_index_cache()
+        fresh = open_engine(cfg, bundle=revised, registry=MetricsRegistry())
+        assert fresh.artifact.digest == engine.artifact.digest
+        for question, result in zip(questions, got):
+            want = fresh.answer(question)
+            for attr in ("candidates", "contexts"):
+                assert [(c.doc_id, c.score) for c in getattr(result, attr)] == [
+                    (c.doc_id, c.score) for c in getattr(want, attr)
+                ], question
+            assert result.answer == want.answer, question
 
     def test_query_holding_a_term_that_left_the_vocabulary(self, bundle, fresh_cache):
         engine = open_engine(ReproConfig(iterations_per_token=0), bundle=bundle)

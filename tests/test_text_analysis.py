@@ -9,11 +9,13 @@ references: the production code must agree with them exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import random
 import re
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import open_service
+from repro.config import ReproConfig, RetrievalConfig
 from repro.context import RequestContext, read_question
 from repro.corpus import facts as facts_module
 from repro.corpus.builder import chunk_corpus
@@ -30,6 +33,8 @@ from repro.errors import CorpusError, ModelError
 from repro.documents import Document
 from repro.embeddings import create_embedding_model
 from repro.evaluation.benchmark import krylov_benchmark
+from repro.index import clear_index_cache
+from repro.ingest import ingest_corpus
 from repro.llm import registry as model_registry
 from repro.llm import tokens as tokens_module
 from repro.llm.relevance import RelevanceModel
@@ -38,6 +43,7 @@ from repro.observability import MetricsRegistry
 from repro.prompts import RAG_SYSTEM_PROMPT, parse_rag_prompt
 from repro.rerank import FlashrankLiteReranker, NvidiaSimReranker
 from repro.rerank import scoring
+from repro.retrieval import keyword as keyword_module
 from repro.utils import textproc
 from repro.utils.textproc import (
     QuestionReading,
@@ -129,6 +135,16 @@ def ref_pair_score(sc: scoring.InteractionScorer, query: str, text: str) -> floa
         s += sc.w_proximity * sc._proximity(q_terms, d_stems)
     s -= sc.w_focus * sc._focus(text)
     return s
+
+
+def ref_build_idf(documents: list[Document]) -> dict[str, float]:
+    """Smoothed IDF with every document stemmed again."""
+    df: dict[str, int] = {}
+    for doc in documents:
+        for t in set(stemmed_tokens(doc.text)):
+            df[t] = df.get(t, 0) + 1
+    n = max(len(documents), 1)
+    return {t: math.log((1 + n) / (1 + c)) + 1.0 for t, c in df.items()}
 
 
 def ref_topic_score(rel: RelevanceModel, fact: Fact, question: str) -> float:
@@ -729,6 +745,16 @@ def scorer(request, chunks):
     return request.param(chunks)._scorer
 
 
+def _memo_misses() -> dict[str, int]:
+    """Misses so far of the three corpus-text memos."""
+    memos = {
+        "stems": textproc.stem_set,
+        "features": scoring._doc_features,
+        "option keys": keyword_module._option_keys,
+    }
+    return {name: memo.cache_info().misses for name, memo in memos.items()}
+
+
 class TestRerankFeatures:
     def test_batch_is_score_per_text_and_both_equal_the_reference(self, scorer, chunk_texts):
         for question in krylov_benchmark():
@@ -741,17 +767,114 @@ class TestRerankFeatures:
         assert scorer.score_batch("anything", []).shape == (0,)
         assert scorer.score("", "KSPLSQR") == ref_pair_score(scorer, "", "KSPLSQR")
 
-    def test_doc_cache_is_keyed_on_text_and_bounded(self, monkeypatch):
-        monkeypatch.setattr(scoring, "_DOC_CACHE_SIZE", 4)
-        sc = scoring.InteractionScorer()
-        texts = [f"gmres restart number {i}" for i in range(10)]
-        sc.score_batch("gmres restart", texts)
-        info = sc._doc_features.cache_info()
-        assert (info.currsize, info.maxsize, info.misses) == (4, 4, 10)
-        sc.score("gmres restart", texts[-1])
-        assert sc._doc_features.cache_info().hits == 1
-        # Features come back for the text asked about, whatever was cached.
-        assert sc.score("gmres restart", texts[0]) == ref_pair_score(sc, "gmres restart", texts[0])
+    def test_doc_cache_is_keyed_on_text_and_bounded(self):
+        """One memo for the process, whatever scorer reads it."""
+        memo, size = scoring._doc_features, scoring._DOC_MEMO_SIZE
+        texts = [f"gmres restart bound check {i}" for i in range(size + 10)]
+        before = memo.cache_info()
+        scoring.InteractionScorer().score_batch("gmres restart", texts)
+        info = memo.cache_info()
+        assert (info.currsize, info.maxsize, info.misses - before.misses) == (size, size, size + 10)
+        # Another scorer, an equal string that is another object: a hit.
+        other = scoring.InteractionScorer(w_proximity=0.3)
+        equal = texts[-1][:4] + texts[-1][4:]
+        assert equal is not texts[-1]
+        assert other.score("gmres restart", equal) == ref_pair_score(other, "gmres restart", equal)
+        assert memo.cache_info().hits == info.hits + 1
+        # Features come back for the text asked about, whatever was evicted.
+        assert other.score("gmres restart", texts[0]) == ref_pair_score(other, "gmres restart", texts[0])
+        assert memo.cache_info().misses == info.misses + 1
+
+    def test_stem_memo_is_bounded(self):
+        memo, size = textproc.stem_set, textproc._STEM_MEMO_SIZE
+        before = memo.cache_info()
+        for i in range(size + 10):
+            assert memo(f"stem bound check {i}") == {"stem", "bound", "check", str(i)}
+        info = memo.cache_info()
+        assert (info.currsize, info.maxsize, info.misses - before.misses) == (size, size, size + 10)
+
+    def test_memo_values_are_immutable(self, bundle, chunk_texts):
+        for text in chunk_texts:
+            features = scoring._doc_features(text)
+            assert isinstance(features, tuple) and type(features.stems) is tuple
+            for held in (features.terms, features.concepts, features.bigrams):
+                assert type(held) is frozenset
+            assert features.stems == tuple(stemmed_tokens(text))
+            assert type(textproc.stem_set(text)) is frozenset
+            assert textproc.stem_set(text) == features.terms == set(stemmed_tokens(text))
+        for page in bundle.manual_page_names.values():
+            keys = keyword_module._option_keys(page.text)
+            assert type(keys) is tuple
+            assert keys == tuple(dict.fromkeys(t for t in code_tokens(page.text) if t[0] == "-"))
+
+    def test_no_question_enters_and_nothing_clears_it(self, bundle):
+        """Once every chunk and page has been read, asks miss no memo —
+        cold ones included — and neither ``invalidate_query_caches()`` nor
+        an ingest's swap drops an entry."""
+        from tests.test_ingest import _revision_note
+
+        cfg = ReproConfig(
+            iterations_per_token=0, retrieval=RetrievalConfig(embedding_model="petsc-embed-small")
+        )
+        questions = [q.text for q in krylov_benchmark()]
+        clear_index_cache()
+        try:
+            service = open_service(cfg, bundle=bundle, registry=MetricsRegistry())
+            artifact = service.engine.artifact
+            corpus = sorted(
+                {c.text for c in artifact.chunks} | {p.text for p in artifact.manual_pages.values()}
+            )
+            service.pipeline_for().reranker.score_pairs("", corpus)
+            read = _memo_misses()
+            for question in questions:
+                service.answer(question)
+            service.invalidate_query_caches()
+            for question in questions:
+                service.answer(question + " Briefly.")
+            assert _memo_misses() == read
+            ingest_corpus(
+                service.engine, _revision_note(bundle, "manualpages/KSPGMRES.md", "-memo-check")
+            )
+            service.answer(questions[0])
+            wrote = _memo_misses()
+            assert wrote != read  # the new generation read the page the edit wrote
+            textproc.stem_set(corpus[0])
+            service.pipeline_for().reranker.score_pairs("", corpus)
+            for page in artifact.manual_pages.values():
+                keyword_module._option_keys(page.text)
+            assert _memo_misses() == wrote
+        finally:
+            clear_index_cache()
+
+    def test_four_threads_on_a_cold_memo(self, chunks, chunk_texts):
+        questions = [q.text for q in krylov_benchmark()]
+        texts = chunk_texts[::4]
+        textproc.stem_set.cache_clear()
+        scoring._doc_features.cache_clear()
+        got: dict[tuple[int, str], tuple] = {}
+
+        def work(index: int) -> None:
+            for cls in (FlashrankLiteReranker, NvidiaSimReranker):
+                sc = cls(chunks)._scorer
+                got[index, cls.name] = (sc.idf, [sc.score_batch(q, texts).tolist() for q in questions])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        idf = ref_build_idf(chunks)
+        for cls in (FlashrankLiteReranker, NvidiaSimReranker):
+            sc = cls(chunks)._scorer
+            want = [[ref_pair_score(sc, q, t) for t in texts] for q in questions]
+            for index in range(4):
+                assert got[index, cls.name] == (idf, want)
 
     def test_scores_do_not_depend_on_the_hash_seed(self):
         """Coverage sums float IDF weights; in set order the last bits
@@ -812,7 +935,7 @@ class TestTopicPlans:
             for fact in facts:
                 score = rel.score(fact, question)
                 assert by_id.get(fact.fact_id, score) == score
-                shared = q_stems & rel._statement_stems(fact.statement)
+                shared = q_stems & set(stemmed_tokens(fact.statement))
                 paraphrase = 0.0
                 if shared:
                     num = sum(rel._token_idf.get(t, rel._max_token_idf) for t in sorted(shared))
