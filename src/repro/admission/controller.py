@@ -3,9 +3,9 @@
 :class:`AdmissionController` is what the engine talks to.  It owns the
 per-client :class:`~repro.admission.limiter.RateLimiter`, the bounded
 deadline-aware queue model, and the :class:`AIMDController` that sizes
-the batch worker pool.  Batch admission is a fold over the requests in
-submission order — no wall clock, no thread state — so the full decision
-vector is reproducible from the arrival times alone.
+the batch worker pool (1 to 16 workers).  Batch admission is a fold over
+the requests in submission order — no wall clock, no thread state — so
+the full decision vector is reproducible from the arrival times alone.
 """
 
 from __future__ import annotations
@@ -114,13 +114,7 @@ class AdmissionController:
             burst=config.burst,
             per_client_rates=config.per_client_rates,
         )
-        self.aimd = AIMDController(
-            min_limit=config.min_concurrency,
-            max_limit=config.max_concurrency,
-            increase=config.aimd_increase,
-            decrease=config.aimd_decrease,
-            window=config.aimd_window,
-        )
+        self.aimd = AIMDController(min_limit=1, max_limit=16)
 
     # ------------------------------------------------------------ sequential
     def admit_one(

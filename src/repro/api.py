@@ -132,7 +132,6 @@ def open_workflow(
             config.retrieval.embedding_model if mode is not PipelineMode.BASELINE else ""
         ),
         record_history=config.record_history,
-        record_traces=config.observability.record_traces,
     )
     if config.durability.history_journal and workflow.store.journal is None:
         # Every recorded interaction becomes durable the moment it lands;

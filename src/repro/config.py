@@ -1,15 +1,23 @@
 """Configuration for the augmented PETSc LLM workflow.
 
 :class:`ReproConfig` is the root: one dataclass nesting every
-subsystem's knobs (retrieval, resilience, observability, engine,
-admission, durability, sharding, replication, ingest), with ``to_dict``/``from_dict``
-round-tripping so the CLI, tests, and embedders of the library stop
-threading six separate config objects.
+subsystem's knobs (retrieval, resilience, engine, admission, durability,
+sharding, replication), with ``to_dict``/``from_dict`` round-tripping so
+the CLI, tests, and embedders of the library stop threading six separate
+config objects.
+
+A field exists because a caller turns it.  A value nothing sets is a
+module constant beside its one reader (the health walk's thresholds in
+:mod:`repro.replication.health`, the AIMD limits in
+:mod:`repro.admission.controller`, the query-embedding LRU size in
+:mod:`repro.engine.caches`), and ``from_dict`` rejects its old key like
+any other unknown one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from repro.embeddings.registry import EMBEDDING_MODEL_NAMES
 from repro.errors import ConfigurationError
@@ -62,7 +70,6 @@ class ResilienceConfig:
     max_attempts: int = 4
     backoff_base_seconds: float = 0.05
     backoff_max_seconds: float = 2.0
-    backoff_multiplier: float = 2.0
     #: Jitter as a fraction of each delay, in [0, 1).
     jitter: float = 0.25
     #: Per-answer wall-clock budget; None disables the deadline.
@@ -70,8 +77,6 @@ class ResilienceConfig:
     #: Consecutive failures that trip the LLM breaker open.
     breaker_failure_threshold: int = 8
     breaker_recovery_seconds: float = 30.0
-    #: Probe successes required to close a half-open breaker.
-    breaker_half_open_max: int = 1
 
     def validate(self) -> None:
         if self.max_attempts <= 0:
@@ -80,10 +85,6 @@ class ResilienceConfig:
             raise ConfigurationError(
                 f"invalid backoff range: base={self.backoff_base_seconds}, "
                 f"max={self.backoff_max_seconds}"
-            )
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
             )
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
@@ -99,26 +100,6 @@ class ResilienceConfig:
             raise ConfigurationError(
                 f"breaker_recovery_seconds must be >= 0, got {self.breaker_recovery_seconds}"
             )
-        if self.breaker_half_open_max <= 0:
-            raise ConfigurationError(
-                f"breaker_half_open_max must be positive, got {self.breaker_half_open_max}"
-            )
-
-
-@dataclass
-class ObservabilityConfig:
-    """Tracing knobs for the observability layer.
-
-    Tracing itself is always on (a span tree per invocation is cheap and
-    the timing surface depends on it); this flag controls where the
-    data goes.
-    """
-
-    #: Persist the serialized span tree into interaction-history records.
-    record_traces: bool = True
-
-    def validate(self) -> None:  # all combinations are valid
-        return None
 
 
 @dataclass
@@ -131,7 +112,9 @@ class AdmissionConfig:
     shed immediately with a typed
     :class:`~repro.errors.OverloadedError` carrying ``retry_after``.
     An AIMD controller narrows the batch worker pool when deadline
-    misses or breaker trips rise and re-widens it on sustained success.
+    misses or breaker trips rise and re-widens it on sustained success;
+    its limits (1 to 16 workers) and steps are the class defaults of
+    :class:`~repro.admission.controller.AIMDController`, not config.
     All decisions are pure functions of the (simulated) arrival times,
     so same-seed runs shed byte-identically.
     """
@@ -147,14 +130,6 @@ class AdmissionConfig:
     queue_timeout_seconds: float = 4.0
     #: Per-client refill-rate overrides (client id → requests/second).
     per_client_rates: dict[str, float] = field(default_factory=dict)
-    #: AIMD concurrency bounds for the batch worker pool.
-    min_concurrency: int = 1
-    max_concurrency: int = 16
-    #: Additive step added to the limit after ``aimd_window`` successes.
-    aimd_increase: float = 1.0
-    #: Multiplicative factor applied to the limit on an overload signal.
-    aimd_decrease: float = 0.5
-    aimd_window: int = 8
 
     def validate(self) -> None:
         if self.requests_per_second <= 0:
@@ -174,21 +149,6 @@ class AdmissionConfig:
                 raise ConfigurationError(
                     f"per-client rate for {client!r} must be positive, got {rate}"
                 )
-        if not 1 <= self.min_concurrency <= self.max_concurrency:
-            raise ConfigurationError(
-                f"need 1 <= min_concurrency <= max_concurrency, got "
-                f"{self.min_concurrency}..{self.max_concurrency}"
-            )
-        if self.aimd_increase <= 0:
-            raise ConfigurationError(
-                f"aimd_increase must be positive, got {self.aimd_increase}"
-            )
-        if not 0.0 < self.aimd_decrease < 1.0:
-            raise ConfigurationError(
-                f"aimd_decrease must be in (0, 1), got {self.aimd_decrease}"
-            )
-        if self.aimd_window < 1:
-            raise ConfigurationError(f"aimd_window must be >= 1, got {self.aimd_window}")
 
 
 @dataclass
@@ -225,7 +185,6 @@ class EngineConfig:
     #: Entries kept per cache; 0 disables that cache entirely.
     answer_cache_size: int = 256
     retrieval_cache_size: int = 1024
-    embedding_cache_size: int = 4096
     #: Default worker-pool width for :meth:`QueryEngine.answer_many`.
     batch_workers: int = 4
     #: Directory for on-disk index artifacts; None keeps them in memory only.
@@ -235,7 +194,6 @@ class EngineConfig:
         for label, size in (
             ("answer_cache_size", self.answer_cache_size),
             ("retrieval_cache_size", self.retrieval_cache_size),
-            ("embedding_cache_size", self.embedding_cache_size),
         ):
             if size < 0:
                 raise ConfigurationError(f"{label} must be >= 0, got {size}")
@@ -292,12 +250,6 @@ class ReplicationConfig:
 
     #: Serving copies per shard; 1 = no replication (single copy).
     replicas: int = 1
-    #: Consecutive probe failures that mark a replica *suspect*.
-    suspect_after: int = 1
-    #: Consecutive probe failures that mark a replica *down*.
-    down_after: int = 3
-    #: Selections a down replica sits out before one half-open probe.
-    probe_after: int = 4
     #: Probe the first backup alongside a *suspect* primary and use its
     #: result when the primary fails (``repro.replica.hedges`` /
     #: ``hedge_wins``).
@@ -309,17 +261,6 @@ class ReplicationConfig:
     def validate(self) -> None:
         if self.replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {self.replicas}")
-        if self.suspect_after < 1:
-            raise ConfigurationError(
-                f"suspect_after must be >= 1, got {self.suspect_after}"
-            )
-        if self.down_after < self.suspect_after:
-            raise ConfigurationError(
-                f"down_after must be >= suspect_after, got "
-                f"{self.down_after} < {self.suspect_after}"
-            )
-        if self.probe_after < 1:
-            raise ConfigurationError(f"probe_after must be >= 1, got {self.probe_after}")
 
 
 @dataclass
@@ -335,7 +276,6 @@ class ReproConfig:
     chat_model: str = "gpt-4o-sim"
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
     engine: EngineConfig = field(default_factory=EngineConfig)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
@@ -358,7 +298,6 @@ class ReproConfig:
             )
         self.retrieval.validate()
         self.resilience.validate()
-        self.observability.validate()
         self.engine.validate()
         self.admission.validate()
         self.durability.validate()
@@ -373,9 +312,10 @@ class ReproConfig:
     def from_dict(cls, data: dict) -> "ReproConfig":
         """Build a config from a (possibly partial) nested dict.
 
-        Missing keys keep their defaults; unknown keys and out-of-range
-        values raise :class:`~repro.errors.ConfigurationError` so typos
-        do not pass silently.
+        Missing keys keep their defaults; unknown keys, values of the
+        wrong type and out-of-range values raise
+        :class:`~repro.errors.ConfigurationError` so typos do not pass
+        silently.
         """
         config = _section_from_dict(cls, data, path="")
         config.validate()
@@ -406,14 +346,29 @@ def _section_from_dict(cls, data, *, path: str):
         raise ConfigurationError(
             f"unknown config key(s) {unknown} in section {path or 'root'!r}"
         )
+    hints = get_type_hints(cls)
     section = cls()
     for name, value in data.items():
+        key = f"{path}.{name}" if path else name
         current = getattr(section, name)
         if is_dataclass(current):
-            child = _section_from_dict(
-                type(current), value, path=f"{path}.{name}" if path else name
-            )
-            setattr(section, name, child)
-        else:
-            setattr(section, name, value)
+            value = _section_from_dict(type(current), value, path=key)
+        elif not _fits(value, hints[name]):
+            raise ConfigurationError(f"{key} must be {known[name].type}, got {value!r}")
+        setattr(section, name, value)
     return section
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` has the declared type: a ``bool`` is not an
+    ``int``, and an ``int`` is a ``float``."""
+    args = get_args(hint)
+    if get_origin(hint) is dict:
+        return isinstance(value, dict) and all(
+            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items()
+        )
+    if args:  # ``X | None``
+        return any(_fits(value, arm) for arm in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)

@@ -30,6 +30,9 @@ from repro.context import RequestContext, read_question
 from repro.embeddings.base import EmbeddingModel
 from repro.retrieval.base import RetrievedDocument, Retriever
 
+#: Query vectors a generation keeps (:class:`CachedEmbedding`).
+EMBEDDING_CACHE_SIZE = 4096
+
 
 class LRUCache:
     """A bounded mapping with least-recently-used eviction.

@@ -28,7 +28,12 @@ from typing import TYPE_CHECKING
 from repro.admission import AdmissionController
 from repro.config import ReproConfig
 from repro.context import RequestContext
-from repro.engine.caches import CachedEmbedding, CachingRetriever, LRUCache
+from repro.engine.caches import (
+    EMBEDDING_CACHE_SIZE,
+    CachedEmbedding,
+    CachingRetriever,
+    LRUCache,
+)
 from repro.errors import ConfigurationError
 from repro.index import IndexArtifact
 from repro.observability import MetricsRegistry, get_registry
@@ -102,11 +107,11 @@ class QueryEngine:
             0,
             LRUCache(ec.answer_cache_size),
             LRUCache(ec.retrieval_cache_size),
-            LRUCache(ec.embedding_cache_size),
+            LRUCache(EMBEDDING_CACHE_SIZE),
         )
         # One tracker across every pipeline mode: health is a property
         # of the serving copies, not of the mode that probed them.
-        self.replica_health = HealthTracker(self.config.replication)
+        self.replica_health = HealthTracker()
         self._build_lock = threading.Lock()
         self._service = None
 

@@ -49,7 +49,6 @@ class AugmentedWorkflow:
         store: InteractionStore | None = None,
         embedding_model: str = "",
         record_history: bool = True,
-        record_traces: bool = True,
     ) -> None:
         self.bundle = bundle
         #: The request front door every question goes through.
@@ -58,7 +57,6 @@ class AugmentedWorkflow:
         self.store = store if store is not None else InteractionStore()
         self.embedding_model = embedding_model
         self.record_history = record_history
-        self.record_traces = record_traces
         self._known = frozenset(bundle.manual_page_names)
 
     def feed_history_into_rag(self, *, min_mean_score: float = 3.0) -> int:
@@ -98,10 +96,7 @@ class AugmentedWorkflow:
         interaction_id: str | None = None
         if self.record_history:
             rec = self.store.record_pipeline_result(
-                result,
-                embedding_model=self.embedding_model,
-                tags=tags,
-                include_trace=self.record_traces,
+                result, embedding_model=self.embedding_model, tags=tags
             )
             interaction_id = rec.interaction_id
         return WorkflowAnswer(

@@ -11,13 +11,13 @@ failover digest-stable.
 
 State machine per ``(shard, replica)`` key::
 
-    UP --failures >= suspect_after--> SUSPECT
-    SUSPECT --failures >= down_after--> DOWN
-    DOWN --probe_after skipped selections--> one half-open probe
+    UP --failures >= SUSPECT_AFTER (1)--> SUSPECT
+    SUSPECT --failures >= DOWN_AFTER (3)--> DOWN
+    DOWN --PROBE_AFTER (4) selections--> one half-open probe
     any --probe success--> UP
 
-A *down* replica is skipped by the failover walk; after sitting out
-``probe_after`` selections it is offered one half-open probe (the
+A *down* replica is skipped by the failover walk; every
+``PROBE_AFTER``-th selection it is offered one half-open probe (the
 circuit-breaker idiom, counted in attempts instead of seconds).  A
 single success fully recovers the replica.
 """
@@ -27,8 +27,14 @@ from __future__ import annotations
 import enum
 import threading
 
-from repro.config import ReplicationConfig
 from repro.observability.metrics import MetricsRegistry
+
+#: Consecutive probe failures that mark a replica *suspect*.
+SUSPECT_AFTER = 1
+#: Consecutive probe failures that mark a replica *down*.
+DOWN_AFTER = 3
+#: A down replica's selections per half-open probe.
+PROBE_AFTER = 4
 
 
 class ReplicaState(str, enum.Enum):
@@ -61,9 +67,7 @@ class HealthTracker:
     ``recovered`` on the registry of the request whose probe caused them.
     """
 
-    def __init__(self, config: ReplicationConfig | None = None) -> None:
-        self.config = config if config is not None else ReplicationConfig()
-        self.config.validate()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cells: dict[tuple[int, int], _Cell] = {}
 
@@ -102,11 +106,11 @@ class HealthTracker:
             cell = self._cell(shard, replica)
             cell.failures += 1
             previous = cell.state
-            if cell.failures >= self.config.down_after:
+            if cell.failures >= DOWN_AFTER:
                 cell.state = ReplicaState.DOWN
                 if previous is not ReplicaState.DOWN:
                     cell.skips = 0
-            elif cell.failures >= self.config.suspect_after:
+            elif cell.failures >= SUSPECT_AFTER:
                 cell.state = ReplicaState.SUSPECT
             transition = (previous, cell.state)
         if transition[0] is not ReplicaState.DOWN and transition[1] is ReplicaState.DOWN:
@@ -118,7 +122,7 @@ class HealthTracker:
         """Whether the failover walk may try this replica this selection.
 
         Up/suspect replicas always may.  A down replica sits out
-        ``probe_after`` selections and then gets one half-open probe;
+        ``PROBE_AFTER - 1`` selections and then gets one half-open probe;
         the probe's outcome (success → up, failure → down again) decides
         what happens next — all counted in attempts, never in seconds.
         Only a down cell's skip count moves, so any other existing cell
@@ -132,7 +136,7 @@ class HealthTracker:
             if cell.state is not ReplicaState.DOWN:
                 return True
             cell.skips += 1
-            if cell.skips >= self.config.probe_after:
+            if cell.skips >= PROBE_AFTER:
                 cell.skips = 0
                 return True
             return False

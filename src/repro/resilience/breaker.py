@@ -30,8 +30,8 @@ class CircuitBreaker:
 
     While open, calls fail fast with :class:`CircuitOpenError` (no load
     reaches the protected hop).  After ``recovery_seconds`` the breaker
-    goes half-open and admits probe calls; ``half_open_max`` consecutive
-    probe successes close it, any probe failure re-opens it.
+    goes half-open and admits probe calls; one probe success closes it,
+    any probe failure re-opens it.
 
     Only retry-safe (transient) errors count toward tripping: a
     permanent error like a context overflow says nothing about the
@@ -43,7 +43,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 8,
         recovery_seconds: float = 30.0,
-        half_open_max: int = 1,
         clock: Callable[[], float] = time.monotonic,
         name: str = "breaker",
     ) -> None:
@@ -51,16 +50,12 @@ class CircuitBreaker:
             raise ConfigurationError(f"failure_threshold must be positive, got {failure_threshold}")
         if recovery_seconds < 0:
             raise ConfigurationError(f"recovery_seconds must be >= 0, got {recovery_seconds}")
-        if half_open_max <= 0:
-            raise ConfigurationError(f"half_open_max must be positive, got {half_open_max}")
         self.name = name
         self.failure_threshold = failure_threshold
         self.recovery_seconds = recovery_seconds
-        self.half_open_max = half_open_max
         self._clock = clock
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
-        self._probe_successes = 0
         self._opened_at = 0.0
         # Lifetime counters, surfaced by chaos reports.
         self.calls_allowed = 0
@@ -72,7 +67,6 @@ class CircuitBreaker:
         return cls(
             failure_threshold=config.breaker_failure_threshold,
             recovery_seconds=config.breaker_recovery_seconds,
-            half_open_max=config.breaker_half_open_max,
             name=name,
         )
 
@@ -84,7 +78,6 @@ class CircuitBreaker:
             and self._clock() - self._opened_at >= self.recovery_seconds
         ):
             self._state = BreakerState.HALF_OPEN
-            self._probe_successes = 0
         return self._state
 
     def allow(self) -> None:
@@ -101,12 +94,8 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         if self.state is BreakerState.HALF_OPEN:
-            self._probe_successes += 1
-            if self._probe_successes >= self.half_open_max:
-                self._state = BreakerState.CLOSED
-                self._consecutive_failures = 0
-        else:
-            self._consecutive_failures = 0
+            self._state = BreakerState.CLOSED
+        self._consecutive_failures = 0
 
     def record_failure(self) -> None:
         if self.state is BreakerState.HALF_OPEN:

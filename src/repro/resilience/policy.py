@@ -21,6 +21,8 @@ from repro.utils.rng import rng_for
 T = TypeVar("T")
 
 _BACKOFF_NS = "resilience-backoff"
+#: Each retry waits this many times the one before, up to ``max_delay``.
+_BACKOFF_MULTIPLIER = 2.0
 
 
 class Deadline:
@@ -72,7 +74,6 @@ class RetryPolicy:
     max_attempts: int = 4
     base_delay: float = 0.05
     max_delay: float = 2.0
-    multiplier: float = 2.0
     jitter: float = 0.25
 
     def __post_init__(self) -> None:
@@ -82,8 +83,6 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"invalid delay range: base={self.base_delay}, max={self.max_delay}"
             )
-        if self.multiplier < 1.0:
-            raise ConfigurationError(f"multiplier must be >= 1, got {self.multiplier}")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
 
@@ -93,7 +92,6 @@ class RetryPolicy:
             max_attempts=config.max_attempts,
             base_delay=config.backoff_base_seconds,
             max_delay=config.backoff_max_seconds,
-            multiplier=config.backoff_multiplier,
             jitter=config.jitter,
         )
 
@@ -107,7 +105,7 @@ class RetryPolicy:
         rng = rng_for(_BACKOFF_NS, *key)
         delays: list[float] = []
         for attempt in range(self.max_attempts - 1):
-            raw = min(self.max_delay, self.base_delay * self.multiplier**attempt)
+            raw = min(self.max_delay, self.base_delay * _BACKOFF_MULTIPLIER**attempt)
             # Jitter scales the delay into [1-j, 1+j) of its nominal value.
             factor = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
             delays.append(raw * factor)

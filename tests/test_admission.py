@@ -199,12 +199,13 @@ class TestAIMD:
         assert aimd.limit == 2
 
     def test_controller_observes_overload_signals(self):
-        ctrl = _controller(max_concurrency=8)
+        ctrl = _controller()
+        assert ctrl.concurrency_limit == 16
         ctrl.observe_outcome(False, "DeadlineExceededError: too slow")
-        assert ctrl.concurrency_limit == 4
+        assert ctrl.concurrency_limit == 8
         # A permanent pipeline error is not an overload signal.
         ctrl.observe_outcome(False, "ConfigurationError: bad mode")
-        assert ctrl.concurrency_limit == 4
+        assert ctrl.concurrency_limit == 8
 
 
 # ------------------------------------------------------------------ config
@@ -213,9 +214,10 @@ class TestAdmissionConfigValidation:
         with pytest.raises(ConfigurationError):
             AdmissionConfig(requests_per_second=0.0).validate()
 
-    def test_rejects_bad_concurrency_order(self):
-        with pytest.raises(ConfigurationError):
-            AdmissionConfig(min_concurrency=8, max_concurrency=2).validate()
+    def test_concurrency_bounds_are_constants(self):
+        aimd = _controller().aimd
+        assert (aimd.min_limit, aimd.max_limit) == (1, 16)
+        assert (aimd.increase, aimd.decrease, aimd.window) == (1.0, 0.5, 8)
 
     def test_default_is_disabled(self):
         assert ReproConfig().admission.enabled is False

@@ -96,7 +96,6 @@ class TestPublicSurface:
             "engine",
             "admission",
             "durability",
-            "observability",
             "sharding",
             "replication",
         ):
@@ -135,6 +134,48 @@ class TestReproConfigRoundTrip:
         ):
             with pytest.raises(ConfigurationError, match="unknown config key"):
                 ReproConfig.from_dict(removed)
+        # Knobs nothing turned: each default is now a constant beside its reader.
+        for section, key, value in (
+            ("resilience", "backoff_multiplier", 2.0),
+            ("resilience", "breaker_half_open_max", 1),
+            ("engine", "embedding_cache_size", 4096),
+            ("admission", "min_concurrency", 1),
+            ("admission", "max_concurrency", 16),
+            ("admission", "aimd_increase", 1.0),
+            ("admission", "aimd_decrease", 0.5),
+            ("admission", "aimd_window", 8),
+            ("replication", "suspect_after", 1),
+            ("replication", "down_after", 3),
+            ("replication", "probe_after", 4),
+        ):
+            with pytest.raises(ConfigurationError, match=f"unknown config key.*'{key}'"):
+                ReproConfig.from_dict({section: {key: value}})
+        with pytest.raises(ConfigurationError, match="unknown config key.*'observability'"):
+            ReproConfig.from_dict({"observability": {"record_traces": True}})
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"retrieval": {"first_pass_k": "8"}}, "retrieval.first_pass_k"),
+            ({"iterations_per_token": "x"}, "iterations_per_token"),
+            ({"engine": {"answer_cache_size": None}}, "engine.answer_cache_size"),
+            ({"resilience": {"deadline_seconds": "soon"}}, "resilience.deadline_seconds"),
+            ({"admission": {"per_client_rates": [1]}}, "admission.per_client_rates"),
+            ({"replication": {"replicas": 2.5}}, "replication.replicas"),
+            ({"sharding": {"num_shards": True}}, "sharding.num_shards"),
+        ],
+    )
+    def test_from_dict_rejects_mistyped_values(self, data, key):
+        # Each once raised TypeError / AttributeError, or passed and
+        # misbehaved later (2.5 replicas on the first ask, True as 1 shard).
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            ReproConfig.from_dict(data)
+
+    def test_from_dict_accepts_an_int_for_a_float(self):
+        cfg = ReproConfig.from_dict(
+            {"resilience": {"jitter": 0, "deadline_seconds": 5}, "iterations_per_token": None}
+        )
+        assert (cfg.resilience.jitter, cfg.resilience.deadline_seconds) == (0, 5)
 
     @pytest.mark.parametrize(
         "config, key",
@@ -165,7 +206,9 @@ class TestReproConfigRoundTrip:
                 for f in dataclasses.fields(section)
             )
 
-        assert count(ReproConfig()) == 48
+        assert count(ReproConfig()) == 36
+        # Sections: the root and its seven nested ones.
+        assert 1 + sum(map(dataclasses.is_dataclass, vars(ReproConfig()).values())) == 8
 
 
 class TestWrapperDelegation:

@@ -268,6 +268,31 @@ class TestHistoryJournal:
             store.add(_interaction(1))
         assert len(store) == 0  # journal-first: memory matches disk
 
+    def test_config_journal_recovers_a_workflow_ask(self, bundle, tmp_path, capsys):
+        """``durability.history_journal`` is wired at the front door: an
+        interaction recorded by ``open_workflow(cfg).ask`` is recovered by
+        ``repro recover`` after the process dies, span tree included."""
+        from repro.api import open_workflow
+        from repro.cli import main
+        from repro.config import DurabilityConfig
+
+        path = tmp_path / "history.journal"
+        cfg = ReproConfig(
+            iterations_per_token=0,
+            durability=DurabilityConfig(history_journal=str(path), fsync=False),
+        )
+        workflow = open_workflow(cfg, bundle=bundle)
+        asked = workflow.ask("What does KSPSolve do?")
+        workflow.store.journal.close()  # the process dies here
+
+        assert main(["recover", str(path)]) == 0
+        assert "history journal: 1 interactions recovered" in capsys.readouterr().out
+        recovered, report = InteractionStore.recover(path)
+        assert not report.truncated
+        record = recovered.get(asked.interaction_id)
+        assert (record.question, record.answer) == ("What does KSPSolve do?", asked.answer)
+        assert record.trace == asked.result.trace.to_dict()
+
     def test_save_is_atomic(self, tmp_path):
         target = tmp_path / "history.jsonl"
         store = InteractionStore()

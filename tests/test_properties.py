@@ -186,7 +186,7 @@ class TestTopKTies:
         rep = ReplicationConfig(replicas=2)
         for num_shards in (1, 2, 4, 8):
             store = self._sharded(docs, levels, num_shards)
-            replicated = store.with_replication(rep, health=HealthTracker(rep))
+            replicated = store.with_replication(rep, health=HealthTracker())
             for view in (store, replicated):
                 hits = view.similarity_search_by_vector_with_score(self._QVEC, k=k)
                 assert [(d.doc_id, s) for d, s in hits] == expected, num_shards
@@ -224,7 +224,7 @@ class TestTopKTies:
         rep = ReplicationConfig(replicas=1)
         view = self._sharded(docs, levels, num_shards).with_replication(
             rep,
-            health=HealthTracker(rep),
+            health=HealthTracker(),
             store_wrapper=lambda s, shard, _: _DarkReplica(s) if shard in dark else s,
         )
         with use_registry(MetricsRegistry()):

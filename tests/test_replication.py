@@ -29,6 +29,7 @@ from repro.errors import ConfigurationError, PartialResultError, VectorStoreErro
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.observability import MetricsRegistry, use_registry
 from repro.replication import HealthTracker, ReplicaSet, ReplicaState
+from repro.replication.health import DOWN_AFTER, PROBE_AFTER, SUSPECT_AFTER
 from repro.resilience import FaultConfig, FaultInjector
 from repro.vectorstore import ShardedVectorStore, VectorStore, shard_for_document
 
@@ -71,12 +72,6 @@ class TestReplicationConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
             ReplicationConfig(replicas=0).validate()
-        with pytest.raises(ConfigurationError):
-            ReplicationConfig(suspect_after=0).validate()
-        with pytest.raises(ConfigurationError):
-            ReplicationConfig(suspect_after=3, down_after=2).validate()
-        with pytest.raises(ConfigurationError):
-            ReplicationConfig(probe_after=0).validate()
 
     def test_round_trips_through_repro_config(self):
         cfg = ReproConfig(
@@ -87,8 +82,13 @@ class TestReplicationConfig:
 
 
 class TestHealthTracker:
-    def _tracker(self, **kwargs):
-        return HealthTracker(ReplicationConfig(replicas=2, **kwargs)), MetricsRegistry()
+    def _tracker(self):
+        return HealthTracker(), MetricsRegistry()
+
+    @staticmethod
+    def _mark_down(tracker, reg, shard, replica):
+        for _ in range(DOWN_AFTER):
+            tracker.record_failure(shard, replica, reg)
 
     def test_initial_state_is_up(self):
         tracker, _ = self._tracker()
@@ -96,7 +96,8 @@ class TestHealthTracker:
         assert tracker.should_probe(0, 0)
 
     def test_failures_walk_up_suspect_down(self):
-        tracker, reg = self._tracker(suspect_after=1, down_after=3)
+        assert (SUSPECT_AFTER, DOWN_AFTER) == (1, 3)
+        tracker, reg = self._tracker()
         tracker.record_failure(0, 0, reg)
         assert tracker.state(0, 0) is ReplicaState.SUSPECT
         tracker.record_failure(0, 0, reg)
@@ -107,19 +108,18 @@ class TestHealthTracker:
         assert reg.counter("repro.replica.marked_down").value == 1
 
     def test_down_replica_sits_out_then_half_open_probes(self):
-        tracker, reg = self._tracker(down_after=1, probe_after=3)
-        tracker.record_failure(2, 1, reg)
+        assert PROBE_AFTER == 4
+        tracker, reg = self._tracker()
+        self._mark_down(tracker, reg, 2, 1)
         assert tracker.state(2, 1) is ReplicaState.DOWN
-        # probe_after - 1 selections skipped, then one half-open probe.
-        assert not tracker.should_probe(2, 1)
-        assert not tracker.should_probe(2, 1)
-        assert tracker.should_probe(2, 1)
+        # PROBE_AFTER - 1 selections skipped, then one half-open probe.
+        assert [tracker.should_probe(2, 1) for _ in range(4)] == [False, False, False, True]
         # The cycle repeats until an outcome is recorded.
         assert not tracker.should_probe(2, 1)
 
     def test_success_fully_recovers(self):
-        tracker, reg = self._tracker(down_after=1)
-        tracker.record_failure(0, 0, reg)
+        tracker, reg = self._tracker()
+        self._mark_down(tracker, reg, 0, 0)
         assert tracker.state(0, 0) is ReplicaState.DOWN
         tracker.record_success(0, 0, reg)
         assert tracker.state(0, 0) is ReplicaState.UP
@@ -128,14 +128,14 @@ class TestHealthTracker:
         # Recovery resets the failure fold: one new failure is suspect,
         # not down-continued.
         tracker.record_failure(0, 0, reg)
-        assert tracker.state(0, 0) is ReplicaState.DOWN  # down_after=1
+        assert tracker.state(0, 0) is ReplicaState.SUSPECT
 
     def test_concurrent_walks_keep_the_fold_exact(self):
         # Selections of a down replica (locked: its skip count moves)
         # race unlocked no-op reads of a clean one.  A skip lost to the
         # race, or a no-op that was not one, breaks the exact counts.
-        tracker, reg = self._tracker(down_after=1, probe_after=3)
-        tracker.record_failure(0, 0, reg)
+        tracker, reg = self._tracker()
+        self._mark_down(tracker, reg, 0, 0)
         tracker.record_success(0, 1, reg)
         granted, refused = [], []
 
@@ -159,26 +159,24 @@ class TestHealthTracker:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert sum(granted) == 4 * 300 // 3 and not refused
+        assert sum(granted) == 4 * 300 // 4 and not refused
         assert tracker.snapshot() == {0: ["down", "up"]}
         assert reg.counter("repro.replica.recovered").value == 0
 
     def test_snapshot_groups_by_shard(self):
-        tracker, reg = self._tracker(suspect_after=1, down_after=2)
+        tracker, reg = self._tracker()
         tracker.record_failure(1, 0, reg)
-        tracker.record_failure(0, 1, reg)
-        tracker.record_failure(0, 1, reg)
+        self._mark_down(tracker, reg, 0, 1)
         tracker.record_success(0, 0, reg)
         assert tracker.snapshot() == {0: ["up", "down"], 1: ["suspect"]}
 
 
 class TestReplicaSet:
-    def _set(self, *, hedging=False, dead_primary=True, health_kwargs=None):
+    def _set(self, *, hedging=False, dead_primary=True):
         emb = HashingEmbedding(dim=32)
         store = VectorStore.from_documents(_docs(6), emb)
         reg = MetricsRegistry()
-        cfg = ReplicationConfig(replicas=2, **(health_kwargs or {}))
-        health = HealthTracker(cfg)
+        health = HealthTracker()
         primary = DeadStore(store) if dead_primary else store
         rs = ReplicaSet(0, [primary, store], health, hedging=hedging)
         qvec = emb.embed_query("krylov gmres")
@@ -205,15 +203,16 @@ class TestReplicaSet:
         assert health.state(0, 1) is ReplicaState.UP
 
     def test_down_primary_is_skipped_not_probed(self):
-        rs, health, reg, qvec, _ = self._set(health_kwargs={"down_after": 1})
-        rs.scores(qvec, reg)  # primary fails once -> straight to down
+        rs, health, reg, qvec, _ = self._set()
+        for _ in range(DOWN_AFTER):  # each walk fails the primary once
+            rs.scores(qvec, reg)
         assert health.state(0, 0) is ReplicaState.DOWN
         probes_before = reg.counter("repro.replica.probes").value
         rs.scores(qvec, reg)
         # Only the backup was probed; no failover counted for a walk
         # that never included the down primary.
         assert reg.counter("repro.replica.probes").value == probes_before + 1
-        assert reg.counter("repro.replica.failovers").value == 1
+        assert reg.counter("repro.replica.failovers").value == DOWN_AFTER
 
     def test_every_replica_down_returns_none(self):
         rs, _, reg, qvec, _ = self._set()
@@ -251,7 +250,7 @@ class TestReplicaSet:
         cfg = ReplicationConfig(replicas=2)
         view = ShardedVectorStore([store], emb).with_replication(
             cfg,
-            health=HealthTracker(cfg),
+            health=HealthTracker(),
             store_wrapper=lambda s, shard, replica: injector.wrap_store(
                 s, site=f"shard:{shard}", transient_rate=0.0
             ),
@@ -269,7 +268,7 @@ class TestReplicaSet:
         assert reg.counter("repro.replica.probes").value == 3
 
     def test_empty_replica_set_rejected(self):
-        health = HealthTracker(ReplicationConfig())
+        health = HealthTracker()
         with pytest.raises(VectorStoreError):
             ReplicaSet(0, [], health)
 
@@ -288,7 +287,7 @@ class TestReplicatedStore:
                     num_shards=3, **rep_kwargs):
         cfg = ReplicationConfig(replicas=replicas, **rep_kwargs)
         return _sharded(docs, num_shards).with_replication(
-            cfg, health=HealthTracker(cfg), store_wrapper=wrapper
+            cfg, health=HealthTracker(), store_wrapper=wrapper
         )
 
     def test_failover_results_match_healthy_baseline(self, reg):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.config import ResilienceConfig, ReproConfig
 from repro.errors import (
     CircuitOpenError,
@@ -82,7 +83,7 @@ class TestRetryPolicy:
     @settings(max_examples=30, deadline=None)
     def test_backoff_delays_within_jitter_envelope(self, key):
         policy = RetryPolicy(
-            max_attempts=6, base_delay=0.1, max_delay=1.0, multiplier=2.0, jitter=0.25
+            max_attempts=6, base_delay=0.1, max_delay=1.0, jitter=0.25
         )
         for attempt, delay in enumerate(policy.backoff_schedule(key)):
             nominal = min(1.0, 0.1 * 2.0**attempt)
@@ -413,12 +414,25 @@ class TestResilienceConfig:
             {"max_attempts": 0},
             {"jitter": 1.0},
             {"backoff_base_seconds": 2.0, "backoff_max_seconds": 1.0},
-            {"backoff_multiplier": 0.5},
+            {"backoff_base_seconds": -1.0},
             {"deadline_seconds": 0.0},
             {"breaker_failure_threshold": 0},
-            {"breaker_half_open_max": 0},
+            {"breaker_recovery_seconds": -1.0},
         ],
     )
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(ConfigurationError):
             ResilienceConfig(**kw).validate()
+
+    def test_deadline_fails_every_request_at_the_front_door(self, bundle):
+        # A budget no ask can meet, with the burn off: the service raises
+        # the typed error for one request and records it per batch item.
+        cfg = ReproConfig(
+            iterations_per_token=0, resilience=ResilienceConfig(deadline_seconds=1e-9)
+        )
+        service = repro.open_service(cfg, bundle=bundle)
+        with pytest.raises(DeadlineExceededError):
+            service.answer("What does KSPSolve do?")
+        batch = service.answer_many(["What is DMDA?", "What does KSPSolve do?", "What is DMDA?"])
+        assert batch.answered_count == 0
+        assert all(it.error.startswith("DeadlineExceededError:") for it in batch.items)

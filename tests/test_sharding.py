@@ -196,7 +196,7 @@ class TestShardedStore:
         rep = ReplicationConfig(replicas=2)
         view = get_or_build_index(bundle, cfg).store.with_replication(
             rep,
-            health=HealthTracker(rep),
+            health=HealthTracker(),
             store_wrapper=lambda store, shard, replica: CountingStore(
                 store, lambda: searched.append((shard, replica))
             ),
