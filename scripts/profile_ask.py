@@ -6,6 +6,7 @@ Run from the repo root::
     PYTHONPATH=src python scripts/profile_ask.py --workload paper_eval --sort cumulative --rounds 3
     PYTHONPATH=src python scripts/profile_ask.py --workload hot_repeat --rounds 200
     PYTHONPATH=src python scripts/profile_ask.py --workload ingest_churn
+    PYTHONPATH=src python scripts/profile_ask.py --workload ingest_churn --batch
 
 Opens a service on the config ``benchmarks/ledger/workloads.py`` gives
 the workload and asks the 37 Krylov questions ``--rounds`` times over:
@@ -17,11 +18,19 @@ each pass as its rounds are (``Workload.prepare``):
 - ``clear`` (``paper_eval``, ``stack_zero_burn``): cold asks, the query
   caches cleared;
 - ``ingest`` (``ingest_churn``): post-swap asks, the next one-document
-  edit of the ledger's ``EditSequence`` (seed ``EDIT_SEED``) applied
+  edit of the ledger's ``EditSequence`` (seed ``LEDGER_SEED``) applied
   through ``ingest_corpus`` — so the pass's first ask also builds the new
   cache generation's pipeline; the ingest itself is not timed;
 - ``none`` (``hot_repeat``): answer-cache hits, the 37 questions answered
   once, untimed, before the first pass.
+
+``--batch`` profiles ``answer_many`` instead, as the ledger times its
+``batch_qps``: each of ``--rounds`` batch rounds is the ledger's own
+(``QuestionSource.round("batch", i)``, ``BATCH_WORKERS`` workers) after
+the same ``prepare`` — for ``ingest`` the new generation's pipeline build
+falls inside the batch — run once unprofiled, for the best batch qps, and
+once under ``cProfile``.  A ``none`` workload warms its whole question
+pool first, as the ledger's set-up does.
 
 This sizes a perf issue — where the time of an ask goes — and claims
 nothing: the profiler taxes every Python call and no native one, so a
@@ -37,6 +46,7 @@ import os
 import pstats
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -48,19 +58,20 @@ from repro.ingest import ingest_corpus
 
 LEDGER = Path(__file__).resolve().parent.parent / "benchmarks" / "ledger"
 TABLE_ROWS = 30
-#: The seed of the edits an ``ingest`` workload's passes follow (the
-#: ledger's default ``--seed``).
-EDIT_SEED = 11
+#: The ledger's default ``--seed``: the edits an ``ingest`` workload's
+#: passes follow, and the questions of a ``--batch`` round.
+LEDGER_SEED = 11
 
 
 def main() -> None:
     sys.path.insert(0, str(LEDGER))
-    from workloads import WORKLOADS, EditSequence
+    from workloads import BATCH_WORKERS, WORKLOADS, EditSequence, QuestionSource
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime")
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--batch", action="store_true", help="profile answer_many rounds")
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -68,8 +79,7 @@ def main() -> None:
     workload = WORKLOADS[args.workload]
     bundle = build_default_corpus()
     service = open_service(ReproConfig.from_dict(workload.config), bundle=bundle)
-    questions = [question.text for question in krylov_benchmark()]
-    edits = EditSequence(bundle, EDIT_SEED)
+    edits = EditSequence(bundle, LEDGER_SEED)
 
     def prepare() -> None:
         if workload.prepare == "clear":
@@ -77,32 +87,73 @@ def main() -> None:
         elif workload.prepare == "ingest":
             ingest_corpus(service.engine, edits.next())
 
-    if workload.prepare == "none":
-        for question in questions:
-            service.answer(question)
-    best = dict.fromkeys(questions, float("inf"))
     profile = cProfile.Profile()
-    for _ in range(args.rounds):
-        prepare()
-        for question in questions:
-            start = time.perf_counter()
-            service.answer(question)
-            best[question] = min(best[question], time.perf_counter() - start)
-        prepare()
-        profile.enable()
-        for question in questions:
-            service.answer(question)
-        profile.disable()
+    workers: list[cProfile.Profile] = []
+
+    def profile_thread(*_) -> None:
+        # Before 3.12 a profile sees only the thread that enabled it, so
+        # each pool thread ``answer_many`` starts enables its own on its
+        # first event, merged into the table.  From 3.12 ``profile`` sees
+        # every thread, and a second enabled profile raises.
+        thread_profile = cProfile.Profile()
+        workers.append(thread_profile)
+        thread_profile.enable()
+
+    per_thread = sys.version_info < (3, 12)
 
     kind = {"none": "answer-cache hits", "ingest": "post-swap asks"}.get(
         workload.prepare, "cold asks"
     )
-    print(
-        f"{args.workload}: ask p50 {statistics.median(best.values()) * 1e6:.1f} µs unprofiled "
-        f"(best of {args.rounds} per question, {len(questions)} {kind}); "
-        f"below, {args.rounds * len(questions)} profiled {kind} by {args.sort}"
-    )
-    pstats.Stats(profile).sort_stats(args.sort).print_stats(TABLE_ROWS)
+    if args.batch:
+        source = QuestionSource(workload, bundle, LEDGER_SEED)
+        if workload.prepare == "none":
+            for question in source.pool:
+                service.answer(question)
+        qps = []
+        for index in range(args.rounds):
+            batch = source.round("batch", index)
+            prepare()
+            start = time.perf_counter()
+            service.answer_many(batch, workers=BATCH_WORKERS, seed=LEDGER_SEED)
+            qps.append(len(batch) / (time.perf_counter() - start))
+            prepare()
+            if per_thread:
+                threading.setprofile(profile_thread)
+            profile.enable()
+            try:
+                service.answer_many(batch, workers=BATCH_WORKERS, seed=LEDGER_SEED)
+            finally:
+                profile.disable()
+                if per_thread:
+                    threading.setprofile(None)
+        print(
+            f"{args.workload}: batch_qps {max(qps):.0f} unprofiled (best of {args.rounds} "
+            f"batches of {len(batch)} {kind}, {BATCH_WORKERS} workers); "
+            f"below, {args.rounds} profiled batches, all threads, by {args.sort}"
+        )
+    else:
+        questions = [question.text for question in krylov_benchmark()]
+        if workload.prepare == "none":
+            for question in questions:
+                service.answer(question)
+        best = dict.fromkeys(questions, float("inf"))
+        for _ in range(args.rounds):
+            prepare()
+            for question in questions:
+                start = time.perf_counter()
+                service.answer(question)
+                best[question] = min(best[question], time.perf_counter() - start)
+            prepare()
+            profile.enable()
+            for question in questions:
+                service.answer(question)
+            profile.disable()
+        print(
+            f"{args.workload}: ask p50 {statistics.median(best.values()) * 1e6:.1f} µs unprofiled "
+            f"(best of {args.rounds} per question, {len(questions)} {kind}); "
+            f"below, {args.rounds * len(questions)} profiled {kind} by {args.sort}"
+        )
+    pstats.Stats(profile, *workers).sort_stats(args.sort).print_stats(TABLE_ROWS)
 
 
 if __name__ == "__main__":

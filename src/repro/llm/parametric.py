@@ -10,11 +10,26 @@ evaluation needs to compare models the way the paper does.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.corpus.facts import Fact, FactRegistry
 from repro.errors import ModelError
 from repro.utils.rng import stable_hash
 
 _HASH_SPACE = float(1 << 64)
+
+#: (model, fact id) draws the process keeps; several times four models'
+#: registries.
+_DRAW_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_DRAW_MEMO_SIZE)
+def _draw(model_name: str, fact_id: str) -> float:
+    """The model's uniform draw in [0, 1) for the fact id: a pure function
+    of the pair, so every model of that name in the process — one per
+    cache generation — hashes an id once, and a late fact or a re-bound
+    id is judged like any other."""
+    return stable_hash(f"{model_name}\x1f{fact_id}", namespace="knows") / _HASH_SPACE
 
 
 class ParametricKnowledge:
@@ -32,24 +47,17 @@ class ParametricKnowledge:
         self.registry = registry
         self.model_name = model_name
         self.knowledge_rate = knowledge_rate
-        #: The draw for each registered fact id asked about so far: a
-        #: pure function of (model, id), so whatever the registry holds
-        #: now — a late fact, a re-bound id — is judged without hashing
-        #: the ones already drawn again.
-        self._drawn: dict[str, bool] = {}
 
     def knows(self, fact_id: str) -> bool:
         """Whether this model 'remembers' the fact without retrieval."""
-        if fact_id not in self.registry.facts:
-            return False
-        known = self._drawn.get(fact_id)
-        if known is None:
-            h = stable_hash(f"{self.model_name}\x1f{fact_id}", namespace="knows")
-            known = self._drawn[fact_id] = (h / _HASH_SPACE) < self.knowledge_rate
-        return known
+        return (
+            fact_id in self.registry.facts
+            and _draw(self.model_name, fact_id) < self.knowledge_rate
+        )
 
     def known_facts(self) -> list[Fact]:
-        return [f for fid, f in self.registry.facts.items() if self.knows(fid)]
+        name, rate = self.model_name, self.knowledge_rate
+        return [f for fid, f in self.registry.facts.items() if _draw(name, fid) < rate]
 
     def coin(self, *context: str, p: float) -> bool:
         """A deterministic biased coin tied to this model and ``context``.

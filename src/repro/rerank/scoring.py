@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -83,13 +84,13 @@ def build_idf(documents: list[Document]) -> dict[str, float]:
     Each text's stem set comes from the process-wide memo
     (:func:`~repro.utils.textproc.stem_set`), so a reranker built for a
     new cache generation stems only the chunks an edit wrote; the rest is
-    one count over cached sets.
+    one count over the chained cached sets, and one log per distinct
+    document frequency.
     """
-    df: Counter[str] = Counter()
-    for doc in documents:
-        df.update(stem_set(doc.text))
+    df = Counter(chain.from_iterable(stem_set(doc.text) for doc in documents))
     n = max(len(documents), 1)
-    return {t: math.log((1 + n) / (1 + c)) + 1.0 for t, c in df.items()}
+    idf_of = {c: math.log((1 + n) / (1 + c)) + 1.0 for c in set(df.values())}
+    return {t: idf_of[c] for t, c in df.items()}
 
 
 class _DocFeatures(NamedTuple):

@@ -35,7 +35,9 @@ from repro.embeddings import create_embedding_model
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.index import clear_index_cache
 from repro.ingest import ingest_corpus
+from repro.llm import parametric as parametric_module
 from repro.llm import registry as model_registry
+from repro.llm import relevance as relevance_module
 from repro.llm import tokens as tokens_module
 from repro.llm.relevance import RelevanceModel
 from repro.llm.tokens import count_tokens
@@ -166,12 +168,48 @@ def ref_topic_score(rel: RelevanceModel, fact: Fact, question: str) -> float:
         elif tl.startswith("-") and stem(tl.lstrip("-")) in q_stems:
             s += 1.0 * w
         else:
-            for prefix in rel._PREFIXES:
+            for prefix in relevance_module._PREFIXES:
                 rest = tl[len(prefix):]
                 if tl.startswith(prefix) and len(rest) >= 2 and stem(rest) in q_stems:
                     s += 1.0 * w
                     break
     return s
+
+
+def ref_paraphrase_score(rel: RelevanceModel, fact: Fact, question: str) -> float:
+    """The statement's IDF overlap with the question, summed in sorted
+    stem order, over the question's IDF mass."""
+    idf, default = rel._analysis.token_idf, rel._analysis.max_token_idf
+    q_stems = set(stemmed_tokens(question))
+    shared = q_stems & set(stemmed_tokens(fact.statement))
+    if not shared:
+        return 0.0
+    num = sum(idf.get(t, default) for t in sorted(shared))
+    den = sum(idf.get(t, default) for t in sorted(q_stems))
+    return num / den if den > 0 else 0.0
+
+
+def ref_score(rel: RelevanceModel, fact: Fact, question: str) -> float:
+    """One fact scored on its own, as the model's per-fact loop did."""
+    return ref_topic_score(rel, fact, question) + 3.2 * ref_paraphrase_score(rel, fact, question)
+
+
+def ref_select(
+    rel: RelevanceModel,
+    facts: list[Fact],
+    question: str,
+    *,
+    max_facts: int,
+    min_score: float,
+    relative: float,
+) -> list[tuple[Fact, float]]:
+    """Every fact scored, sorted, then cut: the floor after the sort."""
+    scored = [(fact, ref_score(rel, fact, question)) for fact in facts]
+    scored.sort(key=lambda pair: (-pair[1], pair[0].fact_id))
+    if not scored or scored[0][1] < min_score:
+        return []
+    floor = max(min_score, relative * scored[0][1]) if relative > 0 else min_score
+    return [pair for pair in scored if pair[1] >= floor][:max_facts]
 
 
 # --------------------------------------------------------------------- fact detection
@@ -919,7 +957,47 @@ class TestSortHits:
 
 
 # --------------------------------------------------------------------- fact relevance
+#: The ledger's hot-pool question templates (``benchmarks/ledger/workloads.py``).
+_LEDGER_TEMPLATES = (
+    "What does {ident} do?",
+    "How do I use {ident} in my PETSc code?",
+    "When should I choose {ident}?",
+    "What should I know before using {ident}?",
+)
+_REL = RelevanceModel(_REGISTRY)
+_FACTS = list(_REGISTRY.facts.values())
+_TOPICS = sorted({t for f in _FACTS for t in f.topics})
+_PHRASE_TOPICS = [t for t in _TOPICS if " " in t]
+_OPTION_KEYS = [t for t in _TOPICS if t.startswith("-")]
+#: Solver names as users write them: ``preonly`` for KSPPREONLY, ``ilu`` for PCILU.
+_UNPREFIXED = sorted(
+    {
+        t.lower()[len(prefix):]
+        for t in _TOPICS
+        for prefix in relevance_module._PREFIXES
+        if t.lower().startswith(prefix) and len(t) - len(prefix) >= 2
+    }
+)
+_question_words = st.one_of(
+    st.sampled_from(_TOPICS),
+    st.sampled_from(_TOPICS).map(str.lower),
+    st.sampled_from(_OPTION_KEYS),
+    st.sampled_from(_OPTION_KEYS).map(lambda key: key.lstrip("-")),
+    st.sampled_from(_UNPREFIXED),
+    st.sampled_from(_PHRASE_TOPICS),
+    st.sampled_from(_PHRASE_TOPICS).map(str.upper),
+    st.sampled_from(["how", "do", "I", "the", "with", "and", "my", "solver", "matrix", "restarted"]),
+)
+_question_glue = st.sampled_from([" ", ", ", "? ", " -", "\n", "s ", ""])
+_mixed_questions = st.lists(st.tuples(_question_words, _question_glue), max_size=10).map(
+    lambda parts: "".join(word + glue for word, glue in parts)
+)
+
+
 class TestTopicPlans:
+    """Relevance is read off posting lists; the per-fact loop it replaced
+    is ``ref_score`` / ``ref_select``, which it must equal bit for bit."""
+
     def test_score_equals_select_and_the_reference(self, registry):
         rel = RelevanceModel(registry)
         facts = list(registry.facts.values())
@@ -931,17 +1009,143 @@ class TestTopicPlans:
                 facts, question, max_facts=len(facts), min_score=0.0, relative=0.0
             )
             by_id = {sf.fact.fact_id: sf.score for sf in selected}
-            q_stems = set(stemmed_tokens(question))
             for fact in facts:
                 score = rel.score(fact, question)
                 assert by_id.get(fact.fact_id, score) == score
-                shared = q_stems & set(stemmed_tokens(fact.statement))
-                paraphrase = 0.0
-                if shared:
-                    num = sum(rel._token_idf.get(t, rel._max_token_idf) for t in sorted(shared))
-                    den = sum(rel._token_idf.get(t, rel._max_token_idf) for t in sorted(q_stems))
-                    paraphrase = num / den if den > 0 else 0.0
-                assert score == ref_topic_score(rel, fact, question) + 3.2 * paraphrase
+                assert score == ref_score(rel, fact, question)
                 nonzero += score > 0
             assert len(selected) == len(facts) or not question or selected == []
         assert nonzero > 500
+
+    @given(
+        data=st.data(),
+        max_facts=st.integers(0, 12),
+        relative=st.one_of(st.sampled_from([0.0, 0.25]), st.floats(-0.5, 1.5)),
+        min_score=st.one_of(
+            st.sampled_from([0.0, -0.0, -1.0, 0.35, 0.9]), st.floats(-3.0, 8.0)
+        ),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_select_equals_the_reference(self, keyword_search, data, max_facts, relative, min_score):
+        identifiers = sorted(keyword_search.known_identifiers()) + ["KSPBurb"]
+        question = data.draw(
+            st.one_of(
+                st.sampled_from([q.text for q in krylov_benchmark()]),
+                st.builds(
+                    str.format_map,
+                    st.sampled_from(_LEDGER_TEMPLATES),
+                    st.sampled_from(identifiers).map(lambda ident: {"ident": ident}),
+                ),
+                _mixed_questions,
+            ),
+            label="question",
+        )
+        facts = data.draw(st.lists(st.sampled_from(_FACTS), max_size=30), label="facts")
+        # A fact the model was not built with, and an id bound to another
+        # fact: scored against a throwaway copy of the postings.
+        held = data.draw(st.sampled_from(_FACTS), label="held")
+        topics = tuple(data.draw(st.lists(st.sampled_from(_TOPICS + ["late topic"]), max_size=4)))
+        late = Fact(f"late.{len(topics)}", held.statement, held.signature, topics)
+        rebound = Fact(data.draw(st.sampled_from(_FACTS)).fact_id, held.statement, held.signature, topics[::-1])
+        facts += data.draw(st.lists(st.sampled_from([late, rebound]), max_size=3), label="extra")
+        facts = data.draw(st.permutations(facts), label="order")
+        params = dict(max_facts=max_facts, min_score=min_score, relative=relative)
+        want = [(fact, score.hex()) for fact, score in ref_select(_REL, facts, question, **params)]
+        posted = _REL._analysis.postings
+        features = _REL.question_features(question)
+        for asked in (question, features, features):  # one analysis serves several selections
+            got = _REL.select(facts, asked, **params)
+            assert [(sf.fact, sf.score.hex()) for sf in got] == want
+        for fact in dict.fromkeys(facts):
+            assert _REL.score(fact, question).hex() == ref_score(_REL, fact, question).hex()
+        # The shared analysis is never written after it is built.
+        assert _REL._analysis.postings is posted
+
+
+class TestRegistryAnalysis:
+    """The topic and token IDF, plans and postings are one process-wide
+    memo keyed by the registry's ``(topics, statement)`` pairs (DESIGN
+    §15, the corpus-text rule)."""
+
+    def test_keyed_by_fact_content_never_by_a_question(self, service):
+        model = service.pipeline_for("rag+rerank").chat_model
+        analysis = model.relevance._analysis
+        # Another registry object with equal content reads the same entry.
+        first = RelevanceModel(default_registry())._analysis
+        assert RelevanceModel(default_registry())._analysis is first
+        posted = analysis.postings
+        before = relevance_module._analysis.cache_info()
+        service.invalidate_query_caches()
+        for question in krylov_benchmark():
+            service.answer(question.text)
+            service.answer(question.text + " Which KSPBurb option?")
+        after = relevance_module._analysis.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        # Asks post nothing: the registered facts were posted when it was built.
+        assert model.relevance._analysis is analysis and analysis.postings is posted
+        assert {(f.topics, f.statement) for f in model.registry.facts.values()} <= posted.shapes
+
+    @pytest.mark.parametrize("write", ["add", "rebind", "delete"])
+    def test_after_a_registry_write_a_model_equals_a_fresh_one(self, write):
+        registry = default_registry()
+        base = RelevanceModel(registry)
+        weights = dict(base._analysis.topic_weight)
+        held = registry.fact("ksp.solve_sequence")
+        if write == "add":
+            registry.add_fact(Fact("ksp.late", held.statement, ("KSPSolve",), ("KSPSolve", "late")))
+        elif write == "rebind":
+            registry.facts["ksp.abstraction"] = Fact(
+                "ksp.abstraction", held.statement, held.signature, ("PCGAMG", "multigrid")
+            )
+        else:
+            del registry.facts["pcgamg.amg"]
+        model = RelevanceModel(registry)
+        assert model._analysis is not base._analysis  # a write is a new key
+        relevance_module._analysis.cache_clear()
+        fresh = RelevanceModel(registry)
+        assert fresh._analysis is not model._analysis
+        for table in ("topic_weight", "token_idf", "max_token_idf"):
+            assert getattr(model._analysis, table) == getattr(fresh._analysis, table)
+        facts = list(registry.facts.values())
+        params = dict(max_facts=len(facts), min_score=0.0, relative=0.0)
+        for question in [q.text for q in krylov_benchmark()] + ["what does the late KSPSolve do"]:
+            got = [(sf.fact, sf.score) for sf in model.select(facts, question, **params)]
+            assert got == [(sf.fact, sf.score) for sf in fresh.select(facts, question, **params)]
+            assert got == ref_select(fresh, facts, question, **params)
+        # The model built before the write keeps its weights, as it always has.
+        assert base._analysis.topic_weight == weights
+
+    def test_equal_content_reads_one_entry(self):
+        registry = default_registry()
+        base = RelevanceModel(registry)._analysis
+        late = registry.add_fact(Fact("ksp.late", "KSPSolve solves.", ("KSPSolve",), ("KSPSolve",)))
+        assert RelevanceModel(registry)._analysis is not base
+        del registry.facts[late.fact_id]
+        assert RelevanceModel(registry)._analysis is base
+
+    def test_a_one_document_edit_builds_no_new_analysis(self, bundle):
+        from tests.test_ingest import _revision_note
+
+        cfg = ReproConfig(
+            iterations_per_token=0, retrieval=RetrievalConfig(embedding_model="petsc-embed-small")
+        )
+        question = krylov_benchmark()[0].text
+        clear_index_cache()
+        try:
+            service = open_service(cfg, bundle=bundle, registry=MetricsRegistry())
+            service.answer(question)
+            old = service.pipeline_for().chat_model
+            analyses = relevance_module._analysis.cache_info()
+            draws = parametric_module._draw.cache_info()
+            ingest_corpus(
+                service.engine, _revision_note(bundle, "manualpages/KSPGMRES.md", "-analysis-check")
+            )
+            service.answer(question)
+            new = service.pipeline_for().chat_model
+            assert new is not old
+            assert new.relevance._analysis is old.relevance._analysis
+            assert relevance_module._analysis.cache_info().misses == analyses.misses
+            assert parametric_module._draw.cache_info().misses == draws.misses
+            assert new.knowledge.known_facts() == old.knowledge.known_facts()
+        finally:
+            clear_index_cache()
