@@ -6,8 +6,8 @@ acceptance* — every queue grows, every deadline blows, goodput collapses
 to zero.  This package puts a deterministic admission ladder in
 :class:`~repro.service.ReproService`, ahead of any engine work:
 
-1. **admit** — a token bucket per client (rate + burst, per-client
-   quota overrides) passes what capacity allows straight through;
+1. **admit** — a token bucket per client (one shared rate + burst)
+   passes what capacity allows straight through;
 2. **queue** — a request that only needs to wait a bounded time for a
    future token reserves it and joins a bounded, deadline-aware queue;
 3. **shed** — everything else is rejected *immediately* with a typed

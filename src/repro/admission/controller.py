@@ -112,7 +112,6 @@ class AdmissionController:
         self.limiter = RateLimiter(
             rate_per_second=config.requests_per_second,
             burst=config.burst,
-            per_client_rates=config.per_client_rates,
         )
         self.aimd = AIMDController(min_limit=1, max_limit=16)
 

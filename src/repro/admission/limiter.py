@@ -1,4 +1,4 @@
-"""Deterministic token buckets with per-client quotas.
+"""Deterministic token buckets, one per client at a shared rate.
 
 A classic token bucket, with one twist for reproducibility: it never
 reads a clock.  Every operation takes ``now`` explicitly, so the bucket
@@ -23,7 +23,7 @@ class TokenBucket:
     __slots__ = ("rate", "burst", "_tokens", "_updated")
 
     def __init__(self, rate: float, burst: float) -> None:
-        if rate <= 0:
+        if not rate > 0:
             raise ConfigurationError(f"token rate must be positive, got {rate}")
         if burst < 1:
             raise ConfigurationError(f"burst must be >= 1, got {burst}")
@@ -67,11 +67,11 @@ class TokenBucket:
 
 
 class RateLimiter:
-    """Per-client token buckets with a shared default rate.
+    """Per-client token buckets at one shared rate.
 
-    Buckets are created on first sight of a client id; quota overrides
-    come from ``per_client_rates``.  The ``default`` client is what the
-    engine uses when callers don't identify themselves.
+    Buckets are created on first sight of a client id, each at
+    ``rate_per_second``.  The ``default`` client is what the engine uses
+    when callers don't identify themselves.
     """
 
     def __init__(
@@ -79,9 +79,8 @@ class RateLimiter:
         *,
         rate_per_second: float,
         burst: int,
-        per_client_rates: dict[str, float] | None = None,
     ) -> None:
-        if rate_per_second <= 0:
+        if not rate_per_second > 0:
             raise ConfigurationError(
                 f"rate_per_second must be positive, got {rate_per_second}"
             )
@@ -89,14 +88,12 @@ class RateLimiter:
             raise ConfigurationError(f"burst must be >= 1, got {burst}")
         self.rate_per_second = float(rate_per_second)
         self.burst = int(burst)
-        self.per_client_rates = dict(per_client_rates or {})
         self._buckets: dict[str, TokenBucket] = {}
 
     def bucket(self, client: str) -> TokenBucket:
         existing = self._buckets.get(client)
         if existing is None:
-            rate = self.per_client_rates.get(client, self.rate_per_second)
-            existing = self._buckets[client] = TokenBucket(rate, self.burst)
+            existing = self._buckets[client] = TokenBucket(self.rate_per_second, self.burst)
         return existing
 
     def try_acquire(self, client: str, now: float) -> bool:

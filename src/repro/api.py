@@ -133,7 +133,6 @@ def open_workflow(
         embedding_model=(
             config.retrieval.embedding_model if mode is not PipelineMode.BASELINE else ""
         ),
-        record_history=config.record_history,
     )
     if config.durability.history_journal and workflow.store.journal is None:
         # Every recorded interaction becomes durable the moment it lands;
@@ -186,7 +185,7 @@ def open_support_system(
     deliver = account.deliver
     if fault_injector is not None:
         chaos_deliver = fault_injector.wrap_callable("mail", account.deliver)
-        policy = RetryPolicy.from_config(config.resilience)
+        policy = RetryPolicy()
 
         def deliver(message) -> None:
             policy.execute(

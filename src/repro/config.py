@@ -1,23 +1,27 @@
 """Configuration for the augmented PETSc LLM workflow.
 
-:class:`ReproConfig` is the root: one dataclass nesting every
-subsystem's knobs (retrieval, resilience, engine, admission, durability,
-sharding, replication), with ``to_dict``/``from_dict`` round-tripping so
-the CLI, tests, and embedders of the library stop threading six separate
-config objects.
+:class:`ReproConfig` is the root: one dataclass holding the chat model,
+the latency burn and the per-answer deadline, and nesting every
+subsystem's knobs (retrieval, engine, admission, durability, sharding,
+replication), with ``to_dict``/``from_dict`` round-tripping so the CLI,
+tests, and embedders of the library stop threading separate config
+objects.
 
-A field exists because a caller turns it.  A value nothing sets is a
-module constant beside its one reader (the health walk's thresholds in
-:mod:`repro.replication.health`, the AIMD limits in
-:mod:`repro.admission.controller`, the query-embedding LRU size in
-:mod:`repro.engine.caches`), and ``from_dict`` rejects its old key like
-any other unknown one.
+A field exists because a caller turns it.  A value nothing sets lives
+in exactly one place, beside its one reader: a class default (the retry
+schedule of :class:`~repro.resilience.RetryPolicy`, the LLM breaker's
+threshold and recovery window in
+:class:`~repro.resilience.CircuitBreaker`) or a module constant (the
+health walk's thresholds in :mod:`repro.replication.health`, the AIMD
+limits in :mod:`repro.admission.controller`, the query-embedding LRU
+size in :mod:`repro.engine.caches`).  ``from_dict`` rejects a removed
+knob's key like any other unknown one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_type_hints
 
 from repro.embeddings.registry import EMBEDDING_MODEL_NAMES
 from repro.errors import ConfigurationError
@@ -58,58 +62,13 @@ class RetrievalConfig:
 
 
 @dataclass
-class ResilienceConfig:
-    """Retry / circuit-breaker / deadline parameters for the pipeline hops.
-
-    Backoff delays are derived deterministically from the retried call's
-    key via :func:`repro.utils.rng.rng_for`, so two runs of the same
-    workload produce identical schedules.
-    """
-
-    #: Total tries per LLM call (1 = no retries).
-    max_attempts: int = 4
-    backoff_base_seconds: float = 0.05
-    backoff_max_seconds: float = 2.0
-    #: Jitter as a fraction of each delay, in [0, 1).
-    jitter: float = 0.25
-    #: Per-answer wall-clock budget; None disables the deadline.
-    deadline_seconds: float | None = None
-    #: Consecutive failures that trip the LLM breaker open.
-    breaker_failure_threshold: int = 8
-    breaker_recovery_seconds: float = 30.0
-
-    def validate(self) -> None:
-        if self.max_attempts <= 0:
-            raise ConfigurationError(f"max_attempts must be positive, got {self.max_attempts}")
-        if self.backoff_base_seconds < 0 or self.backoff_max_seconds < self.backoff_base_seconds:
-            raise ConfigurationError(
-                f"invalid backoff range: base={self.backoff_base_seconds}, "
-                f"max={self.backoff_max_seconds}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ConfigurationError(
-                f"deadline_seconds must be positive, got {self.deadline_seconds}"
-            )
-        if self.breaker_failure_threshold <= 0:
-            raise ConfigurationError(
-                f"breaker_failure_threshold must be positive, got {self.breaker_failure_threshold}"
-            )
-        if self.breaker_recovery_seconds < 0:
-            raise ConfigurationError(
-                f"breaker_recovery_seconds must be >= 0, got {self.breaker_recovery_seconds}"
-            )
-
-
-@dataclass
 class AdmissionConfig:
     """Overload protection for the serving stack: admit → queue → shed.
 
     Admission walks a ladder per request: a deterministic token bucket
-    (per-client quotas) admits what capacity allows; requests that would
-    only wait a bounded time join a bounded queue; everything else is
-    shed immediately with a typed
+    per client, all at ``requests_per_second``, admits what capacity
+    allows; requests that would only wait a bounded time join a bounded
+    queue; everything else is shed immediately with a typed
     :class:`~repro.errors.OverloadedError` carrying ``retry_after``.
     An AIMD controller narrows the batch worker pool when deadline
     misses or breaker trips rise and re-widens it on sustained success;
@@ -128,11 +87,10 @@ class AdmissionConfig:
     queue_depth: int = 64
     #: Longest simulated wait a queued request may face; beyond it, shed.
     queue_timeout_seconds: float = 4.0
-    #: Per-client refill-rate overrides (client id → requests/second).
-    per_client_rates: dict[str, float] = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.requests_per_second <= 0:
+        # Float bounds are written so that NaN fails them.
+        if not self.requests_per_second > 0:
             raise ConfigurationError(
                 f"requests_per_second must be positive, got {self.requests_per_second}"
             )
@@ -140,15 +98,10 @@ class AdmissionConfig:
             raise ConfigurationError(f"burst must be >= 1, got {self.burst}")
         if self.queue_depth < 0:
             raise ConfigurationError(f"queue_depth must be >= 0, got {self.queue_depth}")
-        if self.queue_timeout_seconds < 0:
+        if not self.queue_timeout_seconds >= 0:
             raise ConfigurationError(
                 f"queue_timeout_seconds must be >= 0, got {self.queue_timeout_seconds}"
             )
-        for client, rate in self.per_client_rates.items():
-            if rate <= 0:
-                raise ConfigurationError(
-                    f"per-client rate for {client!r} must be positive, got {rate}"
-                )
 
 
 @dataclass
@@ -275,7 +228,6 @@ class ReproConfig:
 
     chat_model: str = "gpt-4o-sim"
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     engine: EngineConfig = field(default_factory=EngineConfig)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
@@ -284,7 +236,8 @@ class ReproConfig:
     #: Latency-burn override for the simulated model; None keeps the
     #: persona default, 0 disables the burn (unit tests).
     iterations_per_token: int | None = None
-    record_history: bool = True
+    #: Per-answer wall-clock budget; None disables the deadline.
+    deadline_seconds: float | None = None
 
     def validate(self) -> None:
         if self.chat_model not in CHAT_MODEL_NAMES:
@@ -296,8 +249,11 @@ class ReproConfig:
             raise ConfigurationError(
                 f"iterations_per_token must be None or >= 0, got {self.iterations_per_token}"
             )
+        if self.deadline_seconds is not None and not self.deadline_seconds > 0:
+            raise ConfigurationError(
+                f"deadline_seconds must be positive, got {self.deadline_seconds}"
+            )
         self.retrieval.validate()
-        self.resilience.validate()
         self.engine.validate()
         self.admission.validate()
         self.durability.validate()
@@ -326,12 +282,7 @@ def _section_to_dict(section) -> dict:
     out = {}
     for f in fields(section):
         value = getattr(section, f.name)
-        if is_dataclass(value):
-            out[f.name] = _section_to_dict(value)
-        elif isinstance(value, dict):
-            out[f.name] = dict(value)
-        else:
-            out[f.name] = value
+        out[f.name] = _section_to_dict(value) if is_dataclass(value) else value
     return out
 
 
@@ -363,10 +314,6 @@ def _fits(value, hint) -> bool:
     """Whether ``value`` has the declared type: a ``bool`` is not an
     ``int``, and an ``int`` is a ``float``."""
     args = get_args(hint)
-    if get_origin(hint) is dict:
-        return isinstance(value, dict) and all(
-            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items()
-        )
     if args:  # ``X | None``
         return any(_fits(value, arm) for arm in args)
     if isinstance(value, bool):

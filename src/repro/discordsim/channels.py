@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.discordsim.models import Message, User, next_snowflake
+from repro.discordsim.models import Message, next_snowflake
 from repro.errors import DiscordSimError
 
 
@@ -93,11 +93,3 @@ class ForumChannel(_BaseChannel):
             return self.posts[post_id]
         except KeyError:
             raise DiscordSimError(f"no post {post_id} in forum #{self.name}") from None
-
-    def all_posts(self) -> list[ForumPost]:
-        return sorted(self.posts.values(), key=lambda p: p.post_id)
-
-
-def post_author_message(channel: TextChannel, author: User, content: str) -> Message:
-    """Convenience: build and send a plain message."""
-    return channel.send(Message(author=author, content=content))

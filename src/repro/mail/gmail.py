@@ -88,6 +88,3 @@ class GmailAccount:
             return set(self._messages[message_id].labels)
         except KeyError:
             raise MailError(f"unknown message id {message_id!r}") from None
-
-    def all_messages(self) -> list[EmailMessage]:
-        return [self._messages[mid].message for mid in self._order]

@@ -31,9 +31,6 @@ class MailArchive:
         except KeyError:
             raise MailError(f"no archived thread with subject {subject!r}") from None
 
-    def subjects(self) -> list[str]:
-        return sorted(self.threads)
-
     def __len__(self) -> int:
         return sum(len(t) for t in self.threads.values())
 
@@ -58,10 +55,6 @@ class MailingList:
         if address not in self._subscribers:
             raise MailError(f"{address} is not subscribed to {self.name}")
         del self._subscribers[address]
-
-    @property
-    def subscriber_addresses(self) -> list[str]:
-        return sorted(self._subscribers)
 
     def post(self, message: EmailMessage) -> None:
         """Deliver a message to every subscriber and the archive."""

@@ -396,9 +396,9 @@ def pipeline_from_artifact(
     mode = PipelineMode.coerce(mode)
     rc = config.retrieval
     resilience = {
-        "retry_policy": RetryPolicy.from_config(config.resilience),
-        "breaker": CircuitBreaker.from_config(config.resilience, name="llm"),
-        "deadline_seconds": config.resilience.deadline_seconds,
+        "retry_policy": RetryPolicy(),
+        "breaker": CircuitBreaker(name="llm"),
+        "deadline_seconds": config.deadline_seconds,
     }
 
     keyword = artifact.keyword_search()

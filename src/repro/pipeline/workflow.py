@@ -21,7 +21,7 @@ class WorkflowAnswer:
     result: PipelineResult
     html: str
     code_checks: list[CodeCheckResult]
-    interaction_id: str | None = None
+    interaction_id: str
 
     @property
     def answer(self) -> str:
@@ -48,7 +48,6 @@ class AugmentedWorkflow:
         mode: str | PipelineMode | None = None,
         store: InteractionStore | None = None,
         embedding_model: str = "",
-        record_history: bool = True,
     ) -> None:
         self.bundle = bundle
         #: The request front door every question goes through.
@@ -56,7 +55,6 @@ class AugmentedWorkflow:
         self.mode = service.resolve_mode(mode)
         self.store = store if store is not None else InteractionStore()
         self.embedding_model = embedding_model
-        self.record_history = record_history
         self._known = frozenset(bundle.manual_page_names)
 
     def feed_history_into_rag(self, *, min_mean_score: float = 3.0) -> int:
@@ -86,19 +84,16 @@ class AugmentedWorkflow:
         return len(fresh)
 
     def ask(self, question: str, *, tags: list[str] | None = None) -> WorkflowAnswer:
-        """Answer a question; postprocess and (optionally) record it."""
+        """Answer a question, postprocess it and record it."""
         result = self.service.answer(question, mode=self.mode)
         html = render_html(result.answer)
         checks = [
             check_code_block(blk, known_identifiers=self._known)
             for blk in extract_code_blocks(result.answer)
         ]
-        interaction_id: str | None = None
-        if self.record_history:
-            rec = self.store.record_pipeline_result(
-                result, embedding_model=self.embedding_model, tags=tags
-            )
-            interaction_id = rec.interaction_id
+        rec = self.store.record_pipeline_result(
+            result, embedding_model=self.embedding_model, tags=tags
+        )
         return WorkflowAnswer(
-            result=result, html=html, code_checks=checks, interaction_id=interaction_id
+            result=result, html=html, code_checks=checks, interaction_id=rec.interaction_id
         )

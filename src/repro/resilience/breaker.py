@@ -12,7 +12,6 @@ import enum
 import time
 from typing import Callable, TypeVar
 
-from repro.config import ResilienceConfig
 from repro.errors import CircuitOpenError, ConfigurationError, is_retry_safe
 from repro.observability.metrics import get_registry
 
@@ -48,7 +47,7 @@ class CircuitBreaker:
     ) -> None:
         if failure_threshold <= 0:
             raise ConfigurationError(f"failure_threshold must be positive, got {failure_threshold}")
-        if recovery_seconds < 0:
+        if not recovery_seconds >= 0:
             raise ConfigurationError(f"recovery_seconds must be >= 0, got {recovery_seconds}")
         self.name = name
         self.failure_threshold = failure_threshold
@@ -61,14 +60,6 @@ class CircuitBreaker:
         self.calls_allowed = 0
         self.calls_rejected = 0
         self.times_opened = 0
-
-    @classmethod
-    def from_config(cls, config: ResilienceConfig, *, name: str = "breaker") -> "CircuitBreaker":
-        return cls(
-            failure_threshold=config.breaker_failure_threshold,
-            recovery_seconds=config.breaker_recovery_seconds,
-            name=name,
-        )
 
     # ------------------------------------------------------------ state
     @property

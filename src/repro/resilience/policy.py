@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
-from repro.config import ResilienceConfig
 from repro.errors import ConfigurationError, DeadlineExceededError, is_retry_safe
 from repro.observability.metrics import get_registry
 from repro.utils.rng import rng_for
@@ -33,7 +32,7 @@ class Deadline:
     """
 
     def __init__(self, budget_seconds: float, *, clock: Callable[[], float] = time.monotonic) -> None:
-        if budget_seconds <= 0:
+        if not budget_seconds > 0:
             raise ConfigurationError(f"deadline budget must be positive, got {budget_seconds}")
         self._clock = clock
         self.budget_seconds = budget_seconds
@@ -79,21 +78,12 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts <= 0:
             raise ConfigurationError(f"max_attempts must be positive, got {self.max_attempts}")
-        if self.base_delay < 0 or self.max_delay < self.base_delay:
+        if not 0 <= self.base_delay <= self.max_delay:
             raise ConfigurationError(
                 f"invalid delay range: base={self.base_delay}, max={self.max_delay}"
             )
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
-
-    @classmethod
-    def from_config(cls, config: ResilienceConfig) -> "RetryPolicy":
-        return cls(
-            max_attempts=config.max_attempts,
-            base_delay=config.backoff_base_seconds,
-            max_delay=config.backoff_max_seconds,
-            jitter=config.jitter,
-        )
 
     # ------------------------------------------------------------ schedule
     def backoff_schedule(self, *key: str | int) -> list[float]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.api import open_service
@@ -70,6 +72,11 @@ class TestTokenBucket:
             TokenBucket(rate=0.0, burst=1)
         with pytest.raises(ConfigurationError):
             TokenBucket(rate=1.0, burst=0)
+        # NaN fails no ``<= 0``: a NaN rate admitted every arrival.
+        with pytest.raises(ConfigurationError):
+            TokenBucket(rate=math.nan, burst=2)
+        with pytest.raises(ConfigurationError):
+            RateLimiter(rate_per_second=math.nan, burst=2)
 
 
 class TestRateLimiter:
@@ -78,13 +85,6 @@ class TestRateLimiter:
         assert limiter.try_acquire("a", 0.0)
         assert not limiter.try_acquire("a", 0.0)
         assert limiter.try_acquire("b", 0.0)  # b has its own bucket
-
-    def test_per_client_override(self):
-        limiter = RateLimiter(
-            rate_per_second=1.0, burst=1, per_client_rates={"vip": 100.0}
-        )
-        assert limiter.bucket("vip").rate == 100.0
-        assert limiter.bucket("anon").rate == 1.0
 
 
 # ------------------------------------------------------------------ ladder
@@ -140,19 +140,6 @@ class TestAdmissionLadder:
         a = _controller().admit_batch(arrivals, ["default"] * 32)
         b = _controller().admit_batch(arrivals, ["default"] * 32)
         assert a == b
-
-    def test_per_client_quota(self):
-        ctrl = _controller(per_client_rates={"vip": 100.0})
-        decisions = ctrl.admit_batch(
-            [0.0] * 6, ["vip", "anon", "vip", "anon", "vip", "anon"]
-        )
-        vip = [d for d in decisions if d.client == "vip"]
-        anon = [d for d in decisions if d.client == "anon"]
-        # Both clients burst 2 admits, then queue — but vip's 100/s quota
-        # refills its bucket ~50x faster, so its queue wait is tiny.
-        assert [d.outcome for d in vip] == [ADMIT, ADMIT, QUEUE]
-        assert [d.outcome for d in anon] == [ADMIT, ADMIT, QUEUE]
-        assert vip[2].queue_wait < anon[2].queue_wait
 
     def test_admit_one_sheds_with_retry_after(self):
         ctrl = _controller()

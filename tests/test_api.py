@@ -9,6 +9,8 @@ API — update the snapshot *deliberately* or revert the change.
 from __future__ import annotations
 
 import inspect
+import json
+import math
 import re
 from pathlib import Path
 
@@ -92,7 +94,6 @@ class TestPublicSurface:
         for required in (
             "chat_model",
             "retrieval",
-            "resilience",
             "engine",
             "admission",
             "durability",
@@ -136,8 +137,6 @@ class TestReproConfigRoundTrip:
                 ReproConfig.from_dict(removed)
         # Knobs nothing turned: each default is now a constant beside its reader.
         for section, key, value in (
-            ("resilience", "backoff_multiplier", 2.0),
-            ("resilience", "breaker_half_open_max", 1),
             ("engine", "embedding_cache_size", 4096),
             ("admission", "min_concurrency", 1),
             ("admission", "max_concurrency", 16),
@@ -147,11 +146,26 @@ class TestReproConfigRoundTrip:
             ("replication", "suspect_after", 1),
             ("replication", "down_after", 3),
             ("replication", "probe_after", 4),
+            ("admission", "per_client_rates", {"vip": 100.0}),
         ):
             with pytest.raises(ConfigurationError, match=f"unknown config key.*'{key}'"):
                 ReproConfig.from_dict({section: {key: value}})
-        with pytest.raises(ConfigurationError, match="unknown config key.*'observability'"):
-            ReproConfig.from_dict({"observability": {"record_traces": True}})
+        # The retry and breaker parameters are RetryPolicy / CircuitBreaker
+        # defaults; only ``deadline_seconds`` moved to the root.
+        for key, value in (
+            ("max_attempts", 4),
+            ("backoff_base_seconds", 0.05),
+            ("backoff_max_seconds", 2.0),
+            ("jitter", 0.25),
+            ("breaker_failure_threshold", 8),
+            ("breaker_recovery_seconds", 30.0),
+            ("record_history", False),
+        ):
+            with pytest.raises(ConfigurationError, match=f"unknown config key.*'{key}'"):
+                ReproConfig.from_dict({key: value})
+        for section in ("observability", "resilience"):
+            with pytest.raises(ConfigurationError, match=f"unknown config key.*'{section}'"):
+                ReproConfig.from_dict({section: {"deadline_seconds": 5.0}})
 
     @pytest.mark.parametrize(
         "data, key",
@@ -159,8 +173,8 @@ class TestReproConfigRoundTrip:
             ({"retrieval": {"first_pass_k": "8"}}, "retrieval.first_pass_k"),
             ({"iterations_per_token": "x"}, "iterations_per_token"),
             ({"engine": {"answer_cache_size": None}}, "engine.answer_cache_size"),
-            ({"resilience": {"deadline_seconds": "soon"}}, "resilience.deadline_seconds"),
-            ({"admission": {"per_client_rates": [1]}}, "admission.per_client_rates"),
+            ({"deadline_seconds": "soon"}, "deadline_seconds"),
+            ({"admission": {"queue_timeout_seconds": "4s"}}, "admission.queue_timeout_seconds"),
             ({"replication": {"replicas": 2.5}}, "replication.replicas"),
             ({"sharding": {"num_shards": True}}, "sharding.num_shards"),
         ],
@@ -171,11 +185,27 @@ class TestReproConfigRoundTrip:
         with pytest.raises(ConfigurationError, match=re.escape(key)):
             ReproConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data, leaf",
+        [
+            ({"admission": {"requests_per_second": math.nan}}, "requests_per_second"),
+            ({"admission": {"queue_timeout_seconds": math.nan}}, "queue_timeout_seconds"),
+            ({"deadline_seconds": math.nan}, "deadline_seconds"),
+            (json.loads('{"admission": {"requests_per_second": NaN}}'), "requests_per_second"),
+        ],
+    )
+    def test_from_dict_rejects_nan(self, data, leaf):
+        # NaN fails every comparison, so ``x <= 0`` let it through: a NaN
+        # rate switched admission off and a NaN deadline never expired.
+        with pytest.raises(ConfigurationError, match=f"{leaf} must be .*got nan"):
+            ReproConfig.from_dict(data)
+
     def test_from_dict_accepts_an_int_for_a_float(self):
         cfg = ReproConfig.from_dict(
-            {"resilience": {"jitter": 0, "deadline_seconds": 5}, "iterations_per_token": None}
+            {"admission": {"queue_timeout_seconds": 0}, "deadline_seconds": 5,
+             "iterations_per_token": None}
         )
-        assert (cfg.resilience.jitter, cfg.resilience.deadline_seconds) == (0, 5)
+        assert (cfg.admission.queue_timeout_seconds, cfg.deadline_seconds) == (0, 5)
 
     @pytest.mark.parametrize(
         "config, key",
@@ -206,9 +236,9 @@ class TestReproConfigRoundTrip:
                 for f in dataclasses.fields(section)
             )
 
-        assert count(ReproConfig()) == 36
-        # Sections: the root and its seven nested ones.
-        assert 1 + sum(map(dataclasses.is_dataclass, vars(ReproConfig()).values())) == 8
+        assert count(ReproConfig()) == 28
+        # Sections: the root and its six nested ones.
+        assert 1 + sum(map(dataclasses.is_dataclass, vars(ReproConfig()).values())) == 7
 
 
 class TestWrapperDelegation:

@@ -130,12 +130,3 @@ class TestWorkflow:
         ans = workflow.ask("What is KSPGMRES?", tags=["unit-test"])
         rec = workflow.store.get(ans.interaction_id)
         assert "unit-test" in rec.tags
-
-    def test_no_record_when_disabled(self, bundle):
-        wf = open_workflow(
-            ReproConfig(iterations_per_token=0, record_history=False),
-            bundle=bundle,
-            mode="baseline",
-        )
-        wf.ask("anything")
-        assert len(wf.store) == 0

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.config import ResilienceConfig, ReproConfig
+from repro.config import ReproConfig
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -188,13 +190,6 @@ class TestRetryPolicy:
         with pytest.raises(DeadlineExceededError):
             RetryPolicy().execute(lambda: "never", key=("d",), deadline=deadline)
 
-    def test_from_config_mirrors_resilience_config(self):
-        cfg = ResilienceConfig(max_attempts=7, backoff_base_seconds=0.2, jitter=0.1)
-        policy = RetryPolicy.from_config(cfg)
-        assert policy.max_attempts == 7
-        assert policy.base_delay == 0.2
-        assert policy.jitter == 0.1
-
     def test_invalid_policies_rejected(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_attempts=0)
@@ -202,6 +197,9 @@ class TestRetryPolicy:
             RetryPolicy(jitter=1.0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(base_delay=1.0, max_delay=0.5)
+        for delay in ({"base_delay": math.nan}, {"max_delay": math.nan}):
+            with pytest.raises(ConfigurationError):
+                RetryPolicy(**delay)
 
 
 # ---------------------------------------------------------------- deadline
@@ -221,6 +219,8 @@ class TestDeadline:
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             Deadline(0.0)
+        with pytest.raises(ConfigurationError):
+            Deadline(math.nan)  # NaN fails no ``<= 0``: it would never expire
 
 
 # ---------------------------------------------------------------- breaker
@@ -321,15 +321,6 @@ class TestCircuitBreaker:
             if streak > 0 and state is not BreakerState.HALF_OPEN:
                 assert br.state is not BreakerState.OPEN
 
-    def test_from_config(self):
-        cfg = ResilienceConfig(
-            breaker_failure_threshold=2, breaker_recovery_seconds=5.0
-        )
-        br = CircuitBreaker.from_config(cfg, name="llm")
-        assert br.failure_threshold == 2
-        assert br.recovery_seconds == 5.0
-        assert br.name == "llm"
-
 
 # ---------------------------------------------------------------- fault injector
 class _EchoModel(ChatModel):
@@ -411,25 +402,27 @@ class TestResilienceConfig:
     @pytest.mark.parametrize(
         "kw",
         [
-            {"max_attempts": 0},
-            {"jitter": 1.0},
-            {"backoff_base_seconds": 2.0, "backoff_max_seconds": 1.0},
-            {"backoff_base_seconds": -1.0},
-            {"deadline_seconds": 0.0},
-            {"breaker_failure_threshold": 0},
-            {"breaker_recovery_seconds": -1.0},
+            (RetryPolicy, {"max_attempts": 0}),
+            (RetryPolicy, {"jitter": 1.0}),
+            (RetryPolicy, {"base_delay": 2.0, "max_delay": 1.0}),
+            (RetryPolicy, {"base_delay": -1.0}),
+            (ReproConfig, {"deadline_seconds": 0.0}),
+            (CircuitBreaker, {"failure_threshold": 0}),
+            (CircuitBreaker, {"recovery_seconds": -1.0}),
+            (CircuitBreaker, {"recovery_seconds": math.nan}),
         ],
     )
     def test_invalid_values_rejected(self, kw):
+        # Each check lives on the one constructor that keeps the value.
+        make, kwargs = kw
         with pytest.raises(ConfigurationError):
-            ResilienceConfig(**kw).validate()
+            made = make(**kwargs)
+            made.validate()  # only a ReproConfig gets here: the others check when built
 
     def test_deadline_fails_every_request_at_the_front_door(self, bundle):
         # A budget no ask can meet, with the burn off: the service raises
         # the typed error for one request and records it per batch item.
-        cfg = ReproConfig(
-            iterations_per_token=0, resilience=ResilienceConfig(deadline_seconds=1e-9)
-        )
+        cfg = ReproConfig(iterations_per_token=0, deadline_seconds=1e-9)
         service = repro.open_service(cfg, bundle=bundle)
         with pytest.raises(DeadlineExceededError):
             service.answer("What does KSPSolve do?")
