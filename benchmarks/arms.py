@@ -11,6 +11,9 @@ still races against it lives here, beside the benches that run it
 * :class:`BM25Retriever` — Okapi BM25 over CSR-style postings.
 * :class:`HybridRetriever` / :func:`reciprocal_rank_fusion` — several
   first passes fused by rank (A6: vector + BM25 vs vector only).
+* :func:`top_k_indices` — the array top-k the IVF probe, BM25 and the
+  A4 exact baseline select with (the store selects with
+  ``vectorstore.store.top_k_hits``).
 """
 
 from __future__ import annotations
@@ -18,10 +21,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.documents import Document
-from repro.embeddings.similarity import top_k_indices
-from repro.errors import VectorStoreError
+from repro.errors import EmbeddingError, VectorStoreError
 from repro.retrieval.base import RetrievedDocument, Retriever, dedupe_by_id
 from repro.utils.textproc import tokenize
+
+
+def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest scores, in descending score order.
+
+    Uses ``argpartition`` (O(n)) followed by a sort of only the top slice,
+    the standard trick for k ≪ n.  Ties break deterministically by lower
+    index first.
+    """
+    scores = np.asarray(scores)
+    if scores.ndim != 1:
+        raise EmbeddingError(f"scores must be 1-D, got shape {scores.shape}")
+    k = min(k, scores.shape[0])
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    part = np.argpartition(-scores, k - 1)[:k]
+    # argpartition makes an arbitrary choice among elements tied at the
+    # k-th score, so widen to every index tied with that boundary score
+    # before the deterministic (-score, index) sort — otherwise top-k is
+    # not a prefix of top-(k+1) when ties straddle the cut.
+    cand = np.nonzero(scores >= scores[part].min())[0]
+    order = np.lexsort((cand, -scores[cand]))
+    return cand[order[:k]]
 
 
 class IVFIndex:

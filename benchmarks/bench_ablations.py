@@ -23,11 +23,10 @@ from repro.corpus.builder import chunk_corpus
 from repro.embeddings import create_embedding_model
 from repro.evaluation import krylov_benchmark, run_experiment
 from repro.api import open_service
-from repro.embeddings.similarity import top_k_indices
 from repro.retrieval import VectorRetriever
 from repro.vectorstore import VectorStore
 
-from benchmarks.arms import BM25Retriever, HybridRetriever, IVFIndex
+from benchmarks.arms import BM25Retriever, HybridRetriever, IVFIndex, top_k_indices
 
 SUBSET = 16
 
@@ -106,7 +105,7 @@ def test_ablation_ivf_vs_bruteforce(benchmark, chunks):
 
     def race():
         t0 = time.perf_counter()
-        exact = [top_k_indices(vectors @ q, 8) for q in queries]  # the store's scan
+        exact = [top_k_indices(vectors @ q, 8) for q in queries]  # exact array top-k
         t_bf = time.perf_counter() - t0
         t0 = time.perf_counter()
         approx = [ivf.search(q, 8)[0] for q in queries]

@@ -1,8 +1,8 @@
 """Unit and property tests for the ablation arms in ``benchmarks/arms.py``.
 
-Run in full by the CI step after the tier-1 suite; ``tests/test_retrieval.py``
-and ``tests/test_vectorstore.py`` import these classes, so tier-1 keeps
-collecting them under the ids they have always had.
+Run in full by the CI step after the tier-1 suite; ``tests/test_retrieval.py``,
+``tests/test_vectorstore.py`` and ``tests/test_embeddings.py`` import these
+classes, so tier-1 keeps collecting them under the ids they have always had.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.documents import Document
 from repro.embeddings import create_embedding_model
-from repro.embeddings.similarity import top_k_indices
-from repro.errors import VectorStoreError
+from repro.errors import EmbeddingError, VectorStoreError
 from repro.retrieval import ManualPageKeywordSearch, VectorRetriever
 from repro.retrieval.base import RetrievedDocument
 from repro.vectorstore import VectorStore
@@ -24,6 +23,7 @@ from benchmarks.arms import (
     HybridRetriever,
     IVFIndex,
     reciprocal_rank_fusion,
+    top_k_indices,
 )
 
 DOCS = [
@@ -127,6 +127,36 @@ class TestRRF:
     def test_hybrid_requires_retrievers(self):
         with pytest.raises(ValueError):
             HybridRetriever([])
+
+
+class TestSimilarity:
+    def test_top_k_order(self):
+        scores = np.array([0.1, 0.9, 0.5, 0.7])
+        assert top_k_indices(scores, 2).tolist() == [1, 3]
+
+    def test_top_k_exceeds_length(self):
+        assert len(top_k_indices(np.array([1.0, 2.0]), 10)) == 2
+
+    def test_top_k_zero(self):
+        assert len(top_k_indices(np.array([1.0]), 0)) == 0
+
+    def test_top_k_tie_break_deterministic(self):
+        scores = np.array([0.5, 0.5, 0.5, 0.5])
+        assert top_k_indices(scores, 2).tolist() == [0, 1]
+
+    def test_top_k_rejects_2d(self):
+        with pytest.raises(EmbeddingError):
+            top_k_indices(np.ones((2, 2)), 1)
+
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
+           st.integers(min_value=1, max_value=10))
+    @settings(max_examples=50, deadline=None)
+    def test_top_k_returns_maxima(self, values, k):
+        scores = np.array(values)
+        idx = top_k_indices(scores, k)
+        got = sorted(scores[idx].tolist(), reverse=True)
+        want = sorted(values, reverse=True)[: len(idx)]
+        assert got == want
 
 
 class TestIVFIndex:

@@ -106,15 +106,3 @@ class AgentMemory:
         ]
         scored.sort(reverse=True)
         return [self.notes[i] for hits, _, i in scored[:k] if hits > 0]
-
-    def recall_episodes(self, question: str, *, k: int = 3) -> list[Episode]:
-        """Raw episodes most similar to ``question`` by term overlap."""
-        q_terms = set(stemmed_tokens(question))
-        scored = sorted(
-            (
-                (len(q_terms & set(stemmed_tokens(ep.question))), ep.timestamp, i)
-                for i, ep in enumerate(self.episodes)
-            ),
-            reverse=True,
-        )
-        return [self.episodes[i] for hits, _, i in scored[:k] if hits > 0]

@@ -51,9 +51,6 @@ class CorpusBundle:
     documents: list[Document] = field(default_factory=list)
     manual_page_names: dict[str, Document] = field(default_factory=dict)
 
-    def by_type(self, doc_type: str) -> list[Document]:
-        return [d for d in self.documents if d.metadata.get("doc_type") == doc_type]
-
     def official(self) -> list[Document]:
         """The official knowledge base: everything except mail archives.
 

@@ -172,20 +172,15 @@ class TextScan:
         self._know((term,))
         return term in self._written
 
-    def asserts(self, signature: tuple[str, ...]) -> bool:
-        """Whether the text asserts ``signature``.
+    def asserted(self, signed: Iterable[_Signed]) -> list[_Signed]:
+        """Those of ``signed`` (facts or falsehoods) the text asserts, in order.
 
-        Two checks, both required: every term occurs in the text as
-        written, and every term occurs within one sentence — so terms
-        assembled from *different* statements of a longer text do not
-        count.  Neither implies the other: sentences are
+        Two checks, both required: every signature term occurs in the
+        text as written, and every term occurs within one sentence — so
+        terms assembled from *different* statements of a longer text do
+        not count.  Neither implies the other: sentences are
         whitespace-normalised, the text is not.
         """
-        self._know(signature)
-        return self._written.issuperset(signature) and self._together(signature)
-
-    def asserted(self, signed: Iterable[_Signed]) -> list[_Signed]:
-        """Those of ``signed`` (facts or falsehoods) the text asserts, in order."""
         signed = list(signed)
         self._know(chain.from_iterable(x.signature for x in signed))
         written = self._written
@@ -238,10 +233,6 @@ class Fact:
     def __post_init__(self) -> None:
         _validate_signature(f"fact {self.fact_id!r}", self.statement, self.signature)
 
-    def appears_in(self, text: str) -> bool:
-        """Whether ``text`` asserts this fact (see :meth:`TextScan.asserts`)."""
-        return TextScan(_TermTable(), text).asserts(self.signature)
-
 
 @dataclass(frozen=True)
 class Falsehood:
@@ -257,10 +248,6 @@ class Falsehood:
 
     def __post_init__(self) -> None:
         _validate_signature(f"falsehood {self.false_id!r}", self.statement, self.signature)
-
-    def appears_in(self, text: str) -> bool:
-        """Whether ``text`` asserts this falsehood (see :meth:`TextScan.asserts`)."""
-        return TextScan(_TermTable(), text).asserts(self.signature)
 
 
 @dataclass
@@ -311,15 +298,6 @@ class FactRegistry:
     def facts_in(self, text: str) -> list[Fact]:
         """All registered facts asserted by ``text``."""
         return TextScan(self._terms, text).asserted(self.facts.values())
-
-    def falsehoods_in(self, text: str) -> list[Falsehood]:
-        """All registered falsehoods asserted by ``text``."""
-        return TextScan(self._terms, text).asserted(self.falsehoods.values())
-
-    def facts_about(self, topic: str) -> list[Fact]:
-        """Facts whose topic list contains ``topic`` (case-insensitive)."""
-        t = topic.lower()
-        return [f for f in self.facts.values() if any(t == x.lower() for x in f.topics)]
 
 
 def _F(reg: FactRegistry, fact_id: str, statement: str, signature: tuple[str, ...], topics: tuple[str, ...]) -> None:

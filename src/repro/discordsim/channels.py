@@ -38,13 +38,6 @@ class TextChannel(_BaseChannel):
         msgs = [m for m in self.messages if not m.deleted]
         return msgs[-limit:] if limit else msgs
 
-    def delete_message(self, message_id: int) -> None:
-        for m in self.messages:
-            if m.message_id == message_id:
-                m.deleted = True
-                return
-        raise DiscordSimError(f"no message {message_id} in #{self.name}")
-
 
 @dataclass
 class ForumPost:

@@ -82,15 +82,3 @@ class Server:
         except KeyError:
             raise DiscordSimError(f"no forum channel #{name}") from None
 
-    def can_view(self, user: User, channel_name: str) -> bool:
-        """Privacy check: private channels require MANAGE."""
-        ch: TextChannel | ForumChannel
-        if channel_name in self.text_channels:
-            ch = self.text_channels[channel_name]
-        elif channel_name in self.forum_channels:
-            ch = self.forum_channels[channel_name]
-        else:
-            raise DiscordSimError(f"no channel #{channel_name}")
-        if not ch.private:
-            return True
-        return bool(self.role_of(user).permissions & Permission.MANAGE)

@@ -15,7 +15,6 @@ from repro.documents.loaders import (
 from repro.documents.splitters import (
     MarkdownHeaderTextSplitter,
     RecursiveCharacterTextSplitter,
-    SentenceWindowSplitter,
     TextSplitter,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "TextLoader",
     "MarkdownHeaderTextSplitter",
     "RecursiveCharacterTextSplitter",
-    "SentenceWindowSplitter",
     "TextSplitter",
 ]

@@ -14,8 +14,8 @@ class Document:
     """A chunk of text plus provenance metadata.
 
     A document is a value: nothing assigns its ``text`` or ``metadata``
-    after construction (:meth:`with_metadata` returns a new object),
-    which is what lets :attr:`doc_id` be computed once per object.
+    after construction, which is what lets :attr:`doc_id` be computed
+    once per object.
 
     Attributes
     ----------
@@ -60,12 +60,6 @@ class Document:
         if not raw:
             return frozenset()
         return frozenset(f.strip() for f in str(raw).split(",") if f.strip())
-
-    def with_metadata(self, **extra: Any) -> "Document":
-        """A copy of this document with ``extra`` merged into metadata."""
-        md = dict(self.metadata)
-        md.update(extra)
-        return Document(text=self.text, metadata=md)
 
     def __len__(self) -> int:
         return len(self.text)

@@ -14,7 +14,6 @@ from abc import ABC, abstractmethod
 
 from repro.documents.document import Document
 from repro.errors import DocumentError
-from repro.utils.textproc import sentences
 
 _HEADER_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 
@@ -179,37 +178,3 @@ class MarkdownHeaderTextSplitter(TextSplitter):
                     chunk = f"{path}\n\n{chunk}"
                 out.append(Document(text=chunk, metadata=md))
         return out
-
-
-class SentenceWindowSplitter(TextSplitter):
-    """Sliding window of sentences — fine-grained chunks for reranking tests.
-
-    Parameters
-    ----------
-    window:
-        Number of sentences per chunk.
-    stride:
-        Sentences advanced between consecutive chunks (``stride <= window``
-    gives overlap).
-    """
-
-    def __init__(self, *, window: int = 4, stride: int = 3) -> None:
-        if window < 1:
-            raise DocumentError(f"window must be >= 1, got {window}")
-        if not 1 <= stride <= window:
-            raise DocumentError(f"stride must be in [1, window], got {stride}")
-        self.window = window
-        self.stride = stride
-
-    def split_text(self, text: str) -> list[str]:
-        sents = sentences(text)
-        if not sents:
-            return []
-        chunks: list[str] = []
-        i = 0
-        while i < len(sents):
-            chunks.append(" ".join(sents[i : i + self.window]))
-            if i + self.window >= len(sents):
-                break
-            i += self.stride
-        return chunks

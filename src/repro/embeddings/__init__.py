@@ -22,7 +22,6 @@ from repro.embeddings.registry import (
     EMBEDDING_MODEL_NAMES,
     create_embedding_model,
 )
-from repro.embeddings.similarity import top_k_indices
 
 __all__ = [
     "EmbeddingModel",
@@ -30,5 +29,4 @@ __all__ = [
     "TfidfEmbedding",
     "EMBEDDING_MODEL_NAMES",
     "create_embedding_model",
-    "top_k_indices",
 ]

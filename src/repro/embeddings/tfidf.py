@@ -96,13 +96,6 @@ class TfidfEmbedding(EmbeddingModel):
         self._fitted = True
         return self
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted
-
-    def vocabulary_size(self) -> int:
-        return len(self._idf)
-
     def changed_terms(self, since: "TfidfEmbedding") -> frozenset[str]:
         """Terms whose weight differs between this fit and ``since``.
 

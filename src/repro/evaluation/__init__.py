@@ -6,7 +6,7 @@ against RAG and reranking-enhanced RAG (Figs. 6a–6c), plus the latency
 measurements of Table II and the two case studies (Figs. 7–8).
 """
 
-from repro.evaluation.rubric import RUBRIC, Score, rubric_label
+from repro.evaluation.rubric import RUBRIC, Score
 from repro.evaluation.benchmark import BenchmarkQuestion, krylov_benchmark
 from repro.evaluation.chaos import (
     ChaosOutcome,
@@ -33,7 +33,6 @@ from repro.evaluation.reporting import (
 __all__ = [
     "RUBRIC",
     "Score",
-    "rubric_label",
     "BenchmarkQuestion",
     "krylov_benchmark",
     "ChaosOutcome",

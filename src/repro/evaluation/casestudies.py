@@ -46,14 +46,6 @@ class CaseStudyResult:
     marker: str = ""
     common_contexts: list[str] = field(default_factory=list)
 
-    @property
-    def rag_sources(self) -> list[str]:
-        return [str(c.document.metadata.get("source", "")) for c in self.rag.contexts]
-
-    @property
-    def rerank_sources(self) -> list[str]:
-        return [str(c.document.metadata.get("source", "")) for c in self.rerank.contexts]
-
     def marker_in_rag_context(self) -> bool:
         return any(self.marker in c.document.text for c in self.rag.contexts)
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from enum import IntEnum
 
-from repro.errors import EvaluationError
-
 
 class Score(IntEnum):
     """Rubric for LLM responses (higher is better) — paper Table I."""
@@ -24,11 +22,3 @@ RUBRIC: dict[Score, str] = {
     Score.CORRECT: "Answer is clear and correct",
     Score.IDEAL: "Ideal answer, close to what an expert would respond",
 }
-
-
-def rubric_label(score: int) -> str:
-    """Human-readable description of a rubric score."""
-    try:
-        return RUBRIC[Score(score)]
-    except ValueError:
-        raise EvaluationError(f"score must be in 0..4, got {score}") from None

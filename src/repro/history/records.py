@@ -62,10 +62,3 @@ class Interaction:
         if not self.scores:
             return None
         return sum(s.score for s in self.scores) / len(self.scores)
-
-    def add_score(self, record: ScoreRecord) -> None:
-        if any(s.scorer == record.scorer for s in self.scores):
-            raise HistoryError(
-                f"scorer {record.scorer!r} already scored interaction {self.interaction_id}"
-            )
-        self.scores.append(record)

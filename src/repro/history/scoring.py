@@ -60,14 +60,9 @@ class BlindScoringSession:
         incorrect_spans: list[str] | None = None,
         comment: str = "",
     ) -> None:
-        """Record a score; spans must actually occur in the answer."""
-        rec = self.store.get(item_id)
-        for span in (correct_spans or []) + (incorrect_spans or []):
-            if span not in rec.answer:
-                raise HistoryError(
-                    f"span {span[:40]!r} does not occur in the answer of {item_id}"
-                )
-        rec.add_score(ScoreRecord(
+        """Record a score through :meth:`InteractionStore.add_score`, so an
+        attached history journal keeps it; spans must occur in the answer."""
+        self.store.add_score(item_id, ScoreRecord(
             scorer=self.scorer,
             score=score,
             correct_spans=correct_spans or [],

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.documents import Document
@@ -41,16 +42,7 @@ def _interaction_to_dict(rec: Interaction) -> dict:
         "trace": rec.trace,
         "answered_by_human": rec.answered_by_human,
         "tags": rec.tags,
-        "scores": [
-            {
-                "scorer": s.scorer,
-                "score": s.score,
-                "correct_spans": s.correct_spans,
-                "incorrect_spans": s.incorrect_spans,
-                "comment": s.comment,
-            }
-            for s in rec.scores
-        ],
+        "scores": [asdict(s) for s in rec.scores],
     }
 
 
@@ -68,8 +60,8 @@ class InteractionStore:
     Durability comes in two strengths: :meth:`save` writes the whole
     store atomically (crash leaves the old file intact), and an attached
     write-ahead :class:`~repro.durability.journal.Journal` makes every
-    :meth:`add` durable the moment it returns, recoverable after a torn
-    write via :meth:`recover`.
+    :meth:`add` and :meth:`add_score` durable the moment it returns,
+    recoverable after a torn write via :meth:`recover`.
     """
 
     def __init__(self) -> None:
@@ -97,7 +89,8 @@ class InteractionStore:
         return self._journal
 
     def attach_journal(self, path: str | Path, *, fsync: bool = True) -> Journal:
-        """Every subsequent :meth:`add` appends to the journal at ``path``."""
+        """Every subsequent :meth:`add` / :meth:`add_score` appends to the
+        journal at ``path``."""
         if self._journal is not None:
             raise HistoryError("a journal is already attached")
         self._journal = Journal(path, fsync=fsync)
@@ -122,6 +115,9 @@ class InteractionStore:
         store = cls()
         max_seq = 0
         for obj in report.records:
+            if "score" in obj:  # a score frame, replayed in journal order
+                store.add_score(obj["interaction_id"], ScoreRecord(**obj["score"]))
+                continue
             rec = _interaction_from_dict(obj)
             store.add(rec)
             try:
@@ -235,7 +231,25 @@ class InteractionStore:
 
     # ------------------------------------------------------------------ scoring
     def add_score(self, interaction_id: str, record: ScoreRecord) -> None:
-        self.get(interaction_id).add_score(record)
+        """Score one interaction: one score per scorer, and every marked
+        span must occur in the answer.  Checks first, then the journal
+        frame ``{"interaction_id", "score"}``, then memory — as in
+        :meth:`add`, memory is never ahead of disk."""
+        rec = self.get(interaction_id)
+        if any(s.scorer == record.scorer for s in rec.scores):
+            raise HistoryError(
+                f"scorer {record.scorer!r} already scored interaction {interaction_id}"
+            )
+        for span in record.correct_spans + record.incorrect_spans:
+            if span not in rec.answer:
+                raise HistoryError(
+                    f"span {span[:40]!r} does not occur in the answer of {interaction_id}"
+                )
+        if self._journal is not None:
+            self._journal.append(
+                {"interaction_id": interaction_id, "score": asdict(record)}
+            )
+        rec.scores.append(record)
 
     # ------------------------------------------------------------------ RAG feedback
     def as_documents(self, *, min_mean_score: float = 3.0) -> list[Document]:

@@ -17,7 +17,6 @@ from repro.index.builder import (
     cache_artifact,
     cached_artifact,
     clear_index_cache,
-    compute_digest,
     get_or_build_index,
     lineage_parent,
     read_cached_payload,
@@ -36,7 +35,6 @@ __all__ = [
     "cached_artifact",
     "clear_index_cache",
     "composite_digest",
-    "compute_digest",
     "config_fingerprint",
     "corpus_digest",
     "get_or_build_index",

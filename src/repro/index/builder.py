@@ -87,11 +87,6 @@ def _fingerprint_key(fingerprint: dict) -> str:
     return json.dumps(lineage, sort_keys=True, separators=(",", ":"))
 
 
-def compute_digest(bundle: CorpusBundle, config: ReproConfig | None = None) -> str:
-    """The (composite) digest :func:`get_or_build_index` would resolve."""
-    return plan_shards(bundle, config or ReproConfig()).composite
-
-
 def clear_index_cache() -> None:
     """Drop every in-process artifact (tests and long-lived daemons)."""
     with _cache_lock:

@@ -79,10 +79,6 @@ class CorpusDelta:
 
     # ------------------------------------------------------------ views
     @property
-    def is_noop(self) -> bool:
-        return not (self.added or self.modified or self.removed)
-
-    @property
     def embed_count(self) -> int:
         """Chunks the delta build must actually embed."""
         return len(self.added) + len(self.modified) + len(self.reembedded)

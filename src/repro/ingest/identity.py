@@ -12,7 +12,7 @@ Two deliberate invariances:
 * **Whitespace**: runs of any whitespace collapse to one space before
   hashing, so reflowing a paragraph or converting tabs to spaces does
   not re-embed the chunk's neighbours.  (The *exact* text still keys
-  vector reuse — see :func:`exact_key` — because embeddings tokenize
+  vector reuse — a chunk's ``doc_id`` — because embeddings tokenize
   raw text; the content address only classifies the edit.)
 * **Unicode normalization**: text is NFC-normalized first, so an editor
   that re-encodes ``é`` from combining form to precomposed form is not
@@ -54,11 +54,6 @@ def chunk_address(text: str, source: str = "") -> str:
 def chunk_id(chunk: Document) -> str:
     """The content address of a chunk document."""
     return chunk_address(chunk.text, str(chunk.metadata.get("source", "")))
-
-
-def exact_key(chunk: Document) -> str:
-    """The byte-exact identity used for embedding reuse (``doc_id``)."""
-    return chunk.doc_id
 
 
 def source_digest(text: str) -> str:

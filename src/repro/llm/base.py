@@ -32,10 +32,6 @@ class TokenUsage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
 
 @dataclass
 class CompletionResult:

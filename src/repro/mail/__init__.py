@@ -8,7 +8,7 @@ fires a webhook when unread mail arrives, and email-body hygiene
 """
 
 from repro.mail.message import Attachment, EmailMessage, strip_quoted_reply, undefense_urls
-from repro.mail.mailinglist import MailArchive, MailingList, standard_petsc_lists
+from repro.mail.mailinglist import MailArchive, MailingList
 from repro.mail.gmail import GmailAccount, GmailLabel
 from repro.mail.appsscript import AppsScriptPoller
 
@@ -19,7 +19,6 @@ __all__ = [
     "undefense_urls",
     "MailingList",
     "MailArchive",
-    "standard_petsc_lists",
     "GmailAccount",
     "GmailLabel",
     "AppsScriptPoller",

@@ -82,9 +82,3 @@ class GmailAccount:
             self._messages[message_id].labels.discard(GmailLabel.UNREAD)
         except KeyError:
             raise MailError(f"unknown message id {message_id!r}") from None
-
-    def labels_of(self, message_id: str) -> set[GmailLabel]:
-        try:
-            return set(self._messages[message_id].labels)
-        except KeyError:
-            raise MailError(f"unknown message id {message_id!r}") from None

@@ -51,11 +51,6 @@ class MailingList:
             raise MailError(f"{address} is already subscribed to {self.name}")
         self._subscribers[address] = deliver
 
-    def unsubscribe(self, address: str) -> None:
-        if address not in self._subscribers:
-            raise MailError(f"{address} is not subscribed to {self.name}")
-        del self._subscribers[address]
-
     def post(self, message: EmailMessage) -> None:
         """Deliver a message to every subscriber and the archive."""
         if self.archive is not None:
@@ -64,10 +59,3 @@ class MailingList:
             deliver(message)
 
 
-def standard_petsc_lists() -> dict[str, MailingList]:
-    """The three public PETSc lists with the paper's archive policy."""
-    return {
-        "petsc-users": MailingList("petsc-users", public_archive=True),
-        "petsc-maint": MailingList("petsc-maint", public_archive=False),
-        "petsc-dev": MailingList("petsc-dev", public_archive=True),
-    }

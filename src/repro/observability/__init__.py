@@ -24,7 +24,7 @@ from repro.observability.metrics import (
     use_registry,
 )
 from repro.observability.stage import stage
-from repro.observability.trace import Span, SpanEvent, TickClock, Trace, Tracer
+from repro.observability.trace import Span, SpanEvent, Trace, Tracer
 
 __all__ = [
     "Counter",
@@ -34,7 +34,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "SpanEvent",
-    "TickClock",
     "Trace",
     "Tracer",
     "get_registry",

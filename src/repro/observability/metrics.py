@@ -184,12 +184,6 @@ class MetricsRegistry:
             lambda n: Histogram(n, buckets, deterministic=deterministic),
         )
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
     # ------------------------------------------------------------ export
     def snapshot(self) -> dict:
         """Full export, wall-clock values included."""

@@ -52,9 +52,6 @@ class Span:
         self.events.append(event)
         return event
 
-    def event_names(self) -> list[str]:
-        return [e.name for e in self.events]
-
     def find(self, name: str) -> list["Span"]:
         """All descendant spans (including self) with ``name``, preorder."""
         out = [self] if self.name == name else []
@@ -123,10 +120,6 @@ class Trace:
         for span in self.spans():
             counts[span.name] = counts.get(span.name, 0) + 1
         return counts
-
-    def event_names(self) -> list[str]:
-        """Every event name in the tree, preorder."""
-        return [e.name for span in self.spans() for e in span.events]
 
     # ------------------------------------------------------------ determinism
     def _structure(self, span: Span) -> list:
@@ -221,19 +214,6 @@ class Trace:
         return "\n".join(lines)
 
 
-class TickClock:
-    """A deterministic clock: every reading advances by ``step`` seconds."""
-
-    def __init__(self, start: float = 0.0, step: float = 1.0) -> None:
-        self._now = start
-        self.step = step
-
-    def __call__(self) -> float:
-        now = self._now
-        self._now += self.step
-        return now
-
-
 class Tracer:
     """Builds one span tree per :meth:`trace` context.
 
@@ -244,10 +224,6 @@ class Tracer:
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
         self._stack: list[Span] = []
-
-    @property
-    def current_span(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
 
     @property
     def active(self) -> bool:

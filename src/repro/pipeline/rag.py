@@ -61,8 +61,8 @@ class PipelineResult:
     #: The span tree of this invocation; timings below derive from it.
     trace: Trace | None = None
 
-    # The public timing names are kept as the compatibility surface; all
-    # three are *derived* from the span tree rather than stored.
+    # The public timing names are kept as the compatibility surface; both
+    # are *derived* from the span tree rather than stored.
     @property
     def rag_seconds(self) -> float:
         """Derived: total duration of the locate + refine spans."""
@@ -74,22 +74,6 @@ class PipelineResult:
     def llm_seconds(self) -> float:
         """Derived: total duration of the llm span."""
         return 0.0 if self.trace is None else self.trace.stage_seconds("llm")
-
-    @property
-    def total_seconds(self) -> float:
-        """Derived: duration of the root ``pipeline`` span.
-
-        The root covers everything the invocation did — including time
-        spent *outside* the locate/refine/llm stage spans (degradation
-        bookkeeping, breaker transitions, prompt assembly) — so it is
-        always >= ``rag_seconds + llm_seconds`` rather than silently
-        dropping the in-between work.
-        """
-        return 0.0 if self.trace is None else self.trace.root.duration
-
-    @property
-    def is_degraded(self) -> bool:
-        return bool(self.degraded)
 
 
 class RAGPipeline:

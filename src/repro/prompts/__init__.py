@@ -1,6 +1,6 @@
 """Prompt templating and the PETSc prompt library."""
 
-from repro.prompts.templates import ChatPromptTemplate, PromptTemplate
+from repro.prompts.templates import PromptTemplate
 from repro.prompts.library import (
     BASELINE_PROMPT,
     RAG_PROMPT,
@@ -12,7 +12,6 @@ from repro.prompts.library import (
 
 __all__ = [
     "PromptTemplate",
-    "ChatPromptTemplate",
     "RAG_SYSTEM_PROMPT",
     "RAG_PROMPT",
     "BASELINE_PROMPT",

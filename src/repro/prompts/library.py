@@ -54,10 +54,6 @@ class ParsedPrompt:
     context: str | None = None
     guidance: str | None = None
 
-    @property
-    def has_context(self) -> bool:
-        return self.context is not None
-
 
 def parse_rag_prompt(content: str) -> ParsedPrompt:
     """Split a rendered prompt back into its sections.

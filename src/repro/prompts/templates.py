@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PromptError
-from repro.llm.base import ChatMessage
 
 _VAR_RE = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
 
@@ -38,28 +37,3 @@ class PromptTemplate:
             return str(kwargs[m.group(1)])
 
         return _VAR_RE.sub(_sub, self.template)
-
-
-@dataclass(frozen=True)
-class ChatPromptTemplate:
-    """An ordered list of (role, template) pairs rendering to chat messages."""
-
-    messages: tuple[tuple[str, PromptTemplate], ...] = field(default_factory=tuple)
-
-    @classmethod
-    def from_strings(cls, pairs: list[tuple[str, str]]) -> "ChatPromptTemplate":
-        return cls(tuple((role, PromptTemplate(t)) for role, t in pairs))
-
-    @property
-    def input_variables(self) -> frozenset[str]:
-        out: set[str] = set()
-        for _, tmpl in self.messages:
-            out |= tmpl.input_variables
-        return frozenset(out)
-
-    def format_messages(self, **kwargs: str) -> list[ChatMessage]:
-        rendered: list[ChatMessage] = []
-        for role, tmpl in self.messages:
-            wanted = {k: v for k, v in kwargs.items() if k in tmpl.input_variables}
-            rendered.append(ChatMessage(role=role, content=tmpl.format(**wanted)))
-        return rendered

@@ -46,10 +46,6 @@ class ReplicaSet:
         self.health = health
         self.hedging = hedging
 
-    @property
-    def num_replicas(self) -> int:
-        return len(self.replicas)
-
     def probe_order(self) -> list[int]:
         """Replica indices the walk may try, primary first, down skipped.
 

@@ -44,9 +44,6 @@ class Deadline:
     def remaining(self) -> float:
         return self.budget_seconds - self.elapsed()
 
-    def expired(self) -> bool:
-        return self.remaining() <= 0
-
     def require(self, seconds: float = 0.0) -> None:
         """Raise unless at least ``seconds`` of budget remain."""
         if self.remaining() < seconds:

@@ -1,4 +1,4 @@
-"""Shared low-level utilities: text processing, timing, RNG, serialization."""
+"""Shared low-level utilities: text processing, timing, RNG."""
 
 from repro.utils.textproc import (
     normalize_text,
@@ -8,9 +8,8 @@ from repro.utils.textproc import (
     word_ngrams,
     STOPWORDS,
 )
-from repro.utils.timing import StageTimer, Timer, TimingStats
+from repro.utils.timing import StageTimer, TimingStats
 from repro.utils.rng import derive_seed, stable_hash
-from repro.utils.serialization import dump_json, load_json, dataclass_to_dict
 
 __all__ = [
     "normalize_text",
@@ -20,11 +19,7 @@ __all__ = [
     "word_ngrams",
     "STOPWORDS",
     "StageTimer",
-    "Timer",
     "TimingStats",
     "derive_seed",
     "stable_hash",
-    "dump_json",
-    "load_json",
-    "dataclass_to_dict",
 ]

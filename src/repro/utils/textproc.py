@@ -243,13 +243,3 @@ class QuestionReading:
     def idents(self) -> tuple[str, ...]:
         """:func:`code_tokens` of the text."""
         return tuple(code_tokens(self.text))
-
-
-def truncate_words(text: str, max_words: int) -> str:
-    """Truncate ``text`` to at most ``max_words`` whitespace-separated words."""
-    if max_words < 0:
-        raise ValueError(f"max_words must be >= 0, got {max_words}")
-    words = text.split()
-    if len(words) <= max_words:
-        return text
-    return " ".join(words[:max_words]) + " ..."

@@ -44,29 +44,6 @@ class TimingStats:
         )
 
 
-class Timer:
-    """Context manager measuring elapsed wall-clock seconds.
-
-    >>> with Timer() as t:
-    ...     pass
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._start: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._start is not None
-        self.elapsed = time.perf_counter() - self._start
-        self._start = None
-
-
 @dataclass
 class StageTimer:
     """Accumulates named stage durations across pipeline runs."""
@@ -87,14 +64,6 @@ class StageTimer:
             return TimingStats.from_samples(self.samples[stage])
         except KeyError:
             raise KeyError(f"no samples recorded for stage {stage!r}") from None
-
-    def stages(self) -> list[str]:
-        return sorted(self.samples)
-
-    def merge(self, other: "StageTimer") -> None:
-        """Fold another timer's samples into this one (stage-wise append)."""
-        for stage, vals in other.samples.items():
-            self.samples.setdefault(stage, []).extend(vals)
 
 
 class _StageContext:

@@ -102,13 +102,6 @@ class ShardedVectorStore:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    @property
-    def num_replicas(self) -> int:
-        """Serving copies per shard (1 when replication is off)."""
-        if self.replica_sets is None:
-            return 1
-        return self.replica_sets[0].num_replicas
-
     # ------------------------------------------------------------ search
     def similarity_search_with_score(
         self,

@@ -9,11 +9,10 @@ from repro.errors import HistoryError
 
 
 class TestAgentMemory:
-    def test_remember_and_recall_episode(self):
+    def test_remember_keeps_the_episode(self):
         mem = AgentMemory()
-        mem.remember("GMRES restart question", "restart answer", timestamp=1.0)
-        eps = mem.recall_episodes("what about the GMRES restart?")
-        assert eps and eps[0].answer == "restart answer"
+        ep = mem.remember("GMRES restart question", "restart answer", timestamp=1.0)
+        assert mem.episodes == [ep] and ep.answer == "restart answer"
 
     def test_capacity_bounded(self):
         mem = AgentMemory(short_term_capacity=5)

@@ -37,8 +37,8 @@ class TestCaseStudies:
 
     def test_sources_listed(self, service, grader):
         res = run_case_study(CASE_STUDY_1_QID, service, grader)
-        assert len(res.rag_sources) == 4
-        assert len(res.rerank_sources) == 4
+        assert len(res.rag.contexts) == 4
+        assert len(res.rerank.contexts) == 4
 
     def test_unknown_qid(self, service, grader):
         with pytest.raises(EvaluationError):

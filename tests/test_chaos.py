@@ -122,7 +122,6 @@ class TestDegradationLadder:
         result = pipeline.answer("What restart does GMRES use?")
         assert result.answer == "the answer"
         assert result.degraded == ["retrieval:baseline-fallback"]
-        assert result.is_degraded
         assert result.contexts == []
 
     def test_rerank_failure_truncates_candidates(self, store):
@@ -159,7 +158,6 @@ class TestDegradationLadder:
         result = pipeline.answer("q")
         assert result.attempts == 1
         assert result.degraded == []
-        assert not result.is_degraded
 
 
 # ---------------------------------------------------------------- history

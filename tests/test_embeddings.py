@@ -11,9 +11,10 @@ from repro.embeddings import (
     HashingEmbedding,
     TfidfEmbedding,
     create_embedding_model,
-    top_k_indices,
 )
 from repro.errors import EmbeddingError
+
+from benchmarks.test_arms import TestSimilarity  # noqa: F401  (collected here)
 
 CORPUS = [
     "GMRES is a Krylov method for nonsymmetric systems",
@@ -87,8 +88,7 @@ class TestTfidfEmbedding:
 
     def test_fit_and_embed(self):
         emb = TfidfEmbedding(dim=64).fit(CORPUS)
-        assert emb.is_fitted
-        assert emb.vocabulary_size() > 10
+        assert len(emb._idf) > 10
         mat = emb.embed_documents(CORPUS)
         assert mat.shape == (4, 64)
 
@@ -206,7 +206,7 @@ class TestTfidfDerivedFit:
             texts[step % len(texts)] = f"{CORPUS[step % len(CORPUS)]} revision r{step}"
             fit = TfidfEmbedding(dim=16).fit(texts, fit)
             fit.embed_documents(texts)
-            assert len(fit._rows) <= fit.vocabulary_size()
+            assert len(fit._rows) <= len(fit._idf)
             assert len(fit._counts) <= len(texts)
         assert np.array_equal(
             fit.embed_documents(texts), TfidfEmbedding(dim=16).fit(texts).embed_documents(texts)
@@ -229,33 +229,3 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(EmbeddingError):
             create_embedding_model("nope")
-
-
-class TestSimilarity:
-    def test_top_k_order(self):
-        scores = np.array([0.1, 0.9, 0.5, 0.7])
-        assert top_k_indices(scores, 2).tolist() == [1, 3]
-
-    def test_top_k_exceeds_length(self):
-        assert len(top_k_indices(np.array([1.0, 2.0]), 10)) == 2
-
-    def test_top_k_zero(self):
-        assert len(top_k_indices(np.array([1.0]), 0)) == 0
-
-    def test_top_k_tie_break_deterministic(self):
-        scores = np.array([0.5, 0.5, 0.5, 0.5])
-        assert top_k_indices(scores, 2).tolist() == [0, 1]
-
-    def test_top_k_rejects_2d(self):
-        with pytest.raises(EmbeddingError):
-            top_k_indices(np.ones((2, 2)), 1)
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
-           st.integers(min_value=1, max_value=10))
-    @settings(max_examples=50, deadline=None)
-    def test_top_k_returns_maxima(self, values, k):
-        scores = np.array(values)
-        idx = top_k_indices(scores, k)
-        got = sorted(scores[idx].tolist(), reverse=True)
-        want = sorted(values, reverse=True)[: len(idx)]
-        assert got == want

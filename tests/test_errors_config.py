@@ -105,7 +105,7 @@ class TestSimulatedEdgePaths:
                 question="What are the default tolerances and how do I change them?",
             ),
         )
-        assert registry.fact("conv.defaults").appears_in(out)
+        assert registry.fact("conv.defaults") in registry.facts_in(out)
 
 
 class TestWorkflowConfigSurface:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.evaluation import (
+    RUBRIC,
     BenchmarkQuestion,
     BlindGrader,
     Score,
@@ -14,7 +15,6 @@ from repro.evaluation import (
     render_comparison,
     render_latency_table,
     render_score_histogram,
-    rubric_label,
     run_experiment,
 )
 from repro.evaluation.benchmark import validate_benchmark
@@ -24,12 +24,13 @@ from repro.utils.timing import TimingStats
 
 class TestRubric:
     def test_labels(self):
-        assert "Nonsensical" in rubric_label(0)
-        assert "Ideal" in rubric_label(4)
+        assert set(RUBRIC) == set(Score)
+        assert "Nonsensical" in RUBRIC[Score(0)]
+        assert "Ideal" in RUBRIC[Score(4)]
 
     def test_out_of_range(self):
-        with pytest.raises(EvaluationError):
-            rubric_label(5)
+        with pytest.raises(ValueError):
+            Score(5)
 
     def test_ordering(self):
         assert Score.IDEAL > Score.CORRECT > Score.MINOR_INACCURACIES

@@ -19,6 +19,18 @@ def make_fact(**kw):
     return Fact(**defaults)
 
 
+def asserts(signed, text):
+    """Whether ``text`` asserts ``signed``, read through a registry that
+    holds only it (detection has one entry point: the registry)."""
+    reg = FactRegistry()
+    if isinstance(signed, Fact):
+        reg.add_fact(signed)
+    else:
+        reg.add_falsehood(signed)
+    facts, falsehoods = reg.detect(text)
+    return signed in facts + falsehoods
+
+
 class TestFact:
     def test_signature_must_occur_in_statement(self):
         with pytest.raises(CorpusError):
@@ -30,30 +42,30 @@ class TestFact:
 
     def test_appears_in_positive(self):
         f = make_fact()
-        assert f.appears_in("Use KSPLSQR for rectangular systems.")
+        assert asserts(f, "Use KSPLSQR for rectangular systems.")
 
     def test_appears_in_case_sensitive_identifier(self):
         f = make_fact()
-        assert not f.appears_in("use ksplsqr for rectangular systems.")
+        assert not asserts(f, "use ksplsqr for rectangular systems.")
 
     def test_appears_in_word_boundary(self):
         f = make_fact(signature=("KSPLSQR",))
-        assert not f.appears_in("KSPLSQRX is something else")
+        assert not asserts(f, "KSPLSQRX is something else")
 
     def test_sentence_scoping(self):
         f = make_fact()
         # Terms split across two sentences must NOT count.
         text = "KSPLSQR is a solver. Other matrices are rectangular."
-        assert not f.appears_in(text)
+        assert not asserts(f, text)
 
     def test_sentence_scoping_bullets(self):
         f = make_fact()
         text = "- KSPLSQR is a solver\n- some matrices are rectangular"
-        assert not f.appears_in(text)
+        assert not asserts(f, text)
 
     def test_same_sentence_counts(self):
         f = make_fact()
-        assert f.appears_in("Note that KSPLSQR handles rectangular matrices fine.")
+        assert asserts(f, "Note that KSPLSQR handles rectangular matrices fine.")
 
 
 class TestFalsehood:
@@ -65,7 +77,7 @@ class TestFalsehood:
             fabrication=True,
         )
         assert x.fabrication
-        assert x.appears_in("They said KSPBurb is a block Richardson method.")
+        assert asserts(x, "They said KSPBurb is a block Richardson method.")
 
     def test_bad_signature(self):
         with pytest.raises(CorpusError):
@@ -91,12 +103,6 @@ class TestFactRegistry:
         found = reg.facts_in("KSPLSQR supports rectangular matrices.")
         assert [f.fact_id for f in found] == ["test.fact"]
 
-    def test_facts_about(self):
-        reg = FactRegistry()
-        reg.add_fact(make_fact())
-        assert reg.facts_about("ksplsqr")
-        assert not reg.facts_about("pcmg")
-
     def test_statement_helper(self):
         reg = FactRegistry()
         reg.add_fact(make_fact())
@@ -110,16 +116,16 @@ class TestDefaultRegistry:
 
     def test_every_fact_self_detects(self, registry):
         for fact in registry.facts.values():
-            assert fact.appears_in(fact.statement), fact.fact_id
+            assert fact in registry.facts_in(fact.statement), fact.fact_id
 
     def test_every_falsehood_self_detects(self, registry):
         for f in registry.falsehoods.values():
-            assert f.appears_in(f.statement), f.false_id
+            assert f in registry.detect(f.statement)[1], f.false_id
 
     def test_no_fact_triggers_falsehood(self, registry):
         """True statements must not be detected as falsehoods."""
         for fact in registry.facts.values():
-            hits = registry.falsehoods_in(fact.statement)
+            hits = registry.detect(fact.statement)[1]
             assert not hits, f"{fact.fact_id} triggers {[h.false_id for h in hits]}"
 
     def test_no_falsehood_triggers_fact(self, registry):

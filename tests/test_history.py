@@ -63,7 +63,7 @@ class TestInteractionStore:
         store = InteractionStore()
         rec = make_interaction(store)
         make_interaction(store)
-        rec.add_score(ScoreRecord(scorer="a", score=4))
+        store.add_score(rec.interaction_id, ScoreRecord(scorer="a", score=4))
         hits = store.search(min_mean_score=3.0)
         assert hits == [rec]
 
@@ -77,24 +77,24 @@ class TestInteractionStore:
     def test_double_scoring_rejected(self):
         store = InteractionStore()
         rec = make_interaction(store)
-        rec.add_score(ScoreRecord(scorer="a", score=3))
+        store.add_score(rec.interaction_id, ScoreRecord(scorer="a", score=3))
         with pytest.raises(HistoryError):
-            rec.add_score(ScoreRecord(scorer="a", score=4))
+            store.add_score(rec.interaction_id, ScoreRecord(scorer="a", score=4))
 
     def test_mean_score(self):
         store = InteractionStore()
         rec = make_interaction(store)
         assert rec.mean_score() is None
-        rec.add_score(ScoreRecord(scorer="a", score=2))
-        rec.add_score(ScoreRecord(scorer="b", score=4))
+        store.add_score(rec.interaction_id, ScoreRecord(scorer="a", score=2))
+        store.add_score(rec.interaction_id, ScoreRecord(scorer="b", score=4))
         assert rec.mean_score() == 3.0
 
     def test_as_documents_thresholds(self):
         store = InteractionStore()
         good = make_interaction(store, q="good q")
         bad = make_interaction(store, q="bad q")
-        good.add_score(ScoreRecord(scorer="a", score=4))
-        bad.add_score(ScoreRecord(scorer="a", score=1))
+        store.add_score(good.interaction_id, ScoreRecord(scorer="a", score=4))
+        store.add_score(bad.interaction_id, ScoreRecord(scorer="a", score=1))
         docs = store.as_documents(min_mean_score=3.0)
         assert len(docs) == 1
         assert "good q" in docs[0].text
@@ -103,7 +103,7 @@ class TestInteractionStore:
     def test_persistence_roundtrip(self, tmp_path):
         store = InteractionStore()
         rec = make_interaction(store, chat_model="gpt-4o-sim", mode="rag")
-        rec.add_score(ScoreRecord(scorer="a", score=3, incorrect_spans=[], comment="ok"))
+        store.add_score(rec.interaction_id, ScoreRecord(scorer="a", score=3, incorrect_spans=[], comment="ok"))
         path = tmp_path / "history.jsonl"
         store.save(path)
         loaded = InteractionStore.load(path)

@@ -10,8 +10,8 @@ from repro.config import RetrievalConfig, ReproConfig
 from repro.errors import IndexBuildError
 from repro.index import (
     clear_index_cache,
-    compute_digest,
     get_or_build_index,
+    plan_shards,
     read_cached_payload,
 )
 from repro.observability import MetricsRegistry, use_registry
@@ -28,25 +28,26 @@ def fresh_cache():
 
 class TestDigests:
     def test_digest_is_deterministic(self, bundle, fast_config):
-        assert compute_digest(bundle, fast_config) == compute_digest(bundle, fast_config)
+        first = plan_shards(bundle, fast_config).composite
+        assert plan_shards(bundle, fast_config).composite == first
 
     def test_digest_tracks_index_relevant_config(self, bundle, fast_config):
-        base = compute_digest(bundle, fast_config)
+        base = plan_shards(bundle, fast_config).composite
         chunked = ReproConfig(
             retrieval=RetrievalConfig(chunk_size=500), iterations_per_token=0
         )
-        assert compute_digest(bundle, chunked) != base
+        assert plan_shards(bundle, chunked).composite != base
 
     def test_digest_ignores_serving_config(self, bundle):
         # Serving knobs (chat model, latency, resilience) don't change
         # what gets indexed, so they must not fragment the cache.
-        a = compute_digest(bundle, ReproConfig(iterations_per_token=0))
-        b = compute_digest(bundle, ReproConfig(chat_model="llama-3-sim"))
+        a = plan_shards(bundle, ReproConfig(iterations_per_token=0)).composite
+        b = plan_shards(bundle, ReproConfig(chat_model="llama-3-sim")).composite
         assert a == b
 
     def test_build_stamps_matching_digest(self, bundle, fast_config, fresh_cache):
         artifact = get_or_build_index(bundle, fast_config)
-        assert artifact.digest == compute_digest(bundle, fast_config)
+        assert artifact.digest == plan_shards(bundle, fast_config).composite
         assert len(artifact.chunks) > 0
         assert len(artifact.store) == len(artifact.chunks)
 
@@ -113,7 +114,7 @@ class TestDiskCache:
 
     def test_missing_entry_raises(self, bundle, fast_config, tmp_path):
         with pytest.raises(IndexBuildError):
-            read_cached_payload(tmp_path, compute_digest(bundle, fast_config))
+            read_cached_payload(tmp_path, plan_shards(bundle, fast_config).composite)
 
     def test_corrupt_manifest_falls_back_to_build(
         self, bundle, fast_config, tmp_path, fresh_cache

@@ -16,7 +16,7 @@ from repro.llm import (
     count_tokens,
     create_chat_model,
 )
-from repro.llm.base import ChatModel, CompletionResult, TokenUsage
+from repro.llm.base import ChatModel, CompletionResult
 
 
 class TestChatMessage:
@@ -24,12 +24,6 @@ class TestChatMessage:
         ChatMessage(role="user", content="x")
         with pytest.raises(ModelError):
             ChatMessage(role="robot", content="x")
-
-
-class TestTokenUsage:
-    def test_total(self):
-        u = TokenUsage(prompt_tokens=10, completion_tokens=5)
-        assert u.total_tokens == 15
 
 
 class TestCountTokens:

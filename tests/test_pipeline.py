@@ -45,7 +45,7 @@ class TestModes:
         res = baseline_pipeline.answer("What is the default KSP type?")
         assert res.contexts == []
         assert res.rag_seconds == 0.0
-        assert not parse_rag_prompt(res.prompt).has_context
+        assert parse_rag_prompt(res.prompt).context is None
 
     def test_rag_contexts_bounded_by_l(self, rag_pipeline):
         res = rag_pipeline.answer("What is the default KSP type?")
@@ -65,15 +65,14 @@ class TestModes:
         res = rerank_pipeline.answer("How do I set tolerances?")
         assert res.rag_seconds > 0
         assert res.llm_seconds > 0
-        # total derives from the root pipeline span, which also covers
-        # work between the stage spans — never less than their sum.
-        assert res.total_seconds >= res.rag_seconds + res.llm_seconds
-        assert res.total_seconds == res.trace.root.duration
+        # The root pipeline span also covers work between the stage
+        # spans — never less than their sum.
+        assert res.trace.root.duration >= res.rag_seconds + res.llm_seconds
 
     def test_prompt_contains_contexts(self, rag_pipeline):
         res = rag_pipeline.answer("How do I monitor the residual?")
         parsed = parse_rag_prompt(res.prompt)
-        assert parsed.has_context
+        assert parsed.context is not None
         for c in res.contexts:
             assert c.document.text[:40] in parsed.context
 

@@ -9,7 +9,6 @@ from repro.errors import PromptError
 from repro.prompts import (
     BASELINE_PROMPT,
     RAG_PROMPT,
-    ChatPromptTemplate,
     PromptTemplate,
     format_context,
     parse_rag_prompt,
@@ -39,22 +38,6 @@ class TestPromptTemplate:
         assert t.format(x="y") == "y and y"
 
 
-class TestChatPromptTemplate:
-    def test_format_messages(self):
-        t = ChatPromptTemplate.from_strings([
-            ("system", "You are {persona}."),
-            ("user", "{question}"),
-        ])
-        msgs = t.format_messages(persona="helpful", question="why?")
-        assert msgs[0].role == "system"
-        assert msgs[0].content == "You are helpful."
-        assert msgs[1].content == "why?"
-
-    def test_input_variables_union(self):
-        t = ChatPromptTemplate.from_strings([("system", "{a}"), ("user", "{b}")])
-        assert t.input_variables == {"a", "b"}
-
-
 class TestFormatContext:
     def test_numbered_with_sources(self):
         hits = [
@@ -77,14 +60,14 @@ class TestParseRagPrompt:
     def test_roundtrip_rag(self):
         rendered = RAG_PROMPT.format(context="CTX HERE", question="Q HERE")
         parsed = parse_rag_prompt(rendered)
-        assert parsed.has_context
+        assert parsed.context is not None
         assert parsed.context == "CTX HERE"
         assert parsed.question == "Q HERE"
 
     def test_roundtrip_baseline(self):
         rendered = BASELINE_PROMPT.format(question="just the question")
         parsed = parse_rag_prompt(rendered)
-        assert not parsed.has_context
+        assert parsed.context is None
         assert parsed.question == "just the question"
 
     def test_bare_text_is_question(self):

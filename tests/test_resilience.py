@@ -207,14 +207,16 @@ class TestDeadline:
     def test_budget_accounting(self):
         clock = FakeClock()
         d = Deadline(1.0, clock=clock)
-        assert not d.expired()
+        assert d.remaining() == pytest.approx(1.0)
         clock.advance(0.6)
         assert d.remaining() == pytest.approx(0.4)
         d.require(0.3)
         with pytest.raises(DeadlineExceededError):
             d.require(0.5)
         clock.advance(0.5)
-        assert d.expired()
+        assert d.remaining() <= 0
+        with pytest.raises(DeadlineExceededError):
+            d.require()
 
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -22,6 +22,7 @@ framework (architecture conformance).
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import inspect
 import json
@@ -471,6 +472,257 @@ def test_the_engine_answers_nothing(bundle, fast_config):
     for name in ("answer", "answer_many", "service", "admission", "clear_query_caches"):
         assert not hasattr(engine, name), name
 
+
+#: ``src/`` definitions that no other ``src/`` code names, kept on purpose:
+#: qualified name (``path under src/repro::Class.attr``) → (why, the file
+#: outside ``src/`` that calls it).  The gate checks that the caller file
+#: still names each one.
+_UNREACHED_ON_PURPOSE = {
+    # The simulated users' side of Fig. 5: what a person at the keyboard
+    # (or a mail client) does, driven by the walkthrough example.
+    "bots/system.py::SupportSystem.user_sends_email": (
+        "a user mails petsc-users (Fig. 5 arc 1)", "examples/discord_support_workflow.py"),
+    "bots/system.py::SupportSystem.poll": (
+        "the Apps Script timer fires (arcs 2-4)", "examples/discord_support_workflow.py"),
+    "bots/system.py::SupportSystem.developer_replies": (
+        "a developer types /reply (arc 5)", "examples/discord_support_workflow.py"),
+    "bots/system.py::SupportSystem.find_post": (
+        "a developer opens the mirrored post", "examples/discord_support_workflow.py"),
+    "discordsim/models.py::Button.click": (
+        "a developer clicks Send / Revise / Discard", "examples/discord_support_workflow.py"),
+    "discordsim/models.py::Message.button": (
+        "a developer finds a button by its label", "examples/discord_support_workflow.py"),
+    "discordsim/channels.py::ForumPost.starter": (
+        "a developer reads the mirrored email", "examples/discord_support_workflow.py"),
+    "discordsim/server.py::Server.text_channel": (
+        "a developer reads a text channel", "examples/discord_support_workflow.py"),
+    # Paper surfaces that examples and benches reach.
+    "bots/chatbot.py::PetscChatbot.submit_revision": (
+        "Fig. 3 Revise: a draft guided by developer feedback",
+        "examples/discord_support_workflow.py"),
+    "bots/chatbot.py::PetscChatbot.direct_message": (
+        "private DMs with unvetted answers (paper IV)", "tests/test_bots.py"),
+    "bots/chatbot.py::PetscChatbot.dm_history": (
+        "the transcript of a private DM", "tests/test_bots.py"),
+    "history/scoring.py::BlindScoringSession": (
+        "the paper's blind-score process (III-F)", "examples/blind_scoring.py"),
+    "history/scoring.py::BlindScoringSession.pending_items": (
+        "what a blind reviewer is shown", "examples/blind_scoring.py"),
+    "history/store.py::InteractionStore.record_human_answer": (
+        "developer answers scored like LLM answers", "examples/blind_scoring.py"),
+    "pipeline/workflow.py::AugmentedWorkflow.feed_history_into_rag": (
+        "vetted history back into box 1 (Fig. 1 dotted arrow)", "tests/test_ingest.py"),
+    "pipeline/workflow.py::WorkflowAnswer.all_code_ok": (
+        "box 4's verdict on the answer's code", "examples/quickstart.py"),
+    "evaluation/experiments.py::ExperimentRun.rag_stats": (
+        "Table II RAG row", "examples/run_evaluation.py"),
+    "evaluation/experiments.py::ExperimentRun.llm_stats": (
+        "Table II LLM row", "examples/run_evaluation.py"),
+    "evaluation/reporting.py::render_latency_table": (
+        "Table II layout", "examples/run_evaluation.py"),
+    "postprocess/json_output.py::answer_to_json": (
+        "the structured answer format (paper III-D)", "tests/test_postprocess.py"),
+    "postprocess/json_output.py::json_to_answer": (
+        "its inverse", "tests/test_postprocess.py"),
+    "postprocess/markdown.py::extract_lists": (
+        "itemized lists out of a Markdown answer", "tests/test_postprocess.py"),
+    "documents/loaders.py::DirectoryLoader": (
+        "the LangChain loader the paper builds its database with",
+        "examples/build_rag_database.py"),
+    "agentmem/memory.py::AgentMemory": (
+        "early steps toward agentic memory (III-F)", "examples/blind_scoring.py"),
+    "agentmem/memory.py::AgentMemory.remember": (
+        "agentic memory: write", "examples/blind_scoring.py"),
+    "agentmem/memory.py::AgentMemory.recall": (
+        "agentic memory: read", "examples/blind_scoring.py"),
+    "evaluation/benchmark.py::validate_benchmark": (
+        "gold fact ids resolve; a graded set will extend it", "tests/test_evaluation.py"),
+    # The Chroma-shaped store surface (DESIGN §2).
+    "vectorstore/store.py::VectorStore.from_documents": (
+        "Chroma.from_documents", "examples/build_rag_database.py"),
+    "vectorstore/store.py::VectorStore.similarity_search": (
+        "Chroma.similarity_search", "tests/test_vectorstore.py"),
+    "vectorstore/sharded.py::ShardedVectorStore.similarity_search": (
+        "the same call on a sharded store", "tests/test_ingest.py"),
+    # Test seams and resource release.
+    "resilience/faults.py::CrashPointInjector": (
+        "crashes a durability site on purpose", "tests/test_durability.py"),
+    "history/store.py::InteractionStore.detach_journal": (
+        "closes the journal file", "tests/test_durability.py"),
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
+
+
+def _names_used(tree: ast.AST, *, package_init: bool = False) -> list[tuple[str, int]]:
+    """``(name, line)`` for every use in ``tree``: a ``Name``, an
+    ``Attribute.attr``, an imported name (the original, not the alias) or
+    an identifier-shaped string constant (``getattr``, ``_LAZY``).  An
+    ``__all__`` list is not a use, nor is a package ``__init__``'s
+    ``from … import`` line."""
+    skipped: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            skipped.update(id(n) for n in ast.walk(node.value))
+        elif package_init and isinstance(node, ast.ImportFrom):
+            skipped.add(id(node))
+    used = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            used.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            used.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            used.extend((alias.name, node.lineno) for alias in node.names)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and _IDENTIFIER.match(node.value)
+        ):
+            used.append((node.value, node.lineno))
+    return used
+
+
+def _definitions(tree: ast.Module):
+    """``(qualified name, name, first line, last line)`` for every
+    module-level function and class and every method, nested classes'
+    included."""
+    found = []
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((prefix + node.name, node.name, node.lineno, node.end_lineno))
+                if isinstance(node, ast.ClassDef):
+                    walk(node.body, f"{prefix}{node.name}.")
+
+    walk(tree.body, "")
+    return found
+
+
+def scan_reachability(sources: dict[str, str], *, reached=frozenset()):
+    """``(defined, unreached)``: the qualified names (``path::Class.attr``)
+    of every definition in ``sources`` (path → text), and those whose name
+    no code in ``sources`` uses outside the definition's own body.  Names
+    in ``reached`` count as used; dunder names are skipped."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    uses: dict[str, list[tuple[str, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _names_used(tree, package_init=path.endswith("__init__.py")):
+            uses.setdefault(name, []).append((path, line))
+    defined, unreached = set(), set()
+    for path, tree in trees.items():
+        for qualname, name, first, last in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            key = f"{path}::{qualname}"
+            defined.add(key)
+            if name in reached:
+                continue
+            if not any(p != path or not first <= line <= last for p, line in uses.get(name, ())):
+                unreached.add(key)
+    return defined, unreached
+
+
+def allow_list_problems(defined, unreached, allowed, read_caller) -> list[str]:
+    """Unreached definitions missing from ``allowed`` and stale entries:
+    one now reached, one that no longer exists, one with no reason, or one
+    whose caller file (read with ``read_caller``) does not name it."""
+    problems = [f"{key}: no caller in src/" for key in sorted(unreached - set(allowed))]
+    for key, (reason, caller) in sorted(allowed.items()):
+        name = key.rsplit("::", 1)[-1].rsplit(".", 1)[-1]
+        if key not in defined:
+            problems.append(f"{key}: allow-listed but not defined")
+        elif key not in unreached:
+            problems.append(f"{key}: allow-listed but reached from src/")
+        if not reason:
+            problems.append(f"{key}: allow-listed without a reason")
+        text = read_caller(caller)
+        if text is None or name not in {n for n, _ in _names_used(ast.parse(text))}:
+            problems.append(f"{key}: caller {caller} does not name {name}")
+    return problems
+
+
+def test_every_src_definition_has_a_src_caller():
+    """Everything in ``src/`` has a caller in ``src/``, or an entry in
+    ``_UNREACHED_ON_PURPOSE`` naming the file outside ``src/`` that calls
+    it.  Names the frozen ledger (``benchmarks/ledger/*.py``) uses and the
+    names in ``repro.__all__`` count as reached.
+
+    Blind spot: a use is matched by name only, so a method counts as
+    reached when any attribute anywhere in ``src/`` shares its name.
+    That is how ``InteractionStore.add_score`` hid behind the
+    ``Interaction.add_score`` that ``BlindScoringSession.submit`` called,
+    while no score reached the history journal."""
+    src_root = Path(repro.__file__).parent
+    repo_root = src_root.parents[1]
+    sources = {
+        path.relative_to(src_root).as_posix(): path.read_text(encoding="utf-8")
+        for path in sorted(src_root.rglob("*.py"))
+    }
+    reached = set(repro.__all__)
+    for path in sorted((repo_root / "benchmarks" / "ledger").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reached.update(name for name, _ in _names_used(tree))
+    defined, unreached = scan_reachability(sources, reached=reached)
+
+    def read_caller(rel):
+        path = repo_root / rel
+        return path.read_text(encoding="utf-8") if path.is_file() else None
+
+    problems = allow_list_problems(defined, unreached, _UNREACHED_ON_PURPOSE, read_caller)
+    assert not problems, "\n".join(problems)
+    assert len(_UNREACHED_ON_PURPOSE) <= 32, "the allow-list is meant to stay short"
+
+
+def test_reachability_scan_reports_unreached_and_stale_entries():
+    sources = {
+        "pkg/__init__.py": "from pkg.mod import kept, unused\n__all__ = ['kept', 'unused']\n",
+        "pkg/mod.py": (
+            "def kept():\n    return 1\n\n"
+            "def unused():\n    return unused()\n\n"
+            "class Box:\n    def __init__(self):\n        self.hidden = 0\n"
+            "    def shown(self):\n        return self.hidden\n"
+            "    def hidden(self):\n        return 2\n"
+        ),
+        "pkg/user.py": (
+            "from pkg.mod import kept as alias\n"
+            "value = alias() + getattr(object(), 'Box', 0)\n"
+            "def show(box):\n    return box.shown()\n"
+        ),
+    }
+    defined, unreached = scan_reachability(sources)
+    # ``unused`` only calls itself, and only ``__init__``'s import and
+    # ``__all__`` name it; ``hidden`` is reached by the attribute
+    # ``self.hidden`` (the blind spot); ``show`` has no caller at all.
+    assert unreached == {"pkg/mod.py::unused", "pkg/user.py::show"}
+    assert {"pkg/mod.py::kept", "pkg/mod.py::Box", "pkg/mod.py::Box.hidden"} <= defined
+    assert "pkg/mod.py::Box.__init__" not in defined
+    assert scan_reachability(sources, reached={"unused", "show"})[1] == set()
+
+    callers = {"ex.py": "import pkg\npkg.unused()\n", "other.py": "x = 1\n"}
+    allowed = {
+        "pkg/mod.py::unused": ("on purpose", "ex.py"),
+        "pkg/user.py::show": ("on purpose", "other.py"),  # caller does not name it
+        "pkg/mod.py::kept": ("stale", "ex.py"),  # reached from src/
+        "pkg/mod.py::gone": ("stale", "ex.py"),  # not defined
+    }
+    problems = allow_list_problems(defined, unreached, allowed, callers.get)
+    assert problems == [
+        "pkg/mod.py::gone: allow-listed but not defined",
+        "pkg/mod.py::gone: caller ex.py does not name gone",
+        "pkg/mod.py::kept: allow-listed but reached from src/",
+        "pkg/mod.py::kept: caller ex.py does not name kept",
+        "pkg/user.py::show: caller other.py does not name show",
+    ]
+    assert allow_list_problems(defined, unreached, {}, callers.get) == [
+        "pkg/mod.py::unused: no caller in src/",
+        "pkg/user.py::show: no caller in src/",
+    ]
 
 #: One index, one engine, one store: nothing may fork on which kind it
 #: was handed, or on whether there is more than one shard.

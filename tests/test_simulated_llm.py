@@ -40,18 +40,18 @@ class TestGrounded:
     def test_context_fact_asserted(self, model, registry):
         stmt = registry.statement("ksplsqr.rectangular")
         res = ask(model, "Can KSP solve rectangular least squares systems?", context=stmt)
-        assert registry.fact("ksplsqr.rectangular").appears_in(res.text)
+        assert registry.fact("ksplsqr.rectangular") in registry.facts_in(res.text)
 
     def test_no_falsehood_when_grounded(self, model, registry):
         stmt = registry.statement("gmres.memory_grows")
         res = ask(model, "Why does GMRES memory grow with iterations?", context=stmt)
-        assert not registry.falsehoods_in(res.text)
+        assert not registry.detect(res.text)[1]
 
     def test_refusal_for_unknown_api_with_context(self, model, registry):
         stmt = registry.statement("ksp.naming")
         res = ask(model, "What does KSPBurb do?", context=stmt)
         assert "no PETSc function" in res.text
-        assert not registry.falsehoods_in(res.text)
+        assert not registry.detect(res.text)[1]
 
     def test_usage_accounting(self, model):
         res = ask(model, "What is KSP?", context="KSP is the solver interface.")
@@ -64,7 +64,7 @@ class TestUngrounded:
     def test_fabricates_unknown_api(self, model, registry):
         res = ask(model, "What does KSPBurb do?")
         # The canonical KSPBurb hallucination from the paper.
-        assert registry.falsehoods_in(res.text)
+        assert registry.detect(res.text)[1]
 
     def test_deterministic(self, model):
         a = ask(model, "How do I set solver tolerances?")
@@ -76,7 +76,7 @@ class TestUngrounded:
         # the stable hash; see test_llm.TestParametricKnowledge).
         assert model.knowledge.knows("conv.settolerances")
         res = ask(model, "How do I change the relative tolerance and maximum iterations of KSP?")
-        assert registry.fact("conv.settolerances").appears_in(res.text)
+        assert registry.fact("conv.settolerances") in registry.facts_in(res.text)
 
 
 class TestAnchoring:

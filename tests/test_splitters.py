@@ -9,7 +9,6 @@ from repro.documents import (
     Document,
     MarkdownHeaderTextSplitter,
     RecursiveCharacterTextSplitter,
-    SentenceWindowSplitter,
 )
 from repro.errors import DocumentError
 
@@ -116,36 +115,6 @@ class TestMarkdownHeaderTextSplitter:
     def test_invalid_depth(self):
         with pytest.raises(DocumentError):
             MarkdownHeaderTextSplitter(max_depth=0)
-
-
-class TestSentenceWindowSplitter:
-    TEXT = "One here. Two here. Three here. Four here. Five here."
-
-    def test_window_and_stride(self):
-        sp = SentenceWindowSplitter(window=2, stride=2)
-        chunks = sp.split_text(self.TEXT)
-        assert chunks[0] == "One here. Two here."
-        assert len(chunks) == 3
-
-    def test_overlapping_stride(self):
-        sp = SentenceWindowSplitter(window=3, stride=1)
-        chunks = sp.split_text(self.TEXT)
-        assert "Two here." in chunks[0] and "Two here." in chunks[1]
-
-    def test_empty(self):
-        assert SentenceWindowSplitter().split_text("") == []
-
-    def test_invalid_params(self):
-        with pytest.raises(DocumentError):
-            SentenceWindowSplitter(window=0)
-        with pytest.raises(DocumentError):
-            SentenceWindowSplitter(window=2, stride=3)
-
-    def test_all_sentences_covered(self):
-        sp = SentenceWindowSplitter(window=2, stride=2)
-        joined = " ".join(sp.split_text(self.TEXT))
-        for word in ("One", "Two", "Three", "Four", "Five"):
-            assert word in joined
 
 
 class TestChunkIdentityStability:

@@ -273,7 +273,6 @@ class TestMatcherAgainstReference:
             expected = ref_detect(registry, chunk.text)
             assert _detected(registry, chunk.text) == expected
             assert [f.fact_id for f in registry.facts_in(chunk.text)] == expected[0]
-            assert [f.false_id for f in registry.falsehoods_in(chunk.text)] == expected[1]
             assert chunk.metadata.get("facts", "") == ",".join(sorted(expected[0]))
             assert chunk.metadata.get("falsehoods", "") == ",".join(sorted(expected[1]))
             tagged += bool(expected[0] or expected[1])
@@ -284,8 +283,6 @@ class TestMatcherAgainstReference:
     def test_assembled_texts(self, text):
         expected = ref_detect(_REGISTRY, text)
         assert _detected(_REGISTRY, text) == expected
-        for signed in _SIGNED[::7]:
-            assert signed.appears_in(text) == ref_appears_in(signed.signature, text)
 
     @pytest.mark.parametrize(
         "signature, text, asserted",
@@ -317,7 +314,6 @@ class TestMatcherAgainstReference:
         statement = " ".join(signature)
         fact = Fact(fact_id="t", statement=statement, signature=signature)
         assert ref_appears_in(signature, text) is asserted
-        assert fact.appears_in(text) is asserted
         registry = FactRegistry()
         registry.add_fact(fact)
         assert bool(registry.facts_in(text)) is asserted
@@ -413,7 +409,9 @@ class TestLineScanEqualsWholeText:
             text = f"x{sep}{term}{sep}x"
             fact = Fact(fact_id="t", statement=term, signature=(term,))
             assert ref_appears_in(fact.signature, text) is True
-            assert fact.appears_in(text) is True
+            registry = FactRegistry()
+            registry.add_fact(fact)
+            assert registry.facts_in(text) == [fact]
         text = sep.join(f"x{sep}{x.statement}{sep}9" for x in _SIGNED)
         assert _detected(_REGISTRY, text) == ref_detect(_REGISTRY, text)
         assert len(_detected(_REGISTRY, text)[0]) == len(_REGISTRY.facts)
@@ -459,7 +457,6 @@ class TestLineScanEqualsWholeText:
     def test_named_cases(self, signature, text, asserted):
         fact = Fact(fact_id="t", statement=" ".join(signature), signature=signature)
         assert ref_appears_in(signature, text) is asserted
-        assert fact.appears_in(text) is asserted
         registry = FactRegistry()
         registry.add_fact(fact)
         assert bool(registry.facts_in(text)) is asserted

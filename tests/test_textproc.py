@@ -15,7 +15,6 @@ from repro.utils.textproc import (
     stemmed_tokens,
     tokenize,
     tokenize_with_stopwords,
-    truncate_words,
     word_ngrams,
 )
 
@@ -169,15 +168,3 @@ class TestNgrams:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             list(word_ngrams(["a"], 0))
-
-
-class TestTruncate:
-    def test_no_truncation_needed(self):
-        assert truncate_words("a b", 5) == "a b"
-
-    def test_truncates(self):
-        assert truncate_words("a b c d", 2) == "a b ..."
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            truncate_words("a", -1)
