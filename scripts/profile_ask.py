@@ -7,6 +7,7 @@ Run from the repo root::
     PYTHONPATH=src python scripts/profile_ask.py --workload hot_repeat --rounds 200
     PYTHONPATH=src python scripts/profile_ask.py --workload ingest_churn
     PYTHONPATH=src python scripts/profile_ask.py --workload ingest_churn --batch
+    PYTHONPATH=src python scripts/profile_ask.py --workload paper_eval --ingest --rounds 8
 
 Opens a service on the config ``benchmarks/ledger/workloads.py`` gives
 the workload and asks the 37 Krylov questions ``--rounds`` times over:
@@ -32,6 +33,13 @@ falls inside the batch — run once unprofiled, for the best batch qps, and
 once under ``cProfile``.  A ``none`` workload warms its whole question
 pool first, as the ledger's set-up does.
 
+``--ingest`` profiles ``ingest_corpus`` instead, over the ledger's
+``EditSequence``: each of ``--rounds`` rounds applies one one-document
+edit unprofiled (``gc.collect()`` first, as the ledger does) and the
+next one under ``cProfile``.  It prints the best unprofiled ingest — the
+ledger's ``ingest_ms`` rule — and the mean of each ``repro.ingest.*``
+stage (resolve, build, diff, swap) over the unprofiled ingests.
+
 This sizes a perf issue — where the time of an ask goes — and claims
 nothing: the profiler taxes every Python call and no native one, so a
 gain is shown with alternating ledger pairs
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import os
 import pstats
 import statistics
@@ -55,6 +64,7 @@ from repro.config import ReproConfig
 from repro.corpus import build_default_corpus
 from repro.evaluation import krylov_benchmark
 from repro.ingest import ingest_corpus
+from repro.observability import MetricsRegistry, use_registry
 
 LEDGER = Path(__file__).resolve().parent.parent / "benchmarks" / "ledger"
 TABLE_ROWS = 30
@@ -72,9 +82,12 @@ def main() -> None:
     parser.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--batch", action="store_true", help="profile answer_many rounds")
+    parser.add_argument("--ingest", action="store_true", help="profile one-document ingests")
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.batch and args.ingest:
+        parser.error("--batch and --ingest profile different things: pick one")
 
     workload = WORKLOADS[args.workload]
     bundle = build_default_corpus()
@@ -104,7 +117,33 @@ def main() -> None:
     kind = {"none": "answer-cache hits", "ingest": "post-swap asks"}.get(
         workload.prepare, "cold asks"
     )
-    if args.batch:
+    if args.ingest:
+        timed = MetricsRegistry()
+        ingest_ms = []
+        for _ in range(args.rounds):
+            revised = edits.next()
+            gc.collect()
+            with use_registry(timed):
+                start = time.perf_counter()
+                ingest_corpus(service.engine, revised)
+                ingest_ms.append(1000.0 * (time.perf_counter() - start))
+            revised = edits.next()
+            gc.collect()
+            with use_registry(MetricsRegistry()):
+                profile.enable()
+                ingest_corpus(service.engine, revised)
+                profile.disable()
+        stages = ", ".join(
+            f"{name} {hist.total / hist.count:.2f}"
+            for name in ("resolve", "build", "diff", "swap")
+            if (hist := timed.histogram(f"repro.ingest.{name}.duration_ms")).count
+        )
+        print(
+            f"{args.workload}: ingest_ms {min(ingest_ms):.2f} unprofiled (best of {args.rounds} "
+            f"one-document edits; stage means, ms: {stages}); "
+            f"below, {args.rounds} profiled ingests by {args.sort}"
+        )
+    elif args.batch:
         source = QuestionSource(workload, bundle, LEDGER_SEED)
         if workload.prepare == "none":
             for question in source.pool:

@@ -271,6 +271,7 @@ def chunk_corpus(
     chunk_overlap: int = 120,
     parent_chunks: Sequence[Document] = (),
     parent_source_digests: Mapping[str, str] | None = None,
+    source_digests: dict[str, str] | None = None,
 ) -> list[Document]:
     """Split the corpus into tagged retrieval chunks.
 
@@ -293,7 +294,8 @@ def chunk_corpus(
     reuses its parent chunks verbatim — tags included — so only the
     edited sources pay for the splitter and the tagger; the result is
     byte-identical to a pass with no parent, which is the same pass with
-    nothing to reuse.
+    nothing to reuse.  A ``source_digests`` dict passed in receives each
+    source's digest (:func:`corpus_source_digests`), hashed once.
     """
     from repro.ingest.identity import source_digest as _source_digest
 
@@ -316,7 +318,10 @@ def chunk_corpus(
     split_chunks: list[Document] = []
     for doc in _chunking_docs(bundle, include_mail):
         source = str(doc.metadata.get("source", ""))
-        if source in parent_digests and parent_digests[source] == _source_digest(doc.text):
+        digest = _source_digest(doc.text)
+        if source_digests is not None:
+            source_digests[source] = digest
+        if parent_digests.get(source) == digest:
             whole.extend(parent_whole.get(source, ()))
             split_chunks.extend(parent_split.get(source, ()))
             continue

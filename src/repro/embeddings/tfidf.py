@@ -32,8 +32,8 @@ class TfidfEmbedding(EmbeddingModel):
     of its own terms and their projection rows.  A fit therefore keeps
     the term counts of every text it was fitted over (computed once,
     shared by :meth:`fit` and embedding), and a fit *derived* from a
-    ``parent`` carries over whatever the parent already computed — see
-    :meth:`fit` and :meth:`moved_since`.
+    ``parent`` updates what the parent computed by the texts that changed
+    — see :meth:`fit` and :meth:`moved_since`.
     """
 
     def __init__(self, *, dim: int = 1536, ngram_max: int = 2, name: str | None = None) -> None:
@@ -46,6 +46,9 @@ class TfidfEmbedding(EmbeddingModel):
         self._rows: dict[str, np.ndarray] = {}
         #: Fitted text → its term counts, in first-occurrence order.
         self._counts: dict[str, Counter[str]] = {}
+        #: The fitted texts (a multiset) and each term's document frequency.
+        self._texts: Counter[str] = Counter()
+        self._df: Counter[str] = Counter()
         #: The last :meth:`changed_terms` answer and the fit it was against
         #: (weakly held): one ingest asks once per shard, then per cache.
         self._changed: tuple[weakref.ref, frozenset[str]] | None = None
@@ -57,12 +60,13 @@ class TfidfEmbedding(EmbeddingModel):
     ) -> "TfidfEmbedding":
         """Learn vocabulary and IDF weights from ``corpus_texts``.
 
-        With a ``parent`` TF-IDF fit of the same shape, the term counts of
-        every text the parent was also fitted over and the projection
-        row of every term still in the vocabulary are carried over — the
-        same objects in new tables, so the parent is never mutated and
-        nothing outside the new vocabulary is kept.  Both are pure
-        functions of (text) and (dim, term), so a derived fit equals a
+        A fit derived from a ``parent`` TF-IDF fit of the same shape
+        carries over the parent's term counts and projection rows, and
+        applies only the texts that entered or left (a multiset) to its
+        document frequencies.  At an unchanged text count it copies the
+        parent's IDF table and rewrites only the terms whose frequency
+        moved: :meth:`changed_terms` of the parent, kept as its memo.
+        The parent is never mutated, and a derived fit equals a
         from-scratch one value for value.
         """
         if not corpus_texts:
@@ -72,36 +76,46 @@ class TfidfEmbedding(EmbeddingModel):
             self.ngram_max,
         ):
             parent = None
+        texts = Counter(corpus_texts)
         known = parent._counts if parent is not None else {}
-        counts: dict[str, Counter[str]] = {}
-        df: Counter[str] = Counter()
-        for text in corpus_texts:
-            c = counts.get(text)
-            if c is None:
-                c = counts[text] = known.get(text) or self._term_counts(text)
-            df.update(c.keys())
+        counts = {text: known.get(text) or self._term_counts(text) for text in texts}
         n_docs = len(corpus_texts)
+        df, moved = Counter(parent._df if parent is not None else ()), set()
+        if parent is None:
+            for text in corpus_texts:
+                df.update(counts[text].keys())
+        else:
+            for text in {text for text, _copies in texts.items() ^ parent._texts.items()}:
+                copies = texts[text] - parent._texts[text]
+                for term in (counts if text in counts else known)[text]:
+                    df[term] += copies
+                    moved.add(term)
+            moved = {t for t in moved if df[t] != parent._df[t]}
+        same_count = parent is not None and n_docs == parent._texts.total()
+        freqs = {df[t] for t in moved} if same_count else set(df.values())
         # Smoothed IDF, matching scikit-learn's default formulation; one
         # evaluation per distinct document frequency.
-        idf_of = {c: float(np.log((1 + n_docs) / (1 + c)) + 1.0) for c in set(df.values())}
-        self._idf = {t: idf_of[c] for t, c in df.items()}
-        self._counts = counts
-        self._changed = None
-        self._rows = {}
-        if parent is not None:
-            # Looked up per live term, never iterated: the parent fills
-            # its table lazily while it serves queries.
-            held = parent._rows
-            self._rows = {t: row for t in self._idf if (row := held.get(t)) is not None}
+        idf_of = {c: float(np.log((1 + n_docs) / (1 + c)) + 1.0) for c in freqs}
+        if same_count:
+            self._idf = parent._idf.copy()
+            self._idf.update((t, idf_of[df[t]]) for t in moved)
+        else:
+            self._idf = {t: idf_of[c] for t, c in df.items()}
+        # A C-level copy: the parent fills its table lazily while serving.
+        self._rows = parent._rows.copy() if parent is not None else {}
+        for term in [t for t in moved if not df[t]]:  # left the vocabulary
+            del df[term], self._idf[term]
+            self._rows.pop(term, None)
+        self._changed = (weakref.ref(parent), frozenset(moved)) if same_count else None
+        self._counts, self._texts, self._df = counts, texts, df
         self._fitted = True
         return self
 
     def changed_terms(self, since: "TfidfEmbedding") -> frozenset[str]:
-        """Terms whose weight differs between this fit and ``since``.
-
-        A term whose IDF moved, or that only one of the two vocabularies
-        holds.  When the fitted text count differs that is every term;
-        otherwise only the terms whose document frequency moved.
+        """Terms whose weight differs between this fit and ``since``: whose
+        IDF value — a function of ``(1 + n) / (1 + df)`` — moved, or that
+        one vocabulary holds.  Against its parent a derived fit answers
+        from its update (:meth:`fit`); otherwise the tables are compared.
         """
         memo = self._changed
         if memo is not None and memo[0]() is since:
@@ -119,9 +133,10 @@ class TfidfEmbedding(EmbeddingModel):
         ):
             return lambda text: True
         changed = self.changed_terms(since)
-        # Only membership is read: the set's iteration order (hash-seed
-        # dependent) never reaches a vector or a digest.
-        return lambda text: not changed.isdisjoint(self._counts_of(text))
+        # A keys view walks the smaller side (a set walks a whole dict):
+        # an edit's few changed terms.  Only membership is read: the
+        # set's order (hash-seed dependent) never reaches a vector.
+        return lambda text: not self._counts_of(text).keys().isdisjoint(changed)
 
     # ----------------------------------------------------------------- embedding
     def _term_counts(self, text: str, tokens: Sequence[str] | None = None) -> Counter[str]:
@@ -160,9 +175,11 @@ class TfidfEmbedding(EmbeddingModel):
             terms = [t for t in counts if t in self._idf]
             if not terms:
                 continue
+            # One log per distinct term count.
+            tf = [counts[t] for t in terms]
+            log_tf = {c: float(1.0 + np.log(c)) for c in set(tf)}
             weights = np.array(
-                [(1.0 + np.log(counts[t])) * self._idf[t] for t in terms],
-                dtype=np.float32,
+                [log_tf[c] * self._idf[t] for c, t in zip(tf, terms)], dtype=np.float32
             )
             # Stack the needed projection rows once, then one GEMV.
             proj = np.stack([self._projection_row(t) for t in terms])

@@ -30,7 +30,7 @@ shard** through the same ladder before assembling the composite:
    of the chunk changed IDF since the parent's fit) and embeds the rest
    in one batch.  A from-scratch build is the same code with nothing to
    reuse — no parent, or an edit that changed the chunk count and with
-   it every IDF — so both are value-identical by construction: same
+   it nearly every IDF — so both are value-identical by construction: same
    digest, same vectors, same answers.
 
 Each resolution reports the *lane* it took — ``memory``, ``disk``,
@@ -40,7 +40,7 @@ reports the dearest lane among its shards (:func:`resolve_index`).
 One embedding model is fitted over the chunks of *all* shards and shared
 by every shard build, which keeps scores comparable across shards; its
 fit is derived from the lineage parents' model, which carries over what
-an edit did not change (term counts, projection rows).
+an edit did not change (term counts, document frequencies, IDF, rows).
 Caching a lineage successor evicts the superseded digest, so a stale
 in-memory artifact can never outlive the corpus state it was built from.
 """
@@ -62,7 +62,7 @@ from repro.documents import Document
 from repro.durability.atomic import atomic_write_json
 from repro.embeddings import create_embedding_model
 from repro.errors import IndexBuildError, VectorStoreError
-from repro.index.artifact import IndexArtifact, config_fingerprint, corpus_digest
+from repro.index.artifact import IndexArtifact, config_fingerprint
 from repro.index.sharding import ShardPlan, ShardSpec, plan_shards
 from repro.observability import get_registry, use_registry
 from repro.vectorstore.sharded import ShardedVectorStore
@@ -138,17 +138,20 @@ LANES = ("memory", "disk", "delta", "full")
 
 def _chunk(
     spec: ShardSpec, config: ReproConfig, parent: IndexArtifact | None
-) -> list[Document]:
-    """Chunk one shard; sources unchanged since ``parent`` keep its chunks."""
+) -> tuple[list[Document], dict[str, str]]:
+    """Chunk one shard and hash its sources; unchanged ones keep ``parent``'s chunks."""
     rc = config.retrieval
-    return chunk_corpus(
+    digests: dict[str, str] = {}
+    chunks = chunk_corpus(
         spec.bundle,
         include_mail=rc.include_mail_archives,
         chunk_size=rc.chunk_size,
         chunk_overlap=rc.chunk_overlap,
         parent_chunks=parent.chunks if parent is not None else (),
         parent_source_digests=parent.source_digests if parent is not None else None,
+        source_digests=digests,
     )
+    return chunks, digests
 
 
 def _assemble_shard(
@@ -156,6 +159,7 @@ def _assemble_shard(
     chunks: list[Document],
     vectors: np.ndarray,
     embedding,
+    source_digests: dict[str, str],
     parent_digest: str | None = None,
 ) -> IndexArtifact:
     """The shard artifact over ``chunks`` and their row-aligned ``vectors``
@@ -170,9 +174,7 @@ def _assemble_shard(
         manual_pages=dict(spec.bundle.manual_page_names),
         registry=spec.bundle.registry,
         parent_digest=parent_digest,
-        source_digests=corpus_source_digests(
-            spec.bundle, include_mail=spec.fingerprint["include_mail_archives"]
-        ),
+        source_digests=source_digests,
     )
 
 
@@ -180,6 +182,7 @@ def build_shard(
     spec: ShardSpec,
     chunks: list[Document],
     embedding,
+    source_digests: dict[str, str],
     parent: IndexArtifact | None = None,
 ) -> IndexArtifact:
     """Build one shard: embed ``chunks`` into a store, reusing ``parent``.
@@ -231,7 +234,7 @@ def build_shard(
         registry.counter("repro.index.builds").inc()
         registry.counter("repro.shard.builds").inc()
     return _assemble_shard(
-        spec, chunks, vectors, embedding, parent.digest if reused else None
+        spec, chunks, vectors, embedding, source_digests, parent.digest if reused else None
     )
 
 
@@ -370,6 +373,7 @@ def _build_composite(
     shards: dict[int, IndexArtifact] = {}
     lanes: dict[int, str] = {}
     chunks: dict[int, list[Document]] = {}
+    digests: dict[int, dict[str, str]] = {}
     disk_vectors: dict[int, np.ndarray] = {}
 
     # Cache lookups and disk loads are cheap and stay in the calling
@@ -388,9 +392,9 @@ def _build_composite(
                 pass
     dirty = [i for i in range(len(specs)) if i not in chunks]
     parents = {i: lineage_parent(specs[i].fingerprint) for i in dirty}
-    chunks.update(
-        zip(dirty, _map_shards(lambda i: _chunk(specs[i], config, parents[i]), dirty, workers))
-    )
+    chunked = _map_shards(lambda i: _chunk(specs[i], config, parents[i]), dirty, workers)
+    for i, (shard_chunks, shard_digests) in zip(dirty, chunked):
+        chunks[i], digests[i] = shard_chunks, shard_digests
     embedding = create_embedding_model(
         config.retrieval.embedding_model,
         corpus_texts=[c.text for i in range(len(specs)) for c in chunks[i]],
@@ -400,11 +404,17 @@ def _build_composite(
     for i, vectors in disk_vectors.items():
         registry.counter("repro.index.disk_hits").inc()
         registry.counter("repro.shard.disk_hits").inc()
-        shards[i] = cache_artifact(_assemble_shard(specs[i], chunks[i], vectors, embedding))
+        # No chunking ran, so nothing hashed the shard's sources yet.
+        digests[i] = corpus_source_digests(
+            specs[i].bundle, include_mail=config.retrieval.include_mail_archives
+        )
+        shards[i] = cache_artifact(
+            _assemble_shard(specs[i], chunks[i], vectors, embedding, digests[i])
+        )
         lanes[i] = "disk"
 
     def build(i: int) -> tuple[IndexArtifact, str]:
-        shard = build_shard(specs[i], chunks[i], embedding, parents[i])
+        shard = build_shard(specs[i], chunks[i], embedding, digests[i], parents[i])
         if cache_dir is not None:
             save_artifact(shard, cache_dir)
         # The lane is what *this* call did, whoever published first.
@@ -416,7 +426,7 @@ def _build_composite(
     ordered = [shards[i] for i in range(len(specs))]
     composite = IndexArtifact(
         digest=plan.composite,
-        corpus_digest=corpus_digest(bundle),
+        corpus_digest=plan.corpus_digest,
         fingerprint={
             **config_fingerprint(config),
             "num_shards": plan.num_shards,
@@ -427,9 +437,8 @@ def _build_composite(
         store=ShardedVectorStore([s.store for s in ordered], embedding),
         manual_pages=dict(bundle.manual_page_names),
         registry=bundle.registry,
-        source_digests=corpus_source_digests(
-            bundle, include_mail=config.retrieval.include_mail_archives
-        ),
+        # Sources partition across shards, and the dict is only looked up.
+        source_digests={k: v for s in ordered for k, v in s.source_digests.items()},
         shards=ordered,
     )
     return composite, max(lanes.values(), key=LANES.index)

@@ -60,6 +60,8 @@ class ShardPlan:
     #: Global corpus digest for corpus-fitted embeddings (any edit
     #: re-keys all shards), or :data:`CORPUS_FREE_SCOPE`.
     embedding_scope: str
+    #: The whole corpus's digest, hashed once (the composite's; a lone shard's).
+    corpus_digest: str
     shards: list[ShardSpec] = field(default_factory=list)
 
     @property
@@ -88,11 +90,8 @@ def plan_shards(bundle: CorpusBundle, config: ReproConfig) -> ShardPlan:
     pages_by_shard: list[dict] = [{} for _ in range(n)]
     for name, page in bundle.manual_page_names.items():
         pages_by_shard[shard_for_document(page, n)][name] = page
-    scope = (
-        corpus_digest(bundle)
-        if is_corpus_fitted(config.retrieval.embedding_model)
-        else CORPUS_FREE_SCOPE
-    )
+    digest = corpus_digest(bundle)
+    scope = digest if is_corpus_fitted(config.retrieval.embedding_model) else CORPUS_FREE_SCOPE
     base_fingerprint = config_fingerprint(config)
     specs: list[ShardSpec] = []
     for i in range(n):
@@ -105,7 +104,7 @@ def plan_shards(bundle: CorpusBundle, config: ReproConfig) -> ShardPlan:
         fingerprint["shard"] = i
         fingerprint["num_shards"] = n
         fingerprint["embedding_scope"] = scope
-        shard_corpus = corpus_digest(sub)
+        shard_corpus = digest if n == 1 else corpus_digest(sub)
         specs.append(
             ShardSpec(
                 index=i,
@@ -116,4 +115,4 @@ def plan_shards(bundle: CorpusBundle, config: ReproConfig) -> ShardPlan:
                 digest=artifact_digest(shard_corpus, fingerprint),
             )
         )
-    return ShardPlan(bundle=bundle, num_shards=n, embedding_scope=scope, shards=specs)
+    return ShardPlan(bundle, n, embedding_scope=scope, corpus_digest=digest, shards=specs)

@@ -26,7 +26,8 @@ vector retriever is the only one the engine caches — value a tuple of
   k-th score.  Brute-force cosine retrieval admits a new document only
   when it beats the boundary, so this test is exact (ties drop,
   conservatively, because the merge tie-break could prefer the new
-  doc_id).
+  doc_id).  ``embedded_vectors`` are the new artifact's rows, read by
+  ``doc_id``: per-row embedding makes a stored row equal a re-embed.
 
 A delta whose ``parent_digest`` is not the previous generation's
 artifact (two ingests diffed from one parent, swapped one after the
@@ -39,9 +40,10 @@ answers for its own artifact only, so the next one starts empty.
 embedding model *and its fit*: one is dropped iff the new model's
 :meth:`~repro.embeddings.base.EmbeddingModel.moved_since` the previous
 one flags its query — never under a hashing model, for the
-corpus-fitted one iff the query holds a term whose IDF moved or that
-entered or left the vocabulary (every query, once the chunk count
-changed), and always when the swap changed models.
+corpus-fitted one iff the query holds a term whose IDF value moved or
+that entered or left the vocabulary (at an unchanged chunk count, a
+term whose document frequency moved), and always when the swap changed
+models.
 
 Survivors keep their recency order (:meth:`~repro.engine.LRUCache.keep_where`).
 """
@@ -94,9 +96,10 @@ def carry_forward(
         if len(hits) < k:
             return False  # a free slot: any addition could fill it
         if embedded_vectors is None:
-            # Only for an entry the cheaper tests let through: once the
-            # chunk count changed none does, and nothing is embedded twice.
-            embedded_vectors = embedding.embed_documents([c.text for c in embedded])
+            # Only for an entry the cheaper tests let through.  The build
+            # embedded these chunks already: read their rows, never embed
+            # them twice (a row is computed and normalized on its own).
+            embedded_vectors = artifact.store.vectors([c.doc_id for c in embedded])
         # The query did not move, so a cached embedding of it is current.
         qvec = previous.embeddings.peek(query)
         if qvec is None:

@@ -228,6 +228,12 @@ class ShardedVectorStore:
             raise VectorStoreError(f"unknown document id {doc_id!r}")
         return doc
 
+    def vectors(self, doc_ids: list[str]) -> np.ndarray:
+        """The stored rows of ``doc_ids``, in order: a read, not an embedding."""
+        rows = ((d, s.matrix, s._ids.get(d)) for s in self.shards for d in doc_ids)
+        held = {d: matrix[row] for d, matrix, row in rows if row is not None}
+        return np.stack([held[d] for d in doc_ids])
+
     # ------------------------------------------------------------ views
     def with_replication(
         self,

@@ -133,6 +133,54 @@ class TestTfidfDerivedFit:
         query = "Chebyshev eigenvalue bounds for GMRES"
         assert np.array_equal(derived.embed_query(query), scratch.embed_query(query))
 
+    # Each case is a lineage of fits — (texts, index of the parent fit)
+    # — and the index of the fit the last one is compared against.
+    REVISED = "Conjugate gradient needs a symmetric preconditioner too"
+    DERIVED_CASES = {
+        # A text present twice loses one copy: its terms keep a nonzero
+        # document frequency, one lower.
+        "duplicate-loses-a-copy": (
+            [([*CORPUS, CORPUS[0]], None), ([*CORPUS, REVISED], 0)], 0
+        ),
+        "edit-then-undo-vs-original": ([(CORPUS, None), (EDITED, 0), (CORPUS, 1)], 0),
+        "edit-then-undo-vs-edit": ([(CORPUS, None), (EDITED, 0), (CORPUS, 1)], 1),
+        "sibling": ([(CORPUS, None), (EDITED, 0), ([REVISED, *CORPUS[1:]], 0)], 1),
+        "grandparent": (
+            [(CORPUS, None), (EDITED, 0), ([REVISED, *EDITED[1:]], 1)], 0
+        ),
+        "count-grows": ([(CORPUS, None), ([*CORPUS, REVISED], 0)], 0),
+        "count-shrinks-to-a-duplicate": ([(CORPUS, None), ([CORPUS[1]] * 2, 0)], 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DERIVED_CASES))
+    def test_matches_a_scratch_fit_and_the_full_comparison(self, case):
+        steps, since = self.DERIVED_CASES[case]
+        fits: list[TfidfEmbedding] = []
+        for texts, parent in steps:
+            fit = TfidfEmbedding(dim=64).fit(texts, None if parent is None else fits[parent])
+            fit.embed_documents(texts)  # a served fit fills its rows
+            fits.append(fit)
+        derived, older, texts = fits[-1], fits[since], steps[-1][0]
+        scratch = TfidfEmbedding(dim=64).fit(texts)
+        assert derived._idf == scratch._idf and derived._df == scratch._df
+        assert set(derived._rows) <= set(derived._idf)
+        assert np.array_equal(derived.embed_documents(texts), scratch.embed_documents(texts))
+        # The full comparison of the two IDF tables.
+        full = {
+            t
+            for t in older._idf.keys() | derived._idf.keys()
+            if older._idf.get(t) != derived._idf.get(t)
+        }
+        assert derived.changed_terms(older) == full
+        moved = derived.moved_since(older)
+        for text in {*texts, *steps[since][0], "zzz qqq"}:
+            assert moved(text) == bool(full & derived._counts_of(text).keys())
+            if not moved(text):
+                assert np.array_equal(derived.embed_query(text), older.embed_query(text))
+        if sorted(texts) == sorted(steps[since][0]):
+            # An undone edit: the frequencies are back, and nothing moved.
+            assert derived._df == older._df and not full
+
     def test_carries_the_parents_objects_and_leaves_it_untouched(self):
         parent = TfidfEmbedding(dim=64).fit(CORPUS)
         parent.embed_documents(CORPUS)

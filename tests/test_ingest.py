@@ -31,6 +31,7 @@ from repro.config import (
 from repro.corpus.builder import CorpusBundle, chunk_corpus, overlay_tree
 from repro.corpus.facts import FactRegistry
 from repro.documents import Document
+from repro.embeddings.base import EmbeddingModel
 from repro.embeddings.registry import EMBEDDING_MODEL_NAMES
 from repro.engine import QueryEngine
 from repro.evaluation.benchmark import krylov_benchmark
@@ -882,6 +883,37 @@ class TestIngestCorpus:
         assert reg.counter("repro.shard.delta_builds").value == 1
         assert reg.counter("repro.ingest.delta_builds").value == 1
         assert service.answer("What does KSPGMRES do?").answer
+
+    @pytest.mark.parametrize(
+        ("embedding", "shards", "replicas"),
+        [("petsc-embed-large", 1, 1), (EMBED, 4, 2)],
+        ids=["large-1x1", "small-4x2"],
+    )
+    def test_an_ingest_embeds_each_chunk_once(
+        self, bundle, fresh_cache, monkeypatch, embedding, shards, replicas
+    ):
+        """The build embeds the delta's chunks; the swap's carry-forward
+        reads their rows from the new artifact instead of embedding them
+        a second time."""
+        cfg = _cfg(shards, replicas=replicas, embedding=embedding)
+        service = open_service(cfg, bundle=bundle)
+        for question in krylov_benchmark()[:8]:
+            service.answer(question.text)
+        texts: list[str] = []
+        embed_documents = EmbeddingModel.embed_documents
+
+        def spy(model, batch):
+            texts.extend(batch)
+            return embed_documents(model, batch)
+
+        monkeypatch.setattr(EmbeddingModel, "embed_documents", spy)
+        revised = _revision_note(bundle, "manualpages/KSPGMRES.md", 1)
+        report = ingest_corpus(service.engine, revised)
+        assert report.resolution == "delta"
+        # A retained entry with chunks embedded was tested against their
+        # vectors: the carry-forward needed them.
+        assert report.invalidation["retained_retrieval"] > 0
+        assert len(texts) == report.delta["embedded"] > 0
 
     def test_delta_and_scratch_engines_answer_identically(
         self, bundle, fresh_cache
