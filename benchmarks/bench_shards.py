@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from repro.api import open_service
-from repro.config import ReproConfig, RetrievalConfig, ShardingConfig
+from repro.config import EngineConfig, ReproConfig, RetrievalConfig, ShardingConfig
 from repro.corpus.builder import CorpusBundle
 from repro.documents import Document
 from repro.evaluation.benchmark import krylov_benchmark
@@ -118,13 +118,13 @@ def test_incremental_rebuild_speedup(bundle, tmp_path):
         iterations_per_token=0,
         retrieval=RetrievalConfig(embedding_model=REBUILD_EMBEDDING),
         sharding=ShardingConfig(num_shards=REBUILD_SHARDS),
+        engine=EngineConfig(index_cache_dir=str(tmp_path / "shard-cache")),
     )
-    cache_dir = tmp_path / "shard-cache"
 
     reg = MetricsRegistry()
     with use_registry(reg):
         t0 = time.perf_counter()
-        cold = get_or_build_index(bundle, cfg, cache_dir=cache_dir)
+        cold = get_or_build_index(bundle, cfg)
         cold_seconds = time.perf_counter() - t0
     assert reg.counter("repro.shard.builds").value == REBUILD_SHARDS
     cold_digests = {s.digest for s in cold.shards}
@@ -145,7 +145,7 @@ def test_incremental_rebuild_speedup(bundle, tmp_path):
     reg = MetricsRegistry()
     with use_registry(reg):
         t0 = time.perf_counter()
-        warm = get_or_build_index(edited, cfg, cache_dir=cache_dir)
+        warm = get_or_build_index(edited, cfg)
         incr_seconds = time.perf_counter() - t0
     builds = reg.counter("repro.shard.builds").value
     disk_hits = reg.counter("repro.shard.disk_hits").value

@@ -44,7 +44,6 @@ from repro.api import (
     open_service,
     open_support_system,
     open_workflow,
-    resolve_artifact,
 )
 from repro.service import ReproService
 from repro.pipeline import AugmentedWorkflow, RAGPipeline
@@ -76,7 +75,6 @@ __all__ = [
     "open_service",
     "open_support_system",
     "open_workflow",
-    "resolve_artifact",
     "AugmentedWorkflow",
     "RAGPipeline",
     "BlindGrader",

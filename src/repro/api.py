@@ -20,27 +20,18 @@ from typing import TYPE_CHECKING
 
 from repro.config import ReproConfig
 from repro.corpus.builder import CorpusBundle, build_default_corpus
+from repro.index import get_or_build_index
 from repro.pipeline.types import PipelineMode
 
 if TYPE_CHECKING:
     from repro.bots.system import SupportSystem
     from repro.engine import QueryEngine
     from repro.history import InteractionStore
-    from repro.index import IndexArtifact
     from repro.observability import MetricsRegistry
     from repro.pipeline.rag import RAGPipeline
     from repro.pipeline.workflow import AugmentedWorkflow
     from repro.resilience.faults import FaultInjector
     from repro.service import ReproService
-
-
-def resolve_artifact(
-    bundle: CorpusBundle | None = None, config: ReproConfig | None = None
-) -> "IndexArtifact":
-    """The shared index artifact for (bundle, config)."""
-    from repro.index import get_or_build_index
-
-    return get_or_build_index(bundle or build_default_corpus(), config)
 
 
 def open_engine(
@@ -62,7 +53,7 @@ def open_engine(
     config = config or ReproConfig()
     config.validate()
     return QueryEngine(
-        resolve_artifact(bundle, config),
+        get_or_build_index(bundle or build_default_corpus(), config),
         config,
         fault_injector=fault_injector,
         registry=registry,
@@ -105,9 +96,8 @@ def open_pipeline(
     config = config or ReproConfig()
     config.validate()
     mode = PipelineMode.coerce(mode)
-    return pipeline_from_artifact(
-        resolve_artifact(bundle, config), config, mode=mode, fault_injector=fault_injector
-    )
+    artifact = get_or_build_index(bundle or build_default_corpus(), config)
+    return pipeline_from_artifact(artifact, config, mode=mode, fault_injector=fault_injector)
 
 
 def open_workflow(

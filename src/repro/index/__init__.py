@@ -7,40 +7,32 @@ corpus and the index-relevant config.  See DESIGN.md §8.
 """
 
 from repro.index.artifact import (
-    ARTIFACT_VERSION,
     IndexArtifact,
     artifact_digest,
     config_fingerprint,
     corpus_digest,
 )
 from repro.index.builder import (
-    cache_artifact,
-    cached_artifact,
+    CATALOG,
+    IndexCatalog,
     clear_index_cache,
     get_or_build_index,
-    lineage_parent,
     read_cached_payload,
-    resolve_index,
-    save_artifact,
 )
 from repro.index.sharding import ShardPlan, ShardSpec, composite_digest, plan_shards
 
 __all__ = [
-    "ARTIFACT_VERSION",
+    "CATALOG",
     "IndexArtifact",
+    "IndexCatalog",
     "ShardPlan",
     "ShardSpec",
     "artifact_digest",
-    "cache_artifact",
-    "cached_artifact",
     "clear_index_cache",
     "composite_digest",
     "config_fingerprint",
     "corpus_digest",
     "get_or_build_index",
-    "lineage_parent",
     "plan_shards",
     "read_cached_payload",
-    "resolve_index",
-    "save_artifact",
 ]

@@ -2,15 +2,18 @@
 
 The build pipeline — chunk the corpus, fit/instantiate the embedding
 model, embed every chunk into a vector store — runs through
-:func:`get_or_build_index`, the single resolver.  It plans the shards
+:meth:`IndexCatalog.resolve`, the single resolver, on the process
+catalog :data:`CATALOG` (:func:`get_or_build_index` is its bundle-in
+entry point).  It plans the shards
 (:func:`~repro.index.sharding.plan_shards`; one by default), returns the
-cached composite on an in-process hit, and otherwise resolves **each
+live composite on an in-process hit, and otherwise resolves **each
 shard** through the same ladder before assembling the composite:
 
-1. **In-process**: a module-level table keyed by artifact digest.  Every
-   pipeline mode, bot, evaluation run, and benchmark in one process
-   shares the same artifact; the ``repro.index.builds`` counter stays at
-   one per shard no matter how many consumers warm-start from it.
+1. **In-process**: the process catalog, one live artifact per index
+   config.  Every pipeline mode, bot, evaluation run, and benchmark in
+   one process shares the same artifact; the ``repro.index.builds``
+   counter stays at one per shard no matter how many consumers
+   warm-start from it.
 2. **On disk** (optional, ``EngineConfig.index_cache_dir``): the shard
    store's npz/jsonl persistence plus an ``artifact.json`` manifest,
    keyed by shard digest.  A disk hit skips the embedding pass — the
@@ -20,31 +23,31 @@ shard** through the same ladder before assembling the composite:
    corrupt or mismatched entry raises :class:`IndexBuildError`
    internally and falls back to a build that overwrites it; loading
    never silently serves the wrong index.
-3. **Build** (:func:`build_shard`): the in-process cache tracks a
-   *lineage* — for every config fingerprint, the most recently cached
-   digest.  A dirty shard re-splits only the sources that changed since
-   its lineage parent, copies the parent's vector for every chunk the
-   parent already holds and the embedding model still maps to the same
-   vector (:meth:`~repro.embeddings.base.EmbeddingModel.moved_since`:
-   always, for a hashing model; for the corpus-fitted one, when no term
-   of the chunk changed IDF since the parent's fit) and embeds the rest
-   in one batch.  A from-scratch build is the same code with nothing to
+3. **Build** (:func:`build_shard`): the config's live artifact is the
+   shard's *lineage parent*.  A dirty shard re-splits only the sources
+   that changed since that parent, copies the parent's vector for every
+   chunk the parent already holds and the embedding model still maps to
+   the same vector
+   (:meth:`~repro.embeddings.base.EmbeddingModel.moved_since`: always,
+   for a hashing model; for the corpus-fitted one, when no term of the
+   chunk changed IDF since the parent's fit) and embeds the rest in one
+   batch.  A from-scratch build is the same code with nothing to
    reuse — no parent, or an edit that changed the chunk count and with
    it nearly every IDF — so both are value-identical by construction: same
    digest, same vectors, same answers.
 
 Each resolution reports the *lane* it took — ``memory``, ``disk``,
 ``delta`` (some rows reused) or ``full`` (none) — and a composite
-reports the dearest lane among its shards (:func:`resolve_index`).
+reports the dearest lane among its shards.
 
 One embedding model is fitted over the chunks of *all* shards and shared
 by every shard build, which keeps scores comparable across shards; its
 fit is derived from the lineage parents' model, which carries over what
 an edit did not change (term counts, document frequencies, IDF, rows).
-Caching a lineage successor evicts the superseded digest, so a stale
+Publishing a lineage successor overwrites its config's live entry, so
+the superseded digest is evicted by the same write and a stale
 in-memory artifact can never outlive the corpus state it was built from.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -71,12 +74,6 @@ from repro.vectorstore.store import VectorStore
 _STORE_DIR = "store"
 _MANIFEST = "artifact.json"
 
-_cache_lock = threading.Lock()
-_artifacts: dict[str, IndexArtifact] = {}
-#: Lineage: config-fingerprint key → digest of the latest artifact cached
-#: under it.  Resolves delta parents and drives superseded-digest eviction.
-_lineage: dict[str, str] = {}
-
 
 def _fingerprint_key(fingerprint: dict) -> str:
     # A corpus-fitted embedder puts the corpus digest into the
@@ -85,51 +82,6 @@ def _fingerprint_key(fingerprint: dict) -> str:
     # artifact digest keeps it).
     lineage = {k: v for k, v in fingerprint.items() if k != "embedding_scope"}
     return json.dumps(lineage, sort_keys=True, separators=(",", ":"))
-
-
-def clear_index_cache() -> None:
-    """Drop every in-process artifact (tests and long-lived daemons)."""
-    with _cache_lock:
-        _artifacts.clear()
-        _lineage.clear()
-
-
-def cached_artifact(digest: str) -> IndexArtifact | None:
-    """The in-process artifact for ``digest``, if one is cached."""
-    with _cache_lock:
-        return _artifacts.get(digest)
-
-
-def lineage_parent(fingerprint: dict) -> IndexArtifact | None:
-    """The latest in-process artifact cached under this fingerprint.
-
-    This is the delta-build parent candidate: same index-relevant
-    config, (possibly) different corpus.
-    """
-    with _cache_lock:
-        digest = _lineage.get(_fingerprint_key(fingerprint))
-        return _artifacts.get(digest) if digest is not None else None
-
-
-def cache_artifact(artifact: IndexArtifact) -> IndexArtifact:
-    """Publish an artifact to the in-process cache; first writer wins.
-
-    Publishing also advances the fingerprint's lineage and **evicts the
-    superseded digest**: once a successor for the same config
-    fingerprint is cached, the predecessor can only serve stale corpus
-    state (the historical bug was a disk-cache rebuild over a corrupt
-    entry leaving the original in-memory artifact live).  Consumers
-    holding a reference keep it — eviction only stops new resolutions.
-    """
-    with _cache_lock:
-        published = _artifacts.setdefault(artifact.digest, artifact)
-        key = _fingerprint_key(published.fingerprint)
-        previous = _lineage.get(key)
-        if previous is not None and previous != published.digest:
-            if _artifacts.pop(previous, None) is not None:
-                get_registry().counter("repro.index.lineage_evictions").inc()
-        _lineage[key] = published.digest
-        return published
 
 
 #: How a resolution obtained its artifact, cheapest first.
@@ -354,132 +306,176 @@ def _map_shards(fn: Callable, items: list, workers: int) -> list:
         return list(pool.map(scoped, items))
 
 
-def _build_composite(
-    plan: ShardPlan, config: ReproConfig, cache_dir
-) -> tuple[IndexArtifact, str]:
-    """Resolve every shard of ``plan`` and assemble the composite.
+class IndexCatalog:
+    """The live index artifacts: at most one per index config.
 
-    Three phases: resolve each shard's chunks (in-process artifact, disk
-    entry, or a chunking pass for dirty shards), fit the embedding once
-    over all of them (derived from the lineage parents' model), then
-    materialize the shard stores — clean shards
-    take their vectors straight from the npz, dirty shards go through
-    :func:`build_shard` with their lineage parent.  Returns the composite
-    and the dearest lane any shard took.
+    One dict maps a config-fingerprint key to the artifact last
+    published under it.  That entry is both the in-process hit for its
+    digest and the lineage parent of the config's next build, so
+    publishing a successor *is* evicting the superseded digest: once a
+    successor for the same config is live, the predecessor could only
+    serve stale corpus state (the historical bug was a disk-cache
+    rebuild over a corrupt entry leaving the original in-memory artifact
+    live).  Consumers holding a reference keep it — eviction only stops
+    new resolutions.
+
+    The process shares :data:`CATALOG`; a private ``IndexCatalog()``
+    resolves from scratch and leaves it alone.
     """
-    registry = get_registry()
-    workers = config.sharding.build_workers
-    bundle, specs = plan.bundle, plan.shards
-    shards: dict[int, IndexArtifact] = {}
-    lanes: dict[int, str] = {}
-    chunks: dict[int, list[Document]] = {}
-    digests: dict[int, dict[str, str]] = {}
-    disk_vectors: dict[int, np.ndarray] = {}
 
-    # Cache lookups and disk loads are cheap and stay in the calling
-    # thread; only the shards that need chunking and a build share the
-    # pool, so one dirty shard beside clean ones never waits on pool
-    # threads for the interpreter lock.
-    for i, spec in enumerate(specs):
-        mem = cached_artifact(spec.digest)
-        if mem is not None:
-            registry.counter("repro.shard.memory_hits").inc()
-            shards[i], lanes[i], chunks[i] = mem, "memory", mem.chunks
-        elif cache_dir is not None:
-            try:
-                chunks[i], disk_vectors[i] = read_cached_payload(cache_dir, spec.digest)
-            except IndexBuildError:
-                pass
-    dirty = [i for i in range(len(specs)) if i not in chunks]
-    parents = {i: lineage_parent(specs[i].fingerprint) for i in dirty}
-    chunked = _map_shards(lambda i: _chunk(specs[i], config, parents[i]), dirty, workers)
-    for i, (shard_chunks, shard_digests) in zip(dirty, chunked):
-        chunks[i], digests[i] = shard_chunks, shard_digests
-    embedding = create_embedding_model(
-        config.retrieval.embedding_model,
-        corpus_texts=[c.text for i in range(len(specs)) for c in chunks[i]],
-        parent=next((p.embedding for p in parents.values() if p is not None), None),
-    )
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._live: dict[str, IndexArtifact] = {}
 
-    for i, vectors in disk_vectors.items():
-        registry.counter("repro.index.disk_hits").inc()
-        registry.counter("repro.shard.disk_hits").inc()
-        # No chunking ran, so nothing hashed the shard's sources yet.
-        digests[i] = corpus_source_digests(
-            specs[i].bundle, include_mail=config.retrieval.include_mail_archives
-        )
-        shards[i] = cache_artifact(
-            _assemble_shard(specs[i], chunks[i], vectors, embedding, digests[i])
-        )
-        lanes[i] = "disk"
+    def get(self, digest: str, fingerprint: dict) -> IndexArtifact | None:
+        """The live artifact under ``fingerprint``'s config, if it is ``digest``."""
+        live = self.parent(fingerprint)
+        return live if live is not None and live.digest == digest else None
 
-    def build(i: int) -> tuple[IndexArtifact, str]:
-        shard = build_shard(specs[i], chunks[i], embedding, digests[i], parents[i])
-        if cache_dir is not None:
-            save_artifact(shard, cache_dir)
-        # The lane is what *this* call did, whoever published first.
-        return cache_artifact(shard), "delta" if shard.parent_digest else "full"
+    def parent(self, fingerprint: dict) -> IndexArtifact | None:
+        """The live artifact under ``fingerprint``'s config: the delta-build
+        parent candidate (same index-relevant config, possibly a
+        different corpus)."""
+        return self._live.get(_fingerprint_key(fingerprint))
 
-    for i, (shard, lane) in zip(dirty, _map_shards(build, dirty, workers)):
-        shards[i], lanes[i] = shard, lane
+    def publish(self, artifact: IndexArtifact) -> IndexArtifact:
+        """Make ``artifact`` its config's live entry; first writer wins.
 
-    ordered = [shards[i] for i in range(len(specs))]
-    composite = IndexArtifact(
-        digest=plan.composite,
-        corpus_digest=plan.corpus_digest,
-        fingerprint={
+        Returns the live artifact — the one already published under the
+        same digest, if any, so every consumer shares one object.
+        Replacing a different digest counts one
+        ``repro.index.lineage_evictions``.
+        """
+        key = _fingerprint_key(artifact.fingerprint)
+        with self._lock:
+            live = self._live.get(key)
+            if live is not None and live.digest == artifact.digest:
+                return live
+            self._live[key] = artifact
+        if live is not None:
+            get_registry().counter("repro.index.lineage_evictions").inc()
+        return artifact
+
+    def clear(self) -> None:
+        """Drop every live artifact (tests and long-lived daemons)."""
+        self._live.clear()
+
+    def resolve(self, plan: ShardPlan, config: ReproConfig) -> tuple[IndexArtifact, str]:
+        """Resolve ``plan`` to its shared artifact and the lane that got it.
+
+        The lane is one of :data:`LANES`: ``memory`` for a live
+        composite, otherwise the dearest lane among the shards.  Each
+        shard resolves memory → disk → build, and a build is ``delta``
+        when it reused parent rows, ``full`` when it reused none.  The
+        lane describes this call only — concurrent resolutions never
+        relabel each other.
+
+        Three phases: resolve each shard's chunks (live artifact, disk
+        entry under ``config.engine.index_cache_dir``, or a chunking
+        pass for dirty shards), fit the embedding once over all of them
+        (derived from the lineage parents' model), then materialize the
+        shard stores — clean shards take their vectors straight from the
+        npz, dirty shards go through :func:`build_shard` with their
+        lineage parent and are written back to the disk cache when one
+        is configured, so a corpus edit rebuilds only the shards whose
+        documents changed.
+        """
+        registry = get_registry()
+        fingerprint = {
             **config_fingerprint(config),
             "num_shards": plan.num_shards,
             "embedding_scope": plan.embedding_scope,
-        },
-        chunks=[c for s in ordered for c in s.chunks],
-        embedding=embedding,
-        store=ShardedVectorStore([s.store for s in ordered], embedding),
-        manual_pages=dict(bundle.manual_page_names),
-        registry=bundle.registry,
-        # Sources partition across shards, and the dict is only looked up.
-        source_digests={k: v for s in ordered for k, v in s.source_digests.items()},
-        shards=ordered,
-    )
-    return composite, max(lanes.values(), key=LANES.index)
+        }
+        live = self.get(plan.composite, fingerprint)
+        if live is not None:
+            registry.counter("repro.index.memory_hits").inc()
+            return live, "memory"
 
-
-def resolve_index(
-    plan: ShardPlan, config: ReproConfig, cache_dir: str | Path | None = None
-) -> tuple[IndexArtifact, str]:
-    """Resolve ``plan`` to its shared artifact and the lane that got it.
-
-    The lane is one of :data:`LANES`: ``memory`` for a composite
-    in-process hit, otherwise the dearest lane among the shards (each
-    memory → disk → build, and a build is ``delta`` when it reused
-    parent rows, ``full`` when it reused none).  It describes this call
-    only — concurrent resolutions never relabel each other.
-
-    ``cache_dir`` defaults to ``config.engine.index_cache_dir``; ``None``
-    keeps artifacts in memory only.  A freshly built shard is written
-    back to the disk cache when one is configured, so a corpus edit
-    rebuilds only the shards whose documents changed.
-    """
-    if cache_dir is None:
         cache_dir = config.engine.index_cache_dir
-    cached = cached_artifact(plan.composite)
-    if cached is not None:
-        get_registry().counter("repro.index.memory_hits").inc()
-        return cached, "memory"
-    composite, lane = _build_composite(plan, config, cache_dir)
-    # Another thread may have raced the build; first writer wins so
-    # every consumer shares one object.
-    return cache_artifact(composite), lane
+        workers = config.sharding.build_workers
+        bundle, specs = plan.bundle, plan.shards
+        shards: dict[int, IndexArtifact] = {}
+        lanes: dict[int, str] = {}
+        chunks: dict[int, list[Document]] = {}
+        digests: dict[int, dict[str, str]] = {}
+        disk_vectors: dict[int, np.ndarray] = {}
+        parents: dict[int, IndexArtifact | None] = {}
+
+        # Catalog lookups and disk loads are cheap and stay in the
+        # calling thread; only the shards that need chunking and a build
+        # share the pool, so one dirty shard beside clean ones never
+        # waits on pool threads for the interpreter lock.
+        for i, spec in enumerate(specs):
+            live = self.parent(spec.fingerprint)
+            if live is not None and live.digest == spec.digest:
+                registry.counter("repro.shard.memory_hits").inc()
+                shards[i], lanes[i], chunks[i] = live, "memory", live.chunks
+                continue
+            if cache_dir is not None:
+                try:
+                    chunks[i], disk_vectors[i] = read_cached_payload(cache_dir, spec.digest)
+                    continue
+                except IndexBuildError:
+                    pass
+            parents[i] = live
+        dirty = list(parents)
+        chunked = _map_shards(lambda i: _chunk(specs[i], config, parents[i]), dirty, workers)
+        for i, (shard_chunks, shard_digests) in zip(dirty, chunked):
+            chunks[i], digests[i] = shard_chunks, shard_digests
+        embedding = create_embedding_model(
+            config.retrieval.embedding_model,
+            corpus_texts=[c.text for i in range(len(specs)) for c in chunks[i]],
+            parent=next((p.embedding for p in parents.values() if p is not None), None),
+        )
+
+        for i, vectors in disk_vectors.items():
+            registry.counter("repro.index.disk_hits").inc()
+            registry.counter("repro.shard.disk_hits").inc()
+            # No chunking ran, so nothing hashed the shard's sources yet.
+            digests[i] = corpus_source_digests(
+                specs[i].bundle, include_mail=config.retrieval.include_mail_archives
+            )
+            shards[i] = self.publish(
+                _assemble_shard(specs[i], chunks[i], vectors, embedding, digests[i])
+            )
+            lanes[i] = "disk"
+
+        def build(i: int) -> tuple[IndexArtifact, str]:
+            shard = build_shard(specs[i], chunks[i], embedding, digests[i], parents[i])
+            if cache_dir is not None:
+                save_artifact(shard, cache_dir)
+            # The lane is what *this* call did, whoever published first.
+            return self.publish(shard), "delta" if shard.parent_digest else "full"
+
+        for i, (shard, lane) in zip(dirty, _map_shards(build, dirty, workers)):
+            shards[i], lanes[i] = shard, lane
+
+        ordered = [shards[i] for i in range(len(specs))]
+        composite = IndexArtifact(
+            digest=plan.composite,
+            corpus_digest=plan.corpus_digest,
+            fingerprint=fingerprint,
+            chunks=[c for s in ordered for c in s.chunks],
+            embedding=embedding,
+            store=ShardedVectorStore([s.store for s in ordered], embedding),
+            manual_pages=dict(bundle.manual_page_names),
+            registry=bundle.registry,
+            # Sources partition across shards, and the dict is only looked up.
+            source_digests={k: v for s in ordered for k, v in s.source_digests.items()},
+            shards=ordered,
+        )
+        # Another thread may have raced the build; first writer wins so
+        # every consumer shares one object.
+        return self.publish(composite), max(lanes.values(), key=LANES.index)
 
 
-def get_or_build_index(
-    bundle: CorpusBundle,
-    config: ReproConfig | None = None,
-    *,
-    cache_dir: str | Path | None = None,
-) -> IndexArtifact:
-    """The shared artifact for (bundle, config): a composite in-process
-    hit, else per shard memory → disk → build (see :func:`resolve_index`).
-    """
+#: The process catalog: every engine, ingest and benchmark in one
+#: process resolves through it.
+CATALOG = IndexCatalog()
+clear_index_cache = CATALOG.clear
+
+
+def get_or_build_index(bundle: CorpusBundle, config: ReproConfig | None = None) -> IndexArtifact:
+    """The shared artifact for (bundle, config), resolved through :data:`CATALOG`."""
     config = config or ReproConfig()
-    return resolve_index(plan_shards(bundle, config), config, cache_dir)[0]
+    return CATALOG.resolve(plan_shards(bundle, config), config)[0]

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.corpus.builder import CorpusBundle
+from repro.index import CATALOG, plan_shards
 from repro.ingest.delta import diff_chunks
 from repro.observability.stage import stage
 
@@ -62,12 +63,7 @@ class IngestReport:
         }
 
 
-def ingest_corpus(
-    engine: "QueryEngine",
-    bundle: CorpusBundle,
-    *,
-    cache_dir=None,
-) -> IngestReport:
+def ingest_corpus(engine: "QueryEngine", bundle: CorpusBundle) -> IngestReport:
     """Run the full ingestion lifecycle for a corpus revision.
 
     Resolves the artifact the engine *should* be serving for
@@ -76,9 +72,6 @@ def ingest_corpus(
     Safe to call with an unchanged corpus: the run is detected as a
     no-op before any build or cache work happens.
     """
-    from repro.index.builder import resolve_index
-    from repro.index.sharding import plan_shards
-
     registry = engine._metrics()
     registry.counter("repro.ingest.runs").inc()
     previous = engine.artifact
@@ -97,7 +90,7 @@ def ingest_corpus(
         )
 
     with stage("ingest:build", metric="repro.ingest.build", registry=registry):
-        artifact, resolution = resolve_index(plan, engine.config, cache_dir)
+        artifact, resolution = CATALOG.resolve(plan, engine.config)
 
     with stage("ingest:diff", metric="repro.ingest.diff", registry=registry):
         delta = diff_chunks(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.config import RetrievalConfig, ReproConfig
 from repro.corpus import build_default_corpus
@@ -12,6 +13,15 @@ from repro.evaluation import BlindGrader
 from repro.api import open_pipeline, open_service
 from repro.retrieval import ManualPageKeywordSearch
 from repro.vectorstore import VectorStore
+
+#: Examples per config of ``tests/test_lifecycle_machine.py`` in tier 1
+#: (derandomized).  ``--hypothesis-profile lifecycle-random`` runs random
+#: seeds with five times as many; a profile must be registered here, before
+#: the option loads it.
+LIFECYCLE_EXAMPLES = 25
+settings.register_profile(
+    "lifecycle-random", max_examples=5 * LIFECYCLE_EXAMPLES, derandomize=False, deadline=None
+)
 
 
 @pytest.fixture(scope="session")

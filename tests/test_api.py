@@ -41,7 +41,6 @@ PUBLIC_API = [
     "open_service",
     "open_support_system",
     "open_workflow",
-    "resolve_artifact",
     "AugmentedWorkflow",
     "RAGPipeline",
     "BlindGrader",

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.config import ReproConfig
+from repro.config import EngineConfig, ReproConfig
 from repro.durability import (
     Journal,
     atomic_write,
@@ -455,13 +456,17 @@ class TestPollerDeadLetters:
 # ------------------------------------------------------------------ index cache
 class TestIndexCacheChecksums:
     @staticmethod
-    def _cached_shard(bundle, cfg, cache_dir):
+    def _on_disk(cfg, cache_dir):
+        return replace(cfg, engine=EngineConfig(index_cache_dir=str(cache_dir)))
+
+    @classmethod
+    def _cached_shard(cls, bundle, cfg, cache_dir):
         """Build through the resolver; returns (artifact, shard cache root)."""
         from repro.index.builder import clear_index_cache, get_or_build_index
 
         clear_index_cache()
         try:
-            artifact = get_or_build_index(bundle, cfg, cache_dir=cache_dir)
+            artifact = get_or_build_index(bundle, cls._on_disk(cfg, cache_dir))
         finally:
             clear_index_cache()
         (shard,) = artifact.shards
@@ -474,15 +479,15 @@ class TestIndexCacheChecksums:
         del artifact_json["payload_checksums"]
         (root / "artifact.json").write_text(json.dumps(artifact_json))
 
-    @staticmethod
-    def _resolve(bundle, cfg, cache_dir):
+    @classmethod
+    def _resolve(cls, bundle, cfg, cache_dir):
         """A cold-memory resolve; returns (artifact, registry it reported to)."""
         from repro.index.builder import clear_index_cache, get_or_build_index
 
         registry = MetricsRegistry()
         try:
             with use_registry(registry):
-                artifact = get_or_build_index(bundle, cfg, cache_dir=cache_dir)
+                artifact = get_or_build_index(bundle, cls._on_disk(cfg, cache_dir))
         finally:
             clear_index_cache()
         return artifact, registry

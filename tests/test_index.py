@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.config import RetrievalConfig, ReproConfig
+from repro.config import EngineConfig, RetrievalConfig, ReproConfig
 from repro.errors import IndexBuildError
 from repro.index import (
     clear_index_cache,
@@ -77,12 +77,19 @@ class TestMemoryCache:
 
 
 class TestDiskCache:
-    def test_rebuild_from_disk_same_digest(self, bundle, fast_config, tmp_path, fresh_cache):
+    @pytest.fixture()
+    def on_disk(self, tmp_path):
+        """The fast config with its index cache directory under ``tmp_path``."""
+        return ReproConfig(
+            iterations_per_token=0, engine=EngineConfig(index_cache_dir=str(tmp_path))
+        )
+
+    def test_rebuild_from_disk_same_digest(self, bundle, on_disk, tmp_path, fresh_cache):
         reg = MetricsRegistry()
         with use_registry(reg):
-            built = get_or_build_index(bundle, fast_config, cache_dir=tmp_path)
+            built = get_or_build_index(bundle, on_disk)
             clear_index_cache()  # force the next call past the memory tier
-            loaded = get_or_build_index(bundle, fast_config, cache_dir=tmp_path)
+            loaded = get_or_build_index(bundle, on_disk)
         assert reg.counter("repro.index.builds").value == 1
         assert reg.counter("repro.index.disk_writes").value == 1
         assert reg.counter("repro.index.disk_hits").value == 1
@@ -94,9 +101,9 @@ class TestDiskCache:
         b = [(d.doc_id, round(s, 9)) for d, s in loaded.store.similarity_search_with_score(query, k=5)]
         assert a == b
 
-    def test_save_load_roundtrip(self, bundle, fast_config, tmp_path, fresh_cache):
+    def test_save_load_roundtrip(self, bundle, on_disk, tmp_path, fresh_cache):
         # Disk entries are per shard, keyed by the shard digest.
-        artifact = get_or_build_index(bundle, fast_config, cache_dir=tmp_path)
+        artifact = get_or_build_index(bundle, on_disk)
         (shard,) = artifact.shards
         manifest = json.loads(
             (tmp_path / shard.digest[:16] / "artifact.json").read_text()
@@ -105,7 +112,7 @@ class TestDiskCache:
         clear_index_cache()
         reg = MetricsRegistry()
         with use_registry(reg):
-            restored = get_or_build_index(bundle, fast_config, cache_dir=tmp_path)
+            restored = get_or_build_index(bundle, on_disk)
         assert restored.digest == artifact.digest
         assert [s.digest for s in restored.shards] == [shard.digest]
         # A disk hit skips the embed pass.
@@ -116,10 +123,8 @@ class TestDiskCache:
         with pytest.raises(IndexBuildError):
             read_cached_payload(tmp_path, plan_shards(bundle, fast_config).composite)
 
-    def test_corrupt_manifest_falls_back_to_build(
-        self, bundle, fast_config, tmp_path, fresh_cache
-    ):
-        artifact = get_or_build_index(bundle, fast_config, cache_dir=tmp_path)
+    def test_corrupt_manifest_falls_back_to_build(self, bundle, on_disk, tmp_path, fresh_cache):
+        artifact = get_or_build_index(bundle, on_disk)
         (shard,) = artifact.shards
         manifest = tmp_path / shard.digest[:16] / "artifact.json"
         manifest.write_text('{"digest": "tampered"}')
@@ -128,7 +133,7 @@ class TestDiskCache:
         clear_index_cache()
         reg = MetricsRegistry()
         with use_registry(reg):
-            rebuilt = get_or_build_index(bundle, fast_config, cache_dir=tmp_path)
+            rebuilt = get_or_build_index(bundle, on_disk)
         assert rebuilt.digest == artifact.digest
         assert reg.counter("repro.index.disk_hits").value == 0
         assert reg.counter("repro.index.builds").value == 1

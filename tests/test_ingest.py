@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +35,11 @@ from repro.embeddings.registry import EMBEDDING_MODEL_NAMES
 from repro.engine import QueryEngine
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.index import (
+    CATALOG,
+    IndexCatalog,
     clear_index_cache,
     get_or_build_index,
-    lineage_parent,
     plan_shards,
-    resolve_index,
 )
 from repro.ingest import (
     CorpusDelta,
@@ -189,19 +188,17 @@ class TestCorpusDelta:
 
 
 class TestLineage:
-    def test_cache_artifact_evicts_superseded_digest(self, bundle, fresh_cache):
-        """Satellite 1: a lineage successor evicts its parent from the
-        in-process cache instead of letting dead epochs accumulate."""
-        from repro.index.builder import cached_artifact
-
+    def test_publish_evicts_superseded_digest(self, bundle, fresh_cache):
+        """A lineage successor evicts its parent from the process catalog
+        instead of letting dead epochs accumulate."""
         cfg = _cfg()
         reg = MetricsRegistry()
         with use_registry(reg):
             parent = get_or_build_index(bundle, cfg)
             child = get_or_build_index(_edited(bundle), cfg)
         assert child.digest != parent.digest
-        assert cached_artifact(child.digest) is child
-        assert cached_artifact(parent.digest) is None
+        assert CATALOG.get(child.digest, child.fingerprint) is child
+        assert CATALOG.get(parent.digest, parent.fingerprint) is None
         # The edited shard and the composite over it.
         assert reg.counter("repro.index.lineage_evictions").value == 2
 
@@ -209,29 +206,39 @@ class TestLineage:
         """A corpus-fitted embedder folds the corpus digest into every
         fingerprint (``embedding_scope``); lineage must still follow the
         config across edits, or each ingest strands a dead artifact."""
-        from repro.index import builder
-
         engine = open_engine(ReproConfig(iterations_per_token=0), bundle=bundle)
         assert engine.artifact.fingerprint["embedding_scope"] != "corpus-free"
         reg = MetricsRegistry()
         evictions = reg.counter("repro.index.lineage_evictions")
         revised = bundle
         for i in range(5):
-            before = evictions.value
+            before, superseded = evictions.value, engine.artifact
             revised = _edit_source(
                 revised, "manualpages/KSPGMRES.md", f"\n\nRevision {i}."
             )
             with use_registry(reg):  # the index cache reports to the ambient scope
                 assert ingest_corpus(engine, revised).swapped
             assert evictions.value > before
-            assert len(builder._artifacts) <= 1 + engine.num_shards
+            for stale in (superseded, *superseded.shards):
+                assert CATALOG.get(stale.digest, stale.fingerprint) is None
 
-    def test_lineage_parent_tracks_latest(self, bundle, fresh_cache):
+    def test_parent_tracks_latest(self, bundle, fresh_cache):
         cfg = _cfg()
         artifact = get_or_build_index(bundle, cfg)
-        assert lineage_parent(artifact.fingerprint) is artifact
+        assert CATALOG.parent(artifact.fingerprint) is artifact
         (shard,) = artifact.shards
-        assert lineage_parent(shard.fingerprint) is shard
+        assert CATALOG.parent(shard.fingerprint) is shard
+
+    def test_private_catalog_leaves_the_process_catalog_alone(self, bundle, fresh_cache):
+        cfg = _cfg()
+        live = get_or_build_index(bundle, cfg)
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            scratch, lane = IndexCatalog().resolve(plan_shards(_edited(bundle), cfg), cfg)
+        assert lane == "full" and scratch.digest != live.digest
+        assert CATALOG.parent(live.fingerprint) is live
+        assert CATALOG.get(scratch.digest, scratch.fingerprint) is None
+        assert reg.counter("repro.index.lineage_evictions").value == 0
 
 
 def _rewrite_most_of_first_shard(bundle, cfg) -> CorpusBundle:
@@ -395,13 +402,13 @@ class TestBuildOverParentEqualsFromScratch:
         cfg = _cfg(shards, embedding=embedding)
         revised = revise(bundle, cfg)
         get_or_build_index(bundle, cfg)
-        over_parent, lane = resolve_index(plan_shards(revised, cfg), cfg)
+        over_parent, lane = CATALOG.resolve(plan_shards(revised, cfg), cfg)
         # A changed chunk count moves every IDF: nothing of the parent's
         # is reusable under the corpus-fitted model.
         refit_all = embedding == "petsc-embed-large" and revise in (_added, _removed)
         assert lane == ("full" if refit_all else "delta")
         clear_index_cache()
-        scratch, scratch_lane = resolve_index(plan_shards(revised, cfg), cfg)
+        scratch, scratch_lane = CATALOG.resolve(plan_shards(revised, cfg), cfg)
         assert scratch_lane == "full"
         _assert_same_artifact(over_parent, scratch)
         if revise is _rewrite_most_of_first_shard and lane == "delta":
@@ -421,9 +428,9 @@ class TestBuildOverParentEqualsFromScratch:
         would copy B's rows and miss scratch by a few bytes."""
         cfg = _cfg(embedding="petsc-embed-large")
         a = get_or_build_index(bundle, cfg)
-        b, lane_b = resolve_index(plan_shards(_edited(bundle), cfg), cfg)
+        b, lane_b = CATALOG.resolve(plan_shards(_edited(bundle), cfg), cfg)
         revised = _edit_source(bundle, "manualpages/KSPGMRES.md", "\n\nSee also KSPFGMRES.\n")
-        c, lane_c = resolve_index(plan_shards(revised, cfg), cfg)
+        c, lane_c = CATALOG.resolve(plan_shards(revised, cfg), cfg)
         assert (lane_b, lane_c) == ("delta", "delta")
         assert c.shards[0].parent_digest == b.shards[0].digest
         undone = b.embedding.changed_terms(a.embedding) & c.embedding.changed_terms(b.embedding)
@@ -468,23 +475,6 @@ def _long_doc(body: str) -> Document:
     return Document(text=f"# Guide\n\n{sections}\n", metadata={"source": "guide.md", "doc_type": "faq"})
 
 
-@contextmanager
-def _outside_the_cache():
-    """Run a from-scratch build without disturbing the lineage under test."""
-    from repro.index import builder
-
-    with builder._cache_lock:
-        saved = dict(builder._artifacts), dict(builder._lineage)
-    clear_index_cache()
-    try:
-        yield
-    finally:
-        clear_index_cache()
-        with builder._cache_lock:
-            builder._artifacts.update(saved[0])
-            builder._lineage.update(saved[1])
-
-
 class TestLineageSequenceEqualsFromScratch:
     """Whatever sequence of edits, adds, removes and no-ops the lineage
     went through, each resolved artifact is the from-scratch artifact."""
@@ -518,9 +508,8 @@ class TestLineageSequenceEqualsFromScratch:
                 revised = CorpusBundle(registry, list(docs.values()))
                 reg = MetricsRegistry()
                 with use_registry(reg):
-                    artifact, lane = resolve_index(plan_shards(revised, cfg), cfg)
-                with _outside_the_cache():
-                    scratch, scratch_lane = resolve_index(plan_shards(revised, cfg), cfg)
+                    artifact, lane = CATALOG.resolve(plan_shards(revised, cfg), cfg)
+                scratch, scratch_lane = IndexCatalog().resolve(plan_shards(revised, cfg), cfg)
                 assert scratch_lane == "full"
                 _assert_same_artifact(artifact, scratch)
                 event(f"lane {lane}")
@@ -553,17 +542,17 @@ class TestResolutionLanes:
     def test_resolver_reports_full_memory_disk_delta(self, bundle, tmp_path, fresh_cache):
         cfg = _cfg(2, cache_dir=str(tmp_path))
         plan = plan_shards(bundle, cfg)
-        built, lane = resolve_index(plan, cfg)
+        built, lane = CATALOG.resolve(plan, cfg)
         assert lane == "full"
-        again, lane = resolve_index(plan, cfg)
+        again, lane = CATALOG.resolve(plan, cfg)
         assert lane == "memory" and again is built
         clear_index_cache()
-        loaded, lane = resolve_index(plan, cfg)
+        loaded, lane = CATALOG.resolve(plan, cfg)
         assert lane == "disk"
         _assert_same_artifact(loaded, built)
         # One dirty shard over its parent, one clean shard from memory:
         # the composite reports the dearest lane.
-        _edited_artifact, lane = resolve_index(plan_shards(_edited(bundle), cfg), cfg)
+        _edited_artifact, lane = CATALOG.resolve(plan_shards(_edited(bundle), cfg), cfg)
         assert lane == "delta"
 
     def test_ingest_reports_the_lane_of_each_call(self, bundle, tmp_path, fresh_cache):

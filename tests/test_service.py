@@ -35,6 +35,7 @@ from repro.api import open_engine
 import repro
 from repro.engine import QueryEngine
 from repro.evaluation import krylov_benchmark, run_experiment
+from repro.index import clear_index_cache
 from repro.observability import MetricsRegistry, use_registry
 from repro.pipeline.types import PipelineMode
 from repro.service import ReproService
@@ -360,25 +361,14 @@ class TestFrontDoor:
         }
 
     def test_evaluate_run_builds_index_exactly_once(self, bundle, fast_config, grader):
-        from repro.index import builder
-
-        # Evict the memoized artifacts so the build lands in the scoped
-        # registry, then restore them so session fixtures stay warm.
-        with builder._cache_lock:
-            saved = dict(builder._artifacts)
-            builder._artifacts.clear()
-        try:
-            registry = MetricsRegistry()
-            with use_registry(registry):
-                service = repro.open_service(fast_config, bundle=bundle)
-                run = run_experiment(
-                    service, grader, mode="rag", questions=krylov_benchmark()[:6]
-                )
-            assert len(run.outcomes) == 6
-            assert registry.counter("repro.index.builds").value == 1
-        finally:
-            with builder._cache_lock:
-                builder._artifacts.update(saved)
+        # Empty the process catalog so the build lands in the scoped registry.
+        clear_index_cache()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            service = repro.open_service(fast_config, bundle=bundle)
+            run = run_experiment(service, grader, mode="rag", questions=krylov_benchmark()[:6])
+        assert len(run.outcomes) == 6
+        assert registry.counter("repro.index.builds").value == 1
 
 
 # ---------------------------------------------------------------------------

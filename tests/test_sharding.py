@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import open_engine, open_pipeline, open_service
-from repro.config import ReproConfig, RetrievalConfig, ShardingConfig
+from repro.config import EngineConfig, ReproConfig, RetrievalConfig, ShardingConfig
 from repro.corpus.builder import CorpusBundle
 from repro.documents import Document
 from repro.embeddings import HashingEmbedding
@@ -26,11 +26,12 @@ from repro.vectorstore import (
 )
 
 
-def _cfg(num_shards, *, embedding="petsc-embed-large"):
+def _cfg(num_shards, *, embedding="petsc-embed-large", cache_dir=None):
     return ReproConfig(
         iterations_per_token=0,
         retrieval=RetrievalConfig(embedding_model=embedding),
         sharding=ShardingConfig(num_shards=num_shards),
+        engine=EngineConfig(index_cache_dir=cache_dir),
     )
 
 
@@ -234,9 +235,9 @@ class TestShardedBuild:
         assert b is a
 
     def test_one_document_edit_rebuilds_one_shard(self, bundle, tmp_path):
-        cfg = _cfg(4, embedding="petsc-embed-small")
+        cfg = _cfg(4, embedding="petsc-embed-small", cache_dir=str(tmp_path))
         with use_registry(MetricsRegistry()):
-            get_or_build_index(bundle, cfg, cache_dir=tmp_path)
+            get_or_build_index(bundle, cfg)
         docs = list(bundle.documents)
         docs[0] = Document(
             text=docs[0].text + "\nedited", metadata=dict(docs[0].metadata)
@@ -249,7 +250,7 @@ class TestShardedBuild:
         clear_index_cache()
         reg = MetricsRegistry()
         with use_registry(reg):
-            get_or_build_index(edited, cfg, cache_dir=tmp_path)
+            get_or_build_index(edited, cfg)
         assert reg.counter("repro.shard.builds").value == 1
         assert reg.counter("repro.shard.disk_hits").value == 3
 
