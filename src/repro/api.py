@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.config import ReproConfig
 from repro.corpus.builder import CorpusBundle, build_default_corpus
+from repro.durability import reopen_journal
 from repro.index import get_or_build_index
 from repro.pipeline.types import PipelineMode
 
@@ -108,7 +109,9 @@ def open_workflow(
     store: "InteractionStore | None" = None,
 ) -> "AugmentedWorkflow":
     """The complete workflow: engine-served pipeline + postprocessing +
-    interaction history (+ durable journal when configured)."""
+    interaction history.  With ``durability.history_journal`` set, the
+    store opens on that journal: it replays what an earlier process
+    recorded there, then journals every new record."""
     from repro.pipeline.workflow import AugmentedWorkflow
 
     config = config or ReproConfig()
@@ -125,10 +128,8 @@ def open_workflow(
         ),
     )
     if config.durability.history_journal and workflow.store.journal is None:
-        # Every recorded interaction becomes durable the moment it lands;
-        # `repro recover` rebuilds the store from this journal after a crash.
-        workflow.store.attach_journal(
-            config.durability.history_journal, fsync=config.durability.fsync
+        reopen_journal(
+            workflow.store, config.durability.history_journal, fsync=config.durability.fsync
         )
     return workflow
 
@@ -199,11 +200,8 @@ def open_support_system(
         webhook_post = fault_injector.wrap_callable("webhook", webhook.execute)
     poller = AppsScriptPoller(account=account, webhook_post=webhook_post)
     if config.durability.dead_letter_journal:
-        # The dead-letter queue outlives the process: take back what an
-        # earlier one left undelivered, then journal every mutation.
-        poller.restore_dead_letters(config.durability.dead_letter_journal)
-        poller.attach_journal(
-            config.durability.dead_letter_journal, fsync=config.durability.fsync
+        reopen_journal(
+            poller, config.durability.dead_letter_journal, fsync=config.durability.fsync
         )
 
     email_bot = EmailBot(server, gateway, account=account)

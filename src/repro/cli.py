@@ -90,6 +90,7 @@ from repro.evaluation import (
     run_robustness_sweep,
 )
 from repro.history import InteractionStore
+from repro.mail.appsscript import replay_dead_letters
 from repro.evaluation.casestudies import CASE_STUDY_1_QID, CASE_STUDY_2_QID, run_case_study
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.llm import CHAT_MODEL_NAMES
@@ -548,13 +549,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         print(f"history journal: {len(store)} interactions recovered")
     elif kind == "dead-letters":
         report = recover_journal(path, truncate=truncate)
-        depth = 0
-        for record in report.records:
-            op = record.get("op")
-            if op == "push":
-                depth += 1
-            elif op in ("pop", "drop") and depth:
-                depth -= 1
+        depth = len(replay_dead_letters(report.records))
         print(f"dead-letter journal: {report.intact_count} ops recovered, "
               f"queue depth {depth}")
     else:

@@ -108,18 +108,21 @@ class AdmissionConfig:
 class DurabilityConfig:
     """Crash-safety knobs for every durable surface.
 
-    All persistence goes through :mod:`repro.durability`: snapshots via
-    ``atomic_write`` (temp file + fsync + rename) and incremental state
-    via the CRC-checksummed append-only journal.  These flags tune cost
-    vs. strictness; the atomicity itself is not optional.
+    Journaled state (interaction history, dead letters) goes through
+    :mod:`repro.durability`'s CRC-checksummed append-only journal, and a
+    surface opens on its journal one way, ``reopen_journal``: replay the
+    intact prefix, truncate the torn tail, then append.  These flags
+    tune cost vs. strictness; the atomicity itself is not optional.
     """
 
     #: fsync temp files and journal appends before acknowledging them.
     #: Turning this off trades power-loss safety for speed (tests, CI).
     fsync: bool = True
-    #: When set, the workflow's interaction store journals every record here.
+    #: When set, ``open_workflow`` replays this journal into its
+    #: interaction store, then journals every new record here.
     history_journal: str | None = None
-    #: When set, the poller journals dead-letter queue mutations here.
+    #: When set, ``open_support_system`` replays this journal into the
+    #: poller's dead-letter queue, then journals every queue mutation here.
     dead_letter_journal: str | None = None
 
     def validate(self) -> None:

@@ -14,6 +14,8 @@ load.  Two primitives close the gap:
   CRC-checksummed, length-framed records.  :func:`recover_journal`
   scans from the start, keeps the longest intact prefix, truncates the
   torn tail, and reports exactly what was dropped.
+  :func:`reopen_journal` is how a journaled surface opens: replay the
+  intact prefix into it, then append.
 
 Both emit ``repro.durability.*`` metrics and accept the crash-point /
 torn-write fault injectors from :mod:`repro.resilience.faults` (duck
@@ -26,6 +28,7 @@ from repro.durability.journal import (
     RecoveryReport,
     encode_record,
     recover_journal,
+    reopen_journal,
     scan_journal,
 )
 
@@ -36,5 +39,6 @@ __all__ = [
     "atomic_write_json",
     "encode_record",
     "recover_journal",
+    "reopen_journal",
     "scan_journal",
 ]

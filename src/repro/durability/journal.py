@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Protocol
 
-from repro.errors import SimulatedCrashError
+from repro.errors import ReproError, SimulatedCrashError
 from repro.observability.metrics import get_registry
 
 _MAGIC = b"J1"
@@ -46,6 +46,15 @@ class TornWriteHook(Protocol):
     """
 
     def intercept(self, frame: bytes) -> tuple[bytes, bool]: ...
+
+
+class Journaled(Protocol):
+    """A surface whose state is a fold of its journal's records: the
+    history store and the poller's dead-letter queue."""
+
+    journal: "Journal | None"
+
+    def replay(self, records: list[dict]) -> None: ...
 
 
 def encode_record(payload: bytes) -> bytes:
@@ -226,4 +235,29 @@ def recover_journal(
                 fh.flush()
                 if fsync:
                     os.fsync(fh.fileno())
+    return report
+
+
+def reopen_journal(
+    target: Journaled, path: str | Path, *, fsync: bool = True
+) -> RecoveryReport:
+    """The one way a journaled surface opens on ``path``.
+
+    Recover the journal (keep the intact prefix, truncate the torn
+    tail), replay that prefix into ``target``, then attach the journal,
+    so the first new frame lands right after the last intact one and a
+    second process on the same path resumes the first one's state.
+    Replay runs before the attach, so a fold that goes through the
+    target's own journaled mutators writes nothing back.
+
+    One writer per path is the caller's job: nothing locks the file, so
+    reopening a path whose earlier writer is still live can truncate a
+    frame that writer has in flight, and two writers that replayed the
+    same prefix append diverging states.
+    """
+    if target.journal is not None:
+        raise ReproError(f"{type(target).__name__} already has a journal attached")
+    report = recover_journal(path, fsync=fsync)
+    target.replay(report.records)
+    target.journal = Journal(path, fsync=fsync)
     return report

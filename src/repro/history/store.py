@@ -2,20 +2,18 @@
 
 The paper currently uses "a bespoke Python dictionary" — this store is
 that dictionary grown into a real component: keyed records, full-text
-search, model/mode filters, JSONL persistence, and hooks for feeding
-past interactions back into RAG (``as_documents``).
+search, model/mode filters, a write-ahead journal, and hooks for
+feeding past interactions back into RAG (``as_documents``).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import asdict
 from pathlib import Path
 
 from repro.documents import Document
-from repro.durability.atomic import atomic_write
 from repro.durability.journal import Journal, RecoveryReport, recover_journal
 from repro.errors import HistoryError
 from repro.history.records import Interaction, ScoreRecord
@@ -55,19 +53,19 @@ def _interaction_from_dict(obj: dict) -> Interaction:
 
 
 class InteractionStore:
-    """In-memory interaction database with JSONL persistence.
+    """In-memory interaction database over a write-ahead journal.
 
-    Durability comes in two strengths: :meth:`save` writes the whole
-    store atomically (crash leaves the old file intact), and an attached
-    write-ahead :class:`~repro.durability.journal.Journal` makes every
-    :meth:`add` and :meth:`add_score` durable the moment it returns,
-    recoverable after a torn write via :meth:`recover`.
+    With a :class:`~repro.durability.journal.Journal` attached (through
+    :func:`~repro.durability.reopen_journal`, which first replays what
+    the journal already holds), every :meth:`add` and :meth:`add_score`
+    is durable the moment it returns; :meth:`recover` rebuilds a store
+    from the journal's intact prefix after a torn write.
     """
 
     def __init__(self) -> None:
         self._records: dict[str, Interaction] = {}
         self._counter = itertools.count(1)
-        self._journal: Journal | None = None
+        self.journal: Journal | None = None
 
     # ------------------------------------------------------------------ insert
     def new_id(self) -> str:
@@ -76,30 +74,26 @@ class InteractionStore:
     def add(self, interaction: Interaction) -> Interaction:
         if interaction.interaction_id in self._records:
             raise HistoryError(f"duplicate interaction id {interaction.interaction_id!r}")
-        if self._journal is not None:
+        if self.journal is not None:
             # Journal first: if the append tears, the record was never
             # added, so memory and disk cannot disagree after recovery.
-            self._journal.append(_interaction_to_dict(interaction))
+            self.journal.append(_interaction_to_dict(interaction))
         self._records[interaction.interaction_id] = interaction
         return interaction
 
     # ------------------------------------------------------------------ journal
-    @property
-    def journal(self) -> Journal | None:
-        return self._journal
-
-    def attach_journal(self, path: str | Path, *, fsync: bool = True) -> Journal:
-        """Every subsequent :meth:`add` / :meth:`add_score` appends to the
-        journal at ``path``."""
-        if self._journal is not None:
-            raise HistoryError("a journal is already attached")
-        self._journal = Journal(path, fsync=fsync)
-        return self._journal
-
-    def detach_journal(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+    def replay(self, records: list[dict]) -> None:
+        """The history journal's one fold: interaction and score frames
+        in journal order, then the id counter resumes past the highest
+        ``int-NNNNNN`` held."""
+        for obj in records:
+            if "score" in obj:  # a score frame
+                self.add_score(obj["interaction_id"], ScoreRecord(**obj["score"]))
+            else:
+                self.add(_interaction_from_dict(obj))
+        tails = (i.rsplit("-", 1)[-1] for i in self._records)
+        seqs = [int(tail) for tail in tails if tail.isdecimal()]
+        self._counter = itertools.count(max(seqs, default=0) + 1)
 
     @classmethod
     def recover(
@@ -113,19 +107,7 @@ class InteractionStore:
         """
         report = recover_journal(path, truncate=truncate)
         store = cls()
-        max_seq = 0
-        for obj in report.records:
-            if "score" in obj:  # a score frame, replayed in journal order
-                store.add_score(obj["interaction_id"], ScoreRecord(**obj["score"]))
-                continue
-            rec = _interaction_from_dict(obj)
-            store.add(rec)
-            try:
-                max_seq = max(max_seq, int(rec.interaction_id.split("-")[-1]))
-            except ValueError:
-                pass
-        store._counter = itertools.count(max_seq + 1)
-        get_registry().counter("repro.history.recovered").inc(report.intact_count)
+        store.replay(report.records)
         return store, report
 
     def record_pipeline_result(
@@ -245,8 +227,8 @@ class InteractionStore:
                 raise HistoryError(
                     f"span {span[:40]!r} does not occur in the answer of {interaction_id}"
                 )
-        if self._journal is not None:
-            self._journal.append(
+        if self.journal is not None:
+            self.journal.append(
                 {"interaction_id": interaction_id, "score": asdict(record)}
             )
         rec.scores.append(record)
@@ -273,30 +255,3 @@ class InteractionStore:
                 },
             ))
         return docs
-
-    # ------------------------------------------------------------------ persistence
-    def save(self, path: str | Path, *, fsync: bool = True) -> None:
-        """Write the full store as JSONL, atomically: a crash mid-save
-        leaves the previous file byte-for-byte intact."""
-        lines = [json.dumps(_interaction_to_dict(rec)) for rec in self.all()]
-        atomic_write(path, "".join(line + "\n" for line in lines), fsync=fsync)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "InteractionStore":
-        store = cls()
-        max_seq = 0
-        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise HistoryError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            rec = _interaction_from_dict(obj)
-            store.add(rec)
-            try:
-                max_seq = max(max_seq, int(rec.interaction_id.split("-")[-1]))
-            except ValueError:
-                pass
-        store._counter = itertools.count(max_seq + 1)
-        return store

@@ -11,15 +11,28 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
-from repro.durability.journal import Journal, RecoveryReport, recover_journal
+from repro.durability.journal import Journal
 from repro.mail.gmail import GmailAccount
 from repro.observability.metrics import get_registry
 from repro.observability.trace import Tracer
 
 WebhookPost = Callable[[str], None]
+
+
+def replay_dead_letters(records: Iterable[dict]) -> deque[str]:
+    """The dead-letter journal's one fold: a push appends its payload, a
+    pop or drop takes the oldest, so the queue ends as it was at the
+    last acknowledged append."""
+    queue: deque[str] = deque()
+    for record in records:
+        op = record.get("op")
+        if op == "push":
+            queue.append(record.get("payload", ""))
+        elif op in ("pop", "drop") and queue:
+            queue.popleft()
+    return queue
 
 
 @dataclass
@@ -39,8 +52,9 @@ class AppsScriptPoller:
 
     With a :class:`~repro.durability.journal.Journal` attached, every
     queue mutation (push / pop / drop) is journaled, so the dead-letter
-    queue survives process death: :meth:`restore_dead_letters` replays
-    the intact op prefix after a crash, dropping any torn tail.
+    queue survives process death: :func:`~repro.durability.reopen_journal`
+    replays the intact op prefix into the next poller, dropping any torn
+    tail, before it attaches the journal.
     """
 
     account: GmailAccount
@@ -60,36 +74,14 @@ class AppsScriptPoller:
     dead_letters: deque[str] = field(default_factory=deque)
 
     # ------------------------------------------------------------ journal
-    def attach_journal(self, path: str | Path, *, fsync: bool = True) -> Journal:
-        """Journal every dead-letter queue mutation to ``path``."""
-        self.journal = Journal(path, fsync=fsync)
-        return self.journal
+    def replay(self, records: list[dict]) -> None:
+        """Rebuild the dead-letter queue from its journal's ops."""
+        self.dead_letters = replay_dead_letters(records)
+        get_registry().gauge("repro.mail.dead_letters").set(len(self.dead_letters))
 
     def _journal_op(self, op: str, payload: str = "") -> None:
         if self.journal is not None:
             self.journal.append({"op": op, "payload": payload})
-
-    def restore_dead_letters(
-        self, path: str | Path, *, truncate: bool = True
-    ) -> RecoveryReport:
-        """Rebuild the dead-letter queue from its journal after a crash.
-
-        Replays the intact op prefix (push / pop / drop) in order; the
-        queue ends exactly as it was at the last acknowledged append.
-        """
-        report = recover_journal(path, truncate=truncate)
-        self.dead_letters.clear()
-        for record in report.records:
-            op = record.get("op")
-            if op == "push":
-                self.dead_letters.append(record.get("payload", ""))
-            elif op in ("pop", "drop") and self.dead_letters:
-                self.dead_letters.popleft()
-        get_registry().counter("repro.poller.dead_letters_restored").inc(
-            len(self.dead_letters)
-        )
-        get_registry().gauge("repro.mail.dead_letters").set(len(self.dead_letters))
-        return report
 
     # ------------------------------------------------------------ queue
     def _dead_letter(self, payload: str) -> None:

@@ -8,7 +8,6 @@ same Min/Max/Avg summary.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 
@@ -55,27 +54,9 @@ class StageTimer:
             raise ValueError(f"negative duration for stage {stage!r}: {seconds}")
         self.samples.setdefault(stage, []).append(seconds)
 
-    def time(self, stage: str) -> "_StageContext":
-        """Context manager recording one sample for ``stage``."""
-        return _StageContext(self, stage)
-
     def stats(self, stage: str) -> TimingStats:
         try:
             return TimingStats.from_samples(self.samples[stage])
         except KeyError:
             raise KeyError(f"no samples recorded for stage {stage!r}") from None
 
-
-class _StageContext:
-    def __init__(self, timer: StageTimer, stage: str) -> None:
-        self._timer = timer
-        self._stage = stage
-        self._start: float | None = None
-
-    def __enter__(self) -> "_StageContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._start is not None
-        self._timer.record(self._stage, time.perf_counter() - self._start)

@@ -9,6 +9,7 @@ from repro.config import ReproConfig
 from repro.errors import TransientError
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.evaluation.chaos import run_chaos_experiment, run_robustness_sweep
+from repro.durability import reopen_journal
 from repro.history import InteractionStore
 from repro.llm.base import ChatMessage, ChatModel, CompletionResult, TokenUsage
 from repro.mail.appsscript import AppsScriptPoller
@@ -163,7 +164,9 @@ class TestDegradationLadder:
 # ---------------------------------------------------------------- history
 class TestHistorySurfacesResilience:
     def test_attempts_and_degradation_recorded_and_persisted(self, tmp_path):
+        path = tmp_path / "history.journal"
         store = InteractionStore()
+        reopen_journal(store, path, fsync=False)
         pipeline = RAGPipeline(
             FlakyModel(fail_first=1),
             retriever=FailingRetriever(),
@@ -179,9 +182,8 @@ class TestHistorySurfacesResilience:
         assert degraded[0].attempts == 2
         assert degraded[0].degraded == ["retrieval:baseline-fallback"]
 
-        path = tmp_path / "history.jsonl"
-        store.save(path)
-        loaded = InteractionStore.load(path)
+        store.journal.close()
+        loaded, _ = InteractionStore.recover(path)
         rec = loaded.search(degraded_only=True)[0]
         assert rec.attempts == 2
         assert rec.degraded == ["retrieval:baseline-fallback"]

@@ -14,12 +14,15 @@ from repro.durability import (
     atomic_write_json,
     encode_record,
     recover_journal,
+    reopen_journal,
     scan_journal,
 )
 from repro.durability.journal import encode_json_record
-from repro.errors import HistoryError, IndexBuildError, SimulatedCrashError
-from repro.history import Interaction, InteractionStore
+from repro.errors import HistoryError, IndexBuildError, ReproError, SimulatedCrashError
+from repro.history import Interaction, InteractionStore, ScoreRecord
+from repro.history.store import _interaction_to_dict
 from repro.mail import AppsScriptPoller, GmailAccount
+from repro.mail.appsscript import replay_dead_letters
 from repro.observability import MetricsRegistry, Tracer, use_registry
 from repro.resilience import CrashPointInjector, TornWriteInjector
 
@@ -225,10 +228,10 @@ class TestHistoryJournal:
     def test_journaled_adds_recover(self, tmp_path):
         path = tmp_path / "history.journal"
         store = InteractionStore()
-        store.attach_journal(path)
+        reopen_journal(store, path)
         for i in range(1, 4):
             store.add(_interaction(i))
-        store.detach_journal()
+        store.journal.close()
         recovered, report = InteractionStore.recover(path)
         assert len(recovered) == 3
         assert not report.truncated
@@ -240,15 +243,13 @@ class TestHistoryJournal:
     def test_torn_tail_drops_only_last(self, tmp_path, cut_fraction):
         path = tmp_path / "history.journal"
         records = [_interaction(i) for i in range(1, 5)]
-        from repro.history.store import _interaction_to_dict
-
         frame = encode_json_record(_interaction_to_dict(records[-1]))
         injector = TornWriteInjector(
             record_index=3, cut_at=int(cut_fraction * len(frame))
         )
         store = InteractionStore()
-        journal = store.attach_journal(path)
-        journal.fault = injector
+        reopen_journal(store, path)
+        store.journal.fault = injector
         with pytest.raises(SimulatedCrashError):
             for rec in records:
                 store.add(rec)
@@ -263,11 +264,18 @@ class TestHistoryJournal:
     def test_crashed_add_never_entered_memory(self, tmp_path):
         path = tmp_path / "history.journal"
         store = InteractionStore()
-        journal = store.attach_journal(path)
-        journal.fault = TornWriteInjector(record_index=0, cut_at=5)
+        reopen_journal(store, path)
+        store.journal.fault = TornWriteInjector(record_index=0, cut_at=5)
         with pytest.raises(SimulatedCrashError):
             store.add(_interaction(1))
         assert len(store) == 0  # journal-first: memory matches disk
+
+    def test_a_journal_attaches_once(self, tmp_path):
+        """A second attach would replay the journal into itself."""
+        store = InteractionStore()
+        reopen_journal(store, tmp_path / "history.journal")
+        with pytest.raises(ReproError, match="already has a journal"):
+            reopen_journal(store, tmp_path / "history.journal")
 
     def test_config_journal_recovers_a_workflow_ask(self, bundle, tmp_path, capsys):
         """``durability.history_journal`` is wired at the front door: an
@@ -330,14 +338,6 @@ class TestHistoryJournal:
         assert recovered.as_documents() == live.as_documents()
         assert len(recovered.as_documents()) == 1
 
-    def test_save_is_atomic(self, tmp_path):
-        target = tmp_path / "history.jsonl"
-        store = InteractionStore()
-        store.add(_interaction(1))
-        store.save(target)
-        loaded = InteractionStore.load(target)
-        assert len(loaded) == 1
-
 
 # ------------------------------------------------------------------ poller
 def _poller(tmp_path, *, max_dead_letters=3, tracer=None):
@@ -355,6 +355,86 @@ def _poller(tmp_path, *, max_dead_letters=3, tracer=None):
         tracer=tracer,
     )
     return poller, account, calls
+
+
+# Each journaled surface, as the reopen tests below drive it: both kinds
+# open through ``reopen_journal`` and are checked by their own fold.
+class _DeadLetters:
+    @staticmethod
+    def open(path):
+        poller, _, _ = _poller(None, max_dead_letters=8)
+        return poller, reopen_journal(poller, path, fsync=False)
+
+    @staticmethod
+    def label(n):
+        return f"n{n}"
+
+    @classmethod
+    def write(cls, poller, n):
+        poller._dead_letter(cls.label(n))
+
+    @classmethod
+    def frame(cls, n):
+        return encode_json_record({"op": "push", "payload": cls.label(n)})
+
+    @staticmethod
+    def churn(poller):
+        """Every op of the fold: pushes, overflow drops, a tick's pops."""
+        poller.max_dead_letters = 2
+        for n in range(4):
+            poller._post(f"n{n}")  # two drops, queue = [n2, n3]
+        webhook, poller.webhook_post = poller.webhook_post, lambda payload: None
+        poller.tick()  # redelivers both: two pops
+        poller.webhook_post = webhook
+        poller._post("n4")  # queue = [n4]
+
+    @staticmethod
+    def snapshot(poller):
+        return list(poller.dead_letters)
+
+    @staticmethod
+    def recovered(path):
+        return list(replay_dead_letters(recover_journal(path).records))
+
+
+class _History:
+    @staticmethod
+    def open(path):
+        store = InteractionStore()
+        return store, reopen_journal(store, path, fsync=False)
+
+    @staticmethod
+    def label(n):
+        return (_interaction(n).question, [])
+
+    @staticmethod
+    def write(store, n):
+        # A fresh id: a write after a reopen collides unless the id
+        # counter resumed past the replayed records.
+        store.add(replace(_interaction(n), interaction_id=store.new_id()))
+
+    @staticmethod
+    def frame(n):
+        return encode_json_record(_interaction_to_dict(_interaction(n)))
+
+    @classmethod
+    def churn(cls, store):
+        """Both frame kinds of the fold: interactions and a score."""
+        for n in range(1, 4):
+            cls.write(store, n)
+        store.add_score("int-000002", ScoreRecord(scorer="reviewer", score=4))
+
+    @staticmethod
+    def snapshot(store):
+        return [(r.question, r.scores) for r in store.all()]
+
+    @classmethod
+    def recovered(cls, path):
+        return cls.snapshot(InteractionStore.recover(path)[0])
+
+
+_SURFACES = {"dead-letters": _DeadLetters, "history": _History}
+_CUTS = (0.1, 0.5, 0.9)
 
 
 class TestPollerDeadLetters:
@@ -375,52 +455,67 @@ class TestPollerDeadLetters:
             poller._post("second")  # overflows, drops "first"
         assert "dead-letter:dropped" in [e.name for span in trace.spans() for e in span.events]
 
-    def test_journal_restores_queue_after_crash(self, tmp_path):
-        path = tmp_path / "dlq.journal"
-        poller, _, calls = _poller(tmp_path, max_dead_letters=2)
-        poller.attach_journal(path)
-        for i in range(4):
-            poller._post(f"n{i}")  # two drops, queue = [n2, n3]
-        # Redeliver one successfully: queue = [n3].
-        calls["fail"] = False
-        poller.tick()
-        survivor = AppsScriptPoller(account=GmailAccount("assistant@petsc.dev"), webhook_post=lambda p: None)
-        report = survivor.restore_dead_letters(path)
-        assert list(survivor.dead_letters) == []  # tick drained the queue
-        assert not report.truncated
+    @pytest.mark.parametrize("kind", sorted(_SURFACES))
+    def test_journal_restores_queue_after_crash(self, tmp_path, kind):
+        """A reopen replays every op of the fold: the reopened state is
+        the live one, and a clean journal loses nothing."""
+        surface = _SURFACES[kind]
+        path = tmp_path / f"{kind}.journal"
+        live, _ = surface.open(path)
+        surface.churn(live)
+        live.journal.close()  # the process dies here
+        reopened, report = surface.open(path)
+        assert surface.snapshot(reopened) == surface.snapshot(live)
+        assert report.intact_count and not report.truncated
 
     def test_journal_restore_mid_outage(self, tmp_path):
         path = tmp_path / "dlq.journal"
         poller, _, _ = _poller(tmp_path, max_dead_letters=8)
-        poller.attach_journal(path)
+        reopen_journal(poller, path)
         for i in range(3):
             poller._post(f"n{i}")
         survivor = AppsScriptPoller(account=GmailAccount("assistant@petsc.dev"), webhook_post=lambda p: None)
-        survivor.restore_dead_letters(path)
+        reopen_journal(survivor, path)
         assert list(survivor.dead_letters) == ["n0", "n1", "n2"]
 
-    @pytest.mark.parametrize("cut_fraction", (0.1, 0.5, 0.9))
-    def test_torn_dead_letter_journal_recovers_prefix(self, tmp_path, cut_fraction):
-        path = tmp_path / "dlq.journal"
-        poller, _, _ = _poller(tmp_path, max_dead_letters=8)
-        journal = poller.attach_journal(path)
-        frame = encode_json_record({"op": "push", "payload": "n2"})
-        journal.fault = TornWriteInjector(
-            record_index=2, cut_at=max(1, int(cut_fraction * len(frame)))
+    @pytest.mark.parametrize(
+        ("kind", "cut_fraction"),
+        # The dead-letter cases keep the ids they had before the history
+        # journal joined the sweep.
+        [pytest.param("dead-letters", cut, id=str(cut)) for cut in _CUTS]
+        + [pytest.param("history", cut, id=f"history-{cut}") for cut in _CUTS],
+    )
+    def test_torn_dead_letter_journal_recovers_prefix(self, tmp_path, kind, cut_fraction):
+        """After a torn append, a reopen truncates the torn tail before
+        its first append, and the next recover returns the intact prefix
+        plus the new record."""
+        surface = _SURFACES[kind]
+        path = tmp_path / f"{kind}.journal"
+        target, _ = surface.open(path)
+        target.journal.fault = TornWriteInjector(
+            record_index=2, cut_at=max(1, int(cut_fraction * len(surface.frame(3))))
         )
         with pytest.raises(SimulatedCrashError):
-            for i in range(4):
-                poller._dead_letter(f"n{i}")
-        survivor = AppsScriptPoller(account=GmailAccount("assistant@petsc.dev"), webhook_post=lambda p: None)
-        report = survivor.restore_dead_letters(path)
-        assert list(survivor.dead_letters) == ["n0", "n1"]
-        assert report.truncated
+            for n in range(1, 5):
+                surface.write(target, n)
+        reopened, report = surface.open(path)
+        assert report.truncated and path.stat().st_size == report.intact_bytes
+        assert surface.snapshot(reopened) == [surface.label(1), surface.label(2)]
+        surface.write(reopened, 4)
+        reopened.journal.close()
+        assert surface.recovered(path) == [surface.label(n) for n in (1, 2, 4)]
 
-    def test_config_journal_survives_a_support_system_restart(self, bundle, tmp_path):
+    def test_config_journal_survives_a_support_system_restart(
+        self, bundle, tmp_path, capsys
+    ):
         """``durability.dead_letter_journal`` is wired at the front door:
         a notification lost to a dead webhook is redelivered by the next
-        support system opened on the same path."""
-        from repro.api import open_support_system
+        support system opened on the same path.  ``history_journal`` is
+        wired the same way: a second workflow on the same path resumes
+        the first one's interactions and ids, and the journal both wrote
+        stays recoverable."""
+        from repro.api import open_support_system, open_workflow
+        from repro.cli import main
         from repro.config import DurabilityConfig
         from repro.mail.message import EmailMessage
         from repro.resilience import FaultConfig, FaultInjector
@@ -451,6 +546,22 @@ class TestPollerDeadLetters:
         # ... and the delivery is itself journaled: a third process starts empty.
         reopened.poller.journal.close()
         assert not open_support_system(cfg, bundle=bundle).poller.dead_letters
+
+        path = tmp_path / "history.journal"
+        cfg = ReproConfig(
+            iterations_per_token=0,
+            durability=DurabilityConfig(history_journal=str(path), fsync=False),
+        )
+        first = open_workflow(cfg, bundle=bundle)
+        asked = first.ask("What does KSPSolve do?")
+        assert asked.interaction_id == "int-000001"
+        first.store.journal.close()  # the process dies here
+        second = open_workflow(cfg, bundle=bundle)
+        assert second.store.get(asked.interaction_id).answer == asked.answer
+        assert second.ask("What does KSPGMRES do?").interaction_id == "int-000002"
+        second.store.journal.close()
+        assert main(["recover", str(path)]) == 0
+        assert "history journal: 2 interactions recovered" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ index cache

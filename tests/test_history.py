@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.durability import reopen_journal
 from repro.errors import HistoryError
 from repro.history import BlindScoringSession, Interaction, InteractionStore, ScoreRecord
 
@@ -101,16 +102,17 @@ class TestInteractionStore:
         assert docs[0].metadata["doc_type"] == "history"
 
     def test_persistence_roundtrip(self, tmp_path):
+        path = tmp_path / "history.journal"
         store = InteractionStore()
+        reopen_journal(store, path, fsync=False)
         rec = make_interaction(store, chat_model="gpt-4o-sim", mode="rag")
         store.add_score(rec.interaction_id, ScoreRecord(scorer="a", score=3, incorrect_spans=[], comment="ok"))
-        path = tmp_path / "history.jsonl"
-        store.save(path)
-        loaded = InteractionStore.load(path)
+        store.journal.close()
+        loaded, _ = InteractionStore.recover(path)
         assert len(loaded) == 1
         rec2 = loaded.get(rec.interaction_id)
         assert rec2.scores[0].scorer == "a"
-        # Counter continues after the highest loaded id.
+        # Counter continues after the highest recovered id.
         assert loaded.new_id() != rec.interaction_id
 
     def test_record_pipeline_result(self, baseline_pipeline):

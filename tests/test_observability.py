@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ReproConfig
+from repro.durability import Journal, reopen_journal, scan_journal
 from repro.errors import ConfigurationError, ObservabilityError, TransientError
 from repro.history import InteractionStore
 from repro.llm.base import ChatMessage, ChatModel, CompletionResult, TokenUsage
@@ -506,28 +507,29 @@ class TestTypedEnums:
             open_pipeline(fast_config, bundle=bundle, mode="turbo")
 
     def test_history_schema_unchanged_on_disk(self, tmp_path):
+        path = tmp_path / "history.journal"
         store = InteractionStore()
+        reopen_journal(store, path, fsync=False)
         pipeline = RAGPipeline(
             FlakyModel(fail_first=1),
             retriever=FailingRetriever(),
             retry_policy=RetryPolicy(max_attempts=4),
         )
         store.record_pipeline_result(pipeline.answer("q"))
-        path = tmp_path / "history.jsonl"
-        store.save(path)
-        obj = json.loads(path.read_text().splitlines()[0])
+        store.journal.close()
+        (obj,) = scan_journal(path).records
         # Wire strings exactly as the resilience PR wrote them.
         assert obj["mode"] == "rag"
         assert obj["degraded"] == ["retrieval:baseline-fallback"]
-        loaded = InteractionStore.load(path)
+        loaded, _ = InteractionStore.recover(path)
         rec = loaded.all()[0]
         assert rec.degraded == ["retrieval:baseline-fallback"]
         assert rec.trace is not None
 
     def test_old_records_without_trace_still_load(self, tmp_path):
-        path = tmp_path / "old.jsonl"
-        path.write_text(
-            json.dumps(
+        path = tmp_path / "old.journal"
+        with Journal(path, fsync=False) as journal:
+            journal.append(
                 {
                     "interaction_id": "int-000001",
                     "question": "q",
@@ -537,9 +539,7 @@ class TestTypedEnums:
                     "degraded": [],
                 }
             )
-            + "\n"
-        )
-        rec = InteractionStore.load(path).all()[0]
+        rec = InteractionStore.recover(path)[0].all()[0]
         assert rec.trace is None
 
 
@@ -581,12 +581,13 @@ class TestPipelineTracing:
         assert result.trace.find("locate") == []
 
     def test_trace_persists_into_history(self, tmp_path):
+        path = tmp_path / "h.journal"
         store = InteractionStore()
+        reopen_journal(store, path, fsync=False)
         result = RAGPipeline(OkModel(), metrics=MetricsRegistry()).answer("q")
         store.record_pipeline_result(result)
-        path = tmp_path / "h.jsonl"
-        store.save(path)
-        rec = InteractionStore.load(path).all()[0]
+        store.journal.close()
+        rec = InteractionStore.recover(path)[0].all()[0]
         restored = Trace.from_dict(rec.trace)
         assert restored.structure_digest() == result.trace.structure_digest()
 
