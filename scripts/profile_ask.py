@@ -40,6 +40,10 @@ next one under ``cProfile``.  It prints the best unprofiled ingest — the
 ledger's ``ingest_ms`` rule — and the mean of each ``repro.ingest.*``
 stage (resolve, build, diff, swap) over the unprofiled ingests.
 
+Last, it prints ``peak_rss_mb``: the process's peak resident set at
+exit (``ru_maxrss``, the ledger's rule), profiler and all, so a memory
+cost is sized with the same script.
+
 This sizes a perf issue — where the time of an ask goes — and claims
 nothing: the profiler taxes every Python call and no native one, so a
 gain is shown with alternating ledger pairs
@@ -53,6 +57,7 @@ import cProfile
 import gc
 import os
 import pstats
+import resource
 import statistics
 import sys
 import threading
@@ -193,6 +198,8 @@ def main() -> None:
             f"below, {args.rounds * len(questions)} profiled {kind} by {args.sort}"
         )
     pstats.Stats(profile, *workers).sort_stats(args.sort).print_stats(TABLE_ROWS)
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"{args.workload}: peak_rss_mb {peak_kib / 1024.0:.1f} (ru_maxrss at exit)")
 
 
 if __name__ == "__main__":

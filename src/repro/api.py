@@ -153,6 +153,9 @@ def open_support_system(
     resilience layer keeps the chain up: delivery faults retry under the
     policy, webhook faults land in the poller's dead-letter queue, and
     pipeline faults walk the degradation ladder.
+
+    ``durability.dead_letter_journal`` and ``durability.history_journal``
+    open the poller's queue and the chatbot's store on their journals.
     """
     from repro.bots.chatbot import PetscChatbot
     from repro.bots.email_bot import EmailBot
@@ -206,6 +209,10 @@ def open_support_system(
 
     email_bot = EmailBot(server, gateway, account=account)
     store = InteractionStore()
+    if config.durability.history_journal:
+        reopen_journal(
+            store, config.durability.history_journal, fsync=config.durability.fsync
+        )
     # Chaos builds keep determinism because a fault injector disables
     # the engine's answer cache.
     chatbot = PetscChatbot(

@@ -18,7 +18,7 @@ Implements the paper's two usage modes:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.discordsim.app import App
 from repro.discordsim.channels import ForumPost
@@ -186,7 +186,7 @@ class PetscChatbot(App):
         # extending the conversation.
         get_registry().counter("repro.bots.revisions").inc()
         result = self._answer(f"{state.question}\n\n{guidance}")
-        result.prompt = prompt
+        result = replace(result, prompt=prompt)
         return self._add_draft(state.post, state.question, result, revision_of=message.message_id)
 
     # ------------------------------------------------------------ direct messages

@@ -118,8 +118,9 @@ class DurabilityConfig:
     #: fsync temp files and journal appends before acknowledging them.
     #: Turning this off trades power-loss safety for speed (tests, CI).
     fsync: bool = True
-    #: When set, ``open_workflow`` replays this journal into its
-    #: interaction store, then journals every new record here.
+    #: When set, ``open_workflow`` (or ``open_support_system``) replays
+    #: this journal into its interaction store, then journals every new
+    #: record here; one live store per path (the journal is locked).
     history_journal: str | None = None
     #: When set, ``open_support_system`` replays this journal into the
     #: poller's dead-letter queue, then journals every queue mutation here.

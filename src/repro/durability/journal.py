@@ -22,6 +22,7 @@ A torn tail can therefore cost at most the records the crash interrupted
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import zlib
@@ -105,8 +106,9 @@ class Journal:
     Appends are acknowledged only after the frame is flushed (and, with
     ``fsync=True``, synced) — an acknowledged record survives any
     subsequent crash, which is the property the recovery tests pin down
-    byte by byte.  One writer per file; readers use
-    :func:`scan_journal` / :func:`recover_journal`.
+    byte by byte.  One writer per file (:func:`reopen_journal` takes
+    :meth:`lock`); readers use :func:`scan_journal` /
+    :func:`recover_journal`.
     """
 
     def __init__(
@@ -126,6 +128,19 @@ class Journal:
         if self._fh is None or self._fh.closed:
             self._fh = open(self.path, "ab")
         return self._fh
+
+    def lock(self) -> None:
+        """Open the append handle and take an exclusive, non-blocking
+        ``flock`` on it, held until :meth:`close`: a second live writer
+        on the path (this process or another) is refused, not raced."""
+        fh = self._open()
+        try:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            self.close()
+            raise ReproError(
+                f"journal {self.path} is held by another live writer"
+            ) from None
 
     def append(self, record: dict) -> None:
         """Durably append one record; raises only if the write itself fails."""
@@ -250,14 +265,20 @@ def reopen_journal(
     Replay runs before the attach, so a fold that goes through the
     target's own journaled mutators writes nothing back.
 
-    One writer per path is the caller's job: nothing locks the file, so
-    reopening a path whose earlier writer is still live can truncate a
-    frame that writer has in flight, and two writers that replayed the
-    same prefix append diverging states.
+    One writer per path: the journal is locked (:meth:`Journal.lock`)
+    before anything is recovered or truncated, so opening a path whose
+    earlier writer is still live raises :class:`ReproError` and leaves
+    the file untouched; the lock goes with :meth:`Journal.close`.
     """
     if target.journal is not None:
         raise ReproError(f"{type(target).__name__} already has a journal attached")
-    report = recover_journal(path, fsync=fsync)
-    target.replay(report.records)
-    target.journal = Journal(path, fsync=fsync)
+    journal = Journal(path, fsync=fsync)
+    journal.lock()
+    try:
+        report = recover_journal(path, fsync=fsync)
+        target.replay(report.records)
+    except BaseException:
+        journal.close()
+        raise
+    target.journal = journal
     return report

@@ -37,9 +37,15 @@ _ATTEMPT_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 _CONTEXT_BUCKETS = (0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineResult:
-    """Everything one pipeline invocation produced, for display and history."""
+    """Everything one pipeline invocation produced, for display and history.
+
+    Frozen, because results are shared: every answer-cache hit on a key
+    returns the one result the cache holds, and batch duplicates share
+    their primary's, lists included (read them, never mutate them).
+    Derive a variant with :func:`dataclasses.replace`.
+    """
 
     question: str
     answer: str

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable
 
 from repro.admission import ADMIT, QUEUE, SHED, AdmissionController, AdmissionDecision
@@ -65,56 +65,21 @@ def _one_span_trace(
     return Trace(root)
 
 
-@dataclass
-class _CachedAnswer:
-    """The replayable slice of a pipeline result (no trace, no timings)."""
-
-    answer: str
-    model: str
-    contexts: tuple
-    candidates: tuple
-    prompt: str
-    completion: object
-    attempts: int
-    degraded: tuple
-    coverage: float = 1.0
-
-    @classmethod
-    def from_result(cls, result: PipelineResult) -> "_CachedAnswer":
-        return cls(
-            answer=result.answer,
-            model=result.model,
-            contexts=tuple(result.contexts),
-            candidates=tuple(result.candidates),
-            prompt=result.prompt,
-            completion=result.completion,
-            attempts=result.attempts,
-            degraded=tuple(result.degraded),
-            coverage=result.coverage,
-        )
-
-    def replay(self, question: str, mode: PipelineMode) -> PipelineResult:
-        """Materialize the cached answer: fresh root span, no llm child."""
-        trace = _one_span_trace(
+def _hit_view(result: PipelineResult) -> PipelineResult:
+    """What an answer-cache hit on ``result`` returns: its answer under a
+    fresh closed root span (no stage children), built once at commit."""
+    return replace(
+        result,
+        contexts=list(result.contexts),
+        candidates=list(result.candidates),
+        degraded=list(result.degraded),
+        trace=_one_span_trace(
             "pipeline",
-            {"mode": str(mode), "model": self.model, "cached": True},
+            {"mode": str(result.mode), "model": result.model, "cached": True},
             "cache:answer-hit",
             {},
-        )
-        return PipelineResult(
-            question=question,
-            answer=self.answer,
-            mode=mode,
-            model=self.model,
-            contexts=list(self.contexts),
-            candidates=list(self.candidates),
-            prompt=self.prompt,
-            completion=self.completion,
-            attempts=self.attempts,
-            degraded=list(self.degraded),
-            coverage=self.coverage,
-            trace=trace,
-        )
+        ),
+    )
 
 
 def _deadline(pipeline: "RAGPipeline") -> Deadline | None:
@@ -212,22 +177,18 @@ class ReproService:
 
     # ------------------------------------------------------------ shared steps
     def _lookup(
-        self,
-        gen: "CacheGeneration",
-        key: tuple,
-        question: str,
-        mode: PipelineMode,
-        registry: "MetricsRegistry",
+        self, gen: "CacheGeneration", key: tuple, registry: "MetricsRegistry"
     ) -> PipelineResult | None:
         """Peek ``gen``'s answer cache under ``key`` (``question digest,
-        mode``), count the hit or miss, replay a hit.  A peek never
+        mode``) and count the hit or miss.  A hit is the cached result
+        itself, shared by every caller (it is immutable).  A peek never
         reorders the LRU: the caller touches, inline or at commit."""
-        payload = gen.answers.peek(key)
-        if payload is None:
+        hit = gen.answers.peek(key)
+        if hit is None:
             registry.counter("repro.engine.answer_cache.misses").inc()
             return None
         registry.counter("repro.engine.answer_cache.hits").inc()
-        return payload.replay(question, mode)
+        return hit
 
     def _call(
         self, pipeline: "RAGPipeline", question: str, ctx: RequestContext
@@ -247,8 +208,10 @@ class ReproService:
         An entry is ``(answer key, transaction, result)``: no
         transaction means an answer-cache hit (its key is touched), else
         the request's recorded touches and writes are replayed and its
-        result, if any, stored.  All land in ``gen``'s LRUs, which after
-        a swap no new request reads (DESIGN §14.3).
+        result, if any, stored in the shape every later hit returns: the
+        same answer under a one-span ``cache:answer-hit`` trace, with
+        its own lists.  All land in ``gen``'s LRUs, which after a swap
+        no new request reads (DESIGN §14.3).
         """
         use_cache = self.cache_answers_enabled()
         for key, txn, result in entries:
@@ -257,7 +220,7 @@ class ReproService:
                 continue
             txn.commit()
             if result is not None and use_cache:
-                gen.answers.put(key, _CachedAnswer.from_result(result))
+                gen.answers.put(key, _hit_view(result))
 
     # ------------------------------------------------------------ entry points
     def answer(
@@ -288,7 +251,7 @@ class ReproService:
         gen = engine.generation  # read once: lookup, pipeline and commit all use it
         key = (question_digest(question), str(mode))
         if self.cache_answers_enabled():
-            hit = self._lookup(gen, key, question, mode, registry)
+            hit = self._lookup(gen, key, registry)
             if hit is not None:
                 gen.answers.touch(key)
                 return hit
@@ -384,7 +347,7 @@ class ReproService:
                 items[i] = _shed_response(i, question, decisions[i])
                 continue
             key = (question_digest(question), mode_name)
-            hit = self._lookup(gen, key, question, mode, registry) if use_cache else None
+            hit = self._lookup(gen, key, registry) if use_cache else None
             if hit is not None:
                 commits.append((key, None))
                 items[i] = AnswerResponse(

@@ -58,7 +58,7 @@ def ask_workload(bundle) -> dict:
     """Sequential ``answer()`` calls: answers + spans + metric totals.
 
     The duplicate question is an answer-cache hit, so the workload pins
-    the hit/miss counters and the replayed no-llm span shape too.
+    the hit/miss counters and the cached no-llm span shape too.
     """
     cfg = _fast_config()
     artifact = get_or_build_index(bundle, cfg)  # outside the registry

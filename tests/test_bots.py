@@ -141,6 +141,25 @@ class TestChatbotReply:
         assert new.message.message_id != draft.message.message_id
         assert not new.decided
 
+    def test_revision_of_a_cached_question_leaves_the_cache_alone(self, system, developer):
+        """A revision whose combined question is an answer-cache hit gets
+        the shared cached result; the revise prompt goes on a copy of it,
+        never into the entry every later asker receives."""
+        post = _fresh_post(system, developer, "Cached revision", "What does KSPGMRES do?")
+        draft = system.developer_replies(developer, post)
+        draft.message.button("revise").click(draft.message, developer)
+        guidance = "Mention the restart option."
+        service, mode = system.chatbot.service, system.chatbot.mode
+        combined = f"{draft.question}\n\n{guidance}"
+        service.answer(combined, mode=mode)  # the miss commits the entry
+        cached = service.answer(combined, mode=mode)
+        prompt = cached.prompt
+        new = system.chatbot.submit_revision(draft.message, developer, guidance)
+        assert new.result.answer == cached.answer
+        assert new.result.prompt.startswith("A PETSc developer reviewed")
+        assert cached.prompt == prompt != new.result.prompt
+        assert service.answer(combined, mode=mode) is cached
+
     def test_revision_requires_button_first(self, system, developer):
         post = _fresh_post(system, developer, "Premature revision")
         draft = system.developer_replies(developer, post)

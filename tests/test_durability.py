@@ -277,6 +277,48 @@ class TestHistoryJournal:
         with pytest.raises(ReproError, match="already has a journal"):
             reopen_journal(store, tmp_path / "history.journal")
 
+    def test_a_live_writer_locks_its_journal(self, tmp_path):
+        """A second opener of a live writer's journal is refused before it
+        recovers anything: the first writer's in-flight (torn) frame is not
+        truncated under it.  The lock goes with the writer's close."""
+        path = tmp_path / "history.journal"
+        writer = InteractionStore()
+        reopen_journal(writer, path)
+        writer.add(_interaction(1))
+        with open(path, "ab") as fh:  # a frame the writer has in flight
+            fh.write(encode_json_record(_interaction_to_dict(_interaction(2)))[:9])
+        in_flight = path.read_bytes()
+        second = InteractionStore()
+        with pytest.raises(ReproError, match=f"journal {path} is held by another live writer"):
+            reopen_journal(second, path)
+        assert second.journal is None and len(second) == 0
+        assert path.read_bytes() == in_flight
+        writer.journal.close()
+        report = reopen_journal(second, path)
+        assert report.truncated and [r.interaction_id for r in second.all()] == ["int-000001"]
+        second.journal.close()
+
+    def test_a_second_live_workflow_is_refused(self, bundle, tmp_path, capsys):
+        """Two ``open_workflow(cfg)`` on one ``history_journal``: the second
+        open raises instead of replaying the same prefix and appending a
+        diverging ``int-000001``, so the journal stays recoverable."""
+        from repro.api import open_workflow
+        from repro.cli import main
+        from repro.config import DurabilityConfig
+
+        path = tmp_path / "history.journal"
+        cfg = ReproConfig(
+            iterations_per_token=0,
+            durability=DurabilityConfig(history_journal=str(path), fsync=False),
+        )
+        first = open_workflow(cfg, bundle=bundle)
+        with pytest.raises(ReproError, match=str(path)):
+            open_workflow(cfg, bundle=bundle)
+        assert first.ask("What does KSPSolve do?").interaction_id == "int-000001"
+        first.store.journal.close()
+        assert main(["recover", str(path)]) == 0
+        assert "history journal: 1 interactions recovered" in capsys.readouterr().out
+
     def test_config_journal_recovers_a_workflow_ask(self, bundle, tmp_path, capsys):
         """``durability.history_journal`` is wired at the front door: an
         interaction recorded by ``open_workflow(cfg).ask`` is recovered by
@@ -475,6 +517,9 @@ class TestPollerDeadLetters:
         for i in range(3):
             poller._post(f"n{i}")
         survivor = AppsScriptPoller(account=GmailAccount("assistant@petsc.dev"), webhook_post=lambda p: None)
+        with pytest.raises(ReproError, match="held by another live writer"):
+            reopen_journal(survivor, path)  # the first poller is still live
+        poller.journal.close()  # the process dies here
         reopen_journal(survivor, path)
         assert list(survivor.dead_letters) == ["n0", "n1", "n2"]
 
@@ -562,6 +607,32 @@ class TestPollerDeadLetters:
         second.store.journal.close()
         assert main(["recover", str(path)]) == 0
         assert "history journal: 2 interactions recovered" in capsys.readouterr().out
+
+    def test_config_history_journal_keeps_support_system_drafts(self, bundle, tmp_path):
+        """``durability.history_journal`` opens the support system's store
+        too: a draft the chatbot recorded is found by the next support
+        system opened on the same path, which resumes the ids after it."""
+        from repro.api import open_support_system
+        from repro.config import DurabilityConfig
+
+        path = tmp_path / "history.journal"
+        cfg = ReproConfig(
+            iterations_per_token=0,
+            durability=DurabilityConfig(history_journal=str(path), fsync=False),
+        )
+        system = open_support_system(cfg, bundle=bundle)
+        system.user_sends_email("user@example.org", "GMRES stalls", "Why does GMRES stall?")
+        assert system.poll() is True
+        developer = next(u for u in system.server.members.values() if u.name == "barry")
+        draft = system.developer_replies(developer, system.find_post("GMRES stalls"))
+        (recorded,) = system.store.all()
+        assert recorded.tags == [f"post:{draft.post.post_id}"]
+        system.store.journal.close()  # the process dies here
+
+        reopened = open_support_system(cfg, bundle=bundle)
+        assert reopened.store.get(recorded.interaction_id).answer == draft.result.answer
+        assert reopened.store.new_id() == "int-000002"
+        reopened.store.journal.close()
 
 
 # ------------------------------------------------------------------ index cache

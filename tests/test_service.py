@@ -394,6 +394,38 @@ class TestFrontDoor:
         assert registry.counter("repro.engine.answer_cache.hits").value == 1
         assert registry.counter("repro.engine.requests").value == 2
 
+    def test_a_hit_is_the_cached_result_itself(self, bundle, fast_config):
+        """A hit returns the one result the cache stored when its miss
+        committed: every single ask and every hit item of a batch get
+        that same object, under the one-span ``cache:answer-hit`` trace."""
+        service = repro.open_service(fast_config, bundle=bundle, registry=MetricsRegistry())
+        q, q2 = "What is DMDA?", "What does KSPSolve do?"
+        miss = service.answer(q, mode="rag")
+        hit = service.answer(q, mode="rag")
+        assert hit is not miss and service.answer(q, mode="rag") is hit
+        assert (hit.question, hit.answer, hit.contexts) == (q, miss.answer, miss.contexts)
+        assert hit.contexts is not miss.contexts
+        root = hit.trace.root
+        assert (root.name, root.children, [e.name for e in root.events]) == (
+            "pipeline", [], ["cache:answer-hit"],
+        )
+        assert root.attributes == {"mode": "rag", "model": miss.model, "cached": True}
+        items = service.answer_many([q, q2, q, q], mode="rag", workers=2).items
+        assert [it.cached for it in items] == [True, False, True, True]
+        assert all(items[i].result is hit for i in (0, 2, 3))
+
+    def test_a_pipeline_result_is_frozen(self, bundle, fast_config):
+        """Results are shared between callers, so none can be changed in
+        place; a variant is a ``dataclasses.replace`` copy."""
+        import dataclasses
+
+        service = repro.open_service(fast_config, bundle=bundle, registry=MetricsRegistry())
+        result = service.answer("What is DMDA?", mode="rag")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.prompt = "revised"
+        assert dataclasses.replace(result, prompt="revised").prompt == "revised"
+        assert service.answer("What is DMDA?", mode="rag").prompt == result.prompt
+
     def test_workflow_and_chatbot_route_through_service(self, bundle, fast_config):
         workflow = repro.open_workflow(fast_config, bundle=bundle, mode="rag")
         assert isinstance(workflow.service, ReproService)
