@@ -1,6 +1,6 @@
-"""E14 — replicated shard serving: failover parity, hedging, degradation.
+"""E14 — replicated shard serving: failover parity and degradation.
 
-Three claims, each load-bearing for the fault-tolerant serving path:
+Two claims, each load-bearing for the fault-tolerant serving path:
 
 1. **Failover is digest-invisible** — with two replicas per shard and a
    seeded schedule killing every primary probe, answers and span digests
@@ -8,11 +8,7 @@ Three claims, each load-bearing for the fault-tolerant serving path:
    metrics view matches after filtering the ``repro.replica.*`` /
    injected-fault namespaces.  Failover changes *which copy* answered,
    never *what* was answered.
-2. **Hedged serving keeps the same contract** — with hedging enabled at
-   a 50% primary outage rate, suspect primaries get speculative backup
-   probes (``repro.replica.hedges`` / ``hedge_wins`` > 0) and the
-   answers digest still equals the baseline.
-3. **Partial coverage is deterministic** — with a single copy per shard,
+2. **Partial coverage is deterministic** — with a single copy per shard,
    outages degrade answers to the surviving shards; two same-seed runs
    produce byte-identical answers and span digests, and
    ``require_full_coverage`` turns the same outages into typed
@@ -121,7 +117,6 @@ def test_failover_digest_parity(bundle):
         "failover_seconds": round(failover["seconds"], 4),
         "failovers": failovers,
         "probe_failures": _counter(failover, "repro.replica.probe_failures"),
-        "marked_suspect": _counter(failover, "repro.replica.marked_suspect"),
     }
     _RESULTS.setdefault("digests", {})["baseline"] = {
         "answers": baseline["answers"], "spans": baseline["spans"],
@@ -131,34 +126,8 @@ def test_failover_digest_parity(bundle):
     }
 
 
-def test_hedged_serving_digest_parity(bundle):
-    """Claim 2: hedging fires on suspect primaries, answers untouched."""
-    baseline = _RESULTS["digests"]["baseline"]
-    hedged = _run(
-        bundle,
-        _config(ReplicationConfig(replicas=2, hedging=True)),
-        FaultInjector(SEED, FaultConfig(shard_fault_rate=0.5)),
-    )
-    assert hedged["answers"] == baseline["answers"], "hedging changed answers"
-    assert hedged["spans"] == baseline["spans"], "hedging changed span digests"
-    hedges = _counter(hedged, "repro.replica.hedges")
-    hedge_wins = _counter(hedged, "repro.replica.hedge_wins")
-    assert hedges > 0, "no suspect primary ever triggered a hedge"
-    assert hedge_wins > 0, "no hedged probe ever rescued a query"
-
-    _RESULTS["hedging"] = {
-        "seconds": round(hedged["seconds"], 4),
-        "hedges": hedges,
-        "hedge_wins": hedge_wins,
-        "failovers": _counter(hedged, "repro.replica.failovers"),
-    }
-    _RESULTS["digests"]["hedged"] = {
-        "answers": hedged["answers"], "spans": hedged["spans"],
-    }
-
-
 def test_partial_coverage_is_deterministic(bundle):
-    """Claim 3: single-copy outages degrade deterministically."""
+    """Claim 2: single-copy outages degrade deterministically."""
     runs = [
         _run(
             bundle,
@@ -201,18 +170,15 @@ def test_partial_coverage_is_deterministic(bundle):
             "replicas": 2,
         },
         "failover": _RESULTS["failover"],
-        "hedging": _RESULTS["hedging"],
         "partial": _RESULTS["partial"],
         "digests": _RESULTS["digests"],
     }
     _OUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    f, h, p = _RESULTS["failover"], _RESULTS["hedging"], _RESULTS["partial"]
+    f, p = _RESULTS["failover"], _RESULTS["partial"]
     print(
         f"\nfailover parity: answers+spans identical to baseline "
         f"({f['failovers']} failovers over {QUESTIONS} questions)\n"
-        f"hedged serving:  {h['hedges']} hedges, {h['hedge_wins']} wins, "
-        f"digests unchanged\n"
         f"partial mode:    {p['partial_answers']} partial answers, "
         f"min coverage {p['min_coverage']}, "
         f"{p['strict_failures']} strict failures — deterministic across reruns"

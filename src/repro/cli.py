@@ -194,8 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "--replicas", type=int, default=1,
-        help="serving copies per shard; failover and health counters "
-             "land in the measured registry",
+        help="serving copies per shard; failover counters land in the "
+             "measured registry",
     )
 
     batch = sub.add_parser(
@@ -355,9 +355,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         shard_fault_rate=args.shard_fault_rate,
     )
     cfg = _config(args)
-    cfg.replication = ReplicationConfig(
-        replicas=args.replicas, hedging=args.replicas > 1
-    )
+    cfg.replication = ReplicationConfig(replicas=args.replicas)
     title = f"chaos sweep — {args.mode} ({args.model})"
     if args.overload_factor > 0:
         sweep = run_robustness_sweep(
@@ -388,11 +386,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         else None
     )
     cfg = _config(args)
-    # Failover / hedge / health counters land in the measured registry
-    # alongside the workload's.
-    cfg.replication = ReplicationConfig(
-        replicas=args.replicas, hedging=args.replicas > 1
-    )
+    # Failover counters land in the measured registry alongside the
+    # workload's.
+    cfg.replication = ReplicationConfig(replicas=args.replicas)
     # Open the engine *before* scoping the registry: index build /
     # cache counters vary with process history (first call builds,
     # later calls hit), and folding them into the measured registry
@@ -444,8 +440,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             print(
                 f"  shard {row['shard']}: {row['chunks']:>4} chunks, "
                 f"{row['vectors']:>4} vectors, {row['manual_pages']:>3} pages  "
-                f"[{row['digest'][:12]}]  replicas={row['replicas']} "
-                f"health={'/'.join(row['health'])}"
+                f"[{row['digest'][:12]}]  replicas={shards['replicas']}"
             )
         print(f"\nspans: {dict(sorted(span_counts.items()))}")
         print(f"metrics digest: {registry.digest()}")

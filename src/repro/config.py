@@ -12,9 +12,8 @@ in exactly one place, beside its one reader: a class default (the retry
 schedule of :class:`~repro.resilience.RetryPolicy`, the LLM breaker's
 threshold and recovery window in
 :class:`~repro.resilience.CircuitBreaker`) or a module constant (the
-health walk's thresholds in :mod:`repro.replication.health`, the AIMD
-limits in :mod:`repro.admission.controller`, the query-embedding LRU
-size in :mod:`repro.engine.caches`).  ``from_dict`` rejects a removed
+AIMD limits in :mod:`repro.admission.controller`, the query-embedding
+LRU size in :mod:`repro.engine.caches`).  ``from_dict`` rejects a removed
 knob's key like any other unknown one.
 """
 
@@ -190,27 +189,20 @@ class ShardingConfig:
 
 @dataclass
 class ReplicationConfig:
-    """Replicated shard serving: health tracking, failover, hedging.
+    """Serving copies per shard, and what a dark shard means.
 
-    Each shard serves from ``replicas`` references to the same immutable
-    shard store (what differs is the transport in front of each, which
-    the fault seam can fail), tracked by a clock-free up → suspect →
-    down health state machine fed by per-probe outcomes.  The scatter
-    walks replicas in fixed order (primary first, then failover), so
-    under any single-replica-per-shard fault schedule answers, metrics,
+    Each shard answers from ``replicas`` references to its one immutable
+    store, probed in order (primary first); only the fault seam in front
+    of a copy can fail it.  The first copy that answers wins, so under
+    any fault schedule that leaves one copy per shard answering, answers
     and span digests match the healthy single-copy baseline
-    byte-for-byte.  When every replica of a shard is down the merge
-    degrades to the surviving shards — or raises
-    :class:`~repro.errors.PartialResultError` when
+    byte-for-byte.  A shard none of whose copies answers is left out of
+    the merge — or raises :class:`~repro.errors.PartialResultError` when
     ``require_full_coverage`` is set.
     """
 
-    #: Serving copies per shard; 1 = no replication (single copy).
+    #: Serving copies per shard; 1 = a single copy.
     replicas: int = 1
-    #: Probe the first backup alongside a *suspect* primary and use its
-    #: result when the primary fails (``repro.replica.hedges`` /
-    #: ``hedge_wins``).
-    hedging: bool = False
     #: Raise :class:`~repro.errors.PartialResultError` instead of serving
     #: a partial merge when a whole shard is unreachable.
     require_full_coverage: bool = False

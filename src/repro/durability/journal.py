@@ -123,9 +123,15 @@ class Journal:
         self.fault = fault
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: IO[bytes] | None = None
+        self._closed = False
 
     def _open(self) -> IO[bytes]:
-        if self._fh is None or self._fh.closed:
+        """The append handle, opened on first use.  A closed journal has
+        given up its lock (:meth:`close`), so it refuses to reopen: an
+        append after ``close`` would land beside the next writer's."""
+        if self._closed:
+            raise ReproError(f"journal {self.path} is closed")
+        if self._fh is None:
             self._fh = open(self.path, "ab")
         return self._fh
 
@@ -161,7 +167,8 @@ class Journal:
         get_registry().counter("repro.durability.journal_appends").inc()
 
     def close(self) -> None:
-        if self._fh is not None and not self._fh.closed:
+        self._closed = True
+        if self._fh is not None:
             self._fh.close()
 
     def __enter__(self) -> "Journal":

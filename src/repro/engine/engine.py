@@ -2,8 +2,7 @@
 
 A :class:`QueryEngine` serves one :class:`CacheGeneration` at a time —
 an immutable :class:`~repro.index.IndexArtifact`, its epoch, LRU caches
-and per-mode pipelines — and the health tracker of the shard replicas
-it serves from.  Retrieval is scatter-gather over
+and per-mode pipelines.  Retrieval is scatter-gather over
 the artifact's shards — one shard, one replica by default — and nothing
 above the store knows the shard count: the merge order ``(-score,
 doc_id)`` makes retrieval partition-invariant.  The engine answers
@@ -37,7 +36,6 @@ from repro.index import IndexArtifact
 from repro.observability import MetricsRegistry, get_registry
 from repro.pipeline.rag import RAGPipeline, pipeline_from_artifact
 from repro.pipeline.types import PipelineMode
-from repro.replication import HealthTracker
 from repro.resilience.faults import FaultInjector
 from repro.retrieval import VectorRetriever
 
@@ -97,9 +95,6 @@ class QueryEngine:
             LRUCache(ec.retrieval_cache_size),
             LRUCache(EMBEDDING_CACHE_SIZE),
         )
-        # One tracker across every pipeline mode: health is a property
-        # of the serving copies, not of the mode that probed them.
-        self.replica_health = HealthTracker()
         self._build_lock = threading.Lock()
 
     @property
@@ -123,19 +118,12 @@ class QueryEngine:
         return self.artifact.num_shards
 
     def _serving_store(self, artifact: IndexArtifact):
-        """The store the pipelines retrieve from: ``artifact``'s own,
-        or — replicated, or under a shard-fault schedule — a view over
-        the same shard stores (no copy: stores are never written to)
-        where each shard answers from a replica set.
-        """
-        store = artifact.store
-        wrapper = self._replica_fault_wrapper()
-        rep = self.config.replication
-        if rep.replicas > 1 or rep.require_full_coverage or wrapper is not None:
-            store = store.with_replication(
-                rep, health=self.replica_health, store_wrapper=wrapper
-            )
-        return store
+        """The store the pipelines retrieve from: a view over
+        ``artifact``'s shard stores (no copy: stores are never written
+        to) where each shard answers from its ``replicas`` copies."""
+        return artifact.store.serving_view(
+            self.config.replication, store_wrapper=self._replica_fault_wrapper()
+        )
 
     def _replica_fault_wrapper(self):
         """The seeded shard-outage seam for chaos runs.
@@ -143,9 +131,9 @@ class QueryEngine:
         When the engine's fault injector carries a ``shard_fault_rate``,
         each shard's *primary* replica is wrapped at site ``shard:N`` —
         modelling a schedule that kills one copy per shard, the regime
-        the digest guarantee covers.  Backups stay healthy, so with
-        ``replicas >= 2`` every fault is absorbed by failover; with a
-        single copy the shard goes dark and coverage degrades.
+        the digest guarantee covers.  Backups stay healthy, so every
+        fault is absorbed by failover where a shard has a backup; with
+        a single copy the shard goes dark and coverage degrades.
         """
         injector = self.fault_injector
         if injector is None or injector.config.shard_fault_rate <= 0:
@@ -160,18 +148,13 @@ class QueryEngine:
 
     def shard_summary(self) -> dict:
         """Shard topology for operators (CLI ``repro metrics``)."""
-        rep = self.config.replication
         return {
             "num_shards": self.artifact.num_shards,
             "composite_digest": self.artifact.digest,
             "epoch": self.epoch,
             "embedding_scope": self.artifact.fingerprint.get("embedding_scope"),
-            "replicas": rep.replicas,
-            "hedging": rep.hedging,
-            "replica_health": self.replica_health.snapshot(),
-            "shards": self.artifact.shard_summaries(
-                replicas=rep.replicas, health=self.replica_health
-            ),
+            "replicas": self.config.replication.replicas,
+            "shards": self.artifact.shard_summaries(),
         }
 
     def pipeline(

@@ -52,8 +52,8 @@ class ChaosRun:
     outcomes: list[ChaosOutcome] = field(default_factory=list)
     schedule_digest: str = ""
     fault_counts: dict[str, int] = field(default_factory=dict)
-    #: Replication-layer activity during the run (failovers, hedges,
-    #: hedge_wins, partial_queries) — zeros for monolithic configs.
+    #: Replication-layer activity during the run (failovers,
+    #: partial_queries) — zeros for monolithic configs.
     replica_stats: dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------ metrics
@@ -129,7 +129,6 @@ class ChaosRun:
             s = self.replica_stats
             lines.append(
                 f"replica serving: {s.get('failovers', 0)} failovers, "
-                f"{s.get('hedges', 0)} hedges ({s.get('hedge_wins', 0)} wins), "
                 f"{s.get('partial_queries', 0)} partial queries, "
                 f"min coverage {self.min_coverage:.2f}"
             )
@@ -163,8 +162,6 @@ def run_chaos_experiment(
     run = ChaosRun(seed=seed, mode=mode, fault_config=fault_config)
     replica_counters = (
         "repro.replica.failovers",
-        "repro.replica.hedges",
-        "repro.replica.hedge_wins",
         "repro.shard.partial_queries",
     )
     ambient = get_registry()
@@ -227,14 +224,11 @@ class ShardFaultOutcome:
     shards: int
     replicas: int
     fault_rate: float
-    hedging: bool = True
     total: int = 0
     answered: int = 0
     #: Questions answered from fewer shards than the index holds.
     partial: int = 0
     failovers: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
     min_coverage: float = 1.0
     schedule_digest: str = ""
     results_digest: str = ""
@@ -279,9 +273,9 @@ class RobustnessRun:
                 [r.records_written, r.crash_record, r.cut_at, r.recovered,
                  r.dropped_bytes, r.prefix_ok, r.reason],
                 None if s is None else [
-                    s.shards, s.replicas, round(s.fault_rate, 6), s.hedging,
-                    s.total, s.answered, s.partial, s.failovers, s.hedges,
-                    s.hedge_wins, round(s.min_coverage, 6),
+                    s.shards, s.replicas, round(s.fault_rate, 6),
+                    s.total, s.answered, s.partial, s.failovers,
+                    round(s.min_coverage, 6),
                     s.schedule_digest, s.results_digest, s.error,
                 ],
             ],
@@ -296,8 +290,7 @@ class RobustnessRun:
             lines.append(
                 f"shard faults ({s.shards} shards × {s.replicas} replicas, "
                 f"rate {s.fault_rate:.0%}): {s.answered}/{s.total} answered, "
-                f"{s.failovers} failovers, {s.hedges} hedges "
-                f"({s.hedge_wins} wins), {s.partial} partial, "
+                f"{s.failovers} failovers, {s.partial} partial, "
                 f"min coverage {s.min_coverage:.2f}"
             )
         o = self.overload
@@ -373,8 +366,8 @@ def _run_shard_fault_phase(
     """Serve the benchmark while a seeded schedule kills shard primaries.
 
     The engine wraps every shard's primary replica at site ``shard:N``
-    (see :meth:`QueryEngine._replica_fault_wrapper`); with
-    ``replicas >= 2`` failover absorbs each outage, with a single copy
+    (see :meth:`QueryEngine._replica_fault_wrapper`); with a backup
+    copy failover absorbs each outage, with a single copy
     the shard goes dark and answers degrade to partial coverage.
     Questions are answered sequentially so the fault schedule — and
     therefore the digest — is a pure function of the seed.
@@ -384,15 +377,12 @@ def _run_shard_fault_phase(
     cfg = replace(
         config,
         sharding=replace(config.sharding, num_shards=num_shards),
-        replication=replace(
-            config.replication, replicas=replicas, hedging=replicas > 1
-        ),
+        replication=replace(config.replication, replicas=replicas),
     )
     outcome = ShardFaultOutcome(
         shards=num_shards,
         replicas=replicas,
         fault_rate=shard_fault_rate,
-        hedging=replicas > 1,
         total=len(questions),
     )
     injector = FaultInjector(seed, FaultConfig(shard_fault_rate=shard_fault_rate))
@@ -420,8 +410,6 @@ def _run_shard_fault_phase(
         outcome.error = f"{type(exc).__name__}: {exc}"
         return outcome
     outcome.failovers = registry.counter("repro.replica.failovers").value
-    outcome.hedges = registry.counter("repro.replica.hedges").value
-    outcome.hedge_wins = registry.counter("repro.replica.hedge_wins").value
     outcome.schedule_digest = injector.schedule_digest()
     payload = json.dumps(results, separators=(",", ":"))
     outcome.results_digest = hashlib.sha256(payload.encode()).hexdigest()
@@ -488,7 +476,7 @@ def run_robustness_sweep(
 
     The four phases exercise the full robustness surface: injected hop
     faults (retries, degradation), a seeded shard-outage schedule
-    against the replicated scatter (failover, hedging, partial
+    against the replicated scatter (failover, partial
     coverage — skipped when ``shard_fault_rate`` is 0), admission
     shedding at ``overload_factor``× capacity, and journal recovery
     after a seeded torn write.  Everything digest-relevant is a pure

@@ -33,7 +33,6 @@ from repro.retrieval.keyword import ManualPageKeywordSearch
 from repro.vectorstore.store import VectorStore
 
 if TYPE_CHECKING:
-    from repro.replication import HealthTracker
     from repro.vectorstore.sharded import ShardedVectorStore
 
 #: Format version folded into every digest; bump on layout changes so
@@ -164,29 +163,15 @@ class IndexArtifact:
             "shard_digests": [s.digest for s in self.shards],
         }
 
-    def shard_summaries(
-        self, *, replicas: int = 1, health: "HealthTracker | None" = None
-    ) -> list[dict]:
-        """Per-shard inspection rows (CLI ``repro metrics`` shard table).
-
-        With a serving topology attached, each row also reports the
-        replica count and the health tracker's per-replica states (a
-        replica never probed is up by definition).
-        """
-        rows = []
-        for i, s in enumerate(self.shards):
-            row = {
+    def shard_summaries(self) -> list[dict]:
+        """Per-shard inspection rows (CLI ``repro metrics`` shard table)."""
+        return [
+            {
                 "shard": i,
                 "digest": s.digest,
                 "chunks": len(s.chunks),
                 "manual_pages": len(s.manual_pages),
                 "vectors": len(s.store),
             }
-            if replicas > 1 or health is not None:
-                row["replicas"] = replicas
-                if health is not None:
-                    row["health"] = [
-                        health.state(i, r).value for r in range(replicas)
-                    ]
-            rows.append(row)
-        return rows
+            for i, s in enumerate(self.shards)
+        ]

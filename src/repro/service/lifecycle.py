@@ -20,8 +20,11 @@ from repro.pipeline.types import PipelineMode
 
 def question_digest(question: str) -> str:
     """SHA-256 of the question text: the first part of a request's
-    identity key ``(question digest, mode)`` within its cache generation."""
-    return hashlib.sha256(question.encode("utf-8", errors="replace")).hexdigest()
+    identity key ``(question digest, mode)`` within its cache generation.
+
+    A lone surrogate is encoded as itself (``surrogatepass``), not as
+    ``?``, so two questions that differ only there are two keys."""
+    return hashlib.sha256(question.encode("utf-8", errors="surrogatepass")).hexdigest()
 
 
 @dataclass

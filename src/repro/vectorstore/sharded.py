@@ -4,9 +4,9 @@ The planner routes every document to a shard by a stable hash of its
 ``source`` metadata (:func:`shard_for_source`), so a given corpus always
 partitions the same way across processes and runs.  At query time the
 composite store embeds the query **once**, scores every shard by vector
-(one ``matrix @ q`` per shard, from whichever replica answers), and
-makes one exact top-k selection over the answering shards' scores under
-the total order ``(-score, doc_id)``.
+(one ``matrix @ q`` per shard, from the first of its copies that
+answers), and makes one exact top-k selection over the answering
+shards' scores under the total order ``(-score, doc_id)``.
 
 Partition invariance is the load-bearing property: the top-k must be the
 same list for 1, 2, 4, or 8 shards.  It holds exactly because a row's
@@ -18,21 +18,21 @@ row order or shard order.
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.documents import Document
 from repro.embeddings.base import EmbeddingModel
-from repro.errors import PartialResultError, VectorStoreError
+from repro.errors import PartialResultError, TransientError, VectorStoreError
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.utils.rng import stable_hash
-from repro.vectorstore.store import VectorStore, top_k_hits
+from repro.vectorstore.store import VectorStore, query_vector, top_k_hits
 
 if TYPE_CHECKING:
     from repro.config import ReplicationConfig
     from repro.context import RequestContext
-    from repro.replication import HealthTracker, ReplicaSet
 
 #: Hash namespace for the shard planner; changing it repartitions every
 #: corpus, so it is part of the sharded-artifact digest contract.
@@ -63,10 +63,12 @@ class ShardedVectorStore:
     This is the store every index artifact serves from; the default
     single-database deployment is the one-shard case.  Queries scatter
     across shards in a plain loop (a probe costs microseconds, less than
-    handing it to a pool thread) and gather under one selection.  Like
-    its shards the store is read-only, so the replicated view below
-    shares the shard objects instead of copying them, and each view
-    holds its shards' documents in one row-aligned list built once.
+    handing it to a pool thread) and gather under one selection.  Each
+    shard answers from an ordered tuple of copies (``copies``; one copy,
+    the shard itself, unless :meth:`serving_view` says otherwise).  Like
+    its shards the store is read-only, so a serving view shares the
+    shard objects and the row-aligned document list instead of copying
+    them.
     """
 
     def __init__(
@@ -75,8 +77,6 @@ class ShardedVectorStore:
         embedding: EmbeddingModel,
         *,
         collection_name: str = "petsc-docs-sharded",
-        replica_sets: "list[ReplicaSet] | None" = None,
-        replication: "ReplicationConfig | None" = None,
     ) -> None:
         if not shards:
             raise VectorStoreError("a sharded store needs at least one shard")
@@ -85,15 +85,13 @@ class ShardedVectorStore:
                 raise VectorStoreError(
                     f"shard {i} dim {shard.embedding.dim} != embedding dim {embedding.dim}"
                 )
-        if replica_sets is not None and len(replica_sets) != len(shards):
-            raise VectorStoreError(
-                f"{len(replica_sets)} replica set(s) for {len(shards)} shard(s)"
-            )
         self.shards = list(shards)
         self.embedding = embedding
         self.collection_name = collection_name
-        self.replica_sets = replica_sets
-        self.replication = replication
+        #: Per shard, the copies a probe walks in order (primary first).
+        self.copies: list[tuple[VectorStore, ...]] = [(shard,) for shard in self.shards]
+        #: Raise :class:`PartialResultError` instead of serving a partial merge.
+        self.require_full_coverage = False
         self._docs = [doc for shard in self.shards for doc in shard._docs]
         # Reversed, so a duplicate id keeps its first row, as in a shard.
         self._by_id = {doc.doc_id: doc for doc in reversed(self._docs)}
@@ -129,9 +127,12 @@ class ShardedVectorStore:
         With the request's ``ctx`` the scatter is a span on its tracer
         and counts on its registry; without one (a probe outside any
         request) it counts on the ambient registry and opens no span.
+        The query's dimension is checked here, once: a copy's failure is
+        caught by the walk, so a wrong-sized query must fail before it.
         """
         if k <= 0:
             return []
+        qvec = query_vector(qvec, self.embedding.dim)
         registry = ctx.registry if ctx is not None else get_registry()
         registry.counter("repro.shard.queries").inc()
         registry.counter("repro.shard.probes").inc(self.num_shards)
@@ -139,9 +140,9 @@ class ShardedVectorStore:
             # One constant-named child span regardless of shard count:
             # shard details ride in attributes, which the span-structure
             # digest excludes, so the digest contract holds at any N.
-            # Failover/hedging likewise report through attributes and
-            # ``repro.replica.*`` counters only — never span events — so
-            # a rescued query digests identically to a healthy one.
+            # Failover likewise reports through ``repro.replica.*``
+            # counters only — never span events — so a rescued query
+            # digests identically to a healthy one.
             with ctx.tracer.span("scatter", shards=self.num_shards, k=k) as span:
                 out = self._gather(qvec, k, where, ctx, registry, span)
         else:
@@ -190,7 +191,7 @@ class ShardedVectorStore:
                     coverage=round(coverage, 6),
                     failed_shards=",".join(str(index) for index in failed),
                 )
-            if self.replication is not None and self.replication.require_full_coverage:
+            if self.require_full_coverage:
                 raise PartialResultError(
                     f"{len(failed)}/{self.num_shards} shard(s) unreachable "
                     f"(no surviving replica): {failed}",
@@ -205,14 +206,21 @@ class ShardedVectorStore:
     def _probe_shard(
         self, index: int, qvec: np.ndarray, registry: MetricsRegistry
     ) -> "np.ndarray | None":
-        """One shard's score vector; ``None`` when no replica answered.
+        """One shard's score vector from the first of its copies that
+        answers; ``None`` when none did.
 
-        Without replication the shard store is scored directly and its
-        failures propagate — byte-for-byte the pre-replication path.
+        A failing probe counts ``repro.replica.probe_failures`` and a
+        probe past the first copy ``repro.replica.failovers``, on the
+        querying request's registry; a healthy probe counts nothing.
         """
-        if self.replica_sets is None:
-            return self.shards[index].scores(qvec)
-        return self.replica_sets[index].scores(qvec, registry)
+        for position, replica in enumerate(self.copies[index]):
+            if position:
+                registry.counter("repro.replica.failovers").inc()
+            try:
+                return replica.scores(qvec)
+            except (TransientError, VectorStoreError):
+                registry.counter("repro.replica.probe_failures").inc()
+        return None
 
     def similarity_search(
         self, query: str, *, k: int = 4, where: dict | None = None
@@ -235,38 +243,31 @@ class ShardedVectorStore:
         return np.stack([held[d] for d in doc_ids])
 
     # ------------------------------------------------------------ views
-    def with_replication(
+    def serving_view(
         self,
         config: "ReplicationConfig",
         *,
-        health: "HealthTracker",
         store_wrapper: Callable[[VectorStore, int, int], VectorStore] | None = None,
     ) -> "ShardedVectorStore":
-        """A serving view where each shard answers from a replica set.
+        """This store with ``config.replicas`` copies per shard.
 
-        Every replica of a set is a reference to this store's one
-        immutable shard object, so copies cannot diverge; what tells
-        them apart is the transport in front of them.
+        The view shares this store's shards and documents.  Every copy is
+        a reference to the one immutable shard object, so copies cannot
+        diverge; what tells them apart is the transport in front of them.
         ``store_wrapper(store, shard_index, replica_index)`` is that
         fault seam: the engine uses it to interpose
         :meth:`~repro.resilience.faults.FaultInjector.wrap_store` on
-        chosen replicas so shard outages join the seeded fault-schedule
+        chosen copies so shard outages join the seeded fault-schedule
         machinery instead of ad-hoc monkeypatching.
         """
-        from repro.replication import ReplicaSet
-
         config.validate()
-        replica_sets = []
-        for index, shard in enumerate(self.shards):
-            replicas = [
+        view = copy.copy(self)
+        view.copies = [
+            tuple(
                 shard if store_wrapper is None else store_wrapper(shard, index, position)
                 for position in range(config.replicas)
-            ]
-            replica_sets.append(ReplicaSet(index, replicas, health, hedging=config.hedging))
-        return ShardedVectorStore(
-            self.shards,
-            self.embedding,
-            collection_name=self.collection_name,
-            replica_sets=replica_sets,
-            replication=config,
-        )
+            )
+            for index, shard in enumerate(self.shards)
+        ]
+        view.require_full_coverage = config.require_full_coverage
+        return view

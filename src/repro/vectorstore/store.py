@@ -23,6 +23,14 @@ def _rank(hit: tuple[Document, float]) -> tuple[float, str]:
     return -hit[1], hit[0].doc_id
 
 
+def query_vector(qvec: np.ndarray, dim: int) -> np.ndarray:
+    """``qvec`` as a flat float32 vector, checked against a store's ``dim``."""
+    q = np.asarray(qvec, dtype=np.float32).reshape(-1)
+    if q.shape[0] != dim:
+        raise VectorStoreError(f"query dim {q.shape[0]} != store dim {dim}")
+    return q
+
+
 def top_k_hits(
     scores: np.ndarray, docs: list[Document], k: int, where: dict | None = None
 ) -> list[tuple[Document, float]]:
@@ -196,12 +204,7 @@ class VectorStore:
         embedded once, every shard is scored by vector, and the
         composite selects once over the answering shards' scores.
         """
-        q = np.asarray(qvec, dtype=np.float32).reshape(-1)
-        if q.shape[0] != self.embedding.dim:
-            raise VectorStoreError(
-                f"query dim {q.shape[0]} != store dim {self.embedding.dim}"
-            )
-        return self.matrix @ q
+        return self.matrix @ query_vector(qvec, self.embedding.dim)
 
     def similarity_search(
         self, query: str, *, k: int = 4, where: dict | None = None

@@ -131,6 +131,7 @@ class TestReproConfigRoundTrip:
             {"ingest": {"max_delta_fraction": 0.5}},
             {"sharding": {"scatter_workers": 2}},
             {"durability": {"verify_index_checksums": False}},
+            {"replication": {"hedging": True}},
         ):
             with pytest.raises(ConfigurationError, match="unknown config key"):
                 ReproConfig.from_dict(removed)
@@ -235,7 +236,7 @@ class TestReproConfigRoundTrip:
                 for f in dataclasses.fields(section)
             )
 
-        assert count(ReproConfig()) == 28
+        assert count(ReproConfig()) == 27
         # Sections: the root and its six nested ones.
         assert 1 + sum(map(dataclasses.is_dataclass, vars(ReproConfig()).values())) == 7
 

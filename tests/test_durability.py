@@ -298,6 +298,24 @@ class TestHistoryJournal:
         assert report.truncated and [r.interaction_id for r in second.all()] == ["int-000001"]
         second.journal.close()
 
+    def test_a_closed_journal_refuses_appends(self, tmp_path):
+        """Closing gives up the lock, so a closed writer may not reopen the
+        file: its late append would land beside the next writer's."""
+        path = tmp_path / "history.journal"
+        first = InteractionStore()
+        reopen_journal(first, path)
+        first.add(_interaction(1))
+        first.journal.close()
+        second = InteractionStore()
+        reopen_journal(second, path)
+        with pytest.raises(ReproError, match=f"journal {path} is closed"):
+            first.add(_interaction(2))
+        second.add(_interaction(2))
+        second.journal.close()
+        assert [r["interaction_id"] for r in recover_journal(path).records] == [
+            "int-000001", "int-000002"
+        ]
+
     def test_a_second_live_workflow_is_refused(self, bundle, tmp_path, capsys):
         """Two ``open_workflow(cfg)`` on one ``history_journal``: the second
         open raises instead of replaying the same prefix and appending a

@@ -139,6 +139,14 @@ class TestSequentialAnswer:
         service.invalidate_query_caches()
         assert not any(service.engine.cache_sizes().values())
 
+    def test_a_lone_surrogate_is_its_own_answer_cache_key(self, artifact, fast_config):
+        # Hashed with errors="replace", both questions read "...?" and the
+        # second was served the first one's cached answer.
+        service = fresh_service(artifact, fast_config, registry=MetricsRegistry())
+        service.answer(QUESTIONS[0] + "\ud800")
+        service.answer(QUESTIONS[0] + "\udc00")
+        assert service.engine.cache_sizes()["answer"] == 2
+
 
 class TestBatchDeterminism:
     def run_batch(self, artifact, fast_config, *, workers, seed=7):

@@ -150,21 +150,27 @@ class TestArtifactImmutability:
 
         artifact = get_or_build_index(bundle, fast_config)
         modes = ("rag", "rag+rerank")
-        # Unreplicated, every mode retrieves from the artifact's store itself.
+        # Every engine, 1 x 1 included, retrieves from a serving view
+        # over the artifact's own shard stores and documents.
         engine = QueryEngine(artifact, fast_config)
-        assert all(engine.pipeline(m).retriever.store is artifact.store for m in modes)
-        # The one serving view left is the replicated one.
+        single = [engine.pipeline(m).retriever.store for m in modes]
         replicated = QueryEngine(
             artifact,
             ReproConfig(iterations_per_token=0, replication=ReplicationConfig(replicas=2)),
         )
         views = [replicated.pipeline(m).retriever.store for m in modes]
-        assert views[0] is not views[1] and artifact.store not in views
-        for view in views:
+        assert views[0] is not views[1] and artifact.store not in views + single
+        for view in views + single:
             assert len(view.shards) == len(artifact.store.shards)
             assert all(a is b for a, b in zip(view.shards, artifact.store.shards))
+            assert view._docs is artifact.store._docs
             assert view.embedding is artifact.embedding
             assert all(s.embedding is artifact.embedding for s in view.shards)
+        assert all(view.copies == artifact.store.copies for view in single)
+        assert all(
+            copies == (shard, shard) for view in views
+            for shard, copies in zip(artifact.store.shards, view.copies)
+        )
 
     def test_keyword_search_from_artifact(self, bundle, fast_config, fresh_cache):
         artifact = get_or_build_index(bundle, fast_config)

@@ -17,7 +17,6 @@ from repro.embeddings import HashingEmbedding
 from repro.errors import VectorStoreError
 from repro.evaluation import BenchmarkQuestion, Score
 from repro.observability import MetricsRegistry, use_registry
-from repro.replication import HealthTracker
 from repro.rerank import FlashrankLiteReranker
 from repro.retrieval.base import RetrievedDocument
 from repro.vectorstore import ShardedVectorStore, VectorStore, shard_for_document
@@ -186,7 +185,7 @@ class TestTopKTies:
         rep = ReplicationConfig(replicas=2)
         for num_shards in (1, 2, 4, 8):
             store = self._sharded(docs, levels, num_shards)
-            replicated = store.with_replication(rep, health=HealthTracker())
+            replicated = store.serving_view(rep)
             for view in (store, replicated):
                 hits = view.similarity_search_by_vector_with_score(self._QVEC, k=k)
                 assert [(d.doc_id, s) for d, s in hits] == expected, num_shards
@@ -222,9 +221,8 @@ class TestTopKTies:
         live.sort(key=lambda p: (-p[1], p[0].doc_id))
         expected = [(d.doc_id, level) for d, level in live[:k]]
         rep = ReplicationConfig(replicas=1)
-        view = self._sharded(docs, levels, num_shards).with_replication(
+        view = self._sharded(docs, levels, num_shards).serving_view(
             rep,
-            health=HealthTracker(),
             store_wrapper=lambda s, shard, _: _DarkReplica(s) if shard in dark else s,
         )
         with use_registry(MetricsRegistry()):

@@ -1,5 +1,5 @@
-"""Tests for replicated shard serving: health tracking, deterministic
-failover, hedged probes, and partial-result degradation.
+"""Tests for replicated shard serving: the ordered failover walk over
+each shard's copies, and partial-result degradation.
 
 The load-bearing guarantee under test: with ``replicas >= 2``, any
 fault schedule that kills at most one replica per shard leaves answers,
@@ -10,8 +10,6 @@ never *what* was answered.
 
 from __future__ import annotations
 
-import sys
-import threading
 from collections import Counter
 
 import numpy as np
@@ -28,8 +26,6 @@ from repro.embeddings import HashingEmbedding
 from repro.errors import ConfigurationError, PartialResultError, VectorStoreError
 from repro.evaluation.benchmark import krylov_benchmark
 from repro.observability import MetricsRegistry, use_registry
-from repro.replication import HealthTracker, ReplicaSet, ReplicaState
-from repro.replication.health import DOWN_AFTER, PROBE_AFTER, SUSPECT_AFTER
 from repro.resilience import FaultConfig, FaultInjector
 from repro.vectorstore import ShardedVectorStore, VectorStore, shard_for_document
 
@@ -67,7 +63,7 @@ def _kill_primary(store, shard_index, replica_index):
 class TestReplicationConfig:
     def test_defaults_validate(self):
         ReplicationConfig().validate()
-        ReplicationConfig(replicas=3, hedging=True).validate()
+        ReplicationConfig(replicas=3, require_full_coverage=True).validate()
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
@@ -75,166 +71,59 @@ class TestReplicationConfig:
 
     def test_round_trips_through_repro_config(self):
         cfg = ReproConfig(
-            replication=ReplicationConfig(replicas=3, hedging=True)
+            replication=ReplicationConfig(replicas=3, require_full_coverage=True)
         )
         clone = ReproConfig.from_dict(cfg.to_dict())
         assert clone.replication == cfg.replication
 
 
-class TestHealthTracker:
-    def _tracker(self):
-        return HealthTracker(), MetricsRegistry()
-
-    @staticmethod
-    def _mark_down(tracker, reg, shard, replica):
-        for _ in range(DOWN_AFTER):
-            tracker.record_failure(shard, replica, reg)
-
-    def test_initial_state_is_up(self):
-        tracker, _ = self._tracker()
-        assert tracker.state(0, 0) is ReplicaState.UP
-        assert tracker.should_probe(0, 0)
-
-    def test_failures_walk_up_suspect_down(self):
-        assert (SUSPECT_AFTER, DOWN_AFTER) == (1, 3)
-        tracker, reg = self._tracker()
-        tracker.record_failure(0, 0, reg)
-        assert tracker.state(0, 0) is ReplicaState.SUSPECT
-        tracker.record_failure(0, 0, reg)
-        assert tracker.state(0, 0) is ReplicaState.SUSPECT
-        tracker.record_failure(0, 0, reg)
-        assert tracker.state(0, 0) is ReplicaState.DOWN
-        assert reg.counter("repro.replica.marked_suspect").value == 1
-        assert reg.counter("repro.replica.marked_down").value == 1
-
-    def test_down_replica_sits_out_then_half_open_probes(self):
-        assert PROBE_AFTER == 4
-        tracker, reg = self._tracker()
-        self._mark_down(tracker, reg, 2, 1)
-        assert tracker.state(2, 1) is ReplicaState.DOWN
-        # PROBE_AFTER - 1 selections skipped, then one half-open probe.
-        assert [tracker.should_probe(2, 1) for _ in range(4)] == [False, False, False, True]
-        # The cycle repeats until an outcome is recorded.
-        assert not tracker.should_probe(2, 1)
-
-    def test_success_fully_recovers(self):
-        tracker, reg = self._tracker()
-        self._mark_down(tracker, reg, 0, 0)
-        assert tracker.state(0, 0) is ReplicaState.DOWN
-        tracker.record_success(0, 0, reg)
-        assert tracker.state(0, 0) is ReplicaState.UP
-        assert tracker.should_probe(0, 0)
-        assert reg.counter("repro.replica.recovered").value == 1
-        # Recovery resets the failure fold: one new failure is suspect,
-        # not down-continued.
-        tracker.record_failure(0, 0, reg)
-        assert tracker.state(0, 0) is ReplicaState.SUSPECT
-
-    def test_concurrent_walks_keep_the_fold_exact(self):
-        # Selections of a down replica (locked: its skip count moves)
-        # race unlocked no-op reads of a clean one.  A skip lost to the
-        # race, or a no-op that was not one, breaks the exact counts.
-        tracker, reg = self._tracker()
-        self._mark_down(tracker, reg, 0, 0)
-        tracker.record_success(0, 1, reg)
-        granted, refused = [], []
-
-        def walk():
-            mine = 0
-            for _ in range(300):
-                mine += tracker.should_probe(0, 0)
-                if not tracker.should_probe(0, 1):
-                    refused.append(1)
-                tracker.record_success(0, 1, reg)
-            granted.append(mine)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=walk) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sum(granted) == 4 * 300 // 4 and not refused
-        assert tracker.snapshot() == {0: ["down", "up"]}
-        assert reg.counter("repro.replica.recovered").value == 0
-
-    def test_snapshot_groups_by_shard(self):
-        tracker, reg = self._tracker()
-        tracker.record_failure(1, 0, reg)
-        self._mark_down(tracker, reg, 0, 1)
-        tracker.record_success(0, 0, reg)
-        assert tracker.snapshot() == {0: ["up", "down"], 1: ["suspect"]}
-
-
 class TestReplicaSet:
-    def _set(self, *, hedging=False, dead_primary=True):
+    """One shard's ordered copies: the walk takes the first that answers."""
+
+    def _set(self, *, dead_primary=True):
         emb = HashingEmbedding(dim=32)
         store = VectorStore.from_documents(_docs(6), emb)
         reg = MetricsRegistry()
-        health = HealthTracker()
-        primary = DeadStore(store) if dead_primary else store
-        rs = ReplicaSet(0, [primary, store], health, hedging=hedging)
+        view = ShardedVectorStore([store], emb).serving_view(
+            ReplicationConfig(replicas=2),
+            store_wrapper=_kill_primary if dead_primary else None,
+        )
         qvec = emb.embed_query("krylov gmres")
-        return rs, health, reg, qvec, store
+        return view, reg, qvec, store
 
     @staticmethod
-    def _search(store, qvec, reg, rs=None):
-        """The composite's top-3 over ``store``, served by ``rs`` when given."""
-        view = ShardedVectorStore(
-            [store], store.embedding, replica_sets=None if rs is None else [rs]
-        )
+    def _search(view, qvec, reg):
+        """The composite's top-3 through ``view``, counted on ``reg``."""
         with use_registry(reg):
             hits = view.similarity_search_by_vector_with_score(qvec, k=3)
         return [(d.doc_id, s) for d, s in hits]
 
     def test_failover_returns_backup_answer(self):
-        rs, health, reg, qvec, store = self._set()
-        hits = self._search(store, qvec, reg, rs)
-        assert hits == self._search(store, qvec, MetricsRegistry())
+        view, reg, qvec, store = self._set()
+        hits = self._search(view, qvec, reg)
+        bare = ShardedVectorStore([store], store.embedding)
+        assert hits == self._search(bare, qvec, MetricsRegistry())
         assert len(hits) == 3
         assert reg.counter("repro.replica.failovers").value == 1
         assert reg.counter("repro.replica.probe_failures").value == 1
-        assert health.state(0, 0) is ReplicaState.SUSPECT
-        assert health.state(0, 1) is ReplicaState.UP
-
-    def test_down_primary_is_skipped_not_probed(self):
-        rs, health, reg, qvec, _ = self._set()
-        for _ in range(DOWN_AFTER):  # each walk fails the primary once
-            rs.scores(qvec, reg)
-        assert health.state(0, 0) is ReplicaState.DOWN
-        probes_before = reg.counter("repro.replica.probes").value
-        rs.scores(qvec, reg)
-        # Only the backup was probed; no failover counted for a walk
-        # that never included the down primary.
-        assert reg.counter("repro.replica.probes").value == probes_before + 1
-        assert reg.counter("repro.replica.failovers").value == DOWN_AFTER
+        assert reg.counter("repro.shard.partial_queries").value == 0
 
     def test_every_replica_down_returns_none(self):
-        rs, _, reg, qvec, _ = self._set()
-        rs.replicas[1] = DeadStore(rs.replicas[1])
-        assert rs.scores(qvec, reg) is None
+        view, reg, qvec, _ = self._set()
+        view.copies[0] = tuple(DeadStore(copy) for copy in view.copies[0])
+        assert view._probe_shard(0, qvec, reg) is None
         assert reg.counter("repro.replica.probe_failures").value == 2
+        assert reg.counter("repro.replica.failovers").value == 1
 
-    def test_suspect_primary_triggers_hedge_and_win(self):
-        rs, health, reg, qvec, store = self._set(hedging=True)
-        rs.scores(qvec, reg)  # first walk: plain failover, marks suspect
-        assert reg.counter("repro.replica.hedges").value == 0
-        hits = self._search(store, qvec, reg, rs)  # suspect primary -> hedged probe
-        assert reg.counter("repro.replica.hedges").value == 1
-        assert reg.counter("repro.replica.hedge_wins").value == 1
-        assert hits == self._search(store, qvec, MetricsRegistry())
-
-    def test_healthy_primary_never_hedges(self):
-        rs, _, reg, qvec, _ = self._set(hedging=True, dead_primary=False)
-        rs.scores(qvec, reg)
-        rs.scores(qvec, reg)
-        assert reg.counter("repro.replica.hedges").value == 0
-        assert reg.counter("repro.replica.failovers").value == 0
+    def test_a_healthy_walk_counts_nothing(self):
+        # The success path of every engine, 1x1 included, walks copies:
+        # it creates no replica counter, so no metrics digest moves.
+        view, reg, qvec, _ = self._set(dead_primary=False)
+        self._search(view, qvec, reg)
+        self._search(view, qvec, reg)
+        counters = reg.snapshot()["counters"]
+        assert counters["repro.shard.queries"] == 2
+        assert not [name for name in counters if name.startswith("repro.replica.")]
 
     def test_a_probe_draws_one_schedule_step_even_at_a_boundary_tie(self):
         # Planted scores: six rows tie at the k = 2 boundary.  The probe
@@ -247,10 +136,8 @@ class TestReplicaSet:
         vectors[:, 0] = [0.875, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.125]
         store = VectorStore.from_precomputed(docs, vectors, emb)
         injector = FaultInjector(5, FaultConfig())
-        cfg = ReplicationConfig(replicas=2)
-        view = ShardedVectorStore([store], emb).with_replication(
-            cfg,
-            health=HealthTracker(),
+        view = ShardedVectorStore([store], emb).serving_view(
+            ReplicationConfig(replicas=2),
             store_wrapper=lambda s, shard, replica: injector.wrap_store(
                 s, site=f"shard:{shard}", transient_rate=0.0
             ),
@@ -262,19 +149,22 @@ class TestReplicaSet:
                 hits = view.similarity_search_by_vector_with_score(qvec, k=2)
         tied = sorted(d.doc_id for d in docs[1:7])
         assert [(d.doc_id, s) for d, s in hits] == [(docs[0].doc_id, 0.875), (tied[0], 0.5)]
+        # Both copies draw at ``shard:0``: three draws are three probes.
         assert [(e.site, e.call_index) for e in injector.schedule()] == [
             ("shard:0", n) for n in range(3)
         ]
-        assert reg.counter("repro.replica.probes").value == 3
+        assert reg.counter("repro.replica.failovers").value == 0
 
     def test_empty_replica_set_rejected(self):
-        health = HealthTracker()
-        with pytest.raises(VectorStoreError):
-            ReplicaSet(0, [], health)
+        store = VectorStore.from_documents(_docs(3), HashingEmbedding(dim=32))
+        with pytest.raises(ConfigurationError, match="replicas must be >= 1"):
+            ShardedVectorStore([store], store.embedding).serving_view(
+                ReplicationConfig(replicas=0)
+            )
 
 
 class TestReplicatedStore:
-    """with_replication on the composite store: the digest contract."""
+    """The composite store's serving view: the digest contract."""
 
     @pytest.fixture()
     def reg(self):
@@ -286,9 +176,7 @@ class TestReplicatedStore:
     def _replicated(self, docs, *, replicas=2, wrapper=_kill_primary,
                     num_shards=3, **rep_kwargs):
         cfg = ReplicationConfig(replicas=replicas, **rep_kwargs)
-        return _sharded(docs, num_shards).with_replication(
-            cfg, health=HealthTracker(), store_wrapper=wrapper
-        )
+        return _sharded(docs, num_shards).serving_view(cfg, store_wrapper=wrapper)
 
     def test_failover_results_match_healthy_baseline(self, reg):
         docs = _docs()
@@ -363,23 +251,20 @@ class TestReplicatedStore:
     def test_replicas_are_references_to_the_one_shard_store(self):
         # Nothing writes to a store, so a replica is the shard object
         # itself; only the fault seam's transport tells copies apart.
+        # The view shares its parent's shards and documents, too.
         docs = _docs(6)
-        store = self._replicated(docs, wrapper=None)
-        for shard, replica_set in zip(store.shards, store.replica_sets):
-            assert [r is shard for r in replica_set.replicas] == [True, True]
+        parent = _sharded(docs)
+        assert parent.copies == [(shard,) for shard in parent.shards]
+        store = parent.serving_view(ReplicationConfig(replicas=2))
+        for shard, copies in zip(store.shards, store.copies):
+            assert [r is shard for r in copies] == [True, True]
+        assert store.shards == parent.shards
+        assert store._docs is parent._docs and store._by_id is parent._by_id
         killed = self._replicated(docs)
-        for shard, replica_set in zip(killed.shards, killed.replica_sets):
-            primary, backup = replica_set.replicas
+        for shard, copies in zip(killed.shards, killed.copies):
+            primary, backup = copies
             assert isinstance(primary, DeadStore) and primary.inner is shard
             assert backup is shard
-
-    def test_replica_count_mismatch_rejected(self):
-        docs = _docs(6)
-        store = self._replicated(docs, wrapper=None)
-        with pytest.raises(VectorStoreError):
-            ShardedVectorStore(
-                store.shards[:2], store.embedding, replica_sets=store.replica_sets
-            )
 
 
 class TestEngineFailover:
@@ -410,7 +295,7 @@ class TestEngineFailover:
         fail_reg = MetricsRegistry()
         failover = self._digests(
             bundle,
-            self._cfg(replication=ReplicationConfig(replicas=2, hedging=True)),
+            self._cfg(replication=ReplicationConfig(replicas=2)),
             FaultInjector(0, FaultConfig(shard_fault_rate=1.0)),
             fail_reg,
         )
@@ -423,13 +308,24 @@ class TestEngineFailover:
         # DESIGN §13.1: a probe of a wrapped primary is one ``scores``
         # call, so ``shard_fault_rate`` is the chance that *a probe* fails.
         probed: Counter = Counter()
-        real_probe = ReplicaSet._probe
+        real_view = ShardedVectorStore.serving_view
 
-        def counting_probe(self, replica, *args):
-            probed[(self.shard_index, replica)] += 1
-            return real_probe(self, replica, *args)
+        class CountingCopy:
+            def __init__(self, inner, shard, replica):
+                self.inner, self.key = inner, (shard, replica)
 
-        monkeypatch.setattr(ReplicaSet, "_probe", counting_probe)
+            def scores(self, qvec):
+                probed[self.key] += 1
+                return self.inner.scores(qvec)
+
+        def counting_view(self, config, *, store_wrapper=None):
+            def wrap(store, shard, replica):
+                inner = store if store_wrapper is None else store_wrapper(store, shard, replica)
+                return CountingCopy(inner, shard, replica)
+
+            return real_view(self, config, store_wrapper=wrap)
+
+        monkeypatch.setattr(ShardedVectorStore, "serving_view", counting_view)
         cfg = ReproConfig(
             iterations_per_token=0,
             sharding=ShardingConfig(num_shards=4),
@@ -493,17 +389,18 @@ class TestEngineFailover:
         assert failed
         assert all("PartialResultError" in it.error for it in failed)
 
-    def test_shard_summary_reports_replica_health(self, bundle):
+    def test_shard_summary_reports_replicas(self, bundle):
         cfg = self._cfg(replication=ReplicationConfig(replicas=2))
+        reg = MetricsRegistry()
         service = open_service(
             cfg, bundle=bundle,
             fault_injector=FaultInjector(0, FaultConfig(shard_fault_rate=1.0)),
-            registry=MetricsRegistry(),
+            registry=reg,
         )
         service.answer("What is the default KSP type?")
         summary = service.engine.shard_summary()
         assert summary["replicas"] == 2
-        states = {s for row in summary["shards"] for s in row["health"]}
-        # Wrapped primaries failed at rate 1.0: at least one is marked.
-        assert states & {"suspect", "down"}
-        assert all(row["replicas"] == 2 for row in summary["shards"])
+        assert [row["shard"] for row in summary["shards"]] == [0, 1, 2]
+        # Wrapped primaries failed at rate 1.0: each probe failed over.
+        failovers = reg.counter("repro.replica.failovers").value
+        assert failovers == reg.counter("repro.replica.probe_failures").value > 0

@@ -804,15 +804,19 @@ def test_reachability_scan_reports_unreached_and_stale_entries():
     ]
 
 #: One index, one engine, one store: nothing may fork on which kind it
-#: was handed, or on whether there is more than one shard.
+#: was handed, or on whether there is more than one shard or replica.
 _FORK_PATTERNS = (
     r"isinstance\([^()]*,\s*\(?[^()]*\b\w*(?:Artifact|Engine|VectorStore)\b",
     r"num_shards\s*(?:==|!=|<=|>=|<|>)\s*[01]\b",
     r"\b[01]\s*(?:==|!=|<=|>=|<|>)\s*[\w.]*num_shards",
+    r"replicas\s*(?:==|!=|<=|>=|<|>)\s*[012]\b",
+    r"\b[012]\s*(?:==|!=|<=|>=|<|>)\s*[\w.]*replicas\b",
+    r"replica_sets\s+is\b",
 )
 #: (file, matched text) pairs that are not forks.
 _ALLOWED_SHARD_COMPARISONS = {
     ("config.py", "num_shards < 1"),  # range validation
+    ("config.py", "replicas < 1"),  # range validation
     ("vectorstore/sharded.py", "num_shards <= 0"),  # shard_for_source's modulus guard
 }
 
@@ -831,6 +835,7 @@ def test_no_fork_on_artifact_engine_store_kind_or_shard_count():
                 offenders.append(f"src/repro/{rel}:{line}: {match.group(0)}")
     assert not offenders, (
         "monolithic serving is the 1-shard x 1-replica case of one path; "
-        "do not branch on artifact/engine/store type or on num_shards 0/1:\n"
+        "do not branch on artifact/engine/store type, on num_shards 0/1 "
+        "or on the replica count:\n"
         + "\n".join(offenders)
     )

@@ -150,9 +150,9 @@ class TestShardedStore:
             sharded.get("no-such-id")
 
     def test_get_and_len_read_the_served_views_documents(self, bundle):
-        # The replicated view an engine serves from holds the artifact's
-        # documents: ``len`` is their count, ``get`` one lookup, and an
-        # unknown id is a typed error, not a KeyError.
+        # The replicated view an engine serves from shares the artifact
+        # store's documents: ``len`` is their count, ``get`` one lookup,
+        # and an unknown id is a typed error, not a KeyError.
         from repro.config import ReplicationConfig
 
         cfg = ReproConfig(
@@ -163,7 +163,8 @@ class TestShardedStore:
         )
         engine = open_engine(cfg, bundle=bundle)
         view = engine.pipeline("rag").retriever.store
-        assert view.replica_sets is not None
+        assert [len(copies) for copies in view.copies] == [2] * 4
+        assert view._by_id is engine.artifact.store._by_id
         assert len(view) == len(engine.artifact.chunks)
         for chunk in engine.artifact.chunks[:: 17]:
             assert view.get(chunk.doc_id) is engine.artifact.store.get(chunk.doc_id)
@@ -189,15 +190,13 @@ class TestShardedStore:
         # once: a healthy probe is one score call on one replica.
         from repro.config import ReplicationConfig
         from repro.evaluation import krylov_benchmark
-        from repro.replication import HealthTracker
 
         searched: list[tuple[int, int]] = []
 
         cfg = _cfg(4)
         rep = ReplicationConfig(replicas=2)
-        view = get_or_build_index(bundle, cfg).store.with_replication(
+        view = get_or_build_index(bundle, cfg).store.serving_view(
             rep,
-            health=HealthTracker(),
             store_wrapper=lambda store, shard, replica: CountingStore(
                 store, lambda: searched.append((shard, replica))
             ),

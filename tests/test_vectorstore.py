@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.documents import Document
 from repro.embeddings import HashingEmbedding
 from repro.errors import VectorStoreError
-from repro.vectorstore import VectorStore, matches_where
+from repro.vectorstore import ShardedVectorStore, VectorStore, matches_where
 
 from benchmarks.test_arms import TestIVFIndex  # noqa: F401  (collected here)
 
@@ -113,6 +113,14 @@ class TestBruteForceIndex:
             )
         with pytest.raises(VectorStoreError, match="query dim 3"):
             _store(E).similarity_search_by_vector_with_score(np.ones(3, dtype=np.float32), k=1)
+
+    def test_dim_mismatch_composite(self):
+        # The walk catches a copy's VectorStoreError as a dark shard, so
+        # the composite checks the query's dimension before it scatters.
+        store = _store(E)
+        composite = ShardedVectorStore([store], store.embedding)
+        with pytest.raises(VectorStoreError, match="query dim 3"):
+            composite.similarity_search_by_vector_with_score(np.ones(3, dtype=np.float32), k=1)
 
     def test_empty_search(self):
         store = VectorStore.from_documents([], HashingEmbedding(dim=DIM))
